@@ -8,9 +8,9 @@ from .fock import (DensityMatrix, FockSpace, OperatorMatrix, PureState,
                    basis_state, expectation, hermite_functions, ladder_op,
                    number_distributions, partial_transpose, phase_rotation,
                    quadrature_ops)
-from .states import (NoiseModel, NOISELESS, SqueezingSchedule, analytic_variances,
-                     noise_preset, phase_noisy_state, squeeze_param, tmsv,
-                     tmsv_rotated, truncation_tail)
+from .states import (NoiseModel, NOISELESS, SqueezedVacuum, SqueezingSchedule,
+                     analytic_variances, noise_preset, phase_noisy_state,
+                     squeeze_param, tmsv, tmsv_rotated, truncation_tail)
 from .homodyne import (HomodyneConfig, QuadGrid, QuadratureSample, ShotRecord,
                        calibrate_transfer, config_from_transfer, default_config,
                        estimate_quadratures, mode_transform, quad_pdf,

@@ -16,6 +16,7 @@ seed are byte-identical.
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -197,6 +198,9 @@ def _cmd_tomo(args) -> int:
         "iterations": result.iterations,
         "fixed_point_residual": result.fixed_point_residual,
         "converged": result.converged,
+        "config": dataclasses.asdict(config),
+        "input": {"path": str(args.samples),
+                  "sha256": hashlib.sha256(Path(args.samples).read_bytes()).hexdigest()},
     })
     print(f"reconstruction {'converged' if result.converged else 'did not converge'} "
           f"after {result.iterations} iterations "

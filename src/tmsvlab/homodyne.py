@@ -7,22 +7,35 @@ number-to-quadrature estimators and their calibration, exact joint
 quadrature distributions on a grid, and seeded Monte-Carlo generation of
 quadrature samples and raw count records.
 
-Sampling is deterministic given (seed, theta index): every theta group
-draws from its own generator stream, so group order or worker layout
-cannot change the result.
+Sources are sampled along one of two paths:
+
+* a :class:`~tmsvlab.states.SqueezedVacuum` is Gaussian, so each shot is
+  drawn from its exact covariance at the shot's own jittered angle, with
+  no Fock space, grid or occupation cutoff;
+* an arbitrary :class:`~tmsvlab.fock.DensityMatrix` is sampled by inverse
+  CDF from its joint density on a grid, with the angle jitter quantized to
+  :data:`PHASE_JITTER_STEP`.
+
+Both paths share the jitter draw, the common-mode sum shift, the transfer
+jitter and the count inversion.  Sampling is deterministic given (seed,
+theta index): every theta group draws from its own generator stream, so
+group order or worker layout cannot change the result.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import DensityMatrix, FockSpace, hermite_functions
-from .states import NoiseModel, NOISELESS
+from .states import NoiseModel, NOISELESS, SqueezedVacuum
 
-# per-shot jitter of the measurement angle is quantized to this step so
-# shots sharing a step reuse one distribution; the induced variance bias
-# is O(step^2/12) of the anti-squeezed variance, far below sampling error
+# DensityMatrix path only: per-shot jitter of the measurement angle is
+# quantized to this step so shots sharing a step reuse one gridded
+# distribution; the induced variance bias is O(step^2/12) of the
+# anti-squeezed variance, far below sampling error.  The SqueezedVacuum
+# path uses each shot's exact angle.
 PHASE_JITTER_STEP = 0.01
 
 _MAX_RESAMPLE_ROUNDS = 20
@@ -174,14 +187,19 @@ def estimate_quadratures(shot: ShotRecord, config: HomodyneConfig,
     """
     if basis not in ("p-like", "x-like"):
         raise ValueError(f"basis must be 'p-like' or 'x-like', got {basis!r}")
+    diff, total = _estimate(shot.n_a, shot.n_b, shot.n_tot, config)
+    return float(diff), float(total)
+
+
+def _estimate(n_a, n_b, n_tot, config: HomodyneConfig):
+    """The estimators of :func:`estimate_quadratures` on scalars or arrays."""
     s2, c2 = config.s2, config.c2
     if s2 <= 1e-12:
         raise EstimatorUndefinedError("transfer fraction s^2 ~ 0: difference estimator undefined")
     if c2 <= 1e-12:
         raise EstimatorUndefinedError("c^2 ~ 0: sum estimator undefined")
-    n_tot = shot.n_tot
-    diff = (shot.n_a - shot.n_b - s2 * config.rabi_asymmetry * n_tot / 2.0) / math.sqrt(s2 * n_tot)
-    total = (shot.n_a + shot.n_b - s2 * n_tot) / math.sqrt(s2 * c2 * n_tot)
+    diff = (n_a - n_b - s2 * config.rabi_asymmetry * n_tot / 2.0) / np.sqrt(s2 * n_tot)
+    total = (n_a + n_b - s2 * n_tot) / np.sqrt(s2 * c2 * n_tot)
     return diff, total
 
 
@@ -341,27 +359,62 @@ def _seed_list(seed) -> list[int]:
     return [int(s) for s in seed]
 
 
-def _sample_group_arrays(state, theta, n, noise, rng, grid, psi_a, psi_b, eig):
+class _GridSampler:
+    """Draws from a DensityMatrix's gridded joint density by inverse CDF."""
+
+    def __init__(self, state: DensityMatrix, grid: QuadGrid | None):
+        self.state = state
+        self.grid = QuadGrid.default_for_state(state) if grid is None else grid
+        self.psi_a = hermite_functions(state.space.n_cut, self.grid.x_a)
+        self.psi_b = hermite_functions(state.space.n_cut, self.grid.x_b)
+        self.eig = _state_eig(state)
+
+    def __call__(self, theta: float, delta: np.ndarray, rng: np.random.Generator):
+        """One (x_a, x_b) pair per angle theta + delta, delta quantized to
+        PHASE_JITTER_STEP so that shots sharing a step share a density."""
+        grid = self.grid
+        x_a = np.empty(delta.size)
+        x_b = np.empty(delta.size)
+        dq = np.round(delta / PHASE_JITTER_STEP) * PHASE_JITTER_STEP
+        for val in np.unique(dq):
+            idx = np.flatnonzero(dq == val)
+            dens = _pdf_from_eig(*self.eig, self.state.space, theta + val,
+                                 self.psi_a, self.psi_b)
+            mass = float(dens.sum() * grid.cell_area)
+            if mass < 0.99:
+                raise GridSupportError(f"grid captures only {mass:.4f} of the mass at "
+                                       f"theta={theta + val:.4f}")
+            x_a[idx], x_b[idx] = _JointSampler(dens, grid).draw(rng, idx.size)
+        return x_a, x_b
+
+
+def _gaussian_draw(source: SqueezedVacuum, theta: float, delta: np.ndarray,
+                   rng: np.random.Generator):
+    """One (x_a, x_b) pair per angle theta + delta from the exact covariance:
+    independent normal x_A + x_B and x_A - x_B."""
+    v_plus, v_minus = source.pair_variances(theta + delta)
+    q_sum = rng.standard_normal(delta.size) * np.sqrt(v_plus)
+    q_diff = rng.standard_normal(delta.size) * np.sqrt(v_minus)
+    return (q_sum + q_diff) / 2.0, (q_sum - q_diff) / 2.0
+
+
+def _sampler(source: DensityMatrix | SqueezedVacuum, grid: QuadGrid | None):
+    """Draw function (theta, delta, rng) -> (x_a, x_b) for the source."""
+    if isinstance(source, SqueezedVacuum):
+        if grid is not None:
+            raise ValueError("a sampling grid applies only to DensityMatrix sources")
+        return functools.partial(_gaussian_draw, source)
+    return _GridSampler(source, grid)
+
+
+def _draw_group(draw, theta: float, n: int, noise: NoiseModel, rng: np.random.Generator):
     """Draw n (x_a, x_b) pairs at nominal angle theta with phase jitter and
     common-mode sum shift applied."""
-    w, v = eig
-    x_a = np.empty(n)
-    x_b = np.empty(n)
     if noise.sigma_phase > 0.0:
         delta = rng.normal(0.0, noise.sigma_phase, n)
-        dq = np.round(delta / PHASE_JITTER_STEP) * PHASE_JITTER_STEP
     else:
-        dq = np.zeros(n)
-    for val in np.unique(dq):
-        idx = np.flatnonzero(dq == val)
-        dens = _pdf_from_eig(w, v, state.space, theta + val, psi_a, psi_b)
-        mass = float(dens.sum() * grid.cell_area)
-        if mass < 0.99:
-            raise GridSupportError(f"grid captures only {mass:.4f} of the mass at "
-                                   f"theta={theta + val:.4f}")
-        xa_s, xb_s = _JointSampler(dens, grid).draw(rng, idx.size)
-        x_a[idx] = xa_s
-        x_b[idx] = xb_s
+        delta = np.zeros(n)
+    x_a, x_b = draw(theta, delta, rng)
     if noise.sum_variance_shift > 0.0:
         g = rng.normal(0.0, math.sqrt(noise.sum_variance_shift), n)
         x_a = x_a + g / 2.0
@@ -369,32 +422,48 @@ def _sample_group_arrays(state, theta, n, noise, rng, grid, psi_a, psi_b, eig):
     return x_a, x_b
 
 
-def sample_quadratures(state: DensityMatrix, thetas, p_per_theta: int,
+def sample_quadratures(source: DensityMatrix | SqueezedVacuum, thetas, p_per_theta: int,
                        noise: NoiseModel = NOISELESS, seed=0,
                        grid: QuadGrid | None = None) -> list[QuadratureSample]:
     """Monte-Carlo homodyne samples: p_per_theta shots at each nominal angle.
 
     Per shot the measurement angle is jittered by a Gaussian of width
-    sigma_phase, the pair (x_a, x_b) is drawn from the exact gridded joint
-    density by inverse-CDF (marginal in x_a, then the conditional), and a
+    sigma_phase, the pair (x_a, x_b) is drawn at the jittered angle, and a
     common-mode offset raises Var(x_a + x_b) by sum_variance_shift.  Shots
     are recorded under the nominal angle.
+
+    A SqueezedVacuum is drawn from its exact Gaussian covariance at each
+    shot's own angle; ``grid`` must then be None.  A DensityMatrix is drawn
+    from its joint density on ``grid`` by inverse CDF (marginal in x_a,
+    then the conditional), with the jitter quantized to PHASE_JITTER_STEP.
     """
     if p_per_theta < 1:
         raise ValueError("p_per_theta must be >= 1")
-    if grid is None:
-        grid = QuadGrid.default_for_state(state)
-    psi_a = hermite_functions(state.space.n_cut, grid.x_a)
-    psi_b = hermite_functions(state.space.n_cut, grid.x_b)
-    eig = _state_eig(state)
+    draw = _sampler(source, grid)
     base = _seed_list(seed)
     out: list[QuadratureSample] = []
     for i, theta in enumerate(thetas):
         rng = np.random.default_rng(base + [i])
-        x_a, x_b = _sample_group_arrays(state, float(theta), p_per_theta, noise,
-                                        rng, grid, psi_a, psi_b, eig)
-        out.extend(QuadratureSample(theta, a, b) for a, b in zip(x_a, x_b))
+        x_a, x_b = _draw_group(draw, float(theta), p_per_theta, noise, rng)
+        out.extend(QuadratureSample(theta, a, b) for a, b in zip(x_a.tolist(), x_b.tolist()))
     return out
+
+
+def _invert_counts(x_a, x_b, s2, config: HomodyneConfig):
+    """Counts realizing the quadratures at transfer fraction s2, rounded as
+    in :func:`quadratures_to_counts`, and the mask of shots whose counts
+    lie in [0, N_tot]."""
+    n_tot = config.n_tot
+    sum_real = s2 * n_tot + (x_a + x_b) * np.sqrt(s2 * (1.0 - s2) * n_tot)
+    diff_real = (x_a - x_b) * np.sqrt(s2 * n_tot) + s2 * config.rabi_asymmetry * n_tot / 2.0
+    total = np.rint(sum_real).astype(np.int64)
+    diff = np.rint(diff_real).astype(np.int64)
+    parity_off = (diff - total) % 2 != 0
+    step = np.where(diff_real >= diff, 1, -1)
+    diff = np.where(parity_off, diff + step, diff)
+    n_a = (total + diff) // 2
+    n_b = (total - diff) // 2
+    return n_a, n_b, (n_a >= 0) & (n_b >= 0) & (n_a + n_b <= n_tot)
 
 
 def quadratures_to_counts(x_a, x_b, config: HomodyneConfig,
@@ -411,51 +480,33 @@ def quadratures_to_counts(x_a, x_b, config: HomodyneConfig,
     x_a = np.asarray(x_a, dtype=np.float64)
     x_b = np.asarray(x_b, dtype=np.float64)
     s2 = np.full_like(x_a, config.s2) if s2_actual is None else np.asarray(s2_actual)
-    c2 = 1.0 - s2
-    n_tot = config.n_tot
-    q_diff = x_a - x_b
-    q_sum = x_a + x_b
-    sum_real = s2 * n_tot + q_sum * np.sqrt(s2 * c2 * n_tot)
-    diff_real = q_diff * np.sqrt(s2 * n_tot) + s2 * config.rabi_asymmetry * n_tot / 2.0
-    total = np.rint(sum_real).astype(np.int64)
-    diff = np.rint(diff_real).astype(np.int64)
-    parity_off = (diff - total) % 2 != 0
-    step = np.where(diff_real >= diff, 1, -1)
-    diff = np.where(parity_off, diff + step, diff)
-    n_a = (total + diff) // 2
-    n_b = (total - diff) // 2
-    bad = (n_a < 0) | (n_b < 0) | (n_a + n_b > n_tot)
-    if np.any(bad):
-        raise CountBoundsError(f"{int(bad.sum())} synthesized shots left [0, {n_tot}]")
+    n_a, n_b, ok = _invert_counts(x_a, x_b, s2, config)
+    if not np.all(ok):
+        raise CountBoundsError(f"{int((~ok).sum())} synthesized shots left [0, {config.n_tot}]")
     return n_a, n_b
 
 
-def simulate_shots(state: DensityMatrix, config: HomodyneConfig, noise: NoiseModel,
-                   thetas, p_per_theta: int, seed=0,
+def simulate_shots(source: DensityMatrix | SqueezedVacuum, config: HomodyneConfig,
+                   noise: NoiseModel, thetas, p_per_theta: int, seed=0,
                    grid: QuadGrid | None = None) -> list[ShotRecord]:
-    """Synthesize count records for homodyne shots on the given state.
+    """Synthesize count records for homodyne shots on the given source.
 
-    Quadratures are drawn as in :func:`sample_quadratures`; the transfer
-    fraction of each shot is jittered multiplicatively by
-    (1 + N(0, rf_rel_noise)) before the estimator equations are inverted
+    Quadratures are drawn as in :func:`sample_quadratures`, on the same
+    path; the transfer fraction of each shot is jittered multiplicatively
+    by (1 + N(0, rf_rel_noise)) before the estimator equations are inverted
     to counts.  Shots whose counts leave [0, N_tot] are redrawn a bounded
     number of times.
     """
     if p_per_theta < 1:
         raise ValueError("p_per_theta must be >= 1")
-    if grid is None:
-        grid = QuadGrid.default_for_state(state)
-    psi_a = hermite_functions(state.space.n_cut, grid.x_a)
-    psi_b = hermite_functions(state.space.n_cut, grid.x_b)
-    eig = _state_eig(state)
+    draw = _sampler(source, grid)
     base = _seed_list(seed)
     records: list[ShotRecord] = []
     n_tot = config.n_tot
     for i, theta in enumerate(thetas):
         rng = np.random.default_rng(base + [i])
         rng_rf = np.random.default_rng(base + [i, 7])
-        x_a, x_b = _sample_group_arrays(state, float(theta), p_per_theta, noise,
-                                        rng, grid, psi_a, psi_b, eig)
+        x_a, x_b = _draw_group(draw, float(theta), p_per_theta, noise, rng)
         if noise.rf_rel_noise > 0.0:
             eps = rng_rf.normal(0.0, noise.rf_rel_noise, p_per_theta)
         else:
@@ -465,32 +516,20 @@ def simulate_shots(state: DensityMatrix, config: HomodyneConfig, noise: NoiseMod
         n_b = np.empty(p_per_theta, dtype=np.int64)
         pending = np.arange(p_per_theta)
         for _round in range(_MAX_RESAMPLE_ROUNDS):
-            sum_real = s2_act[pending] * n_tot + (x_a[pending] + x_b[pending]) * np.sqrt(
-                s2_act[pending] * (1.0 - s2_act[pending]) * n_tot)
-            diff_real = (x_a[pending] - x_b[pending]) * np.sqrt(s2_act[pending] * n_tot) \
-                + s2_act[pending] * config.rabi_asymmetry * n_tot / 2.0
-            total = np.rint(sum_real).astype(np.int64)
-            diff = np.rint(diff_real).astype(np.int64)
-            parity_off = (diff - total) % 2 != 0
-            step = np.where(diff_real >= diff, 1, -1)
-            diff = np.where(parity_off, diff + step, diff)
-            cand_a = (total + diff) // 2
-            cand_b = (total - diff) // 2
-            ok = (cand_a >= 0) & (cand_b >= 0) & (cand_a + cand_b <= n_tot)
+            cand_a, cand_b, ok = _invert_counts(x_a[pending], x_b[pending],
+                                                s2_act[pending], config)
             n_a[pending[ok]] = cand_a[ok]
             n_b[pending[ok]] = cand_b[ok]
             pending = pending[~ok]
             if pending.size == 0:
                 break
-            redraw_a, redraw_b = _sample_group_arrays(
-                state, float(theta), pending.size, noise, rng, grid, psi_a, psi_b, eig)
-            x_a[pending] = redraw_a
-            x_b[pending] = redraw_b
+            x_a[pending], x_b[pending] = _draw_group(draw, float(theta), pending.size,
+                                                     noise, rng)
         else:
             raise CountBoundsError(
                 f"{pending.size} shots at theta={theta:.4f} still outside [0, {n_tot}] "
                 f"after {_MAX_RESAMPLE_ROUNDS} redraws")
-        records.extend(ShotRecord(int(a), int(b), n_tot) for a, b in zip(n_a, n_b))
+        records.extend(ShotRecord(a, b, n_tot) for a, b in zip(n_a.tolist(), n_b.tolist()))
     return records
 
 
@@ -500,14 +539,11 @@ def shots_to_samples(shots: list[ShotRecord], thetas, p_per_theta: int,
     and reassemble per-shot quadrature samples under the nominal angles."""
     if len(shots) != len(thetas) * p_per_theta:
         raise ValueError("shot list does not match thetas x p_per_theta")
-    out: list[QuadratureSample] = []
-    k = 0
-    for theta in thetas:
-        for _ in range(p_per_theta):
-            diff, total = estimate_quadratures(shots[k], config)
-            out.append(QuadratureSample(theta, (total + diff) / 2.0, (total - diff) / 2.0))
-            k += 1
-    return out
+    counts = np.array([(s.n_a, s.n_b, s.n_tot) for s in shots], dtype=np.int64).reshape(-1, 3)
+    diff, total = _estimate(counts[:, 0], counts[:, 1], counts[:, 2], config)
+    theta = np.repeat(np.asarray(thetas, dtype=np.float64), p_per_theta)
+    return [QuadratureSample(t, a, b) for t, a, b in
+            zip(theta.tolist(), ((total + diff) / 2.0).tolist(), ((total - diff) / 2.0).tolist())]
 
 
 def samples_to_arrays(samples: list[QuadratureSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -10,7 +10,9 @@ Three named presets are shipped:
                compared against the analytic dephased truth;
 * ``fig3``     squeezing-dynamics sweep with per-shot measurement-angle
                jitter and coupling-strength jitter, evaluated through the
-               count-level simulation.
+               count-level simulation; the sweep samples the Gaussian
+               source from its exact covariance, so the preset's ``n_cut``
+               applies only to ``simulate --preset fig3``.
 
 Every run is reproducible: identical (preset, seed) give bit-identical
 outputs in single-worker mode.
@@ -213,13 +215,4 @@ def run_fig3(times=FIG3_TIME_GRID, noise: NoiseModel | None = None,
                       noise=preset.noise if noise is None else noise,
                       p_per_point=preset.p_per_theta if p_per_point is None else p_per_point,
                       seed=preset.seed if seed is None else seed,
-                      config=default_config(),
-                      n_cut=preset.n_cut)
-
-
-def fig3_epr_at(t: float, p_per_point: int = 20000, seed: int = 0):
-    """EPR report of the fig3 preset at a single evolution time."""
-    preset = PRESETS["fig3"]
-    point = time_sweep([t], preset.noise, p_per_point, seed=seed,
-                       config=default_config(), n_cut=preset.n_cut)[0]
-    return point
+                      config=default_config())

@@ -1,16 +1,17 @@
 """Source states of the pair-creation process and their analytic properties.
 
 The ideal source is the two-mode squeezed vacuum with squeezing parameter
-xi = Omega * t set by the spin-dynamics rate and duration.  A dephased
-variant mixes the pair phase with a Gaussian weight; it is the model used
-for the noisy tomography studies.
+xi = Omega * t set by the spin-dynamics rate and duration.  It is Gaussian,
+so :class:`SqueezedVacuum` describes it exactly by its covariance, with no
+occupation cutoff; :func:`tmsv` and :func:`tmsv_rotated` give its truncated
+Fock-space form.  A dephased variant mixes the pair phase with a Gaussian
+weight; it is the model used for the noisy tomography studies.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .fock import DensityMatrix, FockSpace, PureState
 
@@ -144,24 +145,51 @@ def tmsv_rotated(xi: float, theta: float, space: FockSpace) -> PureState:
     return PureState(space, amps)
 
 
+@dataclass(frozen=True)
+class SqueezedVacuum:
+    """Ideal two-mode squeezed vacuum, sum_n e^{-i n phi} tanh^n(xi)/cosh(xi) |n,n>.
+
+    The state is Gaussian and needs no occupation cutoff: measured at
+    rotation angle u, x_A + x_B and x_A - x_B have zero mean, are
+    uncorrelated, and have the variances of :meth:`pair_variances`
+    (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)).
+    """
+
+    xi: float
+    pair_phase: float = 0.0
+
+    def __post_init__(self):
+        if self.xi < 0:
+            raise ValueError("xi must be nonnegative")
+
+    def density(self, space: FockSpace) -> DensityMatrix:
+        """Truncated Fock-space density matrix of the state."""
+        return tmsv_rotated(self.xi, self.pair_phase, space).projector()
+
+    def pair_variances(self, u) -> tuple[np.ndarray, np.ndarray]:
+        """Var(x_A + x_B) and Var(x_A - x_B) at rotation angle(s) u:
+        cosh 2xi +- sinh 2xi cos(2u - phi)."""
+        base = np.cosh(2.0 * self.xi)
+        swing = np.sinh(2.0 * self.xi) * np.cos(2.0 * np.asarray(u) - self.pair_phase)
+        return base + swing, base - swing
+
+
 def _gaussian_fourier_weights(sigma: float, k_max: int) -> np.ndarray:
     """Integrals over [-pi, pi] of the Gaussian phase weight times cos(k theta).
 
-    Adaptive quadrature; the weight is not wrapped, so mass outside +-pi is
-    simply lost and later absorbed by the trace renormalization.
+    Gauss-Legendre quadrature with 64 + 2 k_max nodes on +-min(pi, 12 sigma),
+    which holds the whole weight however narrow it is.  The weight is not
+    wrapped, so mass outside +-pi is simply lost and later absorbed by the
+    trace renormalization.
     """
     if sigma == 0.0:
         return np.ones(k_max + 1)
-    norm = 1.0 / np.sqrt(2.0 * np.pi * sigma ** 2)
-
-    def weight(theta, k):
-        return norm * np.exp(-theta ** 2 / (2.0 * sigma ** 2)) * np.cos(k * theta)
-
-    out = np.empty(k_max + 1)
-    for k in range(k_max + 1):
-        val, _err = integrate.quad(weight, -np.pi, np.pi, args=(k,), limit=200)
-        out[k] = val
-    return out
+    nodes, node_weights = np.polynomial.legendre.leggauss(64 + 2 * k_max)
+    half = min(np.pi, 12.0 * sigma)
+    theta = half * nodes
+    density = np.exp(-theta ** 2 / (2.0 * sigma ** 2)) / np.sqrt(2.0 * np.pi * sigma ** 2)
+    k = np.arange(k_max + 1)
+    return np.cos(np.outer(k, theta)) @ (half * node_weights * density)
 
 
 def phase_noisy_state(xi: float, sigma: float, space: FockSpace) -> DensityMatrix:

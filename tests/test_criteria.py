@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -224,3 +226,22 @@ def test_bootstrap_errors_shrink_like_root_n(space10):
         se_big = float(bootstrap(big, 120, product_stat, seed=trial).se)
         ratios.append(se_small / se_big)
     assert np.mean(ratios) == pytest.approx(np.sqrt(2.0), rel=0.20)
+
+
+def test_time_sweep_samples_the_gaussian_source_without_a_cutoff(monkeypatch):
+    # xi = 2.5 lies far beyond a Fock cutoff (tail 0.43 at n_cut = 30); the
+    # sweep samples the exact covariance, evaluates no Hermite functions,
+    # warns about no truncation, and follows e^{+-2 xi} within the SE
+    import tmsvlab.homodyne as homodyne
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("time_sweep evaluated a gridded density")
+
+    monkeypatch.setattr(homodyne, "hermite_functions", no_grid)
+    n = 20_000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = time_sweep([2.5 / OMEGA_SPIN_DYNAMICS], NOISELESS, n, seed=4)[0]
+    for value, ideal in ((row.v_x_plus, row.v_anti_ideal), (row.v_x_minus, row.v_sq_ideal),
+                         (row.v_p_plus, row.v_sq_ideal), (row.v_p_minus, row.v_anti_ideal)):
+        assert_within_se(value, ideal, ideal * np.sqrt(2.0 / (n - 1)))

@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from tmsvlab.criteria import THETA_P_LIKE, THETA_X_LIKE
+from tmsvlab.criteria import THETA_P_LIKE, THETA_X_LIKE, epr_report
 from tmsvlab.fock import FockSpace, basis_state, rotate_state
 from tmsvlab.homodyne import (CountBoundsError, EstimatorUndefinedError,
-                              HomodyneConfig, QuadGrid, ShotRecord,
+                              HomodyneConfig, QuadGrid, QuadratureSample, ShotRecord,
                               calibrate_transfer, config_from_transfer,
                               default_config, estimate_quadratures, grid_mass,
                               mode_transform, quad_pdf, quadratures_to_counts,
                               sample_quadratures, samples_to_arrays,
                               shots_to_samples, simulate_shots)
-from tmsvlab.states import NOISELESS, NoiseModel, tmsv, tmsv_rotated
+from tmsvlab.states import (NOISELESS, NoiseModel, SqueezedVacuum, noise_preset,
+                            tmsv, tmsv_rotated, truncation_tail)
 
 from conftest import assert_within_se
 
@@ -314,3 +315,131 @@ def test_simulate_shots_deterministic(space10):
     a = simulate_shots(rho, cfg, noise, [0.4], 100, seed=3)
     b = simulate_shots(rho, cfg, noise, [0.4], 100, seed=3)
     assert a == b
+
+
+# ---------------------------------------------------------------- Gaussian path
+
+@pytest.mark.parametrize("xi, phi, u", [(0.3, 0.0, 0.4), (0.5, 1.0, 1.2),
+                                        (0.5, np.pi / 2, np.pi / 4), (0.63, 1.0, 2.5)])
+def test_gaussian_covariance_matches_grid_moments(xi, phi, u):
+    # n_cut = 25 discards truncation_tail(xi, 25) <= 7e-14 of the state and
+    # the default grid (+-6 sd, 512 points) loses < 1e-8 of the mass, so the
+    # Fock-space moments match the closed form well within 1e-6
+    space = FockSpace(25)
+    source = SqueezedVacuum(xi, phi)
+    assert truncation_tail(xi, space.n_cut) < 1e-13
+    rho = source.density(space)
+    grid = QuadGrid.default_for_state(rho)
+    w = quad_pdf(rho, u, grid) * grid.cell_area
+    xa, xb = np.meshgrid(grid.x_a, grid.x_b, indexing="ij")
+    q_sum, q_diff = xa + xb, xa - xb
+    v_plus, v_minus = source.pair_variances(u)
+    assert abs((w * q_sum).sum()) < 1e-6 and abs((w * q_diff).sum()) < 1e-6
+    assert (w * q_sum ** 2).sum() == pytest.approx(v_plus, abs=1e-6)
+    assert (w * q_diff ** 2).sum() == pytest.approx(v_minus, abs=1e-6)
+    assert abs((w * q_sum * q_diff).sum()) < 1e-6
+
+
+@pytest.mark.parametrize("sigma_phase", [0.0, 0.18])
+def test_gaussian_and_gridded_samplers_agree(sigma_phase):
+    # the gridded path draws from the n_cut = 12 truncation (tail 2.5e-7)
+    # with the jitter quantized to 0.01 rad, a variance bias below 1e-4;
+    # both are far below the sampling SE compared here.  With jitter the
+    # samples are a scale mixture of normals, so each variance's SE is the
+    # sample SE of the squared deviations, not the normal-theory one.
+    xi, n = 0.63, 10_000
+    source = SqueezedVacuum(xi, 0.0)
+    noise = NoiseModel(sigma_phase=sigma_phase)
+    thetas = [THETA_X_LIKE, THETA_P_LIKE]
+    stats = []
+    for src, seed in ((source, 41), (source.density(FockSpace(12)), 42)):
+        samples = sample_quadratures(src, thetas, n, noise, seed=seed)
+        report = epr_report(samples[:n], samples[n:], bootstrap_b=0)
+        assert report.epr_pairing == "x_minus*p_plus"
+        _, xa, xb = samples_to_arrays(samples)
+        dev2 = [(q - q.mean()) ** 2 for q in (xa[:n] + xb[:n], xa[:n] - xb[:n],
+                                               xa[n:] + xb[n:], xa[n:] - xb[n:])]
+        values = np.array([report.v_x_plus, report.v_x_minus, report.v_p_plus, report.v_p_minus])
+        ses = np.array([np.std(d, ddof=1) / np.sqrt(n) for d in dev2])
+        # delta method for the product of the two independent squeezed variances
+        product_se = report.epr_product * np.hypot(ses[1] / values[1], ses[2] / values[2])
+        stats.append((values, ses, report.epr_product, product_se))
+    (v_g, se_g, p_g, pse_g), (v_d, se_d, p_d, pse_d) = stats
+    for a, b, se in zip(v_g, v_d, np.hypot(se_g, se_d)):
+        assert_within_se(a, b, se)
+    assert_within_se(p_g, p_d, np.hypot(pse_g, pse_d))
+
+
+def test_gaussian_jitter_averages_the_rotated_covariance():
+    # per-shot angles u = theta + N(0, sigma^2) with no quantization give
+    # E[Var(x_A + x_B)] = cosh 2xi + sinh 2xi cos(2 theta - phi) e^{-2 sigma^2};
+    # the SE is the sample SE of the squared sum (the mixture is not normal)
+    xi, sigma, n, theta = 0.63, 0.18, 100_000, 0.3
+    source = SqueezedVacuum(xi, 0.4)
+    samples = sample_quadratures(source, [theta], n, NoiseModel(sigma_phase=sigma), seed=12)
+    _, xa, xb = samples_to_arrays(samples)
+    damping = np.exp(-2.0 * sigma ** 2) * np.cos(2.0 * theta - 0.4)
+    for q, sign in ((xa + xb, 1.0), (xa - xb, -1.0)):
+        expected = np.cosh(2 * xi) + sign * np.sinh(2 * xi) * damping
+        assert_within_se(np.mean(q ** 2), expected, np.std(q ** 2, ddof=1) / np.sqrt(n))
+
+
+def test_gaussian_path_rejects_a_grid():
+    with pytest.raises(ValueError, match="grid"):
+        sample_quadratures(SqueezedVacuum(0.5), [0.0], 10, grid=QuadGrid.regular(5.0, 64))
+
+
+def test_gaussian_path_redraws_out_of_bounds_counts():
+    # at n0 = 200 the sum counts 30 +- 17 leave [0, N_tot] for a few % of
+    # shots, which are redrawn; at xi = 6 almost none can be realized
+    cfg = config_from_transfer(s2=0.15, rabi_ratio=1.0, n0=200.0)
+    shots = simulate_shots(SqueezedVacuum(1.2), cfg, NOISELESS, [THETA_X_LIKE], 2000, seed=5)
+    assert len(shots) == 2000 and all(s.n_tot == 200 for s in shots)
+    with pytest.raises(CountBoundsError):
+        simulate_shots(SqueezedVacuum(6.0), cfg, NOISELESS, [THETA_X_LIKE], 100, seed=5)
+
+
+def test_simulate_shots_matches_quadratures_to_counts():
+    # without rf jitter or redraws, the shot counts are the single count
+    # inversion applied to the sampled quadratures of the same stream
+    cfg = default_config()
+    source = SqueezedVacuum(0.63)
+    samples = sample_quadratures(source, [0.7], 500, NoiseModel(sigma_phase=0.1), seed=8)
+    shots = simulate_shots(source, cfg, NoiseModel(sigma_phase=0.1), [0.7], 500, seed=8)
+    _, xa, xb = samples_to_arrays(samples)
+    n_a, n_b = quadratures_to_counts(xa, xb, cfg)
+    assert [(s.n_a, s.n_b) for s in shots] == list(zip(n_a.tolist(), n_b.tolist()))
+
+
+def test_shots_to_samples_matches_per_shot_estimator():
+    cfg = default_config()
+    thetas = [THETA_X_LIKE, 7.0]
+    p = 400
+    shots = simulate_shots(SqueezedVacuum(0.8), cfg, noise_preset("fig3"), thetas, p, seed=3)
+    shots[1] = ShotRecord(10, 3, 100)  # a different n_tot exercises the per-shot totals
+    expected = []
+    for k, shot in enumerate(shots):
+        diff, total = estimate_quadratures(shot, cfg)
+        expected.append(QuadratureSample(thetas[k // p], (total + diff) / 2.0,
+                                         (total - diff) / 2.0))
+    got = shots_to_samples(shots, thetas, p, cfg)
+    assert ([a.tobytes() for a in samples_to_arrays(got)]
+            == [a.tobytes() for a in samples_to_arrays(expected)])
+
+
+def test_density_matrix_path_is_pinned():
+    # sha256 of the float64 (theta, x_a, x_b) and int64 (n_a, n_b, n_tot)
+    # rows, recorded before the Gaussian path was added: the gridded
+    # sampler's RNG stream and outputs must not move
+    import hashlib
+    rho = tmsv(0.8, FockSpace(10)).projector()
+    noise = NoiseModel(sigma_phase=0.05, rf_rel_noise=0.004, sum_variance_shift=0.12)
+    thetas = [0.3, 1.9]
+    samples = sample_quadratures(rho, thetas, 200, noise, seed=[4, 2])
+    shots = simulate_shots(rho, default_config(), noise, thetas, 200, seed=[4, 2])
+    rows = np.array([(s.theta, s.x_a, s.x_b) for s in samples])
+    counts = np.array([(s.n_a, s.n_b, s.n_tot) for s in shots], dtype=np.int64)
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == (
+        "95dd0e2859543b75473065f3299aedc714bdb20c079b142d086e47579ca9a064")
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == (
+        "24b2576421a4e97cc169aa56ad295a68f6798664cbab94afa82cc61952dc7f37")

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -286,3 +288,19 @@ def test_cli_byte_identical_reruns(tmp_path):
         assert code == EX_OK
         outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert outs[0] == outs[1]
+
+
+def test_cli_tomo_records_config_and_input(tmp_path):
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--xi", "0", "--thetas", "0,1.0", "--p", "30",
+                   "--n-cut", "4", "--seed", "1", "--out", str(out)) == EX_OK
+    samples = out / "samples.csv"
+    tomo_out = tmp_path / "tomo"
+    run_cli("tomo", str(samples), "--dx", "0.3", "--n-cut", "4", "--max-iter", "5",
+            "--tol", "1e-9", "--out", str(tomo_out))
+    diag = json.loads((tomo_out / "diagnostics.json").read_text())
+    assert {"loglik_trace", "iterations", "fixed_point_residual", "converged"} <= set(diag)
+    assert diag["config"] == dataclasses.asdict(
+        TomographyConfig(dx=0.3, n_cut=4, max_iter=5, tol=1e-9))
+    assert diag["input"] == {"path": str(samples),
+                             "sha256": hashlib.sha256(samples.read_bytes()).hexdigest()}

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from tmsvlab.fock import FockSpace, basis_state, number_distributions
-from tmsvlab.states import (NoiseModel, PHASE_NOISE_SIGMA, SqueezingSchedule,
-                            TruncationWarning, analytic_variances, noise_preset,
+from tmsvlab.states import (NoiseModel, PHASE_NOISE_SIGMA, SqueezedVacuum,
+                            SqueezingSchedule, TruncationWarning,
+                            _gaussian_fourier_weights, analytic_variances, noise_preset,
                             phase_noisy_state, squeeze_param, tmsv, tmsv_rotated,
                             truncation_tail, OMEGA_SPIN_DYNAMICS)
 
@@ -166,3 +167,54 @@ def test_noise_model_validation_and_presets():
 
 def test_omega_constant():
     assert OMEGA_SPIN_DYNAMICS == pytest.approx(2 * np.pi * 5.1)
+
+
+# ------------------------------------------------------- Gaussian source
+
+def test_squeezed_vacuum_density_is_truncated_tmsv(space10):
+    src = SqueezedVacuum(0.63, 1.0)
+    rho = src.density(space10)
+    assert np.array_equal(rho.entries, tmsv_rotated(0.63, 1.0, space10).projector().entries)
+    with pytest.raises(ValueError):
+        SqueezedVacuum(-0.1)
+
+
+def test_squeezed_vacuum_pair_variances_closed_form():
+    xi = 0.63
+    v_plus, v_minus = SqueezedVacuum(xi, 0.0).pair_variances(np.array([np.pi, np.pi / 2]))
+    av = analytic_variances(xi)
+    # x-like angle pi: the sum is anti-squeezed; p-like angle pi/2: squeezed
+    assert np.allclose(v_plus, [av.v_anti, av.v_sq], rtol=1e-14)
+    assert np.allclose(v_minus, [av.v_sq, av.v_anti], rtol=1e-14)
+    # a pair phase phi moves the squeezed angle by phi / 2
+    shifted = SqueezedVacuum(xi, 1.0).pair_variances(np.pi + 0.5)
+    assert np.allclose(shifted, (av.v_anti, av.v_sq), rtol=1e-14)
+
+
+# ------------------------------------------------- dephasing weights
+
+@pytest.mark.parametrize("sigma", [3e-3, 0.05, 0.3, 0.36, 1.0, 3.0, 50.0])
+def test_gaussian_fourier_weights_match_adaptive_quadrature(sigma):
+    # adaptive quadrature over [-pi, pi] is a valid reference once the peak
+    # is wide enough for it to find (it misses peaks at sigma = 1e-3)
+    from scipy import integrate
+    k_max = 40
+    norm = 1.0 / np.sqrt(2 * np.pi * sigma ** 2)
+    reference = np.array([
+        integrate.quad(lambda th, kk=k: norm * np.exp(-th ** 2 / (2 * sigma ** 2))
+                       * np.cos(kk * th), -np.pi, np.pi, limit=200)[0]
+        for k in range(k_max + 1)])
+    assert np.max(np.abs(_gaussian_fourier_weights(sigma, k_max) - reference)) < 1e-13
+
+
+def test_gaussian_fourier_weights_narrow_peak(space10):
+    # at sigma = 1e-4 the Gaussian lies far inside +-pi, so the weights are
+    # the characteristic function e^{-k^2 sigma^2 / 2}
+    sigma = 1e-4
+    k = np.arange(11)
+    weights = _gaussian_fourier_weights(sigma, 10)
+    assert np.max(np.abs(weights - np.exp(-k ** 2 * sigma ** 2 / 2))) < 1e-12
+    rho = phase_noisy_state(0.63, sigma, space10)
+    assert rho.entries.trace().real == pytest.approx(1.0, abs=1e-12)
+    pure = tmsv_rotated(0.63, 0.0, space10).projector()
+    assert np.max(np.abs(rho.entries - pure.entries)) < 1e-6
