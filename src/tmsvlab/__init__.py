@@ -11,10 +11,9 @@ from .fock import (DensityMatrix, FockSpace, OperatorMatrix, PureState,
 from .states import (NoiseModel, NOISELESS, SqueezedVacuum, SqueezingSchedule,
                      analytic_variances, noise_preset, phase_noisy_state,
                      squeeze_param, tmsv, tmsv_rotated, truncation_tail)
-from .homodyne import (HomodyneConfig, QuadGrid, QuadratureSample, ShotRecord,
-                       calibrate_transfer, config_from_transfer, default_config,
-                       estimate_quadratures, mode_transform, quad_pdf,
-                       sample_quadratures, simulate_shots)
+from .homodyne import (HomodyneConfig, QuadGrid, Samples, Shots, calibrate_transfer,
+                       config_from_transfer, default_config, estimate_quadratures,
+                       mode_transform, quad_pdf, sample_quadratures, simulate_shots)
 from .criteria import (EprReport, VarianceSweep, epr_report, inferred_uncertainties,
                        time_sweep, variance_sweep)
 from .tomography import (Histogram2D, MLResult, TomographyConfig, bin_probability,

@@ -221,7 +221,7 @@ def _cmd_criteria(args) -> int:
         raise PhaseMismatchError(
             f"need exactly two phase groups, found {len(groups)}")
     (theta_x, idx_x), (theta_p, idx_p) = groups
-    report = epr_report([samples[i] for i in idx_x], [samples[i] for i in idx_p],
+    report = epr_report(samples[idx_x], samples[idx_p],
                         occupations=(float(_merge(cfg, args, "n_a", 0.0)),
                                      float(_merge(cfg, args, "n_b", 0.0)),
                                      float(_merge(cfg, args, "n0", 20000.0))),
@@ -247,6 +247,17 @@ def _cmd_metrics(args) -> int:
     return EX_OK
 
 
+# What a run at each scale changes in the figure's preset; the manifest
+# records the preset as run.
+_SCALE_OVERRIDES = {
+    ("fig_s2", "paper"): {"max_iter": 300},
+    ("fig_s2", "smoke"): {"thetas": sweep_phases(9), "n_cut": 6, "max_iter": 60},
+    ("fig_s3", "smoke"): {"p_per_theta": 30, "n_cut": 6, "thetas": sweep_phases(9),
+                          "max_iter": 80},
+    ("fig3", "smoke"): {"p_per_theta": 400},
+}
+
+
 def _cmd_reproduce(args) -> int:
     cfg = _load_config(args.config, "reproduce")
     figure = args.figure
@@ -256,24 +267,21 @@ def _cmd_reproduce(args) -> int:
     scale = _merge(cfg, args, "scale", "paper")
     base = _outdir(_merge(cfg, args, "out", "runs"))
     rundir = _outdir(base / f"{figure}-seed{seed}")
-    preset = PRESETS[figure]
-    tio.write_json(rundir / "manifest.json", make_manifest(preset, seed))
+    preset = dataclasses.replace(PRESETS[figure], **_SCALE_OVERRIDES.get((figure, scale), {}))
+    tio.write_json(rundir / "manifest.json", {**make_manifest(preset, seed), "scale": scale})
 
     if figure == "fig_s2":
         if scale == "smoke":
-            rows = run_fig_s2(p_values=(25, 50), dx_values=(0.25,), seeds=(seed,),
-                              n_thetas=9, n_cut=6, max_iter=60)
+            p_values, dx_values = (25, 50), (0.25,)
         else:
-            rows = run_fig_s2(p_values=(25, 50, 100, 200, 400), dx_values=(0.25, 0.1),
-                              seeds=(seed,))
+            p_values, dx_values = (25, 50, 100, 200, 400), (0.25, 0.1)
+        rows = run_fig_s2(p_values=p_values, dx_values=dx_values, seeds=(seed,),
+                          xi=preset.xi, n_thetas=len(preset.thetas), n_cut=preset.n_cut,
+                          max_iter=preset.max_iter, tol=preset.tol)
         tio.write_csv_rows(rundir / "fig_s2_table.csv", "p,dx,seed,fidelity,fidelity_se",
                            [(r.p, r.dx, r.seed, r.fidelity, r.fidelity_se) for r in rows])
     elif figure == "fig_s3":
-        preset_run = PRESETS["fig_s3"]
-        if scale == "smoke":
-            preset_run = dataclasses.replace(preset_run, p_per_theta=30, n_cut=6,
-                                             thetas=sweep_phases(9), max_iter=80)
-        result = run_fig_s3(preset_run, seed=seed)
+        result = run_fig_s3(preset, seed=seed)
         tio.write_density_matrix(rundir / "rho_ml.json", result.rho_ml)
         tio.write_json(rundir / "metrics.json", result.metrics.to_json_dict())
         tio.write_json(rundir / "summary.json", {
@@ -285,12 +293,8 @@ def _cmd_reproduce(args) -> int:
             "p_diff": result.p_diff.tolist(),
         })
     else:  # fig3
-        times = FIG3_TIME_GRID
-        p_per_point = None
-        if scale == "smoke":
-            times = (0.0, 13e-3, 26e-3)
-            p_per_point = 400
-        rows = run_fig3(times=times, p_per_point=p_per_point, seed=seed)
+        times = (0.0, 13e-3, 26e-3) if scale == "smoke" else FIG3_TIME_GRID
+        rows = run_fig3(times=times, p_per_point=preset.p_per_theta, seed=seed)
         tio.write_csv_rows(
             rundir / "fig3_sweep.csv",
             "t_s,xi,v_x_minus,v_x_plus,v_p_plus,v_p_minus,epr_product,insep_sum,"

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .homodyne import (HomodyneConfig, QuadratureSample, default_config,
-                       sample_quadratures, samples_to_arrays, shots_to_samples,
-                       simulate_shots)
+from .homodyne import (HomodyneConfig, Samples, default_config, sample_quadratures,
+                       shots_to_samples, simulate_shots)
 from .states import (NoiseModel, OMEGA_SPIN_DYNAMICS, SqueezedVacuum,
                      analytic_variances)
 
@@ -38,19 +37,26 @@ class PhaseMismatchError(ValueError):
     """The two sample groups are not a conjugate quarter-period apart."""
 
 
-def group_samples(samples: list[QuadratureSample],
+def group_samples(samples: Samples,
                   atol: float = THETA_GROUP_ATOL) -> list[tuple[float, np.ndarray]]:
-    """Cluster samples by phase; returns (theta, index array) per cluster."""
-    theta, _, _ = samples_to_arrays(samples)
-    order = np.argsort(theta, kind="stable")
-    groups: list[tuple[float, list[int]]] = []
-    for idx in order:
-        t = theta[idx]
-        if groups and abs(t - groups[-1][0]) <= atol:
-            groups[-1][1].append(int(idx))
-        else:
-            groups.append((float(t), [int(idx)]))
-    return [(t, np.array(ix)) for t, ix in groups]
+    """Cluster samples by phase; returns (theta, index array) per cluster.
+
+    Each cluster holds the samples within atol of its smallest theta,
+    ordered by theta and then by position; the next cluster starts at the
+    next larger theta.
+    """
+    order = np.argsort(samples.theta, kind="stable")
+    theta = samples.theta[order]
+    groups = []
+    start = 0
+    while start < theta.size:
+        # every theta within atol of theta[start] lies below this window end;
+        # a NaN phase forms a cluster of its own
+        end = np.searchsorted(theta, theta[start] + 2.0 * atol, side="right")
+        stop = start + max(1, int(np.count_nonzero(theta[start:end] - theta[start] <= atol)))
+        groups.append((float(theta[start]), order[start:stop]))
+        start = stop
+    return groups
 
 
 @dataclass(frozen=True)
@@ -73,11 +79,11 @@ def _variances(x_a: np.ndarray, x_b: np.ndarray) -> tuple[float, float]:
     return float(np.var(x_a + x_b, ddof=1)), float(np.var(x_a - x_b, ddof=1))
 
 
-def variance_sweep(samples: list[QuadratureSample]) -> VarianceSweep:
+def variance_sweep(samples: Samples) -> VarianceSweep:
     """Unbiased Var(X_A +- X_B) per phase group, with normal-theory errors
     V sqrt(2/(n-1)).  Groups with fewer than two samples are skipped and
     recorded."""
-    _, x_a, x_b = samples_to_arrays(samples)
+    x_a, x_b = samples.x_a, samples.x_b
     entries = []
     skipped = []
     for theta, idx in group_samples(samples):
@@ -130,7 +136,7 @@ class EprReport:
         }
 
 
-def _single_phase(samples: list[QuadratureSample], label: str) -> float:
+def _single_phase(samples: Samples, label: str) -> float:
     groups = group_samples(samples)
     if not groups:
         raise ValueError(f"{label} sample group is empty")
@@ -156,7 +162,7 @@ def _report_statistics(xa_x, xb_x, xa_p, xb_p) -> np.ndarray:
                      product, total, inferred[0], inferred[1], pairing])
 
 
-def epr_report(samples_x: list[QuadratureSample], samples_p: list[QuadratureSample],
+def epr_report(samples_x: Samples, samples_p: Samples,
                occupations: tuple[float, float, float] = (0.0, 0.0, 20000.0),
                bootstrap_b: int = 200, seed: int = 0) -> EprReport:
     """Evaluate the EPR product and inseparability sum on two conjugate
@@ -174,8 +180,8 @@ def epr_report(samples_x: list[QuadratureSample], samples_p: list[QuadratureSamp
     if abs(sep - math.pi / 2.0) > CONJUGATE_PHASE_ATOL:
         raise PhaseMismatchError(
             f"groups at theta={theta_x:.4f} and {theta_p:.4f} are not pi/2 apart (mod pi)")
-    _, xa_x, xb_x = samples_to_arrays(samples_x)
-    _, xa_p, xb_p = samples_to_arrays(samples_p)
+    xa_x, xb_x = samples_x.x_a, samples_x.x_b
+    xa_p, xb_p = samples_p.x_a, samples_p.x_b
     stats = _report_statistics(xa_x, xb_x, xa_p, xb_p)
 
     n_a, n_b, n0 = occupations
@@ -211,8 +217,7 @@ def epr_report(samples_x: list[QuadratureSample], samples_p: list[QuadratureSamp
     )
 
 
-def inferred_uncertainties(samples_x: list[QuadratureSample],
-                           samples_p: list[QuadratureSample]) -> tuple[float, float]:
+def inferred_uncertainties(samples_x: Samples, samples_p: Samples) -> tuple[float, float]:
     """Inferred deviations of mode-B predictions given mode-A measurements.
 
     The linear estimators x_est(x_A) = x_A - (mean x_A - mean x_B) and
@@ -223,10 +228,8 @@ def inferred_uncertainties(samples_x: list[QuadratureSample],
     """
     if not samples_x or not samples_p:
         raise ValueError("both sample groups must be non-empty")
-    _, xa_x, xb_x = samples_to_arrays(samples_x)
-    _, xa_p, xb_p = samples_to_arrays(samples_p)
-    return (float(np.sqrt(np.var(xa_x - xb_x, ddof=1))),
-            float(np.sqrt(np.var(xa_p + xb_p, ddof=1))))
+    return (float(np.sqrt(np.var(samples_x.x_a - samples_x.x_b, ddof=1))),
+            float(np.sqrt(np.var(samples_p.x_a + samples_p.x_b, ddof=1))))
 
 
 @dataclass(frozen=True)

@@ -103,13 +103,16 @@ class DensityMatrix:
             raise ValueError(f"expected {self.space.dim}x{self.space.dim} matrix, got {m.shape}")
         herm_defect = float(np.max(np.abs(m - m.conj().T)))
         if herm_defect > HERMITIAN_ATOL:
-            raise ValueError(f"matrix is not Hermitian (max |rho - rho^dag| = {herm_defect:.3e})")
+            raise ValueError("violates Hermiticity invariant: matrix is not Hermitian "
+                             f"(max |rho - rho^dag| = {herm_defect:.3e})")
         tr = m.trace()
         if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"matrix trace {tr:.12g} is not 1 within {TRACE_ATOL:g}")
+            raise ValueError(f"violates unit-trace invariant: matrix trace {tr:.12g} "
+                             f"is not 1 within {TRACE_ATOL:g}")
         min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
         if min_eig < MIN_EIGENVALUE_FLOOR:
-            raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {min_eig:.3e})")
+            raise ValueError("violates positivity invariant: matrix is not positive "
+                             f"semidefinite (min eigenvalue {min_eig:.3e})")
         object.__setattr__(self, "entries", _readonly(m))
 
     @classmethod
@@ -120,9 +123,6 @@ class DensityMatrix:
         if tr <= 0.0 or not np.isfinite(tr):
             raise ValueError(f"cannot normalize matrix with trace {tr!r}")
         return cls(space, m / tr)
-
-    def trace_of(self, op: "OperatorMatrix") -> complex:
-        return expectation(self, op)
 
 
 @dataclass(frozen=True)
@@ -184,11 +184,6 @@ def quadrature_ops(space: FockSpace, mode: str) -> tuple[OperatorMatrix, Operato
     p = 1j * (adag - a) / np.sqrt(2.0)
     return (OperatorMatrix(space, x, hermitian=True),
             OperatorMatrix(space, p, hermitian=True))
-
-
-def number_op(space: FockSpace, mode: str) -> OperatorMatrix:
-    a = ladder_op(space, mode, "annihilate").entries
-    return OperatorMatrix(space, a.conj().T @ a, hermitian=True)
 
 
 def total_number_op(space: FockSpace) -> OperatorMatrix:

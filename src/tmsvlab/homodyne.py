@@ -7,6 +7,11 @@ number-to-quadrature estimators and their calibration, exact joint
 quadrature distributions on a grid, and seeded Monte-Carlo generation of
 quadrature samples and raw count records.
 
+Shots travel in columnar batches, one array element per shot:
+:class:`Samples` holds the phases and quadratures (theta, x_a, x_b) and
+:class:`Shots` the atom counts (n_a, n_b, n_tot).  Both are frozen and
+validated as a whole on construction.
+
 Sources are sampled along one of two paths:
 
 * a :class:`~tmsvlab.states.SqueezedVacuum` is Gaussian, so each shot is
@@ -24,7 +29,7 @@ group order or worker layout cannot change the result.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -135,33 +140,62 @@ def default_config() -> HomodyneConfig:
     return config_from_transfer()
 
 
-@dataclass(frozen=True)
-class ShotRecord:
-    """One homodyne shot: counts in the two signal modes and the total."""
+class _Batch:
+    """Equal-length, read-only 1-D columns, one element per shot.  len() is
+    the shot count; indexing by a slice or an index array returns a batch
+    of the same type."""
 
-    n_a: int
-    n_b: int
-    n_tot: int
+    def _set_columns(self, columns: list[np.ndarray]) -> None:
+        if any(np.ndim(c) != 1 or len(c) != len(columns[0]) for c in columns):
+            raise ValueError(f"{type(self).__name__} columns must be 1-D arrays of one length")
+        for f, column in zip(fields(self), columns):
+            column.setflags(write=False)
+            object.__setattr__(self, f.name, column)
+
+    def __len__(self) -> int:
+        return len(getattr(self, fields(self)[0].name))
+
+    def __getitem__(self, index):
+        batch = object.__new__(type(self))
+        batch._set_columns([getattr(self, f.name)[index] for f in fields(self)])
+        return batch
+
+
+@dataclass(frozen=True, eq=False)
+class Shots(_Batch):
+    """Homodyne shots as counts in the two signal modes and the total.
+
+    Every count is nonnegative, n_tot is positive and n_a + n_b <= n_tot;
+    a violation names the first offending shot by its 0-based row.
+    """
+
+    n_a: np.ndarray
+    n_b: np.ndarray
+    n_tot: np.ndarray
 
     def __post_init__(self):
-        if self.n_a < 0 or self.n_b < 0 or self.n_tot <= 0:
-            raise ValueError("counts must be nonnegative and n_tot positive")
-        if self.n_a + self.n_b > self.n_tot:
-            raise ValueError("n_a + n_b exceeds n_tot")
+        self._set_columns([np.array(c, dtype=np.int64) for c in (self.n_a, self.n_b, self.n_tot)])
+        negative = (self.n_a < 0) | (self.n_b < 0) | (self.n_tot <= 0)
+        bad = negative | (self.n_a + self.n_b > self.n_tot)
+        if bad.any():
+            row = int(np.argmax(bad))
+            problem = ("counts must be nonnegative and n_tot positive" if negative[row]
+                       else "n_a + n_b exceeds n_tot")
+            raise ValueError(f"row {row}: {problem}")
 
 
-@dataclass(frozen=True)
-class QuadratureSample:
-    """One homodyne shot expressed as quadrature values at phase theta."""
+@dataclass(frozen=True, eq=False)
+class Samples(_Batch):
+    """Homodyne shots as quadrature values at phase theta, stored mod 2 pi."""
 
-    theta: float
-    x_a: float
-    x_b: float
+    theta: np.ndarray
+    x_a: np.ndarray
+    x_b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta) % (2.0 * np.pi))
-        object.__setattr__(self, "x_a", float(self.x_a))
-        object.__setattr__(self, "x_b", float(self.x_b))
+        self._set_columns([np.mod(np.asarray(self.theta, dtype=np.float64), 2.0 * np.pi),
+                           np.array(self.x_a, dtype=np.float64),
+                           np.array(self.x_b, dtype=np.float64)])
 
 
 def mode_transform(config: HomodyneConfig) -> np.ndarray:
@@ -175,29 +209,18 @@ def mode_transform(config: HomodyneConfig) -> np.ndarray:
     ], dtype=np.complex128)
 
 
-def estimate_quadratures(shot: ShotRecord, config: HomodyneConfig,
-                         basis: str = "p-like") -> tuple[float, float]:
-    """Quadrature difference and sum recovered from one count record.
+def estimate_quadratures(shots: Shots, config: HomodyneConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature difference and sum recovered from each count record.
 
         difference = (N_A - N_B - s^2 (O~+1^2 - O~-1^2) N_tot / 2) / sqrt(s^2 N_tot)
         sum        = (N_A + N_B - s^2 N_tot) / sqrt(s^2 c^2 N_tot)
-
-    The basis label records which physical quadrature the upstream phase
-    prepared; the arithmetic is identical for both.
     """
-    if basis not in ("p-like", "x-like"):
-        raise ValueError(f"basis must be 'p-like' or 'x-like', got {basis!r}")
-    diff, total = _estimate(shot.n_a, shot.n_b, shot.n_tot, config)
-    return float(diff), float(total)
-
-
-def _estimate(n_a, n_b, n_tot, config: HomodyneConfig):
-    """The estimators of :func:`estimate_quadratures` on scalars or arrays."""
     s2, c2 = config.s2, config.c2
     if s2 <= 1e-12:
         raise EstimatorUndefinedError("transfer fraction s^2 ~ 0: difference estimator undefined")
     if c2 <= 1e-12:
         raise EstimatorUndefinedError("c^2 ~ 0: sum estimator undefined")
+    n_a, n_b, n_tot = shots.n_a, shots.n_b, shots.n_tot
     diff = (n_a - n_b - s2 * config.rabi_asymmetry * n_tot / 2.0) / np.sqrt(s2 * n_tot)
     total = (n_a + n_b - s2 * n_tot) / np.sqrt(s2 * c2 * n_tot)
     return diff, total
@@ -211,14 +234,14 @@ class TransferCalibration:
     asymmetry_defined: bool
 
 
-def calibrate_transfer(shots: list[ShotRecord]) -> TransferCalibration:
+def calibrate_transfer(shots: Shots) -> TransferCalibration:
     """Invert the mean transfer and mean imbalance for s^2, c^2 and the
     Rabi asymmetry.  Zero transfer leaves the asymmetry indeterminate; it
     is reported as 0 with the flag cleared."""
     if not shots:
         raise ValueError("calibrate_transfer needs at least one shot")
-    frac_sum = np.array([(s.n_a + s.n_b) / s.n_tot for s in shots])
-    frac_diff = np.array([(s.n_a - s.n_b) / s.n_tot for s in shots])
+    frac_sum = (shots.n_a + shots.n_b) / shots.n_tot
+    frac_diff = (shots.n_a - shots.n_b) / shots.n_tot
     s2 = float(frac_sum.mean())
     if s2 > 0.0:
         return TransferCalibration(s2, 1.0 - s2, float(2.0 * frac_diff.mean() / s2), True)
@@ -307,16 +330,21 @@ def quad_pdf(state: DensityMatrix, theta: float, grid: QuadGrid) -> np.ndarray:
     """
     psi_a = hermite_functions(state.space.n_cut, grid.x_a)
     psi_b = hermite_functions(state.space.n_cut, grid.x_b)
-    w, v = _state_eig(state)
-    dens = _pdf_from_eig(w, v, state.space, theta, psi_a, psi_b)
-    mass = float(dens.sum() * grid.cell_area)
-    if mass < 0.99:
-        raise GridSupportError(f"grid captures only {mass:.4f} of the probability mass")
-    return dens
+    return _supported(_pdf_from_eig(*_state_eig(state), state.space, theta, psi_a, psi_b),
+                      grid, theta)
 
 
 def grid_mass(density: np.ndarray, grid: QuadGrid) -> float:
     return float(density.sum() * grid.cell_area)
+
+
+def _supported(density: np.ndarray, grid: QuadGrid, theta: float) -> np.ndarray:
+    """The density, once the grid is shown to capture >= 99% of its mass."""
+    mass = grid_mass(density, grid)
+    if mass < 0.99:
+        raise GridSupportError(f"grid captures only {mass:.4f} of the probability mass "
+                               f"at theta={theta:.4f}")
+    return density
 
 
 class _JointSampler:
@@ -380,11 +408,8 @@ class _GridSampler:
             idx = np.flatnonzero(dq == val)
             dens = _pdf_from_eig(*self.eig, self.state.space, theta + val,
                                  self.psi_a, self.psi_b)
-            mass = float(dens.sum() * grid.cell_area)
-            if mass < 0.99:
-                raise GridSupportError(f"grid captures only {mass:.4f} of the mass at "
-                                       f"theta={theta + val:.4f}")
-            x_a[idx], x_b[idx] = _JointSampler(dens, grid).draw(rng, idx.size)
+            x_a[idx], x_b[idx] = _JointSampler(_supported(dens, grid, theta + val),
+                                               grid).draw(rng, idx.size)
         return x_a, x_b
 
 
@@ -424,7 +449,7 @@ def _draw_group(draw, theta: float, n: int, noise: NoiseModel, rng: np.random.Ge
 
 def sample_quadratures(source: DensityMatrix | SqueezedVacuum, thetas, p_per_theta: int,
                        noise: NoiseModel = NOISELESS, seed=0,
-                       grid: QuadGrid | None = None) -> list[QuadratureSample]:
+                       grid: QuadGrid | None = None) -> Samples:
     """Monte-Carlo homodyne samples: p_per_theta shots at each nominal angle.
 
     Per shot the measurement angle is jittered by a Gaussian of width
@@ -441,12 +466,13 @@ def sample_quadratures(source: DensityMatrix | SqueezedVacuum, thetas, p_per_the
         raise ValueError("p_per_theta must be >= 1")
     draw = _sampler(source, grid)
     base = _seed_list(seed)
-    out: list[QuadratureSample] = []
-    for i, theta in enumerate(thetas):
+    thetas = np.asarray(thetas, dtype=np.float64)
+    x_a = np.empty((thetas.size, p_per_theta))
+    x_b = np.empty_like(x_a)
+    for i, theta in enumerate(thetas.tolist()):
         rng = np.random.default_rng(base + [i])
-        x_a, x_b = _draw_group(draw, float(theta), p_per_theta, noise, rng)
-        out.extend(QuadratureSample(theta, a, b) for a, b in zip(x_a.tolist(), x_b.tolist()))
-    return out
+        x_a[i], x_b[i] = _draw_group(draw, theta, p_per_theta, noise, rng)
+    return Samples(np.repeat(thetas, p_per_theta), x_a.ravel(), x_b.ravel())
 
 
 def _invert_counts(x_a, x_b, s2, config: HomodyneConfig):
@@ -488,7 +514,7 @@ def quadratures_to_counts(x_a, x_b, config: HomodyneConfig,
 
 def simulate_shots(source: DensityMatrix | SqueezedVacuum, config: HomodyneConfig,
                    noise: NoiseModel, thetas, p_per_theta: int, seed=0,
-                   grid: QuadGrid | None = None) -> list[ShotRecord]:
+                   grid: QuadGrid | None = None) -> Shots:
     """Synthesize count records for homodyne shots on the given source.
 
     Quadratures are drawn as in :func:`sample_quadratures`, on the same
@@ -501,8 +527,9 @@ def simulate_shots(source: DensityMatrix | SqueezedVacuum, config: HomodyneConfi
         raise ValueError("p_per_theta must be >= 1")
     draw = _sampler(source, grid)
     base = _seed_list(seed)
-    records: list[ShotRecord] = []
     n_tot = config.n_tot
+    n_a = np.empty((len(thetas), p_per_theta), dtype=np.int64)
+    n_b = np.empty_like(n_a)
     for i, theta in enumerate(thetas):
         rng = np.random.default_rng(base + [i])
         rng_rf = np.random.default_rng(base + [i, 7])
@@ -512,14 +539,12 @@ def simulate_shots(source: DensityMatrix | SqueezedVacuum, config: HomodyneConfi
         else:
             eps = np.zeros(p_per_theta)
         s2_act = np.clip(config.s2 * (1.0 + eps), 1e-12, 1.0 - 1e-12)
-        n_a = np.empty(p_per_theta, dtype=np.int64)
-        n_b = np.empty(p_per_theta, dtype=np.int64)
         pending = np.arange(p_per_theta)
         for _round in range(_MAX_RESAMPLE_ROUNDS):
             cand_a, cand_b, ok = _invert_counts(x_a[pending], x_b[pending],
                                                 s2_act[pending], config)
-            n_a[pending[ok]] = cand_a[ok]
-            n_b[pending[ok]] = cand_b[ok]
+            n_a[i, pending[ok]] = cand_a[ok]
+            n_b[i, pending[ok]] = cand_b[ok]
             pending = pending[~ok]
             if pending.size == 0:
                 break
@@ -529,25 +554,15 @@ def simulate_shots(source: DensityMatrix | SqueezedVacuum, config: HomodyneConfi
             raise CountBoundsError(
                 f"{pending.size} shots at theta={theta:.4f} still outside [0, {n_tot}] "
                 f"after {_MAX_RESAMPLE_ROUNDS} redraws")
-        records.extend(ShotRecord(a, b, n_tot) for a, b in zip(n_a.tolist(), n_b.tolist()))
-    return records
+    return Shots(n_a.ravel(), n_b.ravel(), np.full(n_a.size, n_tot))
 
 
-def shots_to_samples(shots: list[ShotRecord], thetas, p_per_theta: int,
-                     config: HomodyneConfig) -> list[QuadratureSample]:
+def shots_to_samples(shots: Shots, thetas, p_per_theta: int,
+                     config: HomodyneConfig) -> Samples:
     """Run the estimators on count records produced by :func:`simulate_shots`
-    and reassemble per-shot quadrature samples under the nominal angles."""
+    and reassemble the quadrature samples under the nominal angles."""
     if len(shots) != len(thetas) * p_per_theta:
         raise ValueError("shot list does not match thetas x p_per_theta")
-    counts = np.array([(s.n_a, s.n_b, s.n_tot) for s in shots], dtype=np.int64).reshape(-1, 3)
-    diff, total = _estimate(counts[:, 0], counts[:, 1], counts[:, 2], config)
-    theta = np.repeat(np.asarray(thetas, dtype=np.float64), p_per_theta)
-    return [QuadratureSample(t, a, b) for t, a, b in
-            zip(theta.tolist(), ((total + diff) / 2.0).tolist(), ((total - diff) / 2.0).tolist())]
-
-
-def samples_to_arrays(samples: list[QuadratureSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    theta = np.fromiter((s.theta for s in samples), dtype=np.float64, count=len(samples))
-    x_a = np.fromiter((s.x_a for s in samples), dtype=np.float64, count=len(samples))
-    x_b = np.fromiter((s.x_b for s in samples), dtype=np.float64, count=len(samples))
-    return theta, x_a, x_b
+    diff, total = estimate_quadratures(shots, config)
+    return Samples(np.repeat(np.asarray(thetas, dtype=np.float64), p_per_theta),
+                   (total + diff) / 2.0, (total - diff) / 2.0)

@@ -2,13 +2,18 @@
 
 CSV files are UTF-8 with exact headers (``theta_rad,x_a,x_b`` for samples,
 ``n_a,n_b,n_tot`` for shots), decimal points, no thousands separators.
-Floats are written with shortest round-trip precision, so identical data
-produce identical bytes.
+Each row is one shot; the files hold a :class:`~tmsvlab.homodyne.Samples`
+or :class:`~tmsvlab.homodyne.Shots` batch column by column.  Floats are
+written with shortest round-trip precision (``repr``), so identical data
+produce identical bytes.  Readers skip blank lines, name the line of the
+first malformed row, and raise :class:`EmptyDataError` on a file with no
+rows.
 
 The density-matrix JSON stores the cutoff, the basis ordering tag, and the
 real and imaginary parts as nested arrays.  Readers reject any file whose
 stated ordering differs from the canonical row-major (nA, nB) layout, and
-validate Hermiticity, unit trace, and positivity before returning a state.
+build the state through :class:`~tmsvlab.fock.DensityMatrix`, which
+validates Hermiticity, unit trace, and positivity.
 """
 
 import json
@@ -16,9 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fock import (DENSITY_MATRIX_ORDERING, DensityMatrix, FockSpace,
-                   HERMITIAN_ATOL, MIN_EIGENVALUE_FLOOR, TRACE_ATOL)
-from .homodyne import QuadratureSample, ShotRecord
+from .fock import DENSITY_MATRIX_ORDERING, DensityMatrix, FockSpace
+from .homodyne import Samples, Shots
 
 SAMPLES_HEADER = "theta_rad,x_a,x_b"
 SHOTS_HEADER = "n_a,n_b,n_tot"
@@ -28,60 +32,59 @@ class EmptyDataError(ValueError):
     """A data file parsed fine but contains no rows."""
 
 
-def write_samples(path, samples: list[QuadratureSample]) -> None:
-    lines = [SAMPLES_HEADER]
-    lines.extend(f"{s.theta!r},{s.x_a!r},{s.x_b!r}" for s in samples)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_columns(path, header: str, columns) -> None:
+    rows = map(",".join, zip(*(map(repr, column.tolist()) for column in columns)))
+    Path(path).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
 
 
-def read_samples(path) -> list[QuadratureSample]:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != SAMPLES_HEADER:
-        raise ValueError(f"{path}: expected header {SAMPLES_HEADER!r}")
-    samples = []
-    for lineno, line in enumerate(lines[1:], start=2):
+def _read_columns(path, header: str, dtype, what: str) -> np.ndarray:
+    """The three columns of a CSV file under ``header``, parsed as dtype."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0].strip() != header:
+        raise ValueError(f"{path}: expected header {header!r}")
+    body = lines[1:]
+    if not "".join(body).strip():
+        raise EmptyDataError(f"{path}: no {what}")
+    try:
+        table = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        table = None
+    if table is None or table.shape[1] != 3:
+        _raise_bad_line(path, body, dtype)
+    return table.T
+
+
+def _raise_bad_line(path, body: list[str], dtype) -> None:
+    """Raise the error of the first malformed row, naming its line."""
+    parse = float if dtype == np.float64 else int
+    for lineno, line in enumerate(body, start=2):
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != 3:
             raise ValueError(f"{path}: line {lineno}: expected 3 fields, got {len(parts)}")
         try:
-            theta, x_a, x_b = (float(p) for p in parts)
+            [parse(p) for p in parts]
         except ValueError:
-            raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
-        samples.append(QuadratureSample(theta, x_a, x_b))
-    if not samples:
-        raise EmptyDataError(f"{path}: no samples")
-    return samples
+            kind = "non-numeric" if parse is float else "non-integer"
+            raise ValueError(f"{path}: line {lineno}: {kind} field") from None
+    raise ValueError(f"{path}: malformed rows")
 
 
-def write_shots(path, shots: list[ShotRecord]) -> None:
-    lines = [SHOTS_HEADER]
-    lines.extend(f"{s.n_a},{s.n_b},{s.n_tot}" for s in shots)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_samples(path, samples: Samples) -> None:
+    _write_columns(path, SAMPLES_HEADER, (samples.theta, samples.x_a, samples.x_b))
 
 
-def read_shots(path) -> list[ShotRecord]:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != SHOTS_HEADER:
-        raise ValueError(f"{path}: expected header {SHOTS_HEADER!r}")
-    shots = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"{path}: line {lineno}: expected 3 fields, got {len(parts)}")
-        try:
-            n_a, n_b, n_tot = (int(p) for p in parts)
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: non-integer field") from None
-        shots.append(ShotRecord(n_a, n_b, n_tot))
-    if not shots:
-        raise EmptyDataError(f"{path}: no shots")
-    return shots
+def read_samples(path) -> Samples:
+    return Samples(*_read_columns(path, SAMPLES_HEADER, np.float64, "samples"))
+
+
+def write_shots(path, shots: Shots) -> None:
+    _write_columns(path, SHOTS_HEADER, (shots.n_a, shots.n_b, shots.n_tot))
+
+
+def read_shots(path) -> Shots:
+    return Shots(*_read_columns(path, SHOTS_HEADER, np.int64, "shots"))
 
 
 def density_matrix_to_dict(rho: DensityMatrix) -> dict:
@@ -98,20 +101,8 @@ def density_matrix_from_dict(d: dict) -> DensityMatrix:
     if ordering != DENSITY_MATRIX_ORDERING:
         raise ValueError(f"unsupported basis ordering {ordering!r}; "
                          f"expected {DENSITY_MATRIX_ORDERING!r}")
-    space = FockSpace(int(d["n_cut"]))
     entries = np.asarray(d["re"], dtype=np.float64) + 1j * np.asarray(d["im"], dtype=np.float64)
-    if entries.shape != (space.dim, space.dim):
-        raise ValueError(f"matrix shape {entries.shape} does not match n_cut={space.n_cut}")
-    herm = float(np.max(np.abs(entries - entries.conj().T)))
-    if herm > HERMITIAN_ATOL:
-        raise ValueError(f"violates Hermiticity invariant: max |rho - rho^dag| = {herm:.3e}")
-    tr = complex(entries.trace())
-    if abs(tr - 1.0) > max(TRACE_ATOL, 1e-12 * space.dim):
-        raise ValueError(f"violates unit-trace invariant: trace = {tr.real:.12g}")
-    min_eig = float(np.linalg.eigvalsh((entries + entries.conj().T) / 2.0)[0])
-    if min_eig < MIN_EIGENVALUE_FLOOR:
-        raise ValueError(f"violates positivity invariant: min eigenvalue = {min_eig:.3e}")
-    return DensityMatrix(space, entries)
+    return DensityMatrix(FockSpace(int(d["n_cut"])), entries)
 
 
 def write_json(path, payload: dict) -> None:
@@ -133,7 +124,4 @@ def read_density_matrix(path) -> DensityMatrix:
 
 def write_csv_rows(path, header: str, rows) -> None:
     """Write rows of floats/ints under a fixed header with repr formatting."""
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_columns(path, header, [np.asarray(column) for column in zip(*rows)])

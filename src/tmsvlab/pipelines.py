@@ -148,8 +148,8 @@ def run_fig_s2(p_values, dx_values, seeds=(0,), xi: float = 0.8,
                 config = TomographyConfig(dx=float(dx), n_cut=n_cut,
                                           max_iter=max_iter, tol=tol)
 
-                def fidelity_of(sample_list):
-                    result = ml_reconstruct(bin_samples(sample_list, float(dx)), config)
+                def fidelity_of(batch):
+                    result = ml_reconstruct(bin_samples(batch, float(dx)), config)
                     return fidelity_pure(result.rho, truth)
 
                 fid = fidelity_of(samples)

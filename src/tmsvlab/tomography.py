@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import DensityMatrix, FockSpace, OperatorMatrix, hermite_functions
-from .homodyne import QuadratureSample, samples_to_arrays
+from .homodyne import Samples
 from .criteria import group_samples
 
 MIN_BIN_PROB = 1e-12
@@ -125,26 +125,21 @@ class MLResult:
     min_eig_trace: tuple[float, ...] = ()
 
 
-def bin_samples(samples: list[QuadratureSample], dx: float) -> list[Histogram2D]:
+def bin_samples(samples: Samples, dx: float) -> list[Histogram2D]:
     """Bin samples into one histogram per distinct phase (grouped within
     1e-9 rad), using half-open bins aligned to integer multiples of dx."""
     if dx <= 0:
         raise ValueError("dx must be positive")
-    _, x_a, x_b = samples_to_arrays(samples)
     hists = []
     for theta, idx in group_samples(samples):
-        ia = np.floor(x_a[idx] / dx).astype(np.int64)
-        ib = np.floor(x_b[idx] / dx).astype(np.int64)
+        ia = np.floor(samples.x_a[idx] / dx).astype(np.int64)
+        ib = np.floor(samples.x_b[idx] / dx).astype(np.int64)
         ia0, ib0 = int(ia.min()), int(ib.min())
         counts = np.zeros((int(ia.max()) - ia0 + 1, int(ib.max()) - ib0 + 1), dtype=np.int64)
         np.add.at(counts, (ia - ia0, ib - ib0), 1)
         hists.append(Histogram2D(theta=theta, dx=dx, origin=(ia0 * dx, ib0 * dx),
                                  counts=counts))
     return hists
-
-
-def _sorted_hists(hists: list[Histogram2D]) -> list[Histogram2D]:
-    return sorted(hists, key=lambda h: (h.theta, h.origin))
 
 
 def _bin_kets(space: FockSpace, hist: Histogram2D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,28 +186,41 @@ def _model_probs(entries: np.ndarray, kets: np.ndarray, dx: float,
     return np.maximum(probs, min_bin_prob)
 
 
+def _binned(space: FockSpace, hists: list[Histogram2D]) -> list[tuple]:
+    """(hist, kets, counts, flat bin indices) per histogram, in the canonical
+    (theta, origin) order, so sums over them are independent of list order
+    bit for bit."""
+    return [(h, *_bin_kets(space, h)) for h in sorted(hists, key=lambda h: (h.theta, h.origin))]
+
+
+def _r_and_loglik(rho: np.ndarray, binned: list[tuple],
+                  min_bin_prob: float) -> tuple[np.ndarray, float]:
+    """The R operator of rho (Hermitian part) and the log-likelihood
+    sum(n log P) of the binned data under rho."""
+    r = np.zeros(rho.shape, dtype=np.complex128)
+    ll = 0.0
+    n_total = 0.0
+    for hist, kets, counts, flat in binned:
+        probs = _model_probs(rho, kets, hist.dx, min_bin_prob, hist.theta, flat)
+        ll += float(np.dot(counts, np.log(probs)))
+        r += (kets * (counts / probs)) @ kets.conj().T * hist.dx ** 2
+        n_total += counts.sum()
+    r /= n_total
+    return (r + r.conj().T) / 2.0, ll
+
+
 def r_operator(rho: DensityMatrix, hists: list[Histogram2D],
                min_bin_prob: float = MIN_BIN_PROB) -> OperatorMatrix:
     """Data-weighted sum of bin projectors divided by model probabilities.
 
     R = (1/N) sum over populated bins of (n / P) dx^2 |U_theta x><x U_theta^dag|,
-    accumulated over histograms in a canonical (theta, origin) order so the
-    result is independent of list order bit for bit.  Tr[R rho] = 1 when the
-    model probabilities come from the same rho.
+    the operator of one :func:`ml_reconstruct` iteration.  Tr[R rho] = 1
+    when the model probabilities come from the same rho.
     """
-    space = rho.space
-    n_total = sum(h.total for h in hists)
-    if n_total < 1:
+    if sum(h.total for h in hists) < 1:
         raise ValueError("histograms contain no counts")
-    r = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    for hist in _sorted_hists(hists):
-        kets, counts, flat = _bin_kets(space, hist)
-        probs = _model_probs(rho.entries, kets, hist.dx, min_bin_prob, hist.theta, flat)
-        weights = counts / probs * hist.dx ** 2
-        r += (kets * weights) @ kets.conj().T
-    r /= n_total
-    r = (r + r.conj().T) / 2.0
-    return OperatorMatrix(space, r, hermitian=True)
+    r, _ = _r_and_loglik(rho.entries, _binned(rho.space, hists), min_bin_prob)
+    return OperatorMatrix(rho.space, r, hermitian=True)
 
 
 def ml_reconstruct(hists: list[Histogram2D], config: TomographyConfig,
@@ -229,9 +237,7 @@ def ml_reconstruct(hists: list[Histogram2D], config: TomographyConfig,
     if sum(h.total for h in hists) < 1:
         raise ValueError("histograms contain no counts")
     space = FockSpace(config.n_cut)
-    ordered = _sorted_hists(hists)
-    kets_list = [_bin_kets(space, h) for h in ordered]
-    n_total = float(sum(h.total for h in ordered))
+    binned = _binned(space, hists)
 
     rho = np.eye(space.dim, dtype=np.complex128) / space.dim
     loglik: list[float] = []
@@ -240,15 +246,8 @@ def ml_reconstruct(hists: list[Histogram2D], config: TomographyConfig,
     converged = False
     iterations = 0
     for _it in range(config.max_iter):
-        r = np.zeros_like(rho)
-        ll = 0.0
-        for hist, (kets, counts, flat) in zip(ordered, kets_list):
-            probs = _model_probs(rho, kets, hist.dx, config.min_bin_prob, hist.theta, flat)
-            ll += float(np.dot(counts, np.log(probs)))
-            r += (kets * (counts / probs)) @ kets.conj().T * hist.dx ** 2
+        r, ll = _r_and_loglik(rho, binned, config.min_bin_prob)
         loglik.append(ll)
-        r /= n_total
-        r = (r + r.conj().T) / 2.0
         new = r @ rho @ r
         new = (new + new.conj().T) / 2.0
         new /= new.trace().real
@@ -261,11 +260,7 @@ def ml_reconstruct(hists: list[Histogram2D], config: TomographyConfig,
             converged = True
             break
     # likelihood of the final iterate, for a complete monotone trace
-    ll = 0.0
-    for hist, (kets, counts, flat) in zip(ordered, kets_list):
-        probs = _model_probs(rho, kets, hist.dx, config.min_bin_prob, hist.theta, flat)
-        ll += float(np.dot(counts, np.log(probs)))
-    loglik.append(ll)
+    loglik.append(_r_and_loglik(rho, binned, config.min_bin_prob)[1])
 
     return MLResult(rho=DensityMatrix.from_entries(space, rho),
                     loglik_trace=tuple(loglik),
@@ -283,12 +278,12 @@ class BootstrapResult:
     ci_high: np.ndarray
 
 
-def bootstrap(samples: list[QuadratureSample], b: int, pipeline, seed: int = 0) -> BootstrapResult:
+def bootstrap(samples: Samples, b: int, pipeline, seed: int = 0) -> BootstrapResult:
     """Nonparametric bootstrap of an analysis pipeline over homodyne samples.
 
     Resampling is with replacement within each phase group, so the phase
-    design is preserved.  ``pipeline`` maps a sample list to a scalar or
-    array statistic.  Deterministic for a given seed.
+    design is preserved.  ``pipeline`` maps a :class:`Samples` batch to a
+    scalar or array statistic.  Deterministic for a given seed.
     """
     if b < 100:
         raise ValueError("bootstrap needs at least 100 resamples")
@@ -299,11 +294,8 @@ def bootstrap(samples: list[QuadratureSample], b: int, pipeline, seed: int = 0) 
     rng = np.random.default_rng([seed])
     reps = np.empty((b,) + estimate.shape, dtype=np.float64)
     for k in range(b):
-        resampled: list[QuadratureSample] = []
-        for _theta, idx in groups:
-            take = idx[rng.integers(0, idx.size, idx.size)]
-            resampled.extend(samples[i] for i in take)
-        reps[k] = np.asarray(pipeline(resampled), dtype=np.float64)
+        take = np.concatenate([idx[rng.integers(0, idx.size, idx.size)] for _, idx in groups])
+        reps[k] = np.asarray(pipeline(samples[take]), dtype=np.float64)
     ci_low, ci_high = np.percentile(reps, [2.5, 97.5], axis=0)
     return BootstrapResult(estimate=estimate, se=reps.std(axis=0, ddof=1),
                            ci_low=ci_low, ci_high=ci_high)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -36,3 +37,17 @@ def loglik_under(rho, hists):
     """
     return sum(int(h.counts[i, j]) * math.log(bin_probability(rho, h, (i, j)))
                for h in hists for i, j in zip(*np.nonzero(h.counts)))
+
+
+def assert_same_batch(a, b):
+    """Two Samples or Shots batches hold the same columns bit for bit."""
+    assert type(a) is type(b)
+    for f in dataclasses.fields(a):
+        column_a, column_b = getattr(a, f.name), getattr(b, f.name)
+        assert column_a.dtype == column_b.dtype and column_a.tobytes() == column_b.tobytes(), f.name
+
+
+def concat(*batches):
+    """The shots of several batches of one type, in order."""
+    return type(batches[0])(*(np.concatenate([getattr(b, f.name) for b in batches])
+                              for f in dataclasses.fields(batches[0])))

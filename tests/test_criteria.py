@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from tmsvlab.criteria import (THETA_P_LIKE, THETA_X_LIKE, PhaseMismatchError,
-                              epr_report, inferred_uncertainties, time_sweep,
-                              variance_sweep)
+                              epr_report, group_samples, inferred_uncertainties,
+                              time_sweep, variance_sweep)
 from tmsvlab.fock import FockSpace, basis_state
-from tmsvlab.homodyne import QuadratureSample, sample_quadratures
+from tmsvlab.homodyne import Samples, sample_quadratures
 from tmsvlab.states import NOISELESS, NoiseModel, OMEGA_SPIN_DYNAMICS, tmsv_rotated
 
-from conftest import assert_within_se
+from conftest import assert_within_se, concat
 
 
 def make_samples(theta, xa, xb):
-    return [QuadratureSample(theta, a, b) for a, b in zip(xa, xb)]
+    return Samples(np.full(len(xa), theta), xa, xb)
+
+
+EMPTY = Samples([], [], [])
 
 
 def conjugate_groups(xi, n, seed, space=None):
@@ -59,7 +62,7 @@ def test_variance_sweep_tmsv_extremes(space10):
 def test_variance_sweep_skips_small_groups():
     samples = make_samples(0.1, np.random.default_rng(0).normal(size=20),
                            np.random.default_rng(1).normal(size=20))
-    samples.append(QuadratureSample(1.5, 0.0, 0.0))
+    samples = concat(samples, make_samples(1.5, [0.0], [0.0]))
     with pytest.warns(UserWarning, match="skipping"):
         sweep = variance_sweep(samples)
     assert len(sweep.entries) == 1
@@ -71,6 +74,15 @@ def test_variance_sweep_standard_error_formula():
     samples = make_samples(0.0, rng.normal(size=101), rng.normal(size=101))
     entry = variance_sweep(samples).entries[0]
     assert entry.se_plus == pytest.approx(entry.v_plus * np.sqrt(2.0 / 100.0))
+
+
+def test_group_samples_clusters_relative_to_the_first_theta():
+    # 1.2e-9 is within 1e-9 of its neighbour 0.6e-9 but not of the group's
+    # first theta 0, so it starts a second group
+    samples = Samples([1.2e-9, 0.0, 0.6e-9, 0.6e-9, 0.0], np.zeros(5), np.zeros(5))
+    groups = group_samples(samples)
+    assert [theta for theta, _ in groups] == [0.0, 1.2e-9]
+    assert [idx.tolist() for _, idx in groups] == [[1, 4, 2, 3], [0]]
 
 
 # ------------------------------------------------------------------- report
@@ -117,7 +129,7 @@ def test_epr_report_phase_mismatch_rejected():
 def test_epr_report_empty_group_rejected():
     a = make_samples(0.0, np.ones(10), np.ones(10))
     with pytest.raises(ValueError):
-        epr_report(a, [], bootstrap_b=0)
+        epr_report(a, EMPTY, bootstrap_b=0)
 
 
 def test_epr_report_bootstrap_errors_present(space10):
@@ -177,7 +189,7 @@ def test_inferred_independent_vacuum(vacuum10):
 
 def test_inferred_rejects_empty():
     with pytest.raises(ValueError):
-        inferred_uncertainties([], [])
+        inferred_uncertainties(EMPTY, EMPTY)
 
 
 # ---------------------------------------------------------------- time sweep
@@ -218,10 +230,10 @@ def test_bootstrap_errors_shrink_like_root_n(space10):
 
     ratios = []
     for trial in range(4):
-        small = (sample_quadratures(rho, [THETA_X_LIKE], 400, NOISELESS, seed=200 + trial)
-                 + sample_quadratures(rho, [THETA_P_LIKE], 400, NOISELESS, seed=300 + trial))
-        big = (sample_quadratures(rho, [THETA_X_LIKE], 800, NOISELESS, seed=400 + trial)
-               + sample_quadratures(rho, [THETA_P_LIKE], 800, NOISELESS, seed=500 + trial))
+        small = concat(sample_quadratures(rho, [THETA_X_LIKE], 400, NOISELESS, seed=200 + trial),
+                       sample_quadratures(rho, [THETA_P_LIKE], 400, NOISELESS, seed=300 + trial))
+        big = concat(sample_quadratures(rho, [THETA_X_LIKE], 800, NOISELESS, seed=400 + trial),
+                     sample_quadratures(rho, [THETA_P_LIKE], 800, NOISELESS, seed=500 + trial))
         se_small = float(bootstrap(small, 120, product_stat, seed=trial).se)
         se_big = float(bootstrap(big, 120, product_stat, seed=trial).se)
         ratios.append(se_small / se_big)

@@ -5,16 +5,15 @@ from scipy.stats import ks_2samp
 from tmsvlab.criteria import THETA_P_LIKE, THETA_X_LIKE, epr_report
 from tmsvlab.fock import FockSpace, basis_state, rotate_state
 from tmsvlab.homodyne import (CountBoundsError, EstimatorUndefinedError,
-                              HomodyneConfig, QuadGrid, QuadratureSample, ShotRecord,
+                              HomodyneConfig, QuadGrid, Samples, Shots,
                               calibrate_transfer, config_from_transfer,
                               default_config, estimate_quadratures, grid_mass,
                               mode_transform, quad_pdf, quadratures_to_counts,
-                              sample_quadratures, samples_to_arrays,
-                              shots_to_samples, simulate_shots)
+                              sample_quadratures, shots_to_samples, simulate_shots)
 from tmsvlab.states import (NOISELESS, NoiseModel, SqueezedVacuum, noise_preset,
                             tmsv, tmsv_rotated, truncation_tail)
 
-from conftest import assert_within_se
+from conftest import assert_same_batch, assert_within_se
 
 
 def var_se(v, n):
@@ -65,25 +64,25 @@ def test_config_validation():
 
 def test_estimator_symmetric_balanced_shot_gives_zero_difference():
     cfg = config_from_transfer(s2=0.15, rabi_ratio=1.0)
-    diff, _ = estimate_quadratures(ShotRecord(1500, 1500, 20000), cfg)
-    assert diff == pytest.approx(0.0, abs=1e-12)
+    diff, _ = estimate_quadratures(Shots([1500], [1500], [20000]), cfg)
+    assert diff[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_estimator_mean_transfer_gives_zero_sum():
     cfg = config_from_transfer(s2=0.15, rabi_ratio=1.0)
-    _, total = estimate_quadratures(ShotRecord(1500, 1500, 20000), cfg)
-    assert total == pytest.approx(0.0, abs=1e-12)
+    _, total = estimate_quadratures(Shots([1500], [1500], [20000]), cfg)
+    assert total[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_estimator_reference_value():
     cfg = config_from_transfer(s2=0.15, rabi_ratio=1.0, n0=20000.0)
-    _, total = estimate_quadratures(ShotRecord(1550, 1550, 20000), cfg)
-    assert total == pytest.approx(100.0 / np.sqrt(0.15 * 0.85 * 20000), abs=1e-12)
-    assert total == pytest.approx(1.98, abs=0.01)
+    _, total = estimate_quadratures(Shots([1550], [1550], [20000]), cfg)
+    assert total[0] == pytest.approx(100.0 / np.sqrt(0.15 * 0.85 * 20000), abs=1e-12)
+    assert total[0] == pytest.approx(1.98, abs=0.01)
 
 
 def test_estimator_undefined_for_degenerate_pulse_areas():
-    shot = ShotRecord(1, 1, 100)
+    shot = Shots([1], [1], [100])
     # full 2pi pulse area: s = 0, the difference estimator divides by zero
     cfg_s0 = HomodyneConfig(omega_p1=2 * np.pi, omega_m1=2 * np.pi, tau=1.0, n0=100.0)
     assert cfg_s0.s2 == pytest.approx(0.0, abs=1e-12)
@@ -96,17 +95,8 @@ def test_estimator_undefined_for_degenerate_pulse_areas():
         estimate_quadratures(shot, cfg_c0)
 
 
-def test_estimator_basis_labels():
-    cfg = default_config()
-    shot = ShotRecord(1500, 1500, 20000)
-    assert estimate_quadratures(shot, cfg, basis="x-like") == \
-        estimate_quadratures(shot, cfg, basis="p-like")
-    with pytest.raises(ValueError):
-        estimate_quadratures(shot, cfg, basis="weird")
-
-
 def test_calibrate_transfer_exact_shots():
-    shots = [ShotRecord(1500, 1500, 20000)] * 10
+    shots = Shots([1500] * 10, [1500] * 10, [20000] * 10)
     cal = calibrate_transfer(shots)
     assert cal.s2 == pytest.approx(0.15)
     assert cal.c2 == pytest.approx(0.85)
@@ -115,14 +105,14 @@ def test_calibrate_transfer_exact_shots():
 
 
 def test_calibrate_transfer_zero_transfer_flag():
-    cal = calibrate_transfer([ShotRecord(0, 0, 1000)] * 5)
+    cal = calibrate_transfer(Shots([0] * 5, [0] * 5, [1000] * 5))
     assert cal.s2 == 0.0 and cal.c2 == 1.0
     assert cal.asymmetry == 0.0 and not cal.asymmetry_defined
 
 
 def test_calibrate_transfer_empty_rejected():
     with pytest.raises(ValueError):
-        calibrate_transfer([])
+        calibrate_transfer(Shots([], [], []))
 
 
 def test_calibrate_transfer_round_trip(space10):
@@ -131,7 +121,7 @@ def test_calibrate_transfer_round_trip(space10):
     vac = basis_state(space10, 0, 0).projector()
     shots = simulate_shots(vac, cfg, NOISELESS, [0.0], 4000, seed=11)
     cal = calibrate_transfer(shots)
-    se_s2 = np.std([(s.n_a + s.n_b) / s.n_tot for s in shots], ddof=1) / np.sqrt(len(shots))
+    se_s2 = np.std((shots.n_a + shots.n_b) / shots.n_tot, ddof=1) / np.sqrt(len(shots))
     assert abs(cal.s2 - 0.2) <= 2 * se_s2 + 1e-4
     assert cal.asymmetry == pytest.approx(cfg.rabi_asymmetry, abs=0.02)
 
@@ -185,8 +175,7 @@ def test_quad_pdf_insufficient_grid_raises(space10):
 def test_sample_vacuum_variance(vacuum10):
     n = 100_000
     samples = sample_quadratures(vacuum10, [0.7], n, NOISELESS, seed=1)
-    _, xa, xb = samples_to_arrays(samples)
-    for arr in (xa, xb):
+    for arr in (samples.x_a, samples.x_b):
         v = np.var(arr, ddof=1)
         assert_within_se(v, 0.5, var_se(0.5, n))
 
@@ -196,11 +185,9 @@ def test_sample_tmsv_variance_product(space10):
     n = 100_000
     rho = tmsv_rotated(xi, 0.0, space10).projector()
     samples = sample_quadratures(rho, [THETA_X_LIKE], n, NOISELESS, seed=2)
-    _, xa, xb = samples_to_arrays(samples)
-    v_minus = np.var(xa - xb, ddof=1)
+    v_minus = np.var(samples.x_a - samples.x_b, ddof=1)
     samples_p = sample_quadratures(rho, [THETA_P_LIKE], n, NOISELESS, seed=3)
-    _, pa, pb = samples_to_arrays(samples_p)
-    v_plus = np.var(pa + pb, ddof=1)
+    v_plus = np.var(samples_p.x_a + samples_p.x_b, ddof=1)
     product = v_minus * v_plus
     expected = np.exp(-4 * xi)
     se = expected * np.sqrt(2.0 / (n - 1)) * np.sqrt(2.0)
@@ -214,7 +201,7 @@ def test_sample_sum_variance_shift(space10):
     rho = tmsv_rotated(xi, 0.0, space10).projector()
     noise = NoiseModel(sum_variance_shift=0.12)
     samples = sample_quadratures(rho, [THETA_X_LIKE], n, noise, seed=4)
-    _, xa, xb = samples_to_arrays(samples)
+    xa, xb = samples.x_a, samples.x_b
     v_plus = np.var(xa + xb, ddof=1)    # anti-squeezed sum direction
     v_minus = np.var(xa - xb, ddof=1)   # difference is untouched
     expected = np.exp(2 * xi) + 0.12
@@ -231,8 +218,7 @@ def test_sampling_phase_covariance_ks(space10):
     n = 10_000
     s1 = sample_quadratures(rho, [0.9], n, NOISELESS, seed=5)
     s2 = sample_quadratures(rotated, [0.9 + phi], n, NOISELESS, seed=6)
-    _, xa1, xb1 = samples_to_arrays(s1)
-    _, xa2, xb2 = samples_to_arrays(s2)
+    xa1, xb1, xa2, xb2 = s1.x_a, s1.x_b, s2.x_a, s2.x_b
     assert ks_2samp(xa1, xa2).pvalue > 1e-3
     assert ks_2samp(xb1, xb2).pvalue > 1e-3
     assert ks_2samp(xa1 - xb1, xa2 - xb2).pvalue > 1e-3
@@ -243,7 +229,7 @@ def test_sampling_deterministic(space10):
     noise = NoiseModel(sigma_phase=0.1, sum_variance_shift=0.05)
     a = sample_quadratures(rho, [0.1, 1.2], 50, noise, seed=9)
     b = sample_quadratures(rho, [0.1, 1.2], 50, noise, seed=9)
-    assert a == b
+    assert_same_batch(a, b)
 
 
 def test_sample_requires_positive_count(vacuum10):
@@ -268,9 +254,52 @@ def test_counts_out_of_bounds_raises():
 
 def test_shot_record_validation():
     with pytest.raises(ValueError):
-        ShotRecord(10, 10, 15)
+        Shots([10], [10], [15])
     with pytest.raises(ValueError):
-        ShotRecord(-1, 0, 10)
+        Shots([-1], [0], [10])
+
+
+@pytest.mark.parametrize("row, record, message", [
+    (0, (-1, 0, 10), "nonnegative"),
+    (1, (0, -1, 10), "nonnegative"),
+    (2, (0, 0, 0), "n_tot positive"),
+    (3, (0, 0, -5), "n_tot positive"),
+    (1, (6, 5, 10), "exceeds n_tot"),
+])
+def test_shots_reject_each_bad_record_and_name_its_row(row, record, message):
+    counts = np.array([(1, 2, 10)] * 5)
+    counts[row] = record
+    counts[4] = (-1, 0, 0)  # a later bad row is not the one reported
+    with pytest.raises(ValueError, match=f"^row {row}: .*{message}"):
+        Shots(*counts.T)
+
+
+def test_shots_accept_the_boundary_records():
+    shots = Shots([0, 0, 10], [0, 10, 0], [1, 10, 10])
+    assert len(shots) == 3 and shots.n_tot.dtype == np.int64
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.0, 1e-300, -1e-300, -1e-30, -1e-17, -1e-16,
+                                   2 * np.pi, -2 * np.pi, np.nextafter(2 * np.pi, 0),
+                                   -np.nextafter(2 * np.pi, 0), 7.0, -7.0, 1e6, -1e6])
+def test_samples_store_theta_as_python_modulo(theta):
+    # the per-shot objects stored float(theta) % (2 pi); the batch must
+    # give the same bits, including 2 pi itself for tiny negative angles
+    expected = float(theta) % (2.0 * np.pi)
+    stored = Samples([theta], [0.0], [0.0]).theta[0]
+    assert stored.tobytes() == np.float64(expected).tobytes()
+
+
+def test_batches_index_by_slice_and_index_array():
+    samples = Samples([0.1, 0.2, 0.3], [1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
+    picked = samples[np.array([2, 0, 2])]
+    assert isinstance(picked, Samples) and picked.x_a.tolist() == [3.0, 1.0, 3.0]
+    assert samples[1:].x_b.tolist() == [5.0, 6.0]
+    assert not picked.x_a.flags.writeable and not samples.theta.flags.writeable
+    with pytest.raises(ValueError, match="1-D"):
+        samples[0]
+    with pytest.raises(ValueError, match="one length"):
+        Samples([0.0, 1.0], [0.0], [0.0])
 
 
 def test_round_trip_bound(space10):
@@ -282,8 +311,7 @@ def test_round_trip_bound(space10):
     samples = sample_quadratures(rho, [THETA_X_LIKE], n, NOISELESS, seed=21)
     shots = simulate_shots(rho, cfg, NOISELESS, [THETA_X_LIKE], n, seed=21)
     recovered = shots_to_samples(shots, [THETA_X_LIKE], n, cfg)
-    _, xa0, xb0 = samples_to_arrays(samples)
-    _, xa1, xb1 = samples_to_arrays(recovered)
+    xa0, xb0, xa1, xb1 = samples.x_a, samples.x_b, recovered.x_a, recovered.x_b
     bound = 1.0 / np.sqrt(0.15 * 20000)
     assert np.max(np.abs((xa1 - xb1) - (xa0 - xb0))) <= bound + 1e-12
     assert np.max(np.abs((xa1 + xb1) - (xa0 + xb0))) <= bound + 1e-12
@@ -298,8 +326,9 @@ def test_rf_jitter_inflates_sum_variance(space10):
     clean = simulate_shots(rho, cfg, NOISELESS, [THETA_P_LIKE], n, seed=31)
     noisy = simulate_shots(rho, cfg, NoiseModel(rf_rel_noise=0.004),
                            [THETA_P_LIKE], n, seed=31)
-    _, ca, cb = samples_to_arrays(shots_to_samples(clean, [THETA_P_LIKE], n, cfg))
-    _, na, nb = samples_to_arrays(shots_to_samples(noisy, [THETA_P_LIKE], n, cfg))
+    clean = shots_to_samples(clean, [THETA_P_LIKE], n, cfg)
+    noisy = shots_to_samples(noisy, [THETA_P_LIKE], n, cfg)
+    ca, cb, na, nb = clean.x_a, clean.x_b, noisy.x_a, noisy.x_b
     inflation = np.var(na + nb, ddof=1) - np.var(ca + cb, ddof=1)
     model = 0.004 ** 2 * 0.15 * 20000 / 0.85
     assert inflation == pytest.approx(model, rel=0.10)
@@ -314,7 +343,7 @@ def test_simulate_shots_deterministic(space10):
     noise = NoiseModel(rf_rel_noise=0.004)
     a = simulate_shots(rho, cfg, noise, [0.4], 100, seed=3)
     b = simulate_shots(rho, cfg, noise, [0.4], 100, seed=3)
-    assert a == b
+    assert_same_batch(a, b)
 
 
 # ---------------------------------------------------------------- Gaussian path
@@ -356,7 +385,7 @@ def test_gaussian_and_gridded_samplers_agree(sigma_phase):
         samples = sample_quadratures(src, thetas, n, noise, seed=seed)
         report = epr_report(samples[:n], samples[n:], bootstrap_b=0)
         assert report.epr_pairing == "x_minus*p_plus"
-        _, xa, xb = samples_to_arrays(samples)
+        xa, xb = samples.x_a, samples.x_b
         dev2 = [(q - q.mean()) ** 2 for q in (xa[:n] + xb[:n], xa[:n] - xb[:n],
                                                xa[n:] + xb[n:], xa[n:] - xb[n:])]
         values = np.array([report.v_x_plus, report.v_x_minus, report.v_p_plus, report.v_p_minus])
@@ -377,7 +406,7 @@ def test_gaussian_jitter_averages_the_rotated_covariance():
     xi, sigma, n, theta = 0.63, 0.18, 100_000, 0.3
     source = SqueezedVacuum(xi, 0.4)
     samples = sample_quadratures(source, [theta], n, NoiseModel(sigma_phase=sigma), seed=12)
-    _, xa, xb = samples_to_arrays(samples)
+    xa, xb = samples.x_a, samples.x_b
     damping = np.exp(-2.0 * sigma ** 2) * np.cos(2.0 * theta - 0.4)
     for q, sign in ((xa + xb, 1.0), (xa - xb, -1.0)):
         expected = np.cosh(2 * xi) + sign * np.sinh(2 * xi) * damping
@@ -394,7 +423,7 @@ def test_gaussian_path_redraws_out_of_bounds_counts():
     # shots, which are redrawn; at xi = 6 almost none can be realized
     cfg = config_from_transfer(s2=0.15, rabi_ratio=1.0, n0=200.0)
     shots = simulate_shots(SqueezedVacuum(1.2), cfg, NOISELESS, [THETA_X_LIKE], 2000, seed=5)
-    assert len(shots) == 2000 and all(s.n_tot == 200 for s in shots)
+    assert len(shots) == 2000 and np.all(shots.n_tot == 200)
     with pytest.raises(CountBoundsError):
         simulate_shots(SqueezedVacuum(6.0), cfg, NOISELESS, [THETA_X_LIKE], 100, seed=5)
 
@@ -406,9 +435,8 @@ def test_simulate_shots_matches_quadratures_to_counts():
     source = SqueezedVacuum(0.63)
     samples = sample_quadratures(source, [0.7], 500, NoiseModel(sigma_phase=0.1), seed=8)
     shots = simulate_shots(source, cfg, NoiseModel(sigma_phase=0.1), [0.7], 500, seed=8)
-    _, xa, xb = samples_to_arrays(samples)
-    n_a, n_b = quadratures_to_counts(xa, xb, cfg)
-    assert [(s.n_a, s.n_b) for s in shots] == list(zip(n_a.tolist(), n_b.tolist()))
+    n_a, n_b = quadratures_to_counts(samples.x_a, samples.x_b, cfg)
+    assert np.array_equal(shots.n_a, n_a) and np.array_equal(shots.n_b, n_b)
 
 
 def test_shots_to_samples_matches_per_shot_estimator():
@@ -416,30 +444,63 @@ def test_shots_to_samples_matches_per_shot_estimator():
     thetas = [THETA_X_LIKE, 7.0]
     p = 400
     shots = simulate_shots(SqueezedVacuum(0.8), cfg, noise_preset("fig3"), thetas, p, seed=3)
-    shots[1] = ShotRecord(10, 3, 100)  # a different n_tot exercises the per-shot totals
-    expected = []
-    for k, shot in enumerate(shots):
-        diff, total = estimate_quadratures(shot, cfg)
-        expected.append(QuadratureSample(thetas[k // p], (total + diff) / 2.0,
-                                         (total - diff) / 2.0))
+    counts = np.stack([shots.n_a, shots.n_b, shots.n_tot])
+    counts[:, 1] = (10, 3, 100)  # a different n_tot exercises the per-shot totals
+    shots = Shots(*counts)
+    rows = []
+    for k in range(len(shots)):
+        diff, total = estimate_quadratures(shots[k:k + 1], cfg)
+        rows.append((thetas[k // p], ((total + diff) / 2.0)[0], ((total - diff) / 2.0)[0]))
     got = shots_to_samples(shots, thetas, p, cfg)
-    assert ([a.tobytes() for a in samples_to_arrays(got)]
-            == [a.tobytes() for a in samples_to_arrays(expected)])
+    assert_same_batch(got, Samples(*np.array(rows).T))
 
 
-def test_density_matrix_path_is_pinned():
-    # sha256 of the float64 (theta, x_a, x_b) and int64 (n_a, n_b, n_tot)
-    # rows, recorded before the Gaussian path was added: the gridded
-    # sampler's RNG stream and outputs must not move
+def test_density_matrix_path_is_pinned(tmp_path):
+    # sha256 digests recorded before the sample and shot batches replaced the
+    # per-shot objects (and, for the first two, before the Gaussian path was
+    # added): the gridded sampler's RNG stream, the bootstrap resampling and
+    # the simulate/criteria files must not move
     import hashlib
+    from tmsvlab.cli import main
+    from tmsvlab.tomography import bootstrap
+
+    def sha256(data):
+        return hashlib.sha256(data).hexdigest()
+
+    # float64 (theta, x_a, x_b) and int64 (n_a, n_b, n_tot) rows
     rho = tmsv(0.8, FockSpace(10)).projector()
     noise = NoiseModel(sigma_phase=0.05, rf_rel_noise=0.004, sum_variance_shift=0.12)
     thetas = [0.3, 1.9]
     samples = sample_quadratures(rho, thetas, 200, noise, seed=[4, 2])
     shots = simulate_shots(rho, default_config(), noise, thetas, 200, seed=[4, 2])
-    rows = np.array([(s.theta, s.x_a, s.x_b) for s in samples])
-    counts = np.array([(s.n_a, s.n_b, s.n_tot) for s in shots], dtype=np.int64)
-    assert hashlib.sha256(rows.tobytes()).hexdigest() == (
+    rows = np.column_stack([samples.theta, samples.x_a, samples.x_b])
+    counts = np.column_stack([shots.n_a, shots.n_b, shots.n_tot])
+    assert sha256(rows.tobytes()) == (
         "95dd0e2859543b75473065f3299aedc714bdb20c079b142d086e47579ca9a064")
-    assert hashlib.sha256(counts.tobytes()).hexdigest() == (
+    assert sha256(counts.tobytes()) == (
         "24b2576421a4e97cc169aa56ad295a68f6798664cbab94afa82cc61952dc7f37")
+
+    # bootstrap: float64 estimate, se, ci_low, ci_high of a statistic that
+    # depends on the order of the resampled shots
+    def stat(batch):
+        xa, xb = batch.x_a, batch.x_b
+        return np.array([np.var(xa + xb, ddof=1), np.var(xa - xb, ddof=1), xa.mean(),
+                         batch.theta.sum(), xb[7]])
+
+    samples = sample_quadratures(tmsv(0.5, FockSpace(8)).projector(), [0.3, 1.1, 2.4], 60,
+                                 NoiseModel(sigma_phase=0.05), seed=5)
+    res = bootstrap(samples, 150, stat, seed=4)
+    assert sha256(np.concatenate([res.estimate, res.se, res.ci_low, res.ci_high]).tobytes()) == (
+        "86031b7269e0a4c00734dd5369925890e26c2c7cc9f6ee211942893f45774b97")
+
+    # simulate then criteria at pi/4 and 3pi/4, 500 shots each
+    assert main(["simulate", "--xi", "0.8", "--thetas", "0.7853981633974483,2.356194490192345",
+                 "--p", "500", "--seed", "0", "--out", str(tmp_path)]) == 0
+    assert main(["criteria", str(tmp_path / "samples.csv"), "--seed", "0",
+                 "--out", str(tmp_path)]) == 0
+    assert {name: sha256((tmp_path / name).read_bytes())
+            for name in ("samples.csv", "shots.csv", "epr_report.json")} == {
+        "samples.csv": "86e91605f554a57214d99482118beecfd9655bd1a2c267d6f6b114a56561a6e2",
+        "shots.csv": "4557426a4a2030a05cf69a21bc76b0bf315e18d9708272230ecbee45bd166d17",
+        "epr_report.json": "9bc755637ef7ad1e705b8b1892244a683b874c78baa496f85637dcd4e0b457cd",
+    }

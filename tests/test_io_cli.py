@@ -8,22 +8,22 @@ import pytest
 from tmsvlab import io as tio
 from tmsvlab.cli import EX_NONCONVERGED, EX_OK, EX_RUNTIME, EX_USAGE, main
 from tmsvlab.fock import FockSpace, basis_state
-from tmsvlab.homodyne import QuadratureSample, ShotRecord, sample_quadratures
+from tmsvlab.homodyne import Samples, Shots, sample_quadratures
 from tmsvlab.states import NOISELESS, tmsv
 from tmsvlab.tomography import TomographyConfig, bin_samples, ml_reconstruct
 
-from conftest import loglik_under
+from conftest import assert_same_batch, concat, loglik_under
 
 
 # ------------------------------------------------------------------ formats
 
 def test_samples_roundtrip(tmp_path):
-    samples = [QuadratureSample(0.1, -0.25, 1.5), QuadratureSample(2.0, 0.0, -3.25)]
+    samples = Samples([0.1, 2.0], [-0.25, 0.0], [1.5, -3.25])
     path = tmp_path / "s.csv"
     tio.write_samples(path, samples)
     assert path.read_text().splitlines()[0] == "theta_rad,x_a,x_b"
     back = tio.read_samples(path)
-    assert back == samples
+    assert_same_batch(back, samples)
 
 
 def test_samples_bad_header(tmp_path):
@@ -48,11 +48,11 @@ def test_samples_empty_file(tmp_path):
 
 
 def test_shots_roundtrip(tmp_path):
-    shots = [ShotRecord(10, 12, 100), ShotRecord(0, 0, 50)]
+    shots = Shots([10, 0], [12, 0], [100, 50])
     path = tmp_path / "shots.csv"
     tio.write_shots(path, shots)
     assert path.read_text().splitlines()[0] == "n_a,n_b,n_tot"
-    assert tio.read_shots(path) == shots
+    assert_same_batch(tio.read_shots(path), shots)
 
 
 def test_density_matrix_roundtrip(tmp_path):
@@ -152,7 +152,7 @@ def test_cli_tomo_vacuum(tmp_path):
     # The CLI path is the library path: CSV and JSON round trips are exact.
     vacuum = tmsv(0.0, FockSpace(5)).projector()
     samples = tio.read_samples(out / "samples.csv")
-    assert samples == sample_quadratures(vacuum, thetas, 150, NOISELESS, seed=0)
+    assert_same_batch(samples, sample_quadratures(vacuum, thetas, 150, NOISELESS, seed=0))
     hists = bin_samples(samples, 0.25)
     expected = ml_reconstruct(hists, TomographyConfig(dx=0.25, n_cut=5, max_iter=3000))
     assert np.array_equal(rho.entries, expected.rho.entries)
@@ -203,8 +203,8 @@ def test_cli_criteria_on_tmsv_file(tmp_path):
     from tmsvlab.homodyne import sample_quadratures
     from tmsvlab.states import NOISELESS, tmsv_rotated
     rho = tmsv_rotated(0.63, 0.0, FockSpace(10)).projector()
-    samples = (sample_quadratures(rho, [THETA_X_LIKE], 40000, NOISELESS, seed=0)
-               + sample_quadratures(rho, [THETA_P_LIKE], 40000, NOISELESS, seed=1))
+    samples = concat(sample_quadratures(rho, [THETA_X_LIKE], 40000, NOISELESS, seed=0),
+                     sample_quadratures(rho, [THETA_P_LIKE], 40000, NOISELESS, seed=1))
     path = tmp_path / "samples.csv"
     tio.write_samples(path, samples)
     out = tmp_path / "crit"
@@ -218,7 +218,7 @@ def test_cli_criteria_on_tmsv_file(tmp_path):
 
 def test_cli_criteria_missing_conjugate_pair(tmp_path):
     path = tmp_path / "samples.csv"
-    tio.write_samples(path, [QuadratureSample(0.0, 0.1 * k, 0.0) for k in range(10)])
+    tio.write_samples(path, Samples(np.zeros(10), [0.1 * k for k in range(10)], np.zeros(10)))
     assert run_cli("criteria", str(path)) == EX_RUNTIME
 
 
@@ -268,6 +268,28 @@ def test_cli_reproduce_smoke_fig3(tmp_path):
     table = (tmp_path / "fig3-seed1" / "fig3_sweep.csv").read_text().splitlines()
     assert table[0].startswith("t_s,xi,")
     assert len(table) == 4
+
+
+def test_cli_reproduce_smoke_manifest_describes_the_run(tmp_path):
+    # the manifest's preset is the one that ran: rerunning it gives the
+    # same fit, and the fig3 sweep drew its shot count
+    from tmsvlab.pipelines import ExperimentPreset, run_fig_s3
+    from tmsvlab.states import NoiseModel
+    assert run_cli("reproduce", "fig_s3", "--scale", "smoke", "--out", str(tmp_path)) == EX_OK
+    rundir = tmp_path / "fig_s3-seed0"
+    manifest = json.loads((rundir / "manifest.json").read_text())
+    assert manifest["scale"] == "smoke" and manifest["seed"] == 0
+    d = manifest["preset"]
+    assert (d["p_per_theta"], d["n_cut"], len(d["thetas"]), d["max_iter"]) == (30, 6, 9, 80)
+    preset = ExperimentPreset(**{**d, "noise": NoiseModel(**d["noise"]),
+                                 "thetas": tuple(d["thetas"])})
+    rerun = run_fig_s3(preset, seed=manifest["seed"])
+    assert np.array_equal(tio.read_density_matrix(rundir / "rho_ml.json").entries,
+                          rerun.rho_ml.entries)
+
+    assert run_cli("reproduce", "fig3", "--scale", "smoke", "--out", str(tmp_path)) == EX_OK
+    manifest = json.loads((tmp_path / "fig3-seed0" / "manifest.json").read_text())
+    assert manifest["scale"] == "smoke" and manifest["preset"]["p_per_theta"] == 400
 
 
 def test_cli_reproduce_smoke_fig_s2_has_fidelity_column(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tmsvlab.fock import FockSpace, basis_state, expectation, OperatorMatrix
-from tmsvlab.homodyne import QuadratureSample, sample_quadratures
+from tmsvlab.homodyne import Samples, sample_quadratures
 from tmsvlab.metrics import fidelity_pure
 from tmsvlab.states import NOISELESS, tmsv
 from tmsvlab.tomography import (Histogram2D, MLResult, TomographyConfig,
@@ -20,7 +20,7 @@ def vacuum_samples(n_per_theta, thetas, seed=0):
 # ---------------------------------------------------------------- binning
 
 def test_bin_single_sample():
-    hists = bin_samples([QuadratureSample(0.0, 0.1, 0.1)], dx=0.25)
+    hists = bin_samples(Samples([0.0], [0.1], [0.1]), dx=0.25)
     assert len(hists) == 1
     h = hists[0]
     assert h.origin == (0.0, 0.0)
@@ -30,7 +30,7 @@ def test_bin_single_sample():
 
 def test_bin_edge_goes_to_upper_bin():
     # a sample exactly on a bin edge belongs to the bin starting there
-    hists = bin_samples([QuadratureSample(0.0, 0.25, -0.25)], dx=0.25)
+    hists = bin_samples(Samples([0.0], [0.25], [-0.25]), dx=0.25)
     h = hists[0]
     assert h.origin == (0.25, -0.25)
     assert h.counts[0, 0] == 1
@@ -40,10 +40,8 @@ def test_bin_groups_phases_and_totals():
     # a reference-scale set splits evenly across phases
     thetas = list(np.linspace(0.0, np.pi, 29, endpoint=False))
     rng = np.random.default_rng(0)
-    samples = []
-    for k in range(2864):
-        theta = thetas[k % 29]
-        samples.append(QuadratureSample(theta, rng.normal(), rng.normal()))
+    rows = [(thetas[k % 29], rng.normal(), rng.normal()) for k in range(2864)]
+    samples = Samples(*np.array(rows).T)
     hists = bin_samples(samples, dx=0.25)
     assert len(hists) == 29
     totals = sorted(h.total for h in hists)
@@ -53,12 +51,11 @@ def test_bin_groups_phases_and_totals():
 
 def test_bin_rejects_bad_dx():
     with pytest.raises(ValueError):
-        bin_samples([QuadratureSample(0.0, 0.0, 0.0)], dx=0.0)
+        bin_samples(Samples([0.0], [0.0], [0.0]), dx=0.0)
 
 
 def test_histogram_roundtrip_dict():
-    h = bin_samples([QuadratureSample(0.3, 0.6, -1.2),
-                     QuadratureSample(0.3, 0.7, -1.1)], dx=0.25)[0]
+    h = bin_samples(Samples([0.3, 0.3], [0.6, 0.7], [-1.2, -1.1]), dx=0.25)[0]
     h2 = Histogram2D.from_json_dict(h.to_json_dict())
     assert h2.theta == h.theta and h2.dx == h.dx and h2.origin == h.origin
     assert np.array_equal(h2.counts, h.counts)
@@ -266,10 +263,10 @@ def test_bootstrap_matches_classical_se():
     rng = np.random.default_rng(9)
     n = 400
     values = rng.normal(0.0, 1.0, n)
-    samples = [QuadratureSample(0.0, v, 0.0) for v in values]
+    samples = Samples(np.zeros(n), values, np.zeros(n))
 
     def mean_xa(s):
-        return float(np.mean([q.x_a for q in s]))
+        return float(np.mean(s.x_a))
 
     ratios = []
     for trial in range(5):
@@ -282,7 +279,7 @@ def test_bootstrap_deterministic():
     samples = vacuum_samples(60, [0.0, 1.0], seed=10)
 
     def stat(s):
-        return float(np.var([q.x_a for q in s], ddof=1))
+        return float(np.var(s.x_a, ddof=1))
 
     a = bootstrap(samples, 150, stat, seed=3)
     b = bootstrap(samples, 150, stat, seed=3)
