@@ -7,11 +7,18 @@ density-matrix file), and ``reproduce`` (run a named end-to-end scenario
 into a run directory).
 
 Exit codes: 0 success, 1 runtime error, 2 reconstruction did not
-converge, 64 usage error.  Every subcommand accepts ``--seed``,
-``--workers``, ``--preset`` and ``--config``; values from a JSON config
-file are overridden by explicit flags.  With ``--workers 1`` (the
-default; execution is single-process regardless) reruns with the same
-seed are byte-identical.
+converge, 64 usage error.
+
+Every subcommand accepts ``--config`` and ``--out``, and those that draw
+random numbers ``--seed``; runs are serial, with no worker-count flag.
+After parsing, each value of the JSON config file fills the flag of that
+name (``p_per_theta`` for ``--p``) if it was not given, cast and checked as
+the flag is.  A setting left unset takes the library's default
+(``TomographyConfig``, ``NoiseModel``, ``epr_report``, whose n0 is the
+default readout's; the ``fig_s2`` preset for an inline ``simulate``; the
+figure's preset seed for ``reproduce``).  Only the command line's own
+settings default here: seed 0, out ``.`` (``runs`` for ``reproduce``) and
+scale ``paper``.  Reruns with the same settings and seed are byte-identical.
 """
 
 import argparse
@@ -21,11 +28,9 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import io as tio
-from .criteria import PhaseMismatchError, epr_report, group_samples, time_sweep
-from .fock import FockSpace
+from .criteria import (DEFAULT_OCCUPATIONS, PhaseMismatchError, epr_report,
+                       group_samples)
 from .homodyne import default_config, sample_quadratures, simulate_shots
 from .metrics import metrics_report
 from .pipelines import (FIG3_TIME_GRID, PRESETS, make_manifest, run_fig3,
@@ -48,38 +53,41 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_CONFIG_KEYS = {
-    "simulate": {"preset", "xi", "thetas", "p_per_theta", "n_cut", "sigma_phase",
-                 "rf_rel_noise", "sum_variance_shift", "seed", "out"},
-    "tomo": {"dx", "n_cut", "max_iter", "tol", "seed", "out"},
-    "criteria": {"n_a", "n_b", "n0", "bootstrap_b", "seed", "out"},
-    "metrics": {"target_xi", "out"},
-    "reproduce": {"seed", "out", "scale"},
-}
+def _phases(value) -> tuple[float, ...]:
+    """Phases in rad from "a,b,c" or, in a config file, also from a list."""
+    return tuple(float(v) for v in (value.split(",") if isinstance(value, str) else value))
 
 
-def _load_config(path, subcommand: str) -> dict:
-    if path is None:
-        return {}
+def _apply_config(command: _Parser, args: argparse.Namespace) -> None:
+    """Fill each flag of the subcommand that was not given from the
+    ``--config`` file, casting and checking the value as the flag does."""
+    if args.config is None:
+        return
     try:
-        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+        cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
+        raise UsageError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise UsageError(f"config {path} must hold a JSON object")
-    unknown = set(cfg) - _CONFIG_KEYS[subcommand]
+        raise UsageError(f"config {args.config} must hold a JSON object")
+    flags = {a.dest: a for a in command._actions
+             if a.option_strings and a.dest not in ("help", "config")}
+    unknown = set(cfg) - set(flags)
     if unknown:
-        raise UsageError(f"unknown config keys for {subcommand}: {sorted(unknown)}")
-    return cfg
+        raise UsageError(f"unknown config keys for {args.command}: {sorted(unknown)}")
+    for key, value in cfg.items():
+        if getattr(args, key) is not None:
+            continue
+        flag = flags[key]
+        value = value if flag.type is None else flag.type(value)
+        if flag.choices is not None and value not in flag.choices:
+            raise UsageError(f"config {key}: invalid choice {value!r} "
+                             f"(choose from {sorted(flag.choices)})")
+        setattr(args, key, value)
 
 
-def _merge(cfg: dict, args: argparse.Namespace, key: str, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in cfg:
-        return cfg[key]
-    return default
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The named settings that were given, by flag or by config."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _outdir(path) -> Path:
@@ -89,21 +97,23 @@ def _outdir(path) -> Path:
 
 
 def build_parser() -> _Parser:
+    """The parser; ``parser.commands`` maps each subcommand to its parser."""
     parser = _Parser(prog="tmsvlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=1,
-                       help="accepted for interface compatibility; execution is serial")
+    def command(name, summary, seeded=True):
+        p = sub.add_parser(name, help=summary)
+        if seeded:
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default=None, help="output directory")
+        return p
 
-    p_sim = sub.add_parser("simulate", help="draw homodyne samples and count records")
-    common(p_sim)
+    p_sim = command("simulate", "draw homodyne samples and count records")
     p_sim.add_argument("--preset", choices=sorted(PRESETS), default=None)
     p_sim.add_argument("--xi", type=float, default=None)
-    p_sim.add_argument("--thetas", default=None,
+    p_sim.add_argument("--thetas", type=_phases, default=None,
                        help="comma-separated phases in rad (default: 29-phase sweep)")
     p_sim.add_argument("--p", dest="p_per_theta", type=int, default=None)
     p_sim.add_argument("--n-cut", dest="n_cut", type=int, default=None)
@@ -112,63 +122,44 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--sum-variance-shift", dest="sum_variance_shift",
                        type=float, default=None)
 
-    p_tomo = sub.add_parser("tomo", help="maximum-likelihood reconstruction")
-    common(p_tomo)
+    p_tomo = command("tomo", "maximum-likelihood reconstruction", seeded=False)
     p_tomo.add_argument("samples", help="sample CSV file")
     p_tomo.add_argument("--dx", type=float, default=None)
     p_tomo.add_argument("--n-cut", dest="n_cut", type=int, default=None)
     p_tomo.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     p_tomo.add_argument("--tol", type=float, default=None)
 
-    p_crit = sub.add_parser("criteria", help="EPR and inseparability report")
-    common(p_crit)
+    p_crit = command("criteria", "EPR and inseparability report")
     p_crit.add_argument("samples", help="sample CSV file with two conjugate phases")
     p_crit.add_argument("--n-a", dest="n_a", type=float, default=None)
     p_crit.add_argument("--n-b", dest="n_b", type=float, default=None)
     p_crit.add_argument("--n0", dest="n0", type=float, default=None)
     p_crit.add_argument("--bootstrap-b", dest="bootstrap_b", type=int, default=None)
 
-    p_met = sub.add_parser("metrics", help="entanglement metrics of a density matrix")
-    common(p_met)
+    p_met = command("metrics", "entanglement metrics of a density matrix", seeded=False)
     p_met.add_argument("matrix", help="density-matrix JSON file")
     p_met.add_argument("--target-xi", dest="target_xi", type=float, default=None)
 
-    p_rep = sub.add_parser("reproduce", help="run a named end-to-end scenario")
-    common(p_rep)
-    p_rep.add_argument("figure", help="scenario id: fig3, fig_s2, fig_s3")
+    p_rep = command("reproduce", "run a named end-to-end scenario")
+    p_rep.add_argument("figure", choices=sorted(PRESETS), help="scenario id")
     p_rep.add_argument("--scale", choices=("paper", "smoke"), default=None,
                        help="smoke runs a reduced grid for quick checks")
     return parser
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config, "simulate")
-    seed = int(_merge(cfg, args, "seed", 0))
-    out = _outdir(_merge(cfg, args, "out", "."))
-    preset_name = _merge(cfg, args, "preset")
-    if preset_name is not None:
-        if preset_name not in PRESETS:
-            raise UsageError(f"unknown preset {preset_name!r}; known: {sorted(PRESETS)}")
-        preset = PRESETS[preset_name]
+    out = _outdir(args.out or ".")
+    seed = args.seed or 0
+    if args.preset is not None:
+        preset = PRESETS[args.preset]
+    elif args.xi is None:
+        raise UsageError("either --preset or --xi is required")
     else:
-        xi = _merge(cfg, args, "xi")
-        if xi is None:
-            raise UsageError("either --preset or --xi is required")
-        thetas_arg = _merge(cfg, args, "thetas")
-        if thetas_arg is None:
-            thetas = sweep_phases()
-        elif isinstance(thetas_arg, str):
-            thetas = tuple(float(v) for v in thetas_arg.split(","))
-        else:
-            thetas = tuple(float(v) for v in thetas_arg)
         preset = dataclasses.replace(
-            PRESETS["fig_s2"], name="inline", xi=float(xi), thetas=thetas,
-            p_per_theta=int(_merge(cfg, args, "p_per_theta", 100)),
-            n_cut=int(_merge(cfg, args, "n_cut", 10)),
-            noise=NoiseModel(
-                sigma_phase=float(_merge(cfg, args, "sigma_phase", 0.0)),
-                rf_rel_noise=float(_merge(cfg, args, "rf_rel_noise", 0.0)),
-                sum_variance_shift=float(_merge(cfg, args, "sum_variance_shift", 0.0))))
+            PRESETS["fig_s2"], name="inline", xi=args.xi,
+            noise=NoiseModel(**_given(args, "sigma_phase", "rf_rel_noise",
+                                      "sum_variance_shift")),
+            **_given(args, "thetas", "p_per_theta", "n_cut"))
     state = preset.build_state()
     config = default_config()
     samples = sample_quadratures(state, preset.thetas, preset.p_per_theta,
@@ -183,14 +174,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_tomo(args) -> int:
-    cfg = _load_config(args.config, "tomo")
-    out = _outdir(_merge(cfg, args, "out", "."))
+    out = _outdir(args.out or ".")
     samples = tio.read_samples(args.samples)
-    config = TomographyConfig(
-        dx=float(_merge(cfg, args, "dx", 0.25)),
-        n_cut=int(_merge(cfg, args, "n_cut", 10)),
-        max_iter=int(_merge(cfg, args, "max_iter", 2000)),
-        tol=float(_merge(cfg, args, "tol", 1e-8)))
+    config = TomographyConfig(**_given(args, "dx", "n_cut", "max_iter", "tol"))
     result = ml_reconstruct(bin_samples(samples, config.dx), config)
     tio.write_density_matrix(out / "rho_ml.json", result.rho)
     tio.write_json(out / "diagnostics.json", {
@@ -209,9 +195,7 @@ def _cmd_tomo(args) -> int:
 
 
 def _cmd_criteria(args) -> int:
-    cfg = _load_config(args.config, "criteria")
-    out = _outdir(_merge(cfg, args, "out", "."))
-    seed = int(_merge(cfg, args, "seed", 0))
+    out = _outdir(args.out or ".")
     samples = tio.read_samples(args.samples)
     groups = group_samples(samples)
     if len(groups) < 2:
@@ -221,12 +205,10 @@ def _cmd_criteria(args) -> int:
         raise PhaseMismatchError(
             f"need exactly two phase groups, found {len(groups)}")
     (theta_x, idx_x), (theta_p, idx_p) = groups
-    report = epr_report(samples[idx_x], samples[idx_p],
-                        occupations=(float(_merge(cfg, args, "n_a", 0.0)),
-                                     float(_merge(cfg, args, "n_b", 0.0)),
-                                     float(_merge(cfg, args, "n0", 20000.0))),
-                        bootstrap_b=int(_merge(cfg, args, "bootstrap_b", 200)),
-                        seed=seed)
+    occupations = tuple(default if value is None else value for value, default
+                        in zip((args.n_a, args.n_b, args.n0), DEFAULT_OCCUPATIONS))
+    report = epr_report(samples[idx_x], samples[idx_p], occupations=occupations,
+                        seed=args.seed or 0, **_given(args, "bootstrap_b"))
     tio.write_json(out / "epr_report.json", report.to_json_dict())
     print(f"EPR product {report.epr_product:.4f} (threshold {report.epr_threshold:.4f}), "
           f"inseparability sum {report.insep_sum:.4f} "
@@ -235,11 +217,9 @@ def _cmd_criteria(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    cfg = _load_config(args.config, "metrics")
-    out = _outdir(_merge(cfg, args, "out", "."))
+    out = _outdir(args.out or ".")
     rho = tio.read_density_matrix(args.matrix)
-    target_xi = _merge(cfg, args, "target_xi")
-    target = None if target_xi is None else tmsv(float(target_xi), rho.space)
+    target = None if args.target_xi is None else tmsv(args.target_xi, rho.space)
     report = metrics_report(rho, target=target)
     tio.write_json(out / "metrics.json", report.to_json_dict())
     print(f"log-negativity {report.log_negativity:.4f}, "
@@ -247,39 +227,37 @@ def _cmd_metrics(args) -> int:
     return EX_OK
 
 
-# What a run at each scale changes in the figure's preset; the manifest
-# records the preset as run.
-_SCALE_OVERRIDES = {
-    ("fig_s2", "paper"): {"max_iter": 300},
-    ("fig_s2", "smoke"): {"thetas": sweep_phases(9), "n_cut": 6, "max_iter": 60},
-    ("fig_s3", "smoke"): {"p_per_theta": 30, "n_cut": 6, "thetas": sweep_phases(9),
-                          "max_iter": 80},
-    ("fig3", "smoke"): {"p_per_theta": 400},
+# (figure, scale) -> (the preset fields a run at that scale changes, the
+# sweep).  A sweep key names the preset field whose values the run steps
+# through; fig3 steps the time t_s, which sets xi.  The manifest records
+# the preset as run and the sweep.
+_SCALES = {
+    ("fig_s2", "paper"): ({}, {"p_per_theta": (25, 50, 100, 200, 400), "dx": (0.25, 0.1)}),
+    ("fig_s2", "smoke"): ({"thetas": sweep_phases(9), "n_cut": 6, "max_iter": 60},
+                          {"p_per_theta": (25, 50), "dx": (0.25,)}),
+    ("fig_s3", "paper"): ({}, {}),
+    ("fig_s3", "smoke"): ({"p_per_theta": 30, "n_cut": 6, "thetas": sweep_phases(9),
+                           "max_iter": 80}, {}),
+    ("fig3", "paper"): ({}, {"t_s": FIG3_TIME_GRID}),
+    ("fig3", "smoke"): ({"p_per_theta": 400}, {"t_s": (0.0, 13e-3, 26e-3)}),
 }
 
 
 def _cmd_reproduce(args) -> int:
-    cfg = _load_config(args.config, "reproduce")
     figure = args.figure
-    if figure not in PRESETS:
-        raise UsageError(f"unknown figure id {figure!r}; valid ids: {sorted(PRESETS)}")
-    seed = int(_merge(cfg, args, "seed", PRESETS[figure].seed))
-    scale = _merge(cfg, args, "scale", "paper")
-    base = _outdir(_merge(cfg, args, "out", "runs"))
-    rundir = _outdir(base / f"{figure}-seed{seed}")
-    preset = dataclasses.replace(PRESETS[figure], **_SCALE_OVERRIDES.get((figure, scale), {}))
-    tio.write_json(rundir / "manifest.json", {**make_manifest(preset, seed), "scale": scale})
+    scale = args.scale or "paper"
+    overrides, sweep = _SCALES[figure, scale]
+    preset = dataclasses.replace(PRESETS[figure], **overrides)
+    seed = preset.seed if args.seed is None else args.seed
+    rundir = _outdir(Path(args.out or "runs") / f"{figure}-seed{seed}")
+    tio.write_json(rundir / "manifest.json",
+                   {**make_manifest(preset, seed), "scale": scale, "sweep": sweep})
 
     if figure == "fig_s2":
-        if scale == "smoke":
-            p_values, dx_values = (25, 50), (0.25,)
-        else:
-            p_values, dx_values = (25, 50, 100, 200, 400), (0.25, 0.1)
-        rows = run_fig_s2(p_values=p_values, dx_values=dx_values, seeds=(seed,),
-                          xi=preset.xi, n_thetas=len(preset.thetas), n_cut=preset.n_cut,
-                          max_iter=preset.max_iter, tol=preset.tol)
-        tio.write_csv_rows(rundir / "fig_s2_table.csv", "p,dx,seed,fidelity,fidelity_se",
-                           [(r.p, r.dx, r.seed, r.fidelity, r.fidelity_se) for r in rows])
+        rows = run_fig_s2(preset, sweep["p_per_theta"], sweep["dx"], seeds=(seed,))
+        tio.write_csv_rows(rundir / "fig_s2_table.csv",
+                           "p,dx,seed,fidelity,fidelity_se,converged,iterations",
+                           [dataclasses.astuple(r) for r in rows])
     elif figure == "fig_s3":
         result = run_fig_s3(preset, seed=seed)
         tio.write_density_matrix(rundir / "rho_ml.json", result.rho_ml)
@@ -293,15 +271,12 @@ def _cmd_reproduce(args) -> int:
             "p_diff": result.p_diff.tolist(),
         })
     else:  # fig3
-        times = (0.0, 13e-3, 26e-3) if scale == "smoke" else FIG3_TIME_GRID
-        rows = run_fig3(times=times, p_per_point=preset.p_per_theta, seed=seed)
+        rows = run_fig3(preset, times=sweep["t_s"], seed=seed)
         tio.write_csv_rows(
             rundir / "fig3_sweep.csv",
             "t_s,xi,v_x_minus,v_x_plus,v_p_plus,v_p_minus,epr_product,insep_sum,"
             "v_sq_ideal,v_anti_ideal,epr_product_ideal",
-            [(r.t, r.xi, r.v_x_minus, r.v_x_plus, r.v_p_plus, r.v_p_minus,
-              r.epr_product, r.insep_sum, r.v_sq_ideal, r.v_anti_ideal,
-              r.epr_product_ideal) for r in rows])
+            [dataclasses.astuple(r) for r in rows])
     print(f"run directory: {rundir}")
     return EX_OK
 
@@ -319,6 +294,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _apply_config(parser.commands[args.command], args)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .homodyne import (HomodyneConfig, Samples, default_config, sample_quadratures,
-                       shots_to_samples, simulate_shots)
+from .homodyne import (Samples, default_config, sample_quadratures, shots_to_samples,
+                       simulate_shots)
 from .states import (NoiseModel, OMEGA_SPIN_DYNAMICS, SqueezedVacuum,
                      analytic_variances)
 
@@ -31,6 +31,9 @@ CONJUGATE_PHASE_ATOL = 0.02
 LO_PHASE_OFFSET = np.pi / 4.0
 THETA_P_LIKE = np.pi / 2.0
 THETA_X_LIKE = np.pi
+
+# epr_report's (n_A, n_B, n0): empty signal modes, the default readout's n0
+DEFAULT_OCCUPATIONS = (0.0, 0.0, default_config().n0)
 
 
 class PhaseMismatchError(ValueError):
@@ -145,25 +148,23 @@ def _single_phase(samples: Samples, label: str) -> float:
     return groups[0][0]
 
 
-def _report_statistics(xa_x, xb_x, xa_p, xb_p) -> np.ndarray:
-    v_x_plus, v_x_minus = _variances(xa_x, xb_x)
-    v_p_plus, v_p_minus = _variances(xa_p, xb_p)
-    prod_a = v_x_minus * v_p_plus
-    prod_b = v_x_plus * v_p_minus
-    if prod_a <= prod_b:
-        product, total = prod_a, v_x_minus + v_p_plus
-        inferred = (math.sqrt(v_x_minus), math.sqrt(v_p_plus))
-        pairing = 0.0
-    else:
-        product, total = prod_b, v_x_plus + v_p_minus
-        inferred = (math.sqrt(v_x_plus), math.sqrt(v_p_minus))
-        pairing = 1.0
-    return np.array([v_x_plus, v_x_minus, v_p_plus, v_p_minus,
-                     product, total, inferred[0], inferred[1], pairing])
+_REPORTED = ("v_x_plus", "v_x_minus", "v_p_plus", "v_p_minus",
+             "epr_product", "insep_sum", "inferred_dx", "inferred_dp")
+
+
+def _report_statistics(v_x_plus, v_x_minus, v_p_plus, v_p_minus) -> np.ndarray:
+    """One row per set of the four variances (scalars or equal-length
+    arrays): the _REPORTED statistics, then the pairing (0 for
+    x_minus*p_plus, 1 for x_plus*p_minus)."""
+    pairing = ~(v_x_minus * v_p_plus <= v_x_plus * v_p_minus)
+    first = np.where(pairing, v_x_plus, v_x_minus)
+    second = np.where(pairing, v_p_minus, v_p_plus)
+    return np.column_stack([v_x_plus, v_x_minus, v_p_plus, v_p_minus, first * second,
+                            first + second, np.sqrt(first), np.sqrt(second), pairing])
 
 
 def epr_report(samples_x: Samples, samples_p: Samples,
-               occupations: tuple[float, float, float] = (0.0, 0.0, 20000.0),
+               occupations: tuple[float, float, float] = DEFAULT_OCCUPATIONS,
                bootstrap_b: int = 200, seed: int = 0) -> EprReport:
     """Evaluate the EPR product and inseparability sum on two conjugate
     sample groups.
@@ -180,9 +181,10 @@ def epr_report(samples_x: Samples, samples_p: Samples,
     if abs(sep - math.pi / 2.0) > CONJUGATE_PHASE_ATOL:
         raise PhaseMismatchError(
             f"groups at theta={theta_x:.4f} and {theta_p:.4f} are not pi/2 apart (mod pi)")
-    xa_x, xb_x = samples_x.x_a, samples_x.x_b
-    xa_p, xb_p = samples_p.x_a, samples_p.x_b
-    stats = _report_statistics(xa_x, xb_x, xa_p, xb_p)
+    # Var(x_A + x_B) and Var(x_A - x_B) of each group, in _REPORTED order
+    columns = (samples_x.x_a + samples_x.x_b, samples_x.x_a - samples_x.x_b,
+               samples_p.x_a + samples_p.x_b, samples_p.x_a - samples_p.x_b)
+    stats = _report_statistics(*(np.var(c, ddof=1) for c in columns))[0]
 
     n_a, n_b, n0 = occupations
     epr_threshold = 0.25 * (1.0 - n_b / n0) ** 2
@@ -191,14 +193,13 @@ def epr_report(samples_x: Samples, samples_p: Samples,
     errors: dict[str, float] = {}
     if bootstrap_b > 0:
         rng = np.random.default_rng([seed])
-        reps = np.empty((bootstrap_b, stats.size))
+        variances = np.empty((bootstrap_b, 4))
         for b in range(bootstrap_b):
-            ix = rng.integers(0, xa_x.size, xa_x.size)
-            ip = rng.integers(0, xa_p.size, xa_p.size)
-            reps[b] = _report_statistics(xa_x[ix], xb_x[ix], xa_p[ip], xb_p[ip])
-        se = reps.std(axis=0, ddof=1)
-        for name, value in zip(("v_x_plus", "v_x_minus", "v_p_plus", "v_p_minus",
-                                "epr_product", "insep_sum", "inferred_dx", "inferred_dp"), se):
+            ix = rng.integers(0, len(samples_x), len(samples_x))
+            ip = rng.integers(0, len(samples_p), len(samples_p))
+            variances[b] = [np.var(c[i], ddof=1) for c, i in zip(columns, (ix, ix, ip, ip))]
+        se = _report_statistics(*variances.T).std(axis=0, ddof=1)
+        for name, value in zip(_REPORTED, se):
             errors[f"se_{name}"] = float(value)
 
     return EprReport(
@@ -247,12 +248,12 @@ class TimeSweepPoint:
     epr_product_ideal: float
 
 
-def time_sweep(times, noise: NoiseModel, p_per_point: int, seed: int = 0,
-               omega: float = OMEGA_SPIN_DYNAMICS,
-               config: HomodyneConfig | None = None) -> list[TimeSweepPoint]:
+def time_sweep(times, noise: NoiseModel, p_per_point: int,
+               seed: int = 0) -> list[TimeSweepPoint]:
     """Squeezing dynamics: variances and EPR product versus pair-creation time.
 
-    Each grid point takes the Gaussian source at xi = omega * t, draws
+    Each grid point takes the Gaussian source at xi = OMEGA_SPIN_DYNAMICS * t
+    and the default readout (:func:`~tmsvlab.homodyne.default_config`), draws
     p_per_point shots at the two calibrated angles from its exact
     covariance (through the count-level simulation when coupling-strength
     jitter is active), and evaluates the report.  The ideal e^{-+2 xi}
@@ -260,11 +261,11 @@ def time_sweep(times, noise: NoiseModel, p_per_point: int, seed: int = 0,
     """
     if any(t < 0 for t in times):
         raise ValueError("times must be nonnegative")
-    config = config or default_config()
+    config = default_config()
     thetas = [THETA_X_LIKE, THETA_P_LIKE]
     rows = []
     for i, t in enumerate(times):
-        xi = omega * float(t)
+        xi = OMEGA_SPIN_DYNAMICS * float(t)
         state = SqueezedVacuum(xi, 0.0)
         point_seed = [seed, i]
         if noise.rf_rel_noise > 0.0:

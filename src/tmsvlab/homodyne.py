@@ -390,9 +390,9 @@ def _seed_list(seed) -> list[int]:
 class _GridSampler:
     """Draws from a DensityMatrix's gridded joint density by inverse CDF."""
 
-    def __init__(self, state: DensityMatrix, grid: QuadGrid | None):
+    def __init__(self, state: DensityMatrix):
         self.state = state
-        self.grid = QuadGrid.default_for_state(state) if grid is None else grid
+        self.grid = QuadGrid.default_for_state(state)
         self.psi_a = hermite_functions(state.space.n_cut, self.grid.x_a)
         self.psi_b = hermite_functions(state.space.n_cut, self.grid.x_b)
         self.eig = _state_eig(state)
@@ -423,13 +423,11 @@ def _gaussian_draw(source: SqueezedVacuum, theta: float, delta: np.ndarray,
     return (q_sum + q_diff) / 2.0, (q_sum - q_diff) / 2.0
 
 
-def _sampler(source: DensityMatrix | SqueezedVacuum, grid: QuadGrid | None):
+def _sampler(source: DensityMatrix | SqueezedVacuum):
     """Draw function (theta, delta, rng) -> (x_a, x_b) for the source."""
     if isinstance(source, SqueezedVacuum):
-        if grid is not None:
-            raise ValueError("a sampling grid applies only to DensityMatrix sources")
         return functools.partial(_gaussian_draw, source)
-    return _GridSampler(source, grid)
+    return _GridSampler(source)
 
 
 def _draw_group(draw, theta: float, n: int, noise: NoiseModel, rng: np.random.Generator):
@@ -448,8 +446,7 @@ def _draw_group(draw, theta: float, n: int, noise: NoiseModel, rng: np.random.Ge
 
 
 def sample_quadratures(source: DensityMatrix | SqueezedVacuum, thetas, p_per_theta: int,
-                       noise: NoiseModel = NOISELESS, seed=0,
-                       grid: QuadGrid | None = None) -> Samples:
+                       noise: NoiseModel = NOISELESS, seed=0) -> Samples:
     """Monte-Carlo homodyne samples: p_per_theta shots at each nominal angle.
 
     Per shot the measurement angle is jittered by a Gaussian of width
@@ -458,13 +455,13 @@ def sample_quadratures(source: DensityMatrix | SqueezedVacuum, thetas, p_per_the
     are recorded under the nominal angle.
 
     A SqueezedVacuum is drawn from its exact Gaussian covariance at each
-    shot's own angle; ``grid`` must then be None.  A DensityMatrix is drawn
-    from its joint density on ``grid`` by inverse CDF (marginal in x_a,
+    shot's own angle.  A DensityMatrix is drawn from its joint density on
+    :meth:`QuadGrid.default_for_state` by inverse CDF (marginal in x_a,
     then the conditional), with the jitter quantized to PHASE_JITTER_STEP.
     """
     if p_per_theta < 1:
         raise ValueError("p_per_theta must be >= 1")
-    draw = _sampler(source, grid)
+    draw = _sampler(source)
     base = _seed_list(seed)
     thetas = np.asarray(thetas, dtype=np.float64)
     x_a = np.empty((thetas.size, p_per_theta))
@@ -513,8 +510,7 @@ def quadratures_to_counts(x_a, x_b, config: HomodyneConfig,
 
 
 def simulate_shots(source: DensityMatrix | SqueezedVacuum, config: HomodyneConfig,
-                   noise: NoiseModel, thetas, p_per_theta: int, seed=0,
-                   grid: QuadGrid | None = None) -> Shots:
+                   noise: NoiseModel, thetas, p_per_theta: int, seed=0) -> Shots:
     """Synthesize count records for homodyne shots on the given source.
 
     Quadratures are drawn as in :func:`sample_quadratures`, on the same
@@ -525,7 +521,7 @@ def simulate_shots(source: DensityMatrix | SqueezedVacuum, config: HomodyneConfi
     """
     if p_per_theta < 1:
         raise ValueError("p_per_theta must be >= 1")
-    draw = _sampler(source, grid)
+    draw = _sampler(source)
     base = _seed_list(seed)
     n_tot = config.n_tot
     n_a = np.empty((len(thetas), p_per_theta), dtype=np.int64)

@@ -1,21 +1,26 @@
 """End-to-end recipes: sample, reconstruct, and score the reference scenarios.
 
-Three named presets are shipped:
+Three named presets are shipped, one per figure.  Each figure's run reads
+the preset fields listed here and sweeps the others it names:
 
 * ``fig_s2``   ideal squeezed vacuum (xi = 0.8), noiseless sampling, used
-               for the reconstruction-consistency sweep over the shots per
-               phase and the bin size;
+               for the reconstruction-consistency sweep: :func:`run_fig_s2`
+               reads xi, noise, thetas, n_cut, max_iter and tol, and sweeps
+               p_per_theta and dx;
 * ``fig_s3``   dephased squeezed vacuum (xi = 0.63, pair-phase width 0.36)
                sampled with the 0.12 sum-variance shift, reconstructed and
-               compared against the analytic dephased truth;
+               compared against the analytic dephased truth:
+               :func:`run_fig_s3` reads every field and sweeps none;
 * ``fig3``     squeezing-dynamics sweep with per-shot measurement-angle
                jitter and coupling-strength jitter, evaluated through the
-               count-level simulation; the sweep samples the Gaussian
-               source from its exact covariance, so the preset's ``n_cut``
-               applies only to ``simulate --preset fig3``.
+               count-level simulation: :func:`run_fig3` reads noise,
+               p_per_theta and seed, and sweeps the time t_s, which sets
+               xi.  It samples the Gaussian source exactly at the angles
+               thetas records, so n_cut serves only ``simulate --preset
+               fig3``.
 
 Every run is reproducible: identical (preset, seed) give bit-identical
-outputs in single-worker mode.
+outputs.
 """
 
 import dataclasses
@@ -25,15 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .criteria import (THETA_P_LIKE, THETA_X_LIKE, TimeSweepPoint, epr_report,
-                       time_sweep)
+from .criteria import THETA_P_LIKE, THETA_X_LIKE, TimeSweepPoint, time_sweep
 from .fock import DensityMatrix, FockSpace, number_distributions
-from .homodyne import default_config, sample_quadratures
+from .homodyne import sample_quadratures
 from .metrics import MetricsReport, fidelity_mixed, fidelity_pure, metrics_report
 from .states import (NOISELESS, NoiseModel, OMEGA_SPIN_DYNAMICS,
                      OPTIMAL_SPIN_DYNAMICS_TIME, noise_preset, phase_noisy_state,
                      tmsv, tmsv_rotated)
-from .tomography import MLResult, TomographyConfig, bin_samples, ml_reconstruct
+from .tomography import (MLResult, TomographyConfig, bin_samples, bootstrap,
+                         ml_reconstruct)
 
 _STATE_KINDS = ("tmsv", "tmsv_real", "phase_noisy")
 
@@ -88,7 +93,8 @@ class ExperimentPreset:
 PRESETS: dict[str, ExperimentPreset] = {
     "fig_s2": ExperimentPreset(
         name="fig_s2", xi=0.8, state_kind="tmsv", noise=NOISELESS,
-        thetas=sweep_phases(), p_per_theta=100, dx=0.25, n_cut=10, seed=0),
+        thetas=sweep_phases(), p_per_theta=100, dx=0.25, n_cut=10, seed=0,
+        max_iter=300),
     "fig_s3": ExperimentPreset(
         name="fig_s3", xi=0.63, state_kind="phase_noisy", state_sigma=0.36,
         noise=noise_preset("tomo"),
@@ -104,13 +110,10 @@ FIG3_TIME_GRID = tuple(1e-3 * t for t in (2, 6, 10, 14, 18, 22, 26, 30, 34, 38))
 
 
 def make_manifest(preset: ExperimentPreset, seed: int) -> dict:
-    modules = ("fock", "states", "homodyne", "criteria", "tomography",
-               "metrics", "pipelines", "io", "cli")
     return {
         "preset": preset.to_json_dict(),
         "seed": seed,
         "package": {"name": "tmsvlab", "version": __version__},
-        "module_versions": {m: __version__ for m in modules},
     }
 
 
@@ -121,44 +124,46 @@ class FigS2Row:
     seed: int
     fidelity: float
     fidelity_se: float
+    converged: bool
+    iterations: int
 
 
-def run_fig_s2(p_values, dx_values, seeds=(0,), xi: float = 0.8,
-               n_thetas: int = 29, n_cut: int = 10, max_iter: int = 300,
-               tol: float = 1e-8, bootstrap_b: int = 0) -> list[FigS2Row]:
+def run_fig_s2(preset: ExperimentPreset, p_values, dx_values, seeds=(0,),
+               bootstrap_b: int = 0) -> list[FigS2Row]:
     """Reconstruction fidelity versus shots per phase and bin size.
 
-    For every (p, dx, seed): draw noiseless samples of the ideal squeezed
-    vacuum, reconstruct, and score fidelity against the truth.  With
+    For every (p, dx, seed): draw samples of the preset's squeezed vacuum,
+    reconstruct, and score fidelity against the truth; the row says whether
+    the fit converged and after how many iterations.  With
     bootstrap_b >= 100, a bootstrap standard error of the fidelity is
     attached (each resample repeats the reconstruction); otherwise the SE
     column is NaN.
     """
     if any(p < 1 for p in p_values):
         raise ValueError("p values must be >= 1")
-    space = FockSpace(n_cut)
-    truth = tmsv(xi, space)
+    truth = tmsv(preset.xi, FockSpace(preset.n_cut))
     state = truth.projector()
-    thetas = sweep_phases(n_thetas)
     rows = []
     for dx in dx_values:
+        config = dataclasses.replace(preset, dx=float(dx)).tomography_config()
+
+        def fit(batch):
+            return ml_reconstruct(bin_samples(batch, config.dx), config)
+
         for p in p_values:
             for seed in seeds:
-                samples = sample_quadratures(state, thetas, int(p), NOISELESS, seed=seed)
-                config = TomographyConfig(dx=float(dx), n_cut=n_cut,
-                                          max_iter=max_iter, tol=tol)
-
-                def fidelity_of(batch):
-                    result = ml_reconstruct(bin_samples(batch, float(dx)), config)
-                    return fidelity_pure(result.rho, truth)
-
-                fid = fidelity_of(samples)
+                samples = sample_quadratures(state, preset.thetas, int(p), preset.noise,
+                                             seed=seed)
+                result = fit(samples)
                 se = math.nan
                 if bootstrap_b >= 100:
-                    from .tomography import bootstrap
-                    se = float(bootstrap(samples, bootstrap_b, fidelity_of, seed=seed).se)
+                    se = float(bootstrap(samples, bootstrap_b,
+                                         lambda b: fidelity_pure(fit(b).rho, truth),
+                                         seed=seed).se)
                 rows.append(FigS2Row(p=int(p), dx=float(dx), seed=int(seed),
-                                     fidelity=fid, fidelity_se=se))
+                                     fidelity=fidelity_pure(result.rho, truth),
+                                     fidelity_se=se, converged=result.converged,
+                                     iterations=result.iterations))
     return rows
 
 
@@ -186,10 +191,9 @@ class FigS3Result:
     p_diff: np.ndarray
 
 
-def run_fig_s3(preset: ExperimentPreset | None = None, seed: int | None = None) -> FigS3Result:
+def run_fig_s3(preset: ExperimentPreset, seed: int | None = None) -> FigS3Result:
     """Reconstruct the dephased squeezed vacuum from noisy samples and
     compare against the analytic truth state."""
-    preset = preset or PRESETS["fig_s3"]
     seed = preset.seed if seed is None else seed
     truth = preset.build_state()
     samples = sample_quadratures(truth, preset.thetas, preset.p_per_theta,
@@ -207,12 +211,9 @@ def run_fig_s3(preset: ExperimentPreset | None = None, seed: int | None = None) 
         p_sum=p_sum, p_diff=p_diff)
 
 
-def run_fig3(times=FIG3_TIME_GRID, noise: NoiseModel | None = None,
-             p_per_point: int | None = None, seed: int | None = None) -> list[TimeSweepPoint]:
-    """Squeezing-dynamics sweep with the fig3 noise preset defaults."""
-    preset = PRESETS["fig3"]
-    return time_sweep(times,
-                      noise=preset.noise if noise is None else noise,
-                      p_per_point=preset.p_per_theta if p_per_point is None else p_per_point,
-                      seed=preset.seed if seed is None else seed,
-                      config=default_config())
+def run_fig3(preset: ExperimentPreset, times=FIG3_TIME_GRID,
+             seed: int | None = None) -> list[TimeSweepPoint]:
+    """Squeezing-dynamics sweep over the times with the preset's noise and
+    shots per point, at the preset's seed unless one is given."""
+    return time_sweep(times, noise=preset.noise, p_per_point=preset.p_per_theta,
+                      seed=preset.seed if seed is None else seed)

@@ -33,6 +33,7 @@ from .fock import DensityMatrix, FockSpace, OperatorMatrix, hermite_functions
 from .homodyne import Samples
 from .criteria import group_samples
 
+# floor on model bin probabilities, so log P and n / P stay finite
 MIN_BIN_PROB = 1e-12
 
 
@@ -99,20 +100,16 @@ class TomographyConfig:
                   runs out.
     tol:          convergence threshold on the max-entry change between
                   successive iterates.
-    min_bin_prob: floor on model bin probabilities.
     """
 
     dx: float = 0.25
     n_cut: int = 10
     max_iter: int = 2000
     tol: float = 1e-8
-    min_bin_prob: float = MIN_BIN_PROB
 
     def __post_init__(self):
         if self.dx <= 0 or self.n_cut < 0 or self.max_iter < 1 or self.tol <= 0:
             raise ValueError("dx, max_iter, tol must be positive and n_cut >= 0")
-        if not (0.0 < self.min_bin_prob <= 1e-8):
-            raise ValueError("min_bin_prob must lie in (0, 1e-8]")
 
 
 @dataclass(frozen=True)
@@ -160,8 +157,8 @@ def _bin_kets(space: FockSpace, hist: Histogram2D) -> tuple[np.ndarray, np.ndarr
     return kets, counts, ia * hist.counts.shape[1] + ib
 
 
-def bin_probability(rho: DensityMatrix, hist: Histogram2D, bin_index: tuple[int, int],
-                    min_bin_prob: float = MIN_BIN_PROB) -> float:
+def bin_probability(rho: DensityMatrix, hist: Histogram2D,
+                    bin_index: tuple[int, int]) -> float:
     """Model probability of one bin: midpoint density times dx^2, floored."""
     ia, ib = bin_index
     if not (0 <= ia < hist.counts.shape[0] and 0 <= ib < hist.counts.shape[1]):
@@ -173,17 +170,17 @@ def bin_probability(rho: DensityMatrix, hist: Histogram2D, bin_index: tuple[int,
     phase = np.exp(-1j * hist.theta * np.arange(k))
     ket = ((phase * psi_a)[:, None] * (phase * psi_b)[None, :]).reshape(rho.space.dim)
     dens = float(np.real(ket.conj() @ rho.entries @ ket))
-    return max(dens * hist.dx ** 2, min_bin_prob)
+    return max(dens * hist.dx ** 2, MIN_BIN_PROB)
 
 
 def _model_probs(entries: np.ndarray, kets: np.ndarray, dx: float,
-                 min_bin_prob: float, theta: float, flat_idx: np.ndarray) -> np.ndarray:
+                 theta: float, flat_idx: np.ndarray) -> np.ndarray:
     probs = np.sum(kets.conj() * (entries @ kets), axis=0).real * dx ** 2
     if not np.all(np.isfinite(probs)):
         bad = int(flat_idx[np.flatnonzero(~np.isfinite(probs))[0]])
         raise IllConditionedDataError(
             f"non-finite model probability in bin {bad} of histogram at theta={theta:.4f}")
-    return np.maximum(probs, min_bin_prob)
+    return np.maximum(probs, MIN_BIN_PROB)
 
 
 def _binned(space: FockSpace, hists: list[Histogram2D]) -> list[tuple]:
@@ -193,15 +190,14 @@ def _binned(space: FockSpace, hists: list[Histogram2D]) -> list[tuple]:
     return [(h, *_bin_kets(space, h)) for h in sorted(hists, key=lambda h: (h.theta, h.origin))]
 
 
-def _r_and_loglik(rho: np.ndarray, binned: list[tuple],
-                  min_bin_prob: float) -> tuple[np.ndarray, float]:
+def _r_and_loglik(rho: np.ndarray, binned: list[tuple]) -> tuple[np.ndarray, float]:
     """The R operator of rho (Hermitian part) and the log-likelihood
     sum(n log P) of the binned data under rho."""
     r = np.zeros(rho.shape, dtype=np.complex128)
     ll = 0.0
     n_total = 0.0
     for hist, kets, counts, flat in binned:
-        probs = _model_probs(rho, kets, hist.dx, min_bin_prob, hist.theta, flat)
+        probs = _model_probs(rho, kets, hist.dx, hist.theta, flat)
         ll += float(np.dot(counts, np.log(probs)))
         r += (kets * (counts / probs)) @ kets.conj().T * hist.dx ** 2
         n_total += counts.sum()
@@ -209,8 +205,7 @@ def _r_and_loglik(rho: np.ndarray, binned: list[tuple],
     return (r + r.conj().T) / 2.0, ll
 
 
-def r_operator(rho: DensityMatrix, hists: list[Histogram2D],
-               min_bin_prob: float = MIN_BIN_PROB) -> OperatorMatrix:
+def r_operator(rho: DensityMatrix, hists: list[Histogram2D]) -> OperatorMatrix:
     """Data-weighted sum of bin projectors divided by model probabilities.
 
     R = (1/N) sum over populated bins of (n / P) dx^2 |U_theta x><x U_theta^dag|,
@@ -219,7 +214,7 @@ def r_operator(rho: DensityMatrix, hists: list[Histogram2D],
     """
     if sum(h.total for h in hists) < 1:
         raise ValueError("histograms contain no counts")
-    r, _ = _r_and_loglik(rho.entries, _binned(rho.space, hists), min_bin_prob)
+    r, _ = _r_and_loglik(rho.entries, _binned(rho.space, hists))
     return OperatorMatrix(rho.space, r, hermitian=True)
 
 
@@ -246,7 +241,7 @@ def ml_reconstruct(hists: list[Histogram2D], config: TomographyConfig,
     converged = False
     iterations = 0
     for _it in range(config.max_iter):
-        r, ll = _r_and_loglik(rho, binned, config.min_bin_prob)
+        r, ll = _r_and_loglik(rho, binned)
         loglik.append(ll)
         new = r @ rho @ r
         new = (new + new.conj().T) / 2.0
@@ -260,7 +255,7 @@ def ml_reconstruct(hists: list[Histogram2D], config: TomographyConfig,
             converged = True
             break
     # likelihood of the final iterate, for a complete monotone trace
-    loglik.append(_r_and_loglik(rho, binned, config.min_bin_prob)[1])
+    loglik.append(_r_and_loglik(rho, binned)[1])
 
     return MLResult(rho=DensityMatrix.from_entries(space, rho),
                     loglik_trace=tuple(loglik),

@@ -413,11 +413,6 @@ def test_gaussian_jitter_averages_the_rotated_covariance():
         assert_within_se(np.mean(q ** 2), expected, np.std(q ** 2, ddof=1) / np.sqrt(n))
 
 
-def test_gaussian_path_rejects_a_grid():
-    with pytest.raises(ValueError, match="grid"):
-        sample_quadratures(SqueezedVacuum(0.5), [0.0], 10, grid=QuadGrid.regular(5.0, 64))
-
-
 def test_gaussian_path_redraws_out_of_bounds_counts():
     # at n0 = 200 the sum counts 30 +- 17 leave [0, N_tot] for a few % of
     # shots, which are redrawn; at xi = 6 almost none can be realized

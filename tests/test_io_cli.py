@@ -1,14 +1,17 @@
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tmsvlab import io as tio
 from tmsvlab.cli import EX_NONCONVERGED, EX_OK, EX_RUNTIME, EX_USAGE, main
+from tmsvlab.criteria import epr_report, group_samples
 from tmsvlab.fock import FockSpace, basis_state
 from tmsvlab.homodyne import Samples, Shots, sample_quadratures
+from tmsvlab.pipelines import sweep_phases
 from tmsvlab.states import NOISELESS, tmsv
 from tmsvlab.tomography import TomographyConfig, bin_samples, ml_reconstruct
 
@@ -133,6 +136,51 @@ def test_cli_config_file_with_flag_override(tmp_path):
     code = run_cli("simulate", "--config", str(cfg), "--p", "8", "--out", str(out))
     assert code == EX_OK
     assert len(tio.read_samples(out / "samples.csv")) == 8
+
+
+def conjugate_pair_file(tmp_path):
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--xi", "0.5", "--thetas", "0,1.5707963267948966",
+                   "--p", "200", "--n-cut", "4", "--seed", "1", "--out", str(out)) == EX_OK
+    return out / "samples.csv"
+
+
+def run_outputs(*argv):
+    out = argv[argv.index("--out") + 1]
+    run_cli(*argv)
+    return {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}
+
+
+@pytest.mark.parametrize("command, flags, settings", [
+    ("tomo", ["--dx", "0.3", "--n-cut", "4", "--max-iter", "50", "--tol", "1e-6"],
+     {"dx": 0.3, "n_cut": 4, "max_iter": 50, "tol": 1e-6}),
+    ("criteria", ["--n-a", "3", "--n-b", "2", "--n0", "5000", "--bootstrap-b", "120",
+                  "--seed", "4"],
+     {"n_a": 3, "n_b": 2, "n0": 5000, "bootstrap_b": 120, "seed": 4}),
+])
+def test_cli_config_file_and_flags_write_the_same_outputs(tmp_path, command, flags, settings):
+    samples = str(conjugate_pair_file(tmp_path))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(settings))
+    by_flags = run_outputs(command, samples, *flags, "--out", str(tmp_path / "flags"))
+    by_config = run_outputs(command, samples, "--config", str(cfg),
+                            "--out", str(tmp_path / "config"))
+    assert by_flags and by_flags == by_config
+
+
+def test_cli_unset_settings_take_the_library_defaults(tmp_path):
+    path = conjugate_pair_file(tmp_path)
+    run_cli("tomo", str(path), "--out", str(tmp_path / "tomo"))
+    diag = json.loads((tmp_path / "tomo" / "diagnostics.json").read_text())
+    assert diag["config"] == dataclasses.asdict(TomographyConfig())
+
+    assert run_cli("criteria", str(path), "--out", str(tmp_path / "crit")) == EX_OK
+    samples = tio.read_samples(path)
+    (_, idx_x), (_, idx_p) = group_samples(samples)
+    tio.write_json(tmp_path / "expected.json",
+                   epr_report(samples[idx_x], samples[idx_p]).to_json_dict())
+    assert ((tmp_path / "crit" / "epr_report.json").read_bytes()
+            == (tmp_path / "expected.json").read_bytes())
 
 
 def test_cli_tomo_vacuum(tmp_path):
@@ -273,7 +321,7 @@ def test_cli_reproduce_smoke_fig3(tmp_path):
 def test_cli_reproduce_smoke_manifest_describes_the_run(tmp_path):
     # the manifest's preset is the one that ran: rerunning it gives the
     # same fit, and the fig3 sweep drew its shot count
-    from tmsvlab.pipelines import ExperimentPreset, run_fig_s3
+    from tmsvlab.pipelines import ExperimentPreset, run_fig_s2, run_fig_s3
     from tmsvlab.states import NoiseModel
     assert run_cli("reproduce", "fig_s3", "--scale", "smoke", "--out", str(tmp_path)) == EX_OK
     rundir = tmp_path / "fig_s3-seed0"
@@ -290,6 +338,21 @@ def test_cli_reproduce_smoke_manifest_describes_the_run(tmp_path):
     assert run_cli("reproduce", "fig3", "--scale", "smoke", "--out", str(tmp_path)) == EX_OK
     manifest = json.loads((tmp_path / "fig3-seed0" / "manifest.json").read_text())
     assert manifest["scale"] == "smoke" and manifest["preset"]["p_per_theta"] == 400
+    assert manifest["sweep"] == {"t_s": [0.0, 13e-3, 26e-3]}
+
+    # fig_s2: the preset and the sweep rebuilt from the manifest give the
+    # same table
+    assert run_cli("reproduce", "fig_s2", "--scale", "smoke", "--out", str(tmp_path)) == EX_OK
+    rundir = tmp_path / "fig_s2-seed0"
+    manifest = json.loads((rundir / "manifest.json").read_text())
+    d, sweep = manifest["preset"], manifest["sweep"]
+    preset = ExperimentPreset(**{**d, "noise": NoiseModel(**d["noise"]),
+                                 "thetas": tuple(d["thetas"])})
+    rows = run_fig_s2(preset, sweep["p_per_theta"], sweep["dx"], seeds=(manifest["seed"],))
+    tio.write_csv_rows(tmp_path / "rerun.csv",
+                       "p,dx,seed,fidelity,fidelity_se,converged,iterations",
+                       [dataclasses.astuple(r) for r in rows])
+    assert (rundir / "fig_s2_table.csv").read_bytes() == (tmp_path / "rerun.csv").read_bytes()
 
 
 def test_cli_reproduce_smoke_fig_s2_has_fidelity_column(tmp_path):
@@ -297,8 +360,15 @@ def test_cli_reproduce_smoke_fig_s2_has_fidelity_column(tmp_path):
                    "--out", str(tmp_path))
     assert code == EX_OK
     lines = (tmp_path / "fig_s2-seed1" / "fig_s2_table.csv").read_text().splitlines()
-    assert lines[0] == "p,dx,seed,fidelity,fidelity_se"
+    assert lines[0] == "p,dx,seed,fidelity,fidelity_se,converged,iterations"
     assert len(lines) == 3
+    # each row reports whether the library's fit of that cell converged
+    truth = tmsv(0.8, FockSpace(6)).projector()
+    for line, p in zip(lines[1:], (25, 50)):
+        samples = sample_quadratures(truth, sweep_phases(9), p, NOISELESS, seed=1)
+        fit = ml_reconstruct(bin_samples(samples, 0.25),
+                             TomographyConfig(dx=0.25, n_cut=6, max_iter=60))
+        assert line.split(",")[-2:] == [str(fit.converged), str(fit.iterations)]
 
 
 def test_cli_byte_identical_reruns(tmp_path):
@@ -306,7 +376,7 @@ def test_cli_byte_identical_reruns(tmp_path):
     for name in ("a", "b"):
         out = tmp_path / name
         code = run_cli("simulate", "--preset", "fig3", "--seed", "11",
-                       "--workers", "1", "--out", str(out))
+                       "--out", str(out))
         assert code == EX_OK
         outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert outs[0] == outs[1]

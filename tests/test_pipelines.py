@@ -35,13 +35,14 @@ def test_sweep_phases_cover_half_period():
 
 def test_fig_s2_rejects_zero_shots():
     with pytest.raises(ValueError):
-        run_fig_s2(p_values=(0,), dx_values=(0.25,))
+        run_fig_s2(PRESETS["fig_s2"], p_values=(0,), dx_values=(0.25,))
 
 
 @pytest.mark.filterwarnings("ignore::tmsvlab.states.TruncationWarning")
 def test_fig_s2_smoke_trend():
-    rows = run_fig_s2(p_values=(30, 120), dx_values=(0.3,), seeds=(0,),
-                      n_thetas=9, n_cut=6, max_iter=80)
+    preset = dataclasses.replace(PRESETS["fig_s2"], thetas=sweep_phases(9), n_cut=6,
+                                 max_iter=80)
+    rows = run_fig_s2(preset, p_values=(30, 120), dx_values=(0.3,), seeds=(0,))
     assert [r.p for r in rows] == [30, 120]
     assert rows[1].fidelity > rows[0].fidelity
     assert all(np.isnan(r.fidelity_se) for r in rows)
@@ -49,8 +50,9 @@ def test_fig_s2_smoke_trend():
 
 @pytest.mark.filterwarnings("ignore::tmsvlab.states.TruncationWarning")
 def test_fig_s2_bootstrap_se_column():
-    rows = run_fig_s2(p_values=(25,), dx_values=(0.4,), seeds=(1,),
-                      n_thetas=5, n_cut=4, max_iter=40, bootstrap_b=100)
+    preset = dataclasses.replace(PRESETS["fig_s2"], thetas=sweep_phases(5), n_cut=4,
+                                 max_iter=40)
+    rows = run_fig_s2(preset, p_values=(25,), dx_values=(0.4,), seeds=(1,), bootstrap_b=100)
     assert rows[0].fidelity_se > 0.0
     assert rows[0].fidelity_se < 0.2
 
@@ -82,7 +84,8 @@ def test_fig3_time_grid_is_reasonable():
 
 
 def test_run_fig3_smoke():
-    rows = run_fig3(times=(0.0, 13e-3), p_per_point=500, seed=0)
+    rows = run_fig3(dataclasses.replace(PRESETS["fig3"], p_per_theta=500),
+                    times=(0.0, 13e-3), seed=0)
     assert rows[0].epr_product == pytest.approx(1.0, abs=0.2)
     assert rows[1].epr_product < rows[0].epr_product
     assert rows[1].v_sq_ideal == pytest.approx(np.exp(-2 * rows[1].xi))
@@ -101,4 +104,3 @@ def test_manifest_is_deterministic():
     assert a == b
     assert a["seed"] == 5
     assert a["package"]["name"] == "tmsvlab"
-    assert set(a["module_versions"]) >= {"fock", "tomography", "cli"}

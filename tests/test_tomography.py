@@ -239,8 +239,6 @@ def test_ml_statistical_consistency_median_trend():
 def test_tomography_config_validation():
     with pytest.raises(ValueError):
         TomographyConfig(dx=-1.0)
-    with pytest.raises(ValueError):
-        TomographyConfig(min_bin_prob=1e-6)
 
 
 # ---------------------------------------------------------------- bootstrap
