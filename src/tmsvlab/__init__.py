@@ -11,9 +11,9 @@ from .fock import (DensityMatrix, FockSpace, OperatorMatrix, PureState,
 from .states import (NoiseModel, NOISELESS, SqueezedVacuum, SqueezingSchedule,
                      analytic_variances, noise_preset, phase_noisy_state,
                      squeeze_param, tmsv, tmsv_rotated, truncation_tail)
-from .homodyne import (HomodyneConfig, QuadGrid, Samples, Shots, calibrate_transfer,
+from .homodyne import (HomodyneConfig, Samples, Shots, calibrate_transfer,
                        config_from_transfer, default_config, estimate_quadratures,
-                       mode_transform, quad_pdf, sample_quadratures, simulate_shots)
+                       mode_transform, sample_quadratures, simulate_readout, simulate_shots)
 from .criteria import (EprReport, VarianceSweep, epr_report, inferred_uncertainties,
                        time_sweep, variance_sweep)
 from .tomography import (Histogram2D, MLResult, TomographyConfig, bin_probability,

@@ -13,12 +13,19 @@ Every subcommand accepts ``--config`` and ``--out``, and those that draw
 random numbers ``--seed``; runs are serial, with no worker-count flag.
 After parsing, each value of the JSON config file fills the flag of that
 name (``p_per_theta`` for ``--p``) if it was not given, cast and checked as
-the flag is.  A setting left unset takes the library's default
-(``TomographyConfig``, ``NoiseModel``, ``epr_report``, whose n0 is the
-default readout's; the ``fig_s2`` preset for an inline ``simulate``; the
-figure's preset seed for ``reproduce``).  Only the command line's own
-settings default here: seed 0, out ``.`` (``runs`` for ``reproduce``) and
-scale ``paper``.  Reruns with the same settings and seed are byte-identical.
+the flag is; a value the flag cannot take is a usage error.  A setting left
+unset takes the library's default (``TomographyConfig``, ``NoiseModel``,
+``epr_report``, whose n0 is the default readout's; the ``fig_s2`` preset's
+source, whose xi ``--xi`` replaces, phases and shot count for an inline
+``simulate``; the figure's preset seed for ``reproduce``).  Only the
+command line's own settings default here: seed 0, out ``.`` (``runs`` for
+``reproduce``) and scale ``paper``.  Reruns with the same settings and
+seed are byte-identical.
+
+``simulate`` draws the source once: ``samples.csv`` holds the quadratures
+that the counts in ``shots.csv`` realize.  Its ``manifest.json`` records
+only what shaped the draw (source, noise, phases, shots per phase, seed)
+and the package, enough to rebuild both files.
 """
 
 import argparse
@@ -31,9 +38,9 @@ from pathlib import Path
 from . import io as tio
 from .criteria import (DEFAULT_OCCUPATIONS, PhaseMismatchError, epr_report,
                        group_samples)
-from .homodyne import default_config, sample_quadratures, simulate_shots
+from .homodyne import default_config, simulate_readout
 from .metrics import metrics_report
-from .pipelines import (FIG3_TIME_GRID, PRESETS, make_manifest, run_fig3,
+from .pipelines import (FIG3_TIME_GRID, PACKAGE, PRESETS, make_manifest, run_fig3,
                         run_fig_s2, run_fig_s3, sweep_phases)
 from .states import NoiseModel, tmsv
 from .tomography import TomographyConfig, bin_samples, ml_reconstruct
@@ -78,7 +85,10 @@ def _apply_config(command: _Parser, args: argparse.Namespace) -> None:
         if getattr(args, key) is not None:
             continue
         flag = flags[key]
-        value = value if flag.type is None else flag.type(value)
+        try:
+            value = value if flag.type is None else flag.type(value)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"config {key}: invalid value {value!r} ({exc})") from exc
         if flag.choices is not None and value not in flag.choices:
             raise UsageError(f"config {key}: invalid choice {value!r} "
                              f"(choose from {sorted(flag.choices)})")
@@ -116,7 +126,6 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--thetas", type=_phases, default=None,
                        help="comma-separated phases in rad (default: 29-phase sweep)")
     p_sim.add_argument("--p", dest="p_per_theta", type=int, default=None)
-    p_sim.add_argument("--n-cut", dest="n_cut", type=int, default=None)
     p_sim.add_argument("--sigma-phase", dest="sigma_phase", type=float, default=None)
     p_sim.add_argument("--rf-rel-noise", dest="rf_rel_noise", type=float, default=None)
     p_sim.add_argument("--sum-variance-shift", dest="sum_variance_shift",
@@ -155,20 +164,24 @@ def _cmd_simulate(args) -> int:
     elif args.xi is None:
         raise UsageError("either --preset or --xi is required")
     else:
+        base = PRESETS["fig_s2"]
         preset = dataclasses.replace(
-            PRESETS["fig_s2"], name="inline", xi=args.xi,
+            base, source=dataclasses.replace(base.source, xi=args.xi),
             noise=NoiseModel(**_given(args, "sigma_phase", "rf_rel_noise",
                                       "sum_variance_shift")),
-            **_given(args, "thetas", "p_per_theta", "n_cut"))
-    state = preset.build_state()
-    config = default_config()
-    samples = sample_quadratures(state, preset.thetas, preset.p_per_theta,
-                                 preset.noise, seed=seed)
-    shots = simulate_shots(state, config, preset.noise, preset.thetas,
-                           preset.p_per_theta, seed=seed)
+            **_given(args, "thetas", "p_per_theta"))
+    samples, shots = simulate_readout(preset.source, default_config(), preset.noise,
+                                      preset.thetas, preset.p_per_theta, seed=seed)
     tio.write_samples(out / "samples.csv", samples)
     tio.write_shots(out / "shots.csv", shots)
-    tio.write_json(out / "manifest.json", make_manifest(preset, seed))
+    tio.write_json(out / "manifest.json", {
+        "source": dataclasses.asdict(preset.source),
+        "noise": dataclasses.asdict(preset.noise),
+        "thetas": list(preset.thetas),
+        "p_per_theta": preset.p_per_theta,
+        "seed": seed,
+        "package": PACKAGE,
+    })
     print(f"wrote {len(samples)} samples and {len(shots)} shots to {out}")
     return EX_OK
 

@@ -3,55 +3,41 @@
 A short coupling pulse mixes a large reference mode into the two signal
 modes; counting atoms in the signal modes afterwards realizes a quadrature
 measurement.  This module provides the mode transformation, the
-number-to-quadrature estimators and their calibration, exact joint
-quadrature distributions on a grid, and seeded Monte-Carlo generation of
-quadrature samples and raw count records.
+number-to-quadrature estimators and their calibration, and seeded
+Monte-Carlo generation of quadrature samples and raw count records.
 
 Shots travel in columnar batches, one array element per shot:
 :class:`Samples` holds the phases and quadratures (theta, x_a, x_b) and
 :class:`Shots` the atom counts (n_a, n_b, n_tot).  Both are frozen and
 validated as a whole on construction.
 
-Sources are sampled along one of two paths:
-
-* a :class:`~tmsvlab.states.SqueezedVacuum` is Gaussian, so each shot is
-  drawn from its exact covariance at the shot's own jittered angle, with
-  no Fock space, grid or occupation cutoff;
-* an arbitrary :class:`~tmsvlab.fock.DensityMatrix` is sampled by inverse
-  CDF from its joint density on a grid, with the angle jitter quantized to
-  :data:`PHASE_JITTER_STEP`.
-
-Both paths share the jitter draw, the common-mode sum shift, the transfer
-jitter and the count inversion.  Sampling is deterministic given (seed,
-theta index): every theta group draws from its own generator stream, so
-group order or worker layout cannot change the result.
+There is one sampling path.  For each shot the sampler draws the angle
+jitter, asks the source for an (x_a, x_b) pair at the jittered angle
+through the source's ``draw(theta, delta, rng)`` method, and adds the
+common-mode sum shift; count records add the transfer jitter and the
+count inversion.  Every shipped source is a
+:class:`~tmsvlab.states.SqueezedVacuum`, which is Gaussian (a Gaussian
+mixture when its pair phase is dephased) and draws each shot from its
+exact covariance at the shot's own angle, with no Fock space, grid or
+occupation cutoff.  The test suite keeps a gridded inverse-CDF sampler of
+an arbitrary Fock-space density matrix, with the same ``draw`` method, as
+a reference.  Sampling is deterministic given (seed, theta index): every
+theta group draws from its own generator stream, so group order cannot
+change the result.
 """
 
-import functools
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fock import DensityMatrix, FockSpace, hermite_functions
 from .states import NoiseModel, NOISELESS, SqueezedVacuum
-
-# DensityMatrix path only: per-shot jitter of the measurement angle is
-# quantized to this step so shots sharing a step reuse one gridded
-# distribution; the induced variance bias is O(step^2/12) of the
-# anti-squeezed variance, far below sampling error.  The SqueezedVacuum
-# path uses each shot's exact angle.
-PHASE_JITTER_STEP = 0.01
 
 _MAX_RESAMPLE_ROUNDS = 20
 
 
 class EstimatorUndefinedError(ValueError):
     """Transfer configuration makes a quadrature estimator ill-defined."""
-
-
-class GridSupportError(ValueError):
-    """Sampling grid does not capture enough probability mass."""
 
 
 class CountBoundsError(RuntimeError):
@@ -248,196 +234,21 @@ def calibrate_transfer(shots: Shots) -> TransferCalibration:
     return TransferCalibration(0.0, 1.0, 0.0, False)
 
 
-@dataclass(frozen=True)
-class QuadGrid:
-    """Rectangular evaluation grid; points are cell centers."""
-
-    x_a: np.ndarray
-    x_b: np.ndarray
-
-    def __post_init__(self):
-        for name in ("x_a", "x_b"):
-            ax = np.asarray(getattr(self, name), dtype=np.float64)
-            if ax.ndim != 1 or ax.size < 2:
-                raise ValueError(f"{name} must be a 1D axis with >= 2 points")
-            ax.setflags(write=False)
-            object.__setattr__(self, name, ax)
-
-    @property
-    def step_a(self) -> float:
-        return float(self.x_a[1] - self.x_a[0])
-
-    @property
-    def step_b(self) -> float:
-        return float(self.x_b[1] - self.x_b[0])
-
-    @property
-    def cell_area(self) -> float:
-        return self.step_a * self.step_b
-
-    @classmethod
-    def regular(cls, extent: float, points: int = 512) -> "QuadGrid":
-        ax = np.linspace(-extent, extent, points)
-        return cls(ax, ax.copy())
-
-    @classmethod
-    def default_for_state(cls, state: DensityMatrix, points: int = 512,
-                          n_sigma: float = 6.0) -> "QuadGrid":
-        """Extent covering +-n_sigma of the widest single-mode quadrature."""
-        return cls.regular(n_sigma * _max_quadrature_std(state), points)
-
-
-def _max_quadrature_std(state: DensityMatrix) -> float:
-    from .fock import expectation, quadrature_ops  # local import to keep module load light
-
-    worst = 0.0
-    for mode in ("A", "B"):
-        x, p = quadrature_ops(state.space, mode)
-        xm = expectation(state, x).real
-        pm = expectation(state, p).real
-        xx = np.sum(state.entries * (x.entries @ x.entries).T).real - xm ** 2
-        pp = np.sum(state.entries * (p.entries @ p.entries).T).real - pm ** 2
-        xp = np.sum(state.entries * ((x.entries @ p.entries + p.entries @ x.entries) / 2.0).T).real
-        cov = np.array([[xx, xp - xm * pm], [xp - xm * pm, pp]])
-        worst = max(worst, float(np.linalg.eigvalsh(cov)[-1]))
-    return math.sqrt(worst)
-
-
-def _state_eig(state: DensityMatrix, tol: float = 1e-13) -> tuple[np.ndarray, np.ndarray]:
-    w, v = np.linalg.eigh(state.entries)
-    keep = w > tol * max(1.0, float(w[-1]))
-    return w[keep], v[:, keep]
-
-
-def _pdf_from_eig(weights: np.ndarray, vectors: np.ndarray, space: FockSpace,
-                  theta: float, psi_a: np.ndarray, psi_b: np.ndarray) -> np.ndarray:
-    """Joint density sum_k w_k |<v_k| U_theta |x_a, x_b>|^2 on the grid."""
-    k = space.mode_dim
-    phase = np.exp(-1j * theta * np.arange(k))
-    dens = np.zeros((psi_a.shape[1], psi_b.shape[1]))
-    for w, vec in zip(weights, vectors.T):
-        m = vec.conj().reshape(k, k) * phase[:, None] * phase[None, :]
-        amp = psi_a.T @ m @ psi_b
-        dens += w * (amp.real ** 2 + amp.imag ** 2)
-    return dens
-
-
-def quad_pdf(state: DensityMatrix, theta: float, grid: QuadGrid) -> np.ndarray:
-    """Joint quadrature density <x| U_theta^dag rho U_theta |x> on the grid.
-
-    Raises GridSupportError when the grid captures less than 99% of the
-    probability mass; default grids capture > 99.9%.
-    """
-    psi_a = hermite_functions(state.space.n_cut, grid.x_a)
-    psi_b = hermite_functions(state.space.n_cut, grid.x_b)
-    return _supported(_pdf_from_eig(*_state_eig(state), state.space, theta, psi_a, psi_b),
-                      grid, theta)
-
-
-def grid_mass(density: np.ndarray, grid: QuadGrid) -> float:
-    return float(density.sum() * grid.cell_area)
-
-
-def _supported(density: np.ndarray, grid: QuadGrid, theta: float) -> np.ndarray:
-    """The density, once the grid is shown to capture >= 99% of its mass."""
-    mass = grid_mass(density, grid)
-    if mass < 0.99:
-        raise GridSupportError(f"grid captures only {mass:.4f} of the probability mass "
-                               f"at theta={theta:.4f}")
-    return density
-
-
-class _JointSampler:
-    """Inverse-CDF sampler over a gridded joint density (cells are uniform)."""
-
-    def __init__(self, density: np.ndarray, grid: QuadGrid):
-        masses = density * grid.cell_area
-        self.grid = grid
-        self.row_cum = np.cumsum(masses.sum(axis=1))
-        self.col_cum = np.cumsum(masses, axis=1)
-
-    def draw(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        grid = self.grid
-        u1 = rng.random(n) * self.row_cum[-1]
-        i = np.searchsorted(self.row_cum, u1, side="right")
-        i = np.minimum(i, self.row_cum.size - 1)
-        lo = np.where(i > 0, self.row_cum[i - 1], 0.0)
-        width = self.row_cum[i] - lo
-        frac = np.where(width > 0, (u1 - lo) / np.where(width > 0, width, 1.0), 0.5)
-        x_a = grid.x_a[i] + (frac - 0.5) * grid.step_a
-
-        x_b = np.empty(n)
-        u2 = rng.random(n)
-        for start in range(0, n, 4096):
-            sl = slice(start, min(start + 4096, n))
-            rows = self.col_cum[i[sl]]
-            targets = u2[sl] * rows[:, -1]
-            j = np.sum(rows < targets[:, None], axis=1)
-            j = np.minimum(j, rows.shape[1] - 1)
-            lo2 = np.where(j > 0, rows[np.arange(rows.shape[0]), j - 1], 0.0)
-            w2 = rows[np.arange(rows.shape[0]), j] - lo2
-            frac2 = np.where(w2 > 0, (targets - lo2) / np.where(w2 > 0, w2, 1.0), 0.5)
-            x_b[sl] = grid.x_b[j] + (frac2 - 0.5) * grid.step_b
-        return x_a, x_b
-
-
 def _seed_list(seed) -> list[int]:
     if isinstance(seed, (int, np.integer)):
         return [int(seed)]
     return [int(s) for s in seed]
 
 
-class _GridSampler:
-    """Draws from a DensityMatrix's gridded joint density by inverse CDF."""
-
-    def __init__(self, state: DensityMatrix):
-        self.state = state
-        self.grid = QuadGrid.default_for_state(state)
-        self.psi_a = hermite_functions(state.space.n_cut, self.grid.x_a)
-        self.psi_b = hermite_functions(state.space.n_cut, self.grid.x_b)
-        self.eig = _state_eig(state)
-
-    def __call__(self, theta: float, delta: np.ndarray, rng: np.random.Generator):
-        """One (x_a, x_b) pair per angle theta + delta, delta quantized to
-        PHASE_JITTER_STEP so that shots sharing a step share a density."""
-        grid = self.grid
-        x_a = np.empty(delta.size)
-        x_b = np.empty(delta.size)
-        dq = np.round(delta / PHASE_JITTER_STEP) * PHASE_JITTER_STEP
-        for val in np.unique(dq):
-            idx = np.flatnonzero(dq == val)
-            dens = _pdf_from_eig(*self.eig, self.state.space, theta + val,
-                                 self.psi_a, self.psi_b)
-            x_a[idx], x_b[idx] = _JointSampler(_supported(dens, grid, theta + val),
-                                               grid).draw(rng, idx.size)
-        return x_a, x_b
-
-
-def _gaussian_draw(source: SqueezedVacuum, theta: float, delta: np.ndarray,
-                   rng: np.random.Generator):
-    """One (x_a, x_b) pair per angle theta + delta from the exact covariance:
-    independent normal x_A + x_B and x_A - x_B."""
-    v_plus, v_minus = source.pair_variances(theta + delta)
-    q_sum = rng.standard_normal(delta.size) * np.sqrt(v_plus)
-    q_diff = rng.standard_normal(delta.size) * np.sqrt(v_minus)
-    return (q_sum + q_diff) / 2.0, (q_sum - q_diff) / 2.0
-
-
-def _sampler(source: DensityMatrix | SqueezedVacuum):
-    """Draw function (theta, delta, rng) -> (x_a, x_b) for the source."""
-    if isinstance(source, SqueezedVacuum):
-        return functools.partial(_gaussian_draw, source)
-    return _GridSampler(source)
-
-
-def _draw_group(draw, theta: float, n: int, noise: NoiseModel, rng: np.random.Generator):
+def _draw_group(source: SqueezedVacuum, theta: float, n: int, noise: NoiseModel,
+                rng: np.random.Generator):
     """Draw n (x_a, x_b) pairs at nominal angle theta with phase jitter and
     common-mode sum shift applied."""
     if noise.sigma_phase > 0.0:
         delta = rng.normal(0.0, noise.sigma_phase, n)
     else:
         delta = np.zeros(n)
-    x_a, x_b = draw(theta, delta, rng)
+    x_a, x_b = source.draw(theta, delta, rng)
     if noise.sum_variance_shift > 0.0:
         g = rng.normal(0.0, math.sqrt(noise.sum_variance_shift), n)
         x_a = x_a + g / 2.0
@@ -445,30 +256,24 @@ def _draw_group(draw, theta: float, n: int, noise: NoiseModel, rng: np.random.Ge
     return x_a, x_b
 
 
-def sample_quadratures(source: DensityMatrix | SqueezedVacuum, thetas, p_per_theta: int,
+def sample_quadratures(source: SqueezedVacuum, thetas, p_per_theta: int,
                        noise: NoiseModel = NOISELESS, seed=0) -> Samples:
     """Monte-Carlo homodyne samples: p_per_theta shots at each nominal angle.
 
     Per shot the measurement angle is jittered by a Gaussian of width
-    sigma_phase, the pair (x_a, x_b) is drawn at the jittered angle, and a
-    common-mode offset raises Var(x_a + x_b) by sum_variance_shift.  Shots
-    are recorded under the nominal angle.
-
-    A SqueezedVacuum is drawn from its exact Gaussian covariance at each
-    shot's own angle.  A DensityMatrix is drawn from its joint density on
-    :meth:`QuadGrid.default_for_state` by inverse CDF (marginal in x_a,
-    then the conditional), with the jitter quantized to PHASE_JITTER_STEP.
+    sigma_phase, the source draws the pair (x_a, x_b) at the jittered
+    angle, and a common-mode offset raises Var(x_a + x_b) by
+    sum_variance_shift.  Shots are recorded under the nominal angle.
     """
     if p_per_theta < 1:
         raise ValueError("p_per_theta must be >= 1")
-    draw = _sampler(source)
     base = _seed_list(seed)
     thetas = np.asarray(thetas, dtype=np.float64)
     x_a = np.empty((thetas.size, p_per_theta))
     x_b = np.empty_like(x_a)
     for i, theta in enumerate(thetas.tolist()):
         rng = np.random.default_rng(base + [i])
-        x_a[i], x_b[i] = _draw_group(draw, theta, p_per_theta, noise, rng)
+        x_a[i], x_b[i] = _draw_group(source, theta, p_per_theta, noise, rng)
     return Samples(np.repeat(thetas, p_per_theta), x_a.ravel(), x_b.ravel())
 
 
@@ -509,27 +314,21 @@ def quadratures_to_counts(x_a, x_b, config: HomodyneConfig,
     return n_a, n_b
 
 
-def simulate_shots(source: DensityMatrix | SqueezedVacuum, config: HomodyneConfig,
-                   noise: NoiseModel, thetas, p_per_theta: int, seed=0) -> Shots:
-    """Synthesize count records for homodyne shots on the given source.
-
-    Quadratures are drawn as in :func:`sample_quadratures`, on the same
-    path; the transfer fraction of each shot is jittered multiplicatively
-    by (1 + N(0, rf_rel_noise)) before the estimator equations are inverted
-    to counts.  Shots whose counts leave [0, N_tot] are redrawn a bounded
-    number of times.
-    """
+def _readout(source: SqueezedVacuum, config: HomodyneConfig, noise: NoiseModel,
+             thetas: np.ndarray, p_per_theta: int, seed) -> tuple[np.ndarray, np.ndarray, Shots]:
+    """The quadratures (x_a, x_b) of every shot and its count record."""
     if p_per_theta < 1:
         raise ValueError("p_per_theta must be >= 1")
-    draw = _sampler(source)
     base = _seed_list(seed)
     n_tot = config.n_tot
-    n_a = np.empty((len(thetas), p_per_theta), dtype=np.int64)
+    x_a = np.empty((thetas.size, p_per_theta))
+    x_b = np.empty_like(x_a)
+    n_a = np.empty(x_a.shape, dtype=np.int64)
     n_b = np.empty_like(n_a)
-    for i, theta in enumerate(thetas):
+    for i, theta in enumerate(thetas.tolist()):
         rng = np.random.default_rng(base + [i])
         rng_rf = np.random.default_rng(base + [i, 7])
-        x_a, x_b = _draw_group(draw, float(theta), p_per_theta, noise, rng)
+        x_a[i], x_b[i] = _draw_group(source, theta, p_per_theta, noise, rng)
         if noise.rf_rel_noise > 0.0:
             eps = rng_rf.normal(0.0, noise.rf_rel_noise, p_per_theta)
         else:
@@ -537,20 +336,44 @@ def simulate_shots(source: DensityMatrix | SqueezedVacuum, config: HomodyneConfi
         s2_act = np.clip(config.s2 * (1.0 + eps), 1e-12, 1.0 - 1e-12)
         pending = np.arange(p_per_theta)
         for _round in range(_MAX_RESAMPLE_ROUNDS):
-            cand_a, cand_b, ok = _invert_counts(x_a[pending], x_b[pending],
+            cand_a, cand_b, ok = _invert_counts(x_a[i, pending], x_b[i, pending],
                                                 s2_act[pending], config)
             n_a[i, pending[ok]] = cand_a[ok]
             n_b[i, pending[ok]] = cand_b[ok]
             pending = pending[~ok]
             if pending.size == 0:
                 break
-            x_a[pending], x_b[pending] = _draw_group(draw, float(theta), pending.size,
-                                                     noise, rng)
+            x_a[i, pending], x_b[i, pending] = _draw_group(source, theta, pending.size,
+                                                           noise, rng)
         else:
             raise CountBoundsError(
                 f"{pending.size} shots at theta={theta:.4f} still outside [0, {n_tot}] "
                 f"after {_MAX_RESAMPLE_ROUNDS} redraws")
-    return Shots(n_a.ravel(), n_b.ravel(), np.full(n_a.size, n_tot))
+    return x_a.ravel(), x_b.ravel(), Shots(n_a.ravel(), n_b.ravel(), np.full(n_a.size, n_tot))
+
+
+def simulate_shots(source: SqueezedVacuum, config: HomodyneConfig, noise: NoiseModel,
+                   thetas, p_per_theta: int, seed=0) -> Shots:
+    """Synthesize count records for homodyne shots on the given source.
+
+    Quadratures are drawn as in :func:`sample_quadratures`, from the same
+    streams; the transfer fraction of each shot is jittered multiplicatively
+    by (1 + N(0, rf_rel_noise)) before the estimator equations are inverted
+    to counts.  Shots whose counts leave [0, N_tot] are redrawn a bounded
+    number of times.
+    """
+    return _readout(source, config, noise, np.asarray(thetas, dtype=np.float64),
+                    p_per_theta, seed)[2]
+
+
+def simulate_readout(source: SqueezedVacuum, config: HomodyneConfig, noise: NoiseModel,
+                     thetas, p_per_theta: int, seed=0) -> tuple[Samples, Shots]:
+    """The count records of :func:`simulate_shots` and, from the same draw,
+    the quadratures they realize, redraws included.  Without redraws the
+    samples are :func:`sample_quadratures`' bit for bit."""
+    thetas = np.asarray(thetas, dtype=np.float64)
+    x_a, x_b, shots = _readout(source, config, noise, thetas, p_per_theta, seed)
+    return Samples(np.repeat(thetas, p_per_theta), x_a, x_b), shots
 
 
 def shots_to_samples(shots: Shots, thetas, p_per_theta: int,

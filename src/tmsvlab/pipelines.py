@@ -1,12 +1,15 @@
 """End-to-end recipes: sample, reconstruct, and score the reference scenarios.
 
-Three named presets are shipped, one per figure.  Each figure's run reads
-the preset fields listed here and sweeps the others it names:
+Three named presets are shipped, one per figure.  Each holds its source
+as a :class:`~tmsvlab.states.SqueezedVacuum`, which every run samples
+exactly from its Gaussian covariance; n_cut is the Fock space of the
+reconstruction and of the truth it is scored against.  Each figure's run
+reads the preset fields listed here and sweeps the others it names:
 
-* ``fig_s2``   ideal squeezed vacuum (xi = 0.8), noiseless sampling, used
-               for the reconstruction-consistency sweep: :func:`run_fig_s2`
-               reads xi, noise, thetas, n_cut, max_iter and tol, and sweeps
-               p_per_theta and dx;
+* ``fig_s2``   ideal squeezed vacuum (xi = 0.8, pair phase pi / 2),
+               noiseless sampling, used for the reconstruction-consistency
+               sweep: :func:`run_fig_s2` reads source, noise, thetas, n_cut,
+               max_iter and tol, and sweeps p_per_theta and dx;
 * ``fig_s3``   dephased squeezed vacuum (xi = 0.63, pair-phase width 0.36)
                sampled with the 0.12 sum-variance shift, reconstructed and
                compared against the analytic dephased truth:
@@ -15,9 +18,9 @@ the preset fields listed here and sweeps the others it names:
                jitter and coupling-strength jitter, evaluated through the
                count-level simulation: :func:`run_fig3` reads noise,
                p_per_theta and seed, and sweeps the time t_s, which sets
-               xi.  It samples the Gaussian source exactly at the angles
-               thetas records, so n_cut serves only ``simulate --preset
-               fig3``.
+               xi.  Its source (xi at the optimal time) serves ``simulate
+               --preset fig3``; nothing is reconstructed, so dx and n_cut
+               serve no run.
 
 Every run is reproducible: identical (preset, seed) give bit-identical
 outputs.
@@ -33,14 +36,14 @@ from . import __version__
 from .criteria import THETA_P_LIKE, THETA_X_LIKE, TimeSweepPoint, time_sweep
 from .fock import DensityMatrix, FockSpace, number_distributions
 from .homodyne import sample_quadratures
-from .metrics import MetricsReport, fidelity_mixed, fidelity_pure, metrics_report
+from .metrics import MetricsReport, fidelity_mixed, metrics_report
 from .states import (NOISELESS, NoiseModel, OMEGA_SPIN_DYNAMICS,
-                     OPTIMAL_SPIN_DYNAMICS_TIME, noise_preset, phase_noisy_state,
-                     tmsv, tmsv_rotated)
+                     OPTIMAL_SPIN_DYNAMICS_TIME, PHASE_NOISE_SIGMA, SqueezedVacuum,
+                     noise_preset, tmsv_rotated)
 from .tomography import (MLResult, TomographyConfig, bin_samples, bootstrap,
                          ml_reconstruct)
 
-_STATE_KINDS = ("tmsv", "tmsv_real", "phase_noisy")
+PACKAGE = {"name": "tmsvlab", "version": __version__}
 
 
 def sweep_phases(n_thetas: int = 29) -> tuple[float, ...]:
@@ -53,31 +56,19 @@ class ExperimentPreset:
     """A complete, runnable scenario configuration."""
 
     name: str
-    xi: float
-    state_kind: str
+    source: SqueezedVacuum
     noise: NoiseModel
     thetas: tuple[float, ...]
     p_per_theta: int
     dx: float
     n_cut: int
     seed: int
-    state_sigma: float = 0.0
     max_iter: int = 2000
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.state_kind not in _STATE_KINDS:
-            raise ValueError(f"state_kind must be one of {_STATE_KINDS}")
         if self.p_per_theta < 1 or not self.thetas:
             raise ValueError("preset needs at least one phase and one shot per phase")
-
-    def build_state(self) -> DensityMatrix:
-        space = FockSpace(self.n_cut)
-        if self.state_kind == "tmsv":
-            return tmsv(self.xi, space).projector()
-        if self.state_kind == "tmsv_real":
-            return tmsv_rotated(self.xi, 0.0, space).projector()
-        return phase_noisy_state(self.xi, self.state_sigma, space)
 
     def tomography_config(self) -> TomographyConfig:
         return TomographyConfig(dx=self.dx, n_cut=self.n_cut,
@@ -85,23 +76,23 @@ class ExperimentPreset:
 
     def to_json_dict(self) -> dict:
         d = dataclasses.asdict(self)
-        d["noise"] = dataclasses.asdict(self.noise)
         d["thetas"] = list(self.thetas)
         return d
 
 
 PRESETS: dict[str, ExperimentPreset] = {
     "fig_s2": ExperimentPreset(
-        name="fig_s2", xi=0.8, state_kind="tmsv", noise=NOISELESS,
+        name="fig_s2", source=SqueezedVacuum(0.8, np.pi / 2.0), noise=NOISELESS,
         thetas=sweep_phases(), p_per_theta=100, dx=0.25, n_cut=10, seed=0,
         max_iter=300),
     "fig_s3": ExperimentPreset(
-        name="fig_s3", xi=0.63, state_kind="phase_noisy", state_sigma=0.36,
+        name="fig_s3", source=SqueezedVacuum(0.63, 0.0, PHASE_NOISE_SIGMA["dephasing"]),
         noise=noise_preset("tomo"),
         thetas=sweep_phases(), p_per_theta=100, dx=0.25, n_cut=10, seed=0),
     "fig3": ExperimentPreset(
-        name="fig3", xi=OMEGA_SPIN_DYNAMICS * OPTIMAL_SPIN_DYNAMICS_TIME,
-        state_kind="tmsv_real", noise=noise_preset("fig3"),
+        name="fig3",
+        source=SqueezedVacuum(OMEGA_SPIN_DYNAMICS * OPTIMAL_SPIN_DYNAMICS_TIME, 0.0),
+        noise=noise_preset("fig3"),
         thetas=(THETA_X_LIKE, THETA_P_LIKE), p_per_theta=5000,
         dx=0.25, n_cut=10, seed=0),
 }
@@ -110,11 +101,7 @@ FIG3_TIME_GRID = tuple(1e-3 * t for t in (2, 6, 10, 14, 18, 22, 26, 30, 34, 38))
 
 
 def make_manifest(preset: ExperimentPreset, seed: int) -> dict:
-    return {
-        "preset": preset.to_json_dict(),
-        "seed": seed,
-        "package": {"name": "tmsvlab", "version": __version__},
-    }
+    return {"preset": preset.to_json_dict(), "seed": seed, "package": PACKAGE}
 
 
 @dataclass(frozen=True)
@@ -132,8 +119,9 @@ def run_fig_s2(preset: ExperimentPreset, p_values, dx_values, seeds=(0,),
                bootstrap_b: int = 0) -> list[FigS2Row]:
     """Reconstruction fidelity versus shots per phase and bin size.
 
-    For every (p, dx, seed): draw samples of the preset's squeezed vacuum,
-    reconstruct, and score fidelity against the truth; the row says whether
+    For every (p, dx, seed): draw samples of the preset's source,
+    reconstruct, and score the fidelity against the source's density
+    matrix on the preset's Fock space; the row says whether
     the fit converged and after how many iterations.  With
     bootstrap_b >= 100, a bootstrap standard error of the fidelity is
     attached (each resample repeats the reconstruction); otherwise the SE
@@ -141,8 +129,7 @@ def run_fig_s2(preset: ExperimentPreset, p_values, dx_values, seeds=(0,),
     """
     if any(p < 1 for p in p_values):
         raise ValueError("p values must be >= 1")
-    truth = tmsv(preset.xi, FockSpace(preset.n_cut))
-    state = truth.projector()
+    truth = preset.source.density(FockSpace(preset.n_cut))
     rows = []
     for dx in dx_values:
         config = dataclasses.replace(preset, dx=float(dx)).tomography_config()
@@ -152,16 +139,16 @@ def run_fig_s2(preset: ExperimentPreset, p_values, dx_values, seeds=(0,),
 
         for p in p_values:
             for seed in seeds:
-                samples = sample_quadratures(state, preset.thetas, int(p), preset.noise,
-                                             seed=seed)
+                samples = sample_quadratures(preset.source, preset.thetas, int(p),
+                                             preset.noise, seed=seed)
                 result = fit(samples)
                 se = math.nan
                 if bootstrap_b >= 100:
                     se = float(bootstrap(samples, bootstrap_b,
-                                         lambda b: fidelity_pure(fit(b).rho, truth),
+                                         lambda b: fidelity_mixed(fit(b).rho, truth),
                                          seed=seed).se)
                 rows.append(FigS2Row(p=int(p), dx=float(dx), seed=int(seed),
-                                     fidelity=fidelity_pure(result.rho, truth),
+                                     fidelity=fidelity_mixed(result.rho, truth),
                                      fidelity_se=se, converged=result.converged,
                                      iterations=result.iterations))
     return rows
@@ -192,16 +179,17 @@ class FigS3Result:
 
 
 def run_fig_s3(preset: ExperimentPreset, seed: int | None = None) -> FigS3Result:
-    """Reconstruct the dephased squeezed vacuum from noisy samples and
-    compare against the analytic truth state."""
+    """Reconstruct the preset's source from noisy samples and compare
+    against its density matrix on the preset's Fock space."""
     seed = preset.seed if seed is None else seed
-    truth = preset.build_state()
-    samples = sample_quadratures(truth, preset.thetas, preset.p_per_theta,
+    source = preset.source
+    truth = source.density(FockSpace(preset.n_cut))
+    samples = sample_quadratures(source, preset.thetas, preset.p_per_theta,
                                  preset.noise, seed=seed)
     result = ml_reconstruct(bin_samples(samples, preset.dx), preset.tomography_config())
     p_sum, p_diff = number_distributions(result.rho)
-    # target carries the same pair-phase origin as the sampled data
-    target = tmsv_rotated(preset.xi, 0.0, result.rho.space)
+    # the pure target carries the source's pair phase
+    target = tmsv_rotated(source.xi, source.pair_phase, result.rho.space)
     return FigS3Result(
         rho_ml=result.rho,
         ml=result,

@@ -5,7 +5,8 @@ xi = Omega * t set by the spin-dynamics rate and duration.  It is Gaussian,
 so :class:`SqueezedVacuum` describes it exactly by its covariance, with no
 occupation cutoff; :func:`tmsv` and :func:`tmsv_rotated` give its truncated
 Fock-space form.  A dephased variant mixes the pair phase with a Gaussian
-weight; it is the model used for the noisy tomography studies.
+weight (``pair_phase_sigma``; Fock form :func:`phase_noisy_state`); it is
+the model used for the noisy tomography studies.
 """
 
 import warnings
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, FockSpace, PureState
+from .fock import DensityMatrix, FockSpace, PureState, rotate_state
 
 # spin-dynamics rate of the source, rad/s
 OMEGA_SPIN_DYNAMICS = 2.0 * np.pi * 5.1
@@ -145,26 +146,61 @@ def tmsv_rotated(xi: float, theta: float, space: FockSpace) -> PureState:
     return PureState(space, amps)
 
 
+def phase_noisy_state(xi: float, sigma: float, space: FockSpace) -> DensityMatrix:
+    """Squeezed vacuum whose pair phase is dephased by a Gaussian of width sigma.
+
+    The state is the mixture over phi ~ N(0, sigma^2) of the squeezed vacua
+    with pair phase phi.  Its nonzero entries are <n,n| rho |m,m> =
+    P(n - m) tanh^{n+m}(xi) / cosh^2(xi) with P(k) = E[e^{i k phi}].  A pair
+    phase is 2 pi-periodic, so phi is in effect the wrapped Gaussian and
+    P(k) = e^{-k^2 sigma^2 / 2} exactly, at every sigma; this is the state
+    that ``SqueezedVacuum(xi, 0, sigma)`` samples.  The trace is
+    renormalized after truncation.
+    """
+    if xi < 0 or sigma < 0:
+        raise ValueError("xi and sigma must be nonnegative")
+    _warn_tail(xi, space.n_cut)
+    k = space.mode_dim
+    n = np.arange(k)
+    p_tilde = np.exp(-0.5 * (n * sigma) ** 2)
+    t_pow = np.tanh(xi) ** n / np.cosh(xi)
+    pair_block = p_tilde[np.abs(n[:, None] - n[None, :])] * np.outer(t_pow, t_pow)
+    entries = np.zeros((space.dim, space.dim), dtype=np.complex128)
+    idx = np.array([space.index(i, i) for i in range(k)])
+    entries[np.ix_(idx, idx)] = pair_block
+    return DensityMatrix.from_entries(space, entries)
+
+
 @dataclass(frozen=True)
 class SqueezedVacuum:
-    """Ideal two-mode squeezed vacuum, sum_n e^{-i n phi} tanh^n(xi)/cosh(xi) |n,n>.
+    """Two-mode squeezed vacuum sum_n e^{-i n phi} tanh^n(xi)/cosh(xi) |n,n>,
+    its pair phase phi optionally dephased.
 
     The state is Gaussian and needs no occupation cutoff: measured at
     rotation angle u, x_A + x_B and x_A - x_B have zero mean, are
     uncorrelated, and have the variances of :meth:`pair_variances`
-    (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)).
+    (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)).  With
+    pair_phase_sigma > 0 the pair phase is pair_phase + N(0, sigma^2), a
+    Gaussian mixture whose Fock form is :func:`phase_noisy_state`.
     """
 
     xi: float
     pair_phase: float = 0.0
+    pair_phase_sigma: float = 0.0
 
     def __post_init__(self):
         if self.xi < 0:
             raise ValueError("xi must be nonnegative")
+        if self.pair_phase_sigma < 0:
+            raise ValueError("pair_phase_sigma must be nonnegative")
 
     def density(self, space: FockSpace) -> DensityMatrix:
         """Truncated Fock-space density matrix of the state."""
-        return tmsv_rotated(self.xi, self.pair_phase, space).projector()
+        if self.pair_phase_sigma == 0.0:
+            return tmsv_rotated(self.xi, self.pair_phase, space).projector()
+        # a total-number rotation by phi / 2 advances the pair phase by phi
+        return rotate_state(phase_noisy_state(self.xi, self.pair_phase_sigma, space),
+                            self.pair_phase / 2.0)
 
     def pair_variances(self, u) -> tuple[np.ndarray, np.ndarray]:
         """Var(x_A + x_B) and Var(x_A - x_B) at rotation angle(s) u:
@@ -173,44 +209,18 @@ class SqueezedVacuum:
         swing = np.sinh(2.0 * self.xi) * np.cos(2.0 * np.asarray(u) - self.pair_phase)
         return base + swing, base - swing
 
-
-def _gaussian_fourier_weights(sigma: float, k_max: int) -> np.ndarray:
-    """Integrals over [-pi, pi] of the Gaussian phase weight times cos(k theta).
-
-    Gauss-Legendre quadrature with 64 + 2 k_max nodes on +-min(pi, 12 sigma),
-    which holds the whole weight however narrow it is.  The weight is not
-    wrapped, so mass outside +-pi is simply lost and later absorbed by the
-    trace renormalization.
-    """
-    if sigma == 0.0:
-        return np.ones(k_max + 1)
-    nodes, node_weights = np.polynomial.legendre.leggauss(64 + 2 * k_max)
-    half = min(np.pi, 12.0 * sigma)
-    theta = half * nodes
-    density = np.exp(-theta ** 2 / (2.0 * sigma ** 2)) / np.sqrt(2.0 * np.pi * sigma ** 2)
-    k = np.arange(k_max + 1)
-    return np.cos(np.outer(k, theta)) @ (half * node_weights * density)
-
-
-def phase_noisy_state(xi: float, sigma: float, space: FockSpace) -> DensityMatrix:
-    """Squeezed vacuum dephased by a Gaussian pair-phase distribution.
-
-    The nonzero entries are <n,n| rho |m,m> = P(n - m) tanh^{n+m}(xi) /
-    cosh^2(xi), with P(k) the Fourier weight of the Gaussian restricted to
-    [-pi, pi].  The trace is renormalized after truncation.
-    """
-    if xi < 0 or sigma < 0:
-        raise ValueError("xi and sigma must be nonnegative")
-    _warn_tail(xi, space.n_cut)
-    k = space.mode_dim
-    p_tilde = _gaussian_fourier_weights(sigma, k - 1)
-    n = np.arange(k)
-    t_pow = np.tanh(xi) ** n / np.cosh(xi)
-    pair_block = p_tilde[np.abs(n[:, None] - n[None, :])] * np.outer(t_pow, t_pow)
-    entries = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    idx = np.array([space.index(i, i) for i in range(k)])
-    entries[np.ix_(idx, idx)] = pair_block
-    return DensityMatrix.from_entries(space, entries)
+    def draw(self, theta: float, delta: np.ndarray, rng: np.random.Generator):
+        """One (x_a, x_b) pair per measurement angle theta + delta, with
+        x_A + x_B and x_A - x_B drawn as independent normals.  When the
+        pair phase is dephased, each shot first draws its own pair-phase
+        offset phi, which acts as the angle shift -phi / 2."""
+        u = theta + delta
+        if self.pair_phase_sigma > 0.0:
+            u = u - rng.normal(0.0, self.pair_phase_sigma, delta.size) / 2.0
+        v_plus, v_minus = self.pair_variances(u)
+        q_sum = rng.standard_normal(delta.size) * np.sqrt(v_plus)
+        q_diff = rng.standard_normal(delta.size) * np.sqrt(v_minus)
+        return (q_sum + q_diff) / 2.0, (q_sum - q_diff) / 2.0
 
 
 @dataclass(frozen=True)

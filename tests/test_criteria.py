@@ -11,6 +11,7 @@ from tmsvlab.homodyne import Samples, sample_quadratures
 from tmsvlab.states import NOISELESS, NoiseModel, OMEGA_SPIN_DYNAMICS, tmsv_rotated
 
 from conftest import assert_within_se, concat
+from gridded import Gridded
 
 
 def make_samples(theta, xa, xb):
@@ -23,8 +24,8 @@ EMPTY = Samples([], [], [])
 def conjugate_groups(xi, n, seed, space=None):
     space = space or FockSpace(10)
     rho = tmsv_rotated(xi, 0.0, space).projector()
-    sx = sample_quadratures(rho, [THETA_X_LIKE], n, NOISELESS, seed=seed)
-    sp = sample_quadratures(rho, [THETA_P_LIKE], n, NOISELESS, seed=seed + 1)
+    sx = sample_quadratures(Gridded(rho), [THETA_X_LIKE], n, NOISELESS, seed=seed)
+    sp = sample_quadratures(Gridded(rho), [THETA_P_LIKE], n, NOISELESS, seed=seed + 1)
     return sx, sp
 
 
@@ -40,8 +41,9 @@ def test_variance_sweep_identical_samples_gives_zero():
 def test_variance_sweep_vacuum_reference(vacuum10):
     n = 20_000
     entries = []
+    vacuum = Gridded(vacuum10)
     for theta in (0.0, 0.9, 2.2):
-        samples = sample_quadratures(vacuum10, [theta], n, NOISELESS, seed=int(theta * 10))
+        samples = sample_quadratures(vacuum, [theta], n, NOISELESS, seed=int(theta * 10))
         entry = variance_sweep(samples).entries[0]
         entries.append(entry)
         assert_within_se(entry.v_plus, 1.0, entry.se_plus)
@@ -53,7 +55,7 @@ def test_variance_sweep_tmsv_extremes(space10):
     xi = 0.63
     n = 50_000
     rho = tmsv_rotated(xi, 0.0, space10).projector()
-    samples = sample_quadratures(rho, [THETA_X_LIKE], n, NOISELESS, seed=40)
+    samples = sample_quadratures(Gridded(rho), [THETA_X_LIKE], n, NOISELESS, seed=40)
     entry = variance_sweep(samples).entries[0]
     assert entry.v_minus == pytest.approx(0.284, abs=3 * entry.se_minus + 1e-3)
     assert entry.v_plus == pytest.approx(3.53, abs=3 * entry.se_plus + 0.01)
@@ -100,8 +102,8 @@ def test_epr_report_threshold_state():
 def test_epr_report_vacuum_sits_on_the_classical_boundary(vacuum10):
     # the ideal values are product 1 and sum 2: no significant violation of
     # either criterion (the sum estimate straddles its threshold within noise)
-    sx = sample_quadratures(vacuum10, [THETA_X_LIKE], 30_000, NOISELESS, seed=60)
-    sp = sample_quadratures(vacuum10, [THETA_P_LIKE], 30_000, NOISELESS, seed=61)
+    sx = sample_quadratures(Gridded(vacuum10), [THETA_X_LIKE], 30_000, NOISELESS, seed=60)
+    sp = sample_quadratures(Gridded(vacuum10), [THETA_P_LIKE], 30_000, NOISELESS, seed=61)
     report = epr_report(sx, sp, bootstrap_b=0)
     assert report.epr_product == pytest.approx(1.0, abs=0.03)
     assert report.insep_sum == pytest.approx(2.0, abs=0.03)
@@ -181,8 +183,8 @@ def test_inferred_matches_report_product(space10):
 
 def test_inferred_independent_vacuum(vacuum10):
     n = 50_000
-    sx = sample_quadratures(vacuum10, [THETA_X_LIKE], n, NOISELESS, seed=101)
-    sp = sample_quadratures(vacuum10, [THETA_P_LIKE], n, NOISELESS, seed=102)
+    sx = sample_quadratures(Gridded(vacuum10), [THETA_X_LIKE], n, NOISELESS, seed=101)
+    sp = sample_quadratures(Gridded(vacuum10), [THETA_P_LIKE], n, NOISELESS, seed=102)
     dx, _ = inferred_uncertainties(sx, sp)
     assert_within_se(dx ** 2, 1.0, np.sqrt(2.0 / (n - 1)))
 
@@ -221,7 +223,7 @@ def test_time_sweep_rejects_negative_times():
 def test_bootstrap_errors_shrink_like_root_n(space10):
     # doubling the sample count shrinks the bootstrap SE by sqrt(2) +- 20%
     from tmsvlab.tomography import bootstrap
-    rho = tmsv_rotated(0.5, 0.0, space10).projector()
+    source = Gridded(tmsv_rotated(0.5, 0.0, space10).projector())
 
     def product_stat(samples):
         half = len(samples) // 2
@@ -230,10 +232,10 @@ def test_bootstrap_errors_shrink_like_root_n(space10):
 
     ratios = []
     for trial in range(4):
-        small = concat(sample_quadratures(rho, [THETA_X_LIKE], 400, NOISELESS, seed=200 + trial),
-                       sample_quadratures(rho, [THETA_P_LIKE], 400, NOISELESS, seed=300 + trial))
-        big = concat(sample_quadratures(rho, [THETA_X_LIKE], 800, NOISELESS, seed=400 + trial),
-                     sample_quadratures(rho, [THETA_P_LIKE], 800, NOISELESS, seed=500 + trial))
+        small = concat(sample_quadratures(source, [THETA_X_LIKE], 400, NOISELESS, seed=200 + trial),
+                       sample_quadratures(source, [THETA_P_LIKE], 400, NOISELESS, seed=300 + trial))
+        big = concat(sample_quadratures(source, [THETA_X_LIKE], 800, NOISELESS, seed=400 + trial),
+                     sample_quadratures(source, [THETA_P_LIKE], 800, NOISELESS, seed=500 + trial))
         se_small = float(bootstrap(small, 120, product_stat, seed=trial).se)
         se_big = float(bootstrap(big, 120, product_stat, seed=trial).se)
         ratios.append(se_small / se_big)
@@ -242,14 +244,17 @@ def test_bootstrap_errors_shrink_like_root_n(space10):
 
 def test_time_sweep_samples_the_gaussian_source_without_a_cutoff(monkeypatch):
     # xi = 2.5 lies far beyond a Fock cutoff (tail 0.43 at n_cut = 30); the
-    # sweep samples the exact covariance, evaluates no Hermite functions,
-    # warns about no truncation, and follows e^{+-2 xi} within the SE
+    # sweep samples the exact covariance, evaluates no Hermite functions
+    # (the sampler does not even import them), warns about no truncation,
+    # and follows e^{+-2 xi} within the SE
+    import tmsvlab.fock as fock
     import tmsvlab.homodyne as homodyne
 
     def no_grid(*args, **kwargs):
         raise AssertionError("time_sweep evaluated a gridded density")
 
-    monkeypatch.setattr(homodyne, "hermite_functions", no_grid)
+    assert not hasattr(homodyne, "hermite_functions")
+    monkeypatch.setattr(fock, "hermite_functions", no_grid)
     n = 20_000
     with warnings.catch_warnings():
         warnings.simplefilter("error")

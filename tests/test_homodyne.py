@@ -5,15 +5,17 @@ from scipy.stats import ks_2samp
 from tmsvlab.criteria import THETA_P_LIKE, THETA_X_LIKE, epr_report
 from tmsvlab.fock import FockSpace, basis_state, rotate_state
 from tmsvlab.homodyne import (CountBoundsError, EstimatorUndefinedError,
-                              HomodyneConfig, QuadGrid, Samples, Shots,
+                              HomodyneConfig, Samples, Shots,
                               calibrate_transfer, config_from_transfer,
-                              default_config, estimate_quadratures, grid_mass,
-                              mode_transform, quad_pdf, quadratures_to_counts,
-                              sample_quadratures, shots_to_samples, simulate_shots)
+                              default_config, estimate_quadratures,
+                              mode_transform, quadratures_to_counts,
+                              sample_quadratures, shots_to_samples, simulate_readout,
+                              simulate_shots)
 from tmsvlab.states import (NOISELESS, NoiseModel, SqueezedVacuum, noise_preset,
-                            tmsv, tmsv_rotated, truncation_tail)
+                            phase_noisy_state, tmsv, tmsv_rotated, truncation_tail)
 
 from conftest import assert_same_batch, assert_within_se
+from gridded import Gridded, GridSupportError, QuadGrid, grid_mass, quad_pdf
 
 
 def var_se(v, n):
@@ -119,7 +121,7 @@ def test_calibrate_transfer_round_trip(space10):
     # synthetic shots with known transfer and asymmetry recover both
     cfg = config_from_transfer(s2=0.2, rabi_ratio=1.017, n0=20000.0)
     vac = basis_state(space10, 0, 0).projector()
-    shots = simulate_shots(vac, cfg, NOISELESS, [0.0], 4000, seed=11)
+    shots = simulate_shots(Gridded(vac), cfg, NOISELESS, [0.0], 4000, seed=11)
     cal = calibrate_transfer(shots)
     se_s2 = np.std((shots.n_a + shots.n_b) / shots.n_tot, ddof=1) / np.sqrt(len(shots))
     assert abs(cal.s2 - 0.2) <= 2 * se_s2 + 1e-4
@@ -165,7 +167,6 @@ def test_quad_pdf_rotation_covariance(space10):
 
 def test_quad_pdf_insufficient_grid_raises(space10):
     rho = tmsv_rotated(0.8, 0.0, space10).projector()
-    from tmsvlab.homodyne import GridSupportError
     with pytest.raises(GridSupportError):
         quad_pdf(rho, 0.0, QuadGrid.regular(1.0, 64))
 
@@ -174,7 +175,7 @@ def test_quad_pdf_insufficient_grid_raises(space10):
 
 def test_sample_vacuum_variance(vacuum10):
     n = 100_000
-    samples = sample_quadratures(vacuum10, [0.7], n, NOISELESS, seed=1)
+    samples = sample_quadratures(Gridded(vacuum10), [0.7], n, NOISELESS, seed=1)
     for arr in (samples.x_a, samples.x_b):
         v = np.var(arr, ddof=1)
         assert_within_se(v, 0.5, var_se(0.5, n))
@@ -184,9 +185,9 @@ def test_sample_tmsv_variance_product(space10):
     xi = 0.63
     n = 100_000
     rho = tmsv_rotated(xi, 0.0, space10).projector()
-    samples = sample_quadratures(rho, [THETA_X_LIKE], n, NOISELESS, seed=2)
+    samples = sample_quadratures(Gridded(rho), [THETA_X_LIKE], n, NOISELESS, seed=2)
     v_minus = np.var(samples.x_a - samples.x_b, ddof=1)
-    samples_p = sample_quadratures(rho, [THETA_P_LIKE], n, NOISELESS, seed=3)
+    samples_p = sample_quadratures(Gridded(rho), [THETA_P_LIKE], n, NOISELESS, seed=3)
     v_plus = np.var(samples_p.x_a + samples_p.x_b, ddof=1)
     product = v_minus * v_plus
     expected = np.exp(-4 * xi)
@@ -200,7 +201,7 @@ def test_sample_sum_variance_shift(space10):
     n = 100_000
     rho = tmsv_rotated(xi, 0.0, space10).projector()
     noise = NoiseModel(sum_variance_shift=0.12)
-    samples = sample_quadratures(rho, [THETA_X_LIKE], n, noise, seed=4)
+    samples = sample_quadratures(Gridded(rho), [THETA_X_LIKE], n, noise, seed=4)
     xa, xb = samples.x_a, samples.x_b
     v_plus = np.var(xa + xb, ddof=1)    # anti-squeezed sum direction
     v_minus = np.var(xa - xb, ddof=1)   # difference is untouched
@@ -216,8 +217,8 @@ def test_sampling_phase_covariance_ks(space10):
     phi = 0.8
     rotated = rotate_state(rho, phi)
     n = 10_000
-    s1 = sample_quadratures(rho, [0.9], n, NOISELESS, seed=5)
-    s2 = sample_quadratures(rotated, [0.9 + phi], n, NOISELESS, seed=6)
+    s1 = sample_quadratures(Gridded(rho), [0.9], n, NOISELESS, seed=5)
+    s2 = sample_quadratures(Gridded(rotated), [0.9 + phi], n, NOISELESS, seed=6)
     xa1, xb1, xa2, xb2 = s1.x_a, s1.x_b, s2.x_a, s2.x_b
     assert ks_2samp(xa1, xa2).pvalue > 1e-3
     assert ks_2samp(xb1, xb2).pvalue > 1e-3
@@ -227,14 +228,14 @@ def test_sampling_phase_covariance_ks(space10):
 def test_sampling_deterministic(space10):
     rho = tmsv(0.3, space10).projector()
     noise = NoiseModel(sigma_phase=0.1, sum_variance_shift=0.05)
-    a = sample_quadratures(rho, [0.1, 1.2], 50, noise, seed=9)
-    b = sample_quadratures(rho, [0.1, 1.2], 50, noise, seed=9)
+    a = sample_quadratures(Gridded(rho), [0.1, 1.2], 50, noise, seed=9)
+    b = sample_quadratures(Gridded(rho), [0.1, 1.2], 50, noise, seed=9)
     assert_same_batch(a, b)
 
 
 def test_sample_requires_positive_count(vacuum10):
     with pytest.raises(ValueError):
-        sample_quadratures(vacuum10, [0.0], 0, NOISELESS, seed=0)
+        sample_quadratures(Gridded(vacuum10), [0.0], 0, NOISELESS, seed=0)
 
 
 # ---------------------------------------------------------------- shots
@@ -308,8 +309,8 @@ def test_round_trip_bound(space10):
     cfg = config_from_transfer(s2=0.15, rabi_ratio=1.017, n0=20000.0)
     rho = tmsv_rotated(0.63, 0.0, space10).projector()
     n = 10_000
-    samples = sample_quadratures(rho, [THETA_X_LIKE], n, NOISELESS, seed=21)
-    shots = simulate_shots(rho, cfg, NOISELESS, [THETA_X_LIKE], n, seed=21)
+    samples = sample_quadratures(Gridded(rho), [THETA_X_LIKE], n, NOISELESS, seed=21)
+    shots = simulate_shots(Gridded(rho), cfg, NOISELESS, [THETA_X_LIKE], n, seed=21)
     recovered = shots_to_samples(shots, [THETA_X_LIKE], n, cfg)
     xa0, xb0, xa1, xb1 = samples.x_a, samples.x_b, recovered.x_a, recovered.x_b
     bound = 1.0 / np.sqrt(0.15 * 20000)
@@ -323,8 +324,8 @@ def test_rf_jitter_inflates_sum_variance(space10):
     cfg = config_from_transfer(s2=0.15, rabi_ratio=1.0, n0=20000.0)
     rho = tmsv_rotated(0.63, 0.0, space10).projector()
     n = 40_000
-    clean = simulate_shots(rho, cfg, NOISELESS, [THETA_P_LIKE], n, seed=31)
-    noisy = simulate_shots(rho, cfg, NoiseModel(rf_rel_noise=0.004),
+    clean = simulate_shots(Gridded(rho), cfg, NOISELESS, [THETA_P_LIKE], n, seed=31)
+    noisy = simulate_shots(Gridded(rho), cfg, NoiseModel(rf_rel_noise=0.004),
                            [THETA_P_LIKE], n, seed=31)
     clean = shots_to_samples(clean, [THETA_P_LIKE], n, cfg)
     noisy = shots_to_samples(noisy, [THETA_P_LIKE], n, cfg)
@@ -341,8 +342,8 @@ def test_simulate_shots_deterministic(space10):
     cfg = default_config()
     rho = tmsv(0.3, space10).projector()
     noise = NoiseModel(rf_rel_noise=0.004)
-    a = simulate_shots(rho, cfg, noise, [0.4], 100, seed=3)
-    b = simulate_shots(rho, cfg, noise, [0.4], 100, seed=3)
+    a = simulate_shots(Gridded(rho), cfg, noise, [0.4], 100, seed=3)
+    b = simulate_shots(Gridded(rho), cfg, noise, [0.4], 100, seed=3)
     assert_same_batch(a, b)
 
 
@@ -381,7 +382,7 @@ def test_gaussian_and_gridded_samplers_agree(sigma_phase):
     noise = NoiseModel(sigma_phase=sigma_phase)
     thetas = [THETA_X_LIKE, THETA_P_LIKE]
     stats = []
-    for src, seed in ((source, 41), (source.density(FockSpace(12)), 42)):
+    for src, seed in ((source, 41), (Gridded(source.density(FockSpace(12))), 42)):
         samples = sample_quadratures(src, thetas, n, noise, seed=seed)
         report = epr_report(samples[:n], samples[n:], bootstrap_b=0)
         assert report.epr_pairing == "x_minus*p_plus"
@@ -411,6 +412,60 @@ def test_gaussian_jitter_averages_the_rotated_covariance():
     for q, sign in ((xa + xb, 1.0), (xa - xb, -1.0)):
         expected = np.cosh(2 * xi) + sign * np.sinh(2 * xi) * damping
         assert_within_se(np.mean(q ** 2), expected, np.std(q ** 2, ddof=1) / np.sqrt(n))
+
+
+@pytest.mark.parametrize("u", [0.3, THETA_X_LIKE, THETA_P_LIKE])
+def test_dephased_source_matches_closed_form_and_reference(u):
+    # a pair phase phi ~ N(0, sigma^2) per shot gives
+    # Var(x_A +- x_B) = cosh 2xi +- sinh 2xi e^{-sigma^2 / 2} cos 2u; the
+    # gridded reference samples the Fock form of the same state (n_cut = 12,
+    # tail 2.6e-7).  Each SE is the sample SE of the squared sums, because
+    # the mixture is not normal; the two draws are independent.
+    xi, sigma = 0.63, 0.36
+    source = SqueezedVacuum(xi, 0.0, sigma)
+    reference = Gridded(phase_noisy_state(xi, sigma, FockSpace(12)))
+    exact = sample_quadratures(source, [u], 100_000, NOISELESS, seed=13)
+    gridded = sample_quadratures(reference, [u], 20_000, NOISELESS, seed=14)
+    swing = np.sinh(2 * xi) * np.exp(-sigma ** 2 / 2) * np.cos(2 * u)
+    for sign in (1.0, -1.0):
+        expected = np.cosh(2 * xi) + sign * swing
+        (m_e, se_e), (m_g, se_g) = [
+            (np.mean(q ** 2), np.std(q ** 2, ddof=1) / np.sqrt(q.size))
+            for q in (b.x_a + sign * b.x_b for b in (exact, gridded))]
+        assert_within_se(m_e, expected, se_e)
+        assert_within_se(m_g, expected, se_g)
+        assert_within_se(m_e, m_g, np.hypot(se_e, se_g))
+
+
+def test_dephasing_leaves_the_undephased_stream_alone():
+    # the pair phase is drawn only when sigma > 0, so sigma = 0 draws the
+    # same numbers as a source without the field
+    noise = NoiseModel(sigma_phase=0.1, sum_variance_shift=0.05)
+    a = sample_quadratures(SqueezedVacuum(0.5, 0.3), [0.2, 1.4], 300, noise, seed=6)
+    b = sample_quadratures(SqueezedVacuum(0.5, 0.3, 0.0), [0.2, 1.4], 300, noise, seed=6)
+    assert_same_batch(a, b)
+    c = sample_quadratures(SqueezedVacuum(0.5, 0.3, 0.2), [0.2, 1.4], 300, noise, seed=6)
+    assert not np.array_equal(a.x_a, c.x_a)
+
+
+def test_simulate_readout_samples_are_the_quadratures_of_the_shots():
+    # at n0 = 200 a few % of the shots leave [0, N_tot] and are redrawn; the
+    # samples hold the redrawn quadratures, so without rf jitter the single
+    # count inversion of the samples gives the shot counts, and every shot
+    # that was not redrawn keeps sample_quadratures' values bit for bit
+    cfg = config_from_transfer(s2=0.15, rabi_ratio=1.0, n0=200.0)
+    source, thetas, n = SqueezedVacuum(1.2), [THETA_X_LIKE, 0.4], 2000
+    samples, shots = simulate_readout(source, cfg, NOISELESS, thetas, n, seed=5)
+    assert_same_batch(shots, simulate_shots(source, cfg, NOISELESS, thetas, n, seed=5))
+    n_a, n_b = quadratures_to_counts(samples.x_a, samples.x_b, cfg)
+    assert np.array_equal(n_a, shots.n_a) and np.array_equal(n_b, shots.n_b)
+    first = sample_quadratures(source, thetas, n, NOISELESS, seed=5)
+    assert np.array_equal(samples.theta, first.theta)
+    redrawn = np.flatnonzero((samples.x_a != first.x_a) | (samples.x_b != first.x_b))
+    assert 0 < redrawn.size < 0.1 * len(samples)
+    for k in redrawn:  # each first draw that was replaced had no valid counts
+        with pytest.raises(CountBoundsError):
+            quadratures_to_counts(first.x_a[k:k + 1], first.x_b[k:k + 1], cfg)
 
 
 def test_gaussian_path_redraws_out_of_bounds_counts():
@@ -451,10 +506,13 @@ def test_shots_to_samples_matches_per_shot_estimator():
 
 
 def test_density_matrix_path_is_pinned(tmp_path):
-    # sha256 digests recorded before the sample and shot batches replaced the
-    # per-shot objects (and, for the first two, before the Gaussian path was
-    # added): the gridded sampler's RNG stream, the bootstrap resampling and
-    # the simulate/criteria files must not move
+    # sha256 digests: the first three were recorded before the sample and
+    # shot batches replaced the per-shot objects (the first two also before
+    # the Gaussian path was added), when the gridded sampler still lived in
+    # the package; the reference sampler's RNG stream and the bootstrap
+    # resampling must not move.  The simulate/criteria files were re-pinned
+    # when simulate began to sample its SqueezedVacuum source exactly, in one
+    # draw for both files.
     import hashlib
     from tmsvlab.cli import main
     from tmsvlab.tomography import bootstrap
@@ -466,8 +524,8 @@ def test_density_matrix_path_is_pinned(tmp_path):
     rho = tmsv(0.8, FockSpace(10)).projector()
     noise = NoiseModel(sigma_phase=0.05, rf_rel_noise=0.004, sum_variance_shift=0.12)
     thetas = [0.3, 1.9]
-    samples = sample_quadratures(rho, thetas, 200, noise, seed=[4, 2])
-    shots = simulate_shots(rho, default_config(), noise, thetas, 200, seed=[4, 2])
+    samples = sample_quadratures(Gridded(rho), thetas, 200, noise, seed=[4, 2])
+    shots = simulate_shots(Gridded(rho), default_config(), noise, thetas, 200, seed=[4, 2])
     rows = np.column_stack([samples.theta, samples.x_a, samples.x_b])
     counts = np.column_stack([shots.n_a, shots.n_b, shots.n_tot])
     assert sha256(rows.tobytes()) == (
@@ -482,8 +540,8 @@ def test_density_matrix_path_is_pinned(tmp_path):
         return np.array([np.var(xa + xb, ddof=1), np.var(xa - xb, ddof=1), xa.mean(),
                          batch.theta.sum(), xb[7]])
 
-    samples = sample_quadratures(tmsv(0.5, FockSpace(8)).projector(), [0.3, 1.1, 2.4], 60,
-                                 NoiseModel(sigma_phase=0.05), seed=5)
+    samples = sample_quadratures(Gridded(tmsv(0.5, FockSpace(8)).projector()), [0.3, 1.1, 2.4],
+                                 60, NoiseModel(sigma_phase=0.05), seed=5)
     res = bootstrap(samples, 150, stat, seed=4)
     assert sha256(np.concatenate([res.estimate, res.se, res.ci_low, res.ci_high]).tobytes()) == (
         "86031b7269e0a4c00734dd5369925890e26c2c7cc9f6ee211942893f45774b97")
@@ -495,7 +553,7 @@ def test_density_matrix_path_is_pinned(tmp_path):
                  "--out", str(tmp_path)]) == 0
     assert {name: sha256((tmp_path / name).read_bytes())
             for name in ("samples.csv", "shots.csv", "epr_report.json")} == {
-        "samples.csv": "86e91605f554a57214d99482118beecfd9655bd1a2c267d6f6b114a56561a6e2",
-        "shots.csv": "4557426a4a2030a05cf69a21bc76b0bf315e18d9708272230ecbee45bd166d17",
-        "epr_report.json": "9bc755637ef7ad1e705b8b1892244a683b874c78baa496f85637dcd4e0b457cd",
+        "samples.csv": "699b3e14b8ad06fcd696692bfd0be15141267a65a1701f2d83d77b8c89bc1d21",
+        "shots.csv": "3a974ca4a55276683e055f283d4d57371a1422a94089d3205e5c7145aae24069",
+        "epr_report.json": "b5cebb89b222132cf75528def508f62e3adb13935cb11e47eb81c20fa212eb57",
     }

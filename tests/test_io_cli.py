@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +13,13 @@ from tmsvlab import io as tio
 from tmsvlab.cli import EX_NONCONVERGED, EX_OK, EX_RUNTIME, EX_USAGE, main
 from tmsvlab.criteria import epr_report, group_samples
 from tmsvlab.fock import FockSpace, basis_state
-from tmsvlab.homodyne import Samples, Shots, sample_quadratures
+from tmsvlab.homodyne import Samples, Shots, default_config, sample_quadratures, simulate_readout
 from tmsvlab.pipelines import sweep_phases
-from tmsvlab.states import NOISELESS, tmsv
+from tmsvlab.states import NOISELESS, NoiseModel, SqueezedVacuum, tmsv
 from tmsvlab.tomography import TomographyConfig, bin_samples, ml_reconstruct
 
 from conftest import assert_same_batch, concat, loglik_under
+from gridded import Gridded
 
 
 # ------------------------------------------------------------------ formats
@@ -138,10 +142,48 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert len(tio.read_samples(out / "samples.csv")) == 8
 
 
+@pytest.mark.parametrize("config, key", [({"seed": None}, "seed"),
+                                         ({"p_per_theta": "abc"}, "p_per_theta")])
+def test_cli_config_value_the_flag_cannot_take_is_a_usage_error(tmp_path, capsys, config, key):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli("simulate", "--xi", "0", "--config", str(cfg),
+                   "--out", str(tmp_path / "o")) == EX_USAGE
+    assert f"config {key}:" in capsys.readouterr().err
+
+
+def test_cli_simulate_has_no_cutoff(tmp_path):
+    assert run_cli("simulate", "--xi", "0.5", "--n-cut", "4", "--out", str(tmp_path)) == EX_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["--xi", "0.5", "--thetas", "0,1.2", "--p", "300", "--sigma-phase", "0.1",
+     "--rf-rel-noise", "0.004", "--sum-variance-shift", "0.05", "--seed", "3"],
+    ["--preset", "fig_s3", "--seed", "2"],
+])
+def test_cli_simulate_manifest_rebuilds_the_run(tmp_path, argv):
+    # the manifest records exactly the settings of the one draw behind both
+    # files; no shot of these runs is redrawn, so the samples are also
+    # sample_quadratures' own
+    out = tmp_path / "run"
+    assert run_cli("simulate", *argv, "--out", str(out)) == EX_OK
+    m = json.loads((out / "manifest.json").read_text())
+    assert set(m) == {"source", "noise", "thetas", "p_per_theta", "seed", "package"}
+    source, noise = SqueezedVacuum(**m["source"]), NoiseModel(**m["noise"])
+    samples, shots = simulate_readout(source, default_config(), noise, m["thetas"],
+                                      m["p_per_theta"], seed=m["seed"])
+    tio.write_samples(tmp_path / "samples.csv", samples)
+    tio.write_shots(tmp_path / "shots.csv", shots)
+    for name in ("samples.csv", "shots.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+    assert_same_batch(samples, sample_quadratures(source, m["thetas"], m["p_per_theta"],
+                                                  noise, seed=m["seed"]))
+
+
 def conjugate_pair_file(tmp_path):
     out = tmp_path / "sim"
     assert run_cli("simulate", "--xi", "0.5", "--thetas", "0,1.5707963267948966",
-                   "--p", "200", "--n-cut", "4", "--seed", "1", "--out", str(out)) == EX_OK
+                   "--p", "200", "--seed", "1", "--out", str(out)) == EX_OK
     return out / "samples.csv"
 
 
@@ -187,7 +229,7 @@ def test_cli_tomo_vacuum(tmp_path):
     thetas = [0.0, 0.52, 1.04, 1.57, 2.09, 2.62]
     out = tmp_path / "sim"
     code = run_cli("simulate", "--xi", "0", "--thetas", "0,0.52,1.04,1.57,2.09,2.62",
-                   "--p", "150", "--n-cut", "5", "--seed", "0", "--out", str(out))
+                   "--p", "150", "--seed", "0", "--out", str(out))
     assert code == EX_OK
     tomo_out = tmp_path / "tomo"
     code = run_cli("tomo", str(out / "samples.csv"), "--n-cut", "5",
@@ -200,7 +242,8 @@ def test_cli_tomo_vacuum(tmp_path):
     # The CLI path is the library path: CSV and JSON round trips are exact.
     vacuum = tmsv(0.0, FockSpace(5)).projector()
     samples = tio.read_samples(out / "samples.csv")
-    assert_same_batch(samples, sample_quadratures(vacuum, thetas, 150, NOISELESS, seed=0))
+    assert_same_batch(samples, sample_quadratures(SqueezedVacuum(0.0, np.pi / 2), thetas, 150,
+                                                  NOISELESS, seed=0))
     hists = bin_samples(samples, 0.25)
     expected = ml_reconstruct(hists, TomographyConfig(dx=0.25, n_cut=5, max_iter=3000))
     assert np.array_equal(rho.entries, expected.rho.entries)
@@ -223,7 +266,7 @@ def test_cli_tomo_vacuum(tmp_path):
 def test_cli_tomo_nonconverged_exit_code(tmp_path):
     out = tmp_path / "sim"
     code = run_cli("simulate", "--xi", "0", "--thetas", "0,1.0", "--p", "30",
-                   "--n-cut", "4", "--seed", "1", "--out", str(out))
+                   "--seed", "1", "--out", str(out))
     assert code == EX_OK
     tomo_out = tmp_path / "tomo"
     code = run_cli("tomo", str(out / "samples.csv"), "--n-cut", "4",
@@ -251,8 +294,8 @@ def test_cli_criteria_on_tmsv_file(tmp_path):
     from tmsvlab.homodyne import sample_quadratures
     from tmsvlab.states import NOISELESS, tmsv_rotated
     rho = tmsv_rotated(0.63, 0.0, FockSpace(10)).projector()
-    samples = concat(sample_quadratures(rho, [THETA_X_LIKE], 40000, NOISELESS, seed=0),
-                     sample_quadratures(rho, [THETA_P_LIKE], 40000, NOISELESS, seed=1))
+    samples = concat(sample_quadratures(Gridded(rho), [THETA_X_LIKE], 40000, NOISELESS, seed=0),
+                     sample_quadratures(Gridded(rho), [THETA_P_LIKE], 40000, NOISELESS, seed=1))
     path = tmp_path / "samples.csv"
     tio.write_samples(path, samples)
     out = tmp_path / "crit"
@@ -318,19 +361,36 @@ def test_cli_reproduce_smoke_fig3(tmp_path):
     assert len(table) == 4
 
 
+@pytest.mark.parametrize("scale, digest", [
+    ("paper", "1dfd62ff8e19d07b09c4a69f38c42b290040706c83a2253f946dbacbd2ced2eb"),
+    ("smoke", "7cba8ba3c96573e4d7d60f69cba7b012f2525c86ac2b5ae76063570de41a5ffb"),
+])
+def test_cli_reproduce_fig3_is_pinned(tmp_path, scale, digest):
+    # sha256 recorded before the presets held SqueezedVacuum sources and the
+    # gridded sampler left the package: the fig3 sweep must not move
+    assert run_cli("reproduce", "fig3", "--scale", scale, "--seed", "0",
+                   "--out", str(tmp_path)) == EX_OK
+    table = (tmp_path / "fig3-seed0" / "fig3_sweep.csv").read_bytes()
+    assert hashlib.sha256(table).hexdigest() == digest
+
+
 def test_cli_reproduce_smoke_manifest_describes_the_run(tmp_path):
     # the manifest's preset is the one that ran: rerunning it gives the
     # same fit, and the fig3 sweep drew its shot count
     from tmsvlab.pipelines import ExperimentPreset, run_fig_s2, run_fig_s3
-    from tmsvlab.states import NoiseModel
+
+    def preset_from(d):
+        return ExperimentPreset(**{**d, "source": SqueezedVacuum(**d["source"]),
+                                   "noise": NoiseModel(**d["noise"]),
+                                   "thetas": tuple(d["thetas"])})
+
     assert run_cli("reproduce", "fig_s3", "--scale", "smoke", "--out", str(tmp_path)) == EX_OK
     rundir = tmp_path / "fig_s3-seed0"
     manifest = json.loads((rundir / "manifest.json").read_text())
     assert manifest["scale"] == "smoke" and manifest["seed"] == 0
     d = manifest["preset"]
     assert (d["p_per_theta"], d["n_cut"], len(d["thetas"]), d["max_iter"]) == (30, 6, 9, 80)
-    preset = ExperimentPreset(**{**d, "noise": NoiseModel(**d["noise"]),
-                                 "thetas": tuple(d["thetas"])})
+    preset = preset_from(d)
     rerun = run_fig_s3(preset, seed=manifest["seed"])
     assert np.array_equal(tio.read_density_matrix(rundir / "rho_ml.json").entries,
                           rerun.rho_ml.entries)
@@ -346,8 +406,7 @@ def test_cli_reproduce_smoke_manifest_describes_the_run(tmp_path):
     rundir = tmp_path / "fig_s2-seed0"
     manifest = json.loads((rundir / "manifest.json").read_text())
     d, sweep = manifest["preset"], manifest["sweep"]
-    preset = ExperimentPreset(**{**d, "noise": NoiseModel(**d["noise"]),
-                                 "thetas": tuple(d["thetas"])})
+    preset = preset_from(d)
     rows = run_fig_s2(preset, sweep["p_per_theta"], sweep["dx"], seeds=(manifest["seed"],))
     tio.write_csv_rows(tmp_path / "rerun.csv",
                        "p,dx,seed,fidelity,fidelity_se,converged,iterations",
@@ -363,9 +422,9 @@ def test_cli_reproduce_smoke_fig_s2_has_fidelity_column(tmp_path):
     assert lines[0] == "p,dx,seed,fidelity,fidelity_se,converged,iterations"
     assert len(lines) == 3
     # each row reports whether the library's fit of that cell converged
-    truth = tmsv(0.8, FockSpace(6)).projector()
     for line, p in zip(lines[1:], (25, 50)):
-        samples = sample_quadratures(truth, sweep_phases(9), p, NOISELESS, seed=1)
+        samples = sample_quadratures(SqueezedVacuum(0.8, np.pi / 2), sweep_phases(9), p,
+                                     NOISELESS, seed=1)
         fit = ml_reconstruct(bin_samples(samples, 0.25),
                              TomographyConfig(dx=0.25, n_cut=6, max_iter=60))
         assert line.split(",")[-2:] == [str(fit.converged), str(fit.iterations)]
@@ -385,7 +444,7 @@ def test_cli_byte_identical_reruns(tmp_path):
 def test_cli_tomo_records_config_and_input(tmp_path):
     out = tmp_path / "sim"
     assert run_cli("simulate", "--xi", "0", "--thetas", "0,1.0", "--p", "30",
-                   "--n-cut", "4", "--seed", "1", "--out", str(out)) == EX_OK
+                   "--seed", "1", "--out", str(out)) == EX_OK
     samples = out / "samples.csv"
     tomo_out = tmp_path / "tomo"
     run_cli("tomo", str(samples), "--dx", "0.3", "--n-cut", "4", "--max-iter", "5",
@@ -396,3 +455,21 @@ def test_cli_tomo_records_config_and_input(tmp_path):
         TomographyConfig(dx=0.3, n_cut=4, max_iter=5, tol=1e-9))
     assert diag["input"] == {"path": str(samples),
                              "sha256": hashlib.sha256(samples.read_bytes()).hexdigest()}
+
+
+def test_cli_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # each run is a fresh process, since BLAS reads its thread count at load
+    script = ("import sys; from tmsvlab.cli import main; out = sys.argv[1]; "
+              "sys.exit(main(['simulate', '--preset', 'fig_s3', '--out', out + '/sim']) "
+              "or main(['reproduce', 'fig3', '--scale', 'smoke', '--out', out]))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True,
+                       capture_output=True, timeout=120)
+        trees.append({str(p.relative_to(out)): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()})
+    assert len(trees[0]) == 5 and trees[0] == trees[1]

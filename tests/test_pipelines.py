@@ -7,21 +7,26 @@ from tmsvlab.pipelines import (FIG3_TIME_GRID, PRESETS, ExperimentPreset,
                                make_manifest, run_fig3, run_fig_s2, run_fig_s3,
                                sweep_phases, twin_fock_dominance)
 from tmsvlab.fock import FockSpace, basis_state
-from tmsvlab.states import NOISELESS, tmsv
+from tmsvlab.states import NOISELESS, SqueezedVacuum, tmsv
 
 
 def test_presets_resolve_to_runnable_states():
     for name, preset in PRESETS.items():
-        state = preset.build_state()
+        state = preset.source.density(FockSpace(preset.n_cut))
         assert state.entries.trace().real == pytest.approx(1.0, abs=1e-10)
         assert preset.name == name
         d = preset.to_json_dict()
         assert d["noise"].keys() == {"sigma_phase", "rf_rel_noise", "sum_variance_shift"}
+        assert d["source"].keys() == {"xi", "pair_phase", "pair_phase_sigma"}
+
+
+def test_presets_hold_the_figure_sources():
+    assert PRESETS["fig_s2"].source == SqueezedVacuum(0.8, np.pi / 2)
+    assert PRESETS["fig_s3"].source == SqueezedVacuum(0.63, 0.0, 0.36)
+    assert PRESETS["fig3"].source == SqueezedVacuum(2 * np.pi * 5.1 * 26e-3, 0.0)
 
 
 def test_preset_validation():
-    with pytest.raises(ValueError):
-        dataclasses.replace(PRESETS["fig_s2"], state_kind="bogus")
     with pytest.raises(ValueError):
         dataclasses.replace(PRESETS["fig_s2"], p_per_theta=0)
 
@@ -71,7 +76,7 @@ def test_fig_s3_smoke():
 def test_fig_s3_noise_free_matches_fig_s2_point():
     # zeroing the noise reduces the scenario to an ideal-state consistency run
     preset = dataclasses.replace(PRESETS["fig_s3"], noise=NOISELESS,
-                                 state_kind="tmsv", state_sigma=0.0,
+                                 source=SqueezedVacuum(0.63, np.pi / 2),
                                  p_per_theta=60, n_cut=6, thetas=sweep_phases(9),
                                  max_iter=80)
     result = run_fig_s3(preset, seed=0)

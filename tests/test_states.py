@@ -4,7 +4,7 @@ import pytest
 from tmsvlab.fock import FockSpace, basis_state, number_distributions
 from tmsvlab.states import (NoiseModel, PHASE_NOISE_SIGMA, SqueezedVacuum,
                             SqueezingSchedule, TruncationWarning,
-                            _gaussian_fourier_weights, analytic_variances, noise_preset,
+                            analytic_variances, noise_preset,
                             phase_noisy_state, squeeze_param, tmsv, tmsv_rotated,
                             truncation_tail, OMEGA_SPIN_DYNAMICS)
 
@@ -91,8 +91,8 @@ def test_phase_noisy_zero_width_is_pure(space10):
 
 
 def test_phase_noisy_large_width_is_diagonal(space10):
-    # at sigma = 50 the windowed Gaussian is flat to ~(pi/sigma)^2, so the
-    # off-diagonal weights survive only at the few-1e-4 level
+    # at sigma = 50 the wrapped Gaussian is flat: its off-diagonal weights
+    # e^{-k^2 sigma^2 / 2} vanish
     xi = 0.63
     rho = phase_noisy_state(xi, 50.0, space10)
     diag = np.diag(np.diag(rho.entries))
@@ -177,6 +177,21 @@ def test_squeezed_vacuum_density_is_truncated_tmsv(space10):
     assert np.array_equal(rho.entries, tmsv_rotated(0.63, 1.0, space10).projector().entries)
     with pytest.raises(ValueError):
         SqueezedVacuum(-0.1)
+    with pytest.raises(ValueError):
+        SqueezedVacuum(0.63, 0.0, -0.1)
+
+
+@pytest.mark.parametrize("pair_phase", [0.0, 1.0, -2.5])
+def test_dephased_squeezed_vacuum_density_is_rotated_phase_noisy_state(space10, pair_phase):
+    # the pair coherence <n,n| rho |m,m> carries e^{-i (n - m) phi}
+    noisy = phase_noisy_state(0.63, 0.36, space10)
+    rho = SqueezedVacuum(0.63, pair_phase, 0.36).density(space10)
+    n_a, n_b = space10.occupations()
+    n = (n_a + n_b) / 2.0
+    expected = noisy.entries * np.exp(-1j * pair_phase * (n[:, None] - n[None, :]))
+    assert np.max(np.abs(rho.entries - expected)) < 1e-15
+    if pair_phase == 0.0:
+        assert np.array_equal(rho.entries, noisy.entries)
 
 
 def test_squeezed_vacuum_pair_variances_closed_form():
@@ -193,28 +208,35 @@ def test_squeezed_vacuum_pair_variances_closed_form():
 
 # ------------------------------------------------- dephasing weights
 
-@pytest.mark.parametrize("sigma", [3e-3, 0.05, 0.3, 0.36, 1.0, 3.0, 50.0])
-def test_gaussian_fourier_weights_match_adaptive_quadrature(sigma):
-    # adaptive quadrature over [-pi, pi] is a valid reference once the peak
-    # is wide enough for it to find (it misses peaks at sigma = 1e-3)
-    from scipy import integrate
-    k_max = 40
-    norm = 1.0 / np.sqrt(2 * np.pi * sigma ** 2)
-    reference = np.array([
-        integrate.quad(lambda th, kk=k: norm * np.exp(-th ** 2 / (2 * sigma ** 2))
-                       * np.cos(kk * th), -np.pi, np.pi, limit=200)[0]
-        for k in range(k_max + 1)])
-    assert np.max(np.abs(_gaussian_fourier_weights(sigma, k_max) - reference)) < 1e-13
+def wrapped_gaussian_weights(sigma, k_max):
+    """Fourier weights of the wrapped Gaussian, by brute force: the density
+    summed over its 2 pi images on a periodic grid fine enough to resolve
+    it, then the trapezoid rule, which is spectrally accurate here."""
+    points = max(1024, 2 ** int(np.ceil(np.log2(8 * np.pi / sigma))))
+    theta = (np.arange(points) - points // 2) * (2 * np.pi / points)  # exact near 0
+    reach = int(np.ceil(10 * sigma / (2 * np.pi))) + 1  # images within 10 sigma
+    images = np.arange(-reach, reach + 1)
+    shifted = theta[None, :] + 2 * np.pi * images[:, None]
+    density = np.exp(-shifted ** 2 / (2 * sigma ** 2)).sum(axis=0) / np.sqrt(2 * np.pi) / sigma
+    k = np.arange(k_max + 1)
+    return np.cos(np.outer(k, theta)) @ density * (2 * np.pi / points)
 
 
-def test_gaussian_fourier_weights_narrow_peak(space10):
-    # at sigma = 1e-4 the Gaussian lies far inside +-pi, so the weights are
-    # the characteristic function e^{-k^2 sigma^2 / 2}
-    sigma = 1e-4
-    k = np.arange(11)
-    weights = _gaussian_fourier_weights(sigma, 10)
-    assert np.max(np.abs(weights - np.exp(-k ** 2 * sigma ** 2 / 2))) < 1e-12
-    rho = phase_noisy_state(0.63, sigma, space10)
+@pytest.mark.parametrize("sigma", [1e-4, 3e-3, 0.05, 0.3, 0.36, 1.0, 3.0, 50.0])
+def test_phase_noisy_weights_are_the_wrapped_gaussian(space10, sigma):
+    # the pair phase is 2 pi-periodic, so a Gaussian pair phase is the
+    # wrapped Gaussian, which is what SqueezedVacuum.draw samples at every
+    # sigma; the state's pair block is its weights times tanh^{n+m} / cosh^2
+    xi = 0.63
+    weights = wrapped_gaussian_weights(sigma, 10)
+    n = np.arange(11)
+    t_pow = np.tanh(xi) ** n / np.cosh(xi)
+    block = weights[np.abs(n[:, None] - n[None, :])] * np.outer(t_pow, t_pow)
+    block /= np.trace(block)
+    rho = phase_noisy_state(xi, sigma, space10)
+    idx = [space10.index(i, i) for i in n]
+    assert np.max(np.abs(rho.entries[np.ix_(idx, idx)] - block)) < 1e-13
     assert rho.entries.trace().real == pytest.approx(1.0, abs=1e-12)
-    pure = tmsv_rotated(0.63, 0.0, space10).projector()
-    assert np.max(np.abs(rho.entries - pure.entries)) < 1e-6
+    if sigma == 1e-4:
+        pure = tmsv_rotated(xi, 0.0, space10).projector()
+        assert np.max(np.abs(rho.entries - pure.entries)) < 1e-6

@@ -10,11 +10,12 @@ from tmsvlab.tomography import (Histogram2D, MLResult, TomographyConfig,
                                 ml_reconstruct, r_operator)
 
 from conftest import loglik_under
+from gridded import Gridded
 
 
 def vacuum_samples(n_per_theta, thetas, seed=0):
     vac = basis_state(FockSpace(6), 0, 0).projector()
-    return sample_quadratures(vac, thetas, n_per_theta, NOISELESS, seed=seed)
+    return sample_quadratures(Gridded(vac), thetas, n_per_theta, NOISELESS, seed=seed)
 
 
 # ---------------------------------------------------------------- binning
@@ -229,7 +230,7 @@ def test_ml_statistical_consistency_median_trend():
     for p in (40, 80, 160):
         fids = []
         for seed in range(5):
-            samples = sample_quadratures(state, thetas, p, NOISELESS, seed=seed)
+            samples = sample_quadratures(Gridded(state), thetas, p, NOISELESS, seed=seed)
             res = ml_reconstruct(bin_samples(samples, cfg.dx), cfg)
             fids.append(fidelity_pure(res.rho, truth))
         medians.append(np.median(fids))
