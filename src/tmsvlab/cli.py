@@ -136,7 +136,6 @@ def build_parser() -> _Parser:
     p_tomo.add_argument("--dx", type=float, default=None)
     p_tomo.add_argument("--n-cut", dest="n_cut", type=int, default=None)
     p_tomo.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    p_tomo.add_argument("--tol", type=float, default=None)
 
     p_crit = command("criteria", "EPR and inseparability report")
     p_crit.add_argument("samples", help="sample CSV file with two conjugate phases")
@@ -189,13 +188,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_tomo(args) -> int:
     out = _outdir(args.out or ".")
     samples = tio.read_samples(args.samples)
-    config = TomographyConfig(**_given(args, "dx", "n_cut", "max_iter", "tol"))
+    config = TomographyConfig(**_given(args, "dx", "n_cut", "max_iter"))
     result = ml_reconstruct(bin_samples(samples, config.dx), config)
     tio.write_density_matrix(out / "rho_ml.json", result.rho)
     tio.write_json(out / "diagnostics.json", {
         "loglik_trace": list(result.loglik_trace),
         "iterations": result.iterations,
-        "fixed_point_residual": result.fixed_point_residual,
+        "gap": result.gap,
         "converged": result.converged,
         "config": dataclasses.asdict(config),
         "input": {"path": str(args.samples),
@@ -203,7 +202,7 @@ def _cmd_tomo(args) -> int:
     })
     print(f"reconstruction {'converged' if result.converged else 'did not converge'} "
           f"after {result.iterations} iterations "
-          f"(residual {result.fixed_point_residual:.3e})")
+          f"(log-likelihood gap {result.gap:.3g})")
     return EX_OK if result.converged else EX_NONCONVERGED
 
 
@@ -269,7 +268,7 @@ def _cmd_reproduce(args) -> int:
     if figure == "fig_s2":
         rows = run_fig_s2(preset, sweep["p_per_theta"], sweep["dx"], seeds=(seed,))
         tio.write_csv_rows(rundir / "fig_s2_table.csv",
-                           "p,dx,seed,fidelity,fidelity_se,converged,iterations",
+                           "p,dx,seed,fidelity,fidelity_se,converged,iterations,gap",
                            [dataclasses.astuple(r) for r in rows])
     elif figure == "fig_s3":
         result = run_fig_s3(preset, seed=seed)
@@ -280,6 +279,7 @@ def _cmd_reproduce(args) -> int:
             "twin_fock_dominant": result.twin_fock_dominant,
             "converged": result.ml.converged,
             "iterations": result.ml.iterations,
+            "gap": result.ml.gap,
             "p_sum": result.p_sum.tolist(),
             "p_diff": result.p_diff.tolist(),
         })

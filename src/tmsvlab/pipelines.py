@@ -8,8 +8,8 @@ reads the preset fields listed here and sweeps the others it names:
 
 * ``fig_s2``   ideal squeezed vacuum (xi = 0.8, pair phase pi / 2),
                noiseless sampling, used for the reconstruction-consistency
-               sweep: :func:`run_fig_s2` reads source, noise, thetas, n_cut,
-               max_iter and tol, and sweeps p_per_theta and dx;
+               sweep: :func:`run_fig_s2` reads source, noise, thetas, n_cut
+               and max_iter, and sweeps p_per_theta and dx;
 * ``fig_s3``   dephased squeezed vacuum (xi = 0.63, pair-phase width 0.36)
                sampled with the 0.12 sum-variance shift, reconstructed and
                compared against the analytic dephased truth:
@@ -64,15 +64,13 @@ class ExperimentPreset:
     n_cut: int
     seed: int
     max_iter: int = 2000
-    tol: float = 1e-8
 
     def __post_init__(self):
         if self.p_per_theta < 1 or not self.thetas:
             raise ValueError("preset needs at least one phase and one shot per phase")
 
     def tomography_config(self) -> TomographyConfig:
-        return TomographyConfig(dx=self.dx, n_cut=self.n_cut,
-                                max_iter=self.max_iter, tol=self.tol)
+        return TomographyConfig(dx=self.dx, n_cut=self.n_cut, max_iter=self.max_iter)
 
     def to_json_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -83,8 +81,7 @@ class ExperimentPreset:
 PRESETS: dict[str, ExperimentPreset] = {
     "fig_s2": ExperimentPreset(
         name="fig_s2", source=SqueezedVacuum(0.8, np.pi / 2.0), noise=NOISELESS,
-        thetas=sweep_phases(), p_per_theta=100, dx=0.25, n_cut=10, seed=0,
-        max_iter=300),
+        thetas=sweep_phases(), p_per_theta=100, dx=0.25, n_cut=10, seed=0),
     "fig_s3": ExperimentPreset(
         name="fig_s3", source=SqueezedVacuum(0.63, 0.0, PHASE_NOISE_SIGMA["dephasing"]),
         noise=noise_preset("tomo"),
@@ -113,6 +110,7 @@ class FigS2Row:
     fidelity_se: float
     converged: bool
     iterations: int
+    gap: float
 
 
 def run_fig_s2(preset: ExperimentPreset, p_values, dx_values, seeds=(0,),
@@ -121,8 +119,8 @@ def run_fig_s2(preset: ExperimentPreset, p_values, dx_values, seeds=(0,),
 
     For every (p, dx, seed): draw samples of the preset's source,
     reconstruct, and score the fidelity against the source's density
-    matrix on the preset's Fock space; the row says whether
-    the fit converged and after how many iterations.  With
+    matrix on the preset's Fock space; the row says whether the fit
+    converged, after how many iterations, and its certified gap.  With
     bootstrap_b >= 100, a bootstrap standard error of the fidelity is
     attached (each resample repeats the reconstruction); otherwise the SE
     column is NaN.
@@ -150,7 +148,7 @@ def run_fig_s2(preset: ExperimentPreset, p_values, dx_values, seeds=(0,),
                 rows.append(FigS2Row(p=int(p), dx=float(dx), seed=int(seed),
                                      fidelity=fidelity_mixed(result.rho, truth),
                                      fidelity_se=se, converged=result.converged,
-                                     iterations=result.iterations))
+                                     iterations=result.iterations, gap=result.gap))
     return rows
 
 

@@ -4,8 +4,24 @@ Samples are binned into per-phase 2D histograms; the model probability of
 a bin is the midpoint joint density times the bin area.  The estimate is
 the fixed point of rho -> normalize(R rho R), where R weights projectors
 onto phase-rotated quadrature kets by the ratio of observed to model bin
-probabilities.  Iterations keep every iterate Hermitian, unit-trace and
-positive semidefinite by construction.
+probabilities (Lvovsky, J. Opt. B 6, S556 (2004)).  Iterations keep every
+iterate Hermitian, unit-trace and positive semidefinite by construction.
+
+The bin operators are separable and real: bin (i, j) at phase theta
+projects onto U (A_i (x) B_j) U^dag with A_i = psi(x_i) psi(x_i)^T dx (B_j
+alike), and U multiplies entry ((m, n), (m', n')) by e^{-i theta d},
+d = (m - m') + (n - n').  With rho_theta = rho e^{+i theta d} laid out as
+rows (m, m') and columns (n, n'), a histogram's probabilities are
+P = A Re(rho_theta) B^T (row i of A is A_i), and R = (1/N) sum over
+histograms of e^{-i theta d} A^T W B, with W = n / P on populated bins.
+
+Iteration stops on a certified gap: log L is concave with gradient N R
+and Tr R rho = 1, so no state beats log L(rho) by more than
+N (lambda_max(R) - 1) while no populated bin is floored at MIN_BIN_PROB
+(Glancy, Knill & Girard, New J. Phys. 14, 095017 (2012)).  A gap of
+``LOGLIK_GAP`` = 0.1 nats is far inside any confidence region: the truth
+lies half a chi-square variable, with a degree of freedom per parameter
+of rho (14640 at n_cut = 10), some 7000 nats, below the maximum at any N.
 
 The midpoint rule biases the estimate.  A bin's count follows the
 density integrated over the bin, but the model uses only its midpoint
@@ -17,15 +33,13 @@ rho_00 tends to about 1/(1 + dx^2/12)^2: 0.990 at dx = 0.25 and 0.998 at
 dx = 0.1.
 
 The estimator is unregularised ML, and it promises no accuracy at small
-sample sizes: it fits the sampling noise with all (n_cut + 1)^4 - 1
-real parameters of the density matrix.  For example, 900 vacuum
-samples (6 phases, n_cut = 5, dx = 0.25) give rho_00 = 0.951 with a
-seed-to-seed sd of 0.018, well below the limit above.
+sample sizes: it fits the sampling noise with all (n_cut + 1)^4 - 1 real
+parameters of rho.  For example, 900 vacuum samples (6 phases, n_cut = 5,
+dx = 0.25) give rho_00 = 0.951 (seed-to-seed sd 0.018), below that limit.
 """
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,10 +49,12 @@ from .criteria import group_samples
 
 # floor on model bin probabilities, so log P and n / P stay finite
 MIN_BIN_PROB = 1e-12
+# certified log-likelihood gap, in nats, at which a fit has converged
+LOGLIK_GAP = 0.1
 
 
 class IllConditionedDataError(RuntimeError):
-    """A populated bin has a non-finite or non-positive model probability."""
+    """A populated bin has a non-finite midpoint, so no model probability."""
 
 
 @dataclass(frozen=True)
@@ -75,17 +91,6 @@ class Histogram2D:
         xb = self.origin[1] + (np.arange(nb) + 0.5) * self.dx
         return xa, xb
 
-    def to_json_dict(self) -> dict:
-        return {"theta_rad": self.theta, "dx": self.dx,
-                "origin": [self.origin[0], self.origin[1]],
-                "counts": self.counts.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Histogram2D":
-        return cls(theta=float(d["theta_rad"]), dx=float(d["dx"]),
-                   origin=(float(d["origin"][0]), float(d["origin"][1])),
-                   counts=np.asarray(d["counts"], dtype=np.int64))
-
 
 @dataclass(frozen=True)
 class TomographyConfig:
@@ -96,28 +101,27 @@ class TomographyConfig:
                   module docstring), so the vacuum's rho_00 tends to about
                   0.990 at dx = 0.25 and about 0.998 at dx = 0.1.
     n_cut:        occupation cutoff of each mode of the estimate.
-    max_iter:     iteration budget; the result has converged=False if it
-                  runs out.
-    tol:          convergence threshold on the max-entry change between
-                  successive iterates.
+    max_iter:     update budget; the result has converged=False if the
+                  certified log-likelihood gap is still above LOGLIK_GAP.
     """
 
     dx: float = 0.25
     n_cut: int = 10
     max_iter: int = 2000
-    tol: float = 1e-8
 
     def __post_init__(self):
-        if self.dx <= 0 or self.n_cut < 0 or self.max_iter < 1 or self.tol <= 0:
-            raise ValueError("dx, max_iter, tol must be positive and n_cut >= 0")
+        if self.dx <= 0 or self.n_cut < 0 or self.max_iter < 1:
+            raise ValueError("dx and max_iter must be positive and n_cut >= 0")
 
 
 @dataclass(frozen=True)
 class MLResult:
+    """``gap`` bounds how far log L of ``rho`` lies below the maximum."""
+
     rho: DensityMatrix
     loglik_trace: tuple[float, ...]
     iterations: int
-    fixed_point_residual: float
+    gap: float
     converged: bool
     min_eig_trace: tuple[float, ...] = ()
 
@@ -139,97 +143,109 @@ def bin_samples(samples: Samples, dx: float) -> list[Histogram2D]:
     return hists
 
 
-def _bin_kets(space: FockSpace, hist: Histogram2D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns U_theta |x_mid> for every populated bin of the histogram.
+def _bin_operators(n_cut: int, hist: Histogram2D) -> tuple:
+    """(a, b, flat, counts, phases) of a histogram cut to its rows and
+    columns with counts: A_i and B_j as rows over pairs m <= m' (triu order),
+    the populated cut bins, cos(theta d), -sin(theta d) for |d| <= 2 n_cut."""
+    rows = np.flatnonzero(hist.counts.any(axis=1))
+    cols = np.flatnonzero(hist.counts.any(axis=0))
+    counts = hist.counts[np.ix_(rows, cols)].ravel()
+    xa, xb = (x[i] for x, i in zip(hist.midpoints(), (rows, cols)))
+    if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(xb))):
+        raise IllConditionedDataError(
+            f"non-finite bin midpoint in histogram at theta={hist.theta:.4f}")
+    lo, hi = np.triu_indices(n_cut + 1)
+    a, b = (np.ascontiguousarray((psi[lo] * psi[hi]).T) * hist.dx
+            for psi in (hermite_functions(n_cut, xa), hermite_functions(n_cut, xb)))
+    flat = np.flatnonzero(counts)
+    d = hist.theta * np.arange(-2 * n_cut, 2 * n_cut + 1)
+    return a, b, flat, counts[flat].astype(np.float64), np.concatenate([np.cos(d), -np.sin(d)])
 
-    Returns (kets, counts, flat bin indices); kets has shape
-    (space.dim, n_populated).
-    """
-    xa_mid, xb_mid = hist.midpoints()
-    psi_a = hermite_functions(space.n_cut, xa_mid)
-    psi_b = hermite_functions(space.n_cut, xb_mid)
-    ia, ib = np.nonzero(hist.counts)
-    phase = np.exp(-1j * hist.theta * np.arange(space.mode_dim))
-    cols_a = (phase[:, None] * psi_a[:, ia])
-    cols_b = (phase[:, None] * psi_b[:, ib])
-    kets = (cols_a[:, None, :] * cols_b[None, :, :]).reshape(space.dim, ia.size)
-    counts = hist.counts[ia, ib].astype(np.float64)
-    return kets, counts, ia * hist.counts.shape[1] + ib
+
+class _Kernel:
+    """R and log L of binned data, folded onto index pairs p = (m <= m')
+    and q = (n <= n'): as A_i is symmetric, P only needs Re(rho_theta)
+    summed over the orderings of each pair, for Hermitian rho
+    2 c_p c_q (M1 + M2), with c = 1/2 on equal pairs and 1 otherwise, M1 the
+    entry ((m, n), (m', n')) and M2 ((m, n'), (m', n)).  R, unfolded from
+    the same pairs, is exactly Hermitian.  Histograms are summed in (theta,
+    origin) order, and products go to buffers reused across calls."""
+
+    def __init__(self, n_cut: int, hists: list[Histogram2D]):
+        k, dim = n_cut + 1, (n_cut + 1) ** 2
+        self.n_total = float(sum(h.total for h in hists))
+        if self.n_total < 1:
+            raise ValueError("histograms contain no counts")
+        self.ops = [_bin_operators(n_cut, h)
+                    for h in sorted(hists, key=lambda h: (h.theta, h.origin))]
+        lo, hi = np.triu_indices(k)
+        s, p_lo, p_hi = lo.size, lo[:, None], hi[:, None]
+        # M1's and M2's entries in rho viewed as floats (Re, Im), and the
+        # phase-table indices of their (m - m') + (n - n')
+        e1 = (p_lo * k + lo) * dim + p_hi * k + hi
+        e2 = (p_lo * k + hi) * dim + p_hi * k + lo
+        self.rho_index = np.stack([2 * e1, 2 * e1 + 1, 2 * e2, 2 * e2 + 1])
+        d1, d2 = p_lo - p_hi + 2 * n_cut + (lo - hi), p_lo - p_hi + 2 * n_cut - (lo - hi)
+        self.phase_index = np.stack([d1, d1 + 4 * n_cut + 1, d2, d2 + 4 * n_cut + 1])
+        self.weight = 2.0 * np.outer(*[np.where(lo == hi, 0.5, 1.0)] * 2)
+        # R at ((m, n), (m', n')) takes M1's phases where (m, m') and (n, n')
+        # are ordered alike and M2's elsewhere, the sine signed as m' - m
+        pair = np.empty((k, k), dtype=np.int64)
+        pair[lo, hi] = pair[hi, lo] = np.arange(s)
+        m, n, m2, n2 = np.indices((k,) * 4).reshape(4, dim, dim)
+        first = np.where((m <= m2) == (n <= n2), 0, 2 * s * s)
+        self.re_index = first + pair[m, m2] * s + pair[n, n2]
+        self.im_sign = np.where(m <= m2, 1.0, -1.0)
+        self.rho_terms, self.phase, self.terms, self.acc = np.empty((4, 4, s, s))
+        self.m, self.g = np.empty((2, s, s))
+        self.half = np.empty(max(op[0].shape[0] for op in self.ops) * s)
+        self.grid = np.empty(max(op[0].shape[0] * op[1].shape[0] for op in self.ops))
+        self.r = np.empty((dim, dim), dtype=np.complex128)
+
+    def __call__(self, rho: np.ndarray) -> tuple[np.ndarray, float]:
+        """The R operator of rho, in a buffer that the next call
+        overwrites, and the log-likelihood sum(n log P) under rho."""
+        rho = np.ascontiguousarray(rho, dtype=np.complex128)
+        np.take(rho.view(np.float64), self.rho_index, out=self.rho_terms)
+        self.rho_terms *= self.weight
+        self.acc[:] = 0.0
+        ll = 0.0
+        for a, b, flat, counts, phases in self.ops:
+            np.take(phases, self.phase_index, out=self.phase)
+            m = np.sum(np.multiply(self.rho_terms, self.phase, out=self.terms), axis=0, out=self.m)
+            half = self.half[:a.shape[0] * m.shape[0]].reshape(a.shape[0], -1)
+            grid = np.matmul(np.matmul(a, m, out=half), b.T,
+                             out=self.grid[:a.shape[0] * b.shape[0]].reshape(a.shape[0], -1))
+            probs = np.maximum(grid.ravel()[flat], MIN_BIN_PROB)
+            ll += float(np.dot(counts, np.log(probs)))
+            grid[:] = 0.0
+            grid.ravel()[flat] = counts / probs
+            g = np.matmul(a.T, np.matmul(grid, b, out=half), out=self.g)
+            self.acc += np.multiply(self.phase, g, out=self.terms)
+        np.take(self.acc, self.re_index, out=self.r.real)
+        np.take(self.acc, self.re_index + self.acc[0].size, out=self.r.imag)
+        self.r.imag *= self.im_sign
+        self.r /= self.n_total
+        return self.r, ll
 
 
 def bin_probability(rho: DensityMatrix, hist: Histogram2D,
                     bin_index: tuple[int, int]) -> float:
-    """Model probability of one bin: midpoint density times dx^2, floored."""
+    """Model probability of one bin: midpoint density times dx^2, floored;
+    the exponential of the log-likelihood of a single count in that bin."""
     ia, ib = bin_index
     if not (0 <= ia < hist.counts.shape[0] and 0 <= ib < hist.counts.shape[1]):
         raise ValueError(f"bin index {bin_index} outside histogram of shape {hist.counts.shape}")
-    xa_mid, xb_mid = hist.midpoints()
-    k = rho.space.mode_dim
-    psi_a = hermite_functions(rho.space.n_cut, np.array([xa_mid[ia]]))[:, 0]
-    psi_b = hermite_functions(rho.space.n_cut, np.array([xb_mid[ib]]))[:, 0]
-    phase = np.exp(-1j * hist.theta * np.arange(k))
-    ket = ((phase * psi_a)[:, None] * (phase * psi_b)[None, :]).reshape(rho.space.dim)
-    dens = float(np.real(ket.conj() @ rho.entries @ ket))
-    return max(dens * hist.dx ** 2, MIN_BIN_PROB)
-
-
-def _model_probs(entries: np.ndarray, kets: np.ndarray, kets_conj: np.ndarray, dx: float,
-                 theta: float, flat_idx: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Floored model probabilities of the populated bins; ``work`` (the
-    kets' shape) is overwritten."""
-    np.matmul(entries, kets, out=work)
-    probs = np.sum(np.multiply(kets_conj, work, out=work), axis=0).real * dx ** 2
-    if not np.all(np.isfinite(probs)):
-        bad = int(flat_idx[np.flatnonzero(~np.isfinite(probs))[0]])
-        raise IllConditionedDataError(
-            f"non-finite model probability in bin {bad} of histogram at theta={theta:.4f}")
-    return np.maximum(probs, MIN_BIN_PROB)
-
-
-def _binned(space: FockSpace, hists: list[Histogram2D]) -> list[tuple]:
-    """(hist, kets, counts, flat bin indices) per histogram, in the canonical
-    (theta, origin) order, so sums over them are independent of list order
-    bit for bit."""
-    return [(h, *_bin_kets(space, h)) for h in sorted(hists, key=lambda h: (h.theta, h.origin))]
-
-
-def _r_and_loglik(rho: np.ndarray, binned: list[tuple]) -> tuple[np.ndarray, float]:
-    """The R operator of rho (Hermitian part) and the log-likelihood
-    sum(n log P) of the binned data under rho."""
-    # Every histogram's products go to buffers reused across the loop.
-    # Fresh 0.1-0.2 MB temporaries per histogram sit at glibc's default
-    # mmap threshold and were paged in anew each time (about 3000 page
-    # faults per iteration, a third of a fig_s3 fit) unless some earlier
-    # larger array had raised the allocator's thresholds.
-    r = np.zeros(rho.shape, dtype=np.complex128)
-    r_hist = np.empty_like(r)
-    size = max(kets.size for _, kets, *_ in binned)
-    work, work_conj = np.empty((2, size), dtype=np.complex128)
-    ll = 0.0
-    n_total = 0.0
-    for hist, kets, counts, flat in binned:
-        w = work[:kets.size].reshape(kets.shape)
-        kets_conj = np.conjugate(kets, out=work_conj[:kets.size].reshape(kets.shape))
-        probs = _model_probs(rho, kets, kets_conj, hist.dx, hist.theta, flat, w)
-        ll += float(np.dot(counts, np.log(probs)))
-        np.matmul(np.multiply(kets, counts / probs, out=w), kets_conj.T, out=r_hist)
-        r_hist *= hist.dx ** 2
-        r += r_hist
-        n_total += counts.sum()
-    r /= n_total
-    return (r + r.conj().T) / 2.0, ll
+    counts = np.zeros_like(hist.counts)
+    counts[ia, ib] = 1
+    return math.exp(_Kernel(rho.space.n_cut, [replace(hist, counts=counts)])(rho.entries)[1])
 
 
 def r_operator(rho: DensityMatrix, hists: list[Histogram2D]) -> OperatorMatrix:
-    """Data-weighted sum of bin projectors divided by model probabilities.
-
-    R = (1/N) sum over populated bins of (n / P) dx^2 |U_theta x><x U_theta^dag|,
-    the operator of one :func:`ml_reconstruct` iteration.  Tr[R rho] = 1
-    when the model probabilities come from the same rho.
-    """
-    if sum(h.total for h in hists) < 1:
-        raise ValueError("histograms contain no counts")
-    r, _ = _r_and_loglik(rho.entries, _binned(rho.space, hists))
+    """Data-weighted sum of bin projectors divided by model probabilities,
+    R = (1/N) sum over populated bins of (n / P) dx^2 |U x><x U^dag|, the
+    operator of one :func:`ml_reconstruct` iteration; Tr[R rho] = 1."""
+    r, _ = _Kernel(rho.space.n_cut, hists)(rho.entries)
     return OperatorMatrix(rho.space, r, hermitian=True)
 
 
@@ -237,46 +253,31 @@ def ml_reconstruct(hists: list[Histogram2D], config: TomographyConfig,
                    track_invariants: bool = False) -> MLResult:
     """Fixed-point iteration rho <- normalize(R rho R) from the flat state.
 
-    The log-likelihood sum(n log P) is recorded at every iterate (constant
-    multinomial and phase-frequency terms dropped).  Iteration stops when
-    the max-entry distance between successive iterates falls below
-    config.tol, or at max_iter with converged=False.
+    log L = sum(n log P) (constant terms dropped) is recorded at every
+    iterate.  Iteration stops at the first iterate whose certified gap
+    N (lambda_max(R) - 1) is at most ``LOGLIK_GAP``, or after max_iter
+    updates with converged=False; the gap is that of the returned state.
     """
-    if not hists:
-        raise ValueError("at least one histogram is required")
-    if sum(h.total for h in hists) < 1:
-        raise ValueError("histograms contain no counts")
     space = FockSpace(config.n_cut)
-    binned = _binned(space, hists)
-
+    kernel = _Kernel(config.n_cut, hists)
     rho = np.eye(space.dim, dtype=np.complex128) / space.dim
     loglik: list[float] = []
     min_eigs: list[float] = []
-    residual = math.inf
-    converged = False
     iterations = 0
-    for _it in range(config.max_iter):
-        r, ll = _r_and_loglik(rho, binned)
+    while True:
+        r, ll = kernel(rho)
         loglik.append(ll)
-        new = r @ rho @ r
-        new = (new + new.conj().T) / 2.0
-        new /= new.trace().real
-        if track_invariants:
-            min_eigs.append(float(np.linalg.eigvalsh(new)[0]))
-        residual = float(np.max(np.abs(new - rho)))
-        rho = new
-        iterations = _it + 1
-        if residual <= config.tol:
-            converged = True
+        gap = kernel.n_total * (float(np.linalg.eigvalsh(r)[-1]) - 1.0)
+        if gap <= LOGLIK_GAP or iterations == config.max_iter:
             break
-    # likelihood of the final iterate, for a complete monotone trace
-    loglik.append(_r_and_loglik(rho, binned)[1])
-
-    return MLResult(rho=DensityMatrix.from_entries(space, rho),
-                    loglik_trace=tuple(loglik),
-                    iterations=iterations,
-                    fixed_point_residual=residual,
-                    converged=converged,
+        rho = r @ rho @ r
+        rho = (rho + rho.conj().T) / 2.0
+        rho /= rho.trace().real
+        if track_invariants:
+            min_eigs.append(float(np.linalg.eigvalsh(rho)[0]))
+        iterations += 1
+    return MLResult(rho=DensityMatrix.from_entries(space, rho), loglik_trace=tuple(loglik),
+                    iterations=iterations, gap=gap, converged=gap <= LOGLIK_GAP,
                     min_eig_trace=tuple(min_eigs))
 
 

@@ -1,14 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tmsvlab.fock import FockSpace, basis_state, expectation, OperatorMatrix
+from tmsvlab import tomography
 from tmsvlab.homodyne import Samples, sample_quadratures
 from tmsvlab.metrics import fidelity_pure
+from tmsvlab.pipelines import PRESETS
 from tmsvlab.states import NOISELESS, tmsv
-from tmsvlab.tomography import (Histogram2D, MLResult, TomographyConfig,
-                                bin_probability, bin_samples, bootstrap,
-                                ml_reconstruct, r_operator)
+from tmsvlab.tomography import (LOGLIK_GAP, Histogram2D, IllConditionedDataError,
+                                TomographyConfig, bin_probability, bin_samples,
+                                bootstrap, ml_reconstruct, r_operator)
 
+import bin_kets
 from conftest import loglik_under
 from gridded import Gridded
 
@@ -53,13 +58,6 @@ def test_bin_groups_phases_and_totals():
 def test_bin_rejects_bad_dx():
     with pytest.raises(ValueError):
         bin_samples(Samples([0.0], [0.0], [0.0]), dx=0.0)
-
-
-def test_histogram_roundtrip_dict():
-    h = bin_samples(Samples([0.3, 0.3], [0.6, 0.7], [-1.2, -1.1]), dx=0.25)[0]
-    h2 = Histogram2D.from_json_dict(h.to_json_dict())
-    assert h2.theta == h.theta and h2.dx == h.dx and h2.origin == h.origin
-    assert np.array_equal(h2.counts, h.counts)
 
 
 # ---------------------------------------------------------------- bin model
@@ -156,14 +154,78 @@ def test_r_operator_near_identity_on_support_for_exact_data():
     assert r.entries[idx, idx].real == pytest.approx(1.0, abs=1e-3)
 
 
+def fig_s3_histograms(dx):
+    preset = PRESETS["fig_s3"]
+    samples = sample_quadratures(preset.source, preset.thetas, preset.p_per_theta,
+                                 preset.noise, seed=0)
+    return bin_samples(samples, dx)
+
+
+def random_state(space, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
+    rho = a @ a.conj().T
+    return rho / rho.trace().real
+
+
+@pytest.mark.parametrize("case", ["fig_s3 paper", "dx 0.1", "n_cut 0", "one bin"])
+def test_separable_kernel_matches_the_bin_ket_oracle(case):
+    n_cut = {"n_cut 0": 0, "one bin": 3}.get(case, 10)
+    if case == "one bin":
+        hists = [Histogram2D(theta=0.9, dx=0.25, origin=(0.25, -0.5),
+                             counts=np.array([[7]], dtype=np.int64))]
+    else:
+        hists = fig_s3_histograms(0.1 if case == "dx 0.1" else 0.25)
+    space = FockSpace(n_cut)
+    for rho in (np.eye(space.dim) / space.dim, random_state(space, 1)):
+        r, ll = tomography._Kernel(n_cut, hists)(rho)
+        r_ref, ll_ref = bin_kets.r_and_loglik(rho, space, hists)
+        assert np.max(np.abs(r - r_ref)) <= 1e-13
+        assert abs(ll - ll_ref) <= 1e-13 * abs(ll_ref)
+
+
+def test_certified_gap_bounds_the_distance_to_the_maximum(monkeypatch):
+    # the gap of every checked iterate bounds log L* - log L(rho_t), where
+    # L* comes from a fit run far past LOGLIK_GAP
+    hists = bin_samples(vacuum_samples(100, [0.0, 0.8, 1.6], seed=3), 0.25)
+    cfg = TomographyConfig(dx=0.25, n_cut=3)
+    with monkeypatch.context() as m:
+        m.setattr(tomography, "LOGLIK_GAP", 1e-6)
+        best = ml_reconstruct(hists, dataclasses.replace(cfg, max_iter=100_000))
+    assert best.converged and best.gap <= 1e-6
+    ll_star = best.loglik_trace[-1]
+    fit = ml_reconstruct(hists, cfg)
+    assert fit.converged and fit.gap <= LOGLIK_GAP
+    for t in [t for t in (1, 2, 5, 10, 20) if t < fit.iterations] + [fit.iterations]:
+        step = fit if t == fit.iterations else ml_reconstruct(
+            hists, dataclasses.replace(cfg, max_iter=t))
+        assert step.iterations == t and len(step.loglik_trace) == t + 1
+        assert step.loglik_trace[-1] == fit.loglik_trace[t]
+        assert ll_star - step.loglik_trace[-1] <= step.gap, t
+    # the bound is not vacuous: early iterates are far from the maximum
+    assert ll_star - fit.loglik_trace[1] > 10 * LOGLIK_GAP
+
+
+@pytest.mark.parametrize("origin", [(np.nan, 0.0), (0.0, np.inf)])
+def test_non_finite_midpoints_are_ill_conditioned(origin):
+    h = Histogram2D(theta=0.3, dx=0.25, origin=origin,
+                    counts=np.array([[2, 0], [1, 4]], dtype=np.int64))
+    vac = basis_state(FockSpace(3), 0, 0).projector()
+    with pytest.raises(IllConditionedDataError):
+        ml_reconstruct([h], TomographyConfig(n_cut=3))
+    with pytest.raises(IllConditionedDataError):
+        r_operator(vac, [h])
+
+
 # ---------------------------------------------------------------- ML loop
 
 def test_ml_vacuum_reconstruction_high_fidelity():
     sp = FockSpace(6)
     thetas = list(np.linspace(0.0, np.pi, 29, endpoint=False))
     samples = vacuum_samples(200, thetas, seed=0)
-    # 3000 iterations: over seeds 0-39 the fit takes 287-2618 of them
-    cfg = TomographyConfig(dx=0.25, n_cut=6, max_iter=3000, tol=1e-8)
+    # over seeds 0-39 the fit stops at the certified gap after 63-1037
+    # iterations (287-2618 under the former max-entry tolerance of 1e-8)
+    cfg = TomographyConfig(dx=0.25, n_cut=6, max_iter=3000)
     hists = bin_samples(samples, 0.25)
     result = ml_reconstruct(hists, cfg)
     vac = basis_state(sp, 0, 0)
@@ -172,7 +234,8 @@ def test_ml_vacuum_reconstruction_high_fidelity():
     assert result.loglik_trace[-1] >= loglik_under(vac.projector(), hists)
     # Over seeds 0-39 of this design (5800 samples) the fidelity has mean
     # 0.9889 and sd 0.0039, and rho_00 mean 0.9779 and sd 0.0078 (each sd
-    # the standard error of one fit); the bounds are mean - 4 sd.  With
+    # the standard error of one fit); the bounds are mean - 4 sd.  The
+    # certified stop gives 0.9888 and 0.0038, and 0.9776 and 0.0076.  With
     # unlimited data the midpoint bin model caps rho_00 near
     # 1/(1 + dx^2/12)^2 = 0.990 at dx = 0.25 (fidelity 0.995).
     assert fidelity_pure(result.rho, vac) >= 0.973
@@ -180,10 +243,13 @@ def test_ml_vacuum_reconstruction_high_fidelity():
     assert result.rho.entries[idx, idx].real >= 0.946
 
 
-def test_ml_loglik_monotone_and_psd_iterates():
+def test_ml_loglik_monotone_and_psd_iterates(monkeypatch):
     samples = vacuum_samples(100, [0.0, 0.8, 1.6], seed=4)
-    cfg = TomographyConfig(dx=0.25, n_cut=5, max_iter=200, tol=1e-10)
+    cfg = TomographyConfig(dx=0.25, n_cut=5, max_iter=200)
+    # check all 200 iterates, not only the 26 before the gap reaches 0.1
+    monkeypatch.setattr(tomography, "LOGLIK_GAP", 0.0)
     result = ml_reconstruct(bin_samples(samples, 0.25), cfg, track_invariants=True)
+    assert result.iterations == 200
     ll = np.array(result.loglik_trace)
     assert np.all(np.diff(ll) >= -1e-9)
     assert min(result.min_eig_trace) >= -1e-10
@@ -191,7 +257,7 @@ def test_ml_loglik_monotone_and_psd_iterates():
 
 def test_ml_non_convergence_flag():
     samples = vacuum_samples(50, [0.0, 1.0], seed=5)
-    cfg = TomographyConfig(dx=0.25, n_cut=5, max_iter=1, tol=1e-14)
+    cfg = TomographyConfig(dx=0.25, n_cut=5, max_iter=1)
     result = ml_reconstruct(bin_samples(samples, 0.25), cfg)
     assert not result.converged
     assert result.iterations == 1
@@ -202,7 +268,7 @@ def test_ml_non_convergence_flag():
 def test_ml_histogram_order_invariance():
     samples = vacuum_samples(80, [0.0, 0.7, 1.4, 2.1], seed=6)
     hists = bin_samples(samples, 0.25)
-    cfg = TomographyConfig(dx=0.25, n_cut=5, max_iter=40, tol=1e-12)
+    cfg = TomographyConfig(dx=0.25, n_cut=5, max_iter=40)
     a = ml_reconstruct(hists, cfg)
     b = ml_reconstruct(list(reversed(hists)), cfg)
     assert np.array_equal(a.rho.entries, b.rho.entries)
@@ -225,7 +291,7 @@ def test_ml_statistical_consistency_median_trend():
     truth = tmsv(0.5, sp)
     state = truth.projector()
     thetas = list(np.linspace(0.0, np.pi, 9, endpoint=False))
-    cfg = TomographyConfig(dx=0.3, n_cut=6, max_iter=120, tol=1e-8)
+    cfg = TomographyConfig(dx=0.3, n_cut=6, max_iter=120)
     medians = []
     for p in (40, 80, 160):
         fids = []
