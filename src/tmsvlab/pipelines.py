@@ -98,7 +98,9 @@ FIG3_TIME_GRID = tuple(1e-3 * t for t in (2, 6, 10, 14, 18, 22, 26, 30, 34, 38))
 
 
 def make_manifest(preset: ExperimentPreset, seed: int) -> dict:
-    return {"preset": preset.to_json_dict(), "seed": seed, "package": PACKAGE}
+    d = preset.to_json_dict()  # of fig3, only the fields that run_fig3 reads
+    fields = ("noise", "p_per_theta") if preset.name == "fig3" else d
+    return {"preset": {key: d[key] for key in fields}, "seed": seed, "package": PACKAGE}
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,9 @@ iterate Hermitian, unit-trace and positive semidefinite by construction.
 The bin operators are separable and real: bin (i, j) at phase theta
 projects onto U (A_i (x) B_j) U^dag with A_i = psi(x_i) psi(x_i)^T dx (B_j
 alike), and U multiplies entry ((m, n), (m', n')) by e^{-i theta d},
-d = (m - m') + (n - n').  With rho_theta = rho e^{+i theta d} laid out as
-rows (m, m') and columns (n, n'), a histogram's probabilities are
-P = A Re(rho_theta) B^T (row i of A is A_i), and R = (1/N) sum over
-histograms of e^{-i theta d} A^T W B, with W = n / P on populated bins.
+d = (m - m') + (n - n').  The phase splits over (m, m') and (n, n'): each
+histogram's A and B are rotated once by cos and sin theta (m - m'), rho
+enters each call as one real block matrix, and P = At rho_block Bt^T.
 
 Iteration stops on a certified gap: log L is concave with gradient N R
 and Tr R rho = 1, so no state beats log L(rho) by more than
@@ -22,6 +21,10 @@ N (lambda_max(R) - 1) while no populated bin is floored at MIN_BIN_PROB
 ``LOGLIK_GAP`` = 0.1 nats is far inside any confidence region: the truth
 lies half a chi-square variable, with a degree of freedom per parameter
 of rho (14640 at n_cut = 10), some 7000 nats, below the maximum at any N.
+Only an iterate whose (1 + LOGLIK_GAP / N + 1e-10) I - R has a Cholesky
+factor runs eigvalsh.  As R >= 0, that matrix has norm about 1 near the
+bound, where both tests err by about dim 2^-53 (1e-14), far below the
+margin: a failed factorization proves the gap above LOGLIK_GAP.
 
 The midpoint rule biases the estimate.  A bin's count follows the
 density integrated over the bin, but the model uses only its midpoint
@@ -143,10 +146,10 @@ def bin_samples(samples: Samples, dx: float) -> list[Histogram2D]:
     return hists
 
 
-def _bin_operators(n_cut: int, hist: Histogram2D) -> tuple:
-    """(a, b, flat, counts, phases) of a histogram cut to its rows and
-    columns with counts: A_i and B_j as rows over pairs m <= m' (triu order),
-    the populated cut bins, cos(theta d), -sin(theta d) for |d| <= 2 n_cut."""
+def _bin_operators(n_cut: int, lo: np.ndarray, hi: np.ndarray, hist: Histogram2D) -> tuple:
+    """(At, Bt, flat, counts) of a histogram cut to its rows and columns with
+    counts: [A diag(c) | A diag(s)] and [B diag(c) | B diag(s)], A_i and B_j
+    rows over pairs (lo, hi), c, s = cos, sin theta (lo - hi); populated bins."""
     rows = np.flatnonzero(hist.counts.any(axis=1))
     cols = np.flatnonzero(hist.counts.any(axis=0))
     counts = hist.counts[np.ix_(rows, cols)].ravel()
@@ -154,12 +157,12 @@ def _bin_operators(n_cut: int, hist: Histogram2D) -> tuple:
     if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(xb))):
         raise IllConditionedDataError(
             f"non-finite bin midpoint in histogram at theta={hist.theta:.4f}")
-    lo, hi = np.triu_indices(n_cut + 1)
-    a, b = (np.ascontiguousarray((psi[lo] * psi[hi]).T) * hist.dx
-            for psi in (hermite_functions(n_cut, xa), hermite_functions(n_cut, xb)))
+    d = hist.theta * (lo - hi)
+    rot = np.concatenate([np.cos(d), np.sin(d)]) * hist.dx
+    at, bt = (np.tile((psi[lo] * psi[hi]).T, 2) * rot
+              for psi in (hermite_functions(n_cut, xa), hermite_functions(n_cut, xb)))
     flat = np.flatnonzero(counts)
-    d = hist.theta * np.arange(-2 * n_cut, 2 * n_cut + 1)
-    return a, b, flat, counts[flat].astype(np.float64), np.concatenate([np.cos(d), -np.sin(d)])
+    return at, bt, flat, counts[flat].astype(np.float64)
 
 
 class _Kernel:
@@ -167,38 +170,42 @@ class _Kernel:
     and q = (n <= n'): as A_i is symmetric, P only needs Re(rho_theta)
     summed over the orderings of each pair, for Hermitian rho
     2 c_p c_q (M1 + M2), with c = 1/2 on equal pairs and 1 otherwise, M1 the
-    entry ((m, n), (m', n')) and M2 ((m, n'), (m', n)).  R, unfolded from
-    the same pairs, is exactly Hermitian.  Histograms are summed in (theta,
-    origin) order, and products go to buffers reused across calls."""
+    entry ((m, n), (m', n')) and M2 ((m, n'), (m', n)), at phases
+    theta (d_p +- d_q), d_p = m - m'.  So P = At [[X, V], [Z, Y]] Bt^T (:func:`_bin_operators`)
+    with X = Re M1 + Re M2, Y = Re M2 - Re M1, Z = -(Im M1 + Im M2) and
+    V = Im M2 - Im M1, weighted.  From G = sum of At^T W Bt, W = n / P, R
+    takes G00 - G11 and -(G10 + G01) at M1's phase, G00 + G11 and G01 - G10
+    at M2's; unfolded from the pairs, it is exactly Hermitian.  Histograms
+    are summed in (theta, origin) order into buffers reused across calls."""
 
     def __init__(self, n_cut: int, hists: list[Histogram2D]):
         k, dim = n_cut + 1, (n_cut + 1) ** 2
         self.n_total = float(sum(h.total for h in hists))
         if self.n_total < 1:
             raise ValueError("histograms contain no counts")
-        self.ops = [_bin_operators(n_cut, h)
-                    for h in sorted(hists, key=lambda h: (h.theta, h.origin))]
         lo, hi = np.triu_indices(k)
         s, p_lo, p_hi = lo.size, lo[:, None], hi[:, None]
-        # M1's and M2's entries in rho viewed as floats (Re, Im), and the
-        # phase-table indices of their (m - m') + (n - n')
+        self.ops = [_bin_operators(n_cut, lo, hi, h)
+                    for h in sorted(hists, key=lambda h: (h.theta, h.origin))]
+        # M1's and M2's entries in rho viewed as floats (Re, Im), weighted,
+        # Im M1's sign flipped: X, V, Z, Y are sums and differences of them
         e1 = (p_lo * k + lo) * dim + p_hi * k + hi
         e2 = (p_lo * k + hi) * dim + p_hi * k + lo
         self.rho_index = np.stack([2 * e1, 2 * e1 + 1, 2 * e2, 2 * e2 + 1])
-        d1, d2 = p_lo - p_hi + 2 * n_cut + (lo - hi), p_lo - p_hi + 2 * n_cut - (lo - hi)
-        self.phase_index = np.stack([d1, d1 + 4 * n_cut + 1, d2, d2 + 4 * n_cut + 1])
-        self.weight = 2.0 * np.outer(*[np.where(lo == hi, 0.5, 1.0)] * 2)
-        # R at ((m, n), (m', n')) takes M1's phases where (m, m') and (n, n')
+        w = np.where(lo == hi, 0.5, 1.0)
+        self.weight = np.multiply.outer([2.0, -2.0, 2.0, 2.0], np.outer(w, w))
+        # R at ((m, n), (m', n')) takes M1's phase where (m, m') and (n, n')
         # are ordered alike and M2's elsewhere, the sine signed as m' - m
+        # and, at M1's phase, negated
         pair = np.empty((k, k), dtype=np.int64)
         pair[lo, hi] = pair[hi, lo] = np.arange(s)
         m, n, m2, n2 = np.indices((k,) * 4).reshape(4, dim, dim)
-        first = np.where((m <= m2) == (n <= n2), 0, 2 * s * s)
-        self.re_index = first + pair[m, m2] * s + pair[n, n2]
-        self.im_sign = np.where(m <= m2, 1.0, -1.0)
-        self.rho_terms, self.phase, self.terms, self.acc = np.empty((4, 4, s, s))
-        self.m, self.g = np.empty((2, s, s))
-        self.half = np.empty(max(op[0].shape[0] for op in self.ops) * s)
+        alike = (m <= m2) == (n <= n2)
+        self.re_index = np.where(alike, 0, 2 * s * s) + pair[m, m2] * s + pair[n, n2]
+        self.im_sign = np.where(m <= m2, 1.0, -1.0) * np.where(alike, -1.0, 1.0)
+        self.rho_terms, self.acc = np.empty((2, 4, s, s))
+        self.block = np.empty((2 * s, 2 * s))
+        self.half = np.empty(max(op[0].size for op in self.ops))
         self.grid = np.empty(max(op[0].shape[0] * op[1].shape[0] for op in self.ops))
         self.r = np.empty((dim, dim), dtype=np.complex128)
 
@@ -206,24 +213,32 @@ class _Kernel:
         """The R operator of rho, in a buffer that the next call
         overwrites, and the log-likelihood sum(n log P) under rho."""
         rho = np.ascontiguousarray(rho, dtype=np.complex128)
-        np.take(rho.view(np.float64), self.rho_index, out=self.rho_terms)
-        self.rho_terms *= self.weight
-        self.acc[:] = 0.0
+        t = np.take(rho.view(np.float64), self.rho_index, out=self.rho_terms)
+        t *= self.weight
+        s, b, acc = t.shape[1], self.block, self.acc
+        np.add(t[0], t[2], out=b[:s, :s])
+        np.add(t[1], t[3], out=b[:s, s:])
+        np.subtract(t[1], t[3], out=b[s:, :s])
+        np.subtract(t[2], t[0], out=b[s:, s:])
+        # rho_terms and acc, idle in the loop, hold G and a histogram's term
+        g, g_hist = t.reshape(2 * s, 2 * s), acc.reshape(2 * s, 2 * s)
+        g[:] = 0.0
         ll = 0.0
-        for a, b, flat, counts, phases in self.ops:
-            np.take(phases, self.phase_index, out=self.phase)
-            m = np.sum(np.multiply(self.rho_terms, self.phase, out=self.terms), axis=0, out=self.m)
-            half = self.half[:a.shape[0] * m.shape[0]].reshape(a.shape[0], -1)
-            grid = np.matmul(np.matmul(a, m, out=half), b.T,
-                             out=self.grid[:a.shape[0] * b.shape[0]].reshape(a.shape[0], -1))
+        for at, bt, flat, counts in self.ops:
+            half = np.matmul(at, b, out=self.half[:at.size].reshape(at.shape))
+            grid = np.matmul(half, bt.T,
+                             out=self.grid[:at.shape[0] * bt.shape[0]].reshape(at.shape[0], -1))
             probs = np.maximum(grid.ravel()[flat], MIN_BIN_PROB)
             ll += float(np.dot(counts, np.log(probs)))
             grid[:] = 0.0
             grid.ravel()[flat] = counts / probs
-            g = np.matmul(a.T, np.matmul(grid, b, out=half), out=self.g)
-            self.acc += np.multiply(self.phase, g, out=self.terms)
-        np.take(self.acc, self.re_index, out=self.r.real)
-        np.take(self.acc, self.re_index + self.acc[0].size, out=self.r.imag)
+            g += np.matmul(at.T, np.matmul(grid, bt, out=half), out=g_hist)
+        np.subtract(g[:s, :s], g[s:, s:], out=acc[0])
+        np.add(g[s:, :s], g[:s, s:], out=acc[1])
+        np.add(g[:s, :s], g[s:, s:], out=acc[2])
+        np.subtract(g[:s, s:], g[s:, :s], out=acc[3])
+        np.take(acc, self.re_index, out=self.r.real)
+        np.take(acc, self.re_index + acc[0].size, out=self.r.imag)
         self.r.imag *= self.im_sign
         self.r /= self.n_total
         return self.r, ll
@@ -249,6 +264,13 @@ def r_operator(rho: DensityMatrix, hists: list[Histogram2D]) -> OperatorMatrix:
     return OperatorMatrix(rho.space, r, hermitian=True)
 
 
+def _positive_definite(m: np.ndarray) -> bool:
+    try:
+        return np.linalg.cholesky(m) is not None
+    except np.linalg.LinAlgError:
+        return False
+
+
 def ml_reconstruct(hists: list[Histogram2D], config: TomographyConfig,
                    track_invariants: bool = False) -> MLResult:
     """Fixed-point iteration rho <- normalize(R rho R) from the flat state.
@@ -257,21 +279,26 @@ def ml_reconstruct(hists: list[Histogram2D], config: TomographyConfig,
     iterate.  Iteration stops at the first iterate whose certified gap
     N (lambda_max(R) - 1) is at most ``LOGLIK_GAP``, or after max_iter
     updates with converged=False; the gap is that of the returned state.
+    Only the iterates that pass the Cholesky screen, and the last, run eigvalsh.
     """
     space = FockSpace(config.n_cut)
     kernel = _Kernel(config.n_cut, hists)
     rho = np.eye(space.dim, dtype=np.complex128) / space.dim
+    work = np.empty_like(rho)
+    bound = 1.0 + LOGLIK_GAP / kernel.n_total + 1e-10  # margin: see the module docstring
     loglik: list[float] = []
     min_eigs: list[float] = []
     iterations = 0
     while True:
         r, ll = kernel(rho)
         loglik.append(ll)
-        gap = kernel.n_total * (float(np.linalg.eigvalsh(r)[-1]) - 1.0)
-        if gap <= LOGLIK_GAP or iterations == config.max_iter:
-            break
-        rho = r @ rho @ r
-        rho = (rho + rho.conj().T) / 2.0
+        np.negative(r, out=work).reshape(-1)[::space.dim + 1] += bound  # bound I - R
+        if iterations == config.max_iter or _positive_definite(work):
+            gap = kernel.n_total * (float(np.linalg.eigvalsh(r)[-1]) - 1.0)
+            if gap <= LOGLIK_GAP or iterations == config.max_iter:
+                break
+        np.matmul(np.matmul(r, rho, out=work), r, out=rho)
+        rho += np.conjugate(rho.T, out=work)
         rho /= rho.trace().real
         if track_invariants:
             min_eigs.append(float(np.linalg.eigvalsh(rho)[0]))

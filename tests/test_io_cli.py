@@ -11,7 +11,7 @@ import pytest
 
 from tmsvlab import io as tio
 from tmsvlab.cli import EX_NONCONVERGED, EX_OK, EX_RUNTIME, EX_USAGE, main
-from tmsvlab.criteria import epr_report, group_samples
+from tmsvlab.criteria import epr_report, group_samples, time_sweep
 from tmsvlab.fock import FockSpace, basis_state
 from tmsvlab.homodyne import Samples, Shots, default_config, sample_quadratures, simulate_readout
 from tmsvlab.pipelines import sweep_phases
@@ -395,10 +395,20 @@ def test_cli_reproduce_smoke_manifest_describes_the_run(tmp_path):
     assert np.array_equal(tio.read_density_matrix(rundir / "rho_ml.json").entries,
                           rerun.rho_ml.entries)
 
+    # fig3: the manifest holds only what the sweep reads, and that rebuilds
+    # its table
     assert run_cli("reproduce", "fig3", "--scale", "smoke", "--out", str(tmp_path)) == EX_OK
-    manifest = json.loads((tmp_path / "fig3-seed0" / "manifest.json").read_text())
-    assert manifest["scale"] == "smoke" and manifest["preset"]["p_per_theta"] == 400
-    assert manifest["sweep"] == {"t_s": [0.0, 13e-3, 26e-3]}
+    rundir = tmp_path / "fig3-seed0"
+    manifest = json.loads((rundir / "manifest.json").read_text())
+    assert manifest["scale"] == "smoke" and manifest["sweep"] == {"t_s": [0.0, 13e-3, 26e-3]}
+    d = manifest["preset"]
+    assert sorted(d) == ["noise", "p_per_theta"] and d["p_per_theta"] == 400
+    rows = time_sweep(manifest["sweep"]["t_s"], NoiseModel(**d["noise"]), d["p_per_theta"],
+                      seed=manifest["seed"])
+    table = (rundir / "fig3_sweep.csv").read_text()
+    tio.write_csv_rows(tmp_path / "rerun.csv", table.splitlines()[0],
+                       [dataclasses.astuple(r) for r in rows])
+    assert (tmp_path / "rerun.csv").read_text() == table
 
     # fig_s2: the preset and the sweep rebuilt from the manifest give the
     # same table
@@ -463,6 +473,7 @@ def test_cli_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     commands = ["simulate --preset fig_s3 --out sim",
                 "reproduce fig3 --scale smoke --out .",
                 "reproduce fig_s3 --scale smoke --out .",
+                "reproduce fig_s3 --scale paper --out paper",
                 "tomo sim/samples.csv --n-cut 5 --out tomo"]
     script = ("import sys; from tmsvlab.cli import main; "
               "sys.exit(max(main(command.split()) for command in sys.argv[1:]))")
@@ -477,4 +488,4 @@ def test_cli_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
                        check=True, capture_output=True, timeout=120)
         trees.append({str(p.relative_to(out)): p.read_bytes()
                       for p in sorted(out.rglob("*")) if p.is_file()})
-    assert len(trees[0]) == 11 and trees[0] == trees[1]
+    assert len(trees[0]) == 15 and trees[0] == trees[1]

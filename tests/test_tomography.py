@@ -168,12 +168,18 @@ def random_state(space, seed):
     return rho / rho.trace().real
 
 
-@pytest.mark.parametrize("case", ["fig_s3 paper", "dx 0.1", "n_cut 0", "one bin"])
+@pytest.mark.parametrize("case", ["fig_s3 paper", "dx 0.1", "n_cut 0", "one bin",
+                                  "fig_s2 p 400, dx 0.1"])
 def test_separable_kernel_matches_the_bin_ket_oracle(case):
     n_cut = {"n_cut 0": 0, "one bin": 3}.get(case, 10)
     if case == "one bin":
         hists = [Histogram2D(theta=0.9, dx=0.25, origin=(0.25, -0.5),
                              counts=np.array([[7]], dtype=np.int64))]
+    elif case == "fig_s2 p 400, dx 0.1":
+        # the largest histograms in use, about 56 rows each
+        preset = PRESETS["fig_s2"]
+        hists = bin_samples(sample_quadratures(preset.source, preset.thetas, 400,
+                                               preset.noise, seed=0), 0.1)
     else:
         hists = fig_s3_histograms(0.1 if case == "dx 0.1" else 0.25)
     space = FockSpace(n_cut)
@@ -204,6 +210,60 @@ def test_certified_gap_bounds_the_distance_to_the_maximum(monkeypatch):
         assert ll_star - step.loglik_trace[-1] <= step.gap, t
     # the bound is not vacuous: early iterates are far from the maximum
     assert ll_star - fit.loglik_trace[1] > 10 * LOGLIK_GAP
+
+
+def unscreened_fit(hists, n_cut, max_iter):
+    """ml_reconstruct's loop with eigvalsh's gap on every iterate and no
+    Cholesky screen: the log-likelihood and gap of each iterate."""
+    kernel = tomography._Kernel(n_cut, hists)
+    dim = (n_cut + 1) ** 2
+    rho = np.eye(dim, dtype=np.complex128) / dim
+    loglik, gaps = [], []
+    while True:
+        r, ll = kernel(rho)
+        loglik.append(ll)
+        gaps.append(kernel.n_total * (float(np.linalg.eigvalsh(r)[-1]) - 1.0))
+        if gaps[-1] <= tomography.LOGLIK_GAP or len(gaps) > max_iter:
+            return loglik, gaps
+        rho = r @ rho @ r
+        rho = (rho + rho.conj().T) / 2.0
+        rho /= rho.trace().real
+
+
+SCREEN_FIXTURES = {
+    "vacuum, 3 phases, n_cut 3": (lambda: vacuum_samples(100, [0.0, 0.8, 1.6], seed=3), 3, 0.25),
+    "vacuum, 4 phases, n_cut 5": (lambda: vacuum_samples(80, [0.0, 0.7, 1.4, 2.1], seed=6),
+                                  5, 0.25),
+    "tmsv 0.5, 9 phases, n_cut 6": (lambda: sample_quadratures(
+        Gridded(tmsv(0.5, FockSpace(6)).projector()),
+        list(np.linspace(0.0, np.pi, 9, endpoint=False)), 80, NOISELESS, seed=1), 6, 0.3),
+}
+
+
+@pytest.mark.parametrize("fixture", SCREEN_FIXTURES)
+def test_screened_fit_matches_a_fit_that_checks_every_gap(fixture):
+    draw, n_cut, dx = SCREEN_FIXTURES[fixture]
+    hists = bin_samples(draw(), dx)
+    fit = ml_reconstruct(hists, TomographyConfig(dx=dx, n_cut=n_cut, max_iter=3000))
+    loglik, gaps = unscreened_fit(hists, n_cut, 3000)
+    assert fit.converged
+    assert fit.iterations == len(loglik) - 1 and fit.loglik_trace == tuple(loglik)
+    assert fit.gap == gaps[-1]
+
+
+def test_screen_stops_at_an_iterate_whose_gap_equals_loglik_gap(monkeypatch):
+    # a gap exactly at LOGLIK_GAP must pass the screen: with LOGLIK_GAP set
+    # to the eigvalsh gap of iterate k, the fit stops at k
+    draw, n_cut, dx = SCREEN_FIXTURES["vacuum, 3 phases, n_cut 3"]
+    hists = bin_samples(draw(), dx)
+    cfg = TomographyConfig(dx=dx, n_cut=n_cut)
+    k = 10
+    gap_k = ml_reconstruct(hists, dataclasses.replace(cfg, max_iter=k)).gap
+    _, gaps = unscreened_fit(hists, n_cut, k)
+    assert gaps[k] == gap_k and min(gaps[:k]) > gap_k > LOGLIK_GAP
+    monkeypatch.setattr(tomography, "LOGLIK_GAP", gap_k)
+    fit = ml_reconstruct(hists, cfg)
+    assert fit.converged and fit.iterations == k and fit.gap == gap_k
 
 
 @pytest.mark.parametrize("origin", [(np.nan, 0.0), (0.0, np.inf)])
