@@ -90,7 +90,7 @@ class DensityMatrix:
 
     Construction is strict: Hermiticity within 1e-10, trace within 1e-10
     of one, minimum eigenvalue >= -1e-8.  Code that produces matrices with
-    an intentionally different trace (truncation, fixed-point iterations)
+    an intentionally different trace (truncation, a factor's T T^dag)
     should renormalize and go through :meth:`from_entries`.
     """
 

@@ -27,22 +27,25 @@ def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:
     return math.sqrt(min(max(overlap, 0.0), 1.0))
 
 
-def _hermitian_sqrt(entries: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(entries)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-
 def fidelity_mixed(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
-    """Uhlmann fidelity Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)); symmetric in its
+    """Uhlmann fidelity Tr sqrt(sqrt(rho2) rho1 sqrt(rho2)); symmetric in its
     arguments to 1e-8 and equal to fidelity_pure when one input is pure.
 
-    Evaluated as the trace norm of sqrt(rho1) sqrt(rho2), which avoids the
-    eigenvalue-clipping noise of the triple-product form.
+    Evaluated on the support of rho2: with rho2 = W W^dag, W = V sqrt(D)
+    over the eigenvalues of rho2 above dim eps lambda_max, F is the sum of
+    the square roots of the eigenvalues (clipped at 0) of W^dag rho1 W.
+    Only rho2 is eigendecomposed: at dim 121 OpenBLAS gives eigenvectors
+    and singular values different bits at 1 and 2 threads, but not
+    eigenvalues or matrix products, so F keeps its bits whenever rho2's
+    eigenvectors do, as those of the structured source states do.
     """
     if rho1.space != rho2.space:
         raise DimensionMismatchError("states live on different spaces")
-    product = _hermitian_sqrt(rho1.entries) @ _hermitian_sqrt(rho2.entries)
-    return float(min(np.linalg.svd(product, compute_uv=False).sum(), 1.0))
+    w, v = np.linalg.eigh(rho2.entries)
+    keep = w > w[-1] * w.size * np.finfo(np.float64).eps
+    factor = v[:, keep] * np.sqrt(w[keep])
+    eigs = np.linalg.eigvalsh(factor.conj().T @ rho1.entries @ factor)
+    return float(min(np.sqrt(np.clip(eigs, 0.0, None)).sum(), 1.0))
 
 
 def log_negativity(rho: DensityMatrix) -> float:
@@ -124,23 +127,28 @@ def _pair_block(rho: DensityMatrix) -> np.ndarray:
     return rho.entries[np.ix_(idx, idx)]
 
 
+def _phase_table(k: int, n_phi: int = 2048) -> np.ndarray:
+    """exp(i phi d) at n_phi phases phi in [0, 2 pi) (rows) and the orders
+    d = -(k - 1) .. k - 1 of a k-term pair block (columns)."""
+    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+    return np.exp(1j * np.outer(phi, np.arange(-(k - 1), k)))
+
+
 def _best_phase_overlap(pair_block: np.ndarray, coeffs: np.ndarray,
-                        n_phi: int = 2048) -> float:
+                        table: np.ndarray) -> float:
     """max over phi of <xi,phi| rho |xi,phi> using the diagonal-sum
-    representation of the overlap as a trigonometric polynomial in phi."""
+    representation of the overlap as a trigonometric polynomial in phi,
+    evaluated on the phases of ``table`` (:func:`_phase_table`)."""
     k = coeffs.size
     weighted = np.outer(coeffs, coeffs) * pair_block
     d = np.array([np.trace(weighted, offset=off) for off in range(-(k - 1), k)])
-    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    orders = np.arange(-(k - 1), k)
-    vals = np.real(np.exp(1j * np.outer(phi, orders)) @ d)
-    return float(np.max(vals))
+    return float(np.max(np.real(table @ d)))
 
 
-def _fit_overlap(xi: float, pair_block: np.ndarray, n_cut: int) -> float:
+def _fit_overlap(xi: float, pair_block: np.ndarray, n_cut: int, table: np.ndarray) -> float:
     coeffs = np.abs(_pair_amplitudes(xi, 0.0, n_cut))
     coeffs = coeffs / np.linalg.norm(coeffs)
-    return _best_phase_overlap(pair_block, coeffs)
+    return _best_phase_overlap(pair_block, coeffs, table)
 
 
 def fit_squeezing(rho: DensityMatrix, xi_max: float = 2.0,
@@ -153,25 +161,26 @@ def fit_squeezing(rho: DensityMatrix, xi_max: float = 2.0,
     """
     pair_block = _pair_block(rho)
     n_cut = rho.space.n_cut
+    table = _phase_table(n_cut + 1)
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     lo, hi = 0.0, xi_max
     x1 = hi - inv_phi * (hi - lo)
     x2 = lo + inv_phi * (hi - lo)
-    f1 = _fit_overlap(x1, pair_block, n_cut)
-    f2 = _fit_overlap(x2, pair_block, n_cut)
+    f1 = _fit_overlap(x1, pair_block, n_cut, table)
+    f2 = _fit_overlap(x2, pair_block, n_cut, table)
     while hi - lo > tol:
         if f1 >= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - inv_phi * (hi - lo)
-            f1 = _fit_overlap(x1, pair_block, n_cut)
+            f1 = _fit_overlap(x1, pair_block, n_cut, table)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + inv_phi * (hi - lo)
-            f2 = _fit_overlap(x2, pair_block, n_cut)
+            f2 = _fit_overlap(x2, pair_block, n_cut, table)
     xi_best = (lo + hi) / 2.0
-    best = _fit_overlap(xi_best, pair_block, n_cut)
+    best = _fit_overlap(xi_best, pair_block, n_cut, table)
     # the maximum can sit on the lower boundary (vacuum-like states)
-    f0 = _fit_overlap(0.0, pair_block, n_cut)
+    f0 = _fit_overlap(0.0, pair_block, n_cut, table)
     if f0 >= best:
         xi_best, best = 0.0, f0
     return xi_best, math.sqrt(min(max(best, 0.0), 1.0))

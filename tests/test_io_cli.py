@@ -473,6 +473,7 @@ def test_cli_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     commands = ["simulate --preset fig_s3 --out sim",
                 "reproduce fig3 --scale smoke --out .",
                 "reproduce fig_s3 --scale smoke --out .",
+                "reproduce fig_s2 --scale smoke --out .",
                 "reproduce fig_s3 --scale paper --out paper",
                 "tomo sim/samples.csv --n-cut 5 --out tomo"]
     script = ("import sys; from tmsvlab.cli import main; "
@@ -488,4 +489,4 @@ def test_cli_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
                        check=True, capture_output=True, timeout=120)
         trees.append({str(p.relative_to(out)): p.read_bytes()
                       for p in sorted(out.rglob("*")) if p.is_file()})
-    assert len(trees[0]) == 15 and trees[0] == trees[1]
+    assert len(trees[0]) == 17 and trees[0] == trees[1]

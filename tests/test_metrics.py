@@ -3,6 +3,7 @@ import pytest
 
 from tmsvlab.fock import (DensityMatrix, DimensionMismatchError, FockSpace,
                           basis_state, rotate_state)
+from tmsvlab import metrics
 from tmsvlab.metrics import (fidelity_mixed, fidelity_pure, fit_squeezing,
                              log_negativity, metrics_report, qfi_fixed_n)
 from tmsvlab.states import phase_noisy_state, tmsv, tmsv_rotated
@@ -197,6 +198,24 @@ def test_fit_squeezing_dephased_state(space10):
     xi_fit, fid = fit_squeezing(phase_noisy_state(0.63, 0.36, space10))
     assert 0.3 < xi_fit < 0.63
     assert 0.7 < fid < 1.0
+
+
+def test_best_phase_overlap_with_a_shared_table_matches_the_direct_form():
+    # fit_squeezing builds the phase table once; each probe must give the
+    # bits of the form that rebuilt it at every call
+    rng = np.random.default_rng(11)
+    for k in (1, 5, 11):
+        table = metrics._phase_table(k)
+        for _ in range(3):
+            a = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+            block = a @ a.conj().T
+            coeffs = np.abs(rng.normal(size=k))
+            weighted = np.outer(coeffs, coeffs) * block
+            d = np.array([np.trace(weighted, offset=off) for off in range(-(k - 1), k)])
+            phi = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
+            direct = float(np.max(np.real(np.exp(1j * np.outer(phi, np.arange(-(k - 1), k)))
+                                          @ d)))
+            assert metrics._best_phase_overlap(block, coeffs, table) == direct
 
 
 def test_metrics_report_fields(space10):
