@@ -173,7 +173,11 @@ def epr_report(samples_x: Samples, samples_p: Samples,
     0.02 rad.  Thresholds carry the finite reference-mode corrections
     1/4 (1 - n_B/n0)^2 and 2 - (n_A + n_B)/n0; for n_B/n0 <= 1e-3 these
     are the continuous-variable values 1/4 and 2.  Standard errors come
-    from a within-group bootstrap.
+    from a within-group bootstrap of bootstrap_b replicates: each draws
+    the x group's resample indices, then the p group's, and takes a
+    resample's variances from its multiplicities (the index counts) dotted
+    with the group's columns centred on their means and with their squares,
+    without gathering the resampled values.
     """
     theta_x = _single_phase(samples_x, "x")
     theta_p = _single_phase(samples_p, "p")
@@ -193,12 +197,18 @@ def epr_report(samples_x: Samples, samples_p: Samples,
     errors: dict[str, float] = {}
     if bootstrap_b > 0:
         rng = np.random.default_rng([seed])
-        variances = np.empty((bootstrap_b, 4))
+        # per group, its two columns centred on their means and their squares
+        centred = [c - c.mean() for c in columns]
+        moments = [np.column_stack([c, c * c, d, d * d]) for c, d in (centred[:2], centred[2:])]
+        sums = np.empty((bootstrap_b, 2, 4))
         for b in range(bootstrap_b):
-            ix = rng.integers(0, len(samples_x), len(samples_x))
-            ip = rng.integers(0, len(samples_p), len(samples_p))
-            variances[b] = [np.var(c[i], ddof=1) for c, i in zip(columns, (ix, ix, ip, ip))]
-        se = _report_statistics(*variances.T).std(axis=0, ddof=1)
+            for g, m in enumerate(moments):
+                n = len(m)
+                sums[b, g] = np.bincount(rng.integers(0, n, n), minlength=n) @ m
+        sizes = np.array([[len(samples_x)], [len(samples_p)]])
+        # sum (c - mean)^2 = sum c^2 - (sum c)^2 / n over the resample
+        variances = (sums[..., 1::2] - sums[..., ::2] ** 2 / sizes) / (sizes - 1)
+        se = _report_statistics(*variances.reshape(bootstrap_b, 4).T).std(axis=0, ddof=1)
         for name, value in zip(_REPORTED, se):
             errors[f"se_{name}"] = float(value)
 

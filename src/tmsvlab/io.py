@@ -3,11 +3,16 @@
 CSV files are UTF-8 with exact headers (``theta_rad,x_a,x_b`` for samples,
 ``n_a,n_b,n_tot`` for shots), decimal points, no thousands separators.
 Each row is one shot; the files hold a :class:`~tmsvlab.homodyne.Samples`
-or :class:`~tmsvlab.homodyne.Shots` batch column by column.  Floats are
-written with shortest round-trip precision (``repr``), so identical data
-produce identical bytes.  Readers skip blank lines, name the line of the
-first malformed row, and raise :class:`EmptyDataError` on a file with no
-rows.
+or :class:`~tmsvlab.homodyne.Shots` batch column by column.  Every value is
+written as its ``repr`` (shortest round-trip precision for floats), so
+identical data produce identical bytes.  Writers stream blocks of
+``_CHUNK_ROWS`` rows to the open file, and within a block format each
+distinct bit pattern of a column once (a phase column holds a few values,
+a count column a few hundred); floats are told apart by their bits, so
+``-0.0`` stays ``'-0.0'``.  Readers check the header line, then parse the
+rest of the open file with ``np.loadtxt``; they skip blank lines.  A file
+that fails to parse is read again as text to name the line of the first
+malformed row, or to raise :class:`EmptyDataError` if it has no rows.
 
 The density-matrix JSON stores the cutoff, the basis ordering tag, and the
 real and imaginary parts as nested arrays.  Readers reject any file whose
@@ -17,6 +22,7 @@ validates Hermiticity, unit trace, and positivity.
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,36 +32,59 @@ from .homodyne import Samples, Shots
 
 SAMPLES_HEADER = "theta_rad,x_a,x_b"
 SHOTS_HEADER = "n_a,n_b,n_tot"
+_CHUNK_ROWS = 16384
 
 
 class EmptyDataError(ValueError):
     """A data file parsed fine but contains no rows."""
 
 
+def _formatted(column: np.ndarray) -> list[str]:
+    """repr of each entry; each distinct bit pattern of a float, int or
+    bool column is formatted once."""
+    if column.dtype.kind not in "biuf":
+        return list(map(repr, column.tolist()))
+    bits = column.view(f"u{column.dtype.itemsize}") if column.dtype.kind == "f" else column
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    values = distinct.view(column.dtype).tolist()
+    return np.array(list(map(repr, values)), dtype=object)[inverse].tolist()
+
+
 def _write_columns(path, header: str, columns) -> None:
-    rows = map(",".join, zip(*(map(repr, column.tolist()) for column in columns)))
-    Path(path).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(header + "\n")
+        rows = len(columns[0]) if columns else 0
+        for start in range(0, rows, _CHUNK_ROWS):
+            texts = [_formatted(c[start:start + _CHUNK_ROWS]) for c in columns]
+            file.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def _read_columns(path, header: str, dtype, what: str) -> np.ndarray:
     """The three columns of a CSV file under ``header``, parsed as dtype."""
+    table = None
+    try:
+        with open(path, encoding="utf-8") as file:
+            if file.readline().strip() == header:
+                with warnings.catch_warnings():  # a file with no rows is reported below
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    table = np.loadtxt(file, dtype=dtype, delimiter=",", comments=None,
+                                       ndmin=2)
+    except ValueError:
+        pass
+    if table is None or table.shape[1] != 3:  # no rows parse to shape (0, 1)
+        _raise_first_error(path, header, dtype, what)
+    return table.T
+
+
+def _raise_first_error(path, header: str, dtype, what: str) -> None:
+    """Raise the error of a file that failed to parse: a wrong header, no
+    rows, or the first malformed row, named by its line."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].strip() != header:
         raise ValueError(f"{path}: expected header {header!r}")
     body = lines[1:]
     if not "".join(body).strip():
         raise EmptyDataError(f"{path}: no {what}")
-    try:
-        table = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        table = None
-    if table is None or table.shape[1] != 3:
-        _raise_bad_line(path, body, dtype)
-    return table.T
-
-
-def _raise_bad_line(path, body: list[str], dtype) -> None:
-    """Raise the error of the first malformed row, naming its line."""
     parse = float if dtype == np.float64 else int
     for lineno, line in enumerate(body, start=2):
         if not line.strip():

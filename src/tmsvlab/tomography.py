@@ -315,7 +315,8 @@ def ml_reconstruct(hists: list[Histogram2D], config: TomographyConfig,
     log L, recorded at every accepted iterate, never falls.  Iteration stops
     at the first iterate whose certified gap N (lambda_max(R) - 1) is at
     most ``LOGLIK_GAP``, after max_iter accepted updates, or at an iterate
-    from which ``_MAX_HALVINGS`` halvings find no step; the gap is that of
+    from which ``_MAX_HALVINGS`` halvings find no step or the accepted step
+    leaves log L unchanged (log L at rounding level); the gap is that of
     the returned state, and converged=False if it exceeds ``LOGLIK_GAP``.
     Only the iterates that pass the Cholesky screen, and the last, run
     eigvalsh.
@@ -367,7 +368,9 @@ def ml_reconstruct(hists: list[Histogram2D], config: TomographyConfig,
             if trial_ll >= ll + _ARMIJO * alpha * max(slope, 0.0):
                 break
             alpha *= 0.5
-        else:  # no step raises log L enough: stop at the current iterate
+        else:  # no step raises log L enough
+            trial_ll = ll
+        if trial_ll == ll:  # log L has stopped moving: stop at the current iterate
             _density(t, rho, work)
             r, _ = kernel(rho)
             gap = n * (float(np.linalg.eigvalsh(r)[-1]) - 1.0)

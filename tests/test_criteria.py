@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -8,9 +9,11 @@ from tmsvlab.criteria import (THETA_P_LIKE, THETA_X_LIKE, PhaseMismatchError,
                               time_sweep, variance_sweep)
 from tmsvlab.fock import FockSpace, basis_state
 from tmsvlab.homodyne import Samples, sample_quadratures
-from tmsvlab.states import NOISELESS, NoiseModel, OMEGA_SPIN_DYNAMICS, tmsv_rotated
+from tmsvlab.states import (NOISELESS, NoiseModel, OMEGA_SPIN_DYNAMICS, SqueezedVacuum,
+                            tmsv_rotated)
 
 from conftest import assert_within_se, concat
+from gathered_bootstrap import gathered_errors
 from gridded import Gridded
 
 
@@ -144,6 +147,24 @@ def test_epr_report_bootstrap_errors_present(space10):
     # bootstrap error of the product is in the right ballpark
     rough = report.epr_product * np.sqrt(2.0 / 2000) * np.sqrt(2.0)
     assert report.errors["se_epr_product"] == pytest.approx(rough, rel=0.5)
+
+
+@pytest.mark.parametrize("seed, n_x, n_p", [(0, 400, 400), (1, 250, 613), (2, 1500, 37),
+                                             (3, 2, 5)])
+def test_bootstrap_from_multiplicities_matches_the_gathered_resamples(seed, n_x, n_p):
+    # the same draws as the former gather-and-np.var loop: the errors agree
+    # to rounding and every other field is the report's without a bootstrap.
+    # x_a is offset so that the sums are taken about a nonzero mean
+    state = SqueezedVacuum(0.8, 0.0)
+    sx = sample_quadratures(state, [THETA_X_LIKE], n_x, NOISELESS, seed=[seed, 0])
+    sx = Samples(sx.theta, sx.x_a + 3.0, sx.x_b)
+    sp = sample_quadratures(state, [THETA_P_LIKE], n_p, NOISELESS, seed=[seed, 1])
+    report = epr_report(sx, sp, bootstrap_b=150, seed=seed)
+    expected = gathered_errors(sx, sp, 150, seed)
+    assert report.errors.keys() == expected.keys()
+    for name, value in expected.items():
+        assert abs(report.errors[name] - value) <= 1e-12 * abs(value), name
+    assert dataclasses.replace(report, errors={}) == epr_report(sx, sp, bootstrap_b=0)
 
 
 def test_min_pairing_invariant(space10):

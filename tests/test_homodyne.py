@@ -512,7 +512,10 @@ def test_density_matrix_path_is_pinned(tmp_path):
     # the package; the reference sampler's RNG stream and the bootstrap
     # resampling must not move.  The simulate/criteria files were re-pinned
     # when simulate began to sample its SqueezedVacuum source exactly, in one
-    # draw for both files.
+    # draw for both files, and epr_report.json again when its bootstrap began
+    # to sum the resamples from their multiplicities: on the same draws its
+    # eight se_* values moved in the last digits (test_criteria's
+    # gathered-resample test bounds that by 1e-12 relative).
     import hashlib
     from tmsvlab.cli import main
     from tmsvlab.tomography import bootstrap
@@ -555,5 +558,5 @@ def test_density_matrix_path_is_pinned(tmp_path):
             for name in ("samples.csv", "shots.csv", "epr_report.json")} == {
         "samples.csv": "699b3e14b8ad06fcd696692bfd0be15141267a65a1701f2d83d77b8c89bc1d21",
         "shots.csv": "3a974ca4a55276683e055f283d4d57371a1422a94089d3205e5c7145aae24069",
-        "epr_report.json": "b5cebb89b222132cf75528def508f62e3adb13935cb11e47eb81c20fa212eb57",
+        "epr_report.json": "bfb1dcf0024c9f3a581b0985fff8495af26eb363ece0be23f3c30e98937cf35b",
     }

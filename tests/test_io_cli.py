@@ -19,6 +19,7 @@ from tmsvlab.states import NOISELESS, NoiseModel, SqueezedVacuum, tmsv
 from tmsvlab.tomography import TomographyConfig, bin_samples, ml_reconstruct
 
 from conftest import assert_same_batch, concat, loglik_under
+from gathered_bootstrap import gathered_errors
 from gridded import Gridded
 
 
@@ -305,6 +306,25 @@ def test_cli_criteria_on_tmsv_file(tmp_path):
     assert report["epr_product"] == pytest.approx(np.exp(-4 * 0.63), abs=0.006)
     assert report["epr_satisfied"] is True
     assert report["errors"]["se_epr_product"] > 0
+
+
+def test_cli_criteria_report_matches_the_gathered_bootstrap(tmp_path):
+    # against the former gather-and-np.var bootstrap on the same draws,
+    # epr_report.json differs only in its se_* values, each by <= 1e-12
+    # relative
+    assert run_cli("simulate", "--xi", "0.8", "--thetas", "0.7853981633974483,2.356194490192345",
+                   "--p", "500", "--seed", "0", "--out", str(tmp_path)) == EX_OK
+    assert run_cli("criteria", str(tmp_path / "samples.csv"), "--bootstrap-b", "200",
+                   "--seed", "3", "--out", str(tmp_path)) == EX_OK
+    report = json.loads((tmp_path / "epr_report.json").read_text())
+    samples = tio.read_samples(tmp_path / "samples.csv")
+    (_, idx_x), (_, idx_p) = group_samples(samples)
+    errors = gathered_errors(samples[idx_x], samples[idx_p], 200, seed=3)
+    assert report["errors"].keys() == errors.keys()
+    for name, value in errors.items():
+        assert abs(report["errors"][name] - value) <= 1e-12 * abs(value), name
+    expected = epr_report(samples[idx_x], samples[idx_p], bootstrap_b=0).to_json_dict()
+    assert {**report, "errors": {}} == expected
 
 
 def test_cli_criteria_missing_conjugate_pair(tmp_path):
