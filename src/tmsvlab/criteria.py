@@ -197,14 +197,18 @@ def epr_report(samples_x: Samples, samples_p: Samples,
     errors: dict[str, float] = {}
     if bootstrap_b > 0:
         rng = np.random.default_rng([seed])
-        # per group, its two columns centred on their means and their squares
+        # per group, the rows c, c^2, d, d^2 of its two columns centred on
+        # their means
         centred = [c - c.mean() for c in columns]
-        moments = [np.column_stack([c, c * c, d, d * d]) for c, d in (centred[:2], centred[2:])]
+        moments = [np.array([c, c * c, d, d * d]) for c, d in (centred[:2], centred[2:])]
         sums = np.empty((bootstrap_b, 2, 4))
         for b in range(bootstrap_b):
             for g, m in enumerate(moments):
-                n = len(m)
-                sums[b, g] = np.bincount(rng.integers(0, n, n), minlength=n) @ m
+                n = m.shape[1]
+                counts = np.bincount(rng.integers(0, n, n), minlength=n).astype(np.float64)
+                # einsum sums in numpy's own loop; a BLAS product may round
+                # differently at another thread count
+                sums[b, g] = np.einsum("ij,j->i", m, counts)
         sizes = np.array([[len(samples_x)], [len(samples_p)]])
         # sum (c - mean)^2 = sum c^2 - (sum c)^2 / n over the resample
         variances = (sums[..., 1::2] - sums[..., ::2] ** 2 / sizes) / (sizes - 1)

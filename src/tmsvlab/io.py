@@ -10,9 +10,10 @@ identical data produce identical bytes.  Writers stream blocks of
 distinct bit pattern of a column once (a phase column holds a few values,
 a count column a few hundred); floats are told apart by their bits, so
 ``-0.0`` stays ``'-0.0'``.  Readers check the header line, then parse the
-rest of the open file with ``np.loadtxt``; they skip blank lines.  A file
-that fails to parse is read again as text to name the line of the first
-malformed row, or to raise :class:`EmptyDataError` if it has no rows.
+rest of the open file with ``np.loadtxt``; a line ends at ``\\n``, ``\\r``
+or ``\\r\\n``, and blank lines are skipped.  A file that fails to parse is
+read again as text to name the line of the first malformed row, or to
+raise :class:`EmptyDataError` if it has no rows.
 
 The density-matrix JSON stores the cutoff, the basis ordering tag, and the
 real and imaginary parts as nested arrays.  Readers reject any file whose
@@ -40,10 +41,7 @@ class EmptyDataError(ValueError):
 
 
 def _formatted(column: np.ndarray) -> list[str]:
-    """repr of each entry; each distinct bit pattern of a float, int or
-    bool column is formatted once."""
-    if column.dtype.kind not in "biuf":
-        return list(map(repr, column.tolist()))
+    """repr of each entry; each distinct bit pattern is formatted once."""
     bits = column.view(f"u{column.dtype.itemsize}") if column.dtype.kind == "f" else column
     distinct, inverse = np.unique(bits, return_inverse=True)
     values = distinct.view(column.dtype).tolist()
@@ -78,9 +76,10 @@ def _read_columns(path, header: str, dtype, what: str) -> np.ndarray:
 
 def _raise_first_error(path, header: str, dtype, what: str) -> None:
     """Raise the error of a file that failed to parse: a wrong header, no
-    rows, or the first malformed row, named by its line."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != header:
+    rows, or the first malformed row, named by its line.  Lines end where
+    they end for ``np.loadtxt``: at \\n, \\r or \\r\\n."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    if lines[0].strip() != header:
         raise ValueError(f"{path}: expected header {header!r}")
     body = lines[1:]
     if not "".join(body).strip():

@@ -315,9 +315,11 @@ def ml_reconstruct(hists: list[Histogram2D], config: TomographyConfig,
     log L, recorded at every accepted iterate, never falls.  Iteration stops
     at the first iterate whose certified gap N (lambda_max(R) - 1) is at
     most ``LOGLIK_GAP``, after max_iter accepted updates, or at an iterate
-    from which ``_MAX_HALVINGS`` halvings find no step or the accepted step
-    leaves log L unchanged (log L at rounding level); the gap is that of
-    the returned state, and converged=False if it exceeds ``LOGLIK_GAP``.
+    from which the search finds no step in ``_MAX_HALVINGS`` halvings or
+    accepts one that leaves log L unchanged (log L at rounding level).
+    Such a search is first repeated along the scaled gradient, with the
+    pairs forgotten.  The gap is that of the returned state, and
+    converged=False if it exceeds ``LOGLIK_GAP``.
     Only the iterates that pass the Cholesky screen, and the last, run
     eigvalsh.
     """
@@ -348,28 +350,34 @@ def ml_reconstruct(hists: list[Histogram2D], config: TomographyConfig,
             gap = n * (float(np.linalg.eigvalsh(r)[-1]) - 1.0)
             if gap <= LOGLIK_GAP or iterations == config.max_iter:
                 break
-        # two-loop recursion: step = H grad, H the inverse curvature estimate
-        np.copyto(step, grad)
-        coeffs = []
-        for s, y, inv_sy in reversed(pairs):
-            coeffs.append(inv_sy * _dot(s, step, buf))
-            step_f -= np.multiply(y.view(np.float64), coeffs[-1], out=buf)
-        step *= scale
-        for (s, y, inv_sy), coeff in zip(pairs, reversed(coeffs)):
-            shift = coeff - inv_sy * _dot(y, step, buf)
-            step_f += np.multiply(s.view(np.float64), shift, out=buf)
-        slope = _dot(grad, step, buf)
-        alpha = 1.0
-        for _ in range(_MAX_HALVINGS + 1):
-            np.add(t, np.multiply(step, alpha, out=trial), out=trial)
-            trial_trace = _density(trial, rho, work)
-            r, trial_ll = kernel(rho)
-            # the slope is positive but for rounding; log L must not fall
-            if trial_ll >= ll + _ARMIJO * alpha * max(slope, 0.0):
+        while True:  # a search along H grad, then along grad if that one fails
+            # two-loop recursion: step = H grad, H the inverse curvature estimate
+            np.copyto(step, grad)
+            coeffs = []
+            for s, y, inv_sy in reversed(pairs):
+                coeffs.append(inv_sy * _dot(s, step, buf))
+                step_f -= np.multiply(y.view(np.float64), coeffs[-1], out=buf)
+            step *= scale
+            for (s, y, inv_sy), coeff in zip(pairs, reversed(coeffs)):
+                shift = coeff - inv_sy * _dot(y, step, buf)
+                step_f += np.multiply(s.view(np.float64), shift, out=buf)
+            slope = _dot(grad, step, buf)
+            alpha = 1.0
+            for _ in range(_MAX_HALVINGS + 1):
+                np.add(t, np.multiply(step, alpha, out=trial), out=trial)
+                trial_trace = _density(trial, rho, work)
+                r, trial_ll = kernel(rho)
+                # the slope is positive but for rounding; log L must not fall
+                if trial_ll >= ll + _ARMIJO * alpha * max(slope, 0.0):
+                    break
+                alpha *= 0.5
+            else:  # no step raises log L enough
+                trial_ll = ll
+            if trial_ll != ll or not pairs:
                 break
-            alpha *= 0.5
-        else:  # no step raises log L enough
-            trial_ll = ll
+            # forget the curvature pairs, so that H is scale times I
+            spares += [array for s, y, _ in pairs for array in (s, y)]
+            pairs.clear()
         if trial_ll == ll:  # log L has stopped moving: stop at the current iterate
             _density(t, rho, work)
             r, _ = kernel(rho)

@@ -8,6 +8,7 @@ file's lines.  Bytes, parsed columns, exception types and messages must
 not differ.
 """
 
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -158,6 +159,18 @@ def test_reader_matches_the_former_reader(tmp_path, kind, case):
         assert_same_batch(got[1], expected[1])
     else:
         assert got[1] == expected[1]
+
+
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+def test_only_newlines_and_returns_end_a_row(tmp_path, separator):
+    # the former reader split rows also at the other line boundaries of
+    # str.splitlines; np.loadtxt does not, and the error names the line
+    # that holds two rows
+    path = tmp_path / "samples.csv"
+    path.write_text(f"{tio.SAMPLES_HEADER}\n0.3,-1.25,2.0{separator}1.9,0.0,-0.0\n"
+                    "0.3,1e-05,nan\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: expected 3 fields, got 5")):
+        tio.read_samples(path)
 
 
 # ------------------------------------------------------------------ memory

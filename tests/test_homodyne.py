@@ -558,5 +558,5 @@ def test_density_matrix_path_is_pinned(tmp_path):
             for name in ("samples.csv", "shots.csv", "epr_report.json")} == {
         "samples.csv": "699b3e14b8ad06fcd696692bfd0be15141267a65a1701f2d83d77b8c89bc1d21",
         "shots.csv": "3a974ca4a55276683e055f283d4d57371a1422a94089d3205e5c7145aae24069",
-        "epr_report.json": "bfb1dcf0024c9f3a581b0985fff8495af26eb363ece0be23f3c30e98937cf35b",
+        "epr_report.json": "70eafaab08f23fd2431bf6142a32d10c67ff112f89453cfef5dad717a7beb56c",
     }

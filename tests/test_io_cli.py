@@ -495,7 +495,10 @@ def test_cli_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
                 "reproduce fig_s3 --scale smoke --out .",
                 "reproduce fig_s2 --scale smoke --out .",
                 "reproduce fig_s3 --scale paper --out paper",
-                "tomo sim/samples.csv --n-cut 5 --out tomo"]
+                "tomo sim/samples.csv --n-cut 5 --out tomo",
+                "simulate --xi 0.8 --thetas 0.7853981633974483,2.356194490192345 --p 150000"
+                " --out pair",
+                "criteria pair/samples.csv --bootstrap-b 20 --out pair"]
     script = ("import sys; from tmsvlab.cli import main; "
               "sys.exit(max(main(command.split()) for command in sys.argv[1:]))")
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -509,4 +512,5 @@ def test_cli_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
                        check=True, capture_output=True, timeout=120)
         trees.append({str(p.relative_to(out)): p.read_bytes()
                       for p in sorted(out.rglob("*")) if p.is_file()})
-    assert len(trees[0]) == 17 and trees[0] == trees[1]
+    assert len(trees[0]) == 21 and "pair/epr_report.json" in trees[0]
+    assert trees[0] == trees[1]

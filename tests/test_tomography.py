@@ -325,12 +325,12 @@ def test_lbfgs_and_r_rho_r_fits_agree_within_the_certificate(case):
 @pytest.mark.parametrize("halvings", ["default", 0])
 def test_a_fit_pushed_past_its_optimum_stops_within_its_kernel_budget(monkeypatch, halvings):
     # with LOGLIK_GAP 0 the fit runs into rounding, where no step may raise
-    # log L, or an accepted one leaves it unchanged: the fit stops there
-    # before its budget and reports the gap of the iterate it stops at.  An
-    # update that raises log L took 1.4 kernel calls on average here (89
-    # calls in 62 updates); bound that by 2, plus the one search that fails
-    # and the kernel call at the stop.  A fit that went on through the
-    # unchanged steps made 1950 calls in its 150 updates
+    # log L, or an accepted one leaves it unchanged, both along H grad and
+    # along grad: the fit stops there before its budget and reports the gap
+    # of the iterate it stops at.  It made 98 kernel calls in 62 updates;
+    # bound an update that raises log L by 2 calls, plus the two searches
+    # that fail and the kernel call at the stop.  A fit that went on through
+    # the unchanged steps made 1950 calls in its 150 updates
     draw, n_cut, dx = SCREEN_FIXTURES["vacuum, 4 phases, n_cut 5"]
     hists = bin_samples(draw(), dx)
     cfg = TomographyConfig(dx=dx, n_cut=n_cut, max_iter=150)
@@ -343,11 +343,25 @@ def test_a_fit_pushed_past_its_optimum_stops_within_its_kernel_budget(monkeypatc
                         lambda self, rho: calls.append(1) or kernel_call(self, rho))
     fit = ml_reconstruct(hists, cfg)
     assert fit.iterations < cfg.max_iter
-    assert len(calls) <= 1 + 2 * fit.iterations + (1 + tomography._MAX_HALVINGS) + 1
+    assert len(calls) <= 1 + 2 * fit.iterations + 2 * (1 + tomography._MAX_HALVINGS) + 1
     assert fit.converged == (fit.gap <= 0.0)
     assert np.all(np.diff(fit.loglik_trace) >= 0.0)
     stopped = ml_reconstruct(hists, dataclasses.replace(cfg, max_iter=fit.iterations))
     assert stopped.loglik_trace == fit.loglik_trace and stopped.gap == fit.gap
+
+
+def test_a_search_that_leaves_log_l_unchanged_is_repeated_along_the_gradient(monkeypatch):
+    # with LOGLIK_GAP 0, the L-BFGS search of this fit's update 58 finds
+    # only steps that leave log L unchanged.  A search along the gradient
+    # still raises log L, and the fit goes on for three more updates; a fit
+    # that stopped at the first such search ended at update 57, 1.4e-5 nats
+    # from the optimum by its gap, where this one ends 6.4e-6 from it
+    monkeypatch.setattr(tomography, "LOGLIK_GAP", 0.0)
+    samples = vacuum_samples(80, list(np.linspace(0.0, np.pi, 3, endpoint=False)), seed=0)
+    fit = ml_reconstruct(bin_samples(samples, 0.2), TomographyConfig(dx=0.2, n_cut=3))
+    assert fit.iterations == 60
+    assert fit.loglik_trace[-1] > fit.loglik_trace[57]
+    assert fit.gap < 1e-5
 
 
 @pytest.mark.parametrize("origin", [(np.nan, 0.0), (0.0, np.inf)])
