@@ -8,16 +8,15 @@ from .fock import (DensityMatrix, FockSpace, OperatorMatrix, PureState,
                    basis_state, expectation, hermite_functions, ladder_op,
                    number_distributions, partial_transpose, phase_rotation,
                    quadrature_ops)
-from .states import (NoiseModel, NOISELESS, SqueezedVacuum, SqueezingSchedule,
-                     analytic_variances, noise_preset, phase_noisy_state,
-                     squeeze_param, tmsv, tmsv_rotated, truncation_tail)
+from .states import (NoiseModel, NOISELESS, SqueezedVacuum, analytic_variances,
+                     noise_preset, phase_noisy_state, tmsv, tmsv_rotated,
+                     truncation_tail)
 from .homodyne import (HomodyneConfig, Samples, Shots, calibrate_transfer,
                        config_from_transfer, default_config, estimate_quadratures,
                        mode_transform, sample_quadratures, simulate_readout, simulate_shots)
-from .criteria import (EprReport, VarianceSweep, epr_report, inferred_uncertainties,
-                       time_sweep, variance_sweep)
+from .criteria import EprReport, epr_report, time_sweep
 from .tomography import (Histogram2D, MLResult, TomographyConfig, bin_probability,
-                         bin_samples, bootstrap, ml_reconstruct, r_operator)
+                         bin_samples, ml_reconstruct, r_operator)
 from .metrics import (MetricsReport, fidelity_mixed, fidelity_pure, fit_squeezing,
                       log_negativity, metrics_report, qfi_fixed_n)
 from .pipelines import (PRESETS, ExperimentPreset, run_fig3, run_fig_s2, run_fig_s3)

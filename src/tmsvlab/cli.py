@@ -268,7 +268,7 @@ def _cmd_reproduce(args) -> int:
     if figure == "fig_s2":
         rows = run_fig_s2(preset, sweep["p_per_theta"], sweep["dx"], seeds=(seed,))
         tio.write_csv_rows(rundir / "fig_s2_table.csv",
-                           "p,dx,seed,fidelity,fidelity_se,converged,iterations,gap",
+                           "p,dx,seed,fidelity,converged,iterations,gap",
                            [dataclasses.astuple(r) for r in rows])
     elif figure == "fig_s3":
         result = run_fig_s3(preset, seed=seed)
@@ -309,10 +309,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _apply_config(parser.commands[args.command], args)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    except tio.EmptyDataError as exc:
+    except (UsageError, tio.EmptyDataError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
     except (ValueError, OSError, RuntimeError) as exc:

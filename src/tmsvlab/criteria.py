@@ -1,4 +1,5 @@
-"""Variance sweeps, the EPR product, and the inseparability sum.
+"""Two-mode variances, the EPR product and the inseparability sum, and
+their sweep over the pair-creation time.
 
 Samples carry the rotation angle u of the phase rotation applied before
 the quadrature readout; the measured combination is X(u) = x cos u +
@@ -9,7 +10,6 @@ smaller product is reported, together with which pairing fired.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +28,6 @@ CONJUGATE_PHASE_ATOL = 0.02
 # quadrature there is x cos(theta_lo - pi/4) + p sin(theta_lo - pi/4)), so
 # the p-like and (-x)-like settings quoted as 3pi/4 and 5pi/4 correspond to
 # rotation angles pi/2 and pi.
-LO_PHASE_OFFSET = np.pi / 4.0
 THETA_P_LIKE = np.pi / 2.0
 THETA_X_LIKE = np.pi
 
@@ -60,46 +59,6 @@ def group_samples(samples: Samples,
         groups.append((float(theta[start]), order[start:stop]))
         start = stop
     return groups
-
-
-@dataclass(frozen=True)
-class VarianceSweepEntry:
-    theta: float
-    v_plus: float
-    v_minus: float
-    se_plus: float
-    se_minus: float
-    count: int
-
-
-@dataclass(frozen=True)
-class VarianceSweep:
-    entries: tuple[VarianceSweepEntry, ...]
-    skipped: tuple[tuple[float, int], ...] = ()
-
-
-def _variances(x_a: np.ndarray, x_b: np.ndarray) -> tuple[float, float]:
-    return float(np.var(x_a + x_b, ddof=1)), float(np.var(x_a - x_b, ddof=1))
-
-
-def variance_sweep(samples: Samples) -> VarianceSweep:
-    """Unbiased Var(X_A +- X_B) per phase group, with normal-theory errors
-    V sqrt(2/(n-1)).  Groups with fewer than two samples are skipped and
-    recorded."""
-    x_a, x_b = samples.x_a, samples.x_b
-    entries = []
-    skipped = []
-    for theta, idx in group_samples(samples):
-        if idx.size < 2:
-            warnings.warn(f"skipping phase group at theta={theta:.4f} with "
-                          f"{idx.size} sample(s)", stacklevel=2)
-            skipped.append((theta, int(idx.size)))
-            continue
-        v_plus, v_minus = _variances(x_a[idx], x_b[idx])
-        se = math.sqrt(2.0 / (idx.size - 1))
-        entries.append(VarianceSweepEntry(theta, v_plus, v_minus,
-                                          v_plus * se, v_minus * se, int(idx.size)))
-    return VarianceSweep(tuple(entries), tuple(skipped))
 
 
 @dataclass(frozen=True)
@@ -230,21 +189,6 @@ def epr_report(samples_x: Samples, samples_p: Samples,
         counts=(len(samples_x), len(samples_p)),
         errors=errors,
     )
-
-
-def inferred_uncertainties(samples_x: Samples, samples_p: Samples) -> tuple[float, float]:
-    """Inferred deviations of mode-B predictions given mode-A measurements.
-
-    The linear estimators x_est(x_A) = x_A - (mean x_A - mean x_B) and
-    p_est(p_A) = -p_A + (mean p_B + mean p_A) make the squared inferred
-    deviations equal to Var(x_A - x_B) and Var(p_A + p_B); the unbiased
-    (n-1) normalization is used so they square to the reported variances
-    exactly.
-    """
-    if not samples_x or not samples_p:
-        raise ValueError("both sample groups must be non-empty")
-    return (float(np.sqrt(np.var(samples_x.x_a - samples_x.x_b, ddof=1))),
-            float(np.sqrt(np.var(samples_p.x_a + samples_p.x_b, ddof=1))))
 
 
 @dataclass(frozen=True)

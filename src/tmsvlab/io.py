@@ -11,9 +11,11 @@ distinct bit pattern of a column once (a phase column holds a few values,
 a count column a few hundred); floats are told apart by their bits, so
 ``-0.0`` stays ``'-0.0'``.  Readers check the header line, then parse the
 rest of the open file with ``np.loadtxt``; a line ends at ``\\n``, ``\\r``
-or ``\\r\\n``, and blank lines are skipped.  A file that fails to parse is
-read again as text to name the line of the first malformed row, or to
-raise :class:`EmptyDataError` if it has no rows.
+or ``\\r\\n``.  Empty lines are skipped, and a line of only spaces or tabs
+is a malformed row.  A file that fails to parse is read again as text to
+name the line of the first malformed row, each non-empty line parsed by the
+same ``np.loadtxt`` call, or to raise :class:`EmptyDataError` if no line
+after the header holds more than whitespace.
 
 The density-matrix JSON stores the cutoff, the basis ordering tag, and the
 real and imaginary parts as nested arrays.  Readers reject any file whose
@@ -77,24 +79,25 @@ def _read_columns(path, header: str, dtype, what: str) -> np.ndarray:
 def _raise_first_error(path, header: str, dtype, what: str) -> None:
     """Raise the error of a file that failed to parse: a wrong header, no
     rows, or the first malformed row, named by its line.  Lines end where
-    they end for ``np.loadtxt``: at \\n, \\r or \\r\\n."""
+    they end for ``np.loadtxt``: at \\n, \\r or \\r\\n.  Each non-empty line
+    is parsed by the reader's own ``np.loadtxt`` call, so the two agree on
+    which rows are malformed."""
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines[0].strip() != header:
         raise ValueError(f"{path}: expected header {header!r}")
     body = lines[1:]
     if not "".join(body).strip():
         raise EmptyDataError(f"{path}: no {what}")
-    parse = float if dtype == np.float64 else int
     for lineno, line in enumerate(body, start=2):
-        if not line.strip():
+        if not line:
             continue
         parts = line.split(",")
         if len(parts) != 3:
             raise ValueError(f"{path}: line {lineno}: expected 3 fields, got {len(parts)}")
         try:
-            [parse(p) for p in parts]
+            np.loadtxt([line], dtype=dtype, delimiter=",", comments=None)
         except ValueError:
-            kind = "non-numeric" if parse is float else "non-integer"
+            kind = "non-numeric" if dtype == np.float64 else "non-integer"
             raise ValueError(f"{path}: line {lineno}: {kind} field") from None
     raise ValueError(f"{path}: malformed rows")
 

@@ -9,7 +9,8 @@ reads the preset fields listed here and sweeps the others it names:
 * ``fig_s2``   ideal squeezed vacuum (xi = 0.8, pair phase pi / 2),
                noiseless sampling, used for the reconstruction-consistency
                sweep: :func:`run_fig_s2` reads source, noise, thetas, n_cut
-               and max_iter, and sweeps p_per_theta and dx;
+               and max_iter, and sweeps p_per_theta and dx; each row holds
+               a fit's fidelity, convergence, iterations and gap;
 * ``fig_s3``   dephased squeezed vacuum (xi = 0.63, pair-phase width 0.36)
                sampled with the 0.12 sum-variance shift, reconstructed and
                compared against the analytic dephased truth:
@@ -27,7 +28,6 @@ outputs.
 """
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +40,7 @@ from .metrics import MetricsReport, fidelity_mixed, metrics_report
 from .states import (NOISELESS, NoiseModel, OMEGA_SPIN_DYNAMICS,
                      OPTIMAL_SPIN_DYNAMICS_TIME, PHASE_NOISE_SIGMA, SqueezedVacuum,
                      noise_preset, tmsv_rotated)
-from .tomography import (MLResult, TomographyConfig, bin_samples, bootstrap,
-                         ml_reconstruct)
+from .tomography import MLResult, TomographyConfig, bin_samples, ml_reconstruct
 
 PACKAGE = {"name": "tmsvlab", "version": __version__}
 
@@ -109,23 +108,18 @@ class FigS2Row:
     dx: float
     seed: int
     fidelity: float
-    fidelity_se: float
     converged: bool
     iterations: int
     gap: float
 
 
-def run_fig_s2(preset: ExperimentPreset, p_values, dx_values, seeds=(0,),
-               bootstrap_b: int = 0) -> list[FigS2Row]:
+def run_fig_s2(preset: ExperimentPreset, p_values, dx_values, seeds=(0,)) -> list[FigS2Row]:
     """Reconstruction fidelity versus shots per phase and bin size.
 
     For every (p, dx, seed): draw samples of the preset's source,
     reconstruct, and score the fidelity against the source's density
     matrix on the preset's Fock space; the row says whether the fit
-    converged, after how many iterations, and its certified gap.  With
-    bootstrap_b >= 100, a bootstrap standard error of the fidelity is
-    attached (each resample repeats the reconstruction); otherwise the SE
-    column is NaN.
+    converged, after how many iterations, and its certified gap.
     """
     if any(p < 1 for p in p_values):
         raise ValueError("p values must be >= 1")
@@ -133,23 +127,14 @@ def run_fig_s2(preset: ExperimentPreset, p_values, dx_values, seeds=(0,),
     rows = []
     for dx in dx_values:
         config = dataclasses.replace(preset, dx=float(dx)).tomography_config()
-
-        def fit(batch):
-            return ml_reconstruct(bin_samples(batch, config.dx), config)
-
         for p in p_values:
             for seed in seeds:
                 samples = sample_quadratures(preset.source, preset.thetas, int(p),
                                              preset.noise, seed=seed)
-                result = fit(samples)
-                se = math.nan
-                if bootstrap_b >= 100:
-                    se = float(bootstrap(samples, bootstrap_b,
-                                         lambda b: fidelity_mixed(fit(b).rho, truth),
-                                         seed=seed).se)
+                result = ml_reconstruct(bin_samples(samples, config.dx), config)
                 rows.append(FigS2Row(p=int(p), dx=float(dx), seed=int(seed),
                                      fidelity=fidelity_mixed(result.rho, truth),
-                                     fidelity_se=se, converged=result.converged,
+                                     converged=result.converged,
                                      iterations=result.iterations, gap=result.gap))
     return rows
 

@@ -41,23 +41,6 @@ class TruncationWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class SqueezingSchedule:
-    """Pair-creation rate (rad/s) and duration (s)."""
-
-    omega: float
-    t: float
-
-    def __post_init__(self):
-        if self.omega < 0 or self.t < 0:
-            raise ValueError("omega and t must be nonnegative")
-
-
-def squeeze_param(schedule: SqueezingSchedule) -> float:
-    """Squeezing parameter accumulated by the schedule: xi = Omega t."""
-    return schedule.omega * schedule.t
-
-
-@dataclass(frozen=True)
 class NoiseModel:
     """Measurement-chain noise used when drawing homodyne samples.
 

@@ -139,7 +139,6 @@ class MLResult:
     iterations: int
     gap: float
     converged: bool
-    min_eig_trace: tuple[float, ...] = ()
 
 
 def bin_samples(samples: Samples, dx: float) -> list[Histogram2D]:
@@ -302,8 +301,7 @@ def _density(t: np.ndarray, rho: np.ndarray, work: np.ndarray) -> float:
     return trace / 2.0
 
 
-def ml_reconstruct(hists: list[Histogram2D], config: TomographyConfig,
-                   track_invariants: bool = False) -> MLResult:
+def ml_reconstruct(hists: list[Histogram2D], config: TomographyConfig) -> MLResult:
     """L-BFGS ascent of log L over the factor T of rho = T T^dag / Tr(T T^dag),
     from the flat state T = I / sqrt(dim).
 
@@ -342,7 +340,6 @@ def ml_reconstruct(hists: list[Histogram2D], config: TomographyConfig,
     s_new, y_new = spares.pop(), spares.pop()
     scale = trace / (2.0 * n)
     loglik = [ll]
-    min_eigs: list[float] = []
     iterations = 0
     while True:
         np.negative(r, out=work).reshape(-1)[::dim + 1] += bound  # bound I - R
@@ -396,40 +393,6 @@ def ml_reconstruct(hists: list[Histogram2D], config: TomographyConfig,
         t, trial, grad, new_grad = trial, t, new_grad, grad
         ll = trial_ll
         loglik.append(ll)
-        if track_invariants:
-            min_eigs.append(float(np.linalg.eigvalsh(rho)[0]))
         iterations += 1
     return MLResult(rho=DensityMatrix.from_entries(space, rho), loglik_trace=tuple(loglik),
-                    iterations=iterations, gap=gap, converged=gap <= LOGLIK_GAP,
-                    min_eig_trace=tuple(min_eigs))
-
-
-@dataclass(frozen=True)
-class BootstrapResult:
-    estimate: np.ndarray
-    se: np.ndarray
-    ci_low: np.ndarray
-    ci_high: np.ndarray
-
-
-def bootstrap(samples: Samples, b: int, pipeline, seed: int = 0) -> BootstrapResult:
-    """Nonparametric bootstrap of an analysis pipeline over homodyne samples.
-
-    Resampling is with replacement within each phase group, so the phase
-    design is preserved.  ``pipeline`` maps a :class:`Samples` batch to a
-    scalar or array statistic.  Deterministic for a given seed.
-    """
-    if b < 100:
-        raise ValueError("bootstrap needs at least 100 resamples")
-    groups = group_samples(samples)
-    if not groups:
-        raise ValueError("no samples to bootstrap")
-    estimate = np.asarray(pipeline(samples), dtype=np.float64)
-    rng = np.random.default_rng([seed])
-    reps = np.empty((b,) + estimate.shape, dtype=np.float64)
-    for k in range(b):
-        take = np.concatenate([idx[rng.integers(0, idx.size, idx.size)] for _, idx in groups])
-        reps[k] = np.asarray(pipeline(samples[take]), dtype=np.float64)
-    ci_low, ci_high = np.percentile(reps, [2.5, 97.5], axis=0)
-    return BootstrapResult(estimate=estimate, se=reps.std(axis=0, ddof=1),
-                           ci_low=ci_low, ci_high=ci_high)
+                    iterations=iterations, gap=gap, converged=gap <= LOGLIK_GAP)

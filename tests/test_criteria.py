@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from tmsvlab.criteria import (THETA_P_LIKE, THETA_X_LIKE, PhaseMismatchError,
-                              epr_report, group_samples, inferred_uncertainties,
-                              time_sweep, variance_sweep)
+                              epr_report, group_samples, time_sweep)
 from tmsvlab.fock import FockSpace, basis_state
 from tmsvlab.homodyne import Samples, sample_quadratures
 from tmsvlab.states import (NOISELESS, NoiseModel, OMEGA_SPIN_DYNAMICS, SqueezedVacuum,
@@ -15,6 +14,7 @@ from tmsvlab.states import (NOISELESS, NoiseModel, OMEGA_SPIN_DYNAMICS, Squeezed
 from conftest import assert_within_se, concat
 from gathered_bootstrap import gathered_errors
 from gridded import Gridded
+from group_bootstrap import bootstrap
 
 
 def make_samples(theta, xa, xb):
@@ -32,53 +32,35 @@ def conjugate_groups(xi, n, seed, space=None):
     return sx, sp
 
 
-# ------------------------------------------------------------- variance sweep
-
-def test_variance_sweep_identical_samples_gives_zero():
-    sweep = variance_sweep(make_samples(0.2, np.ones(50), -np.ones(50)))
-    assert len(sweep.entries) == 1
-    assert sweep.entries[0].v_plus == 0.0
-    assert sweep.entries[0].v_minus == 0.0
-
+# ---------------------------------------------------------- report variances
 
 def test_variance_sweep_vacuum_reference(vacuum10):
+    # each of the report's four variances, at three pairs of conjugate
+    # phases, lies within the normal-theory error V sqrt(2/(n-1)) of 1
     n = 20_000
-    entries = []
     vacuum = Gridded(vacuum10)
     for theta in (0.0, 0.9, 2.2):
-        samples = sample_quadratures(vacuum, [theta], n, NOISELESS, seed=int(theta * 10))
-        entry = variance_sweep(samples).entries[0]
-        entries.append(entry)
-        assert_within_se(entry.v_plus, 1.0, entry.se_plus)
-        assert_within_se(entry.v_minus, 1.0, entry.se_minus)
-    assert all(e.count == n for e in entries)
+        sx = sample_quadratures(vacuum, [theta], n, NOISELESS, seed=int(theta * 10))
+        sp = sample_quadratures(vacuum, [theta + np.pi / 2], n, NOISELESS,
+                                seed=int(theta * 10) + 100)
+        report = epr_report(sx, sp, bootstrap_b=0)
+        for v in (report.v_x_plus, report.v_x_minus, report.v_p_plus, report.v_p_minus):
+            assert_within_se(v, 1.0, v * np.sqrt(2.0 / (n - 1)))
+        assert report.counts == (n, n)
 
 
 def test_variance_sweep_tmsv_extremes(space10):
     xi = 0.63
     n = 50_000
     rho = tmsv_rotated(xi, 0.0, space10).projector()
-    samples = sample_quadratures(Gridded(rho), [THETA_X_LIKE], n, NOISELESS, seed=40)
-    entry = variance_sweep(samples).entries[0]
-    assert entry.v_minus == pytest.approx(0.284, abs=3 * entry.se_minus + 1e-3)
-    assert entry.v_plus == pytest.approx(3.53, abs=3 * entry.se_plus + 0.01)
-
-
-def test_variance_sweep_skips_small_groups():
-    samples = make_samples(0.1, np.random.default_rng(0).normal(size=20),
-                           np.random.default_rng(1).normal(size=20))
-    samples = concat(samples, make_samples(1.5, [0.0], [0.0]))
-    with pytest.warns(UserWarning, match="skipping"):
-        sweep = variance_sweep(samples)
-    assert len(sweep.entries) == 1
-    assert sweep.skipped == ((1.5, 1),)
-
-
-def test_variance_sweep_standard_error_formula():
-    rng = np.random.default_rng(3)
-    samples = make_samples(0.0, rng.normal(size=101), rng.normal(size=101))
-    entry = variance_sweep(samples).entries[0]
-    assert entry.se_plus == pytest.approx(entry.v_plus * np.sqrt(2.0 / 100.0))
+    sx = sample_quadratures(Gridded(rho), [THETA_X_LIKE], n, NOISELESS, seed=40)
+    sp = sample_quadratures(Gridded(rho), [THETA_P_LIKE], n, NOISELESS, seed=41)
+    report = epr_report(sx, sp, bootstrap_b=0)
+    se = np.sqrt(2.0 / (n - 1))
+    for squeezed, anti in ((report.v_x_minus, report.v_x_plus),
+                           (report.v_p_plus, report.v_p_minus)):
+        assert squeezed == pytest.approx(0.284, abs=3 * squeezed * se + 1e-3)
+        assert anti == pytest.approx(3.53, abs=3 * anti * se + 0.01)
 
 
 def test_group_samples_clusters_relative_to_the_first_theta():
@@ -188,31 +170,38 @@ def test_inferred_perfect_correlation_is_zero():
     xa = np.linspace(-1, 1, 100)
     sx = make_samples(THETA_X_LIKE, xa, xa + 0.7)
     sp = make_samples(THETA_P_LIKE, xa, -xa + 0.2)
-    dx, dp = inferred_uncertainties(sx, sp)
-    assert dx == pytest.approx(0.0, abs=1e-12)
-    assert dp == pytest.approx(0.0, abs=1e-12)
+    report = epr_report(sx, sp, bootstrap_b=0)
+    # x_A - x_B and p_A + p_B are constant: that pairing fires at product 0
+    assert report.epr_pairing == "x_minus*p_plus"
+    assert report.inferred_dx == pytest.approx(0.0, abs=1e-12)
+    assert report.inferred_dp == pytest.approx(0.0, abs=1e-12)
 
 
 def test_inferred_matches_report_product(space10):
     sx, sp = conjugate_groups(0.63, 20_000, seed=100)
     report = epr_report(sx, sp, bootstrap_b=0)
-    dx, dp = inferred_uncertainties(sx, sp)
+    # the inferred deviations are the roots of the two variances paired
     if report.epr_pairing == "x_minus*p_plus":
-        assert dx ** 2 * dp ** 2 == pytest.approx(report.epr_product, abs=1e-12)
-        assert (report.inferred_dx, report.inferred_dp) == (dx, dp)
+        paired = (report.v_x_minus, report.v_p_plus)
+    else:
+        paired = (report.v_x_plus, report.v_p_minus)
+    assert (report.inferred_dx, report.inferred_dp) == tuple(np.sqrt(paired))
+    assert report.inferred_dx ** 2 * report.inferred_dp ** 2 == pytest.approx(
+        report.epr_product, abs=1e-12)
 
 
 def test_inferred_independent_vacuum(vacuum10):
     n = 50_000
     sx = sample_quadratures(Gridded(vacuum10), [THETA_X_LIKE], n, NOISELESS, seed=101)
     sp = sample_quadratures(Gridded(vacuum10), [THETA_P_LIKE], n, NOISELESS, seed=102)
-    dx, _ = inferred_uncertainties(sx, sp)
-    assert_within_se(dx ** 2, 1.0, np.sqrt(2.0 / (n - 1)))
+    report = epr_report(sx, sp, bootstrap_b=0)
+    assert_within_se(report.inferred_dx ** 2, 1.0, np.sqrt(2.0 / (n - 1)))
+    assert_within_se(report.inferred_dp ** 2, 1.0, np.sqrt(2.0 / (n - 1)))
 
 
 def test_inferred_rejects_empty():
-    with pytest.raises(ValueError):
-        inferred_uncertainties(EMPTY, EMPTY)
+    with pytest.raises(ValueError, match="empty"):
+        epr_report(EMPTY, EMPTY, bootstrap_b=0)
 
 
 # ---------------------------------------------------------------- time sweep
@@ -243,7 +232,6 @@ def test_time_sweep_rejects_negative_times():
 
 def test_bootstrap_errors_shrink_like_root_n(space10):
     # doubling the sample count shrinks the bootstrap SE by sqrt(2) +- 20%
-    from tmsvlab.tomography import bootstrap
     source = Gridded(tmsv_rotated(0.5, 0.0, space10).projector())
 
     def product_stat(samples):

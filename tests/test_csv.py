@@ -5,7 +5,8 @@ a block's column once; the reader checks the header line and gives the
 open file to np.loadtxt.  Their former versions, kept here as oracles,
 formatted every value with repr into one text and parsed the list of the
 file's lines.  Bytes, parsed columns, exception types and messages must
-not differ.
+not differ, except where the former reader's checker passed a line that
+np.loadtxt rejects: the reader now names that line.
 """
 
 import re
@@ -89,9 +90,10 @@ def test_sample_and_shot_files_match_the_former_writer(tmp_path, n):
 
 @pytest.mark.parametrize("n", [0, 1, CHUNK, CHUNK + 1])
 def test_table_rows_match_the_former_writer(tmp_path, n):
-    # int, float, bool and nan columns, as in fig_s2_table.csv
+    # int, float, bool and nan columns: those of fig_s2_table.csv and, fifth,
+    # a nan column
     rng = np.random.default_rng(n)
-    header = "p,dx,seed,fidelity,fidelity_se,converged,iterations,gap"
+    header = "p,dx,seed,fidelity,nan,converged,iterations,gap"
     rows = list(zip(rng.choice([25, 400], n).tolist(), mixed_floats(n, rng).tolist(),
                     [0] * n, mixed_floats(n, rng).tolist(), [float("nan")] * n,
                     (rng.random(n) < 0.5).tolist(), rng.integers(0, 3000, n).tolist(),
@@ -116,7 +118,6 @@ def reader_cases(header: str, good: list[str], bad_field: str) -> dict[str, str]
         "blank lines only": f"{header}\n\n\n\n",
         "whitespace-only body": f"{header}\n  \n\t\n",
         "blank lines between rows": f"{header}\n{a}\n\n\n{b}\n\n{c}\n",
-        "whitespace-only line between rows": f"{header}\n{a}\n   \n{b}\n",
         "wrong field count": f"{header}\n{a}\n{b},{c}\n",
         "two fields in every row": f"{header}\n1,2\n3,4\n",
         "trailing comma": f"{header}\n{a},\n",
@@ -159,6 +160,33 @@ def test_reader_matches_the_former_reader(tmp_path, kind, case):
         assert_same_batch(got[1], expected[1])
     else:
         assert got[1] == expected[1]
+
+
+# lines that np.loadtxt rejects but the former reader's checker passed: it
+# skipped lines of only whitespace, and Python's float and int read 1_0 as 10
+LOCATED_CASES = {
+    "whitespace-only line between rows": ("{a}\n   \n{b}\n", 3, "expected 3 fields, got 1"),
+    "tab-only line": ("{a}\n{b}\n\t\n{a}\n", 4, "expected 3 fields, got 1"),
+    "underscore in a field": ("{a}\n{b}\n1_0,{rest}\n", 4, "{kind} field"),
+}
+
+
+@pytest.mark.parametrize("kind, case", [(k, c) for k in ("samples", "shots")
+                                        for c in LOCATED_CASES])
+def test_reader_names_the_line_that_loadtxt_rejects(tmp_path, kind, case):
+    if kind == "samples":
+        header, (a, b), read, what = (tio.SAMPLES_HEADER, ("0.3,-1.25,2.0", "1.9,0.0,-0.0"),
+                                      tio.read_samples, "non-numeric")
+    else:
+        header, (a, b), read, what = (tio.SHOTS_HEADER, ("3,4,100", "0,0,1"),
+                                      tio.read_shots, "non-integer")
+    body, lineno, message = LOCATED_CASES[case]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(f"{header}\n" + body.format(a=a, b=b, rest=a.split(",", 1)[1]),
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: line {lineno}: {message.format(kind=what)}")):
+        read(path)
 
 
 @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])

@@ -509,16 +509,17 @@ def test_density_matrix_path_is_pinned(tmp_path):
     # sha256 digests: the first three were recorded before the sample and
     # shot batches replaced the per-shot objects (the first two also before
     # the Gaussian path was added), when the gridded sampler still lived in
-    # the package; the reference sampler's RNG stream and the bootstrap
-    # resampling must not move.  The simulate/criteria files were re-pinned
-    # when simulate began to sample its SqueezedVacuum source exactly, in one
-    # draw for both files, and epr_report.json again when its bootstrap began
+    # the package (the bootstrap has since moved to the tests, too); the
+    # reference sampler's RNG stream and the bootstrap resampling must not
+    # move.  The simulate/criteria files were re-pinned when simulate began
+    # to sample its SqueezedVacuum source exactly, in one draw for both
+    # files, and epr_report.json again when its bootstrap began
     # to sum the resamples from their multiplicities: on the same draws its
     # eight se_* values moved in the last digits (test_criteria's
     # gathered-resample test bounds that by 1e-12 relative).
     import hashlib
     from tmsvlab.cli import main
-    from tmsvlab.tomography import bootstrap
+    from group_bootstrap import bootstrap
 
     def sha256(data):
         return hashlib.sha256(data).hexdigest()

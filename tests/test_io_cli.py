@@ -439,7 +439,7 @@ def test_cli_reproduce_smoke_manifest_describes_the_run(tmp_path):
     preset = preset_from(d)
     rows = run_fig_s2(preset, sweep["p_per_theta"], sweep["dx"], seeds=(manifest["seed"],))
     tio.write_csv_rows(tmp_path / "rerun.csv",
-                       "p,dx,seed,fidelity,fidelity_se,converged,iterations,gap",
+                       "p,dx,seed,fidelity,converged,iterations,gap",
                        [dataclasses.astuple(r) for r in rows])
     assert (rundir / "fig_s2_table.csv").read_bytes() == (tmp_path / "rerun.csv").read_bytes()
 
@@ -449,7 +449,7 @@ def test_cli_reproduce_smoke_fig_s2_has_fidelity_column(tmp_path):
                    "--out", str(tmp_path))
     assert code == EX_OK
     lines = (tmp_path / "fig_s2-seed1" / "fig_s2_table.csv").read_text().splitlines()
-    assert lines[0] == "p,dx,seed,fidelity,fidelity_se,converged,iterations,gap"
+    assert lines[0] == "p,dx,seed,fidelity,converged,iterations,gap"
     assert len(lines) == 3
     # each row reports whether the library's fit of that cell converged
     for line, p in zip(lines[1:], (25, 50)):

@@ -50,16 +50,6 @@ def test_fig_s2_smoke_trend():
     rows = run_fig_s2(preset, p_values=(30, 120), dx_values=(0.3,), seeds=(0,))
     assert [r.p for r in rows] == [30, 120]
     assert rows[1].fidelity > rows[0].fidelity
-    assert all(np.isnan(r.fidelity_se) for r in rows)
-
-
-@pytest.mark.filterwarnings("ignore::tmsvlab.states.TruncationWarning")
-def test_fig_s2_bootstrap_se_column():
-    preset = dataclasses.replace(PRESETS["fig_s2"], thetas=sweep_phases(5), n_cut=4,
-                                 max_iter=40)
-    rows = run_fig_s2(preset, p_values=(25,), dx_values=(0.4,), seeds=(1,), bootstrap_b=100)
-    assert rows[0].fidelity_se > 0.0
-    assert rows[0].fidelity_se < 0.2
 
 
 def test_fig_s3_smoke():

@@ -2,28 +2,24 @@ import numpy as np
 import pytest
 
 from tmsvlab.fock import FockSpace, basis_state, number_distributions
-from tmsvlab.states import (NoiseModel, PHASE_NOISE_SIGMA, SqueezedVacuum,
-                            SqueezingSchedule, TruncationWarning,
-                            analytic_variances, noise_preset,
-                            phase_noisy_state, squeeze_param, tmsv, tmsv_rotated,
+from tmsvlab.criteria import time_sweep
+from tmsvlab.states import (NOISELESS, NoiseModel, PHASE_NOISE_SIGMA, SqueezedVacuum,
+                            TruncationWarning, analytic_variances, noise_preset,
+                            phase_noisy_state, tmsv, tmsv_rotated,
                             truncation_tail, OMEGA_SPIN_DYNAMICS)
 
 OMEGA = 2 * np.pi * 5.1
 
 
 def test_squeeze_param_values():
-    assert squeeze_param(SqueezingSchedule(OMEGA, 0.0)) == 0.0
-    xi = squeeze_param(SqueezingSchedule(OMEGA, 26e-3))
-    assert xi == pytest.approx(0.833, abs=1e-3)
+    # the time sweep's xi = Omega t
     # duration at which the product criterion threshold is crossed
     t_threshold = 0.5 * np.log(2.0) / OMEGA
     assert t_threshold == pytest.approx(10.8e-3, abs=1e-4)
-    assert squeeze_param(SqueezingSchedule(OMEGA, t_threshold)) == pytest.approx(0.5 * np.log(2.0))
-
-
-def test_schedule_rejects_negative():
-    with pytest.raises(ValueError):
-        SqueezingSchedule(-1.0, 1.0)
+    rows = time_sweep([0.0, 26e-3, t_threshold], NOISELESS, 10, seed=0)
+    assert rows[0].xi == 0.0
+    assert rows[1].xi == pytest.approx(0.833, abs=1e-3)
+    assert rows[2].xi == pytest.approx(0.5 * np.log(2.0))
 
 
 def test_tmsv_zero_squeezing_is_vacuum(space10):

@@ -11,12 +11,13 @@ from tmsvlab.pipelines import PRESETS
 from tmsvlab.states import NOISELESS, tmsv
 from tmsvlab.tomography import (LOGLIK_GAP, Histogram2D, IllConditionedDataError,
                                 TomographyConfig, bin_probability, bin_samples,
-                                bootstrap, ml_reconstruct, r_operator)
+                                ml_reconstruct, r_operator)
 
 import bin_kets
 import fixed_point
 from conftest import loglik_under
 from gridded import Gridded
+from group_bootstrap import bootstrap
 
 
 def vacuum_samples(n_per_theta, thetas, seed=0):
@@ -407,13 +408,24 @@ def test_ml_loglik_monotone_and_psd_iterates(monkeypatch):
     samples = vacuum_samples(100, [0.0, 0.8, 1.6], seed=4)
     cfg = TomographyConfig(dx=0.25, n_cut=5, max_iter=200)
     # check every iterate up to the 100th, after which no step changes
-    # log L and the fit stops, not only the 26 before the gap reaches 0.1
+    # log L and the fit stops, not only the 26 before the gap reaches 0.1;
+    # every state the fit writes is checked, the line-search trials that it
+    # rejects included
     monkeypatch.setattr(tomography, "LOGLIK_GAP", 0.0)
-    result = ml_reconstruct(bin_samples(samples, 0.25), cfg, track_invariants=True)
+    density, min_eigs = tomography._density, []
+
+    def recording_density(t, rho, work):
+        trace = density(t, rho, work)
+        min_eigs.append(float(np.linalg.eigvalsh(rho)[0]))
+        return trace
+
+    monkeypatch.setattr(tomography, "_density", recording_density)
+    result = ml_reconstruct(bin_samples(samples, 0.25), cfg)
     assert result.iterations == 100
     ll = np.array(result.loglik_trace)
     assert np.all(np.diff(ll) >= -1e-9)
-    assert min(result.min_eig_trace) >= -1e-10
+    assert len(min_eigs) > result.iterations
+    assert min(min_eigs) >= -1e-10
 
 
 def test_ml_non_convergence_flag():
