@@ -18,7 +18,12 @@ same ``np.loadtxt`` call, or to raise :class:`EmptyDataError` if no line
 after the header holds more than whitespace.
 
 The density-matrix JSON stores the cutoff, the basis ordering tag, and the
-real and imaginary parts as nested arrays.  Readers reject any file whose
+real and imaginary parts as nested arrays.  It holds the bytes that
+``json.dumps(..., indent=2, sort_keys=True)`` gives for
+:func:`density_matrix_to_dict`, as :func:`write_json` writes every report,
+but its floats are formatted as the CSV writers format a column: the
+``repr`` of each distinct bit pattern, once.  (json encodes an indented
+payload in pure Python, a float at a time.)  Readers reject any file whose
 stated ordering differs from the canonical row-major (nA, nB) layout, and
 build the state through :class:`~tmsvlab.fock.DensityMatrix`, which
 validates Hermiticity, unit trace, and positivity.
@@ -146,7 +151,21 @@ def read_json(path) -> dict:
 
 
 def write_density_matrix(path, rho: DensityMatrix) -> None:
-    write_json(path, density_matrix_to_dict(rho))
+    """The bytes of ``write_json(path, density_matrix_to_dict(rho))``."""
+    dim = rho.space.dim
+
+    def nested(part: np.ndarray) -> str:
+        values = part.ravel()
+        texts = _formatted(values)
+        for i in np.flatnonzero(~np.isfinite(values)):  # NaN, Infinity, -Infinity
+            texts[i] = json.dumps(values[i].item())
+        rows = (",\n      ".join(texts[i:i + dim]) for i in range(0, dim * dim, dim))
+        return "[\n    [\n      " + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]"
+
+    Path(path).write_text(
+        f'{{\n  "im": {nested(rho.entries.imag)},\n  "n_cut": {rho.space.n_cut},\n'
+        f'  "ordering": {json.dumps(DENSITY_MATRIX_ORDERING)},\n'
+        f'  "re": {nested(rho.entries.real)}\n}}\n', encoding="utf-8")
 
 
 def read_density_matrix(path) -> DensityMatrix:

@@ -15,7 +15,11 @@ projects onto U (A_i (x) B_j) U^dag with A_i = psi(x_i) psi(x_i)^T dx (B_j
 alike), and U multiplies entry ((m, n), (m', n')) by e^{-i theta d},
 d = (m - m') + (n - n').  The phase splits over (m, m') and (n, n'): each
 histogram's A and B are rotated once by cos and sin theta (m - m'), rho
-enters each call as one real block matrix, and P = At rho_block Bt^T.
+enters each call as one real block matrix, and P = At rho_block Bt^T.  A
+row of At holds the cosine terms of the (n_cut + 1)(n_cut + 2) / 2 pairs
+m <= m' and the sine terms of the n_cut (n_cut + 1) / 2 pairs m < m' (the
+sine of an equal pair is zero at every phase): (n_cut + 1)^2 columns, 121
+at n_cut = 10, and the block is as wide.
 
 Iteration stops on a certified gap: log L is concave in rho with gradient
 N R, so log L(sigma) <= log L(rho) + N (Tr R sigma - Tr R rho) for every
@@ -47,6 +51,7 @@ dx = 0.25) give rho_00 = 0.951 (seed-to-seed sd 0.018), below that limit.
 """
 
 import math
+import mmap
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -160,8 +165,11 @@ def bin_samples(samples: Samples, dx: float) -> list[Histogram2D]:
 
 def _bin_operators(n_cut: int, lo: np.ndarray, hi: np.ndarray, hist: Histogram2D) -> tuple:
     """(At, Bt, flat, counts) of a histogram cut to its rows and columns with
-    counts: [A diag(c) | A diag(s)] and [B diag(c) | B diag(s)], A_i and B_j
-    rows over pairs (lo, hi), c, s = cos, sin theta (lo - hi); populated bins."""
+    counts: [A diag(c) | A' diag(s')] and [B diag(c) | B' diag(s')], A_i and
+    B_j rows over pairs (lo, hi), c, s = cos, sin theta (lo - hi), and A', s'
+    their columns of the unequal pairs (lo < hi), in pair order: the sine of
+    an equal pair is zero at every phase, so (n_cut + 1)^2 columns in all;
+    populated bins."""
     rows = np.flatnonzero(hist.counts.any(axis=1))
     cols = np.flatnonzero(hist.counts.any(axis=0))
     counts = hist.counts[np.ix_(rows, cols)].ravel()
@@ -170,8 +178,10 @@ def _bin_operators(n_cut: int, lo: np.ndarray, hi: np.ndarray, hist: Histogram2D
         raise IllConditionedDataError(
             f"non-finite bin midpoint in histogram at theta={hist.theta:.4f}")
     d = hist.theta * (lo - hi)
-    rot = np.concatenate([np.cos(d), np.sin(d)]) * hist.dx
-    at, bt = (np.tile((psi[lo] * psi[hi]).T, 2) * rot
+    unequal = lo < hi
+    rot = np.concatenate([np.cos(d), np.sin(d[unequal])]) * hist.dx
+    columns = np.concatenate([np.arange(lo.size), np.flatnonzero(unequal)])
+    at, bt = (np.multiply((psi[lo] * psi[hi])[columns].T, rot, order="C")
               for psi in (hermite_functions(n_cut, xa), hermite_functions(n_cut, xb)))
     flat = np.flatnonzero(counts)
     return at, bt, flat, counts[flat].astype(np.float64)
@@ -185,9 +195,15 @@ class _Kernel:
     entry ((m, n), (m', n')) and M2 ((m, n'), (m', n)), at phases
     theta (d_p +- d_q), d_p = m - m'.  So P = At [[X, V], [Z, Y]] Bt^T (:func:`_bin_operators`)
     with X = Re M1 + Re M2, Y = Re M2 - Re M1, Z = -(Im M1 + Im M2) and
-    V = Im M2 - Im M1, weighted.  From G = sum of At^T W Bt, W = n / P, R
-    takes G00 - G11 and -(G10 + G01) at M1's phase, G00 + G11 and G01 - G10
-    at M2's; unfolded from the pairs, it is exactly Hermitian.  Histograms
+    V = Im M2 - Im M1, weighted.  At has the cosine columns of all s pairs
+    and the sine columns of the u unequal ones, so the block keeps the rows
+    of Z and Y and the columns of V and Y of the unequal pairs: s + u =
+    (n_cut + 1)^2 rows and columns (121 at n_cut = 10, not 2 s = 132).  The
+    pairs are ordered unequal first, so each of the block's four parts is a
+    contiguous slice of X, V, Z or Y.  From G = sum of At^T W Bt, W = n / P,
+    R takes G00 - G11 and -(G10 + G01) at M1's phase, G00 + G11 and
+    G01 - G10 at M2's, with the parts of G that the dropped columns would
+    fill zero; unfolded from the pairs, it is exactly Hermitian.  Histograms
     are summed in (theta, origin) order into buffers reused across calls."""
 
     def __init__(self, n_cut: int, hists: list[Histogram2D]):
@@ -195,10 +211,19 @@ class _Kernel:
         self.n_total = float(sum(h.total for h in hists))
         if self.n_total < 1:
             raise ValueError("histograms contain no counts")
-        lo, hi = np.triu_indices(k)
+        # the unequal pairs first: the block's sine rows and columns are theirs
+        up_lo, up_hi = np.triu_indices(k, 1)
+        lo, hi = np.concatenate([up_lo, np.arange(k)]), np.concatenate([up_hi, np.arange(k)])
         s, p_lo, p_hi = lo.size, lo[:, None], hi[:, None]
-        self.ops = [_bin_operators(n_cut, lo, hi, h)
-                    for h in sorted(hists, key=lambda h: (h.theta, h.origin))]
+        self.unequal = up_lo.size
+        ops = [_bin_operators(n_cut, lo, hi, h)
+               for h in sorted(hists, key=lambda h: (h.theta, h.origin))]
+        half = np.empty(max(at.size for at, *_ in ops))
+        grid = np.empty(max(at.shape[0] * bt.shape[0] for at, bt, *_ in ops))
+        # each histogram's operators and its views of the two shared buffers
+        self.ops = [(at, bt, flat, counts, half[:at.size].reshape(at.shape),
+                     grid[:at.shape[0] * bt.shape[0]].reshape(at.shape[0], -1))
+                    for at, bt, flat, counts in ops]
         # M1's and M2's entries in rho viewed as floats (Re, Im), weighted,
         # Im M1's sign flipped: X, V, Z, Y are sums and differences of them
         e1 = (p_lo * k + lo) * dim + p_hi * k + hi
@@ -213,46 +238,57 @@ class _Kernel:
         pair[lo, hi] = pair[hi, lo] = np.arange(s)
         m, n, m2, n2 = np.indices((k,) * 4).reshape(4, dim, dim)
         alike = (m <= m2) == (n <= n2)
-        self.re_index = np.where(alike, 0, 2 * s * s) + pair[m, m2] * s + pair[n, n2]
-        self.im_sign = np.where(m <= m2, 1.0, -1.0) * np.where(alike, -1.0, 1.0)
-        self.rho_terms, self.acc = np.empty((2, 4, s, s))
-        self.block = np.empty((2 * s, 2 * s))
-        self.half = np.empty(max(op[0].size for op in self.ops))
-        self.grid = np.empty(max(op[0].shape[0] * op[1].shape[0] for op in self.ops))
+        re = np.where(alike, 0, s * s) + pair[m, m2] * s + pair[n, n2]
+        im = re + np.where((m <= m2) == alike, 4 * s * s, 2 * s * s)
+        # R's (Re, Im) pairs taken from acc: G00 - G11, G00 + G11 (Re at
+        # M1's and M2's phase), G10 + G01, G01 - G10 (Im) and the negations
+        # of the last two
+        self.r_index = np.stack([re, im], axis=-1)
+        self.rho_terms, self.acc = np.empty((4, s, s)), np.empty((6, s, s))
+        self.block = np.empty((dim, dim))
         self.r = np.empty((dim, dim), dtype=np.complex128)
+        self.r_floats = self.r.view(np.float64).reshape(dim, dim, 2)
 
     def __call__(self, rho: np.ndarray) -> tuple[np.ndarray, float]:
         """The R operator of rho, in a buffer that the next call
         overwrites, and the log-likelihood sum(n log P) under rho."""
         rho = np.ascontiguousarray(rho, dtype=np.complex128)
-        t = np.take(rho.view(np.float64), self.rho_index, out=self.rho_terms)
+        # mode="clip" (the indices are in range) writes into out directly:
+        # under "raise", np.take fills a temporary of out's size first
+        t = np.take(rho.view(np.float64), self.rho_index, out=self.rho_terms, mode="clip")
         t *= self.weight
-        s, b, acc = t.shape[1], self.block, self.acc
+        s, u, b, acc = t.shape[1], self.unequal, self.block, self.acc
         np.add(t[0], t[2], out=b[:s, :s])
-        np.add(t[1], t[3], out=b[:s, s:])
-        np.subtract(t[1], t[3], out=b[s:, :s])
-        np.subtract(t[2], t[0], out=b[s:, s:])
+        np.add(t[1, :, :u], t[3, :, :u], out=b[:s, s:])
+        np.subtract(t[1, :u], t[3, :u], out=b[s:, :s])
+        np.subtract(t[2, :u, :u], t[0, :u, :u], out=b[s:, s:])
         # rho_terms and acc, idle in the loop, hold G and a histogram's term
-        g, g_hist = t.reshape(2 * s, 2 * s), acc.reshape(2 * s, 2 * s)
+        dim = b.shape[0]
+        g, g_hist = (x.reshape(-1)[:dim * dim].reshape(dim, dim) for x in (t, acc))
         g[:] = 0.0
         ll = 0.0
-        for at, bt, flat, counts in self.ops:
-            half = np.matmul(at, b, out=self.half[:at.size].reshape(at.shape))
-            grid = np.matmul(half, bt.T,
-                             out=self.grid[:at.shape[0] * bt.shape[0]].reshape(at.shape[0], -1))
-            probs = np.maximum(grid.ravel()[flat], MIN_BIN_PROB)
+        for at, bt, flat, counts, half, grid in self.ops:
+            np.matmul(at, b, out=half)
+            np.matmul(half, bt.T, out=grid)
+            probs = np.maximum(grid.take(flat), MIN_BIN_PROB)
             ll += float(np.dot(counts, np.log(probs)))
             grid[:] = 0.0
-            grid.ravel()[flat] = counts / probs
+            grid.put(flat, counts / probs)
             g += np.matmul(at.T, np.matmul(grid, bt, out=half), out=g_hist)
-        np.subtract(g[:s, :s], g[s:, s:], out=acc[0])
-        np.add(g[s:, :s], g[:s, s:], out=acc[1])
-        np.add(g[:s, :s], g[s:, s:], out=acc[2])
-        np.subtract(g[:s, s:], g[s:, :s], out=acc[3])
-        np.take(acc, self.re_index, out=self.r.real)
-        np.take(acc, self.re_index + acc[0].size, out=self.r.imag)
-        self.r.imag *= self.im_sign
-        self.r /= self.n_total
+        # G's parts, read as zero where the dropped sine rows and columns lie
+        g00, g01, g10, g11 = g[:s, :s], g[:s, s:], g[s:, :s], g[s:, s:]
+        acc[2:4] = 0.0
+        acc[0] = g00
+        acc[0, :u, :u] -= g11  # G00 - G11
+        acc[1] = g00
+        acc[1, :u, :u] += g11  # G00 + G11
+        acc[2, :u] = g10
+        acc[2, :, :u] += g01  # G10 + G01
+        acc[3, :, :u] = g01
+        acc[3, :u] -= g10  # G01 - G10
+        acc[:4] /= self.n_total
+        np.negative(acc[2:4], out=acc[4:])
+        np.take(acc, self.r_index, out=self.r_floats, mode="clip")
         return self.r, ll
 
 
@@ -284,11 +320,12 @@ def _positive_definite(m: np.ndarray) -> bool:
         return False
 
 
-def _dot(a: np.ndarray, b: np.ndarray, buf: np.ndarray) -> float:
-    """Re Tr(a^dag b) of (dim, dim) arrays: numpy's pairwise sum over their
-    float views, whose bits do not depend on the BLAS thread count as those
-    of a threaded zdotc do."""
-    return float(np.multiply(a.view(np.float64), b.view(np.float64), out=buf).sum())
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re Tr(a^dag b) of (dim, dim) arrays: one pass of numpy's einsum over
+    their float views, multiplying and summing without a temporary, whose
+    bits do not depend on the BLAS thread count as those of a threaded
+    zdotc do."""
+    return float(np.einsum("ij,ij->", a.view(np.float64), b.view(np.float64)))
 
 
 def _density(t: np.ndarray, rho: np.ndarray, work: np.ndarray) -> float:
@@ -324,11 +361,20 @@ def ml_reconstruct(hists: list[Histogram2D], config: TomographyConfig) -> MLResu
     space = FockSpace(config.n_cut)
     kernel = _Kernel(config.n_cut, hists)
     dim, n = space.dim, kernel.n_total
-    # one allocation holds every (dim, dim) buffer: as 19 arrays of 0.23 MB
-    # (dim 121) they stayed resident after the fit and raised fig_s3's peak
-    # RSS by 3.8 MB.  work's float view is _dot's buffer
-    t, trial, rho, work, step, grad, new_grad, *spares = np.empty(
-        (7 + 2 * (_MEMORY + 1), dim, dim), dtype=np.complex128)
+    # one private anonymous mapping holds every (dim, dim) buffer, so its
+    # pages go back to the system when the fit ends.  From the heap they
+    # stayed resident: as 19 arrays of 0.23 MB (dim 121) they raised
+    # fig_s3's peak RSS by 3.8 MB, and as one block, once glibc had raised
+    # its mmap threshold past the first fit's, so did the blocks of later
+    # fits.  Huge pages, which numpy asks for on its own blocks of 4 MB and
+    # more, halve the block's page faults.  work's float view is the axpy
+    # buffer
+    count = 7 + 2 * (_MEMORY + 1)
+    block = mmap.mmap(-1, count * dim * dim * 16, access=mmap.ACCESS_COPY)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        block.madvise(mmap.MADV_HUGEPAGE)
+    buffers = np.frombuffer(block, dtype=np.complex128)
+    t, trial, rho, work, step, grad, new_grad, *spares = buffers.reshape(count, dim, dim)
     buf, step_f = work.view(np.float64), step.view(np.float64)
     np.copyto(t, np.eye(dim) / math.sqrt(dim))
     bound = 1.0 + LOGLIK_GAP / n + 1e-10  # margin: see the module docstring
@@ -352,13 +398,13 @@ def ml_reconstruct(hists: list[Histogram2D], config: TomographyConfig) -> MLResu
             np.copyto(step, grad)
             coeffs = []
             for s, y, inv_sy in reversed(pairs):
-                coeffs.append(inv_sy * _dot(s, step, buf))
+                coeffs.append(inv_sy * _dot(s, step))
                 step_f -= np.multiply(y.view(np.float64), coeffs[-1], out=buf)
             step *= scale
             for (s, y, inv_sy), coeff in zip(pairs, reversed(coeffs)):
-                shift = coeff - inv_sy * _dot(y, step, buf)
+                shift = coeff - inv_sy * _dot(y, step)
                 step_f += np.multiply(s.view(np.float64), shift, out=buf)
-            slope = _dot(grad, step, buf)
+            slope = _dot(grad, step)
             alpha = 1.0
             for _ in range(_MAX_HALVINGS + 1):
                 np.add(t, np.multiply(step, alpha, out=trial), out=trial)
@@ -384,10 +430,10 @@ def ml_reconstruct(hists: list[Histogram2D], config: TomographyConfig) -> MLResu
         new_grad *= 2.0 * n / trial_trace
         np.subtract(trial, t, out=s_new)
         np.subtract(grad, new_grad, out=y_new)
-        sy = _dot(s_new, y_new, buf)
+        sy = _dot(s_new, y_new)
         if sy > 0.0:  # a pair of negative curvature would make H indefinite
             pairs.append((s_new, y_new, 1.0 / sy))
-            scale = sy / _dot(y_new, y_new, buf)
+            scale = sy / _dot(y_new, y_new)
             s_new, y_new = (pairs.pop(0)[:2] if len(pairs) > _MEMORY
                             else (spares.pop(), spares.pop()))
         t, trial, grad, new_grad = trial, t, new_grad, grad

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from tmsvlab import io as tio
 from tmsvlab.cli import EX_NONCONVERGED, EX_OK, EX_RUNTIME, EX_USAGE, main
 from tmsvlab.criteria import epr_report, group_samples, time_sweep
-from tmsvlab.fock import FockSpace, basis_state
+from tmsvlab.fock import DensityMatrix, FockSpace, basis_state
 from tmsvlab.homodyne import Samples, Shots, default_config, sample_quadratures, simulate_readout
 from tmsvlab.pipelines import sweep_phases
 from tmsvlab.states import NOISELESS, NoiseModel, SqueezedVacuum, tmsv
@@ -70,6 +71,57 @@ def test_density_matrix_roundtrip(tmp_path):
     back = tio.read_density_matrix(path)
     assert back.space == rho.space
     assert np.allclose(back.entries, rho.entries, atol=1e-15)
+
+
+def _fitted_rho():
+    samples = sample_quadratures(SqueezedVacuum(0.5), [0.0, 0.8, 1.6, 2.4], 200, NOISELESS,
+                                 seed=4)
+    return ml_reconstruct(bin_samples(samples, 0.25),
+                          TomographyConfig(dx=0.25, n_cut=3, max_iter=30)).rho
+
+
+def _hermitian(re, im_upper):
+    """Hermitian matrix with real part ``re`` (symmetric) and imaginary part
+    im_upper - im_upper^T, its diagonal -0.0."""
+    m = np.zeros(np.shape(re), dtype=np.complex128)
+    m.real = re
+    m.imag = np.asarray(im_upper) - np.transpose(im_upper)
+    m.imag[np.diag_indices(len(m))] = -0.0
+    return m
+
+
+DENSITY_MATRIX_CASES = {
+    "fitted": _fitted_rho,
+    "n_cut 0": lambda: DensityMatrix(FockSpace(0), _hermitian([[1.0]], [[0.0]])),
+    # -0.0, a subnormal and 1e-05 in a state that reads back
+    "edge values": lambda: DensityMatrix(FockSpace(1), _hermitian(
+        [[0.5, 1e-05, 5e-324, -0.0], [1e-05, 0.25, 0.0, 1e-06], [5e-324, 0.0, 0.25 - 1e-05, 0.0],
+         [-0.0, 1e-06, 0.0, 1e-05]],
+        [[0.0, 5e-324, 1e-05, -0.0], [0.0, 0.0, 1e-06, 0.0], [0.0, 0.0, 0.0, 2e-06],
+         [0.0, 0.0, 0.0, 0.0]])),
+    # no state holds 1e+16 or a non-finite entry; the writer only reads
+    # space and entries
+    "non-physical": lambda: SimpleNamespace(space=FockSpace(1), entries=_hermitian(
+        [[1e16, 0.1, 1 / 3, -0.0], [0.1, -2.5e-08, 1e-05, 5e-324], [1 / 3, 1e-05, np.nan, 1e300],
+         [-0.0, 5e-324, 1e300, -1e16]],
+        [[0.0, -1e-05, np.inf, -np.inf], [0.0, 0.0, -1e-05, -1e-05], [0.0, 0.0, 0.0, -1e-05],
+         [0.0, 0.0, 0.0, 0.0]])),
+}
+
+
+@pytest.mark.parametrize("case", DENSITY_MATRIX_CASES)
+def test_density_matrix_file_holds_the_bytes_of_write_json(tmp_path, case):
+    rho = DENSITY_MATRIX_CASES[case]()
+    path = tmp_path / "rho.json"
+    tio.write_density_matrix(path, rho)
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(tio.density_matrix_to_dict(rho), indent=2, sort_keys=True) + "\n"
+    if case == "non-physical":
+        assert all(f" {v}," in text or f" {v}\n" in text
+                   for v in ("1e+16", "1e-05", "5e-324", "-0.0", "-2.5e-08", "NaN", "Infinity",
+                             "-Infinity"))
+    else:
+        assert np.array_equal(tio.read_density_matrix(path).entries, rho.entries)
 
 
 def test_density_matrix_rejects_wrong_ordering(tmp_path):
@@ -495,6 +547,7 @@ def test_cli_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
                 "reproduce fig_s3 --scale smoke --out .",
                 "reproduce fig_s2 --scale smoke --out .",
                 "reproduce fig_s3 --scale paper --out paper",
+                "reproduce fig_s2 --scale paper --out paper",
                 "tomo sim/samples.csv --n-cut 5 --out tomo",
                 "simulate --xi 0.8 --thetas 0.7853981633974483,2.356194490192345 --p 150000"
                 " --out pair",
@@ -512,5 +565,6 @@ def test_cli_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
                        check=True, capture_output=True, timeout=120)
         trees.append({str(p.relative_to(out)): p.read_bytes()
                       for p in sorted(out.rglob("*")) if p.is_file()})
-    assert len(trees[0]) == 21 and "pair/epr_report.json" in trees[0]
+    assert len(trees[0]) == 23 and "pair/epr_report.json" in trees[0]
+    assert "paper/fig_s2-seed0/fig_s2_table.csv" in trees[0]
     assert trees[0] == trees[1]

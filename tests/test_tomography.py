@@ -185,8 +185,13 @@ def test_separable_kernel_matches_the_bin_ket_oracle(case):
     else:
         hists = fig_s3_histograms(0.1 if case == "dx 0.1" else 0.25)
     space = FockSpace(n_cut)
+    kernel = tomography._Kernel(n_cut, hists)
+    # the 2 s = (n_cut + 1)(n_cut + 2) columns less the zero sines of the
+    # n_cut + 1 equal pairs
+    assert kernel.block.shape == (space.dim, space.dim)
+    assert all(at.shape[1] == bt.shape[1] == space.dim for at, bt, *_ in kernel.ops)
     for rho in (np.eye(space.dim) / space.dim, random_state(space, 1)):
-        r, ll = tomography._Kernel(n_cut, hists)(rho)
+        r, ll = kernel(rho)
         r_ref, ll_ref = bin_kets.r_and_loglik(rho, space, hists)
         assert np.max(np.abs(r - r_ref)) <= 1e-13
         assert abs(ll - ll_ref) <= 1e-13 * abs(ll_ref)
@@ -221,7 +226,7 @@ def unscreened_fit(hists, n_cut, max_iter):
     dim, n = (n_cut + 1) ** 2, kernel.n_total
 
     def dot(a, b):
-        return float(np.multiply(a.view(np.float64), b.view(np.float64)).sum())
+        return float(np.einsum("ij,ij->", a.view(np.float64), b.view(np.float64)))
 
     def density(t):
         rho = t @ np.ascontiguousarray(t.conj().T)
@@ -328,7 +333,7 @@ def test_a_fit_pushed_past_its_optimum_stops_within_its_kernel_budget(monkeypatc
     # with LOGLIK_GAP 0 the fit runs into rounding, where no step may raise
     # log L, or an accepted one leaves it unchanged, both along H grad and
     # along grad: the fit stops there before its budget and reports the gap
-    # of the iterate it stops at.  It made 98 kernel calls in 62 updates;
+    # of the iterate it stops at.  It made 73 kernel calls in 62 updates;
     # bound an update that raises log L by 2 calls, plus the two searches
     # that fail and the kernel call at the stop.  A fit that went on through
     # the unchanged steps made 1950 calls in its 150 updates
@@ -354,13 +359,13 @@ def test_a_fit_pushed_past_its_optimum_stops_within_its_kernel_budget(monkeypatc
 def test_a_search_that_leaves_log_l_unchanged_is_repeated_along_the_gradient(monkeypatch):
     # with LOGLIK_GAP 0, the L-BFGS search of this fit's update 58 finds
     # only steps that leave log L unchanged.  A search along the gradient
-    # still raises log L, and the fit goes on for three more updates; a fit
+    # still raises log L, and the fit goes on for two more updates; a fit
     # that stopped at the first such search ended at update 57, 1.4e-5 nats
-    # from the optimum by its gap, where this one ends 6.4e-6 from it
+    # from the optimum by its gap, where this one ends 9.3e-6 from it
     monkeypatch.setattr(tomography, "LOGLIK_GAP", 0.0)
     samples = vacuum_samples(80, list(np.linspace(0.0, np.pi, 3, endpoint=False)), seed=0)
     fit = ml_reconstruct(bin_samples(samples, 0.2), TomographyConfig(dx=0.2, n_cut=3))
-    assert fit.iterations == 60
+    assert fit.iterations == 59
     assert fit.loglik_trace[-1] > fit.loglik_trace[57]
     assert fit.gap < 1e-5
 
@@ -408,7 +413,7 @@ def test_ml_loglik_monotone_and_psd_iterates(monkeypatch):
     samples = vacuum_samples(100, [0.0, 0.8, 1.6], seed=4)
     cfg = TomographyConfig(dx=0.25, n_cut=5, max_iter=200)
     # check every iterate up to the 100th, after which no step changes
-    # log L and the fit stops, not only the 26 before the gap reaches 0.1;
+    # log L and the fit stops, not only the 21 before the gap reaches 0.1;
     # every state the fit writes is checked, the line-search trials that it
     # rejects included
     monkeypatch.setattr(tomography, "LOGLIK_GAP", 0.0)
