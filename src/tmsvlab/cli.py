@@ -185,6 +185,15 @@ def _cmd_simulate(args) -> int:
     return EX_OK
 
 
+def _sha256(path) -> str:
+    """Hex SHA-256 of a file, read in 1 MiB blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as file:
+        while block := file.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def _cmd_tomo(args) -> int:
     out = _outdir(args.out or ".")
     samples = tio.read_samples(args.samples)
@@ -198,7 +207,7 @@ def _cmd_tomo(args) -> int:
         "converged": result.converged,
         "config": dataclasses.asdict(config),
         "input": {"path": str(args.samples),
-                  "sha256": hashlib.sha256(Path(args.samples).read_bytes()).hexdigest()},
+                  "sha256": _sha256(args.samples)},
     })
     print(f"reconstruction {'converged' if result.converged else 'did not converge'} "
           f"after {result.iterations} iterations "
@@ -216,10 +225,13 @@ def _cmd_criteria(args) -> int:
     if len(groups) > 2:
         raise PhaseMismatchError(
             f"need exactly two phase groups, found {len(groups)}")
-    (theta_x, idx_x), (theta_p, idx_p) = groups
+    samples_x, samples_p = (samples[idx] for _, idx in groups)
+    # the groups are copies: let the full batch and the index arrays go
+    # before the bootstrap, which would otherwise hold them to its end
+    del samples, groups
     occupations = tuple(default if value is None else value for value, default
                         in zip((args.n_a, args.n_b, args.n0), DEFAULT_OCCUPATIONS))
-    report = epr_report(samples[idx_x], samples[idx_p], occupations=occupations,
+    report = epr_report(samples_x, samples_p, occupations=occupations,
                         seed=args.seed or 0, **_given(args, "bootstrap_b"))
     tio.write_json(out / "epr_report.json", report.to_json_dict())
     print(f"EPR product {report.epr_product:.4f} (threshold {report.epr_threshold:.4f}), "

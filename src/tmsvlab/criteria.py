@@ -135,8 +135,11 @@ def epr_report(samples_x: Samples, samples_p: Samples,
     from a within-group bootstrap of bootstrap_b replicates: each draws
     the x group's resample indices, then the p group's, and takes a
     resample's variances from its multiplicities (the index counts) dotted
-    with the group's columns centred on their means and with their squares,
-    without gathering the resampled values.
+    with the group's moment rows, without gathering the resampled values.
+    Each group keeps one (4, n) array: its rows 0 and 2 hold x_A + x_B and
+    x_A - x_B for the point statistics, and the bootstrap turns them in
+    place into the rows c, c^2, d, d^2 of the two columns centred on their
+    means.
     """
     theta_x = _single_phase(samples_x, "x")
     theta_p = _single_phase(samples_p, "p")
@@ -144,10 +147,14 @@ def epr_report(samples_x: Samples, samples_p: Samples,
     if abs(sep - math.pi / 2.0) > CONJUGATE_PHASE_ATOL:
         raise PhaseMismatchError(
             f"groups at theta={theta_x:.4f} and {theta_p:.4f} are not pi/2 apart (mod pi)")
+    moments = []
+    for samples in (samples_x, samples_p):
+        m = np.empty((4, len(samples)))
+        np.add(samples.x_a, samples.x_b, out=m[0])
+        np.subtract(samples.x_a, samples.x_b, out=m[2])
+        moments.append(m)
     # Var(x_A + x_B) and Var(x_A - x_B) of each group, in _REPORTED order
-    columns = (samples_x.x_a + samples_x.x_b, samples_x.x_a - samples_x.x_b,
-               samples_p.x_a + samples_p.x_b, samples_p.x_a - samples_p.x_b)
-    stats = _report_statistics(*(np.var(c, ddof=1) for c in columns))[0]
+    stats = _report_statistics(*(np.var(m[r], ddof=1) for m in moments for r in (0, 2)))[0]
 
     n_a, n_b, n0 = occupations
     epr_threshold = 0.25 * (1.0 - n_b / n0) ** 2
@@ -157,9 +164,12 @@ def epr_report(samples_x: Samples, samples_p: Samples,
     if bootstrap_b > 0:
         rng = np.random.default_rng([seed])
         # per group, the rows c, c^2, d, d^2 of its two columns centred on
-        # their means
-        centred = [c - c.mean() for c in columns]
-        moments = [np.array([c, c * c, d, d * d]) for c, d in (centred[:2], centred[2:])]
+        # their means, built in place over rows 0 and 2 so that no column
+        # is copied
+        for m in moments:
+            for r in (0, 2):
+                m[r] -= m[r].mean()
+                np.multiply(m[r], m[r], out=m[r + 1])
         sums = np.empty((bootstrap_b, 2, 4))
         for b in range(bootstrap_b):
             for g, m in enumerate(moments):

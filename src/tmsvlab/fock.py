@@ -55,6 +55,15 @@ class FockSpace:
         return np.repeat(n, self.mode_dim), np.tile(n, self.mode_dim)
 
 
+def _check_finite(m: np.ndarray, what: str) -> None:
+    """Reject a NaN or infinite entry, which every later bound check
+    would let through (a comparison with NaN is false)."""
+    bad = ~np.isfinite(m)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"{what} has a non-finite entry {m[i, j]} at ({i}, {j})")
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -88,10 +97,11 @@ class PureState:
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix on a FockSpace.
 
-    Construction is strict: Hermiticity within 1e-10, trace within 1e-10
-    of one, minimum eigenvalue >= -1e-8.  Code that produces matrices with
-    an intentionally different trace (truncation, a factor's T T^dag)
-    should renormalize and go through :meth:`from_entries`.
+    Construction is strict: finite entries, Hermiticity within 1e-10,
+    trace within 1e-10 of one, minimum eigenvalue >= -1e-8.  Code that
+    produces matrices with an intentionally different trace (truncation, a
+    factor's T T^dag) should renormalize and go through
+    :meth:`from_entries`.
     """
 
     space: FockSpace
@@ -101,6 +111,7 @@ class DensityMatrix:
         m = np.array(self.entries, dtype=np.complex128)
         if m.shape != (self.space.dim, self.space.dim):
             raise ValueError(f"expected {self.space.dim}x{self.space.dim} matrix, got {m.shape}")
+        _check_finite(m, "density matrix")
         herm_defect = float(np.max(np.abs(m - m.conj().T)))
         if herm_defect > HERMITIAN_ATOL:
             raise ValueError("violates Hermiticity invariant: matrix is not Hermitian "
@@ -138,6 +149,7 @@ class OperatorMatrix:
         if m.shape != (self.space.dim, self.space.dim):
             raise ValueError(f"expected {self.space.dim}x{self.space.dim} matrix, got {m.shape}")
         if self.hermitian:
+            _check_finite(m, "operator tagged Hermitian")
             defect = float(np.max(np.abs(m - m.conj().T)))
             if defect > HERMITIAN_ATOL:
                 raise ValueError(f"operator tagged Hermitian violates it by {defect:.3e}")

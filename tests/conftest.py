@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,3 +52,14 @@ def concat(*batches):
     """The shots of several batches of one type, in order."""
     return type(batches[0])(*(np.concatenate([getattr(b, f.name) for b in batches])
                               for f in dataclasses.fields(batches[0])))
+
+
+def traced_peak_mb(fn):
+    """Peak of the memory that Python and numpy allocate while fn() runs,
+    in MiB, as tracemalloc sees it (from a fresh trace)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()

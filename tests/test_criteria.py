@@ -11,7 +11,7 @@ from tmsvlab.homodyne import Samples, sample_quadratures
 from tmsvlab.states import (NOISELESS, NoiseModel, OMEGA_SPIN_DYNAMICS, SqueezedVacuum,
                             tmsv_rotated)
 
-from conftest import assert_within_se, concat
+from conftest import assert_within_se, concat, traced_peak_mb
 from gathered_bootstrap import gathered_errors
 from gridded import Gridded
 from group_bootstrap import bootstrap
@@ -147,6 +147,35 @@ def test_bootstrap_from_multiplicities_matches_the_gathered_resamples(seed, n_x,
     for name, value in expected.items():
         assert abs(report.errors[name] - value) <= 1e-12 * abs(value), name
     assert dataclasses.replace(report, errors={}) == epr_report(sx, sp, bootstrap_b=0)
+
+
+def test_seeded_report_keeps_its_recorded_errors_and_variances():
+    # recorded before the moment rows were built in place; the draws and
+    # the sums are the same, so every bit is
+    state = SqueezedVacuum(0.8, 0.0)
+    sx = sample_quadratures(state, [THETA_X_LIKE], 5000, NOISELESS, seed=[13, 0])
+    sp = sample_quadratures(state, [THETA_P_LIKE], 5000, NOISELESS, seed=[13, 1])
+    report = epr_report(sx, sp, seed=13)
+    assert report.errors == {
+        "se_v_x_plus": 0.09782547482122915, "se_v_x_minus": 0.004059748075725129,
+        "se_v_p_plus": 0.004252291387333991, "se_v_p_minus": 0.09856578577791622,
+        "se_epr_product": 0.0011851622040367985, "se_insep_sum": 0.005870183545177849,
+        "se_inferred_dx": 0.00452393826575044, "se_inferred_dp": 0.004724647858482974}
+    assert (report.v_x_plus, report.v_x_minus, report.v_p_plus, report.v_p_minus) == (
+        5.008821077129442, 0.20164158992351303, 0.20278626967217311, 4.8435336585633575)
+
+
+def test_bootstrap_of_two_100k_groups_stays_within_its_memory_bound():
+    # the groups hold 4.6 MB and are made before the trace starts.  The
+    # report peaks at 8.4 MB: two (4, n) moment arrays of 3.2 MB and one
+    # resample's indices, counts and weights; it peaked at 14.5 MB when the
+    # columns, their centred copies and the stacked rows were all alive
+    rng = np.random.default_rng(5)
+    n = 100_000
+    sx = make_samples(THETA_X_LIKE, rng.normal(size=n), rng.normal(size=n))
+    sp = make_samples(THETA_P_LIKE, rng.normal(size=n), rng.normal(size=n))
+    peak = traced_peak_mb(lambda: epr_report(sx, sp, bootstrap_b=20, seed=1))
+    assert peak <= 12.0, peak
 
 
 def test_min_pairing_invariant(space10):

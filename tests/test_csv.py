@@ -10,7 +10,6 @@ np.loadtxt rejects: the reader now names that line.
 """
 
 import re
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,7 @@ import pytest
 from tmsvlab import io as tio
 from tmsvlab.homodyne import Samples, Shots
 
-from conftest import assert_same_batch
+from conftest import assert_same_batch, traced_peak_mb
 
 CHUNK = tio._CHUNK_ROWS
 SPECIAL = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308,
@@ -214,12 +213,6 @@ def test_writing_and_reading_200k_rows_stays_within_its_memory_bound(tmp_path):
     samples = Samples(np.repeat([np.pi / 4, 3 * np.pi / 4], n), rng.normal(size=2 * n),
                       rng.normal(size=2 * n))
     path = tmp_path / "samples.csv"
-    peaks = []
-    for step in (lambda: tio.write_samples(path, samples), lambda: tio.read_samples(path)):
-        tracemalloc.start()
-        try:
-            step()
-            peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
-        finally:
-            tracemalloc.stop()
+    peaks = [traced_peak_mb(lambda: tio.write_samples(path, samples)),
+             traced_peak_mb(lambda: tio.read_samples(path))]
     assert peaks[0] <= 12.0 and peaks[1] <= 18.0, peaks

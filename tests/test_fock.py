@@ -230,6 +230,30 @@ def test_density_matrix_invariant_gates(space4):
         DensityMatrix(space4, m)
 
 
+@pytest.mark.parametrize("entries", [
+    [((0, 0), np.nan)],                          # NaN on the diagonal
+    [((0, 1), np.nan), ((1, 0), np.nan)],        # NaN off it, in both halves
+    [((2, 2), np.inf)],
+    [((1, 1), -np.inf)],
+    [((0, 3), np.inf), ((3, 0), np.inf)],        # passes the Hermiticity check
+    [((1, 2), -np.inf * 1j), ((2, 1), np.inf * 1j)],
+])
+def test_non_finite_entries_are_rejected_first(entries):
+    # a comparison with NaN is false, so each of these passed the bound
+    # checks or failed on a misleading one (the trace, or LinAlgError in
+    # eigvalsh) before entries were checked for finiteness
+    space = FockSpace(1)
+    m = np.eye(4, dtype=complex) / 4
+    for index, value in entries:
+        m[index] = value
+    (i, j), _ = entries[0]
+    message = rf"non-finite entry .* at \({i}, {j}\)"
+    with pytest.raises(ValueError, match="density matrix has a " + message):
+        DensityMatrix(space, m)
+    with pytest.raises(ValueError, match="operator tagged Hermitian has a " + message):
+        OperatorMatrix(space, m, hermitian=True)
+
+
 def test_pure_state_renormalizes(space4):
     amps = np.zeros(space4.dim, dtype=complex)
     amps[0] = 3.0

@@ -19,7 +19,7 @@ from tmsvlab.pipelines import sweep_phases
 from tmsvlab.states import NOISELESS, NoiseModel, SqueezedVacuum, tmsv
 from tmsvlab.tomography import TomographyConfig, bin_samples, ml_reconstruct
 
-from conftest import assert_same_batch, concat, loglik_under
+from conftest import assert_same_batch, concat, loglik_under, traced_peak_mb
 from gathered_bootstrap import gathered_errors
 from gridded import Gridded
 
@@ -385,6 +385,23 @@ def test_cli_criteria_missing_conjugate_pair(tmp_path):
     assert run_cli("criteria", str(path)) == EX_RUNTIME
 
 
+def test_cli_criteria_on_two_100k_groups_stays_within_its_memory_bound(tmp_path):
+    # the file is written before the trace starts.  The command peaks at
+    # 13.2 MB in the bootstrap, which holds the two groups (4.6 MB) but not
+    # the full batch; reading peaks at 9.2 MB.  It peaked at 25.4 MB when
+    # the full batch, the columns, their centred copies and the stacked rows
+    # were all alive during the bootstrap
+    rng = np.random.default_rng(6)
+    n = 100_000
+    path = tmp_path / "samples.csv"
+    tio.write_samples(path, Samples(np.repeat([np.pi / 4, 3 * np.pi / 4], n),
+                                    rng.normal(size=2 * n), rng.normal(size=2 * n)))
+    peak = traced_peak_mb(lambda: run_cli("criteria", str(path), "--bootstrap-b", "20",
+                                          "--out", str(tmp_path)))
+    assert (tmp_path / "epr_report.json").is_file()
+    assert peak <= 19.0, peak
+
+
 def test_cli_metrics_on_tmsv_file(tmp_path):
     rho = tmsv(0.63, FockSpace(10)).projector()
     path = tmp_path / "rho.json"
@@ -418,6 +435,18 @@ def test_cli_metrics_rejects_bad_trace(tmp_path):
     path = tmp_path / "rho.json"
     path.write_text(json.dumps(d))
     assert run_cli("metrics", str(path)) == EX_RUNTIME
+
+
+def test_cli_metrics_rejects_a_non_finite_entry(tmp_path, capsys):
+    # json reads NaN; the density matrix refuses it before its bound checks
+    d = tio.density_matrix_to_dict(basis_state(FockSpace(2), 0, 0).projector())
+    d["re"][1][1] = float("nan")
+    path = tmp_path / "rho_ml.json"
+    path.write_text(json.dumps(d))
+    assert "NaN" in path.read_text()
+    assert run_cli("metrics", str(path), "--out", str(tmp_path)) == EX_RUNTIME
+    assert "non-finite entry (nan+0j) at (1, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.json").exists()
 
 
 def test_cli_reproduce_unknown_id(tmp_path):
