@@ -39,10 +39,10 @@ from . import io as tio
 from .criteria import (DEFAULT_OCCUPATIONS, PhaseMismatchError, epr_report,
                        group_samples)
 from .homodyne import default_config, simulate_readout
-from .metrics import metrics_report
+from .metrics import fidelity_best_phase, metrics_report
 from .pipelines import (FIG3_TIME_GRID, PACKAGE, PRESETS, make_manifest, run_fig3,
                         run_fig_s2, run_fig_s3, sweep_phases)
-from .states import NoiseModel, tmsv
+from .states import NoiseModel
 from .tomography import TomographyConfig, bin_samples, ml_reconstruct
 
 EX_OK = 0
@@ -146,7 +146,8 @@ def build_parser() -> _Parser:
 
     p_met = command("metrics", "entanglement metrics of a density matrix", seeded=False)
     p_met.add_argument("matrix", help="density-matrix JSON file")
-    p_met.add_argument("--target-xi", dest="target_xi", type=float, default=None)
+    p_met.add_argument("--target-xi", dest="target_xi", type=float, default=None,
+                       help="xi of a squeezed-vacuum target, scored at its best pair phase")
 
     p_rep = command("reproduce", "run a named end-to-end scenario")
     p_rep.add_argument("figure", choices=sorted(PRESETS), help="scenario id")
@@ -243,8 +244,11 @@ def _cmd_criteria(args) -> int:
 def _cmd_metrics(args) -> int:
     out = _outdir(args.out or ".")
     rho = tio.read_density_matrix(args.matrix)
-    target = None if args.target_xi is None else tmsv(args.target_xi, rho.space)
-    report = metrics_report(rho, target=target)
+    report = metrics_report(rho)
+    if args.target_xi is not None:
+        # a file carries no phase reference: score the target at its best pair phase
+        report = dataclasses.replace(
+            report, fidelity_to_target=fidelity_best_phase(rho, args.target_xi))
     tio.write_json(out / "metrics.json", report.to_json_dict())
     print(f"log-negativity {report.log_negativity:.4f}, "
           f"QFI {report.qfi:.4f}, xi_fit {report.xi_fit:.4f}")

@@ -10,12 +10,11 @@ smaller product is reported, together with which pairing fired.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .homodyne import (Samples, default_config, sample_quadratures, shots_to_samples,
-                       simulate_shots)
+from .homodyne import Samples, default_config, shots_to_samples, simulate_shots
 from .states import (NoiseModel, OMEGA_SPIN_DYNAMICS, SqueezedVacuum,
                      analytic_variances)
 
@@ -83,19 +82,10 @@ class EprReport:
     errors: dict[str, float] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "v_x_plus": self.v_x_plus, "v_x_minus": self.v_x_minus,
-            "v_p_plus": self.v_p_plus, "v_p_minus": self.v_p_minus,
-            "epr_product": self.epr_product, "epr_pairing": self.epr_pairing,
-            "insep_sum": self.insep_sum,
-            "epr_threshold": self.epr_threshold, "insep_threshold": self.insep_threshold,
-            "epr_satisfied": self.epr_satisfied, "insep_satisfied": self.insep_satisfied,
-            "inferred_dx": self.inferred_dx, "inferred_dp": self.inferred_dp,
-            "occupations": {"n_a": self.occupations[0], "n_b": self.occupations[1],
-                            "n0": self.occupations[2]},
-            "counts": {"x_group": self.counts[0], "p_group": self.counts[1]},
-            "errors": dict(sorted(self.errors.items())),
-        }
+        d = asdict(self)
+        d["occupations"] = dict(zip(("n_a", "n_b", "n0"), self.occupations))
+        d["counts"] = dict(zip(("x_group", "p_group"), self.counts))
+        return d
 
 
 def _single_phase(samples: Samples, label: str) -> float:
@@ -223,9 +213,9 @@ def time_sweep(times, noise: NoiseModel, p_per_point: int,
     Each grid point takes the Gaussian source at xi = OMEGA_SPIN_DYNAMICS * t
     and the default readout (:func:`~tmsvlab.homodyne.default_config`), draws
     p_per_point shots at the two calibrated angles from its exact
-    covariance (through the count-level simulation when coupling-strength
-    jitter is active), and evaluates the report.  The ideal e^{-+2 xi}
-    curves are emitted alongside.
+    covariance, records them as atom counts and reads the quadratures back
+    from the counts, as the experiment does, and evaluates the report.
+    The ideal e^{-+2 xi} curves are emitted alongside.
     """
     if any(t < 0 for t in times):
         raise ValueError("times must be nonnegative")
@@ -235,12 +225,8 @@ def time_sweep(times, noise: NoiseModel, p_per_point: int,
     for i, t in enumerate(times):
         xi = OMEGA_SPIN_DYNAMICS * float(t)
         state = SqueezedVacuum(xi, 0.0)
-        point_seed = [seed, i]
-        if noise.rf_rel_noise > 0.0:
-            shots = simulate_shots(state, config, noise, thetas, p_per_point, seed=point_seed)
-            samples = shots_to_samples(shots, thetas, p_per_point, config)
-        else:
-            samples = sample_quadratures(state, thetas, p_per_point, noise, seed=point_seed)
+        shots = simulate_shots(state, config, noise, thetas, p_per_point, seed=[seed, i])
+        samples = shots_to_samples(shots, thetas, p_per_point, config)
         samples_x = samples[:p_per_point]
         samples_p = samples[p_per_point:]
         n_pairs = math.sinh(xi) ** 2

@@ -6,8 +6,8 @@ Everything downstream (density-matrix files included) uses this ordering
 and complex128 matrices.
 
 All container types are immutable after construction; the wrapped numpy
-arrays are marked read-only so instances can be shared freely across
-workers.
+arrays are marked read-only so instances can be shared freely between
+callers without copying.
 """
 
 from dataclasses import dataclass

@@ -11,19 +11,21 @@ Shots travel in columnar batches, one array element per shot:
 :class:`Shots` the atom counts (n_a, n_b, n_tot).  Both are frozen and
 validated as a whole on construction.
 
-There is one sampling path.  For each shot the sampler draws the angle
-jitter, asks the source for an (x_a, x_b) pair at the jittered angle
-through the source's ``draw(theta, delta, rng)`` method, and adds the
-common-mode sum shift; count records add the transfer jitter and the
-count inversion.  Every shipped source is a
+There is one sampling path and one readout path.  For each shot the
+sampler draws the angle jitter, asks the source for an (x_a, x_b) pair at
+the jittered angle through the source's ``draw(theta, delta, rng)``
+method, and adds the common-mode sum shift; every phase draws its shots in
+one loop, from its own generator stream, so group order cannot change the
+result and sampling is deterministic given (seed, theta index).  Count
+records take those same draws, add the transfer jitter, invert the
+estimators to counts once, and redraw from the phase's stream the shots
+whose counts leave [0, N_tot].  Every shipped source is a
 :class:`~tmsvlab.states.SqueezedVacuum`, which is Gaussian (a Gaussian
 mixture when its pair phase is dephased) and draws each shot from its
 exact covariance at the shot's own angle, with no Fock space, grid or
 occupation cutoff.  The test suite keeps a gridded inverse-CDF sampler of
 an arbitrary Fock-space density matrix, with the same ``draw`` method, as
-a reference.  Sampling is deterministic given (seed, theta index): every
-theta group draws from its own generator stream, so group order cannot
-change the result.
+a reference.
 """
 
 import math
@@ -50,15 +52,14 @@ class HomodyneConfig:
 
     omega_p1, omega_m1: Rabi frequencies (rad/s) of the two transitions;
     tau: pulse duration (s); n0: mean reference-mode atom number before
-    the pulse; transfer_fraction: measured s^2 override (derived from the
-    pulse area when None).
+    the pulse.  The transfer fraction s^2 = sin^2(Omega tau / 2) follows
+    from the pulse area.
     """
 
     omega_p1: float
     omega_m1: float
     tau: float
     n0: float
-    transfer_fraction: float | None = None
 
     def __post_init__(self):
         if self.omega_p1 <= 0 or self.omega_m1 <= 0:
@@ -67,8 +68,6 @@ class HomodyneConfig:
             raise ValueError("tau must be positive")
         if self.n0 <= 0:
             raise ValueError("n0 must be positive")
-        if self.transfer_fraction is not None and not (0.0 < self.transfer_fraction < 1.0):
-            raise ValueError("transfer_fraction must lie in (0, 1)")
 
     @property
     def omega(self) -> float:
@@ -93,8 +92,6 @@ class HomodyneConfig:
 
     @property
     def s2(self) -> float:
-        if self.transfer_fraction is not None:
-            return self.transfer_fraction
         return self.s ** 2
 
     @property
@@ -256,6 +253,22 @@ def _draw_group(source: SqueezedVacuum, theta: float, n: int, noise: NoiseModel,
     return x_a, x_b
 
 
+def _draw(source: SqueezedVacuum, thetas: np.ndarray, p_per_theta: int, noise: NoiseModel,
+          seed) -> tuple[list[np.random.Generator], np.ndarray, np.ndarray]:
+    """p_per_theta (x_a, x_b) pairs at each nominal angle, one row per
+    angle, and each angle's generator, seeded (seed, angle index), for
+    further draws of that angle."""
+    if p_per_theta < 1:
+        raise ValueError("p_per_theta must be >= 1")
+    base = _seed_list(seed)
+    rngs = [np.random.default_rng(base + [i]) for i in range(thetas.size)]
+    x_a = np.empty((thetas.size, p_per_theta))
+    x_b = np.empty_like(x_a)
+    for i, (theta, rng) in enumerate(zip(thetas.tolist(), rngs)):
+        x_a[i], x_b[i] = _draw_group(source, theta, p_per_theta, noise, rng)
+    return rngs, x_a, x_b
+
+
 def sample_quadratures(source: SqueezedVacuum, thetas, p_per_theta: int,
                        noise: NoiseModel = NOISELESS, seed=0) -> Samples:
     """Monte-Carlo homodyne samples: p_per_theta shots at each nominal angle.
@@ -265,22 +278,21 @@ def sample_quadratures(source: SqueezedVacuum, thetas, p_per_theta: int,
     angle, and a common-mode offset raises Var(x_a + x_b) by
     sum_variance_shift.  Shots are recorded under the nominal angle.
     """
-    if p_per_theta < 1:
-        raise ValueError("p_per_theta must be >= 1")
-    base = _seed_list(seed)
     thetas = np.asarray(thetas, dtype=np.float64)
-    x_a = np.empty((thetas.size, p_per_theta))
-    x_b = np.empty_like(x_a)
-    for i, theta in enumerate(thetas.tolist()):
-        rng = np.random.default_rng(base + [i])
-        x_a[i], x_b[i] = _draw_group(source, theta, p_per_theta, noise, rng)
+    _, x_a, x_b = _draw(source, thetas, p_per_theta, noise, seed)
     return Samples(np.repeat(thetas, p_per_theta), x_a.ravel(), x_b.ravel())
 
 
 def _invert_counts(x_a, x_b, s2, config: HomodyneConfig):
-    """Counts realizing the quadratures at transfer fraction s2, rounded as
-    in :func:`quadratures_to_counts`, and the mask of shots whose counts
-    lie in [0, N_tot]."""
+    """Counts realizing the quadratures at transfer fraction s2, and the
+    mask of shots whose counts lie in [0, N_tot].
+
+    The estimators of :func:`estimate_quadratures` are inverted: the count
+    sum is rounded to the nearest integer and the count difference to the
+    nearest integer of the same parity, so both counts are integers and
+    the recovered difference quadrature is off by at most
+    1/sqrt(s^2 N_tot).
+    """
     n_tot = config.n_tot
     sum_real = s2 * n_tot + (x_a + x_b) * np.sqrt(s2 * (1.0 - s2) * n_tot)
     diff_real = (x_a - x_b) * np.sqrt(s2 * n_tot) + s2 * config.rabi_asymmetry * n_tot / 2.0
@@ -294,43 +306,19 @@ def _invert_counts(x_a, x_b, s2, config: HomodyneConfig):
     return n_a, n_b, (n_a >= 0) & (n_b >= 0) & (n_a + n_b <= n_tot)
 
 
-def quadratures_to_counts(x_a, x_b, config: HomodyneConfig,
-                          s2_actual=None) -> tuple[np.ndarray, np.ndarray]:
-    """Invert the estimators to integer counts realizing given quadratures.
-
-    The count sum is rounded to the nearest integer and the count
-    difference to the nearest integer of the same parity, so both counts
-    are integers and the recovered difference quadrature is off by at most
-    1/sqrt(s^2 N_tot).
-
-    Raises CountBoundsError when any synthesized count leaves [0, N_tot].
-    """
-    x_a = np.asarray(x_a, dtype=np.float64)
-    x_b = np.asarray(x_b, dtype=np.float64)
-    s2 = np.full_like(x_a, config.s2) if s2_actual is None else np.asarray(s2_actual)
-    n_a, n_b, ok = _invert_counts(x_a, x_b, s2, config)
-    if not np.all(ok):
-        raise CountBoundsError(f"{int((~ok).sum())} synthesized shots left [0, {config.n_tot}]")
-    return n_a, n_b
-
-
 def _readout(source: SqueezedVacuum, config: HomodyneConfig, noise: NoiseModel,
              thetas: np.ndarray, p_per_theta: int, seed) -> tuple[np.ndarray, np.ndarray, Shots]:
-    """The quadratures (x_a, x_b) of every shot and its count record."""
-    if p_per_theta < 1:
-        raise ValueError("p_per_theta must be >= 1")
+    """The quadratures (x_a, x_b) of every shot and its count record; a shot
+    whose counts leave [0, N_tot] is redrawn from its angle's generator."""
+    rngs, x_a, x_b = _draw(source, thetas, p_per_theta, noise, seed)
     base = _seed_list(seed)
     n_tot = config.n_tot
-    x_a = np.empty((thetas.size, p_per_theta))
-    x_b = np.empty_like(x_a)
     n_a = np.empty(x_a.shape, dtype=np.int64)
     n_b = np.empty_like(n_a)
-    for i, theta in enumerate(thetas.tolist()):
-        rng = np.random.default_rng(base + [i])
-        rng_rf = np.random.default_rng(base + [i, 7])
-        x_a[i], x_b[i] = _draw_group(source, theta, p_per_theta, noise, rng)
+    for i, (theta, rng) in enumerate(zip(thetas.tolist(), rngs)):
         if noise.rf_rel_noise > 0.0:
-            eps = rng_rf.normal(0.0, noise.rf_rel_noise, p_per_theta)
+            eps = np.random.default_rng(base + [i, 7]).normal(0.0, noise.rf_rel_noise,
+                                                              p_per_theta)
         else:
             eps = np.zeros(p_per_theta)
         s2_act = np.clip(config.s2 * (1.0 + eps), 1e-12, 1.0 - 1e-12)

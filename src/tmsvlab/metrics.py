@@ -3,11 +3,12 @@
 Covers quantum fidelity (pure and Uhlmann), logarithmic negativity via the
 partial transpose, the quantum Fisher information of the state projected
 onto fixed total-number sectors and maximized over collective-spin
-directions, and the best-fit squeezing parameter.
+directions, the best-fit squeezing parameter, and the fidelity to a
+squeezed vacuum at its best pair phase.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -186,6 +187,17 @@ def fit_squeezing(rho: DensityMatrix, xi_max: float = 2.0,
     return xi_best, math.sqrt(min(max(best, 0.0), 1.0))
 
 
+def fidelity_best_phase(rho: DensityMatrix, xi: float) -> float:
+    """Fidelity of rho to the squeezed vacuum of parameter xi at its best
+    pair phase, maximized over the phases :func:`fit_squeezing` searches;
+    for a state that carries no phase reference."""
+    if xi < 0:
+        raise ValueError("xi must be nonnegative")
+    n_cut = rho.space.n_cut
+    overlap = _fit_overlap(xi, _pair_block(rho), n_cut, _phase_table(n_cut + 1))
+    return math.sqrt(min(max(overlap, 0.0), 1.0))
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     log_negativity: float
@@ -198,16 +210,7 @@ class MetricsReport:
     fidelity_to_target: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "log_negativity": self.log_negativity,
-            "qfi": self.qfi,
-            "qfi_per_particle": self.qfi_per_particle,
-            "qfi_per_particle_defined": self.qfi_per_particle_defined,
-            "n_bar": self.n_bar,
-            "xi_fit": self.xi_fit,
-            "fit_fidelity": self.fit_fidelity,
-            "fidelity_to_target": self.fidelity_to_target,
-        }
+        return asdict(self)
 
 
 def metrics_report(rho: DensityMatrix, target: PureState | None = None) -> MetricsReport:

@@ -16,8 +16,8 @@ reads the preset fields listed here and sweeps the others it names:
                compared against the analytic dephased truth:
                :func:`run_fig_s3` reads every field and sweeps none;
 * ``fig3``     squeezing-dynamics sweep with per-shot measurement-angle
-               jitter and coupling-strength jitter, evaluated through the
-               count-level simulation: :func:`run_fig3` reads noise,
+               jitter and coupling-strength jitter, read out from atom
+               counts as every time sweep is: :func:`run_fig3` reads noise,
                p_per_theta and seed, and sweeps the time t_s, which sets
                xi.  Its source (xi at the optimal time) serves ``simulate
                --preset fig3``; nothing is reconstructed, so dx and n_cut

@@ -7,7 +7,8 @@ import pytest
 from tmsvlab.criteria import (THETA_P_LIKE, THETA_X_LIKE, PhaseMismatchError,
                               epr_report, group_samples, time_sweep)
 from tmsvlab.fock import FockSpace, basis_state
-from tmsvlab.homodyne import Samples, sample_quadratures
+from tmsvlab.homodyne import (Samples, default_config, sample_quadratures, shots_to_samples,
+                              simulate_shots)
 from tmsvlab.states import (NOISELESS, NoiseModel, OMEGA_SPIN_DYNAMICS, SqueezedVacuum,
                             tmsv_rotated)
 
@@ -252,6 +253,25 @@ def test_time_sweep_noise_free_follows_analytic():
         se = expected * np.sqrt(2.0 / (30_000 - 1)) * np.sqrt(2.0)
         assert_within_se(row.epr_product, expected, se + 2e-3)
         assert row.epr_product_ideal == pytest.approx(expected, rel=1e-10)
+
+
+def test_time_sweep_reads_noiseless_points_from_counts():
+    # with or without rf jitter, a point is the report on the quadratures
+    # that its count records give back
+    times, p = [0.0, 12e-3], 3000
+    config = default_config()
+    thetas = [THETA_X_LIKE, THETA_P_LIKE]
+    for i, row in enumerate(time_sweep(times, NOISELESS, p, seed=9)):
+        shots = simulate_shots(SqueezedVacuum(row.xi, 0.0), config, NOISELESS, thetas, p,
+                               seed=[9, i])
+        samples = shots_to_samples(shots, thetas, p, config)
+        n_pairs = np.sinh(row.xi) ** 2
+        report = epr_report(samples[:p], samples[p:],
+                            occupations=(n_pairs, n_pairs, config.n0), bootstrap_b=0)
+        assert (row.v_x_minus, row.v_x_plus, row.v_p_plus, row.v_p_minus,
+                row.epr_product, row.insep_sum) == (
+            report.v_x_minus, report.v_x_plus, report.v_p_plus, report.v_p_minus,
+            report.epr_product, report.insep_sum)
 
 
 def test_time_sweep_rejects_negative_times():

@@ -16,7 +16,8 @@ from tmsvlab.criteria import epr_report, group_samples, time_sweep
 from tmsvlab.fock import DensityMatrix, FockSpace, basis_state
 from tmsvlab.homodyne import Samples, Shots, default_config, sample_quadratures, simulate_readout
 from tmsvlab.pipelines import sweep_phases
-from tmsvlab.states import NOISELESS, NoiseModel, SqueezedVacuum, tmsv
+from tmsvlab.metrics import fidelity_pure
+from tmsvlab.states import NOISELESS, NoiseModel, SqueezedVacuum, tmsv, tmsv_rotated
 from tmsvlab.tomography import TomographyConfig, bin_samples, ml_reconstruct
 
 from conftest import assert_same_batch, concat, loglik_under, traced_peak_mb
@@ -413,6 +414,22 @@ def test_cli_metrics_on_tmsv_file(tmp_path):
     assert report["log_negativity"] == pytest.approx(1.818, abs=0.01)
     assert report["qfi"] == pytest.approx(2.627, abs=0.01)
     assert report["fidelity_to_target"] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("target_xi", [0.63, 0.5])
+def test_cli_metrics_scores_the_target_at_its_best_pair_phase(tmp_path, target_xi):
+    # a file carries no phase reference: a pair-phase-0 state (the phase of
+    # the fig_s3 and fig3 sources) scores against the target at its best
+    # phase, here 0, and never above the best fit over xi
+    space = FockSpace(10)
+    path = tmp_path / "rho.json"
+    tio.write_density_matrix(path, tmsv_rotated(0.63, 0.0, space).projector())
+    assert run_cli("metrics", str(path), "--target-xi", str(target_xi),
+                   "--out", str(tmp_path)) == EX_OK
+    report = json.loads((tmp_path / "metrics.json").read_text())
+    expected = fidelity_pure(tio.read_density_matrix(path), tmsv_rotated(target_xi, 0.0, space))
+    assert report["fidelity_to_target"] == pytest.approx(expected, abs=1e-9)
+    assert report["fit_fidelity"] >= report["fidelity_to_target"] - 1e-9
 
 
 def test_cli_metrics_vacuum_zero_metrics(tmp_path):
