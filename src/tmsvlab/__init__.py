@@ -15,8 +15,8 @@ from .homodyne import (HomodyneConfig, Samples, Shots, calibrate_transfer,
                        config_from_transfer, default_config, estimate_quadratures,
                        mode_transform, sample_quadratures, simulate_readout, simulate_shots)
 from .criteria import EprReport, epr_report, time_sweep
-from .tomography import (Histogram2D, MLResult, TomographyConfig, bin_probability,
-                         bin_samples, ml_reconstruct, r_operator)
+from .tomography import (Histogram2D, MLResult, TomographyConfig, bin_samples,
+                         ml_reconstruct)
 from .metrics import (MetricsReport, fidelity_mixed, fidelity_pure, fit_squeezing,
                       log_negativity, metrics_report, qfi_fixed_n)
 from .pipelines import (PRESETS, ExperimentPreset, run_fig3, run_fig_s2, run_fig_s3)

@@ -14,24 +14,27 @@ random numbers ``--seed``; runs are serial, with no worker-count flag.
 After parsing, each value of the JSON config file fills the flag of that
 name (``p_per_theta`` for ``--p``) if it was not given, cast and checked as
 the flag is; a value the flag cannot take is a usage error.  A setting left
-unset takes the library's default (``TomographyConfig``, ``NoiseModel``,
-``epr_report``, whose n0 is the default readout's; the ``fig_s2`` preset's
-source, whose xi ``--xi`` replaces, phases and shot count for an inline
-``simulate``; the figure's preset seed for ``reproduce``).  Only the
-command line's own settings default here: seed 0, out ``.`` (``runs`` for
-``reproduce``) and scale ``paper``.  Reruns with the same settings and
-seed are byte-identical.
+unset takes the library's default (``TomographyConfig``, ``epr_report``,
+whose n0 is the default readout's; the preset's field for ``simulate``;
+the figure's preset seed for ``reproduce``).  Only the command line's own
+settings default here: seed 0, out ``.`` (``runs`` for ``reproduce``) and
+scale ``paper``.  Reruns with the same settings and seed are byte-identical.
 
-``simulate`` draws the source once: ``samples.csv`` holds the quadratures
+``simulate`` starts from ``--preset`` (``fig_s2`` if only ``--xi`` is
+given) and replaces each field that a setting gives: ``--xi`` in the
+source, the noise settings in the noise, the phases and the shots per
+phase.  It draws the source once: ``samples.csv`` holds the quadratures
 that the counts in ``shots.csv`` realize.  Its ``manifest.json`` records
 only what shaped the draw (source, noise, phases, shots per phase, seed)
-and the package, enough to rebuild both files.
+and the package, enough to rebuild both files.  ``criteria`` takes the
+group of the lower phase modulo pi as the x group.
 """
 
 import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -42,7 +45,6 @@ from .homodyne import default_config, simulate_readout
 from .metrics import fidelity_best_phase, metrics_report
 from .pipelines import (FIG3_TIME_GRID, PACKAGE, PRESETS, make_manifest, run_fig3,
                         run_fig_s2, run_fig_s3, sweep_phases)
-from .states import NoiseModel
 from .tomography import TomographyConfig, bin_samples, ml_reconstruct
 
 EX_OK = 0
@@ -159,17 +161,14 @@ def build_parser() -> _Parser:
 def _cmd_simulate(args) -> int:
     out = _outdir(args.out or ".")
     seed = args.seed or 0
-    if args.preset is not None:
-        preset = PRESETS[args.preset]
-    elif args.xi is None:
+    if args.preset is None and args.xi is None:
         raise UsageError("either --preset or --xi is required")
-    else:
-        base = PRESETS["fig_s2"]
-        preset = dataclasses.replace(
-            base, source=dataclasses.replace(base.source, xi=args.xi),
-            noise=NoiseModel(**_given(args, "sigma_phase", "rf_rel_noise",
-                                      "sum_variance_shift")),
-            **_given(args, "thetas", "p_per_theta"))
+    preset = PRESETS[args.preset or "fig_s2"]
+    preset = dataclasses.replace(
+        preset, source=dataclasses.replace(preset.source, **_given(args, "xi")),
+        noise=dataclasses.replace(preset.noise, **_given(
+            args, "sigma_phase", "rf_rel_noise", "sum_variance_shift")),
+        **_given(args, "thetas", "p_per_theta"))
     samples, shots = simulate_readout(preset.source, default_config(), preset.noise,
                                       preset.thetas, preset.p_per_theta, seed=seed)
     tio.write_samples(out / "samples.csv", samples)
@@ -226,6 +225,9 @@ def _cmd_criteria(args) -> int:
     if len(groups) > 2:
         raise PhaseMismatchError(
             f"need exactly two phase groups, found {len(groups)}")
+    # the x group's phase is the lower one modulo pi: rotation angle pi
+    # (THETA_X_LIKE) reads x-like and pi / 2 p-like
+    groups.sort(key=lambda group: group[0] % math.pi)
     samples_x, samples_p = (samples[idx] for _, idx in groups)
     # the groups are copies: let the full batch and the index arrays go
     # before the bootstrap, which would otherwise hold them to its end
@@ -288,7 +290,7 @@ def _cmd_reproduce(args) -> int:
                            [dataclasses.astuple(r) for r in rows])
     elif figure == "fig_s3":
         result = run_fig_s3(preset, seed=seed)
-        tio.write_density_matrix(rundir / "rho_ml.json", result.rho_ml)
+        tio.write_density_matrix(rundir / "rho_ml.json", result.ml.rho)
         tio.write_json(rundir / "metrics.json", result.metrics.to_json_dict())
         tio.write_json(rundir / "summary.json", {
             "fidelity_to_truth": result.fidelity_to_truth,

@@ -38,23 +38,23 @@ class PhaseMismatchError(ValueError):
     """The two sample groups are not a conjugate quarter-period apart."""
 
 
-def group_samples(samples: Samples,
-                  atol: float = THETA_GROUP_ATOL) -> list[tuple[float, np.ndarray]]:
+def group_samples(samples: Samples) -> list[tuple[float, np.ndarray]]:
     """Cluster samples by phase; returns (theta, index array) per cluster.
 
-    Each cluster holds the samples within atol of its smallest theta,
-    ordered by theta and then by position; the next cluster starts at the
-    next larger theta.
+    Each cluster holds the samples within THETA_GROUP_ATOL of its smallest
+    theta, ordered by theta and then by position; the next cluster starts
+    at the next larger theta.
     """
     order = np.argsort(samples.theta, kind="stable")
     theta = samples.theta[order]
     groups = []
     start = 0
     while start < theta.size:
-        # every theta within atol of theta[start] lies below this window end;
-        # a NaN phase forms a cluster of its own
-        end = np.searchsorted(theta, theta[start] + 2.0 * atol, side="right")
-        stop = start + max(1, int(np.count_nonzero(theta[start:end] - theta[start] <= atol)))
+        # every theta within the tolerance of theta[start] lies below this
+        # window end; a NaN phase forms a cluster of its own
+        end = np.searchsorted(theta, theta[start] + 2.0 * THETA_GROUP_ATOL, side="right")
+        within = theta[start:end] - theta[start] <= THETA_GROUP_ATOL
+        stop = start + max(1, int(np.count_nonzero(within)))
         groups.append((float(theta[start]), order[start:stop]))
         start = stop
     return groups
@@ -88,12 +88,21 @@ class EprReport:
         return d
 
 
+def check_finite(samples: Samples, where: str) -> None:
+    """Raise ValueError naming the first quadrature of samples that holds
+    a NaN or an infinity."""
+    for name in ("x_a", "x_b"):
+        if not np.all(np.isfinite(getattr(samples, name))):
+            raise ValueError(f"non-finite {name} quadrature in {where}")
+
+
 def _single_phase(samples: Samples, label: str) -> float:
     groups = group_samples(samples)
     if not groups:
         raise ValueError(f"{label} sample group is empty")
     if len(groups) > 1:
         raise ValueError(f"{label} sample group spans {len(groups)} distinct phases")
+    check_finite(samples, f"the {label} sample group")
     return groups[0][0]
 
 
@@ -134,7 +143,7 @@ def epr_report(samples_x: Samples, samples_p: Samples,
     theta_x = _single_phase(samples_x, "x")
     theta_p = _single_phase(samples_p, "p")
     sep = (theta_p - theta_x) % math.pi
-    if abs(sep - math.pi / 2.0) > CONJUGATE_PHASE_ATOL:
+    if not abs(sep - math.pi / 2.0) <= CONJUGATE_PHASE_ATOL:  # a NaN phase fails
         raise PhaseMismatchError(
             f"groups at theta={theta_x:.4f} and {theta_p:.4f} are not pi/2 apart (mod pi)")
     moments = []
@@ -175,16 +184,13 @@ def epr_report(samples_x: Samples, samples_p: Samples,
         for name, value in zip(_REPORTED, se):
             errors[f"se_{name}"] = float(value)
 
+    reported = {name: float(value) for name, value in zip(_REPORTED, stats)}
     return EprReport(
-        v_x_plus=float(stats[0]), v_x_minus=float(stats[1]),
-        v_p_plus=float(stats[2]), v_p_minus=float(stats[3]),
-        epr_product=float(stats[4]),
-        epr_pairing="x_minus*p_plus" if stats[8] == 0.0 else "x_plus*p_minus",
-        insep_sum=float(stats[5]),
+        **reported,
+        epr_pairing="x_minus*p_plus" if stats[-1] == 0.0 else "x_plus*p_minus",
         epr_threshold=float(epr_threshold), insep_threshold=float(insep_threshold),
-        epr_satisfied=bool(stats[4] < epr_threshold),
-        insep_satisfied=bool(stats[5] < insep_threshold),
-        inferred_dx=float(stats[6]), inferred_dp=float(stats[7]),
+        epr_satisfied=bool(reported["epr_product"] < epr_threshold),
+        insep_satisfied=bool(reported["insep_sum"] < insep_threshold),
         occupations=(float(n_a), float(n_b), float(n0)),
         counts=(len(samples_x), len(samples_p)),
         errors=errors,

@@ -109,10 +109,13 @@ class HomodyneConfig:
 
 
 def config_from_transfer(s2: float = 0.15, rabi_ratio: float = 1.017,
-                         tau: float = 30e-6, n0: float = 20000.0) -> HomodyneConfig:
-    """Config with exact transfer fraction s^2 and given Rabi-frequency ratio."""
+                         n0: float = 20000.0) -> HomodyneConfig:
+    """Config of a 30 us pulse with exact transfer fraction s^2 and given
+    Rabi-frequency ratio.  The pulse length moves no output: s^2 fixes
+    Omega tau, and only that product enters the readout."""
     if not (0.0 < s2 < 1.0):
         raise ValueError("s2 must lie in (0, 1)")
+    tau = 30e-6
     omega = 2.0 * math.asin(math.sqrt(s2)) / tau
     omega_m1 = omega * math.sqrt(2.0 / (1.0 + rabi_ratio ** 2))
     return HomodyneConfig(omega_p1=rabi_ratio * omega_m1, omega_m1=omega_m1, tau=tau, n0=n0)

@@ -18,6 +18,10 @@ from .states import _pair_amplitudes
 
 QFI_EIGENVALUE_FLOOR = 1e-12
 SECTOR_WEIGHT_FLOOR = 1e-14
+# fit_squeezing's xi range and final bracket width, and its pair phases
+FIT_XI_MAX = 2.0
+FIT_XI_TOL = 1e-4
+FIT_PHASES = 2048
 
 
 def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:
@@ -128,10 +132,10 @@ def _pair_block(rho: DensityMatrix) -> np.ndarray:
     return rho.entries[np.ix_(idx, idx)]
 
 
-def _phase_table(k: int, n_phi: int = 2048) -> np.ndarray:
-    """exp(i phi d) at n_phi phases phi in [0, 2 pi) (rows) and the orders
-    d = -(k - 1) .. k - 1 of a k-term pair block (columns)."""
-    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+def _phase_table(k: int) -> np.ndarray:
+    """exp(i phi d) at FIT_PHASES phases phi in [0, 2 pi) (rows) and the
+    orders d = -(k - 1) .. k - 1 of a k-term pair block (columns)."""
+    phi = np.linspace(0.0, 2.0 * np.pi, FIT_PHASES, endpoint=False)
     return np.exp(1j * np.outer(phi, np.arange(-(k - 1), k)))
 
 
@@ -152,24 +156,25 @@ def _fit_overlap(xi: float, pair_block: np.ndarray, n_cut: int, table: np.ndarra
     return _best_phase_overlap(pair_block, coeffs, table)
 
 
-def fit_squeezing(rho: DensityMatrix, xi_max: float = 2.0,
-                  tol: float = 1e-4) -> tuple[float, float]:
-    """Squeezing parameter of the closest ideal squeezed vacuum.
+def fit_squeezing(rho: DensityMatrix) -> tuple[float, float]:
+    """Squeezing parameter of the closest ideal squeezed vacuum, and the
+    fidelity to it.
 
-    Maximizes fidelity over xi in [0, xi_max] by golden-section search;
-    at each xi the pair-phase origin is optimized as well, so the result
-    does not depend on the phase convention of the input state.
+    Maximizes fidelity over xi in [0, FIT_XI_MAX] by golden-section search
+    until the bracket is FIT_XI_TOL wide, then compares xi = 0; at each xi
+    the pair-phase origin is optimized as well, over FIT_PHASES phases, so
+    the result does not depend on the phase convention of the input state.
     """
     pair_block = _pair_block(rho)
     n_cut = rho.space.n_cut
     table = _phase_table(n_cut + 1)
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 0.0, xi_max
+    lo, hi = 0.0, FIT_XI_MAX
     x1 = hi - inv_phi * (hi - lo)
     x2 = lo + inv_phi * (hi - lo)
     f1 = _fit_overlap(x1, pair_block, n_cut, table)
     f2 = _fit_overlap(x2, pair_block, n_cut, table)
-    while hi - lo > tol:
+    while hi - lo > FIT_XI_TOL:
         if f1 >= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - inv_phi * (hi - lo)

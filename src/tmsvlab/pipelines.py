@@ -139,12 +139,12 @@ def run_fig_s2(preset: ExperimentPreset, p_values, dx_values, seeds=(0,)) -> lis
     return rows
 
 
-def twin_fock_dominance(rho: DensityMatrix, max_total: int = 6) -> bool:
-    """True when, in every even total-number sector up to max_total, the
+def twin_fock_dominance(rho: DensityMatrix) -> bool:
+    """True when, in each of the total-number sectors 2, 4 and 6, the
     balanced occupation carries the largest diagonal weight."""
     k = rho.space.mode_dim
     diag = rho.entries.diagonal().real.reshape(k, k)
-    for total in range(2, max_total + 1, 2):
+    for total in (2, 4, 6):
         pairs = [(na, total - na) for na in range(max(0, total - k + 1), min(total, k - 1) + 1)]
         weights = {pair: diag[pair] for pair in pairs}
         if max(weights, key=weights.get) != (total // 2, total // 2):
@@ -154,7 +154,6 @@ def twin_fock_dominance(rho: DensityMatrix, max_total: int = 6) -> bool:
 
 @dataclass(frozen=True)
 class FigS3Result:
-    rho_ml: DensityMatrix
     ml: MLResult
     metrics: MetricsReport
     fidelity_to_truth: float
@@ -176,7 +175,6 @@ def run_fig_s3(preset: ExperimentPreset, seed: int | None = None) -> FigS3Result
     # the pure target carries the source's pair phase
     target = tmsv_rotated(source.xi, source.pair_phase, result.rho.space)
     return FigS3Result(
-        rho_ml=result.rho,
         ml=result,
         metrics=metrics_report(result.rho, target=target),
         fidelity_to_truth=fidelity_mixed(result.rho, truth),

@@ -52,13 +52,13 @@ dx = 0.25) give rho_00 = 0.951 (seed-to-seed sd 0.018), below that limit.
 
 import math
 import mmap
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, FockSpace, OperatorMatrix, hermite_functions
+from .fock import DensityMatrix, FockSpace, hermite_functions
 from .homodyne import Samples
-from .criteria import group_samples
+from .criteria import check_finite, group_samples
 
 # floor on model bin probabilities, so log P and n / P stay finite
 MIN_BIN_PROB = 1e-12
@@ -73,17 +73,13 @@ _ARMIJO = 1e-4
 _MAX_HALVINGS = 50
 
 
-class IllConditionedDataError(RuntimeError):
-    """A populated bin has a non-finite midpoint, so no model probability."""
-
-
 @dataclass(frozen=True)
 class Histogram2D:
     """Joint quadrature counts at one local-oscillator phase.
 
     Bins are half-open squares [x, x + dx) x [y, y + dx) whose lower-left
     corners sit on integer multiples of dx; ``origin`` is the corner of
-    bin (0, 0).
+    bin (0, 0).  theta, dx and origin are finite, so is every midpoint.
     """
 
     theta: float
@@ -92,6 +88,9 @@ class Histogram2D:
     counts: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
+        if not all(map(math.isfinite, (self.theta, self.dx, *self.origin))):
+            raise ValueError("histogram theta, dx and origin must be finite")
         if self.dx <= 0:
             raise ValueError("dx must be positive")
         c = np.array(self.counts)
@@ -99,7 +98,6 @@ class Histogram2D:
             raise ValueError("counts must be a 2D array of nonnegative integers")
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
-        object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
 
     @property
     def total(self) -> int:
@@ -148,9 +146,11 @@ class MLResult:
 
 def bin_samples(samples: Samples, dx: float) -> list[Histogram2D]:
     """Bin samples into one histogram per distinct phase (grouped within
-    1e-9 rad), using half-open bins aligned to integer multiples of dx."""
+    1e-9 rad), using half-open bins aligned to integer multiples of dx.
+    A NaN or infinite quadrature raises ValueError."""
     if dx <= 0:
         raise ValueError("dx must be positive")
+    check_finite(samples, "the samples")
     hists = []
     for theta, idx in group_samples(samples):
         ia = np.floor(samples.x_a[idx] / dx).astype(np.int64)
@@ -174,9 +174,6 @@ def _bin_operators(n_cut: int, lo: np.ndarray, hi: np.ndarray, hist: Histogram2D
     cols = np.flatnonzero(hist.counts.any(axis=0))
     counts = hist.counts[np.ix_(rows, cols)].ravel()
     xa, xb = (x[i] for x, i in zip(hist.midpoints(), (rows, cols)))
-    if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(xb))):
-        raise IllConditionedDataError(
-            f"non-finite bin midpoint in histogram at theta={hist.theta:.4f}")
     d = hist.theta * (lo - hi)
     unequal = lo < hi
     rot = np.concatenate([np.cos(d), np.sin(d[unequal])]) * hist.dx
@@ -236,6 +233,9 @@ class _Kernel:
         # and, at M1's phase, negated
         pair = np.empty((k, k), dtype=np.int64)
         pair[lo, hi] = pair[hi, lo] = np.arange(s)
+        # a dense table on purpose: freeing its 468 KB (n_cut = 10) raises
+        # glibc's mmap threshold, so the fit's Cholesky buffers later come
+        # from the heap; built sparse, a fresh fig_s3 fit took about 7 % longer
         m, n, m2, n2 = np.indices((k,) * 4).reshape(4, dim, dim)
         alike = (m <= m2) == (n <= n2)
         re = np.where(alike, 0, s * s) + pair[m, m2] * s + pair[n, n2]
@@ -290,27 +290,6 @@ class _Kernel:
         np.negative(acc[2:4], out=acc[4:])
         np.take(acc, self.r_index, out=self.r_floats, mode="clip")
         return self.r, ll
-
-
-def bin_probability(rho: DensityMatrix, hist: Histogram2D,
-                    bin_index: tuple[int, int]) -> float:
-    """Model probability of one bin: midpoint density times dx^2, floored;
-    the exponential of the log-likelihood of a single count in that bin."""
-    ia, ib = bin_index
-    if not (0 <= ia < hist.counts.shape[0] and 0 <= ib < hist.counts.shape[1]):
-        raise ValueError(f"bin index {bin_index} outside histogram of shape {hist.counts.shape}")
-    counts = np.zeros_like(hist.counts)
-    counts[ia, ib] = 1
-    return math.exp(_Kernel(rho.space.n_cut, [replace(hist, counts=counts)])(rho.entries)[1])
-
-
-def r_operator(rho: DensityMatrix, hists: list[Histogram2D]) -> OperatorMatrix:
-    """Data-weighted sum of bin projectors divided by model probabilities,
-    R = (1/N) sum over populated bins of (n / P) dx^2 |U x><x U^dag|, the
-    gradient of log L / N in rho, from which :func:`ml_reconstruct` takes
-    its steps and its gap; Tr[R rho] = 1."""
-    r, _ = _Kernel(rho.space.n_cut, hists)(rho.entries)
-    return OperatorMatrix(rho.space, r, hermitian=True)
 
 
 def _positive_definite(m: np.ndarray) -> bool:

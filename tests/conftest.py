@@ -1,12 +1,11 @@
 import dataclasses
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from tmsvlab.fock import FockSpace, basis_state
-from tmsvlab.tomography import bin_probability
+from tmsvlab.tomography import _Kernel
 
 
 @pytest.fixture(scope="session")
@@ -30,14 +29,13 @@ def assert_within_se(value, expected, se, n_se=3.0):
 
 
 def loglik_under(rho, hists):
-    """Log-likelihood sum(n log P) of binned data under rho, bin by bin.
+    """Log-likelihood sum(n log P) of binned data under rho.
 
     Uses the same bin model and dropped constants as ``ml_reconstruct``'s
     ``loglik_trace``, so an ML estimate must score at least this for any
     rho, the true state included.
     """
-    return sum(int(h.counts[i, j]) * math.log(bin_probability(rho, h, (i, j)))
-               for h in hists for i, j in zip(*np.nonzero(h.counts)))
+    return _Kernel(rho.space.n_cut, hists)(rho.entries)[1]
 
 
 def assert_same_batch(a, b):

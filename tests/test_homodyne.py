@@ -46,7 +46,7 @@ def test_mode_transform_unitary(ratio):
 
 
 def test_config_derived_quantities():
-    cfg = config_from_transfer(s2=0.15, rabi_ratio=1.017, tau=30e-6, n0=20000.0)
+    cfg = config_from_transfer(s2=0.15, rabi_ratio=1.017, n0=20000.0)
     assert cfg.s2 == pytest.approx(0.15, abs=1e-12)
     assert cfg.c2 == pytest.approx(0.85, abs=1e-12)
     assert cfg.s ** 2 + cfg.c ** 2 == pytest.approx(1.0)

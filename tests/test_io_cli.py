@@ -17,7 +17,8 @@ from tmsvlab.fock import DensityMatrix, FockSpace, basis_state
 from tmsvlab.homodyne import Samples, Shots, default_config, sample_quadratures, simulate_readout
 from tmsvlab.pipelines import sweep_phases
 from tmsvlab.metrics import fidelity_pure
-from tmsvlab.states import NOISELESS, NoiseModel, SqueezedVacuum, tmsv, tmsv_rotated
+from tmsvlab.states import (NOISELESS, NoiseModel, SqueezedVacuum, noise_preset, tmsv,
+                            tmsv_rotated)
 from tmsvlab.tomography import TomographyConfig, bin_samples, ml_reconstruct
 
 from conftest import assert_same_batch, concat, loglik_under, traced_peak_mb
@@ -175,6 +176,14 @@ def test_cli_simulate_preset_row_count(tmp_path):
     assert code == EX_OK
     samples = tio.read_samples(out / "samples.csv")
     assert len(samples) == 29 * 100
+    # the flags given with a preset replace its fields, and only those
+    out = tmp_path / "fig3"
+    assert run_cli("simulate", "--preset", "fig3", "--p", "40", "--sigma-phase", "0",
+                   "--out", str(out)) == EX_OK
+    assert len(tio.read_samples(out / "samples.csv")) == 2 * 40
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["p_per_theta"] == 40
+    assert manifest["noise"] == {**dataclasses.asdict(noise_preset("fig3")), "sigma_phase": 0.0}
 
 
 def test_cli_simulate_requires_state():
@@ -380,6 +389,39 @@ def test_cli_criteria_report_matches_the_gathered_bootstrap(tmp_path):
     assert {**report, "errors": {}} == expected
 
 
+def test_cli_criteria_labels_the_groups_as_the_time_sweep_does(tmp_path):
+    # a fig3 preset file holds phases pi and pi / 2: the x group is the pi
+    # group (THETA_X_LIKE), whose x_A - x_B variance is the squeezed one, as
+    # in every time_sweep row, and not the lower phase pi / 2
+    from tmsvlab.criteria import THETA_P_LIKE, THETA_X_LIKE
+    assert run_cli("simulate", "--preset", "fig3", "--p", "2000", "--seed", "2",
+                   "--out", str(tmp_path)) == EX_OK
+    assert run_cli("criteria", str(tmp_path / "samples.csv"), "--bootstrap-b", "0",
+                   "--out", str(tmp_path)) == EX_OK
+    report = json.loads((tmp_path / "epr_report.json").read_text())
+    samples = tio.read_samples(tmp_path / "samples.csv")
+    expected = epr_report(samples[samples.theta == THETA_X_LIKE],
+                          samples[samples.theta == THETA_P_LIKE], bootstrap_b=0)
+    assert report == expected.to_json_dict()
+    assert report["epr_pairing"] == "x_minus*p_plus"
+    assert report["v_x_minus"] < 0.5 < report["v_x_plus"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["criteria", "tomo"])
+def test_cli_rejects_non_finite_quadratures(tmp_path, capsys, command, value):
+    # the reader takes nan and inf; the commands that use the quadratures
+    # refuse them, name the column and write nothing
+    rows = [f"{theta},{0.1 * k},{-0.2 * k}\n" for theta in (0.0, np.pi / 2) for k in range(6)]
+    rows[8] = f"{np.pi / 2},0.5,{value}\n"
+    path = tmp_path / "samples.csv"
+    path.write_text("theta_rad,x_a,x_b\n" + "".join(rows))
+    out = tmp_path / "out"
+    assert run_cli(command, str(path), "--out", str(out)) == EX_RUNTIME
+    assert "non-finite x_b quadrature" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_cli_criteria_missing_conjugate_pair(tmp_path):
     path = tmp_path / "samples.csv"
     tio.write_samples(path, Samples(np.zeros(10), [0.1 * k for k in range(10)], np.zeros(10)))
@@ -511,7 +553,7 @@ def test_cli_reproduce_smoke_manifest_describes_the_run(tmp_path):
     preset = preset_from(d)
     rerun = run_fig_s3(preset, seed=manifest["seed"])
     assert np.array_equal(tio.read_density_matrix(rundir / "rho_ml.json").entries,
-                          rerun.rho_ml.entries)
+                          rerun.ml.rho.entries)
 
     # fig3: the manifest holds only what the sweep reads, and that rebuilds
     # its table
@@ -585,9 +627,64 @@ def test_cli_tomo_records_config_and_input(tmp_path):
                              "sha256": hashlib.sha256(samples.read_bytes()).hexdigest()}
 
 
+# sha256 of each file that test_cli_outputs_do_not_depend_on_the_blas_thread_count
+# writes, recorded at 1 OpenBLAS thread (OpenBLAS 0.3.31, numpy 2.4.6).  A
+# change that moves an output re-pins its digest here and says in CHANGES.md
+# which file moved, from what to what, and why
+PINNED_OUTPUTS = {
+    "fig3-seed0/fig3_sweep.csv":
+        "7cba8ba3c96573e4d7d60f69cba7b012f2525c86ac2b5ae76063570de41a5ffb",
+    "fig3-seed0/manifest.json":
+        "6851a23e62eefa146eb6793aee1a6c2808400d75e2c53886e5bbf26146585664",
+    "fig_s2-seed0/fig_s2_table.csv":
+        "2f4a8d25c634ba85fa685f9fe71db4c5c2f8fe7541f23f4bb79be978e151580c",
+    "fig_s2-seed0/manifest.json":
+        "92d785266ba47c2e2bdbdcd6757ad2fa3c1c60b83a097401bee51e328b15d3a2",
+    "fig_s3-seed0/manifest.json":
+        "a19a14385efb65144abcbe1538c654b67ad1ede6308065688d8a9272fac57d44",
+    "fig_s3-seed0/metrics.json":
+        "84bace60ba49dfa8fdcae4cc177c12dc0b8975c99b9ada004db9e53bb9449c73",
+    "fig_s3-seed0/rho_ml.json":
+        "5f363b0fbd9043b94fa7d63a0dcecb3e6a2662b8654347db34027f3afb9212c8",
+    "fig_s3-seed0/summary.json":
+        "ce592caba511145d7de377083fdca550c8d285167b0409bd986a9b6a7f10f04c",
+    "pair/epr_report.json":
+        "3ac9fb9372f19845c1553acdfad5c92af960e7fd87ecb35de7f5bce8b7f8de5e",
+    "pair/manifest.json":
+        "c8cfd6e5c1ed0ab35f063cc4be736f01d0f2b06cbb76eaf0dacf6a4a7b30c297",
+    "pair/samples.csv":
+        "31d6a0fe939a36ccf129c1ad69c78fc865a2f47bd3d939a0c6c347da7f6accc7",
+    "pair/shots.csv":
+        "63896569eb1d3847e9901579a20e09f33ed98d907246084b0f4599edca3490c0",
+    "paper/fig_s2-seed0/fig_s2_table.csv":
+        "c08f4cc8335b170652ccf10cbab1f1a171758c615ef150918cf10630eac60b22",
+    "paper/fig_s2-seed0/manifest.json":
+        "fbdb85a1f879a264b29a634a37548ee063854954b6a1f1a31ca735217a4c34a9",
+    "paper/fig_s3-seed0/manifest.json":
+        "685ec4047769431cdc7d8a15a3405630d8657582258cb0d0c46679ddd3ae0067",
+    "paper/fig_s3-seed0/metrics.json":
+        "dbab3e6e3f2d8362749c8ad43e6cf4950a6482718d46a9953ec0fdfd2f40b7df",
+    "paper/fig_s3-seed0/rho_ml.json":
+        "271e3d670ed9866d22378af385f40b89731dc762f99bc4f70d7b81474e06307f",
+    "paper/fig_s3-seed0/summary.json":
+        "044392ab72be991fb1291afab0cb92433e97f101061c409ad895125b773a7475",
+    "sim/manifest.json":
+        "61a20824b0d0796d75d8db0d0f30182f9ee042c97715dcf585798d1330206055",
+    "sim/samples.csv":
+        "9a27b3b5f9acdcf9506d9fcd14eb192cc34a4585182ba85ae9554ea6b5d2bc24",
+    "sim/shots.csv":
+        "108b8867afe9bd7afe62ffb4bac91144f06f3cc0876850859bf8acd1e360d879",
+    "tomo/diagnostics.json":
+        "8101bc8c8c98292661b3de76a04f9e2f6b7ba8b00ec6c386e353a6b29f0e3d43",
+    "tomo/rho_ml.json":
+        "ebce69421c40ba0e88af70eee4ecafb18e7ff682e29dfdcf874181aab1bb8eb9",
+}
+
+
 def test_cli_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # each run is a fresh process, since BLAS reads its thread count at load;
-    # paths are relative to the run's directory, which diagnostics.json records
+    # paths are relative to the run's directory, which diagnostics.json records.
+    # The 1-thread tree must also match the pinned digests byte for byte
     commands = ["simulate --preset fig_s3 --out sim",
                 "reproduce fig3 --scale smoke --out .",
                 "reproduce fig_s3 --scale smoke --out .",
@@ -614,3 +711,5 @@ def test_cli_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert len(trees[0]) == 23 and "pair/epr_report.json" in trees[0]
     assert "paper/fig_s2-seed0/fig_s2_table.csv" in trees[0]
     assert trees[0] == trees[1]
+    assert {name: hashlib.sha256(data).hexdigest()
+            for name, data in trees[0].items()} == PINNED_OUTPUTS

@@ -88,9 +88,9 @@ def test_run_fig3_smoke():
 
 def test_twin_fock_dominance_detector():
     sp = FockSpace(6)
-    assert twin_fock_dominance(tmsv(0.6, sp).projector(), max_total=6)
+    assert twin_fock_dominance(tmsv(0.6, sp).projector())
     lopsided = basis_state(sp, 4, 0).projector()
-    assert not twin_fock_dominance(lopsided, max_total=4)
+    assert not twin_fock_dominance(lopsided)  # already at total 2
 
 
 def test_manifest_is_deterministic():

@@ -1,17 +1,17 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from tmsvlab.fock import FockSpace, basis_state, expectation, OperatorMatrix
+from tmsvlab.fock import FockSpace, basis_state
 from tmsvlab import tomography
 from tmsvlab.homodyne import Samples, sample_quadratures
 from tmsvlab.metrics import fidelity_mixed, fidelity_pure
 from tmsvlab.pipelines import PRESETS
 from tmsvlab.states import NOISELESS, tmsv
-from tmsvlab.tomography import (LOGLIK_GAP, Histogram2D, IllConditionedDataError,
-                                TomographyConfig, bin_probability, bin_samples,
-                                ml_reconstruct, r_operator)
+from tmsvlab.tomography import (LOGLIK_GAP, Histogram2D, TomographyConfig, bin_samples,
+                                ml_reconstruct)
 
 import bin_kets
 import fixed_point
@@ -64,11 +64,21 @@ def test_bin_rejects_bad_dx():
 
 # ---------------------------------------------------------------- bin model
 
+def bin_probability(rho, theta, dx, origin):
+    """Model probability of the bin at origin: the exponential of the
+    log-likelihood of a histogram that holds one count there."""
+    h = Histogram2D(theta=theta, dx=dx, origin=origin, counts=np.array([[1]], dtype=np.int64))
+    return math.exp(tomography._Kernel(rho.space.n_cut, [h])(rho.entries)[1])
+
+
+def r_operator(rho, hists):
+    """The kernel's R at rho, a copy of the buffer that the next call overwrites."""
+    return tomography._Kernel(rho.space.n_cut, hists)(rho.entries)[0].copy()
+
+
 def test_bin_probability_vacuum_origin():
     vac = basis_state(FockSpace(6), 0, 0).projector()
-    h = Histogram2D(theta=0.0, dx=0.25, origin=(-0.125, -0.125),
-                    counts=np.array([[1]], dtype=np.int64))
-    p = bin_probability(vac, h, (0, 0))
+    p = bin_probability(vac, 0.0, 0.25, (-0.125, -0.125))
     assert p == pytest.approx((1.0 / np.pi) * 0.25 ** 2, rel=1e-10)
     assert p == pytest.approx(0.0199, abs=1e-4)
 
@@ -99,13 +109,9 @@ def test_bin_probability_rotation_covariance():
     from tmsvlab.fock import rotate_state
     sp = FockSpace(6)
     rho = tmsv(0.4, sp).projector()
-    h = Histogram2D(theta=1.0, dx=0.25, origin=(0.5, -0.75),
-                    counts=np.array([[1]], dtype=np.int64))
     phi = 0.35
-    h_shifted = Histogram2D(theta=1.0 - phi, dx=0.25, origin=(0.5, -0.75),
-                            counts=np.array([[1]], dtype=np.int64))
-    p_rot = bin_probability(rotate_state(rho, phi), h, (0, 0))
-    p_base = bin_probability(rho, h_shifted, (0, 0))
+    p_rot = bin_probability(rotate_state(rho, phi), 1.0, 0.25, (0.5, -0.75))
+    p_base = bin_probability(rho, 1.0 - phi, 0.25, (0.5, -0.75))
     assert p_rot == pytest.approx(p_base, rel=1e-12)
 
 
@@ -117,10 +123,10 @@ def test_r_operator_trace_identity():
     hists = bin_samples(samples, 0.25)
     vac = basis_state(sp, 0, 0).projector()
     r = r_operator(vac, hists)
-    assert r.hermitian
-    val = expectation(vac, r).real
+    assert np.array_equal(r, r.conj().T)  # exactly Hermitian
+    val = np.trace(vac.entries @ r).real
     assert val == pytest.approx(1.0, abs=1e-10)
-    assert np.linalg.eigvalsh(r.entries)[0] > -1e-12
+    assert np.linalg.eigvalsh(r)[0] > -1e-12
 
 
 def test_r_operator_single_bin_is_rank_one():
@@ -129,7 +135,8 @@ def test_r_operator_single_bin_is_rank_one():
     h = Histogram2D(theta=0.0, dx=0.25, origin=(0.0, 0.0),
                     counts=np.array([[3]], dtype=np.int64))
     r = r_operator(vac, [h])
-    eigs = np.sort(np.abs(np.linalg.eigvalsh(r.entries)))[::-1]
+    assert np.array_equal(r, r.conj().T)
+    eigs = np.sort(np.abs(np.linalg.eigvalsh(r)))[::-1]
     assert eigs[0] > 0
     assert np.all(eigs[1:] < eigs[0] * 1e-12)
 
@@ -151,9 +158,10 @@ def test_r_operator_near_identity_on_support_for_exact_data():
     h = Histogram2D(theta=0.0, dx=dx, origin=(float(edges[0]), float(edges[0])),
                     counts=counts)
     r = r_operator(vac, [h])
-    assert expectation(vac, r).real == pytest.approx(1.0, abs=1e-3)
+    assert np.array_equal(r, r.conj().T)
+    assert np.trace(vac.entries @ r).real == pytest.approx(1.0, abs=1e-3)
     idx = sp.index(0, 0)
-    assert r.entries[idx, idx].real == pytest.approx(1.0, abs=1e-3)
+    assert r[idx, idx].real == pytest.approx(1.0, abs=1e-3)
 
 
 def fig_s3_histograms(dx):
@@ -372,13 +380,15 @@ def test_a_search_that_leaves_log_l_unchanged_is_repeated_along_the_gradient(mon
 
 @pytest.mark.parametrize("origin", [(np.nan, 0.0), (0.0, np.inf)])
 def test_non_finite_midpoints_are_ill_conditioned(origin):
-    h = Histogram2D(theta=0.3, dx=0.25, origin=origin,
-                    counts=np.array([[2, 0], [1, 4]], dtype=np.int64))
-    vac = basis_state(FockSpace(3), 0, 0).projector()
-    with pytest.raises(IllConditionedDataError):
-        ml_reconstruct([h], TomographyConfig(n_cut=3))
-    with pytest.raises(IllConditionedDataError):
-        r_operator(vac, [h])
+    # a histogram with a non-finite origin, whose midpoints would not be
+    # finite, is refused when it is made
+    counts = np.array([[2, 0], [1, 4]], dtype=np.int64)
+    with pytest.raises(ValueError, match="finite"):
+        Histogram2D(theta=0.3, dx=0.25, origin=origin, counts=counts)
+    # and so is one with a non-finite phase or bin width
+    for theta, dx in ((np.nan, 0.25), (0.3, np.inf), (0.3, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            Histogram2D(theta=theta, dx=dx, origin=(0.0, 0.0), counts=counts)
 
 
 # ---------------------------------------------------------------- ML loop
