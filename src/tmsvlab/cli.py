@@ -11,6 +11,9 @@ converge, 64 usage error.
 
 Every subcommand accepts ``--config`` and ``--out``, and those that draw
 random numbers ``--seed``; runs are serial, with no worker-count flag.
+``criteria`` draws none: its standard errors are closed-form, and it
+accepts ``--seed`` and ``--bootstrap-b`` only so that older command lines
+still run, without effect.
 After parsing, each value of the JSON config file fills the flag of that
 name (``p_per_theta`` for ``--p``) if it was not given, cast and checked as
 the flag is; a value the flag cannot take is a usage error.  A setting left
@@ -139,12 +142,15 @@ def build_parser() -> _Parser:
     p_tomo.add_argument("--n-cut", dest="n_cut", type=int, default=None)
     p_tomo.add_argument("--max-iter", dest="max_iter", type=int, default=None)
 
-    p_crit = command("criteria", "EPR and inseparability report")
+    p_crit = command("criteria", "EPR and inseparability report", seeded=False)
     p_crit.add_argument("samples", help="sample CSV file with two conjugate phases")
     p_crit.add_argument("--n-a", dest="n_a", type=float, default=None)
     p_crit.add_argument("--n-b", dest="n_b", type=float, default=None)
     p_crit.add_argument("--n0", dest="n0", type=float, default=None)
-    p_crit.add_argument("--bootstrap-b", dest="bootstrap_b", type=int, default=None)
+    p_crit.add_argument("--seed", type=int, default=None,
+                        help="no effect: criteria draws no random numbers")
+    p_crit.add_argument("--bootstrap-b", dest="bootstrap_b", type=int, default=None,
+                        help="no effect: the standard errors are closed-form")
 
     p_met = command("metrics", "entanglement metrics of a density matrix", seeded=False)
     p_met.add_argument("matrix", help="density-matrix JSON file")
@@ -230,12 +236,11 @@ def _cmd_criteria(args) -> int:
     groups.sort(key=lambda group: group[0] % math.pi)
     samples_x, samples_p = (samples[idx] for _, idx in groups)
     # the groups are copies: let the full batch and the index arrays go
-    # before the bootstrap, which would otherwise hold them to its end
+    # before the report, which would otherwise hold them to its end
     del samples, groups
     occupations = tuple(default if value is None else value for value, default
                         in zip((args.n_a, args.n_b, args.n0), DEFAULT_OCCUPATIONS))
-    report = epr_report(samples_x, samples_p, occupations=occupations,
-                        seed=args.seed or 0, **_given(args, "bootstrap_b"))
+    report = epr_report(samples_x, samples_p, occupations=occupations)
     tio.write_json(out / "epr_report.json", report.to_json_dict())
     print(f"EPR product {report.epr_product:.4f} (threshold {report.epr_threshold:.4f}), "
           f"inseparability sum {report.insep_sum:.4f} "
@@ -306,7 +311,7 @@ def _cmd_reproduce(args) -> int:
         tio.write_csv_rows(
             rundir / "fig3_sweep.csv",
             "t_s,xi,v_x_minus,v_x_plus,v_p_plus,v_p_minus,epr_product,insep_sum,"
-            "v_sq_ideal,v_anti_ideal,epr_product_ideal",
+            "v_sq_ideal,v_anti_ideal,epr_product_ideal,se_epr_product,se_insep_sum",
             [dataclasses.astuple(r) for r in rows])
     print(f"run directory: {rundir}")
     return EX_OK
@@ -337,3 +342,7 @@ def main(argv=None) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

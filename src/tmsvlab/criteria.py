@@ -10,7 +10,7 @@ smaller product is reported, together with which pairing fired.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -79,7 +79,7 @@ class EprReport:
     inferred_dp: float
     occupations: tuple[float, float, float]
     counts: tuple[int, int]
-    errors: dict[str, float] = field(default_factory=dict)
+    errors: dict[str, float]
 
     def to_json_dict(self) -> dict:
         d = asdict(self)
@@ -110,90 +110,76 @@ _REPORTED = ("v_x_plus", "v_x_minus", "v_p_plus", "v_p_minus",
              "epr_product", "insep_sum", "inferred_dx", "inferred_dp")
 
 
-def _report_statistics(v_x_plus, v_x_minus, v_p_plus, v_p_minus) -> np.ndarray:
-    """One row per set of the four variances (scalars or equal-length
-    arrays): the _REPORTED statistics, then the pairing (0 for
-    x_minus*p_plus, 1 for x_plus*p_minus)."""
-    pairing = ~(v_x_minus * v_p_plus <= v_x_plus * v_p_minus)
-    first = np.where(pairing, v_x_plus, v_x_minus)
-    second = np.where(pairing, v_p_minus, v_p_plus)
-    return np.column_stack([v_x_plus, v_x_minus, v_p_plus, v_p_minus, first * second,
-                            first + second, np.sqrt(first), np.sqrt(second), pairing])
-
-
 def epr_report(samples_x: Samples, samples_p: Samples,
-               occupations: tuple[float, float, float] = DEFAULT_OCCUPATIONS,
-               bootstrap_b: int = 200, seed: int = 0) -> EprReport:
+               occupations: tuple[float, float, float] = DEFAULT_OCCUPATIONS) -> EprReport:
     """Evaluate the EPR product and inseparability sum on two conjugate
     sample groups.
 
     The groups must sit a quarter period (pi/2 modulo pi) apart within
     0.02 rad.  Thresholds carry the finite reference-mode corrections
     1/4 (1 - n_B/n0)^2 and 2 - (n_A + n_B)/n0; for n_B/n0 <= 1e-3 these
-    are the continuous-variable values 1/4 and 2.  Standard errors come
-    from a within-group bootstrap of bootstrap_b replicates: each draws
-    the x group's resample indices, then the p group's, and takes a
-    resample's variances from its multiplicities (the index counts) dotted
-    with the group's moment rows, without gathering the resampled values.
-    Each group keeps one (4, n) array: its rows 0 and 2 hold x_A + x_B and
-    x_A - x_B for the point statistics, and the bootstrap turns them in
-    place into the rows c, c^2, d, d^2 of the two columns centred on their
-    means.
+    are the continuous-variable values 1/4 and 2.  The occupations must be
+    finite, with n0 > 0 and 0 <= n_A, n_B < n0.
+
+    Standard errors propagate the four sample variances, taken from two
+    independent groups, to first order (the delta method).  A column d
+    centred on its mean, with m2 = mean(d^2), gives its sample variance
+    the error Var(s^2) = mean((d^2 - m2)^2) / n, which is (m4 - m2^2) / n
+    for any distribution and never negative.  The variances v1, v2 of the
+    pairing that the point value picked then give SE(v1 v2)^2 =
+    v2^2 SE1^2 + v1^2 SE2^2, SE(v1 + v2)^2 = SE1^2 + SE2^2 and
+    SE(sqrt v) = SE(v) / (2 sqrt v).  Each group keeps one (4, n) array:
+    rows 0 and 2 hold x_A + x_B and x_A - x_B, centred in place, and rows
+    1 and 3 their squares, then (d^2 - m2)^2.
     """
+    n_a, n_b, n0 = occupations
+    if not (math.isfinite(n0) and n0 > 0):
+        raise ValueError(f"n0 must be finite and positive, got {n0}")
+    for name, value in (("n_a", n_a), ("n_b", n_b)):
+        if not (math.isfinite(value) and 0 <= value < n0):
+            raise ValueError(f"{name} must be finite and in [0, n0 = {n0}), got {value}")
     theta_x = _single_phase(samples_x, "x")
     theta_p = _single_phase(samples_p, "p")
     sep = (theta_p - theta_x) % math.pi
     if not abs(sep - math.pi / 2.0) <= CONJUGATE_PHASE_ATOL:  # a NaN phase fails
         raise PhaseMismatchError(
             f"groups at theta={theta_x:.4f} and {theta_p:.4f} are not pi/2 apart (mod pi)")
-    moments = []
+    variances, var_errors = [], []  # in _REPORTED order, and the Var(s^2) of each
     for samples in (samples_x, samples_p):
-        m = np.empty((4, len(samples)))
+        n = len(samples)
+        m = np.empty((4, n))
         np.add(samples.x_a, samples.x_b, out=m[0])
         np.subtract(samples.x_a, samples.x_b, out=m[2])
-        moments.append(m)
-    # Var(x_A + x_B) and Var(x_A - x_B) of each group, in _REPORTED order
-    stats = _report_statistics(*(np.var(m[r], ddof=1) for m in moments for r in (0, 2)))[0]
+        for d, d2 in ((m[0], m[1]), (m[2], m[3])):
+            # the operations of np.var(ddof=1), without its temporary
+            d -= d.mean()
+            np.multiply(d, d, out=d2)
+            total = d2.sum()
+            variances.append(float(total / (n - 1)))
+            d2 -= total / n
+            np.multiply(d2, d2, out=d2)
+            var_errors.append(float(d2.sum()) / n ** 2)
+    v_x_plus, v_x_minus, v_p_plus, v_p_minus = variances
+    x_plus_p_minus = not v_x_minus * v_p_plus <= v_x_plus * v_p_minus
+    (v1, e1), (v2, e2) = ((variances[i], var_errors[i])
+                          for i in ((0, 3) if x_plus_p_minus else (1, 2)))
+    reported = dict(zip(_REPORTED, variances + [v1 * v2, v1 + v2, math.sqrt(v1), math.sqrt(v2)]))
+    # a column without spread has v = e = 0: SE(sqrt v) takes its limit 0
+    errors = [math.sqrt(e) for e in var_errors] + [
+        math.sqrt(v2 * v2 * e1 + v1 * v1 * e2), math.sqrt(e1 + e2),
+        *(math.sqrt(e / v) / 2.0 if v > 0 else 0.0 for v, e in ((v1, e1), (v2, e2)))]
 
-    n_a, n_b, n0 = occupations
     epr_threshold = 0.25 * (1.0 - n_b / n0) ** 2
     insep_threshold = 2.0 - (n_a + n_b) / n0
-
-    errors: dict[str, float] = {}
-    if bootstrap_b > 0:
-        rng = np.random.default_rng([seed])
-        # per group, the rows c, c^2, d, d^2 of its two columns centred on
-        # their means, built in place over rows 0 and 2 so that no column
-        # is copied
-        for m in moments:
-            for r in (0, 2):
-                m[r] -= m[r].mean()
-                np.multiply(m[r], m[r], out=m[r + 1])
-        sums = np.empty((bootstrap_b, 2, 4))
-        for b in range(bootstrap_b):
-            for g, m in enumerate(moments):
-                n = m.shape[1]
-                counts = np.bincount(rng.integers(0, n, n), minlength=n).astype(np.float64)
-                # einsum sums in numpy's own loop; a BLAS product may round
-                # differently at another thread count
-                sums[b, g] = np.einsum("ij,j->i", m, counts)
-        sizes = np.array([[len(samples_x)], [len(samples_p)]])
-        # sum (c - mean)^2 = sum c^2 - (sum c)^2 / n over the resample
-        variances = (sums[..., 1::2] - sums[..., ::2] ** 2 / sizes) / (sizes - 1)
-        se = _report_statistics(*variances.reshape(bootstrap_b, 4).T).std(axis=0, ddof=1)
-        for name, value in zip(_REPORTED, se):
-            errors[f"se_{name}"] = float(value)
-
-    reported = {name: float(value) for name, value in zip(_REPORTED, stats)}
     return EprReport(
         **reported,
-        epr_pairing="x_minus*p_plus" if stats[-1] == 0.0 else "x_plus*p_minus",
+        epr_pairing="x_plus*p_minus" if x_plus_p_minus else "x_minus*p_plus",
         epr_threshold=float(epr_threshold), insep_threshold=float(insep_threshold),
         epr_satisfied=bool(reported["epr_product"] < epr_threshold),
         insep_satisfied=bool(reported["insep_sum"] < insep_threshold),
         occupations=(float(n_a), float(n_b), float(n0)),
         counts=(len(samples_x), len(samples_p)),
-        errors=errors,
+        errors={f"se_{name}": se for name, se in zip(_REPORTED, errors)},
     )
 
 
@@ -210,6 +196,8 @@ class TimeSweepPoint:
     v_sq_ideal: float
     v_anti_ideal: float
     epr_product_ideal: float
+    se_epr_product: float
+    se_insep_sum: float
 
 
 def time_sweep(times, noise: NoiseModel, p_per_point: int,
@@ -221,7 +209,8 @@ def time_sweep(times, noise: NoiseModel, p_per_point: int,
     p_per_point shots at the two calibrated angles from its exact
     covariance, records them as atom counts and reads the quadratures back
     from the counts, as the experiment does, and evaluates the report.
-    The ideal e^{-+2 xi} curves are emitted alongside.
+    The ideal e^{-+2 xi} curves are emitted alongside, and after them the
+    report's standard errors of the EPR product and the inseparability sum.
     """
     if any(t < 0 for t in times):
         raise ValueError("times must be nonnegative")
@@ -237,7 +226,7 @@ def time_sweep(times, noise: NoiseModel, p_per_point: int,
         samples_p = samples[p_per_point:]
         n_pairs = math.sinh(xi) ** 2
         report = epr_report(samples_x, samples_p,
-                            occupations=(n_pairs, n_pairs, config.n0), bootstrap_b=0)
+                            occupations=(n_pairs, n_pairs, config.n0))
         ideal = analytic_variances(xi)
         rows.append(TimeSweepPoint(
             t=float(t), xi=xi,
@@ -245,5 +234,7 @@ def time_sweep(times, noise: NoiseModel, p_per_point: int,
             v_p_plus=report.v_p_plus, v_p_minus=report.v_p_minus,
             epr_product=report.epr_product, insep_sum=report.insep_sum,
             v_sq_ideal=ideal.v_sq, v_anti_ideal=ideal.v_anti,
-            epr_product_ideal=ideal.v_sq ** 2))
+            epr_product_ideal=ideal.v_sq ** 2,
+            se_epr_product=report.errors["se_epr_product"],
+            se_insep_sum=report.errors["se_insep_sum"]))
     return rows

@@ -9,6 +9,7 @@ weight (``pair_phase_sigma``; Fock form :func:`phase_noisy_state`); it is
 the model used for the noisy tomography studies.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -59,8 +60,9 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("sigma_phase", "rf_rel_noise", "sum_variance_shift"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative")
 
 
 NOISELESS = NoiseModel()
@@ -172,10 +174,12 @@ class SqueezedVacuum:
     pair_phase_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.xi < 0:
-            raise ValueError("xi must be nonnegative")
-        if self.pair_phase_sigma < 0:
-            raise ValueError("pair_phase_sigma must be nonnegative")
+        for name in ("xi", "pair_phase_sigma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative")
+        if not math.isfinite(self.pair_phase):
+            raise ValueError("pair_phase must be finite")
 
     def density(self, space: FockSpace) -> DensityMatrix:
         """Truncated Fock-space density matrix of the state."""

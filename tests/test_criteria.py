@@ -1,4 +1,3 @@
-import dataclasses
 import warnings
 
 import numpy as np
@@ -8,12 +7,12 @@ from tmsvlab.criteria import (THETA_P_LIKE, THETA_X_LIKE, PhaseMismatchError,
                               epr_report, group_samples, time_sweep)
 from tmsvlab.fock import FockSpace, basis_state
 from tmsvlab.homodyne import (Samples, default_config, sample_quadratures, shots_to_samples,
-                              simulate_shots)
-from tmsvlab.states import (NOISELESS, NoiseModel, OMEGA_SPIN_DYNAMICS, SqueezedVacuum,
+                              simulate_readout, simulate_shots)
+from tmsvlab.states import (NOISELESS, NoiseModel, OMEGA_SPIN_DYNAMICS,
+                            OPTIMAL_SPIN_DYNAMICS_TIME, SqueezedVacuum, noise_preset,
                             tmsv_rotated)
 
 from conftest import assert_within_se, concat, traced_peak_mb
-from gathered_bootstrap import gathered_errors
 from gridded import Gridded
 from group_bootstrap import bootstrap
 
@@ -44,7 +43,7 @@ def test_variance_sweep_vacuum_reference(vacuum10):
         sx = sample_quadratures(vacuum, [theta], n, NOISELESS, seed=int(theta * 10))
         sp = sample_quadratures(vacuum, [theta + np.pi / 2], n, NOISELESS,
                                 seed=int(theta * 10) + 100)
-        report = epr_report(sx, sp, bootstrap_b=0)
+        report = epr_report(sx, sp)
         for v in (report.v_x_plus, report.v_x_minus, report.v_p_plus, report.v_p_minus):
             assert_within_se(v, 1.0, v * np.sqrt(2.0 / (n - 1)))
         assert report.counts == (n, n)
@@ -56,7 +55,7 @@ def test_variance_sweep_tmsv_extremes(space10):
     rho = tmsv_rotated(xi, 0.0, space10).projector()
     sx = sample_quadratures(Gridded(rho), [THETA_X_LIKE], n, NOISELESS, seed=40)
     sp = sample_quadratures(Gridded(rho), [THETA_P_LIKE], n, NOISELESS, seed=41)
-    report = epr_report(sx, sp, bootstrap_b=0)
+    report = epr_report(sx, sp)
     se = np.sqrt(2.0 / (n - 1))
     for squeezed, anti in ((report.v_x_minus, report.v_x_plus),
                            (report.v_p_plus, report.v_p_minus)):
@@ -78,7 +77,7 @@ def test_group_samples_clusters_relative_to_the_first_theta():
 def test_epr_report_threshold_state():
     xi = 0.5 * np.log(2.0)
     sx, sp = conjugate_groups(xi, 100_000, seed=50)
-    report = epr_report(sx, sp, bootstrap_b=0)
+    report = epr_report(sx, sp)
     se = 0.25 * np.sqrt(2.0 / (100_000 - 1)) * np.sqrt(2.0)
     assert_within_se(report.epr_product, 0.25, se)
     assert report.epr_threshold == pytest.approx(0.25)
@@ -90,7 +89,7 @@ def test_epr_report_vacuum_sits_on_the_classical_boundary(vacuum10):
     # either criterion (the sum estimate straddles its threshold within noise)
     sx = sample_quadratures(Gridded(vacuum10), [THETA_X_LIKE], 30_000, NOISELESS, seed=60)
     sp = sample_quadratures(Gridded(vacuum10), [THETA_P_LIKE], 30_000, NOISELESS, seed=61)
-    report = epr_report(sx, sp, bootstrap_b=0)
+    report = epr_report(sx, sp)
     assert report.epr_product == pytest.approx(1.0, abs=0.03)
     assert report.insep_sum == pytest.approx(2.0, abs=0.03)
     assert not report.epr_satisfied
@@ -99,7 +98,7 @@ def test_epr_report_vacuum_sits_on_the_classical_boundary(vacuum10):
 
 def test_epr_report_squeezed_state_satisfies_both(space10):
     sx, sp = conjugate_groups(0.833, 50_000, seed=70)
-    report = epr_report(sx, sp, occupations=(0.88, 0.88, 20000.0), bootstrap_b=0)
+    report = epr_report(sx, sp, occupations=(0.88, 0.88, 20000.0))
     assert report.epr_satisfied and report.insep_satisfied
     assert report.epr_pairing in ("x_minus*p_plus", "x_plus*p_minus")
     # finite-occupation corrections are tiny but present
@@ -111,80 +110,101 @@ def test_epr_report_phase_mismatch_rejected():
     a = make_samples(0.0, np.ones(10), np.ones(10))
     b = make_samples(0.3, np.ones(10), np.ones(10))
     with pytest.raises(PhaseMismatchError):
-        epr_report(a, b, bootstrap_b=0)
+        epr_report(a, b)
     # a NaN phase is a quarter period from no phase
     with pytest.raises(PhaseMismatchError):
-        epr_report(a, make_samples(np.nan, [1.0], [1.0]), bootstrap_b=0)
+        epr_report(a, make_samples(np.nan, [1.0], [1.0]))
 
 
 def test_epr_report_empty_group_rejected():
     a = make_samples(0.0, np.ones(10), np.ones(10))
     with pytest.raises(ValueError):
-        epr_report(a, EMPTY, bootstrap_b=0)
+        epr_report(a, EMPTY)
 
 
 def test_epr_report_bootstrap_errors_present(space10):
     sx, sp = conjugate_groups(0.63, 2000, seed=80)
-    report = epr_report(sx, sp, bootstrap_b=200, seed=1)
+    report = epr_report(sx, sp)
     assert set(report.errors) == {"se_v_x_plus", "se_v_x_minus", "se_v_p_plus",
                                   "se_v_p_minus", "se_epr_product", "se_insep_sum",
                                   "se_inferred_dx", "se_inferred_dp"}
     assert all(v > 0 for v in report.errors.values())
-    # bootstrap error of the product is in the right ballpark
+    # the error of the product is in the right ballpark
     rough = report.epr_product * np.sqrt(2.0 / 2000) * np.sqrt(2.0)
     assert report.errors["se_epr_product"] == pytest.approx(rough, rel=0.5)
 
 
-@pytest.mark.parametrize("seed, n_x, n_p", [(0, 400, 400), (1, 250, 613), (2, 1500, 37),
-                                             (3, 2, 5)])
-def test_bootstrap_from_multiplicities_matches_the_gathered_resamples(seed, n_x, n_p):
-    # the same draws as the former gather-and-np.var loop: the errors agree
-    # to rounding and every other field is the report's without a bootstrap.
-    # x_a is offset so that the sums are taken about a nonzero mean
-    state = SqueezedVacuum(0.8, 0.0)
-    sx = sample_quadratures(state, [THETA_X_LIKE], n_x, NOISELESS, seed=[seed, 0])
-    sx = Samples(sx.theta, sx.x_a + 3.0, sx.x_b)
-    sp = sample_quadratures(state, [THETA_P_LIKE], n_p, NOISELESS, seed=[seed, 1])
-    report = epr_report(sx, sp, bootstrap_b=150, seed=seed)
-    expected = gathered_errors(sx, sp, 150, seed)
-    assert report.errors.keys() == expected.keys()
-    for name, value in expected.items():
-        assert abs(report.errors[name] - value) <= 1e-12 * abs(value), name
-    assert dataclasses.replace(report, errors={}) == epr_report(sx, sp, bootstrap_b=0)
-
-
 def test_seeded_report_keeps_its_recorded_errors_and_variances():
-    # recorded before the moment rows were built in place; the draws and
-    # the sums are the same, so every bit is
+    # the variances were recorded before the moment rows were built in
+    # place, and the errors when the delta method replaced the bootstrap
+    # (whose errors here were 0.0978, 0.00406, 0.00425, 0.0986, 0.00119,
+    # 0.00587, 0.00452 and 0.00472)
     state = SqueezedVacuum(0.8, 0.0)
     sx = sample_quadratures(state, [THETA_X_LIKE], 5000, NOISELESS, seed=[13, 0])
     sp = sample_quadratures(state, [THETA_P_LIKE], 5000, NOISELESS, seed=[13, 1])
-    report = epr_report(sx, sp, seed=13)
+    report = epr_report(sx, sp)
     assert report.errors == {
-        "se_v_x_plus": 0.09782547482122915, "se_v_x_minus": 0.004059748075725129,
-        "se_v_p_plus": 0.004252291387333991, "se_v_p_minus": 0.09856578577791622,
-        "se_epr_product": 0.0011851622040367985, "se_insep_sum": 0.005870183545177849,
-        "se_inferred_dx": 0.00452393826575044, "se_inferred_dp": 0.004724647858482974}
+        "se_v_x_plus": 0.10097925226717563, "se_v_x_minus": 0.004083744091386481,
+        "se_v_p_plus": 0.0041502919876365155, "se_v_p_minus": 0.09804735821250793,
+        "se_epr_product": 0.0011773481115484674, "se_insep_sum": 0.005822532901287364,
+        "se_inferred_dx": 0.004547141477961274, "se_inferred_dp": 0.0046081794526183}
     assert (report.v_x_plus, report.v_x_minus, report.v_p_plus, report.v_p_minus) == (
         5.008821077129442, 0.20164158992351303, 0.20278626967217311, 4.8435336585633575)
 
 
+def test_delta_errors_match_the_spread_over_seeds():
+    # (EPR product, its delta SE) over K = 400 seeds at three points.  The
+    # fig3 optimum (xi 0.833, fig3 noise, counts readout, 300 shots per
+    # phase) reads through time_sweep, seeded [0, i] per point.  The files
+    # point (xi 0.8 at pi/4 and 3pi/4, counts readout) draws 1000 shots per
+    # phase, where the files workload draws 100000.  The tie is the vacuum,
+    # where both pairings give the same product
+    k = 400
+    rows = time_sweep([OPTIMAL_SPIN_DYNAMICS_TIME] * k, noise_preset("fig3"), 300, seed=0)
+    fig3 = [(row.epr_product, row.se_epr_product) for row in rows]
+    files, tie = [], []
+    for seed in range(k):
+        samples, _ = simulate_readout(SqueezedVacuum(0.8, np.pi / 2), default_config(),
+                                      NOISELESS, [np.pi / 4, 3 * np.pi / 4], 1000, seed=seed)
+        report = epr_report(samples[:1000], samples[1000:])
+        files.append((report.epr_product, report.errors["se_epr_product"]))
+        report = epr_report(
+            sample_quadratures(SqueezedVacuum(0.0), [THETA_X_LIKE], 2000, NOISELESS,
+                               seed=[seed, 0]),
+            sample_quadratures(SqueezedVacuum(0.0), [THETA_P_LIKE], 2000, NOISELESS,
+                               seed=[seed, 1]))
+        tie.append((report.epr_product, report.errors["se_epr_product"]))
+    for point, draws in (("fig3", fig3), ("files", files), ("tie", tie)):
+        products, errors = np.array(draws).T
+        sd = products.std(ddof=1)
+        se = sd / np.sqrt(2.0 * (k - 1))  # SE of a standard deviation over k normal draws
+        if point == "tie":
+            # the report takes the smaller of two equal products, whose
+            # spread is below either's: the chosen pairing's SE is
+            # conservative (4.0 SE above the sd here)
+            assert errors.mean() >= sd, (point, errors.mean(), sd, se)
+        else:
+            # within 3 SE, 10.6 % of the sd at k = 400
+            assert abs(errors.mean() - sd) <= 3 * se, (point, errors.mean(), sd, se)
+
+
 def test_bootstrap_of_two_100k_groups_stays_within_its_memory_bound():
     # the groups hold 4.6 MB and are made before the trace starts.  The
-    # report peaks at 8.4 MB: two (4, n) moment arrays of 3.2 MB and one
-    # resample's indices, counts and weights; it peaked at 14.5 MB when the
-    # columns, their centred copies and the stacked rows were all alive
+    # report peaks at 6.1 MB, its two (4, n) moment arrays, and allocates
+    # nothing else of length n.  A bootstrap that held one resample's
+    # indices, counts and weights peaked at 8.4 MB, and one that held the
+    # columns, their centred copies and the stacked rows at 14.5 MB
     rng = np.random.default_rng(5)
     n = 100_000
     sx = make_samples(THETA_X_LIKE, rng.normal(size=n), rng.normal(size=n))
     sp = make_samples(THETA_P_LIKE, rng.normal(size=n), rng.normal(size=n))
-    peak = traced_peak_mb(lambda: epr_report(sx, sp, bootstrap_b=20, seed=1))
+    peak = traced_peak_mb(lambda: epr_report(sx, sp))
     assert peak <= 12.0, peak
 
 
 def test_min_pairing_invariant(space10):
     sx, sp = conjugate_groups(0.4, 5000, seed=90)
-    report = epr_report(sx, sp, bootstrap_b=0)
+    report = epr_report(sx, sp)
     assert report.epr_product <= report.v_x_minus * report.v_p_plus + 1e-12
     assert report.epr_product <= report.v_x_plus * report.v_p_minus + 1e-12
 
@@ -192,7 +212,7 @@ def test_min_pairing_invariant(space10):
 def test_pairing_product_identity(space10):
     # the two conjugate pairings multiply to ~1 for the ideal source
     sx, sp = conjugate_groups(0.63, 100_000, seed=95)
-    report = epr_report(sx, sp, bootstrap_b=0)
+    report = epr_report(sx, sp)
     both = (report.v_x_minus * report.v_p_plus) * (report.v_x_plus * report.v_p_minus)
     assert both == pytest.approx(1.0, abs=0.06)
 
@@ -203,7 +223,7 @@ def test_inferred_perfect_correlation_is_zero():
     xa = np.linspace(-1, 1, 100)
     sx = make_samples(THETA_X_LIKE, xa, xa + 0.7)
     sp = make_samples(THETA_P_LIKE, xa, -xa + 0.2)
-    report = epr_report(sx, sp, bootstrap_b=0)
+    report = epr_report(sx, sp)
     # x_A - x_B and p_A + p_B are constant: that pairing fires at product 0
     assert report.epr_pairing == "x_minus*p_plus"
     assert report.inferred_dx == pytest.approx(0.0, abs=1e-12)
@@ -212,7 +232,7 @@ def test_inferred_perfect_correlation_is_zero():
 
 def test_inferred_matches_report_product(space10):
     sx, sp = conjugate_groups(0.63, 20_000, seed=100)
-    report = epr_report(sx, sp, bootstrap_b=0)
+    report = epr_report(sx, sp)
     # the inferred deviations are the roots of the two variances paired
     if report.epr_pairing == "x_minus*p_plus":
         paired = (report.v_x_minus, report.v_p_plus)
@@ -227,14 +247,14 @@ def test_inferred_independent_vacuum(vacuum10):
     n = 50_000
     sx = sample_quadratures(Gridded(vacuum10), [THETA_X_LIKE], n, NOISELESS, seed=101)
     sp = sample_quadratures(Gridded(vacuum10), [THETA_P_LIKE], n, NOISELESS, seed=102)
-    report = epr_report(sx, sp, bootstrap_b=0)
+    report = epr_report(sx, sp)
     assert_within_se(report.inferred_dx ** 2, 1.0, np.sqrt(2.0 / (n - 1)))
     assert_within_se(report.inferred_dp ** 2, 1.0, np.sqrt(2.0 / (n - 1)))
 
 
 def test_inferred_rejects_empty():
     with pytest.raises(ValueError, match="empty"):
-        epr_report(EMPTY, EMPTY, bootstrap_b=0)
+        epr_report(EMPTY, EMPTY)
 
 
 # ---------------------------------------------------------------- time sweep
@@ -270,7 +290,7 @@ def test_time_sweep_reads_noiseless_points_from_counts():
         samples = shots_to_samples(shots, thetas, p, config)
         n_pairs = np.sinh(row.xi) ** 2
         report = epr_report(samples[:p], samples[p:],
-                            occupations=(n_pairs, n_pairs, config.n0), bootstrap_b=0)
+                            occupations=(n_pairs, n_pairs, config.n0))
         assert (row.v_x_minus, row.v_x_plus, row.v_p_plus, row.v_p_minus,
                 row.epr_product, row.insep_sum) == (
             report.v_x_minus, report.v_x_plus, report.v_p_plus, report.v_p_minus,
@@ -288,7 +308,7 @@ def test_bootstrap_errors_shrink_like_root_n(space10):
 
     def product_stat(samples):
         half = len(samples) // 2
-        rep = epr_report(samples[:half], samples[half:], bootstrap_b=0)
+        rep = epr_report(samples[:half], samples[half:])
         return rep.epr_product
 
     ratios = []

@@ -382,7 +382,7 @@ def test_gaussian_and_gridded_samplers_agree(sigma_phase):
     stats = []
     for src, seed in ((source, 41), (Gridded(source.density(FockSpace(12))), 42)):
         samples = sample_quadratures(src, thetas, n, noise, seed=seed)
-        report = epr_report(samples[:n], samples[n:], bootstrap_b=0)
+        report = epr_report(samples[:n], samples[n:])
         assert report.epr_pairing == "x_minus*p_plus"
         xa, xb = samples.x_a, samples.x_b
         dev2 = [(q - q.mean()) ** 2 for q in (xa[:n] + xb[:n], xa[:n] - xb[:n],
@@ -530,9 +530,10 @@ def test_density_matrix_path_is_pinned(tmp_path):
     # move.  The simulate/criteria files were re-pinned when simulate began
     # to sample its SqueezedVacuum source exactly, in one draw for both
     # files, and epr_report.json again when its bootstrap began
-    # to sum the resamples from their multiplicities: on the same draws its
-    # eight se_* values moved in the last digits (test_criteria's
-    # gathered-resample test bounds that by 1e-12 relative).
+    # to sum the resamples from their multiplicities (its eight se_* values
+    # moved in the last digits, to 70eafaab...), and again, to b1c377b8...,
+    # when the delta method replaced the bootstrap: only the eight se_*
+    # values moved, e.g. se_epr_product from 0.0030553 to 0.0031497.
     import hashlib
     from tmsvlab.cli import main
     from group_bootstrap import bootstrap
@@ -569,11 +570,10 @@ def test_density_matrix_path_is_pinned(tmp_path):
     # simulate then criteria at pi/4 and 3pi/4, 500 shots each
     assert main(["simulate", "--xi", "0.8", "--thetas", "0.7853981633974483,2.356194490192345",
                  "--p", "500", "--seed", "0", "--out", str(tmp_path)]) == 0
-    assert main(["criteria", str(tmp_path / "samples.csv"), "--seed", "0",
-                 "--out", str(tmp_path)]) == 0
+    assert main(["criteria", str(tmp_path / "samples.csv"), "--out", str(tmp_path)]) == 0
     assert {name: sha256((tmp_path / name).read_bytes())
             for name in ("samples.csv", "shots.csv", "epr_report.json")} == {
         "samples.csv": "699b3e14b8ad06fcd696692bfd0be15141267a65a1701f2d83d77b8c89bc1d21",
         "shots.csv": "3a974ca4a55276683e055f283d4d57371a1422a94089d3205e5c7145aae24069",
-        "epr_report.json": "70eafaab08f23fd2431bf6142a32d10c67ff112f89453cfef5dad717a7beb56c",
+        "epr_report.json": "b1c377b84602c5bc3b21693b39344abfb39267e3d0a3223b77d0efd918ea59f4",
     }

@@ -22,7 +22,6 @@ from tmsvlab.states import (NOISELESS, NoiseModel, SqueezedVacuum, noise_preset,
 from tmsvlab.tomography import TomographyConfig, bin_samples, ml_reconstruct
 
 from conftest import assert_same_batch, concat, loglik_under, traced_peak_mb
-from gathered_bootstrap import gathered_errors
 from gridded import Gridded
 
 
@@ -190,6 +189,19 @@ def test_cli_simulate_requires_state():
     assert run_cli("simulate") == EX_USAGE
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("flag, name", [("--xi", "xi"), ("--sigma-phase", "sigma_phase")])
+def test_cli_simulate_rejects_a_setting_that_is_not_finite_and_nonnegative(
+        tmp_path, capsys, flag, name, value):
+    # a NaN passed the former `< 0` checks: --xi nan wrote non-finite rows
+    # and --sigma-phase nan drew no jitter while the manifest recorded NaN
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--preset", "fig3", "--p", "10", flag, value,
+                   "--out", str(out)) == EX_RUNTIME
+    assert f"{name} must be finite and nonnegative" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_cli_simulate_rejects_unknown_config_key(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text('{"bogus": 1}')
@@ -280,6 +292,11 @@ def test_cli_unset_settings_take_the_library_defaults(tmp_path):
     assert diag["config"] == dataclasses.asdict(TomographyConfig())
 
     assert run_cli("criteria", str(path), "--out", str(tmp_path / "crit")) == EX_OK
+    # --seed and --bootstrap-b are accepted and change nothing
+    assert run_cli("criteria", str(path), "--seed", "3", "--bootstrap-b", "7",
+                   "--out", str(tmp_path / "ignored")) == EX_OK
+    assert ((tmp_path / "crit" / "epr_report.json").read_bytes()
+            == (tmp_path / "ignored" / "epr_report.json").read_bytes())
     samples = tio.read_samples(path)
     (_, idx_x), (_, idx_p) = group_samples(samples)
     tio.write_json(tmp_path / "expected.json",
@@ -362,31 +379,12 @@ def test_cli_criteria_on_tmsv_file(tmp_path):
     path = tmp_path / "samples.csv"
     tio.write_samples(path, samples)
     out = tmp_path / "crit"
-    code = run_cli("criteria", str(path), "--bootstrap-b", "120", "--out", str(out))
+    code = run_cli("criteria", str(path), "--out", str(out))
     assert code == EX_OK
     report = json.loads((out / "epr_report.json").read_text())
     assert report["epr_product"] == pytest.approx(np.exp(-4 * 0.63), abs=0.006)
     assert report["epr_satisfied"] is True
     assert report["errors"]["se_epr_product"] > 0
-
-
-def test_cli_criteria_report_matches_the_gathered_bootstrap(tmp_path):
-    # against the former gather-and-np.var bootstrap on the same draws,
-    # epr_report.json differs only in its se_* values, each by <= 1e-12
-    # relative
-    assert run_cli("simulate", "--xi", "0.8", "--thetas", "0.7853981633974483,2.356194490192345",
-                   "--p", "500", "--seed", "0", "--out", str(tmp_path)) == EX_OK
-    assert run_cli("criteria", str(tmp_path / "samples.csv"), "--bootstrap-b", "200",
-                   "--seed", "3", "--out", str(tmp_path)) == EX_OK
-    report = json.loads((tmp_path / "epr_report.json").read_text())
-    samples = tio.read_samples(tmp_path / "samples.csv")
-    (_, idx_x), (_, idx_p) = group_samples(samples)
-    errors = gathered_errors(samples[idx_x], samples[idx_p], 200, seed=3)
-    assert report["errors"].keys() == errors.keys()
-    for name, value in errors.items():
-        assert abs(report["errors"][name] - value) <= 1e-12 * abs(value), name
-    expected = epr_report(samples[idx_x], samples[idx_p], bootstrap_b=0).to_json_dict()
-    assert {**report, "errors": {}} == expected
 
 
 def test_cli_criteria_labels_the_groups_as_the_time_sweep_does(tmp_path):
@@ -396,12 +394,11 @@ def test_cli_criteria_labels_the_groups_as_the_time_sweep_does(tmp_path):
     from tmsvlab.criteria import THETA_P_LIKE, THETA_X_LIKE
     assert run_cli("simulate", "--preset", "fig3", "--p", "2000", "--seed", "2",
                    "--out", str(tmp_path)) == EX_OK
-    assert run_cli("criteria", str(tmp_path / "samples.csv"), "--bootstrap-b", "0",
-                   "--out", str(tmp_path)) == EX_OK
+    assert run_cli("criteria", str(tmp_path / "samples.csv"), "--out", str(tmp_path)) == EX_OK
     report = json.loads((tmp_path / "epr_report.json").read_text())
     samples = tio.read_samples(tmp_path / "samples.csv")
     expected = epr_report(samples[samples.theta == THETA_X_LIKE],
-                          samples[samples.theta == THETA_P_LIKE], bootstrap_b=0)
+                          samples[samples.theta == THETA_P_LIKE])
     assert report == expected.to_json_dict()
     assert report["epr_pairing"] == "x_minus*p_plus"
     assert report["v_x_minus"] < 0.5 < report["v_x_plus"]
@@ -428,19 +425,37 @@ def test_cli_criteria_missing_conjugate_pair(tmp_path):
     assert run_cli("criteria", str(path)) == EX_RUNTIME
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "nan", "inf", "1e9"])
+@pytest.mark.parametrize("flag, name", [("--n0", "n0"), ("--n-a", "n_a"), ("--n-b", "n_b")])
+def test_cli_criteria_checks_the_occupations(tmp_path, capsys, flag, name, value):
+    # n0 > 0 and 0 <= n_A, n_B < n0 (default n0 2e4), all finite.  Before,
+    # --n0 0 escaped main as a ZeroDivisionError and --n-b 1e9 gave an EPR
+    # threshold of 6.2e8 that the product "satisfied"
+    path = conjugate_pair_file(tmp_path)
+    out = tmp_path / "out"
+    code = run_cli("criteria", str(path), flag, value, "--out", str(out))
+    if (name, value) in (("n0", "1e9"), ("n_a", "0"), ("n_b", "0")):
+        assert code == EX_OK
+        report = json.loads((out / "epr_report.json").read_text())
+        assert report["occupations"][name] == float(value)
+    else:
+        assert code == EX_RUNTIME
+        assert f"error: {name} must be finite and" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+
 def test_cli_criteria_on_two_100k_groups_stays_within_its_memory_bound(tmp_path):
     # the file is written before the trace starts.  The command peaks at
-    # 13.2 MB in the bootstrap, which holds the two groups (4.6 MB) but not
-    # the full batch; reading peaks at 9.2 MB.  It peaked at 25.4 MB when
-    # the full batch, the columns, their centred copies and the stacked rows
-    # were all alive during the bootstrap
+    # 10.7 MB in the report, which holds the two groups (4.6 MB) but not the
+    # full batch; reading peaks at 9.2 MB.  With a bootstrap it peaked at
+    # 13.2 MB, and at 25.4 MB when the full batch, the columns, their
+    # centred copies and the stacked rows were all alive during it
     rng = np.random.default_rng(6)
     n = 100_000
     path = tmp_path / "samples.csv"
     tio.write_samples(path, Samples(np.repeat([np.pi / 4, 3 * np.pi / 4], n),
                                     rng.normal(size=2 * n), rng.normal(size=2 * n)))
-    peak = traced_peak_mb(lambda: run_cli("criteria", str(path), "--bootstrap-b", "20",
-                                          "--out", str(tmp_path)))
+    peak = traced_peak_mb(lambda: run_cli("criteria", str(path), "--out", str(tmp_path)))
     assert (tmp_path / "epr_report.json").is_file()
     assert peak <= 19.0, peak
 
@@ -521,17 +536,35 @@ def test_cli_reproduce_smoke_fig3(tmp_path):
     assert len(table) == 4
 
 
+def test_python_m_runs_the_cli(tmp_path):
+    # without a __main__ guard, `python -m tmsvlab.cli` exited 0 and wrote
+    # nothing
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    subprocess.run([sys.executable, "-m", "tmsvlab.cli", "reproduce", "fig3", "--scale", "smoke",
+                    "--out", str(tmp_path)], env={**os.environ, "PYTHONPATH": src},
+                   check=True, capture_output=True, timeout=120)
+    assert (tmp_path / "fig3-seed0" / "fig3_sweep.csv").is_file()
+
+
 @pytest.mark.parametrize("scale, digest", [
     ("paper", "1dfd62ff8e19d07b09c4a69f38c42b290040706c83a2253f946dbacbd2ced2eb"),
     ("smoke", "7cba8ba3c96573e4d7d60f69cba7b012f2525c86ac2b5ae76063570de41a5ffb"),
 ])
 def test_cli_reproduce_fig3_is_pinned(tmp_path, scale, digest):
-    # sha256 recorded before the presets held SqueezedVacuum sources and the
-    # gridded sampler left the package: the fig3 sweep must not move
+    # digest: sha256 of the table without its last two columns, recorded
+    # before the presets held SqueezedVacuum sources and the gridded sampler
+    # left the package: those columns must not move.  The whole table was
+    # re-pinned when it gained the se_epr_product and se_insep_sum columns
+    with_errors = {"paper": "0f7de0e9138b0b68ce3b24e406f700c5be9e4bab698604a177ffce7df16b3125",
+                   "smoke": "b3b99cc78e5a533d64bb7a35b39be8b5a7fd604c9c2fc27c1f922961fb9bb650"}
     assert run_cli("reproduce", "fig3", "--scale", scale, "--seed", "0",
                    "--out", str(tmp_path)) == EX_OK
     table = (tmp_path / "fig3-seed0" / "fig3_sweep.csv").read_bytes()
-    assert hashlib.sha256(table).hexdigest() == digest
+    assert hashlib.sha256(table).hexdigest() == with_errors[scale]
+    lines = table.splitlines()
+    assert lines[0].endswith(b",se_epr_product,se_insep_sum")
+    without_errors = b"".join(line.rsplit(b",", 2)[0] + b"\n" for line in lines)
+    assert hashlib.sha256(without_errors).hexdigest() == digest
 
 
 def test_cli_reproduce_smoke_manifest_describes_the_run(tmp_path):
@@ -630,10 +663,16 @@ def test_cli_tomo_records_config_and_input(tmp_path):
 # sha256 of each file that test_cli_outputs_do_not_depend_on_the_blas_thread_count
 # writes, recorded at 1 OpenBLAS thread (OpenBLAS 0.3.31, numpy 2.4.6).  A
 # change that moves an output re-pins its digest here and says in CHANGES.md
-# which file moved, from what to what, and why
+# which file moved, from what to what, and why.  Re-pinned:
+# - fig3-seed0/fig3_sweep.csv from 7cba8ba3... to b3b99cc7...: the table
+#   gained the se_epr_product and se_insep_sum columns, and without them
+#   it still hashes to 7cba8ba3... (test_cli_reproduce_fig3_is_pinned);
+# - pair/epr_report.json from 3ac9fb93... to b25d3668...: the delta method
+#   replaced the 20-replicate bootstrap, so only the eight se_* values moved
+#   (se_epr_product 0.00021515 to 0.00021110)
 PINNED_OUTPUTS = {
     "fig3-seed0/fig3_sweep.csv":
-        "7cba8ba3c96573e4d7d60f69cba7b012f2525c86ac2b5ae76063570de41a5ffb",
+        "b3b99cc78e5a533d64bb7a35b39be8b5a7fd604c9c2fc27c1f922961fb9bb650",
     "fig3-seed0/manifest.json":
         "6851a23e62eefa146eb6793aee1a6c2808400d75e2c53886e5bbf26146585664",
     "fig_s2-seed0/fig_s2_table.csv":
@@ -649,7 +688,7 @@ PINNED_OUTPUTS = {
     "fig_s3-seed0/summary.json":
         "ce592caba511145d7de377083fdca550c8d285167b0409bd986a9b6a7f10f04c",
     "pair/epr_report.json":
-        "3ac9fb9372f19845c1553acdfad5c92af960e7fd87ecb35de7f5bce8b7f8de5e",
+        "b25d3668b0d98e916725dc5abad0b2df2f6e5b741e2f551ef1d19b74924d0d82",
     "pair/manifest.json":
         "c8cfd6e5c1ed0ab35f063cc4be736f01d0f2b06cbb76eaf0dacf6a4a7b30c297",
     "pair/samples.csv":
@@ -694,7 +733,7 @@ def test_cli_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
                 "tomo sim/samples.csv --n-cut 5 --out tomo",
                 "simulate --xi 0.8 --thetas 0.7853981633974483,2.356194490192345 --p 150000"
                 " --out pair",
-                "criteria pair/samples.csv --bootstrap-b 20 --out pair"]
+                "criteria pair/samples.csv --out pair"]
     script = ("import sys; from tmsvlab.cli import main; "
               "sys.exit(max(main(command.split()) for command in sys.argv[1:]))")
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -148,8 +148,10 @@ def test_analytic_variances():
 
 
 def test_noise_model_validation_and_presets():
-    with pytest.raises(ValueError):
-        NoiseModel(sigma_phase=-0.1)
+    for field in ("sigma_phase", "rf_rel_noise", "sum_variance_shift"):
+        for value in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match=field):
+                NoiseModel(**{field: value})
     fig3 = noise_preset("fig3")
     assert fig3.rf_rel_noise == pytest.approx(0.004)
     assert fig3.sigma_phase == pytest.approx(PHASE_NOISE_SIGMA["dephasing"] / 2.0)
@@ -171,10 +173,14 @@ def test_squeezed_vacuum_density_is_truncated_tmsv(space10):
     src = SqueezedVacuum(0.63, 1.0)
     rho = src.density(space10)
     assert np.array_equal(rho.entries, tmsv_rotated(0.63, 1.0, space10).projector().entries)
-    with pytest.raises(ValueError):
-        SqueezedVacuum(-0.1)
-    with pytest.raises(ValueError):
-        SqueezedVacuum(0.63, 0.0, -0.1)
+    for value in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="xi"):
+            SqueezedVacuum(value)
+        with pytest.raises(ValueError, match="pair_phase_sigma"):
+            SqueezedVacuum(0.63, 0.0, value)
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="pair_phase"):
+            SqueezedVacuum(0.63, value)
 
 
 @pytest.mark.parametrize("pair_phase", [0.0, 1.0, -2.5])
