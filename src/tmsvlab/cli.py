@@ -10,7 +10,10 @@ Exit codes: 0 success, 1 runtime error, 2 reconstruction did not
 converge, 64 usage error.
 
 Every subcommand accepts ``--config`` and ``--out``, and those that draw
-random numbers ``--seed``; runs are serial, with no worker-count flag.
+random numbers ``--seed``.  There is no worker-count flag: computation is
+serial, and only a large sample or shot CSV is written and read on every
+usable CPU, in forked processes (:mod:`tmsvlab.io`), with the same bytes
+and columns at any count.
 ``criteria`` draws none: its standard errors are closed-form, and it
 accepts ``--seed`` and ``--bootstrap-b`` only so that older command lines
 still run, without effect.

@@ -116,10 +116,11 @@ def epr_report(samples_x: Samples, samples_p: Samples,
     sample groups.
 
     The groups must sit a quarter period (pi/2 modulo pi) apart within
-    0.02 rad.  Thresholds carry the finite reference-mode corrections
-    1/4 (1 - n_B/n0)^2 and 2 - (n_A + n_B)/n0; for n_B/n0 <= 1e-3 these
-    are the continuous-variable values 1/4 and 2.  The occupations must be
-    finite, with n0 > 0 and 0 <= n_A, n_B < n0.
+    0.02 rad, and each must hold at least two samples.  Thresholds carry
+    the finite reference-mode corrections 1/4 (1 - n_B/n0)^2 and
+    2 - (n_A + n_B)/n0; for n_B/n0 <= 1e-3 these are the continuous-variable
+    values 1/4 and 2.  The occupations must be finite, with n0 > 0 and
+    0 <= n_A, n_B < n0.
 
     Standard errors propagate the four sample variances, taken from two
     independent groups, to first order (the delta method).  A column d
@@ -145,8 +146,11 @@ def epr_report(samples_x: Samples, samples_p: Samples,
         raise PhaseMismatchError(
             f"groups at theta={theta_x:.4f} and {theta_p:.4f} are not pi/2 apart (mod pi)")
     variances, var_errors = [], []  # in _REPORTED order, and the Var(s^2) of each
-    for samples in (samples_x, samples_p):
+    for label, samples in zip("xp", (samples_x, samples_p)):
         n = len(samples)
+        if n < 2:  # a sample variance divides by n - 1
+            raise ValueError(f"{label} sample group holds {n} sample; "
+                             "its variances need at least two")
         m = np.empty((4, n))
         np.add(samples.x_a, samples.x_b, out=m[0])
         np.subtract(samples.x_a, samples.x_b, out=m[2])

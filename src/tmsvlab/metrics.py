@@ -8,6 +8,7 @@ squeezed vacuum at its best pair phase.
 """
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -22,6 +23,9 @@ SECTOR_WEIGHT_FLOOR = 1e-14
 FIT_XI_MAX = 2.0
 FIT_XI_TOL = 1e-4
 FIT_PHASES = 2048
+# up to here (354.9) the target's squared amplitudes tanh^2n(xi) / cosh^2(xi)
+# stay normal floats; beyond, they underflow and the fidelity is NaN
+TARGET_XI_MAX = math.acosh(1.0 / math.sqrt(sys.float_info.min))
 
 
 def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:
@@ -195,9 +199,10 @@ def fit_squeezing(rho: DensityMatrix) -> tuple[float, float]:
 def fidelity_best_phase(rho: DensityMatrix, xi: float) -> float:
     """Fidelity of rho to the squeezed vacuum of parameter xi at its best
     pair phase, maximized over the phases :func:`fit_squeezing` searches;
-    for a state that carries no phase reference."""
-    if xi < 0:
-        raise ValueError("xi must be nonnegative")
+    for a state that carries no phase reference.  xi must lie in
+    [0, TARGET_XI_MAX]."""
+    if not 0.0 <= xi <= TARGET_XI_MAX:  # also refuses NaN
+        raise ValueError(f"target xi must lie in [0, {TARGET_XI_MAX!r}], got {xi!r}")
     n_cut = rho.space.n_cut
     overlap = _fit_overlap(xi, _pair_block(rho), n_cut, _phase_table(n_cut + 1))
     return math.sqrt(min(max(overlap, 0.0), 1.0))

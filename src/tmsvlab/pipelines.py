@@ -28,6 +28,7 @@ outputs.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,8 @@ class ExperimentPreset:
     def __post_init__(self):
         if self.p_per_theta < 1 or not self.thetas:
             raise ValueError("preset needs at least one phase and one shot per phase")
+        if not all(map(math.isfinite, self.thetas)):
+            raise ValueError(f"phases must be finite, got {', '.join(map(repr, self.thetas))}")
 
     def tomography_config(self) -> TomographyConfig:
         return TomographyConfig(dx=self.dx, n_cut=self.n_cut, max_iter=self.max_iter)

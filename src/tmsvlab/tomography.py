@@ -147,10 +147,15 @@ class MLResult:
 def bin_samples(samples: Samples, dx: float) -> list[Histogram2D]:
     """Bin samples into one histogram per distinct phase (grouped within
     1e-9 rad), using half-open bins aligned to integer multiples of dx.
-    A NaN or infinite quadrature raises ValueError."""
-    if dx <= 0:
+    A NaN or infinite quadrature raises ValueError, and so does a dx so
+    small that a bin index floor(x / dx) could leave int64."""
+    if not dx > 0:
         raise ValueError("dx must be positive")
     check_finite(samples, "the samples")
+    reach = max(np.abs(x).max(initial=0.0) for x in (samples.x_a, samples.x_b)) / dx
+    if not reach < 2.0 ** 62:  # leaves room for the index range ia.max() - ia.min()
+        raise ValueError(f"dx {dx!r} is too small for the samples: their bin indices "
+                         f"reach {reach:.3g}, beyond the int64 range")
     hists = []
     for theta, idx in group_samples(samples):
         ia = np.floor(samples.x_a[idx] / dx).astype(np.int64)

@@ -122,6 +122,15 @@ def test_epr_report_empty_group_rejected():
         epr_report(a, EMPTY)
 
 
+def test_epr_report_rejects_a_group_of_one_sample():
+    # the sample variance divides by n - 1
+    one, two = make_samples(0.0, [0.1], [0.2]), make_samples(0.0, [0.3, -0.2], [-0.1, 0.4])
+    with pytest.raises(ValueError, match="x sample group holds 1 sample"):
+        epr_report(one, make_samples(np.pi / 2, two.x_a, two.x_b))
+    with pytest.raises(ValueError, match="p sample group holds 1 sample"):
+        epr_report(two, make_samples(np.pi / 2, one.x_a, one.x_b))
+
+
 def test_epr_report_bootstrap_errors_present(space10):
     sx, sp = conjugate_groups(0.63, 2000, seed=80)
     report = epr_report(sx, sp)

@@ -1,15 +1,18 @@
 """The sample, shot and table CSVs against their former whole-file forms.
 
-The writer streams blocks of rows and formats each distinct bit pattern of
-a block's column once; the reader checks the header line and gives the
-open file to np.loadtxt.  Their former versions, kept here as oracles,
-formatted every value with repr into one text and parsed the list of the
-file's lines.  Bytes, parsed columns, exception types and messages must
-not differ, except where the former reader's checker passed a line that
-np.loadtxt rejects: the reader now names that line.
+The writer formats chunks of rows and each distinct bit pattern of a
+chunk's column once; the reader checks the header line and gives the open
+file to np.loadtxt.  A large file is written and read in W blocks at once,
+all but the first in forked children.  Their former versions, kept here as
+oracles, formatted every value with repr into one text and parsed the list
+of the file's lines.  Bytes, parsed columns, exception types and messages
+must not differ, at any W, except where the former reader's checker passed
+a line that np.loadtxt rejects: the reader now names that line.
 """
 
+import os
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +137,21 @@ def outcome(read, path):
         return type(exc), str(exc)
 
 
+def former_outcome(kind, path):
+    if kind == "samples":
+        return outcome(lambda p: Samples(*former_read(p, tio.SAMPLES_HEADER, np.float64,
+                                                      "samples")), path)
+    return outcome(lambda p: Shots(*former_read(p, tio.SHOTS_HEADER, np.int64, "shots")), path)
+
+
+def assert_same_outcome(got, expected):
+    assert got[0] == expected[0]
+    if got[0] == "read":
+        assert_same_batch(got[1], expected[1])
+    else:
+        assert got[1] == expected[1]
+
+
 SAMPLE_CASES = reader_cases(tio.SAMPLES_HEADER,
                             ["0.3,-1.25,2.0", "1.9,0.0,-0.0", "0.3,1e-05,nan"], "oops")
 SHOT_CASES = {**reader_cases(tio.SHOTS_HEADER, ["3,4,100", "0,0,1", "12,7,500"], "oops"),
@@ -144,21 +162,11 @@ SHOT_CASES = {**reader_cases(tio.SHOTS_HEADER, ["3,4,100", "0,0,1", "12,7,500"],
 @pytest.mark.parametrize("kind, case", [("samples", c) for c in SAMPLE_CASES]
                          + [("shots", c) for c in SHOT_CASES])
 def test_reader_matches_the_former_reader(tmp_path, kind, case):
-    if kind == "samples":
-        text, read = SAMPLE_CASES[case], tio.read_samples
-        former = lambda path: Samples(*former_read(path, tio.SAMPLES_HEADER, np.float64,
-                                                   "samples"))
-    else:
-        text, read = SHOT_CASES[case], tio.read_shots
-        former = lambda path: Shots(*former_read(path, tio.SHOTS_HEADER, np.int64, "shots"))
+    text = (SAMPLE_CASES if kind == "samples" else SHOT_CASES)[case]
     path = tmp_path / f"{kind}.csv"
     path.write_bytes(text.encode("utf-8"))
-    got, expected = outcome(read, path), outcome(former, path)
-    assert got[0] == expected[0]
-    if got[0] == "read":
-        assert_same_batch(got[1], expected[1])
-    else:
-        assert got[1] == expected[1]
+    read = tio.read_samples if kind == "samples" else tio.read_shots
+    assert_same_outcome(outcome(read, path), former_outcome(kind, path))
 
 
 # lines that np.loadtxt rejects but the former reader's checker passed: it
@@ -198,6 +206,192 @@ def test_only_newlines_and_returns_end_a_row(tmp_path, separator):
                     "0.3,1e-05,nan\n", encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: expected 3 fields, got 5")):
         tio.read_samples(path)
+
+
+# ------------------------------------------------------------ worker count
+
+WORKER_COUNTS = (1, 2, 3)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """A function that sets the worker count W of every later write and
+    read, and counts the children started: one block per row or byte, and
+    W usable CPUs (W = 3 runs three processes on a host with fewer cores)."""
+    started = []
+    child = tio._Child
+
+    def counted(*args):
+        started.append(args)
+        return child(*args)
+
+    monkeypatch.setattr(tio, "_Child", counted)
+    monkeypatch.setattr(tio, "_MIN_BLOCK_ROWS", 1)
+    monkeypatch.setattr(tio, "_MIN_BLOCK_BYTES", 1)
+
+    def set_workers(w):
+        monkeypatch.setattr(tio, "_usable_cpus", lambda: w)
+        return started
+
+    return set_workers
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("w", WORKER_COUNTS)
+def test_files_and_columns_do_not_depend_on_the_worker_count(tmp_path, workers, w):
+    # -0.0, NaN, +-inf, subnormals and int columns, each block several chunks
+    started = workers(w)
+    rng = np.random.default_rng(7)
+    n = 3 * CHUNK + 5
+    theta = rng.choice([0.0, 0.7853981633974483, 2.356194490192345], n)
+    samples = Samples(theta, mixed_floats(n, rng), mixed_floats(n, rng))
+    n_tot = rng.choice([1, 7, 500, 2 ** 62], n)
+    shots = Shots(rng.integers(0, n_tot // 2 + 1), rng.integers(0, n_tot // 2 + 1), n_tot)
+    rows = list(zip(rng.integers(0, 3000, n).tolist(), mixed_floats(n, rng).tolist(),
+                    (rng.random(n) < 0.5).tolist()))
+    tio.write_samples(tmp_path / "samples.csv", samples)
+    tio.write_shots(tmp_path / "shots.csv", shots)
+    tio.write_csv_rows(tmp_path / "table.csv", "i,x,b", rows)
+    assert len(started) == 3 * (w - 1)
+    for name, header, columns in [
+            ("samples", tio.SAMPLES_HEADER, (samples.theta, samples.x_a, samples.x_b)),
+            ("shots", tio.SHOTS_HEADER, (shots.n_a, shots.n_b, shots.n_tot)),
+            ("table", "i,x,b", [np.asarray(c) for c in zip(*rows)])]:
+        former_write(tmp_path / "former.csv", header, columns)
+        assert (tmp_path / f"{name}.csv").read_bytes() == \
+            (tmp_path / "former.csv").read_bytes(), name
+    assert_same_batch(tio.read_samples(tmp_path / "samples.csv"), samples)
+    assert_same_batch(tio.read_shots(tmp_path / "shots.csv"), shots)
+    assert len(started) == 5 * (w - 1)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("w", WORKER_COUNTS)
+def test_reader_cases_at_every_worker_count(tmp_path, workers, w):
+    # every case of the two reader tests above
+    workers(w)
+    for kind, cases in (("samples", SAMPLE_CASES), ("shots", SHOT_CASES)):
+        for case in cases:
+            test_reader_matches_the_former_reader(tmp_path, kind, case)
+        for case in LOCATED_CASES:
+            test_reader_names_the_line_that_loadtxt_rejects(tmp_path, kind, case)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("w", WORKER_COUNTS)
+@pytest.mark.parametrize("kind", ["samples", "shots"])
+def test_reader_names_the_bad_line_in_every_block(tmp_path, workers, w, kind):
+    # nine good rows and one bad line, at each line in turn, so that at W = 2
+    # and 3 the bad line sits in each block and at each block's edges
+    workers(w)
+    if kind == "samples":
+        header, good, read = tio.SAMPLES_HEADER, "0.3,-1.25,2.0", tio.read_samples
+        field = "non-numeric field"
+    else:
+        header, good, read = tio.SHOTS_HEADER, "3,4,100", tio.read_shots
+        field = "non-integer field"
+    # the former reader's checker passed 1_0 and a line of spaces
+    bad_lines = {"oops,{rest}": field, "{good},1": "expected 3 fields, got 4",
+                 "1_0,{rest}": field, "   ": "expected 3 fields, got 1"}
+    path = tmp_path / f"{kind}.csv"
+    for bad, message in bad_lines.items():
+        for at in range(10):
+            lines = [good] * 9
+            lines.insert(at, bad.format(good=good, rest=good.split(",", 1)[1]))
+            path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+            got = outcome(read, path)
+            assert got == (ValueError, f"{path}: line {at + 2}: {message}")
+            if bad.startswith(("oops", "{good}")):
+                assert got == former_outcome(kind, path)
+            lines[at] = ""  # an empty line is skipped
+            path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+            assert_same_outcome(outcome(read, path), former_outcome(kind, path))
+    assert_no_child_left()
+
+
+def test_reader_reads_a_pipe(tmp_path, workers):
+    # a pipe has no size and cannot seek: it is read in one block
+    started = workers(2)
+    text = f"{tio.SAMPLES_HEADER}\n" + "0.3,-1.25,2.0\n" * 50
+    path = tmp_path / "pipe.csv"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+    writer.start()
+    try:
+        samples = tio.read_samples(path)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive() and not started
+    assert len(samples) == 50 and samples.x_b.tolist() == [2.0] * 50
+
+
+@pytest.mark.parametrize("fails", ["parent", "child"])
+def test_no_child_is_left_after_a_write(tmp_path, workers, monkeypatch, fails):
+    started = workers(2)
+    samples = Samples(np.zeros(10), np.arange(10.0), np.ones(10))
+    tio.write_samples(tmp_path / "samples.csv", samples)
+    assert len(started) == 1
+    assert_no_child_left()
+    csv_text = tio._csv_text
+
+    def failing(columns, start, stop):
+        if (start == 0) == (fails == "parent"):
+            raise MemoryError("formatting failed")
+        return csv_text(columns, start, stop)
+
+    monkeypatch.setattr(tio, "_csv_text", failing)
+    error = MemoryError if fails == "parent" else ChildProcessError
+    with pytest.raises(error):
+        tio.write_samples(tmp_path / "samples.csv", samples)
+    assert len(started) == 2
+    assert_no_child_left()
+
+
+def test_no_child_is_left_after_a_read(tmp_path, workers):
+    started = workers(3)
+    path = tmp_path / "samples.csv"
+    tio.write_samples(path, Samples(np.zeros(30), np.arange(30.0), np.ones(30)))
+    assert len(tio.read_samples(path)) == 30
+    assert_no_child_left()
+    text = path.read_text(encoding="utf-8")
+    for broken in (text.replace("theta", "phi"), text[:-20] + "x" + text[-19:]):
+        path.write_text(broken, encoding="utf-8")
+        with pytest.raises(ValueError):
+            tio.read_samples(path)
+        assert_no_child_left()
+    assert len(started) == 2 + 2 + 2 + 2
+
+
+def test_a_read_block_whose_child_died_is_parsed_in_process(tmp_path, workers, monkeypatch):
+    workers(3)
+    path = tmp_path / "samples.csv"
+    samples = Samples(np.zeros(30), np.arange(30.0), np.ones(30))
+    tio.write_samples(path, samples)
+    parent, parse_block = os.getpid(), tio._parse_block
+
+    def dies_in_a_child(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return parse_block(*args)
+
+    monkeypatch.setattr(tio, "_parse_block", dies_in_a_child)
+    assert_same_batch(tio.read_samples(path), samples)
+    assert_no_child_left()
+
+
+def test_the_worker_count_never_exceeds_the_usable_cpus(monkeypatch):
+    cpus = len(os.sched_getaffinity(0))
+    for size, smallest in [(10 ** 12, 1), (10 ** 9, tio._MIN_BLOCK_ROWS),
+                           (10 ** 12, tio._MIN_BLOCK_BYTES)]:
+        edges = tio._edges(size, smallest)
+        assert len(edges) - 1 == cpus and edges[0] == 0 and edges[-1] == size
+    assert tio._edges(tio._MIN_BLOCK_ROWS - 1, tio._MIN_BLOCK_ROWS) == [0, tio._MIN_BLOCK_ROWS - 1]
+    monkeypatch.delattr(os, "fork")
+    assert tio._edges(10 ** 12, 1) == [0, 10 ** 12]
 
 
 # ------------------------------------------------------------------ memory

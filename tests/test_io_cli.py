@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -460,6 +461,74 @@ def test_cli_criteria_on_two_100k_groups_stays_within_its_memory_bound(tmp_path)
     assert peak <= 19.0, peak
 
 
+# Each setting is refused where it enters, and no run writes a non-finite
+# number: a failed run writes no file, a run that succeeds no NaN or
+# Infinity token (json) and no nan or inf (CSV).
+NON_FINITE_TOKEN = re.compile(r"NaN|Infinity|\bnan\b|\binf\b")
+
+
+def assert_finite_outputs(out):
+    for path in out.rglob("*"):
+        if path.is_file():
+            assert not NON_FINITE_TOKEN.search(path.read_text(encoding="utf-8")), path
+
+
+@pytest.mark.parametrize("single", ["x", "p"])
+def test_cli_criteria_refuses_a_phase_group_of_one_sample(tmp_path, capsys, single):
+    # the sample variance divides by n - 1: a group of one wrote epr_product
+    # NaN and exited 0
+    one, two = (0.0, np.pi / 2) if single == "x" else (np.pi / 2, 0.0)
+    path = tmp_path / "samples.csv"
+    path.write_text(f"theta_rad,x_a,x_b\n{one},0.1,0.2\n{two},0.3,-0.1\n{two},-0.2,0.4\n")
+    out = tmp_path / "out"
+    assert run_cli("criteria", str(path), "--out", str(out)) == EX_RUNTIME
+    assert f"error: {single} sample group holds 1 sample" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("thetas", ["nan,1.0", "1.0,inf", "0.5,-inf"])
+def test_cli_simulate_refuses_a_phase_that_is_not_finite(tmp_path, capsys, thetas):
+    # --thetas nan,1.0 wrote nan,nan,nan rows and exited 0
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--xi", "0.5", "--thetas", thetas, "--p", "3",
+                   "--out", str(out)) == EX_RUNTIME
+    phases = ", ".join(repr(float(t)) for t in thetas.split(","))
+    assert f"error: phases must be finite, got {phases}" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("dx", ["1e-300", "1e-19", "nan"])
+def test_cli_tomo_refuses_a_dx_whose_bin_indices_leave_int64(tmp_path, capsys, dx):
+    # --dx 1e-300 binned every shot into one wrapped-around bin and reported
+    # "converged after 0 iterations"
+    path = conjugate_pair_file(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("tomo", str(path), "--dx", dx, "--out", str(out)) == EX_RUNTIME
+    err = capsys.readouterr().err
+    assert ("dx must be positive" if dx == "nan" else f"dx {dx} is too small") in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("target_xi", ["nan", "inf", "1e308", "-1", "355", "354", "0.63"])
+def test_cli_metrics_refuses_a_target_whose_amplitudes_are_not_finite(
+        tmp_path, capsys, target_xi):
+    # --target-xi nan wrote fidelity_to_target NaN and exited 0, and 1e308
+    # overflowed cosh.  Up to xi 354.9 the target's squared amplitudes are
+    # normal floats
+    path = tmp_path / "rho.json"
+    tio.write_density_matrix(path, tmsv(0.63, FockSpace(10)).projector())
+    out = tmp_path / "out"
+    code = run_cli("metrics", str(path), "--target-xi", target_xi, "--out", str(out))
+    if target_xi in ("354", "0.63"):
+        assert code == EX_OK
+        assert 0.0 < json.loads((out / "metrics.json").read_text())["fidelity_to_target"] <= 1.0
+        assert_finite_outputs(out)
+    else:
+        assert code == EX_RUNTIME
+        assert "error: target xi must lie in [0, 354.89" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+
 def test_cli_metrics_on_tmsv_file(tmp_path):
     rho = tmsv(0.63, FockSpace(10)).projector()
     path = tmp_path / "rho.json"
@@ -642,6 +711,29 @@ def test_cli_byte_identical_reruns(tmp_path):
         assert code == EX_OK
         outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert outs[0] == outs[1]
+
+
+def test_cli_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    # blocks of one row or byte, so that W is the usable CPUs, set to 1 and 2:
+    # the sample and shot files, and what criteria and tomo read from them
+    monkeypatch.setattr(tio, "_MIN_BLOCK_ROWS", 1)
+    monkeypatch.setattr(tio, "_MIN_BLOCK_BYTES", 1)
+    trees = []
+    for w in (1, 2):
+        monkeypatch.setattr(tio, "_usable_cpus", lambda: w)
+        out = tmp_path / f"w{w}"
+        assert run_cli("simulate", "--xi", "0.5", "--thetas", "0,1.5707963267948966",
+                       "--p", "500", "--seed", "4", "--out", str(out)) == EX_OK
+        assert run_cli("criteria", str(out / "samples.csv"), "--out", str(out)) == EX_OK
+        assert run_cli("tomo", str(out / "samples.csv"), "--n-cut", "3", "--out",
+                       str(out / "tomo")) == EX_OK
+        trees.append({str(p.relative_to(out)): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()})
+    assert len(trees[0]) == 6
+    # diagnostics.json names its input file, whose directory differs
+    assert trees[0].pop("tomo/diagnostics.json").replace(b"/w1/", b"/w2/") == \
+        trees[1].pop("tomo/diagnostics.json")
+    assert trees[0] == trees[1]
 
 
 def test_cli_tomo_records_config_and_input(tmp_path):

@@ -62,6 +62,18 @@ def test_bin_rejects_bad_dx():
         bin_samples(Samples([0.0], [0.0], [0.0]), dx=0.0)
 
 
+
+def test_bin_rejects_a_dx_whose_indices_leave_int64():
+    # floor(x / dx) is cast to int64: at x = -1 and dx 2^-62 the index
+    # -2^62 still fits, with its range; at 2^-63 it would not, and a dx of
+    # 1e-300 wrapped every index around
+    samples = Samples([0.0], [-1.0], [0.5])
+    h = bin_samples(samples, dx=2.0 ** -61)[0]
+    assert h.origin == (-1.0, 0.5) and h.total == 1
+    for dx in (2.0 ** -62, 1e-300, float("nan")):
+        with pytest.raises(ValueError, match="too small|positive"):
+            bin_samples(samples, dx=dx)
+
 # ---------------------------------------------------------------- bin model
 
 def bin_probability(rho, theta, dx, origin):
