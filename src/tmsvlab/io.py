@@ -4,45 +4,46 @@ CSV files are UTF-8 with exact headers (``theta_rad,x_a,x_b`` for samples,
 ``n_a,n_b,n_tot`` for shots), decimal points, no thousands separators.
 Each row is one shot; the files hold a :class:`~tmsvlab.homodyne.Samples`
 or :class:`~tmsvlab.homodyne.Shots` batch column by column.  Every value is
-written as its ``repr`` (shortest round-trip precision for floats), so
+written as its ``repr`` (shortest round-trip digits for floats), so
 identical data produce identical bytes.  Writers format chunks of
-``_CHUNK_ROWS`` rows, and within a chunk each distinct bit pattern of a
-column once (a phase column holds a few values, a count column a few
-hundred); floats are told apart by their bits, so ``-0.0`` stays
-``'-0.0'``.  Readers check the header line, then parse the rest of the file
-with ``np.loadtxt``; a line ends at ``\\n``, ``\\r`` or ``\\r\\n``.  Empty
-lines are skipped, and a line of only spaces or tabs is a malformed row.  A
-file that fails to parse is read again as text to name the line of the
-first malformed row, each non-empty line parsed by the same ``np.loadtxt``
-call, or to raise :class:`EmptyDataError` if no line after the header holds
-more than whitespace.
+``_CHUNK_ROWS`` rows in the calling process.  An int or float column is
+printed by ``orjson``, whose Ryu shortest digits match ``repr`` wherever
+``repr`` prints no exponent; every other entry (a float with |x| < 1e-4 or
+|x| >= 1e16 other than 0, NaN and +-inf) and every other column (bool,
+object) takes the ``repr`` of each distinct bit pattern, once.  Floats are
+told apart by their bits, so ``-0.0`` stays ``'-0.0'``.  Readers check the
+header line, then parse the rest of the file with ``np.loadtxt``; a line
+ends at ``\\n``, ``\\r`` or ``\\r\\n``.  Empty lines are skipped, and a line
+of only spaces or tabs is a malformed row.  A file that fails to parse is
+read again as text to name the line of the first malformed row, each
+non-empty line parsed by the same ``np.loadtxt`` call, or to raise
+:class:`EmptyDataError` if no line after the header holds more than
+whitespace.
 
-A large CSV is written and read in W contiguous blocks at once.  W is the
-number of usable CPUs, but at most one block per ``_MIN_BLOCK_ROWS`` rows
-written or ``_MIN_BLOCK_BYTES`` bytes read (a pipe, which has no size, is
-one block), and 1 where ``os.fork`` does not exist; at W = 1 no process is
-started.  The first block is done in process, each other one in a forked
-child: it formats its rows, or parses its lines (cut just after a
-``\\n``), with the same code, sends the text or the parsed rows back over a
-pipe, and ends with ``os._exit``.  A child runs numpy's formatting or
-parsing only: no BLAS call and no lock of another thread.  The blocks are
-joined in order, so the bytes written and the columns read do not depend
-on W.  A read block of only empty lines has no rows.  A read block whose
-child failed is parsed again in process, so a child that died costs time,
-not the result, and a block that does not parse sends the file to the
-error path above: every error is the one a single pass gives.  A write
-whose child failed raises :class:`ChildProcessError`.  Every child is
-reaped before the call returns, and killed first if the call fails.
+A large CSV is read in W contiguous blocks at once.  W is the number of
+usable CPUs, but at most one block per ``_MIN_BLOCK_BYTES`` bytes (a pipe,
+which has no size, is one block), and 1 where ``os.fork`` does not exist;
+at W = 1 no process is started.  The first block is parsed in process,
+each other one in a forked child: it parses its lines (cut just after a
+``\\n``) with the same code, sends the parsed rows back over a pipe, and
+ends with ``os._exit``.  A child runs numpy's parsing only: no BLAS call
+and no lock of another thread.  The blocks are joined in order, so the
+columns read do not depend on W.  A block of only empty lines has no rows.
+A block whose child failed is parsed again in process, so a child that
+died costs time, not the result, and a block that does not parse sends the
+file to the error path above: every error is the one a single pass gives.
+Every child is reaped before the call returns, and killed first if the
+call fails.
 
 The density-matrix JSON stores the cutoff, the basis ordering tag, and the
 real and imaginary parts as nested arrays.  It holds the bytes that
 ``json.dumps(..., indent=2, sort_keys=True)`` gives for
 :func:`density_matrix_to_dict`, as :func:`write_json` writes every report,
-but its floats are formatted as the CSV writers format a column: the
-``repr`` of each distinct bit pattern, once.  (json encodes an indented
-payload in pure Python, a float at a time.)  Readers reject any file whose
-stated ordering differs from the canonical row-major (nA, nB) layout, and
-build the state through :class:`~tmsvlab.fock.DensityMatrix`, which
+but its floats are formatted as the CSV writers format a column, and a
+non-finite one as json spells it.  (json encodes an indented payload in
+pure Python, a float at a time.)  Readers reject any file whose stated
+ordering differs from the canonical row-major (nA, nB) layout, and build
+the state through :class:`~tmsvlab.fock.DensityMatrix`, which
 validates Hermiticity, unit trace, and positivity.
 """
 
@@ -54,6 +55,7 @@ from io import BufferedReader, RawIOBase, TextIOWrapper
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .fock import DENSITY_MATRIX_ORDERING, DensityMatrix, FockSpace
 from .homodyne import Samples, Shots
@@ -61,9 +63,8 @@ from .homodyne import Samples, Shots
 SAMPLES_HEADER = "theta_rad,x_a,x_b"
 SHOTS_HEADER = "n_a,n_b,n_tot"
 _CHUNK_ROWS = 16384
-# A block of these takes about 75 ms to format or 50 ms to parse, against
-# about 5 ms to fork a child and drain its pipe; smaller files stay in process.
-_MIN_BLOCK_ROWS = 32768
+# A block of these takes about 50 ms to parse, against about 5 ms to fork a
+# child and drain its pipe; smaller files stay in process.
 _MIN_BLOCK_BYTES = 1 << 21
 
 
@@ -78,10 +79,11 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _edges(size: int, smallest: int) -> list[int]:
+def _edges(size: int) -> list[int]:
     """W + 1 offsets that cut range(size) into W equal blocks: the usable
-    CPUs, at most one per ``smallest``, at least one; one without os.fork."""
-    workers = max(1, min(_usable_cpus(), size // smallest)) if hasattr(os, "fork") else 1
+    CPUs, at most one per ``_MIN_BLOCK_BYTES``, at least one; one without
+    os.fork."""
+    workers = max(1, min(_usable_cpus(), size // _MIN_BLOCK_BYTES)) if hasattr(os, "fork") else 1
     return [size * i // workers for i in range(workers + 1)]
 
 
@@ -143,34 +145,38 @@ def _forked(work, blocks):
             child.reap(kill=True)
 
 
-def _formatted(column: np.ndarray) -> list[str]:
+def _reprs(column: np.ndarray) -> list[bytes]:
     """repr of each entry; each distinct bit pattern is formatted once."""
     bits = column.view(f"u{column.dtype.itemsize}") if column.dtype.kind == "f" else column
     distinct, inverse = np.unique(bits, return_inverse=True)
-    values = distinct.view(column.dtype).tolist()
-    return np.array(list(map(repr, values)), dtype=object)[inverse].tolist()
+    texts = [repr(value).encode() for value in distinct.view(column.dtype).tolist()]
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
-def _csv_text(columns, start: int, stop: int):
-    """Rows start to stop of the columns as CSV lines, _CHUNK_ROWS at a time."""
-    for first in range(start, stop, _CHUNK_ROWS):
-        texts = [_formatted(c[first:min(first + _CHUNK_ROWS, stop)]) for c in columns]
-        yield "\n".join(map(",".join, zip(*texts))) + "\n"
+def _tokens(column: np.ndarray) -> list[bytes]:
+    """repr of each entry of a 1-D column, as bytes: orjson's digits for an
+    int and for a float that repr prints without an exponent, the repr of
+    each distinct bit pattern for the rest."""
+    kind = column.dtype.kind
+    if kind not in "fiu" or not len(column):
+        return _reprs(column)
+    column = np.ascontiguousarray(column, {"f": np.float64, "i": np.int64, "u": np.uint64}[kind])
+    tokens = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
+    if kind == "f":
+        size = np.abs(column)
+        odd = np.flatnonzero(~((size >= 1e-4) & (size < 1e16) | (column == 0)))  # NaN is odd
+        for i, text in zip(odd.tolist(), _reprs(column[odd])):
+            tokens[i] = text
+    return tokens
 
 
 def _write_columns(path, header: str, columns) -> None:
     rows = len(columns[0]) if columns else 0
-    edges = _edges(rows, _MIN_BLOCK_ROWS)
-    blocks = list(zip(edges, edges[1:]))
-    whole = lambda start, stop: "".join(_csv_text(columns, start, stop)).encode()
-    with open(path, "w", encoding="utf-8") as file, _forked(whole, blocks[1:]) as children:
-        file.write(header + "\n")
-        file.writelines(_csv_text(columns, *blocks[0]))  # holds one chunk at a time
-        file.flush()  # the children's bytes follow it
-        for child, (start, stop) in zip(children, blocks[1:]):
-            if not child.drain(file.buffer.write):
-                raise ChildProcessError(f"{path}: formatting rows {start} to {stop} failed "
-                                        f"with status {child.status}")
+    with open(path, "wb") as file:
+        file.write(header.encode() + b"\n")
+        for first in range(0, rows, _CHUNK_ROWS):  # holds one chunk's text at a time
+            texts = [_tokens(c[first:first + _CHUNK_ROWS]) for c in columns]
+            file.write(b"\n".join(map(b",".join, zip(*texts))) + b"\n")
 
 
 class _Span(RawIOBase):
@@ -222,7 +228,7 @@ def _block_starts(file) -> list[int]:
     and, for each later block, at the first line that starts at or after
     its share of the bytes."""
     size = os.fstat(file.fileno()).st_size
-    shares = _edges(size, _MIN_BLOCK_BYTES)[1:-1]
+    shares = _edges(size)[1:-1]
     starts = [0]
     for share in shares:
         file.seek(share)
@@ -328,7 +334,7 @@ def write_density_matrix(path, rho: DensityMatrix) -> None:
 
     def nested(part: np.ndarray) -> str:
         values = part.ravel()
-        texts = _formatted(values)
+        texts = [token.decode() for token in _tokens(values)]
         for i in np.flatnonzero(~np.isfinite(values)):  # NaN, Infinity, -Infinity
             texts[i] = json.dumps(values[i].item())
         rows = (",\n      ".join(texts[i:i + dim]) for i in range(0, dim * dim, dim))

@@ -71,6 +71,8 @@ _MEMORY = 5
 _ARMIJO = 1e-4
 # halvings of a step before the fit gives up on raising log L
 _MAX_HALVINGS = 50
+# most bins in the dense count grid of one phase: 1 GiB of int64 counts
+MAX_GRID_CELLS = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -129,8 +131,8 @@ class TomographyConfig:
     max_iter: int = 2000
 
     def __post_init__(self):
-        if self.dx <= 0 or self.n_cut < 0 or self.max_iter < 1:
-            raise ValueError("dx and max_iter must be positive and n_cut >= 0")
+        if not (math.isfinite(self.dx) and self.dx > 0) or self.n_cut < 0 or self.max_iter < 1:
+            raise ValueError("dx must be positive and finite, max_iter positive and n_cut >= 0")
 
 
 @dataclass(frozen=True)
@@ -148,9 +150,10 @@ def bin_samples(samples: Samples, dx: float) -> list[Histogram2D]:
     """Bin samples into one histogram per distinct phase (grouped within
     1e-9 rad), using half-open bins aligned to integer multiples of dx.
     A NaN or infinite quadrature raises ValueError, and so does a dx so
-    small that a bin index floor(x / dx) could leave int64."""
-    if not dx > 0:
-        raise ValueError("dx must be positive")
+    small that a bin index floor(x / dx) could leave int64, or that a
+    phase's grid of bins would hold more than MAX_GRID_CELLS."""
+    if not (math.isfinite(dx) and dx > 0):
+        raise ValueError("dx must be positive and finite")
     check_finite(samples, "the samples")
     reach = max(np.abs(x).max(initial=0.0) for x in (samples.x_a, samples.x_b)) / dx
     if not reach < 2.0 ** 62:  # leaves room for the index range ia.max() - ia.min()
@@ -161,7 +164,12 @@ def bin_samples(samples: Samples, dx: float) -> list[Histogram2D]:
         ia = np.floor(samples.x_a[idx] / dx).astype(np.int64)
         ib = np.floor(samples.x_b[idx] / dx).astype(np.int64)
         ia0, ib0 = int(ia.min()), int(ib.min())
-        counts = np.zeros((int(ia.max()) - ia0 + 1, int(ib.max()) - ib0 + 1), dtype=np.int64)
+        shape = (int(ia.max()) - ia0 + 1, int(ib.max()) - ib0 + 1)
+        if shape[0] * shape[1] > MAX_GRID_CELLS:
+            raise ValueError(f"dx {dx!r} is too small for the samples: at theta {theta!r} "
+                             f"their bins span a {shape[0]} x {shape[1]} grid, over "
+                             f"{MAX_GRID_CELLS} cells")
+        counts = np.zeros(shape, dtype=np.int64)
         np.add.at(counts, (ia - ia0, ib - ib0), 1)
         hists.append(Histogram2D(theta=theta, dx=dx, origin=(ia0 * dx, ib0 * dx),
                                  counts=counts))

@@ -509,6 +509,16 @@ def test_cli_tomo_refuses_a_dx_whose_bin_indices_leave_int64(tmp_path, capsys, d
     assert not any(out.iterdir())
 
 
+def test_cli_tomo_refuses_a_dx_whose_bin_grid_is_too_large(tmp_path, capsys):
+    # --dx 1e-15 died in np.zeros with "array is too big", naming no dx
+    path = conjugate_pair_file(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("tomo", str(path), "--dx", "1e-15", "--out", str(out)) == EX_RUNTIME
+    assert re.search(r"dx 1e-15 is too small for the samples: at theta 0\.0 their bins span "
+                     r"a \d+ x \d+ grid", capsys.readouterr().err)
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("target_xi", ["nan", "inf", "1e308", "-1", "355", "354", "0.63"])
 def test_cli_metrics_refuses_a_target_whose_amplitudes_are_not_finite(
         tmp_path, capsys, target_xi):
@@ -714,9 +724,8 @@ def test_cli_byte_identical_reruns(tmp_path):
 
 
 def test_cli_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
-    # blocks of one row or byte, so that W is the usable CPUs, set to 1 and 2:
-    # the sample and shot files, and what criteria and tomo read from them
-    monkeypatch.setattr(tio, "_MIN_BLOCK_ROWS", 1)
+    # blocks of one byte, so that W is the usable CPUs, set to 1 and 2: what
+    # criteria and tomo read from the sample file
     monkeypatch.setattr(tio, "_MIN_BLOCK_BYTES", 1)
     trees = []
     for w in (1, 2):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,30 @@ def test_bin_rejects_bad_dx():
     with pytest.raises(ValueError):
         bin_samples(Samples([0.0], [0.0], [0.0]), dx=0.0)
 
+
+
+@pytest.mark.parametrize("dx", [float("nan"), float("inf"), -float("inf"), 0.0, -0.25])
+def test_config_rejects_a_dx_that_is_not_finite_and_positive(dx):
+    # dx <= 0 passed a NaN
+    with pytest.raises(ValueError, match="dx must be positive and finite"):
+        TomographyConfig(dx=dx)
+    with pytest.raises(ValueError, match="dx must be positive and finite"):
+        bin_samples(Samples([0.0], [0.0], [0.0]), dx=dx)
+
+
+def test_bin_names_dx_and_the_grid_that_is_too_large():
+    # at dx 1e-15 the bin indices of x = -1 and 1 fit int64, but the dense
+    # count grid of the phase would span about 2e15 x 2e15 bins; the check
+    # comes before it is allocated
+    dx = 1e-15
+    samples = Samples([0.5, 0.5], [-1.0, 1.0], [1.0, -1.0])
+    span = [int(np.floor(x.max() / dx)) - int(np.floor(x.min() / dx)) + 1
+            for x in (samples.x_a, samples.x_b)]
+    assert span[0] * span[1] > tomography.MAX_GRID_CELLS
+    with pytest.raises(ValueError, match=re.escape(
+            f"dx 1e-15 is too small for the samples: at theta 0.5 their bins span a "
+            f"{span[0]} x {span[1]} grid, over {tomography.MAX_GRID_CELLS} cells")):
+        bin_samples(samples, dx)
 
 
 def test_bin_rejects_a_dx_whose_indices_leave_int64():
