@@ -11,9 +11,7 @@ converge, 64 usage error.
 
 Every subcommand accepts ``--config`` and ``--out``, and those that draw
 random numbers ``--seed``.  There is no worker-count flag: computation is
-serial, and only a large sample or shot CSV is written and read on every
-usable CPU, in forked processes (:mod:`tmsvlab.io`), with the same bytes
-and columns at any count.
+serial and starts no process.
 ``criteria`` draws none: its standard errors are closed-form, and it
 accepts ``--seed`` and ``--bootstrap-b`` only so that older command lines
 still run, without effect.

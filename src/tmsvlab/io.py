@@ -11,29 +11,27 @@ printed by ``orjson``, whose Ryu shortest digits match ``repr`` wherever
 ``repr`` prints no exponent; every other entry (a float with |x| < 1e-4 or
 |x| >= 1e16 other than 0, NaN and +-inf) and every other column (bool,
 object) takes the ``repr`` of each distinct bit pattern, once.  Floats are
-told apart by their bits, so ``-0.0`` stays ``'-0.0'``.  Readers check the
-header line, then parse the rest of the file with ``np.loadtxt``; a line
-ends at ``\\n``, ``\\r`` or ``\\r\\n``.  Empty lines are skipped, and a line
-of only spaces or tabs is a malformed row.  A file that fails to parse is
-read again as text to name the line of the first malformed row, each
-non-empty line parsed by the same ``np.loadtxt`` call, or to raise
+told apart by their bits, so ``-0.0`` stays ``'-0.0'``.
+
+A reader runs in the calling process and starts none.  It checks the
+header line, then reads the rest of the file in chunks of about
+``_CHUNK_BYTES``, each cut just after a ``\\n``, and joins their rows in
+order.  A chunk of a sample file whose every line is three JSON numbers,
+split by commas and ending at ``\\n``, none of them the integer ``-0``
+(JSON's ``-0`` is +0, np.loadtxt's is -0.0), is parsed by ``orjson`` as one
+JSON array; the writer's output takes this path wherever it holds no NaN
+or +-inf.  Every other chunk (``nan``, ``inf``, ``1e400``, ``01``, ``.5``,
+``+1``, whitespace, ``\\r``, empty lines, and every chunk of a shot file)
+is parsed by ``np.loadtxt``, where a line ends at ``\\n``, ``\\r`` or
+``\\r\\n``.  Both parsers round each number correctly, so the columns do
+not depend on the path a chunk takes, nor on the chunk size.  Empty lines
+are skipped, and a line of only spaces or tabs is a malformed row.  A
+header that is not exactly the line ``header\\n`` is checked, as stripped
+text, by the np.loadtxt call of the first chunk.  A file that fails to
+parse is read again as text to name the line of the first malformed row,
+each non-empty line parsed by the same ``np.loadtxt`` call, or to raise
 :class:`EmptyDataError` if no line after the header holds more than
 whitespace.
-
-A large CSV is read in W contiguous blocks at once.  W is the number of
-usable CPUs, but at most one block per ``_MIN_BLOCK_BYTES`` bytes (a pipe,
-which has no size, is one block), and 1 where ``os.fork`` does not exist;
-at W = 1 no process is started.  The first block is parsed in process,
-each other one in a forked child: it parses its lines (cut just after a
-``\\n``) with the same code, sends the parsed rows back over a pipe, and
-ends with ``os._exit``.  A child runs numpy's parsing only: no BLAS call
-and no lock of another thread.  The blocks are joined in order, so the
-columns read do not depend on W.  A block of only empty lines has no rows.
-A block whose child failed is parsed again in process, so a child that
-died costs time, not the result, and a block that does not parse sends the
-file to the error path above: every error is the one a single pass gives.
-Every child is reaped before the call returns, and killed first if the
-call fails.
 
 The density-matrix JSON stores the cutoff, the basis ordering tag, and the
 real and imaginary parts as nested arrays.  It holds the bytes that
@@ -47,11 +45,9 @@ the state through :class:`~tmsvlab.fock.DensityMatrix`, which
 validates Hermiticity, unit trace, and positivity.
 """
 
-import contextlib
 import json
-import os
 import warnings
-from io import BufferedReader, RawIOBase, TextIOWrapper
+from io import BytesIO, TextIOWrapper
 from pathlib import Path
 
 import numpy as np
@@ -62,87 +58,17 @@ from .homodyne import Samples, Shots
 
 SAMPLES_HEADER = "theta_rad,x_a,x_b"
 SHOTS_HEADER = "n_a,n_b,n_tot"
-_CHUNK_ROWS = 16384
-# A block of these takes about 50 ms to parse, against about 5 ms to fork a
-# child and drain its pipe; smaller files stay in process.
-_MIN_BLOCK_BYTES = 1 << 21
+_CHUNK_ROWS = 8192
+# Read chunks of 64 KiB parse as fast as chunks of 1 MiB, and their buffers
+# stay below glibc malloc's mmap threshold (128 KiB at first), so that each
+# chunk reuses the memory of the last.
+_CHUNK_BYTES = 1 << 16
+# the bytes of a line of JSON numbers
+_NUMBER_BYTES = b"0123456789+-.Ee,\n"
 
 
 class EmptyDataError(ValueError):
     """A data file parsed fine but contains no rows."""
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _edges(size: int) -> list[int]:
-    """W + 1 offsets that cut range(size) into W equal blocks: the usable
-    CPUs, at most one per ``_MIN_BLOCK_BYTES``, at least one; one without
-    os.fork."""
-    workers = max(1, min(_usable_cpus(), size // _MIN_BLOCK_BYTES)) if hasattr(os, "fork") else 1
-    return [size * i // workers for i in range(workers + 1)]
-
-
-class _Child:
-    """A forked process that sends the bytes of ``work(*block)`` down a pipe
-    and exits: status 0 once they are sent, 1 if work raised or returned
-    None."""
-
-    def __init__(self, work, block):
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        if pid == 0:  # the child: never returns
-            status = 1
-            try:
-                os.close(read_fd)
-                payload = work(*block)
-                if payload is not None:
-                    with open(write_fd, "wb") as pipe:
-                        pipe.write(payload)
-                    status = 0
-            finally:
-                os._exit(status)
-        os.close(write_fd)
-        self.pid, self.fd, self.status = pid, read_fd, None
-
-    def drain(self, sink) -> bool:
-        """Pass what the child sends to sink, reap it, and tell whether it
-        succeeded."""
-        while chunk := os.read(self.fd, 1 << 20):
-            sink(chunk)
-        self.reap()
-        return self.status == 0
-
-    def reap(self, kill: bool = False) -> None:
-        if self.status is None:
-            if kill:
-                from signal import SIGKILL  # only a failed call gets here; the import costs 1 ms
-                os.kill(self.pid, SIGKILL)
-            self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-            os.close(self.fd)
-
-
-@contextlib.contextmanager
-def _forked(work, blocks):
-    """One :class:`_Child` running work(*block) per block; each is reaped
-    on exit, and killed first if it has not been."""
-    children = []
-    try:
-        for block in blocks:
-            children.append(_Child(work, block))
-        yield children
-    finally:
-        for child in children:
-            child.reap(kill=True)
 
 
 def _reprs(column: np.ndarray) -> list[bytes]:
@@ -179,82 +105,77 @@ def _write_columns(path, header: str, columns) -> None:
             file.write(b"\n".join(map(b",".join, zip(*texts))) + b"\n")
 
 
-class _Span(RawIOBase):
-    """The next ``size`` bytes of a binary file."""
+def _chunks(file, head: bytes = b""):
+    """head, then the bytes of a binary file, in pieces of about
+    ``_CHUNK_BYTES`` that each end just after a ``\\n``, but the last."""
+    parts = [head]  # a line longer than a block spans several
+    while block := file.read(_CHUNK_BYTES):
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            parts.append(block[:cut])
+            yield b"".join(parts)
+            parts = [block[cut:]]
+        else:
+            parts.append(block)
+    if rest := b"".join(parts):
+        yield rest
 
-    def __init__(self, file, size: int):
-        self._file, self._left = file, size
 
-    def readable(self) -> bool:
-        return True
+def _fast_rows(chunk: bytes):
+    """The rows of a chunk of float lines as an (n, 3) table, parsed as one
+    JSON array, or None unless each line is three JSON numbers, none of
+    them the integer -0 (which JSON reads as +0)."""
+    if chunk.translate(None, _NUMBER_BYTES):
+        return None
+    stop = len(chunk) - chunk.endswith(b"\n")
+    text = np.frombuffer(chunk, np.uint8, stop)
+    ends = np.append(np.flatnonzero(text == ord("\n")), stop)
+    commas = np.flatnonzero(text == ord(","))
+    if len(commas) != 2 * len(ends) or (commas[1::2] >= ends).any() \
+            or (commas[2::2] <= ends[:-1]).any():  # two commas inside each line
+        return None
+    last = np.concatenate((commas, ends)) - 1  # the last byte of each field
+    if ((text[last] == ord("0")) & (text[last - 1] == ord("-"))).any():
+        return None
+    numbers = memoryview(chunk.replace(b"\n", b","))[:stop]
+    try:
+        values = orjson.loads(b"".join((b"[", numbers, b"]")))
+    except orjson.JSONDecodeError:  # an empty field, or a number out of range
+        return None
+    return np.array(values, np.float64).reshape(-1, 3)
 
-    def readinto(self, buffer) -> int:
-        n = self._file.readinto(memoryview(buffer)[:self._left])
-        self._left -= n
-        return n
 
-
-def _parse_rows(file, size, header, dtype):
-    """The rows in the next ``size`` bytes of a binary file (to its end if
-    size is None) as an (n, 3) table, or None if they do not parse; a
-    header, if given, must open them."""
-    if size is not None:
-        file = BufferedReader(_Span(file, size), 1 << 16)
-    text = TextIOWrapper(file, encoding="utf-8")
+def _parse_rows(chunk: bytes, header, dtype):
+    """The rows of a chunk as an (n, 3) table parsed by ``np.loadtxt``, or
+    None if they do not parse; a header, if given, must open them."""
+    text = TextIOWrapper(BytesIO(chunk), encoding="utf-8")
     try:
         if header is not None and text.readline().strip() != header:
             return None
-        with warnings.catch_warnings():  # a file or block with no rows is handled below
+        with warnings.catch_warnings():  # a file or chunk with no rows is handled below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             table = np.loadtxt(text, dtype=dtype, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    finally:
-        text.detach()  # the file stays open for its owner
     if len(table) == 0:  # no rows parse to shape (0, 1)
         return table.reshape(0, 3)
     return table if table.shape[1] == 3 else None
 
 
-def _parse_block(path, start: int, stop, dtype):
-    """:func:`_parse_rows` of bytes start to stop of a file, opened anew."""
-    with open(path, "rb") as file:
-        file.seek(start)
-        return _parse_rows(file, None if stop is None else stop - start, None, dtype)
-
-
-def _block_starts(file) -> list[int]:
-    """Where W blocks of about equal size start in an open binary file: at 0
-    and, for each later block, at the first line that starts at or after
-    its share of the bytes."""
-    size = os.fstat(file.fileno()).st_size
-    shares = _edges(size)[1:-1]
-    starts = [0]
-    for share in shares:
-        file.seek(share)
-        file.readline()
-        if starts[-1] < file.tell() < size:
-            starts.append(file.tell())
-    if shares:  # a pipe has no size, and cannot seek
-        file.seek(0)
-    return starts
-
-
 def _read_columns(path, header: str, dtype, what: str) -> np.ndarray:
     """The three columns of a CSV file under ``header``, parsed as dtype."""
+    tables = []
     with open(path, "rb") as file:
-        starts = _block_starts(file)
-        blocks = list(zip(starts, starts[1:] + [None]))
-        parse = lambda start, stop: _parse_block(path, start, stop, dtype)
-        with _forked(parse, blocks[1:]) as children:
-            tables = [_parse_rows(file, blocks[0][1], header, dtype)]
-            for child, block in zip(children, blocks[1:]):
-                if tables[-1] is None:
-                    break
-                received = bytearray()
-                tables.append(np.frombuffer(received, dtype).reshape(-1, 3)
-                              if child.drain(received.extend) else parse(*block))
-    if tables[-1] is None or not sum(map(len, tables)):
+        line = file.readline()
+        # any other first line is checked as text with the first chunk
+        check = None if line == header.encode() + b"\n" else header
+        for chunk in _chunks(file, b"" if check is None else line):
+            table = _fast_rows(chunk) if check is None and dtype == np.float64 else None
+            tables.append(_parse_rows(chunk, check, dtype) if table is None else table)
+            if tables[-1] is None:
+                break
+            check = None
+    if not tables or tables[-1] is None or not sum(map(len, tables)):
         _raise_first_error(path, header, dtype, what)
     return (tables[0] if len(tables) == 1 else np.concatenate(tables)).T
 

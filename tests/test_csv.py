@@ -1,14 +1,15 @@
 """The sample, shot and table CSVs against their former whole-file forms.
 
-The writer formats chunks of rows in one process, with orjson's digits
-where they are repr's and repr elsewhere; the reader checks the header line
-and gives the open file to np.loadtxt.  A large file is read in W blocks
-at once, all but the first in forked children.  Their former versions, kept
-here as oracles, formatted every value with repr into one text and parsed
-the list of the file's lines.  Bytes, parsed columns, exception types and
-messages must not differ, at any W, except where the former reader's
-checker passed a line that np.loadtxt rejects: the reader now names that
-line.
+The writer formats chunks of rows, with orjson's digits where they are
+repr's and repr elsewhere; the reader checks the header line and parses
+chunks of bytes, each cut after a newline, with orjson where a chunk's
+lines are three JSON numbers each and with np.loadtxt otherwise.  Both run
+in the calling process.  Their former versions, kept here as oracles,
+formatted every value with repr into one text and parsed the list of the
+file's lines.  Bytes, parsed columns, exception types and messages must
+not differ, at any chunk size and on either parse path, except where the
+former reader's checker passed a line that np.loadtxt rejects: the reader
+now names that line.
 """
 
 import os
@@ -129,7 +130,8 @@ def test_formatter_matches_repr_at_the_edges():
 
 # ------------------------------------------------------------------ writer
 
-@pytest.mark.parametrize("n", [0, 1, CHUNK, CHUNK + 1])
+# rows that fill two chunks, and one more
+@pytest.mark.parametrize("n", [0, 1, 2 * CHUNK, 2 * CHUNK + 1])
 def test_sample_and_shot_files_match_the_former_writer(tmp_path, n):
     rng = np.random.default_rng(n)
     theta = rng.choice([0.0, 0.7853981633974483, 2.356194490192345], n)
@@ -146,7 +148,7 @@ def test_sample_and_shot_files_match_the_former_writer(tmp_path, n):
     assert (tmp_path / "shots.csv").read_bytes() == (tmp_path / "former.csv").read_bytes()
 
 
-@pytest.mark.parametrize("n", [0, 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("n", [0, 1, 2 * CHUNK, 2 * CHUNK + 1])
 def test_table_rows_match_the_former_writer(tmp_path, n):
     # int, float, bool and nan columns: those of fig_s2_table.csv and, fifth,
     # a nan column
@@ -264,45 +266,120 @@ def test_only_newlines_and_returns_end_a_row(tmp_path, separator):
         tio.read_samples(path)
 
 
-# ------------------------------------------------------------ worker count
+# ---------------------------------------------------------- fast read path
 
-WORKER_COUNTS = (1, 2, 3)
+def fast_path_outcome(read, path, monkeypatch):
+    """outcome of read(path) with the orjson path on, and with every chunk
+    sent to np.loadtxt."""
+    got = outcome(read, path)
+    with monkeypatch.context() as m:
+        m.setattr(tio, "_fast_rows", lambda chunk: None)
+        return got, outcome(read, path)
+
+
+# tokens that JSON reads otherwise than np.loadtxt, or not at all, and the
+# edges of float parsing; each is read at each field of a row
+TOKENS = ["-0", "-0.0", "0.1e-0", "1E5", "1e+5", "5e-324", "4.9406564584124654e-324",
+          "2.2250738585072011e-308", "1e-400", "-1e-400", "1e400", "-1e400",
+          "9007199254740993", "123456789012345678901234567890", "18446744073709551616",
+          "01", "1.", ".5", "+1", " 1.0", "\t1.0", "nan", "inf", "-inf", "-00", "1e0400",
+          "1" * 400, "", "true", "null", "[1]", "\"1\"", "1,2"]
+# tokens that the orjson path must take, in a line of canonical ones; a
+# field that ends in -0, as 0.1e-0 does, takes np.loadtxt
+FAST_TOKENS = {"-0.0", "1E5", "1e+5", "5e-324", "4.9406564584124654e-324",
+               "2.2250738585072011e-308", "1e-400", "-1e-400", "9007199254740993",
+               "123456789012345678901234567890", "18446744073709551616"}
+
+
+@pytest.mark.parametrize("token", TOKENS)
+def test_fast_path_and_loadtxt_agree_on_every_token(tmp_path, monkeypatch, token):
+    path = tmp_path / "samples.csv"
+    for row in (f"{token},1.5,-2.0", f"0.3,{token},2.0", f"0.3,-1.25,{token}"):
+        for end in ("\n", ""):
+            chunk = f"0.3,-1.25,2.0\n{row}{end}".encode()
+            path.write_bytes(tio.SAMPLES_HEADER.encode() + b"\n" + chunk)
+            got, expected = fast_path_outcome(tio.read_samples, path, monkeypatch)
+            assert_same_outcome(got, expected)
+            table = tio._fast_rows(chunk)
+            assert (table is not None) == (token in FAST_TOKENS), (row, end)
+            if table is not None:
+                assert table.tobytes() == np.loadtxt(chunk.decode().splitlines(), delimiter=",",
+                                                     comments=None, ndmin=2).tobytes()
+
+
+@pytest.mark.parametrize("case", ["CRLF", "CR", "empty line", "whitespace-only line",
+                                  "invalid UTF-8", "invalid UTF-8 in the header",
+                                  "a field moved to the next line",
+                                  "a field moved to the line before"])
+def test_fast_path_and_loadtxt_agree_on_every_line_form(tmp_path, monkeypatch, case):
+    rows = ["0.3,-1.25,2.0", "1.9,0.0,-0.0", "0.3,1e-05,5e-324"]
+    header = tio.SAMPLES_HEADER.encode()
+    text = {"CRLF": b"\r\n".join([header, *map(str.encode, rows)]) + b"\r\n",
+            "CR": b"\r".join([header, *map(str.encode, rows)]) + b"\r",
+            "empty line": "\n".join([tio.SAMPLES_HEADER, rows[0], "", *rows[1:]]).encode(),
+            "whitespace-only line": "\n".join([tio.SAMPLES_HEADER, rows[0], " \t",
+                                                *rows[1:]]).encode(),
+            "invalid UTF-8": "\n".join([tio.SAMPLES_HEADER, *rows]).encode() + b"\n0.3,\xff,1\n",
+            "invalid UTF-8 in the header": header + b"\xff\n" + rows[0].encode() + b"\n",
+            # six fields in two lines, as two and four, then four and two
+            "a field moved to the next line": header + b"\n0.3,-1.25\n2.0,1.9,0.0,-0.0\n",
+            "a field moved to the line before": header + b"\n0.3,-1.25,2.0,1.9\n0.0,-0.0\n"}[case]
+    path = tmp_path / "samples.csv"
+    path.write_bytes(text)
+    got, expected = fast_path_outcome(tio.read_samples, path, monkeypatch)
+    assert_same_outcome(got, expected)
+    assert got[0] == ("read" if case in ("CRLF", "CR", "empty line") else
+                      UnicodeDecodeError if case.startswith("invalid") else ValueError)
+
+
+@pytest.mark.parametrize("size", [tio._CHUNK_BYTES, 4096])
+def test_the_writers_finite_output_never_reaches_loadtxt(tmp_path, monkeypatch, size):
+    # every finite float that the writer prints, -0.0, subnormals and
+    # exponents included, in several chunks
+    rng = np.random.default_rng(3)
+    n = 3 * CHUNK + 5
+    finite = SPECIAL[np.isfinite(SPECIAL)]
+    theta = rng.choice([0.0, 0.7853981633974483, 2.356194490192345], n)
+    x_a, x_b = rng.normal(size=n), rng.normal(size=n)
+    for x in (x_a, x_b):
+        special = rng.random(n) < 0.4
+        x[special] = rng.choice(finite, int(special.sum()))
+    samples = Samples(theta, x_a, x_b)
+    path = tmp_path / "samples.csv"
+    tio.write_samples(path, samples)
+
+    def loadtxt_path(*args):
+        raise AssertionError("a chunk of the writer's output reached np.loadtxt")
+
+    monkeypatch.setattr(tio, "_parse_rows", loadtxt_path)
+    monkeypatch.setattr(tio, "_CHUNK_BYTES", size)
+    assert_same_batch(tio.read_samples(path), samples)
+
+
+# -------------------------------------------------------------- chunk size
+
+# read chunks of 1 to 3 bytes put the edges of reads inside and between
+# every line, and make each chunk a line or two; one of 40 holds a few, and
+# one of 4096 a few hundred
+CHUNK_SIZES = (1, 2, 3, 40, 4096)
 
 
 @pytest.fixture
-def workers(monkeypatch):
-    """A function that sets the worker count W of every later read, and
-    counts the children started: one block per byte, and W usable CPUs
-    (W = 3 runs three processes on a host with fewer cores)."""
-    started = []
-    child = tio._Child
-
-    def counted(*args):
-        started.append(args)
-        return child(*args)
-
-    monkeypatch.setattr(tio, "_Child", counted)
-    monkeypatch.setattr(tio, "_MIN_BLOCK_BYTES", 1)
-
-    def set_workers(w):
-        monkeypatch.setattr(tio, "_usable_cpus", lambda: w)
-        return started
-
-    return set_workers
+def chunk_bytes(monkeypatch):
+    """A function that sets the size of the read chunks of every later
+    read, in bytes."""
+    return lambda size: monkeypatch.setattr(tio, "_CHUNK_BYTES", size)
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("w", WORKER_COUNTS)
-def test_files_and_columns_do_not_depend_on_the_worker_count(tmp_path, workers, w):
-    # -0.0, NaN, +-inf, subnormals and int columns, each read block several
-    # chunks; writes start no child
-    started = workers(w)
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+def test_files_and_columns_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, chunk_bytes,
+                                                            size):
+    # -0.0, NaN, +-inf, subnormals and int columns, written in chunks of
+    # that many rows and read in chunks of that many bytes
+    chunk_bytes(size)
+    monkeypatch.setattr(tio, "_CHUNK_ROWS", size)
     rng = np.random.default_rng(7)
-    n = 3 * CHUNK + 5
+    n = 300
     theta = rng.choice([0.0, 0.7853981633974483, 2.356194490192345], n)
     samples = Samples(theta, mixed_floats(n, rng), mixed_floats(n, rng))
     n_tot = rng.choice([1, 7, 500, 2 ** 62], n)
@@ -312,7 +389,6 @@ def test_files_and_columns_do_not_depend_on_the_worker_count(tmp_path, workers, 
     tio.write_samples(tmp_path / "samples.csv", samples)
     tio.write_shots(tmp_path / "shots.csv", shots)
     tio.write_csv_rows(tmp_path / "table.csv", "i,x,b", rows)
-    assert not started
     for name, header, columns in [
             ("samples", tio.SAMPLES_HEADER, (samples.theta, samples.x_a, samples.x_b)),
             ("shots", tio.SHOTS_HEADER, (shots.n_a, shots.n_b, shots.n_tot)),
@@ -322,28 +398,30 @@ def test_files_and_columns_do_not_depend_on_the_worker_count(tmp_path, workers, 
             (tmp_path / "former.csv").read_bytes(), name
     assert_same_batch(tio.read_samples(tmp_path / "samples.csv"), samples)
     assert_same_batch(tio.read_shots(tmp_path / "shots.csv"), shots)
-    assert len(started) == 2 * (w - 1)
-    assert_no_child_left()
 
 
-@pytest.mark.parametrize("w", WORKER_COUNTS)
-def test_reader_cases_at_every_worker_count(tmp_path, workers, w):
-    # every case of the two reader tests above
-    workers(w)
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+def test_reader_cases_at_every_chunk_size(tmp_path, chunk_bytes, size):
+    # every case of the two reader tests above; the 1 MB file whose line
+    # 70001 is bad only in chunks of 4096 bytes, where its bad line sits in
+    # the 256th chunk (in chunks of a few bytes it takes seconds, and the
+    # next test puts a bad line at every chunk edge)
+    chunk_bytes(size)
     for kind, cases in (("samples", SAMPLE_CASES), ("shots", SHOT_CASES)):
         for case in cases:
+            if case == "malformed field on line 70001" and size < 4096:
+                continue
             test_reader_matches_the_former_reader(tmp_path, kind, case)
         for case in LOCATED_CASES:
             test_reader_names_the_line_that_loadtxt_rejects(tmp_path, kind, case)
-    assert_no_child_left()
 
 
-@pytest.mark.parametrize("w", WORKER_COUNTS)
+@pytest.mark.parametrize("size", CHUNK_SIZES)
 @pytest.mark.parametrize("kind", ["samples", "shots"])
-def test_reader_names_the_bad_line_in_every_block(tmp_path, workers, w, kind):
-    # nine good rows and one bad line, at each line in turn, so that at W = 2
-    # and 3 the bad line sits in each block and at each block's edges
-    workers(w)
+def test_reader_names_the_bad_line_in_every_block(tmp_path, chunk_bytes, size, kind):
+    # nine good rows and one bad line, at each line in turn, so that the
+    # bad line sits in each read chunk and at each chunk's edges
+    chunk_bytes(size)
     if kind == "samples":
         header, good, read = tio.SAMPLES_HEADER, "0.3,-1.25,2.0", tio.read_samples
         field = "non-numeric field"
@@ -366,94 +444,62 @@ def test_reader_names_the_bad_line_in_every_block(tmp_path, workers, w, kind):
             lines[at] = ""  # an empty line is skipped
             path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
             assert_same_outcome(outcome(read, path), former_outcome(kind, path))
-    assert_no_child_left()
 
 
-def test_reader_reads_a_pipe(tmp_path, workers):
-    # a pipe has no size and cannot seek: it is read in one block
-    started = workers(2)
+def test_reader_reads_a_pipe(tmp_path, chunk_bytes):
+    # a pipe has no size and cannot seek
     text = f"{tio.SAMPLES_HEADER}\n" + "0.3,-1.25,2.0\n" * 50
-    path = tmp_path / "pipe.csv"
-    os.mkfifo(path)
-    writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
-    writer.start()
-    try:
-        samples = tio.read_samples(path)
-    finally:
-        writer.join(timeout=10)
-    assert not writer.is_alive() and not started
-    assert len(samples) == 50 and samples.x_b.tolist() == [2.0] * 50
+    for size in (tio._CHUNK_BYTES, *CHUNK_SIZES):
+        chunk_bytes(size)
+        path = tmp_path / f"pipe{size}.csv"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            samples = tio.read_samples(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert len(samples) == 50 and samples.x_b.tolist() == [2.0] * 50
 
 
-def test_no_child_is_left_after_a_write(tmp_path, workers, monkeypatch):
-    # a write runs in one process, and a failing one raises its own error
-    started = workers(2)
-    samples = Samples(np.zeros(10), np.arange(10.0), np.ones(10))
-    tokens = tio._tokens
+def test_no_read_or_write_starts_a_process(tmp_path, monkeypatch):
+    # reads and writes of several chunks, and reads that fail
+    forks = []
 
-    def failing(column):
-        if column[0] == 0.0 and column[-1] == 9.0:  # the x_a column
-            raise MemoryError("formatting failed")
-        return tokens(column)
+    def fork():
+        forks.append(1)
+        raise OSError("a process was started")
 
-    monkeypatch.setattr(tio, "_tokens", failing)
-    with pytest.raises(MemoryError, match="formatting failed"):
-        tio.write_samples(tmp_path / "samples.csv", samples)
-    assert not started
-    assert_no_child_left()
-
-
-def test_no_child_is_left_after_a_read(tmp_path, workers):
-    started = workers(3)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(tio, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(tio, "_CHUNK_BYTES", 64)
+    samples = Samples(np.zeros(30), np.arange(30.0), np.ones(30))
+    shots = Shots(np.arange(30), np.arange(30), np.full(30, 60))
     path = tmp_path / "samples.csv"
-    tio.write_samples(path, Samples(np.zeros(30), np.arange(30.0), np.ones(30)))
-    assert len(tio.read_samples(path)) == 30
-    assert_no_child_left()
+    tio.write_samples(path, samples)
+    tio.write_shots(tmp_path / "shots.csv", shots)
+    tio.write_csv_rows(tmp_path / "table.csv", "a,b", [(1, 0.5)] * 30)
+    assert_same_batch(tio.read_samples(path), samples)
+    assert_same_batch(tio.read_shots(tmp_path / "shots.csv"), shots)
     text = path.read_text(encoding="utf-8")
-    for broken in (text.replace("theta", "phi"), text[:-20] + "x" + text[-19:]):
+    for broken in (text.replace("theta", "phi"), text[:-20] + "x" + text[-19:],
+                   text[:text.index("\n") + 1]):
         path.write_text(broken, encoding="utf-8")
         with pytest.raises(ValueError):
             tio.read_samples(path)
-        assert_no_child_left()
-    assert len(started) == 2 + 2 + 2
-
-
-def test_a_read_block_whose_child_died_is_parsed_in_process(tmp_path, workers, monkeypatch):
-    workers(3)
-    path = tmp_path / "samples.csv"
-    samples = Samples(np.zeros(30), np.arange(30.0), np.ones(30))
-    tio.write_samples(path, samples)
-    parent, parse_block = os.getpid(), tio._parse_block
-
-    def dies_in_a_child(*args):
-        if os.getpid() != parent:
-            os._exit(3)
-        return parse_block(*args)
-
-    monkeypatch.setattr(tio, "_parse_block", dies_in_a_child)
-    assert_same_batch(tio.read_samples(path), samples)
-    assert_no_child_left()
-
-
-def test_the_worker_count_never_exceeds_the_usable_cpus(monkeypatch):
-    cpus = len(os.sched_getaffinity(0))
-    for size in (10 ** 9, 10 ** 12):
-        edges = tio._edges(size)
-        assert len(edges) - 1 == cpus and edges[0] == 0 and edges[-1] == size
-    assert tio._edges(tio._MIN_BLOCK_BYTES - 1) == [0, tio._MIN_BLOCK_BYTES - 1]
-    monkeypatch.setattr(tio, "_MIN_BLOCK_BYTES", 1)
-    monkeypatch.delattr(os, "fork")
-    assert tio._edges(10 ** 12) == [0, 10 ** 12]
+    assert not forks
 
 
 # ------------------------------------------------------------------ memory
 
 def test_writing_and_reading_200k_rows_stays_within_its_memory_bound(tmp_path):
     # 200k rows at two phases, as in the files benchmark.  The tracemalloc
-    # peaks are 6.5 MB to write and 9.2 MB to read (the parsed table and
-    # the batch's columns are 4.8 MB each); the bounds are about twice
-    # these.  Writing the whole text at once peaked at 45 MB, and reading
-    # the list of the file's lines at 34 MB.
+    # peaks are 3.3 MB to write (one 8192-row chunk's text) and 9.2 MB to
+    # read (the chunks' tables and the table they join into are 4.8 MB
+    # each); the bounds are about twice these.  Writing the whole text at
+    # once peaked at 45 MB, and reading the list of the file's lines at
+    # 34 MB.
     rng = np.random.default_rng(0)
     n = 100_000
     samples = Samples(np.repeat([np.pi / 4, 3 * np.pi / 4], n), rng.normal(size=2 * n),
@@ -461,4 +507,4 @@ def test_writing_and_reading_200k_rows_stays_within_its_memory_bound(tmp_path):
     path = tmp_path / "samples.csv"
     peaks = [traced_peak_mb(lambda: tio.write_samples(path, samples)),
              traced_peak_mb(lambda: tio.read_samples(path))]
-    assert peaks[0] <= 12.0 and peaks[1] <= 18.0, peaks
+    assert peaks[0] <= 7.0 and peaks[1] <= 18.0, peaks

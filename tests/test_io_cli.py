@@ -723,14 +723,13 @@ def test_cli_byte_identical_reruns(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_cli_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
-    # blocks of one byte, so that W is the usable CPUs, set to 1 and 2: what
-    # criteria and tomo read from the sample file
-    monkeypatch.setattr(tio, "_MIN_BLOCK_BYTES", 1)
-    trees = []
-    for w in (1, 2):
-        monkeypatch.setattr(tio, "_usable_cpus", lambda: w)
-        out = tmp_path / f"w{w}"
+def test_cli_outputs_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
+    # what criteria and tomo read from the sample file, in read chunks of
+    # the default size and of 3 bytes, whose edges fall inside every line
+    trees, default = [], tio._CHUNK_BYTES
+    for size in (default, 3):
+        monkeypatch.setattr(tio, "_CHUNK_BYTES", size)
+        out = tmp_path / f"chunk{size}"
         assert run_cli("simulate", "--xi", "0.5", "--thetas", "0,1.5707963267948966",
                        "--p", "500", "--seed", "4", "--out", str(out)) == EX_OK
         assert run_cli("criteria", str(out / "samples.csv"), "--out", str(out)) == EX_OK
@@ -740,7 +739,8 @@ def test_cli_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
                       for p in sorted(out.rglob("*")) if p.is_file()})
     assert len(trees[0]) == 6
     # diagnostics.json names its input file, whose directory differs
-    assert trees[0].pop("tomo/diagnostics.json").replace(b"/w1/", b"/w2/") == \
+    assert trees[0].pop("tomo/diagnostics.json").replace(f"/chunk{default}/".encode(),
+                                                         b"/chunk3/") == \
         trees[1].pop("tomo/diagnostics.json")
     assert trees[0] == trees[1]
 
