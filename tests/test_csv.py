@@ -463,31 +463,66 @@ def test_reader_reads_a_pipe(tmp_path, chunk_bytes):
         assert len(samples) == 50 and samples.x_b.tolist() == [2.0] * 50
 
 
-def test_no_read_or_write_starts_a_process(tmp_path, monkeypatch):
-    # reads and writes of several chunks, and reads that fail
-    forks = []
+@pytest.fixture
+def forks(monkeypatch):
+    # os.fork made to raise; the list counts the calls
+    calls = []
 
     def fork():
-        forks.append(1)
+        calls.append(1)
         raise OSError("a process was started")
 
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(tio, "_CHUNK_ROWS", 7)
     monkeypatch.setattr(tio, "_CHUNK_BYTES", 64)
+    return calls
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_child_is_left_after_a_write(tmp_path, forks, monkeypatch):
+    # writes of several chunks, and one whose formatting fails in its second chunk
+    samples = Samples(np.zeros(30), np.arange(30.0), np.ones(30))
+    shots = Shots(np.arange(30), np.arange(30), np.full(30, 60))
+    tio.write_samples(tmp_path / "samples.csv", samples)
+    tio.write_shots(tmp_path / "shots.csv", shots)
+    tio.write_csv_rows(tmp_path / "table.csv", "a,b", [(1, 0.5)] * 30)
+    assert_no_child_left()
+    tokens, formatted = tio._tokens, []
+
+    def failing(column):
+        formatted.append(1)
+        if len(formatted) > 3:
+            raise MemoryError("formatting failed")
+        return tokens(column)
+
+    monkeypatch.setattr(tio, "_tokens", failing)
+    with pytest.raises(MemoryError):
+        tio.write_samples(tmp_path / "samples.csv", samples)
+    assert_no_child_left()
+    assert not forks
+
+
+def test_no_child_is_left_after_a_read(tmp_path, forks):
+    # reads of several chunks, and reads that fail
     samples = Samples(np.zeros(30), np.arange(30.0), np.ones(30))
     shots = Shots(np.arange(30), np.arange(30), np.full(30, 60))
     path = tmp_path / "samples.csv"
     tio.write_samples(path, samples)
     tio.write_shots(tmp_path / "shots.csv", shots)
-    tio.write_csv_rows(tmp_path / "table.csv", "a,b", [(1, 0.5)] * 30)
     assert_same_batch(tio.read_samples(path), samples)
     assert_same_batch(tio.read_shots(tmp_path / "shots.csv"), shots)
+    assert_no_child_left()
     text = path.read_text(encoding="utf-8")
     for broken in (text.replace("theta", "phi"), text[:-20] + "x" + text[-19:],
                    text[:text.index("\n") + 1]):
         path.write_text(broken, encoding="utf-8")
         with pytest.raises(ValueError):
             tio.read_samples(path)
+        assert_no_child_left()
     assert not forks
 
 
