@@ -61,7 +61,10 @@ SHOTS_HEADER = "n_a,n_b,n_tot"
 _CHUNK_ROWS = 8192
 # Read chunks of 64 KiB parse as fast as chunks of 1 MiB, and their buffers
 # stay below glibc malloc's mmap threshold (128 KiB at first), so that each
-# chunk reuses the memory of the last.
+# chunk reuses the memory of the last: a 200k-row read raises VmHWM by about
+# 10 MB, against 16 MB in 1 MiB chunks.  The heap it leaves still costs a
+# later step: a fresh `criteria` run peaks 3 to 6 MB above the former
+# loadtxt reader's, in epr_report's (4, n) arrays (ROADMAP).
 _CHUNK_BYTES = 1 << 16
 # the bytes of a line of JSON numbers
 _NUMBER_BYTES = b"0123456789+-.Ee,\n"

@@ -277,18 +277,27 @@ def fast_path_outcome(read, path, monkeypatch):
         return got, outcome(read, path)
 
 
+# decimals at or just off a halfway point between two floats, with more
+# digits than a fast float parser reads exactly (1 + 2^-53 is exact in the
+# second), at the subnormal and overflow edges, and beyond 64-bit integers
+HALFWAY = ["9007199254740993.0", "9007199254740993.00000000000000000001",
+           "1.00000000000000011102230246251565404236316680908203125",
+           "1.00000000000000011102230246251565404236316680908203125001",
+           "1.00000000000000011102230246251565404236316680908203124",
+           "2.2250738585072012e-308", "2.4703282292062327e-324", "2.4703282292062328e-324",
+           "1.7976931348623158e308", "-18446744073709551617"]
 # tokens that JSON reads otherwise than np.loadtxt, or not at all, and the
 # edges of float parsing; each is read at each field of a row
 TOKENS = ["-0", "-0.0", "0.1e-0", "1E5", "1e+5", "5e-324", "4.9406564584124654e-324",
           "2.2250738585072011e-308", "1e-400", "-1e-400", "1e400", "-1e400",
           "9007199254740993", "123456789012345678901234567890", "18446744073709551616",
-          "01", "1.", ".5", "+1", " 1.0", "\t1.0", "nan", "inf", "-inf", "-00", "1e0400",
+          *HALFWAY, "01", "1.", ".5", "+1", " 1.0", "\t1.0", "nan", "inf", "-inf", "-00", "1e0400",
           "1" * 400, "", "true", "null", "[1]", "\"1\"", "1,2"]
 # tokens that the orjson path must take, in a line of canonical ones; a
 # field that ends in -0, as 0.1e-0 does, takes np.loadtxt
 FAST_TOKENS = {"-0.0", "1E5", "1e+5", "5e-324", "4.9406564584124654e-324",
                "2.2250738585072011e-308", "1e-400", "-1e-400", "9007199254740993",
-               "123456789012345678901234567890", "18446744073709551616"}
+               "123456789012345678901234567890", "18446744073709551616", *HALFWAY}
 
 
 @pytest.mark.parametrize("token", TOKENS)
@@ -500,7 +509,7 @@ def test_no_child_is_left_after_a_write(tmp_path, forks, monkeypatch):
         return tokens(column)
 
     monkeypatch.setattr(tio, "_tokens", failing)
-    with pytest.raises(MemoryError):
+    with pytest.raises(MemoryError, match="formatting failed"):
         tio.write_samples(tmp_path / "samples.csv", samples)
     assert_no_child_left()
     assert not forks
