@@ -4,16 +4,14 @@ maximum-likelihood tomography, and entanglement metrics."""
 
 __version__ = "0.1.0"
 
-from .fock import (DensityMatrix, FockSpace, OperatorMatrix, PureState,
-                   basis_state, expectation, hermite_functions, ladder_op,
-                   number_distributions, partial_transpose, phase_rotation,
-                   quadrature_ops)
+from .fock import (DensityMatrix, FockSpace, PureState, basis_state, hermite_functions,
+                   number_distributions, partial_transpose)
 from .states import (NoiseModel, NOISELESS, SqueezedVacuum, analytic_variances,
                      noise_preset, phase_noisy_state, tmsv, tmsv_rotated,
                      truncation_tail)
-from .homodyne import (HomodyneConfig, Samples, Shots, calibrate_transfer,
-                       config_from_transfer, default_config, estimate_quadratures,
-                       mode_transform, sample_quadratures, simulate_readout, simulate_shots)
+from .homodyne import (HomodyneConfig, Samples, Shots, config_from_transfer, default_config,
+                       estimate_quadratures, sample_quadratures, simulate_readout,
+                       simulate_shots)
 from .criteria import EprReport, epr_report, time_sweep
 from .tomography import (Histogram2D, MLResult, TomographyConfig, bin_samples,
                          ml_reconstruct)

@@ -1,4 +1,5 @@
-"""Truncated two-mode Fock space: states, operators, basic observables.
+"""Truncated two-mode Fock space: pure and mixed states, their phase rotation,
+partial transpose and number distributions, and oscillator wavefunctions.
 
 The basis is the product basis |n_A, n_B> with 0 <= n_A, n_B <= n_cut,
 flattened row-major so that index(n_A, n_B) = n_A * (n_cut + 1) + n_B.
@@ -55,15 +56,6 @@ class FockSpace:
         return np.repeat(n, self.mode_dim), np.tile(n, self.mode_dim)
 
 
-def _check_finite(m: np.ndarray, what: str) -> None:
-    """Reject a NaN or infinite entry, which every later bound check
-    would let through (a comparison with NaN is false)."""
-    bad = ~np.isfinite(m)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise ValueError(f"{what} has a non-finite entry {m[i, j]} at ({i}, {j})")
-
-
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -111,7 +103,10 @@ class DensityMatrix:
         m = np.array(self.entries, dtype=np.complex128)
         if m.shape != (self.space.dim, self.space.dim):
             raise ValueError(f"expected {self.space.dim}x{self.space.dim} matrix, got {m.shape}")
-        _check_finite(m, "density matrix")
+        bad = ~np.isfinite(m)  # NaN passes every bound check below: its comparisons are false
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(f"density matrix has a non-finite entry {m[i, j]} at ({i}, {j})")
         herm_defect = float(np.max(np.abs(m - m.conj().T)))
         if herm_defect > HERMITIAN_ATOL:
             raise ValueError("violates Hermiticity invariant: matrix is not Hermitian "
@@ -136,77 +131,10 @@ class DensityMatrix:
         return cls(space, m / tr)
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense operator on a FockSpace, optionally tagged (and checked) Hermitian."""
-
-    space: FockSpace
-    entries: np.ndarray
-    hermitian: bool = False
-
-    def __post_init__(self):
-        m = np.array(self.entries, dtype=np.complex128)
-        if m.shape != (self.space.dim, self.space.dim):
-            raise ValueError(f"expected {self.space.dim}x{self.space.dim} matrix, got {m.shape}")
-        if self.hermitian:
-            _check_finite(m, "operator tagged Hermitian")
-            defect = float(np.max(np.abs(m - m.conj().T)))
-            if defect > HERMITIAN_ATOL:
-                raise ValueError(f"operator tagged Hermitian violates it by {defect:.3e}")
-        object.__setattr__(self, "entries", _readonly(m))
-
-
 def basis_state(space: FockSpace, n_a: int, n_b: int) -> PureState:
     amps = np.zeros(space.dim, dtype=np.complex128)
     amps[space.index(n_a, n_b)] = 1.0
     return PureState(space, amps)
-
-
-def _single_mode_annihilator(mode_dim: int) -> np.ndarray:
-    a = np.zeros((mode_dim, mode_dim), dtype=np.complex128)
-    n = np.arange(1, mode_dim)
-    a[n - 1, n] = np.sqrt(n)
-    return a
-
-
-def ladder_op(space: FockSpace, mode: str, kind: str) -> OperatorMatrix:
-    """Annihilation or creation operator acting on one mode.
-
-    The occupation cutoff is hard: the creation operator drops the
-    component that would leave the truncated space.
-    """
-    mode = mode.upper()
-    if mode not in ("A", "B"):
-        raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
-    if kind not in ("annihilate", "create"):
-        raise ValueError(f"kind must be 'annihilate' or 'create', got {kind!r}")
-    a = _single_mode_annihilator(space.mode_dim)
-    if kind == "create":
-        a = a.conj().T
-    eye = np.eye(space.mode_dim, dtype=np.complex128)
-    full = np.kron(a, eye) if mode == "A" else np.kron(eye, a)
-    return OperatorMatrix(space, full)
-
-
-def quadrature_ops(space: FockSpace, mode: str) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Quadrature pair x = (a^dag + a)/sqrt(2), p = i (a^dag - a)/sqrt(2)."""
-    a = ladder_op(space, mode, "annihilate").entries
-    adag = a.conj().T
-    x = (adag + a) / np.sqrt(2.0)
-    p = 1j * (adag - a) / np.sqrt(2.0)
-    return (OperatorMatrix(space, x, hermitian=True),
-            OperatorMatrix(space, p, hermitian=True))
-
-
-def total_number_op(space: FockSpace) -> OperatorMatrix:
-    n_a, n_b = space.occupations()
-    return OperatorMatrix(space, np.diag((n_a + n_b).astype(np.complex128)), hermitian=True)
-
-
-def phase_rotation(space: FockSpace, theta: float) -> OperatorMatrix:
-    """Diagonal unitary exp(-i theta (N_A + N_B))."""
-    n_a, n_b = space.occupations()
-    return OperatorMatrix(space, np.diag(np.exp(-1j * theta * (n_a + n_b))))
 
 
 def rotate_state(rho: DensityMatrix, theta: float) -> DensityMatrix:
@@ -224,14 +152,6 @@ def partial_transpose(rho: DensityMatrix) -> np.ndarray:
     k = rho.space.mode_dim
     r4 = rho.entries.reshape(k, k, k, k)
     return np.ascontiguousarray(r4.transpose(0, 3, 2, 1)).reshape(k * k, k * k)
-
-
-def expectation(rho: DensityMatrix, op: OperatorMatrix) -> complex:
-    """Tr[rho op]; real to within 1e-10 when the operator is Hermitian."""
-    if rho.space != op.space:
-        raise DimensionMismatchError(
-            f"state on n_cut={rho.space.n_cut} but operator on n_cut={op.space.n_cut}")
-    return complex(np.sum(rho.entries * op.entries.T))
 
 
 def number_distributions(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:

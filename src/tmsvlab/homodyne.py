@@ -2,9 +2,9 @@
 
 A short coupling pulse mixes a large reference mode into the two signal
 modes; counting atoms in the signal modes afterwards realizes a quadrature
-measurement.  This module provides the mode transformation, the
-number-to-quadrature estimators and their calibration, and seeded
-Monte-Carlo generation of quadrature samples and raw count records.
+measurement.  This module provides the number-to-quadrature estimators
+and seeded Monte-Carlo generation of quadrature samples and raw count
+records.
 
 Shots travel in columnar batches, one array element per shot:
 :class:`Samples` holds the phases and quadratures (theta, x_a, x_b) and
@@ -81,10 +81,6 @@ class HomodyneConfig:
     @property
     def omega_tilde_m1(self) -> float:
         return self.omega_m1 / self.omega
-
-    @property
-    def c(self) -> float:
-        return math.cos(self.omega * self.tau / 2.0)
 
     @property
     def s(self) -> float:
@@ -184,17 +180,6 @@ class Samples(_Batch):
                            np.array(self.x_b, dtype=np.float64)])
 
 
-def mode_transform(config: HomodyneConfig) -> np.ndarray:
-    """Heisenberg-picture 3x3 matrix of the coupling pulse on (a_A, a_B, a_0)."""
-    op, om = config.omega_tilde_p1, config.omega_tilde_m1
-    c, s = config.c, config.s
-    return np.array([
-        [(op ** 2 * c + om ** 2) / 2.0, op * om * (c - 1.0) / 2.0, op * s / (1j * math.sqrt(2.0))],
-        [op * om * (c - 1.0) / 2.0, (om ** 2 * c + op ** 2) / 2.0, om * s / (1j * math.sqrt(2.0))],
-        [op * s / (1j * math.sqrt(2.0)), om * s / (1j * math.sqrt(2.0)), c],
-    ], dtype=np.complex128)
-
-
 def estimate_quadratures(shots: Shots, config: HomodyneConfig) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature difference and sum recovered from each count record.
 
@@ -210,28 +195,6 @@ def estimate_quadratures(shots: Shots, config: HomodyneConfig) -> tuple[np.ndarr
     diff = (n_a - n_b - s2 * config.rabi_asymmetry * n_tot / 2.0) / np.sqrt(s2 * n_tot)
     total = (n_a + n_b - s2 * n_tot) / np.sqrt(s2 * c2 * n_tot)
     return diff, total
-
-
-@dataclass(frozen=True)
-class TransferCalibration:
-    s2: float
-    c2: float
-    asymmetry: float
-    asymmetry_defined: bool
-
-
-def calibrate_transfer(shots: Shots) -> TransferCalibration:
-    """Invert the mean transfer and mean imbalance for s^2, c^2 and the
-    Rabi asymmetry.  Zero transfer leaves the asymmetry indeterminate; it
-    is reported as 0 with the flag cleared."""
-    if not shots:
-        raise ValueError("calibrate_transfer needs at least one shot")
-    frac_sum = (shots.n_a + shots.n_b) / shots.n_tot
-    frac_diff = (shots.n_a - shots.n_b) / shots.n_tot
-    s2 = float(frac_sum.mean())
-    if s2 > 0.0:
-        return TransferCalibration(s2, 1.0 - s2, float(2.0 * frac_diff.mean() / s2), True)
-    return TransferCalibration(0.0, 1.0, 0.0, False)
 
 
 def _seed_list(seed) -> list[int]:

@@ -3,7 +3,8 @@
 CSV files are UTF-8 with exact headers (``theta_rad,x_a,x_b`` for samples,
 ``n_a,n_b,n_tot`` for shots), decimal points, no thousands separators.
 Each row is one shot; the files hold a :class:`~tmsvlab.homodyne.Samples`
-or :class:`~tmsvlab.homodyne.Shots` batch column by column.  Every value is
+or :class:`~tmsvlab.homodyne.Shots` batch column by column.  Shot files
+are written only; sample files are written and read.  Every value is
 written as its ``repr`` (shortest round-trip digits for floats), so
 identical data produce identical bytes.  Writers format chunks of
 ``_CHUNK_ROWS`` rows in the calling process.  An int or float column is
@@ -13,25 +14,24 @@ printed by ``orjson``, whose Ryu shortest digits match ``repr`` wherever
 object) takes the ``repr`` of each distinct bit pattern, once.  Floats are
 told apart by their bits, so ``-0.0`` stays ``'-0.0'``.
 
-A reader runs in the calling process and starts none.  It checks the
-header line, then reads the rest of the file in chunks of about
+The sample reader runs in the calling process and starts none.  It checks
+the header line, then reads the rest of the file in chunks of about
 ``_CHUNK_BYTES``, each cut just after a ``\\n``, and joins their rows in
-order.  A chunk of a sample file whose every line is three JSON numbers,
-split by commas and ending at ``\\n``, none of them the integer ``-0``
-(JSON's ``-0`` is +0, np.loadtxt's is -0.0), is parsed by ``orjson`` as one
-JSON array; the writer's output takes this path wherever it holds no NaN
-or +-inf.  Every other chunk (``nan``, ``inf``, ``1e400``, ``01``, ``.5``,
-``+1``, whitespace, ``\\r``, empty lines, and every chunk of a shot file)
-is parsed by ``np.loadtxt``, where a line ends at ``\\n``, ``\\r`` or
-``\\r\\n``.  Both parsers round each number correctly, so the columns do
-not depend on the path a chunk takes, nor on the chunk size.  Empty lines
-are skipped, and a line of only spaces or tabs is a malformed row.  A
-header that is not exactly the line ``header\\n`` is checked, as stripped
-text, by the np.loadtxt call of the first chunk.  A file that fails to
-parse is read again as text to name the line of the first malformed row,
-each non-empty line parsed by the same ``np.loadtxt`` call, or to raise
-:class:`EmptyDataError` if no line after the header holds more than
-whitespace.
+order.  A chunk whose every line is three JSON numbers, split by commas
+and ending at ``\\n``, none of them the integer ``-0`` (JSON's ``-0`` is
++0, np.loadtxt's is -0.0), is parsed by ``orjson`` as one JSON array; the
+writer's output takes this path wherever it holds no NaN or +-inf.  Every
+other chunk (``nan``, ``inf``, ``1e400``, ``01``, ``.5``, ``+1``,
+whitespace, ``\\r``, empty lines) is parsed by ``np.loadtxt``, where a
+line ends at ``\\n``, ``\\r`` or ``\\r\\n``.  Both parsers round each
+number correctly, so the columns do not depend on the path a chunk takes,
+nor on the chunk size.  Empty lines are skipped, and a line of only spaces
+or tabs is a malformed row.  A header that is not exactly the line
+``header\\n`` is checked, as stripped text, by the np.loadtxt call of the
+first chunk.  A file that fails to parse is read again as text to name the
+line of the first malformed row, each non-empty line parsed by the same
+``np.loadtxt`` call, or to raise :class:`EmptyDataError` if no line after
+the header holds more than whitespace.
 
 The density-matrix JSON stores the cutoff, the basis ordering tag, and the
 real and imaginary parts as nested arrays.  It holds the bytes that
@@ -108,6 +108,14 @@ def _write_columns(path, header: str, columns) -> None:
             file.write(b"\n".join(map(b",".join, zip(*texts))) + b"\n")
 
 
+def write_samples(path, samples: Samples) -> None:
+    _write_columns(path, SAMPLES_HEADER, (samples.theta, samples.x_a, samples.x_b))
+
+
+def write_shots(path, shots: Shots) -> None:
+    _write_columns(path, SHOTS_HEADER, (shots.n_a, shots.n_b, shots.n_tot))
+
+
 def _chunks(file, head: bytes = b""):
     """head, then the bytes of a binary file, in pieces of about
     ``_CHUNK_BYTES`` that each end just after a ``\\n``, but the last."""
@@ -148,7 +156,7 @@ def _fast_rows(chunk: bytes):
     return np.array(values, np.float64).reshape(-1, 3)
 
 
-def _parse_rows(chunk: bytes, header, dtype):
+def _parse_rows(chunk: bytes, header):
     """The rows of a chunk as an (n, 3) table parsed by ``np.loadtxt``, or
     None if they do not parse; a header, if given, must open them."""
     text = TextIOWrapper(BytesIO(chunk), encoding="utf-8")
@@ -157,7 +165,7 @@ def _parse_rows(chunk: bytes, header, dtype):
             return None
         with warnings.catch_warnings():  # a file or chunk with no rows is handled below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(text, dtype=dtype, delimiter=",", comments=None, ndmin=2)
+            table = np.loadtxt(text, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
     if len(table) == 0:  # no rows parse to shape (0, 1)
@@ -165,36 +173,36 @@ def _parse_rows(chunk: bytes, header, dtype):
     return table if table.shape[1] == 3 else None
 
 
-def _read_columns(path, header: str, dtype, what: str) -> np.ndarray:
-    """The three columns of a CSV file under ``header``, parsed as dtype."""
+def read_samples(path) -> Samples:
+    """The samples of a sample CSV, parsed as the module docstring says."""
     tables = []
     with open(path, "rb") as file:
         line = file.readline()
         # any other first line is checked as text with the first chunk
-        check = None if line == header.encode() + b"\n" else header
+        check = None if line == SAMPLES_HEADER.encode() + b"\n" else SAMPLES_HEADER
         for chunk in _chunks(file, b"" if check is None else line):
-            table = _fast_rows(chunk) if check is None and dtype == np.float64 else None
-            tables.append(_parse_rows(chunk, check, dtype) if table is None else table)
+            table = _fast_rows(chunk) if check is None else None
+            tables.append(_parse_rows(chunk, check) if table is None else table)
             if tables[-1] is None:
                 break
             check = None
     if not tables or tables[-1] is None or not sum(map(len, tables)):
-        _raise_first_error(path, header, dtype, what)
-    return (tables[0] if len(tables) == 1 else np.concatenate(tables)).T
+        _raise_first_error(path)
+    return Samples(*(tables[0] if len(tables) == 1 else np.concatenate(tables)).T)
 
 
-def _raise_first_error(path, header: str, dtype, what: str) -> None:
+def _raise_first_error(path) -> None:
     """Raise the error of a file that failed to parse: a wrong header, no
     rows, or the first malformed row, named by its line.  Lines end where
     they end for ``np.loadtxt``: at \\n, \\r or \\r\\n.  Each non-empty line
     is parsed by the reader's own ``np.loadtxt`` call, so the two agree on
     which rows are malformed."""
     lines = Path(path).read_text(encoding="utf-8").split("\n")
-    if lines[0].strip() != header:
-        raise ValueError(f"{path}: expected header {header!r}")
+    if lines[0].strip() != SAMPLES_HEADER:
+        raise ValueError(f"{path}: expected header {SAMPLES_HEADER!r}")
     body = lines[1:]
     if not "".join(body).strip():
-        raise EmptyDataError(f"{path}: no {what}")
+        raise EmptyDataError(f"{path}: no samples")
     for lineno, line in enumerate(body, start=2):
         if not line:
             continue
@@ -202,27 +210,10 @@ def _raise_first_error(path, header: str, dtype, what: str) -> None:
         if len(parts) != 3:
             raise ValueError(f"{path}: line {lineno}: expected 3 fields, got {len(parts)}")
         try:
-            np.loadtxt([line], dtype=dtype, delimiter=",", comments=None)
+            np.loadtxt([line], delimiter=",", comments=None)
         except ValueError:
-            kind = "non-numeric" if dtype == np.float64 else "non-integer"
-            raise ValueError(f"{path}: line {lineno}: {kind} field") from None
+            raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
     raise ValueError(f"{path}: malformed rows")
-
-
-def write_samples(path, samples: Samples) -> None:
-    _write_columns(path, SAMPLES_HEADER, (samples.theta, samples.x_a, samples.x_b))
-
-
-def read_samples(path) -> Samples:
-    return Samples(*_read_columns(path, SAMPLES_HEADER, np.float64, "samples"))
-
-
-def write_shots(path, shots: Shots) -> None:
-    _write_columns(path, SHOTS_HEADER, (shots.n_a, shots.n_b, shots.n_tot))
-
-
-def read_shots(path) -> Shots:
-    return Shots(*_read_columns(path, SHOTS_HEADER, np.int64, "shots"))
 
 
 def density_matrix_to_dict(rho: DensityMatrix) -> dict:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .fock import (DensityMatrix, DimensionMismatchError, FockSpace, PureState,
-                   ladder_op, partial_transpose, total_number_op, expectation)
+                   partial_transpose)
 from .states import _pair_amplitudes
 
 QFI_EIGENVALUE_FLOOR = 1e-12
@@ -65,13 +65,22 @@ def log_negativity(rho: DensityMatrix) -> float:
     return float(np.log2(np.sum(np.abs(eigs))))
 
 
-def _collective_spin_ops(space: FockSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    a = ladder_op(space, "A", "annihilate").entries
-    b = ladder_op(space, "B", "annihilate").entries
-    adag, bdag = a.conj().T, b.conj().T
-    jx = (adag @ b + bdag @ a) / 2.0
-    jy = (adag @ b - bdag @ a) / 2.0j
-    jz = (adag @ a - bdag @ b) / 2.0
+def _sector_spin_blocks(n: int, n_cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """J_x, J_y and J_z on the total-number sector n, in the basis
+    |k, n - k> ordered by rising k (k = max(0, n - n_cut) .. min(n, n_cut)).
+
+    J_x and J_y couple k to k + 1 through rise[k+1, k] = sqrt(k+1) sqrt(n-k),
+    the entry of a_A^dag a_B; J_z is diagonal.  Each entry is formed as the
+    product of square roots that a Kronecker product of ladder operators
+    gives, so the blocks hold those operators' bits.
+    """
+    k = np.arange(max(0, n - n_cut), min(n, n_cut) + 1)
+    root_a, root_b = np.sqrt(k), np.sqrt(n - k)
+    rise = np.zeros((k.size, k.size), dtype=np.complex128)
+    rise[np.arange(1, k.size), np.arange(k.size - 1)] = root_a[1:] * root_b[:-1]
+    jx = (rise + rise.T) / 2.0
+    jy = (rise - rise.T) / 2.0j
+    jz = np.diag((root_a * root_a - root_b * root_b) / 2.0).astype(np.complex128)
     return jx, jy, jz
 
 
@@ -97,13 +106,14 @@ def qfi_fixed_n(rho: DensityMatrix) -> QfiResult:
     M_ab = 2 sum_n Q_n sum_{k != k'} (p_k - p_k')^2 / (p_k + p_k')
     Re[<k|J_a|k'><k'|J_b|k>] is assembled and its largest eigenvalue is the
     direction-optimal value.  Pairs with p_k + p_k' <= 1e-12 are skipped.
-    n_bar is Tr[rho (N_A + N_B)] of the full state; the per-particle ratio
-    is reported as 0 with the flag cleared when n_bar vanishes.
+    The spin blocks are :func:`_sector_spin_blocks`.  n_bar is
+    Tr[rho (N_A + N_B)] of the full state, the correctly rounded sum of the
+    diagonal's terms rho_ii (n_A + n_B)_i; the per-particle ratio is
+    reported as 0 with the flag cleared when n_bar vanishes.
     """
     space = rho.space
-    spin_ops = _collective_spin_ops(space)
     m = np.zeros((3, 3))
-    for _n, idx in _sector_indices(space):
+    for n, idx in _sector_indices(space):
         block = rho.entries[np.ix_(idx, idx)]
         q_n = float(block.trace().real)
         if q_n <= SECTOR_WEIGHT_FLOOR:
@@ -115,7 +125,7 @@ def qfi_fixed_n(rho: DensityMatrix) -> QfiResult:
         ok = denom > QFI_EIGENVALUE_FLOOR
         weight[ok] = (w[:, None] - w[None, :])[ok] ** 2 / denom[ok]
         np.fill_diagonal(weight, 0.0)
-        reps = [v.conj().T @ op[np.ix_(idx, idx)] @ v for op in spin_ops]
+        reps = [v.conj().T @ op @ v for op in _sector_spin_blocks(n, space.n_cut)]
         for a in range(3):
             for b in range(a, 3):
                 val = 2.0 * q_n * float(np.sum(weight * (reps[a] * reps[b].conj()).real))
@@ -123,7 +133,7 @@ def qfi_fixed_n(rho: DensityMatrix) -> QfiResult:
                 if b != a:
                     m[b, a] += val
     f_q = float(np.linalg.eigvalsh(m)[-1])
-    n_bar = float(expectation(rho, total_number_op(space)).real)
+    n_bar = math.fsum(rho.entries.diagonal().real * np.add(*space.occupations()))
     if n_bar > 1e-12:
         return QfiResult(f_q, f_q / n_bar, n_bar, True)
     return QfiResult(f_q, 0.0, n_bar, False)

@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tmsvlab import io as tio
 from tmsvlab.fock import FockSpace, basis_state
+from tmsvlab.homodyne import Shots
 from tmsvlab.tomography import _Kernel
 
 
@@ -44,6 +46,14 @@ def assert_same_batch(a, b):
     for f in dataclasses.fields(a):
         column_a, column_b = getattr(a, f.name), getattr(b, f.name)
         assert column_a.dtype == column_b.dtype and column_a.tobytes() == column_b.tobytes(), f.name
+
+
+def loadtxt_shots(path) -> Shots:
+    """The shots of a file that io.write_shots wrote, read back by np.loadtxt
+    as int64 (the package reads no shot file)."""
+    with open(path, encoding="utf-8") as file:
+        assert file.readline() == tio.SHOTS_HEADER + "\n"
+        return Shots(*np.loadtxt(file, dtype=np.int64, delimiter=",", ndmin=2).T)
 
 
 def concat(*batches):

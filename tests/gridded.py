@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tmsvlab.fock import (DensityMatrix, FockSpace, expectation, hermite_functions,
-                         quadrature_ops)
+from tmsvlab.fock import DensityMatrix, FockSpace, hermite_functions
 
 # Per-shot jitter of the measurement angle is quantized to this step so
 # shots sharing a step reuse one gridded distribution; the induced variance
@@ -68,15 +67,29 @@ class QuadGrid:
         return cls.regular(n_sigma * _max_quadrature_std(state), points)
 
 
+def ladder_quadratures(space: FockSpace, mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The annihilator a of mode "A" or "B", as the Kronecker product of the
+    one-mode annihilator with the other mode's identity, and the quadratures
+    x = (a^dag + a)/sqrt(2) and p = i (a^dag - a)/sqrt(2).  The cutoff is
+    hard: a^dag = a.conj().T drops the component that would leave it."""
+    n = np.arange(1, space.mode_dim)
+    one_mode = np.zeros((space.mode_dim, space.mode_dim), dtype=np.complex128)
+    one_mode[n - 1, n] = np.sqrt(n)
+    eye = np.eye(space.mode_dim, dtype=np.complex128)
+    a = np.kron(one_mode, eye) if mode == "A" else np.kron(eye, one_mode)
+    adag = a.conj().T
+    return a, (adag + a) / np.sqrt(2.0), 1j * (adag - a) / np.sqrt(2.0)
+
+
 def _max_quadrature_std(state: DensityMatrix) -> float:
     worst = 0.0
     for mode in ("A", "B"):
-        x, p = quadrature_ops(state.space, mode)
-        xm = expectation(state, x).real
-        pm = expectation(state, p).real
-        xx = np.sum(state.entries * (x.entries @ x.entries).T).real - xm ** 2
-        pp = np.sum(state.entries * (p.entries @ p.entries).T).real - pm ** 2
-        xp = np.sum(state.entries * ((x.entries @ p.entries + p.entries @ x.entries) / 2.0).T).real
+        _, x, p = ladder_quadratures(state.space, mode)
+        xm = np.sum(state.entries * x.T).real
+        pm = np.sum(state.entries * p.T).real
+        xx = np.sum(state.entries * (x @ x).T).real - xm ** 2
+        pp = np.sum(state.entries * (p @ p).T).real - pm ** 2
+        xp = np.sum(state.entries * ((x @ p + p @ x) / 2.0).T).real
         cov = np.array([[xx, xp - xm * pm], [xp - xm * pm, pp]])
         worst = max(worst, float(np.linalg.eigvalsh(cov)[-1]))
     return math.sqrt(worst)

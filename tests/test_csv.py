@@ -1,15 +1,15 @@
 """The sample, shot and table CSVs against their former whole-file forms.
 
 The writer formats chunks of rows, with orjson's digits where they are
-repr's and repr elsewhere; the reader checks the header line and parses
-chunks of bytes, each cut after a newline, with orjson where a chunk's
-lines are three JSON numbers each and with np.loadtxt otherwise.  Both run
-in the calling process.  Their former versions, kept here as oracles,
-formatted every value with repr into one text and parsed the list of the
-file's lines.  Bytes, parsed columns, exception types and messages must
-not differ, at any chunk size and on either parse path, except where the
-former reader's checker passed a line that np.loadtxt rejects: the reader
-now names that line.
+repr's and repr elsewhere; the sample reader checks the header line and
+parses chunks of bytes, each cut after a newline, with orjson where a
+chunk's lines are three JSON numbers each and with np.loadtxt otherwise.
+Both run in the calling process.  Their former versions, kept here as
+oracles, formatted every value with repr into one text and parsed the
+list of the file's lines.  Bytes, parsed columns, exception types and
+messages must not differ, at any chunk size and on either parse path,
+except where the former reader's checker passed a line that np.loadtxt
+rejects: the reader now names that line.
 """
 
 import os
@@ -23,7 +23,7 @@ import pytest
 from tmsvlab import io as tio
 from tmsvlab.homodyne import Samples, Shots
 
-from conftest import assert_same_batch, traced_peak_mb
+from conftest import assert_same_batch, loadtxt_shots, traced_peak_mb
 
 CHUNK = tio._CHUNK_ROWS
 SPECIAL = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308,
@@ -35,19 +35,19 @@ def former_write(path, header: str, columns) -> None:
     Path(path).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
 
 
-def former_read(path, header: str, dtype, what: str) -> np.ndarray:
+def former_read(path) -> Samples:
+    header = tio.SAMPLES_HEADER
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].strip() != header:
         raise ValueError(f"{path}: expected header {header!r}")
     body = lines[1:]
     if not "".join(body).strip():
-        raise tio.EmptyDataError(f"{path}: no {what}")
+        raise tio.EmptyDataError(f"{path}: no samples")
     try:
-        table = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, ndmin=2)
+        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         table = None
     if table is None or table.shape[1] != 3:
-        parse = float if dtype == np.float64 else int
         for lineno, line in enumerate(body, start=2):
             if not line.strip():
                 continue
@@ -55,12 +55,11 @@ def former_read(path, header: str, dtype, what: str) -> np.ndarray:
             if len(parts) != 3:
                 raise ValueError(f"{path}: line {lineno}: expected 3 fields, got {len(parts)}")
             try:
-                [parse(p) for p in parts]
+                [float(p) for p in parts]
             except ValueError:
-                kind = "non-numeric" if parse is float else "non-integer"
-                raise ValueError(f"{path}: line {lineno}: {kind} field") from None
+                raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
         raise ValueError(f"{path}: malformed rows")
-    return table.T
+    return Samples(*table.T)
 
 
 def mixed_floats(n: int, rng) -> np.ndarray:
@@ -195,13 +194,6 @@ def outcome(read, path):
         return type(exc), str(exc)
 
 
-def former_outcome(kind, path):
-    if kind == "samples":
-        return outcome(lambda p: Samples(*former_read(p, tio.SAMPLES_HEADER, np.float64,
-                                                      "samples")), path)
-    return outcome(lambda p: Shots(*former_read(p, tio.SHOTS_HEADER, np.int64, "shots")), path)
-
-
 def assert_same_outcome(got, expected):
     assert got[0] == expected[0]
     if got[0] == "read":
@@ -212,19 +204,14 @@ def assert_same_outcome(got, expected):
 
 SAMPLE_CASES = reader_cases(tio.SAMPLES_HEADER,
                             ["0.3,-1.25,2.0", "1.9,0.0,-0.0", "0.3,1e-05,nan"], "oops")
-SHOT_CASES = {**reader_cases(tio.SHOTS_HEADER, ["3,4,100", "0,0,1", "12,7,500"], "oops"),
-              "float count": f"{tio.SHOTS_HEADER}\n3,4,100\n1.5,0,7\n",
-              "negative count": f"{tio.SHOTS_HEADER}\n3,4,100\n-1,0,7\n"}
 
 
-@pytest.mark.parametrize("kind, case", [("samples", c) for c in SAMPLE_CASES]
-                         + [("shots", c) for c in SHOT_CASES])
+# the package reads sample files only, so "samples" is the one kind
+@pytest.mark.parametrize("kind, case", [("samples", c) for c in SAMPLE_CASES])
 def test_reader_matches_the_former_reader(tmp_path, kind, case):
-    text = (SAMPLE_CASES if kind == "samples" else SHOT_CASES)[case]
     path = tmp_path / f"{kind}.csv"
-    path.write_bytes(text.encode("utf-8"))
-    read = tio.read_samples if kind == "samples" else tio.read_shots
-    assert_same_outcome(outcome(read, path), former_outcome(kind, path))
+    path.write_bytes(SAMPLE_CASES[case].encode("utf-8"))
+    assert_same_outcome(outcome(tio.read_samples, path), outcome(former_read, path))
 
 
 # lines that np.loadtxt rejects but the former reader's checker passed: it
@@ -232,26 +219,19 @@ def test_reader_matches_the_former_reader(tmp_path, kind, case):
 LOCATED_CASES = {
     "whitespace-only line between rows": ("{a}\n   \n{b}\n", 3, "expected 3 fields, got 1"),
     "tab-only line": ("{a}\n{b}\n\t\n{a}\n", 4, "expected 3 fields, got 1"),
-    "underscore in a field": ("{a}\n{b}\n1_0,{rest}\n", 4, "{kind} field"),
+    "underscore in a field": ("{a}\n{b}\n1_0,{rest}\n", 4, "non-numeric field"),
 }
 
 
-@pytest.mark.parametrize("kind, case", [(k, c) for k in ("samples", "shots")
-                                        for c in LOCATED_CASES])
+@pytest.mark.parametrize("kind, case", [("samples", c) for c in LOCATED_CASES])
 def test_reader_names_the_line_that_loadtxt_rejects(tmp_path, kind, case):
-    if kind == "samples":
-        header, (a, b), read, what = (tio.SAMPLES_HEADER, ("0.3,-1.25,2.0", "1.9,0.0,-0.0"),
-                                      tio.read_samples, "non-numeric")
-    else:
-        header, (a, b), read, what = (tio.SHOTS_HEADER, ("3,4,100", "0,0,1"),
-                                      tio.read_shots, "non-integer")
+    a, b = "0.3,-1.25,2.0", "1.9,0.0,-0.0"
     body, lineno, message = LOCATED_CASES[case]
     path = tmp_path / f"{kind}.csv"
-    path.write_text(f"{header}\n" + body.format(a=a, b=b, rest=a.split(",", 1)[1]),
+    path.write_text(f"{tio.SAMPLES_HEADER}\n" + body.format(a=a, b=b, rest=a.split(",", 1)[1]),
                     encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape(
-            f"{path}: line {lineno}: {message.format(kind=what)}")):
-        read(path)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line {lineno}: {message}")):
+        tio.read_samples(path)
 
 
 @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
@@ -406,7 +386,7 @@ def test_files_and_columns_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch
         assert (tmp_path / f"{name}.csv").read_bytes() == \
             (tmp_path / "former.csv").read_bytes(), name
     assert_same_batch(tio.read_samples(tmp_path / "samples.csv"), samples)
-    assert_same_batch(tio.read_shots(tmp_path / "shots.csv"), shots)
+    assert_same_batch(loadtxt_shots(tmp_path / "shots.csv"), shots)
 
 
 @pytest.mark.parametrize("size", CHUNK_SIZES)
@@ -416,27 +396,21 @@ def test_reader_cases_at_every_chunk_size(tmp_path, chunk_bytes, size):
     # the 256th chunk (in chunks of a few bytes it takes seconds, and the
     # next test puts a bad line at every chunk edge)
     chunk_bytes(size)
-    for kind, cases in (("samples", SAMPLE_CASES), ("shots", SHOT_CASES)):
-        for case in cases:
-            if case == "malformed field on line 70001" and size < 4096:
-                continue
-            test_reader_matches_the_former_reader(tmp_path, kind, case)
-        for case in LOCATED_CASES:
-            test_reader_names_the_line_that_loadtxt_rejects(tmp_path, kind, case)
+    for case in SAMPLE_CASES:
+        if case == "malformed field on line 70001" and size < 4096:
+            continue
+        test_reader_matches_the_former_reader(tmp_path, "samples", case)
+    for case in LOCATED_CASES:
+        test_reader_names_the_line_that_loadtxt_rejects(tmp_path, "samples", case)
 
 
 @pytest.mark.parametrize("size", CHUNK_SIZES)
-@pytest.mark.parametrize("kind", ["samples", "shots"])
+@pytest.mark.parametrize("kind", ["samples"])
 def test_reader_names_the_bad_line_in_every_block(tmp_path, chunk_bytes, size, kind):
     # nine good rows and one bad line, at each line in turn, so that the
     # bad line sits in each read chunk and at each chunk's edges
     chunk_bytes(size)
-    if kind == "samples":
-        header, good, read = tio.SAMPLES_HEADER, "0.3,-1.25,2.0", tio.read_samples
-        field = "non-numeric field"
-    else:
-        header, good, read = tio.SHOTS_HEADER, "3,4,100", tio.read_shots
-        field = "non-integer field"
+    header, good, field = tio.SAMPLES_HEADER, "0.3,-1.25,2.0", "non-numeric field"
     # the former reader's checker passed 1_0 and a line of spaces
     bad_lines = {"oops,{rest}": field, "{good},1": "expected 3 fields, got 4",
                  "1_0,{rest}": field, "   ": "expected 3 fields, got 1"}
@@ -446,13 +420,13 @@ def test_reader_names_the_bad_line_in_every_block(tmp_path, chunk_bytes, size, k
             lines = [good] * 9
             lines.insert(at, bad.format(good=good, rest=good.split(",", 1)[1]))
             path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
-            got = outcome(read, path)
+            got = outcome(tio.read_samples, path)
             assert got == (ValueError, f"{path}: line {at + 2}: {message}")
             if bad.startswith(("oops", "{good}")):
-                assert got == former_outcome(kind, path)
+                assert got == outcome(former_read, path)
             lines[at] = ""  # an empty line is skipped
             path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
-            assert_same_outcome(outcome(read, path), former_outcome(kind, path))
+            assert_same_outcome(outcome(tio.read_samples, path), outcome(former_read, path))
 
 
 def test_reader_reads_a_pipe(tmp_path, chunk_bytes):
@@ -516,14 +490,11 @@ def test_no_child_is_left_after_a_write(tmp_path, forks, monkeypatch):
 
 
 def test_no_child_is_left_after_a_read(tmp_path, forks):
-    # reads of several chunks, and reads that fail
+    # a read of several chunks, and reads that fail
     samples = Samples(np.zeros(30), np.arange(30.0), np.ones(30))
-    shots = Shots(np.arange(30), np.arange(30), np.full(30, 60))
     path = tmp_path / "samples.csv"
     tio.write_samples(path, samples)
-    tio.write_shots(tmp_path / "shots.csv", shots)
     assert_same_batch(tio.read_samples(path), samples)
-    assert_same_batch(tio.read_shots(tmp_path / "shots.csv"), shots)
     assert_no_child_left()
     text = path.read_text(encoding="utf-8")
     for broken in (text.replace("theta", "phi"), text[:-20] + "x" + text[-19:],

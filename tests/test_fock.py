@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from tmsvlab.fock import (DensityMatrix, DimensionMismatchError, FockSpace,
-                          OperatorMatrix, PureState, basis_state, expectation,
-                          hermite_functions, ladder_op, number_distributions,
-                          partial_transpose, phase_rotation, quadrature_ops,
-                          rotate_state, total_number_op)
+from tmsvlab.fock import (DensityMatrix, FockSpace, PureState, basis_state,
+                          hermite_functions, number_distributions, partial_transpose,
+                          rotate_state)
 from tmsvlab.states import tmsv
+
+from gridded import ladder_quadratures
 
 
 def test_space_dimensions():
@@ -25,17 +25,19 @@ def test_space_rejects_negative_cutoff():
         FockSpace(-1)
 
 
+# the Kronecker ladder and quadrature operators of the test oracle
+# (tests/gridded.py), whose quadrature moments set the gridded sampler's extent
+
 def test_annihilate_vacuum_is_zero(space4):
-    a = ladder_op(space4, "A", "annihilate")
+    a, _, _ = ladder_quadratures(space4, "A")
     vac = basis_state(space4, 0, 0)
-    assert np.allclose(a.entries @ vac.amplitudes, 0.0)
+    assert np.allclose(a @ vac.amplitudes, 0.0)
 
 
 def test_create_annihilate_is_number_operator(space4):
     for mode in ("A", "B"):
-        a = ladder_op(space4, mode, "annihilate").entries
-        adag = ladder_op(space4, mode, "create").entries
-        n_op = adag @ a
+        a, _, _ = ladder_quadratures(space4, mode)
+        n_op = a.conj().T @ a
         for na in range(5):
             for nb in range(5):
                 vec = basis_state(space4, na, nb).amplitudes
@@ -47,7 +49,7 @@ def test_ladder_matrix_element_sqrt3():
     # <2| a_A |3> with the other mode diagonal, against an explicit
     # small-matrix construction of the single-mode annihilator
     sp = FockSpace(4)
-    a = ladder_op(sp, "A", "annihilate").entries
+    a, _, _ = ladder_quadratures(sp, "A")
     val = a[sp.index(2, 1), sp.index(3, 1)]
     assert val == pytest.approx(np.sqrt(3.0), abs=1e-14)
     single = np.zeros((5, 5))
@@ -58,23 +60,22 @@ def test_ladder_matrix_element_sqrt3():
 
 
 def test_create_truncates_at_cutoff(space4):
-    adag = ladder_op(space4, "B", "create").entries
+    adag = ladder_quadratures(space4, "B")[0].conj().T
     top = basis_state(space4, 0, 4).amplitudes
     assert np.allclose(adag @ top, 0.0)
 
 
 def test_quadratures_hermitian_and_vacuum_variance(space4):
-    x, p = quadrature_ops(space4, "A")
-    assert x.hermitian and p.hermitian
+    _, x, p = ladder_quadratures(space4, "A")
+    assert np.array_equal(x, x.conj().T) and np.array_equal(p, p.conj().T)
     vac = basis_state(space4, 0, 0).projector()
-    x2 = OperatorMatrix(space4, x.entries @ x.entries, hermitian=True)
-    assert expectation(vac, x2).real == pytest.approx(0.5, abs=1e-12)
+    assert np.trace(vac.entries @ x @ x).real == pytest.approx(0.5, abs=1e-12)
 
 
 def test_commutator_is_i_below_cutoff():
     sp = FockSpace(4)
-    x, p = quadrature_ops(sp, "A")
-    comm = x.entries @ p.entries - p.entries @ x.entries
+    _, x, p = ladder_quadratures(sp, "A")
+    comm = x @ p - p @ x
     n_a, _ = sp.occupations()
     keep = np.flatnonzero(n_a < sp.n_cut)
     block = comm[np.ix_(keep, keep)]
@@ -82,27 +83,10 @@ def test_commutator_is_i_below_cutoff():
 
 
 def test_cross_mode_vacuum_moment(space4):
-    x_a, _ = quadrature_ops(space4, "A")
-    _, p_b = quadrature_ops(space4, "B")
+    _, x_a, _ = ladder_quadratures(space4, "A")
+    _, _, p_b = ladder_quadratures(space4, "B")
     vac = basis_state(space4, 0, 0).projector()
-    op = OperatorMatrix(space4, x_a.entries @ p_b.entries)
-    assert abs(expectation(vac, op)) < 1e-12
-
-
-def test_phase_rotation_identities(space4):
-    eye = np.eye(space4.dim)
-    assert np.allclose(phase_rotation(space4, 0.0).entries, eye)
-    assert np.allclose(phase_rotation(space4, 2 * np.pi).entries, eye, atol=1e-12)
-    u = phase_rotation(space4, np.pi / 2).entries
-    idx = space4.index(1, 1)
-    assert u[idx, idx] == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_phase_rotation_additivity(space4):
-    u1 = phase_rotation(space4, 0.7).entries
-    u2 = phase_rotation(space4, 1.9).entries
-    u12 = phase_rotation(space4, 2.6).entries
-    assert np.max(np.abs(u1 @ u2 - u12)) < 1e-10
+    assert abs(np.trace(vac.entries @ x_a @ p_b)) < 1e-12
 
 
 def test_partial_transpose_involution(space10):
@@ -145,22 +129,13 @@ def test_partial_transpose_trace_norm_tmsv(space10):
     assert trace_norm == pytest.approx(np.exp(2 * xi), abs=0.02)
 
 
-def test_expectation_identity_and_mismatch(space4, space10):
-    rho = basis_state(space4, 1, 2).projector()
-    eye = OperatorMatrix(space4, np.eye(space4.dim), hermitian=True)
-    assert expectation(rho, eye).real == pytest.approx(1.0)
-    with pytest.raises(DimensionMismatchError):
-        expectation(rho, OperatorMatrix(space10, np.eye(space10.dim)))
-
-
 def test_expectation_tmsv_mean_occupation(space10):
     xi = 0.63
     rho = tmsv(xi, space10).projector()
-    n_tot = total_number_op(space10)
-    val = expectation(rho, n_tot).real
+    n_a, n_b = space10.occupations()
+    val = float(rho.entries.diagonal().real @ (n_a + n_b))
     # direct summation over the squared coefficients
     c2 = np.abs(tmsv(xi, space10).amplitudes) ** 2
-    n_a, n_b = space10.occupations()
     assert val == pytest.approx(float(np.sum(c2 * (n_a + n_b))), abs=1e-12)
     assert val == pytest.approx(2 * np.sinh(xi) ** 2, abs=1e-3)
 
@@ -188,7 +163,7 @@ def test_number_distributions_tmsv(space10):
 
 
 def test_number_distributions_brute_force():
-    # compare against projector expectations on a small space
+    # compare against Tr[rho P] of the number projectors P on a small space
     sp = FockSpace(3)
     rng = np.random.default_rng(7)
     m = rng.normal(size=(sp.dim, sp.dim)) + 1j * rng.normal(size=(sp.dim, sp.dim))
@@ -202,7 +177,7 @@ def test_number_distributions_brute_force():
                 if na + nb == total:
                     k = sp.index(na, nb)
                     proj[k, k] = 1.0
-        val = expectation(rho, OperatorMatrix(sp, proj, hermitian=True)).real
+        val = np.trace(rho.entries @ proj).real
         assert p_sum[total] == pytest.approx(val, abs=1e-12)
     for diff in range(-sp.n_cut, sp.n_cut + 1):
         proj = np.zeros((sp.dim, sp.dim))
@@ -211,7 +186,7 @@ def test_number_distributions_brute_force():
                 if na - nb == diff:
                     k = sp.index(na, nb)
                     proj[k, k] = 1.0
-        val = expectation(rho, OperatorMatrix(sp, proj, hermitian=True)).real
+        val = np.trace(rho.entries @ proj).real
         assert p_diff[diff + sp.n_cut] == pytest.approx(val, abs=1e-12)
 
 
@@ -250,8 +225,6 @@ def test_non_finite_entries_are_rejected_first(entries):
     message = rf"non-finite entry .* at \({i}, {j}\)"
     with pytest.raises(ValueError, match="density matrix has a " + message):
         DensityMatrix(space, m)
-    with pytest.raises(ValueError, match="operator tagged Hermitian has a " + message):
-        OperatorMatrix(space, m, hermitian=True)
 
 
 def test_pure_state_renormalizes(space4):
@@ -264,7 +237,7 @@ def test_pure_state_renormalizes(space4):
 def test_rotate_state_matches_conjugation(space4):
     rho = basis_state(space4, 1, 0).projector()
     mixed = DensityMatrix(space4, 0.5 * rho.entries + 0.5 * basis_state(space4, 0, 2).projector().entries)
-    u = phase_rotation(space4, 0.37).entries
+    u = np.diag(np.exp(-1j * 0.37 * np.add(*space4.occupations())))  # exp(-i theta (N_A + N_B))
     direct = u @ mixed.entries @ u.conj().T
     assert np.allclose(rotate_state(mixed, 0.37).entries, direct, atol=1e-14)
 

@@ -8,6 +8,8 @@ from tmsvlab.metrics import (fidelity_mixed, fidelity_pure, fit_squeezing,
                              log_negativity, metrics_report, qfi_fixed_n)
 from tmsvlab.states import phase_noisy_state, tmsv, tmsv_rotated
 
+from gridded import ladder_quadratures
+
 
 def truncated_tmsv_coeffs(xi, n_cut):
     c = np.tanh(xi) ** np.arange(n_cut + 1) / np.cosh(xi)
@@ -136,6 +138,40 @@ def test_qfi_twin_fock_brute_force_small_sector():
     for j_op in (jx, jy):
         var = state @ (j_op @ j_op) @ state - (state @ j_op @ state) ** 2
         assert 4 * var.real == pytest.approx(2 * n * (n + 1), abs=1e-12)
+
+
+@pytest.mark.parametrize("n_cut", [0, 1, 4, 10])
+def test_sector_spin_blocks_are_the_kronecker_operators_bit_for_bit(n_cut):
+    # the closed-form blocks of qfi_fixed_n against the sector slices of
+    # J_x = (a^dag b + b^dag a)/2, J_y = (a^dag b - b^dag a)/2i and
+    # J_z = (a^dag a - b^dag b)/2 from Kronecker ladder operators, sectors
+    # n > n_cut (cut by the cutoff) included
+    space = FockSpace(n_cut)
+    a, b = ladder_quadratures(space, "A")[0], ladder_quadratures(space, "B")[0]
+    adag, bdag = a.conj().T, b.conj().T
+    kronecker = [(adag @ b + bdag @ a) / 2.0, (adag @ b - bdag @ a) / 2.0j,
+                 (adag @ a - bdag @ b) / 2.0]
+    n_a, n_b = space.occupations()
+    for n in range(2 * n_cut + 1):
+        idx = np.flatnonzero(n_a + n_b == n)  # |k, n - k> by rising k
+        for op, block in zip(kronecker, metrics._sector_spin_blocks(n, n_cut)):
+            expected = op[np.ix_(idx, idx)]
+            assert block.dtype == expected.dtype and block.shape == expected.shape
+            assert block.tobytes() == expected.tobytes(), (n_cut, n)
+
+
+def test_n_bar_is_the_trace_of_the_total_number(space4, space10):
+    # Tr[rho (N_A + N_B)] with the number operator as a matrix, on random
+    # states; n_bar sums the same terms in another order, so the two agree
+    # to a few rounding errors
+    rng = np.random.default_rng(11)
+    for space in (space4, space10):
+        number = np.diag(np.add(*space.occupations())).astype(complex)
+        for _ in range(20):
+            m = rng.normal(size=(space.dim, space.dim, 2)) @ [1.0, 1j]
+            rho = DensityMatrix.from_entries(space, m @ m.conj().T)
+            trace = float(np.trace(rho.entries @ number).real)
+            assert qfi_fixed_n(rho).n_bar == pytest.approx(trace, rel=8 * np.finfo(float).eps)
 
 
 def test_qfi_tmsv_truncated_oracle(space10):

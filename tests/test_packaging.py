@@ -1,4 +1,4 @@
-"""The package declares what it imports."""
+"""The package declares what it imports and ships only what it uses."""
 
 import ast
 import re
@@ -32,3 +32,40 @@ def test_every_third_party_import_is_a_declared_dependency():
     imports = third_party_imports()
     assert {"numpy", "orjson"} <= imports
     assert imports <= declared, imports - declared
+
+
+def names_read(tree: ast.Module) -> set[str]:
+    """The names that a module reads, as a variable, an attribute or a string
+    (perfbench/spans.py names the functions it traces), outside the
+    top-level definition of the same name."""
+    names = set()
+    for node in tree.body:
+        found = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                found.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                found.add(sub.attr)
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                found.add(sub.value)
+        names |= found - {getattr(node, "name", None)}
+    return names
+
+
+def test_every_top_level_function_and_class_is_used():
+    # a function or class that only the tests call belongs in tests/, as the
+    # gridded sampler does; __init__'s re-exports are no use.  basis_state
+    # is kept for the package's users.
+    package = ROOT / "src" / "tmsvlab"
+    defined, read = {}, set()
+    for path in [*package.rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
+        if path == package / "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= names_read(tree)
+        if path.is_relative_to(package):
+            defined.update((node.name, path.stem) for node in tree.body
+                           if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+    unused = sorted(f"{module}.{name}" for name, module in defined.items()
+                    if name not in read and name != "basis_state")
+    assert not unused, unused
