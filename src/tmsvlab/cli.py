@@ -71,6 +71,14 @@ def _phases(value) -> tuple[float, ...]:
     return tuple(float(v) for v in (value.split(",") if isinstance(value, str) else value))
 
 
+def _seed(value) -> int:
+    """A seed: an int, refused if negative, which numpy cannot take."""
+    seed = int(value)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {seed}")
+    return seed
+
+
 def _apply_config(command: _Parser, args: argparse.Namespace) -> None:
     """Fill each flag of the subcommand that was not given from the
     ``--config`` file, casting and checking the value as the flag does."""
@@ -93,7 +101,7 @@ def _apply_config(command: _Parser, args: argparse.Namespace) -> None:
         flag = flags[key]
         try:
             value = value if flag.type is None else flag.type(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"config {key}: invalid value {value!r} ({exc})") from exc
         if flag.choices is not None and value not in flag.choices:
             raise UsageError(f"config {key}: invalid choice {value!r} "
@@ -121,7 +129,7 @@ def build_parser() -> _Parser:
     def command(name, summary, seeded=True):
         p = sub.add_parser(name, help=summary)
         if seeded:
-            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--seed", type=_seed, default=None)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default=None, help="output directory")
         return p

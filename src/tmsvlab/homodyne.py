@@ -168,16 +168,24 @@ class Shots(_Batch):
 
 @dataclass(frozen=True, eq=False)
 class Samples(_Batch):
-    """Homodyne shots as quadrature values at phase theta, stored mod 2 pi."""
+    """Homodyne shots as quadrature values at phase theta, stored mod 2 pi.
+
+    Every value is finite; a NaN or infinity names its column and the
+    first offending shot by its 0-based row.
+    """
 
     theta: np.ndarray
     x_a: np.ndarray
     x_b: np.ndarray
 
     def __post_init__(self):
-        self._set_columns([np.mod(np.asarray(self.theta, dtype=np.float64), 2.0 * np.pi),
-                           np.array(self.x_a, dtype=np.float64),
-                           np.array(self.x_b, dtype=np.float64)])
+        columns = [np.asarray(self.theta, dtype=np.float64),
+                   np.array(self.x_a, dtype=np.float64), np.array(self.x_b, dtype=np.float64)]
+        for name, column in zip(("theta", "x_a", "x_b"), columns):
+            finite = np.isfinite(column)
+            if not finite.all():
+                raise ValueError(f"row {int(np.argmin(finite))}: {name} is not finite")
+        self._set_columns([np.mod(columns[0], 2.0 * np.pi), *columns[1:]])
 
 
 def estimate_quadratures(shots: Shots, config: HomodyneConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -14,40 +14,28 @@ printed by ``orjson``, whose Ryu shortest digits match ``repr`` wherever
 object) takes the ``repr`` of each distinct bit pattern, once.  Floats are
 told apart by their bits, so ``-0.0`` stays ``'-0.0'``.
 
-The sample reader runs in the calling process and starts none.  It checks
-the header line, then reads the rest of the file in chunks of about
-``_CHUNK_BYTES``, each cut just after a ``\\n``, and joins their rows in
-order.  A chunk whose every line is three JSON numbers, split by commas
-and ending at ``\\n``, none of them the integer ``-0`` (JSON's ``-0`` is
-+0, np.loadtxt's is -0.0), is parsed by ``orjson`` as one JSON array; the
-writer's output takes this path wherever it holds no NaN or +-inf.  Every
-other chunk (``nan``, ``inf``, ``1e400``, ``01``, ``.5``, ``+1``,
-whitespace, ``\\r``, empty lines) is parsed by ``np.loadtxt``, where a
-line ends at ``\\n``, ``\\r`` or ``\\r\\n``.  Both parsers round each
-number correctly, so the columns do not depend on the path a chunk takes,
-nor on the chunk size.  Empty lines are skipped, and a line of only spaces
-or tabs is a malformed row.  A header that is not exactly the line
-``header\\n`` is checked, as stripped text, by the np.loadtxt call of the
-first chunk.  A file that fails to parse is read again as text to name the
-line of the first malformed row, each non-empty line parsed by the same
-``np.loadtxt`` call, or to raise :class:`EmptyDataError` if no line after
-the header holds more than whitespace.
+A sample file is read in the calling process, in chunks of about
+``_CHUNK_BYTES`` cut after a ``\\n``, in exactly the grammar the writer
+writes: the header line, then lines of three JSON numbers split by commas.
+Every line ends at ``\\n``, but the file's last line may lack it.  Every
+chunk is parsed by ``orjson`` as one JSON array, which rounds each number
+correctly; JSON's integer ``-0`` reads as +0.0 (the writer writes
+``-0.0``).  Any other line, an empty one included, raises ValueError naming
+it; a file with no line after the header raises :class:`EmptyDataError`.
 
 The density-matrix JSON stores the cutoff, the basis ordering tag, and the
 real and imaginary parts as nested arrays.  It holds the bytes that
 ``json.dumps(..., indent=2, sort_keys=True)`` gives for
 :func:`density_matrix_to_dict`, as :func:`write_json` writes every report,
-but its floats are formatted as the CSV writers format a column, and a
-non-finite one as json spells it.  (json encodes an indented payload in
-pure Python, a float at a time.)  Readers reject any file whose stated
-ordering differs from the canonical row-major (nA, nB) layout, and build
-the state through :class:`~tmsvlab.fock.DensityMatrix`, which
-validates Hermiticity, unit trace, and positivity.
+but its floats, all finite, are formatted as the CSV writers format a
+column.  (json encodes an indented payload in pure Python, a float at a
+time.)  Readers reject any file whose stated ordering differs from the
+canonical row-major (nA, nB) layout, and build the state through
+:class:`~tmsvlab.fock.DensityMatrix`, which validates Hermiticity, unit
+trace, and positivity.
 """
 
 import json
-import warnings
-from io import BytesIO, TextIOWrapper
 from pathlib import Path
 
 import numpy as np
@@ -62,9 +50,8 @@ _CHUNK_ROWS = 8192
 # Read chunks of 64 KiB parse as fast as chunks of 1 MiB, and their buffers
 # stay below glibc malloc's mmap threshold (128 KiB at first), so that each
 # chunk reuses the memory of the last: a 200k-row read raises VmHWM by about
-# 10 MB, against 16 MB in 1 MiB chunks.  The heap it leaves still costs a
-# later step: a fresh `criteria` run peaks 3 to 6 MB above the former
-# loadtxt reader's, in epr_report's (4, n) arrays (ROADMAP).
+# 10 MB, against 16 MB in 1 MiB chunks.  That read, or epr_report's (4, n)
+# arrays after it, sets the peak of a fresh `criteria` run (ROADMAP).
 _CHUNK_BYTES = 1 << 16
 # the bytes of a line of JSON numbers
 _NUMBER_BYTES = b"0123456789+-.Ee,\n"
@@ -116,10 +103,10 @@ def write_shots(path, shots: Shots) -> None:
     _write_columns(path, SHOTS_HEADER, (shots.n_a, shots.n_b, shots.n_tot))
 
 
-def _chunks(file, head: bytes = b""):
-    """head, then the bytes of a binary file, in pieces of about
-    ``_CHUNK_BYTES`` that each end just after a ``\\n``, but the last."""
-    parts = [head]  # a line longer than a block spans several
+def _chunks(file):
+    """The bytes of a binary file, in pieces of about ``_CHUNK_BYTES`` that
+    each end just after a ``\\n``, but the last."""
+    parts = []  # a line longer than a block spans several
     while block := file.read(_CHUNK_BYTES):
         cut = block.rfind(b"\n") + 1
         if cut:
@@ -132,88 +119,46 @@ def _chunks(file, head: bytes = b""):
         yield rest
 
 
-def _fast_rows(chunk: bytes):
-    """The rows of a chunk of float lines as an (n, 3) table, parsed as one
-    JSON array, or None unless each line is three JSON numbers, none of
-    them the integer -0 (which JSON reads as +0)."""
-    if chunk.translate(None, _NUMBER_BYTES):
-        return None
+def _rows(chunk: bytes, path, lineno: int) -> np.ndarray:
+    """The rows of a chunk of whole lines, the first of them line lineno of
+    the file at path, as an (n, 3) table; a malformed line raises."""
     stop = len(chunk) - chunk.endswith(b"\n")
     text = np.frombuffer(chunk, np.uint8, stop)
     ends = np.append(np.flatnonzero(text == ord("\n")), stop)
     commas = np.flatnonzero(text == ord(","))
-    if len(commas) != 2 * len(ends) or (commas[1::2] >= ends).any() \
-            or (commas[2::2] <= ends[:-1]).any():  # two commas inside each line
-        return None
-    last = np.concatenate((commas, ends)) - 1  # the last byte of each field
-    if ((text[last] == ord("0")) & (text[last - 1] == ord("-"))).any():
-        return None
-    numbers = memoryview(chunk.replace(b"\n", b","))[:stop]
-    try:
-        values = orjson.loads(b"".join((b"[", numbers, b"]")))
-    except orjson.JSONDecodeError:  # an empty field, or a number out of range
-        return None
-    return np.array(values, np.float64).reshape(-1, 3)
-
-
-def _parse_rows(chunk: bytes, header):
-    """The rows of a chunk as an (n, 3) table parsed by ``np.loadtxt``, or
-    None if they do not parse; a header, if given, must open them."""
-    text = TextIOWrapper(BytesIO(chunk), encoding="utf-8")
-    try:
-        if header is not None and text.readline().strip() != header:
-            return None
-        with warnings.catch_warnings():  # a file or chunk with no rows is handled below
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(text, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if len(table) == 0:  # no rows parse to shape (0, 1)
-        return table.reshape(0, 3)
-    return table if table.shape[1] == 3 else None
+    fields = None
+    if not chunk.translate(None, _NUMBER_BYTES) and len(commas) == 2 * len(ends) \
+            and not (commas[1::2] >= ends).any() and not (commas[2::2] <= ends[:-1]).any():
+        numbers = memoryview(chunk.replace(b"\n", b","))[:stop]  # two commas inside each line
+        try:
+            values = orjson.loads(b"".join((b"[", numbers, b"]")))
+            return np.array(values, np.float64).reshape(-1, 3)
+        except orjson.JSONDecodeError as exc:  # a malformed or overflowing number, or no number
+            # the array's "[" comes first, and an error at its "]" is the last line's
+            line = chunk.count(b"\n", 0, min(exc.pos - 1, stop))
+    else:  # the first line with other than three fields or with a byte outside a number
+        fields = np.bincount(np.searchsorted(ends, commas), minlength=len(ends)) + 1
+        line = min(np.append(np.flatnonzero(fields != 3), len(ends))[0],
+                   chunk.count(b"\n", 0, len(chunk) - len(chunk.lstrip(_NUMBER_BYTES))))
+        if line:  # unless a line before it fails as JSON
+            _rows(chunk[:ends[line - 1] + 1], path, lineno)
+    fault = "non-numeric field" if fields is None or fields[line] == 3 else \
+        f"expected 3 fields, got {fields[line]}"
+    raise ValueError(f"{path}: line {lineno + line}: {fault}")
 
 
 def read_samples(path) -> Samples:
-    """The samples of a sample CSV, parsed as the module docstring says."""
-    tables = []
+    """The samples of a sample CSV, in the grammar of the module docstring."""
+    tables, lineno = [], 2
     with open(path, "rb") as file:
-        line = file.readline()
-        # any other first line is checked as text with the first chunk
-        check = None if line == SAMPLES_HEADER.encode() + b"\n" else SAMPLES_HEADER
-        for chunk in _chunks(file, b"" if check is None else line):
-            table = _fast_rows(chunk) if check is None else None
-            tables.append(_parse_rows(chunk, check) if table is None else table)
-            if tables[-1] is None:
-                break
-            check = None
-    if not tables or tables[-1] is None or not sum(map(len, tables)):
-        _raise_first_error(path)
-    return Samples(*(tables[0] if len(tables) == 1 else np.concatenate(tables)).T)
-
-
-def _raise_first_error(path) -> None:
-    """Raise the error of a file that failed to parse: a wrong header, no
-    rows, or the first malformed row, named by its line.  Lines end where
-    they end for ``np.loadtxt``: at \\n, \\r or \\r\\n.  Each non-empty line
-    is parsed by the reader's own ``np.loadtxt`` call, so the two agree on
-    which rows are malformed."""
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
-    if lines[0].strip() != SAMPLES_HEADER:
-        raise ValueError(f"{path}: expected header {SAMPLES_HEADER!r}")
-    body = lines[1:]
-    if not "".join(body).strip():
+        if file.readline().removesuffix(b"\n") != SAMPLES_HEADER.encode():
+            raise ValueError(f"{path}: expected header {SAMPLES_HEADER!r}")
+        for chunk in _chunks(file):
+            tables.append(_rows(chunk, path, lineno))
+            lineno += len(tables[-1])
+    if not tables:
         raise EmptyDataError(f"{path}: no samples")
-    for lineno, line in enumerate(body, start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"{path}: line {lineno}: expected 3 fields, got {len(parts)}")
-        try:
-            np.loadtxt([line], delimiter=",", comments=None)
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
-    raise ValueError(f"{path}: malformed rows")
+    return Samples(*(tables[0] if len(tables) == 1 else np.concatenate(tables)).T)
 
 
 def density_matrix_to_dict(rho: DensityMatrix) -> dict:
@@ -248,10 +193,7 @@ def write_density_matrix(path, rho: DensityMatrix) -> None:
     dim = rho.space.dim
 
     def nested(part: np.ndarray) -> str:
-        values = part.ravel()
-        texts = [token.decode() for token in _tokens(values)]
-        for i in np.flatnonzero(~np.isfinite(values)):  # NaN, Infinity, -Infinity
-            texts[i] = json.dumps(values[i].item())
+        texts = [token.decode() for token in _tokens(part.ravel())]
         rows = (",\n      ".join(texts[i:i + dim]) for i in range(0, dim * dim, dim))
         return "[\n    [\n      " + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]"
 

@@ -35,6 +35,10 @@ PHASE_NOISE_SIGMA = {
 }
 
 TAIL_WARN_THRESHOLD = 1e-3
+# up to here (about 354.89) the anti-squeezed variance e^{2 xi} = cosh 2xi +
+# sinh 2xi stays below 2^1024, and the squared amplitudes tanh^2n(xi) /
+# cosh^2(xi) of the Fock form stay normal floats
+XI_MAX = 512 * math.log(2.0)
 
 
 class TruncationWarning(UserWarning):
@@ -180,6 +184,9 @@ class SqueezedVacuum:
                 raise ValueError(f"{name} must be finite and nonnegative")
         if not math.isfinite(self.pair_phase):
             raise ValueError("pair_phase must be finite")
+        if self.xi > XI_MAX:
+            raise ValueError(f"xi must be at most {XI_MAX!r}, beyond which its variances "
+                             f"overflow, got {self.xi!r}")
 
     def density(self, space: FockSpace) -> DensityMatrix:
         """Truncated Fock-space density matrix of the state."""

@@ -58,7 +58,7 @@ import numpy as np
 
 from .fock import DensityMatrix, FockSpace, hermite_functions
 from .homodyne import Samples
-from .criteria import check_finite, group_samples
+from .criteria import group_samples
 
 # floor on model bin probabilities, so log P and n / P stay finite
 MIN_BIN_PROB = 1e-12
@@ -149,12 +149,11 @@ class MLResult:
 def bin_samples(samples: Samples, dx: float) -> list[Histogram2D]:
     """Bin samples into one histogram per distinct phase (grouped within
     1e-9 rad), using half-open bins aligned to integer multiples of dx.
-    A NaN or infinite quadrature raises ValueError, and so does a dx so
-    small that a bin index floor(x / dx) could leave int64, or that a
-    phase's grid of bins would hold more than MAX_GRID_CELLS."""
+    A dx so small that a bin index floor(x / dx) could leave int64, or
+    that a phase's grid of bins would hold more than MAX_GRID_CELLS, raises
+    ValueError."""
     if not (math.isfinite(dx) and dx > 0):
         raise ValueError("dx must be positive and finite")
-    check_finite(samples, "the samples")
     reach = max(np.abs(x).max(initial=0.0) for x in (samples.x_a, samples.x_b)) / dx
     if not reach < 2.0 ** 62:  # leaves room for the index range ia.max() - ia.min()
         raise ValueError(f"dx {dx!r} is too small for the samples: their bin indices "

@@ -25,6 +25,14 @@ def vacuum10(space10):
     return basis_state(space10, 0, 0).projector()
 
 
+# field spellings that io.read_samples refuses: numbers that are not finite,
+# and numbers outside JSON's grammar, whitespace, an empty or an extra
+# field, and JSON values that are not numbers
+NON_FINITE_TOKENS = ["nan", "inf", "-inf", "1e400", "-1e400", "1e0400", "1" * 400]
+MALFORMED_TOKENS = ["01", "-00", "1.", ".5", "+1", "1_0", " 1.0", "\t1.0", "1.0\r", "", "1,2",
+                    "true", "null", "[1]", "\"1\""]
+
+
 def assert_within_se(value, expected, se, n_se=3.0):
     assert abs(value - expected) <= n_se * se, (
         f"{value} deviates from {expected} by more than {n_se} standard errors ({se})")

@@ -111,9 +111,6 @@ def test_epr_report_phase_mismatch_rejected():
     b = make_samples(0.3, np.ones(10), np.ones(10))
     with pytest.raises(PhaseMismatchError):
         epr_report(a, b)
-    # a NaN phase is a quarter period from no phase
-    with pytest.raises(PhaseMismatchError):
-        epr_report(a, make_samples(np.nan, [1.0], [1.0]))
 
 
 def test_epr_report_empty_group_rejected():

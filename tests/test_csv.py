@@ -1,15 +1,15 @@
-"""The sample, shot and table CSVs against their former whole-file forms.
+"""The sample, shot and table CSVs against their former whole-file forms,
+and the sample reader against its grammar.
 
 The writer formats chunks of rows, with orjson's digits where they are
 repr's and repr elsewhere; the sample reader checks the header line and
-parses chunks of bytes, each cut after a newline, with orjson where a
-chunk's lines are three JSON numbers each and with np.loadtxt otherwise.
-Both run in the calling process.  Their former versions, kept here as
-oracles, formatted every value with repr into one text and parsed the
-list of the file's lines.  Bytes, parsed columns, exception types and
-messages must not differ, at any chunk size and on either parse path,
-except where the former reader's checker passed a line that np.loadtxt
-rejects: the reader now names that line.
+parses chunks of bytes, each cut after a newline, with orjson, where each
+line must be three JSON numbers.  Both run in the calling process.  Their
+former versions, kept here as oracles, formatted every value with repr
+into one text and parsed the list of the file's lines with np.loadtxt.
+Bytes and parsed columns must not differ, at any chunk size.  The reader
+takes only the writer's grammar: the token and line-form tables give what
+it reads, and the line it names in what it refuses.
 """
 
 import os
@@ -23,11 +23,13 @@ import pytest
 from tmsvlab import io as tio
 from tmsvlab.homodyne import Samples, Shots
 
-from conftest import assert_same_batch, loadtxt_shots, traced_peak_mb
+from conftest import (MALFORMED_TOKENS, NON_FINITE_TOKENS, assert_same_batch, loadtxt_shots,
+                      traced_peak_mb)
 
 CHUNK = tio._CHUNK_ROWS
 SPECIAL = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308,
                     -1.5e-310, 1e16, 1e-05, 0.1, 1e300])
+FINITE = SPECIAL[np.isfinite(SPECIAL)]  # what a Samples column can hold
 
 
 def former_write(path, header: str, columns) -> None:
@@ -62,12 +64,12 @@ def former_read(path) -> Samples:
     return Samples(*table.T)
 
 
-def mixed_floats(n: int, rng) -> np.ndarray:
-    """Normal draws, two fifths of them replaced by SPECIAL values, and a
+def mixed_floats(n: int, rng, special_values=SPECIAL) -> np.ndarray:
+    """Normal draws, two fifths of them replaced by special values, and a
     run of one repeated value."""
     values = rng.normal(size=n)
     special = rng.random(n) < 0.4
-    values[special] = rng.choice(SPECIAL, int(special.sum()))
+    values[special] = rng.choice(special_values, int(special.sum()))
     values[n // 3:n // 2] = 0.7853981633974483
     return values
 
@@ -134,7 +136,7 @@ def test_formatter_matches_repr_at_the_edges():
 def test_sample_and_shot_files_match_the_former_writer(tmp_path, n):
     rng = np.random.default_rng(n)
     theta = rng.choice([0.0, 0.7853981633974483, 2.356194490192345], n)
-    samples = Samples(theta, mixed_floats(n, rng), mixed_floats(n, rng))
+    samples = Samples(theta, mixed_floats(n, rng, FINITE), mixed_floats(n, rng, FINITE))
     tio.write_samples(tmp_path / "samples.csv", samples)
     former_write(tmp_path / "former.csv", tio.SAMPLES_HEADER,
                  (samples.theta, samples.x_a, samples.x_b))
@@ -184,6 +186,7 @@ def reader_cases(header: str, good: list[str], bad_field: str) -> dict[str, str]
         "malformed field on line 70001": f"{header}\n" + f"{a}\n" * 69999 + f"{bad_row}\n{c}\n",
         "CRLF line endings": f"{header}\r\n{a}\r\n{b}\r\n{c}\r\n",
         "no trailing newline": f"{header}\n{a}\n{b}\n{c}",
+        "header without its newline": header,
     }
 
 
@@ -203,15 +206,26 @@ def assert_same_outcome(got, expected):
 
 
 SAMPLE_CASES = reader_cases(tio.SAMPLES_HEADER,
-                            ["0.3,-1.25,2.0", "1.9,0.0,-0.0", "0.3,1e-05,nan"], "oops")
+                            ["0.3,-1.25,2.0", "1.9,0.0,-0.0", "0.3,1e-05,5e-324"], "oops")
+# the cases that the former reader read, or refused as having no samples,
+# and that the grammar refuses, by the message after the path: empty and
+# whitespace-only lines are malformed rows, and only \n ends a line
+NARROWED = {"blank lines only": "line 2: expected 3 fields, got 1",
+            "whitespace-only body": "line 2: expected 3 fields, got 1",
+            "blank lines between rows": "line 3: expected 3 fields, got 1",
+            "CRLF line endings": f"expected header {tio.SAMPLES_HEADER!r}"}
 
 
 # the package reads sample files only, so "samples" is the one kind
 @pytest.mark.parametrize("kind, case", [("samples", c) for c in SAMPLE_CASES])
 def test_reader_matches_the_former_reader(tmp_path, kind, case):
+    # the former reader is the reference for the files the writer writes
+    # and for their header, field count and number errors
     path = tmp_path / f"{kind}.csv"
     path.write_bytes(SAMPLE_CASES[case].encode("utf-8"))
-    assert_same_outcome(outcome(tio.read_samples, path), outcome(former_read, path))
+    expected = (ValueError, f"{path}: {NARROWED[case]}") if case in NARROWED else \
+        outcome(former_read, path)
+    assert_same_outcome(outcome(tio.read_samples, path), expected)
 
 
 # lines that np.loadtxt rejects but the former reader's checker passed: it
@@ -236,26 +250,17 @@ def test_reader_names_the_line_that_loadtxt_rejects(tmp_path, kind, case):
 
 @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
 def test_only_newlines_and_returns_end_a_row(tmp_path, separator):
-    # the former reader split rows also at the other line boundaries of
-    # str.splitlines; np.loadtxt does not, and the error names the line
-    # that holds two rows
+    # only \n ends a row: the other line boundaries of str.splitlines, by
+    # which the former reader split rows, leave two rows in one line of five
+    # fields (a \r is a malformed byte, see the line forms)
     path = tmp_path / "samples.csv"
     path.write_text(f"{tio.SAMPLES_HEADER}\n0.3,-1.25,2.0{separator}1.9,0.0,-0.0\n"
-                    "0.3,1e-05,nan\n", encoding="utf-8")
+                    "0.3,1e-05,5e-324\n", encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: expected 3 fields, got 5")):
         tio.read_samples(path)
 
 
-# ---------------------------------------------------------- fast read path
-
-def fast_path_outcome(read, path, monkeypatch):
-    """outcome of read(path) with the orjson path on, and with every chunk
-    sent to np.loadtxt."""
-    got = outcome(read, path)
-    with monkeypatch.context() as m:
-        m.setattr(tio, "_fast_rows", lambda chunk: None)
-        return got, outcome(read, path)
-
+# ------------------------------------------------------------ token table
 
 # decimals at or just off a halfway point between two floats, with more
 # digits than a fast float parser reads exactly (1 + 2^-53 is exact in the
@@ -266,81 +271,108 @@ HALFWAY = ["9007199254740993.0", "9007199254740993.00000000000000000001",
            "1.00000000000000011102230246251565404236316680908203124",
            "2.2250738585072012e-308", "2.4703282292062327e-324", "2.4703282292062328e-324",
            "1.7976931348623158e308", "-18446744073709551617"]
-# tokens that JSON reads otherwise than np.loadtxt, or not at all, and the
-# edges of float parsing; each is read at each field of a row
-TOKENS = ["-0", "-0.0", "0.1e-0", "1E5", "1e+5", "5e-324", "4.9406564584124654e-324",
-          "2.2250738585072011e-308", "1e-400", "-1e-400", "1e400", "-1e400",
-          "9007199254740993", "123456789012345678901234567890", "18446744073709551616",
-          *HALFWAY, "01", "1.", ".5", "+1", " 1.0", "\t1.0", "nan", "inf", "-inf", "-00", "1e0400",
-          "1" * 400, "", "true", "null", "[1]", "\"1\"", "1,2"]
-# tokens that the orjson path must take, in a line of canonical ones; a
-# field that ends in -0, as 0.1e-0 does, takes np.loadtxt
-FAST_TOKENS = {"-0.0", "1E5", "1e+5", "5e-324", "4.9406564584124654e-324",
-               "2.2250738585072011e-308", "1e-400", "-1e-400", "9007199254740993",
-               "123456789012345678901234567890", "18446744073709551616", *HALFWAY}
+# the spellings of JSON numbers that the reader takes: exponents, subnormals,
+# underflow to 0, halfway decimals, and 2^53 + 1 as an integer
+ACCEPTED_TOKENS = ["-0.0", "0.1e-0", "1E5", "1e+5", "5e-324", "4.9406564584124654e-324",
+                   "2.2250738585072011e-308", "1e-400", "-1e-400", "9007199254740993",
+                   "123456789012345678901234567890", "18446744073709551616", *HALFWAY]
+# JSON's integer -0 is +0 (the writer writes -0.0)
+TOKENS = ["-0", *ACCEPTED_TOKENS, *NON_FINITE_TOKENS, *MALFORMED_TOKENS]
+REFUSED_LINE = r"line 3: (non-numeric field|expected 3 fields, got 4)$"
 
 
 @pytest.mark.parametrize("token", TOKENS)
-def test_fast_path_and_loadtxt_agree_on_every_token(tmp_path, monkeypatch, token):
+def test_fast_path_and_loadtxt_agree_on_every_token(tmp_path, token):
+    # the token at each field of line 3, with and without the file's last
+    # newline.  A spelling the reader takes reads as float() and np.loadtxt
+    # read it, bit for bit, but -0, which reads as +0.0; the reader refuses
+    # every other spelling and names its line
     path = tmp_path / "samples.csv"
-    for row in (f"{token},1.5,-2.0", f"0.3,{token},2.0", f"0.3,-1.25,{token}"):
+    for field in range(3):
+        row = ["0.3", "-1.25", "2.0"]
+        row[field] = token
         for end in ("\n", ""):
-            chunk = f"0.3,-1.25,2.0\n{row}{end}".encode()
-            path.write_bytes(tio.SAMPLES_HEADER.encode() + b"\n" + chunk)
-            got, expected = fast_path_outcome(tio.read_samples, path, monkeypatch)
-            assert_same_outcome(got, expected)
-            table = tio._fast_rows(chunk)
-            assert (table is not None) == (token in FAST_TOKENS), (row, end)
-            if table is not None:
-                assert table.tobytes() == np.loadtxt(chunk.decode().splitlines(), delimiter=",",
-                                                     comments=None, ndmin=2).tobytes()
+            path.write_bytes(f"{tio.SAMPLES_HEADER}\n0.3,-1.25,2.0\n{','.join(row)}{end}".encode())
+            if token in TOKENS[:len(ACCEPTED_TOKENS) + 1]:
+                value = 0.0 if token == "-0" else float(token)
+                if token != "-0":
+                    assert np.loadtxt([token]).tobytes() == np.float64(value).tobytes()
+                table = np.array([[0.3, -1.25, 2.0], [0.3, -1.25, 2.0]])
+                table[1, field] = value
+                assert_same_batch(tio.read_samples(path), Samples(*table.T))
+            else:
+                with pytest.raises(ValueError, match=re.escape(f"{path}: ") + REFUSED_LINE):
+                    tio.read_samples(path)
 
 
-@pytest.mark.parametrize("case", ["CRLF", "CR", "empty line", "whitespace-only line",
-                                  "invalid UTF-8", "invalid UTF-8 in the header",
-                                  "a field moved to the next line",
-                                  "a field moved to the line before"])
-def test_fast_path_and_loadtxt_agree_on_every_line_form(tmp_path, monkeypatch, case):
-    rows = ["0.3,-1.25,2.0", "1.9,0.0,-0.0", "0.3,1e-05,5e-324"]
-    header = tio.SAMPLES_HEADER.encode()
-    text = {"CRLF": b"\r\n".join([header, *map(str.encode, rows)]) + b"\r\n",
-            "CR": b"\r".join([header, *map(str.encode, rows)]) + b"\r",
-            "empty line": "\n".join([tio.SAMPLES_HEADER, rows[0], "", *rows[1:]]).encode(),
-            "whitespace-only line": "\n".join([tio.SAMPLES_HEADER, rows[0], " \t",
-                                                *rows[1:]]).encode(),
-            "invalid UTF-8": "\n".join([tio.SAMPLES_HEADER, *rows]).encode() + b"\n0.3,\xff,1\n",
-            "invalid UTF-8 in the header": header + b"\xff\n" + rows[0].encode() + b"\n",
-            # six fields in two lines, as two and four, then four and two
-            "a field moved to the next line": header + b"\n0.3,-1.25\n2.0,1.9,0.0,-0.0\n",
-            "a field moved to the line before": header + b"\n0.3,-1.25,2.0,1.9\n0.0,-0.0\n"}[case]
+ROWS = ["0.3,-1.25,2.0", "1.9,0.0,-0.0", "0.3,1e-05,5e-324"]
+# the file's bytes, and the message after its path, by line form; None
+# where it reads
+LINE_FORMS = {
+    "CRLF": (b"\r\n".join([tio.SAMPLES_HEADER.encode(), *map(str.encode, ROWS)]) + b"\r\n",
+             f"expected header {tio.SAMPLES_HEADER!r}"),
+    "CR": (b"\r".join([tio.SAMPLES_HEADER.encode(), *map(str.encode, ROWS)]) + b"\r",
+           f"expected header {tio.SAMPLES_HEADER!r}"),
+    "CRLF rows": ("\r\n".join([tio.SAMPLES_HEADER + "\n" + ROWS[0], *ROWS[1:]]).encode(),
+                  "line 2: non-numeric field"),
+    "empty line": ("\n".join([tio.SAMPLES_HEADER, ROWS[0], "", *ROWS[1:]]).encode(),
+                   "line 3: expected 3 fields, got 1"),
+    "whitespace-only line": ("\n".join([tio.SAMPLES_HEADER, ROWS[0], " \t", *ROWS[1:]]).encode(),
+                             "line 3: expected 3 fields, got 1"),
+    **{f"a {name} line": ("\n".join([tio.SAMPLES_HEADER, ROWS[0], space, *ROWS[1:]]).encode(),
+                          "line 3: expected 3 fields, got 1")
+       for name, space in [("tab", "\t"), ("space", " "), ("CR", "\r"), ("VT", "\x0b"),
+                           ("U+2028", "\u2028")]},
+    "trailing comma": ("\n".join([tio.SAMPLES_HEADER, *ROWS]).encode() + b",\n",
+                       "line 4: expected 3 fields, got 4"),
+    "invalid UTF-8": ("\n".join([tio.SAMPLES_HEADER, *ROWS]).encode() + b"\n0.3,\xff,1\n",
+                      "line 5: non-numeric field"),
+    "invalid UTF-8 in the header": (tio.SAMPLES_HEADER.encode() + b"\xff\n" + ROWS[0].encode(),
+                                    f"expected header {tio.SAMPLES_HEADER!r}"),
+    # six fields in two lines, as two and four, then four and two
+    "a field moved to the next line": (
+        tio.SAMPLES_HEADER.encode() + b"\n0.3,-1.25\n2.0,1.9,0.0,-0.0\n",
+        "line 2: expected 3 fields, got 2"),
+    "a field moved to the line before": (
+        tio.SAMPLES_HEADER.encode() + b"\n0.3,-1.25,2.0,1.9\n0.0,-0.0\n",
+        "line 2: expected 3 fields, got 4"),
+    # the first bad line is named when a later one fails another check
+    "a bad number before a bad byte": (
+        "\n".join([tio.SAMPLES_HEADER, ROWS[0], "01,1.0,2.0", "nan,1.0,2.0\n"]).encode(),
+        "line 3: non-numeric field"),
+    "a bad number before a wrong field count": (
+        "\n".join([tio.SAMPLES_HEADER, ROWS[0], "1.0,2.0,", "1.0,2.0\n"]).encode(),
+        "line 3: non-numeric field"),
+    "no final newline": ("\n".join([tio.SAMPLES_HEADER, *ROWS]).encode(), None),
+}
+
+
+@pytest.mark.parametrize("case", LINE_FORMS)
+def test_fast_path_and_loadtxt_agree_on_every_line_form(tmp_path, case):
+    # only the writer's line form reads, as np.loadtxt reads it; the reader
+    # refuses every other and names its line
+    text, message = LINE_FORMS[case]
     path = tmp_path / "samples.csv"
     path.write_bytes(text)
-    got, expected = fast_path_outcome(tio.read_samples, path, monkeypatch)
-    assert_same_outcome(got, expected)
-    assert got[0] == ("read" if case in ("CRLF", "CR", "empty line") else
-                      UnicodeDecodeError if case.startswith("invalid") else ValueError)
+    if message is None:
+        table = np.loadtxt(text.decode().splitlines()[1:], delimiter=",", ndmin=2)
+        assert_same_batch(tio.read_samples(path), Samples(*table.T))
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            tio.read_samples(path)
 
 
 @pytest.mark.parametrize("size", [tio._CHUNK_BYTES, 4096])
 def test_the_writers_finite_output_never_reaches_loadtxt(tmp_path, monkeypatch, size):
-    # every finite float that the writer prints, -0.0, subnormals and
-    # exponents included, in several chunks
+    # the reader has no np.loadtxt path: every finite float that the writer
+    # prints, -0.0, subnormals and exponents included, reads back bit for
+    # bit, in several chunks
     rng = np.random.default_rng(3)
     n = 3 * CHUNK + 5
-    finite = SPECIAL[np.isfinite(SPECIAL)]
     theta = rng.choice([0.0, 0.7853981633974483, 2.356194490192345], n)
-    x_a, x_b = rng.normal(size=n), rng.normal(size=n)
-    for x in (x_a, x_b):
-        special = rng.random(n) < 0.4
-        x[special] = rng.choice(finite, int(special.sum()))
-    samples = Samples(theta, x_a, x_b)
+    samples = Samples(theta, mixed_floats(n, rng, FINITE), mixed_floats(n, rng, FINITE))
     path = tmp_path / "samples.csv"
     tio.write_samples(path, samples)
-
-    def loadtxt_path(*args):
-        raise AssertionError("a chunk of the writer's output reached np.loadtxt")
-
-    monkeypatch.setattr(tio, "_parse_rows", loadtxt_path)
     monkeypatch.setattr(tio, "_CHUNK_BYTES", size)
     assert_same_batch(tio.read_samples(path), samples)
 
@@ -363,14 +395,15 @@ def chunk_bytes(monkeypatch):
 @pytest.mark.parametrize("size", CHUNK_SIZES)
 def test_files_and_columns_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, chunk_bytes,
                                                             size):
-    # -0.0, NaN, +-inf, subnormals and int columns, written in chunks of
-    # that many rows and read in chunks of that many bytes
+    # -0.0, subnormals, int columns and, in the table, NaN and +-inf,
+    # written in chunks of that many rows and read in chunks of that many
+    # bytes
     chunk_bytes(size)
     monkeypatch.setattr(tio, "_CHUNK_ROWS", size)
     rng = np.random.default_rng(7)
     n = 300
     theta = rng.choice([0.0, 0.7853981633974483, 2.356194490192345], n)
-    samples = Samples(theta, mixed_floats(n, rng), mixed_floats(n, rng))
+    samples = Samples(theta, mixed_floats(n, rng, FINITE), mixed_floats(n, rng, FINITE))
     n_tot = rng.choice([1, 7, 500, 2 ** 62], n)
     shots = Shots(rng.integers(0, n_tot // 2 + 1), rng.integers(0, n_tot // 2 + 1), n_tot)
     rows = list(zip(rng.integers(0, 3000, n).tolist(), mixed_floats(n, rng).tolist(),
@@ -391,10 +424,10 @@ def test_files_and_columns_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch
 
 @pytest.mark.parametrize("size", CHUNK_SIZES)
 def test_reader_cases_at_every_chunk_size(tmp_path, chunk_bytes, size):
-    # every case of the two reader tests above; the 1 MB file whose line
-    # 70001 is bad only in chunks of 4096 bytes, where its bad line sits in
-    # the 256th chunk (in chunks of a few bytes it takes seconds, and the
-    # next test puts a bad line at every chunk edge)
+    # every case of the reader tests and tables above; the 1 MB file whose
+    # line 70001 is bad only in chunks of 4096 bytes, where its bad line
+    # sits in the 256th chunk (in chunks of a few bytes it takes seconds,
+    # and the next test puts a bad line at every chunk edge)
     chunk_bytes(size)
     for case in SAMPLE_CASES:
         if case == "malformed field on line 70001" and size < 4096:
@@ -402,6 +435,10 @@ def test_reader_cases_at_every_chunk_size(tmp_path, chunk_bytes, size):
         test_reader_matches_the_former_reader(tmp_path, "samples", case)
     for case in LOCATED_CASES:
         test_reader_names_the_line_that_loadtxt_rejects(tmp_path, "samples", case)
+    for token in TOKENS:
+        test_fast_path_and_loadtxt_agree_on_every_token(tmp_path, token)
+    for case in LINE_FORMS:
+        test_fast_path_and_loadtxt_agree_on_every_line_form(tmp_path, case)
 
 
 @pytest.mark.parametrize("size", CHUNK_SIZES)
@@ -411,9 +448,12 @@ def test_reader_names_the_bad_line_in_every_block(tmp_path, chunk_bytes, size, k
     # bad line sits in each read chunk and at each chunk's edges
     chunk_bytes(size)
     header, good, field = tio.SAMPLES_HEADER, "0.3,-1.25,2.0", "non-numeric field"
-    # the former reader's checker passed 1_0 and a line of spaces
+    # the former reader's checker passed 1_0 and a line of spaces, and
+    # skipped an empty line
     bad_lines = {"oops,{rest}": field, "{good},1": "expected 3 fields, got 4",
-                 "1_0,{rest}": field, "   ": "expected 3 fields, got 1"}
+                 "1_0,{rest}": field, "   ": "expected 3 fields, got 1",
+                 "": "expected 3 fields, got 1", "{good},": "expected 3 fields, got 4",
+                 "1e400,{rest}": field}
     path = tmp_path / f"{kind}.csv"
     for bad, message in bad_lines.items():
         for at in range(10):
@@ -422,11 +462,8 @@ def test_reader_names_the_bad_line_in_every_block(tmp_path, chunk_bytes, size, k
             path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
             got = outcome(tio.read_samples, path)
             assert got == (ValueError, f"{path}: line {at + 2}: {message}")
-            if bad.startswith(("oops", "{good}")):
+            if bad.startswith(("oops", "{good},1")):
                 assert got == outcome(former_read, path)
-            lines[at] = ""  # an empty line is skipped
-            path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
-            assert_same_outcome(outcome(tio.read_samples, path), outcome(former_read, path))
 
 
 def test_reader_reads_a_pipe(tmp_path, chunk_bytes):

@@ -237,6 +237,16 @@ def test_shots_accept_the_boundary_records():
     assert len(shots) == 3 and shots.n_tot.dtype == np.int64
 
 
+@pytest.mark.parametrize("column", ["theta", "x_a", "x_b"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_samples_reject_a_value_that_is_not_finite_and_name_its_column_and_row(column, value):
+    # every consumer of samples refused these; a batch can no longer hold one
+    values = {name: np.zeros(5) for name in ("theta", "x_a", "x_b")}
+    values[column][[2, 4]] = value  # a later bad row is not the one reported
+    with pytest.raises(ValueError, match=f"^row 2: {column} is not finite$"):
+        Samples(**values)
+
+
 @pytest.mark.parametrize("theta", [0.0, -0.0, 1e-300, -1e-300, -1e-30, -1e-17, -1e-16,
                                    2 * np.pi, -2 * np.pi, np.nextafter(2 * np.pi, 0),
                                    -np.nextafter(2 * np.pi, 0), 7.0, -7.0, 1e6, -1e6])

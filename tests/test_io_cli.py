@@ -22,7 +22,8 @@ from tmsvlab.states import (NOISELESS, NoiseModel, SqueezedVacuum, noise_preset,
                             tmsv_rotated)
 from tmsvlab.tomography import TomographyConfig, bin_samples, ml_reconstruct
 
-from conftest import assert_same_batch, concat, loadtxt_shots, loglik_under, traced_peak_mb
+from conftest import (MALFORMED_TOKENS, NON_FINITE_TOKENS, assert_same_batch, concat,
+                      loadtxt_shots, loglik_under, traced_peak_mb)
 from gridded import Gridded
 
 
@@ -101,12 +102,12 @@ DENSITY_MATRIX_CASES = {
          [-0.0, 1e-06, 0.0, 1e-05]],
         [[0.0, 5e-324, 1e-05, -0.0], [0.0, 0.0, 1e-06, 0.0], [0.0, 0.0, 0.0, 2e-06],
          [0.0, 0.0, 0.0, 0.0]])),
-    # no state holds 1e+16 or a non-finite entry; the writer only reads
-    # space and entries
+    # no state holds 1e+16 or 1e+300; the writer only reads space and
+    # entries (DensityMatrix refuses a non-finite entry)
     "non-physical": lambda: SimpleNamespace(space=FockSpace(1), entries=_hermitian(
-        [[1e16, 0.1, 1 / 3, -0.0], [0.1, -2.5e-08, 1e-05, 5e-324], [1 / 3, 1e-05, np.nan, 1e300],
+        [[1e16, 0.1, 1 / 3, -0.0], [0.1, -2.5e-08, 1e-05, 5e-324], [1 / 3, 1e-05, -1e300, 1e300],
          [-0.0, 5e-324, 1e300, -1e16]],
-        [[0.0, -1e-05, np.inf, -np.inf], [0.0, 0.0, -1e-05, -1e-05], [0.0, 0.0, 0.0, -1e-05],
+        [[0.0, -1e-05, 1e300, -1e300], [0.0, 0.0, -1e-05, -1e-05], [0.0, 0.0, 0.0, -1e-05],
          [0.0, 0.0, 0.0, 0.0]])),
 }
 
@@ -120,8 +121,7 @@ def test_density_matrix_file_holds_the_bytes_of_write_json(tmp_path, case):
     assert text == json.dumps(tio.density_matrix_to_dict(rho), indent=2, sort_keys=True) + "\n"
     if case == "non-physical":
         assert all(f" {v}," in text or f" {v}\n" in text
-                   for v in ("1e+16", "1e-05", "5e-324", "-0.0", "-2.5e-08", "NaN", "Infinity",
-                             "-Infinity"))
+                   for v in ("1e+16", "1e-05", "5e-324", "-0.0", "-2.5e-08", "1e+300", "-1e+300"))
     else:
         assert np.array_equal(tio.read_density_matrix(path).entries, rho.entries)
 
@@ -201,6 +201,25 @@ def test_cli_simulate_rejects_a_setting_that_is_not_finite_and_nonnegative(
                    "--out", str(out)) == EX_RUNTIME
     assert f"{name} must be finite and nonnegative" in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+def test_cli_simulate_refuses_a_xi_whose_variances_overflow(tmp_path, capsys):
+    # --xi 400 wrote nan into every quadrature and 0,0,20000 into every shot
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--xi", "400", "--p", "10", "--thetas", "0,1",
+                   "--out", str(out)) == EX_RUNTIME
+    assert "error: xi must be at most 354.89" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--xi", "0.8"],
+                                  ["reproduce", "fig3", "--scale", "smoke"]])
+def test_cli_refuses_a_negative_seed_as_a_usage_error(tmp_path, capsys, argv):
+    # numpy's "expected non-negative integer" named no flag and exited 1
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--seed", "-1", "--out", str(out)) == EX_USAGE
+    assert "argument --seed: must be nonnegative, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_simulate_rejects_unknown_config_key(tmp_path):
@@ -405,18 +424,46 @@ def test_cli_criteria_labels_the_groups_as_the_time_sweep_does(tmp_path):
     assert report["v_x_minus"] < 0.5 < report["v_x_plus"]
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("command", ["criteria", "tomo"])
-def test_cli_rejects_non_finite_quadratures(tmp_path, capsys, command, value):
-    # the reader takes nan and inf; the commands that use the quadratures
-    # refuse them, name the column and write nothing
+def assert_the_line_is_refused(tmp_path, capsys, command, token):
+    # a file of two conjugate phases whose line 10 holds the token; the
+    # command exits 1, names the line and writes nothing
     rows = [f"{theta},{0.1 * k},{-0.2 * k}\n" for theta in (0.0, np.pi / 2) for k in range(6)]
-    rows[8] = f"{np.pi / 2},0.5,{value}\n"
+    rows[8] = f"{np.pi / 2},0.5,{token}\n"
     path = tmp_path / "samples.csv"
     path.write_text("theta_rad,x_a,x_b\n" + "".join(rows))
     out = tmp_path / "out"
     assert run_cli(command, str(path), "--out", str(out)) == EX_RUNTIME
-    assert "non-finite x_b quadrature" in capsys.readouterr().err
+    assert re.match(rf"error: {re.escape(str(path))}: line 10: (non-numeric field|"
+                    rf"expected 3 fields, got 4)\n$", capsys.readouterr().err)
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("value", NON_FINITE_TOKENS)
+@pytest.mark.parametrize("command", ["criteria", "tomo"])
+def test_cli_rejects_non_finite_quadratures(tmp_path, capsys, command, value):
+    # the reader took nan and inf, and criteria and tomo refused them
+    # afterwards; it now refuses them itself, as it refuses a number that
+    # overflows
+    assert_the_line_is_refused(tmp_path, capsys, command, value)
+
+
+@pytest.mark.parametrize("token", MALFORMED_TOKENS)
+@pytest.mark.parametrize("command", ["criteria", "tomo"])
+def test_cli_rejects_a_field_outside_the_sample_grammar(tmp_path, capsys, command, token):
+    assert_the_line_is_refused(tmp_path, capsys, command, token)
+
+
+@pytest.mark.parametrize("body", ["", "\n", " \n"])
+@pytest.mark.parametrize("command", ["criteria", "tomo"])
+def test_cli_names_a_file_with_no_samples_a_usage_error(tmp_path, capsys, command, body):
+    # no line after the header is a usage error; an empty or blank line is a
+    # malformed row
+    path = tmp_path / "samples.csv"
+    path.write_text(f"theta_rad,x_a,x_b\n{body}")
+    out = tmp_path / "out"
+    expected = (EX_USAGE, f"usage error: {path}: no samples\n") if not body else \
+        (EX_RUNTIME, f"error: {path}: line 2: expected 3 fields, got 1\n")
+    assert (run_cli(command, str(path), "--out", str(out)), capsys.readouterr().err) == expected
     assert not any(out.iterdir())
 
 

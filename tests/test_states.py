@@ -6,7 +6,7 @@ from tmsvlab.criteria import time_sweep
 from tmsvlab.states import (NOISELESS, NoiseModel, PHASE_NOISE_SIGMA, SqueezedVacuum,
                             TruncationWarning, analytic_variances, noise_preset,
                             phase_noisy_state, tmsv, tmsv_rotated,
-                            truncation_tail, OMEGA_SPIN_DYNAMICS)
+                            truncation_tail, OMEGA_SPIN_DYNAMICS, XI_MAX)
 
 OMEGA = 2 * np.pi * 5.1
 
@@ -181,6 +181,16 @@ def test_squeezed_vacuum_density_is_truncated_tmsv(space10):
     for value in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="pair_phase"):
             SqueezedVacuum(0.63, value)
+
+
+def test_squeezed_vacuum_refuses_a_xi_whose_variances_overflow():
+    # up to XI_MAX = 512 ln 2 both pair variances are finite at every angle;
+    # beyond, e^{2 xi} overflows, and xi 400 drew NaN quadratures
+    for u in (0.0, np.pi / 4, np.pi / 2):
+        assert np.isfinite(SqueezedVacuum(XI_MAX).pair_variances(u)).all()
+    for value in (np.nextafter(XI_MAX, np.inf), 400.0, 1e308):
+        with pytest.raises(ValueError, match=r"^xi must be at most 354\.89"):
+            SqueezedVacuum(value)
 
 
 @pytest.mark.parametrize("pair_phase", [0.0, 1.0, -2.5])
