@@ -9,9 +9,8 @@ from .fock import (DensityMatrix, FockSpace, PureState, basis_state, hermite_fun
 from .states import (NoiseModel, NOISELESS, SqueezedVacuum, analytic_variances,
                      noise_preset, phase_noisy_state, tmsv, tmsv_rotated,
                      truncation_tail)
-from .homodyne import (HomodyneConfig, Samples, Shots, config_from_transfer, default_config,
-                       estimate_quadratures, sample_quadratures, simulate_readout,
-                       simulate_shots)
+from .homodyne import (DEFAULT_READOUT, Readout, Samples, Shots, estimate_quadratures,
+                       sample_quadratures, simulate_readout, simulate_shots)
 from .criteria import EprReport, epr_report, time_sweep
 from .tomography import (Histogram2D, MLResult, TomographyConfig, bin_samples,
                          ml_reconstruct)

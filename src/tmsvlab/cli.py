@@ -45,7 +45,7 @@ from pathlib import Path
 from . import io as tio
 from .criteria import (DEFAULT_OCCUPATIONS, PhaseMismatchError, epr_report,
                        group_samples)
-from .homodyne import default_config, simulate_readout
+from .homodyne import DEFAULT_READOUT, simulate_readout
 from .metrics import fidelity_best_phase, metrics_report
 from .pipelines import (FIG3_TIME_GRID, PACKAGE, PRESETS, make_manifest, run_fig3,
                         run_fig_s2, run_fig_s3, sweep_phases)
@@ -184,7 +184,7 @@ def _cmd_simulate(args) -> int:
         noise=dataclasses.replace(preset.noise, **_given(
             args, "sigma_phase", "rf_rel_noise", "sum_variance_shift")),
         **_given(args, "thetas", "p_per_theta"))
-    samples, shots = simulate_readout(preset.source, default_config(), preset.noise,
+    samples, shots = simulate_readout(preset.source, DEFAULT_READOUT, preset.noise,
                                       preset.thetas, preset.p_per_theta, seed=seed)
     tio.write_samples(out / "samples.csv", samples)
     tio.write_shots(out / "shots.csv", shots)

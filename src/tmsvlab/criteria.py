@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .homodyne import Samples, default_config, shots_to_samples, simulate_shots
+from .homodyne import DEFAULT_READOUT, Samples, shots_to_samples, simulate_shots
 from .states import (NoiseModel, OMEGA_SPIN_DYNAMICS, SqueezedVacuum,
                      analytic_variances)
 
@@ -31,7 +31,7 @@ THETA_P_LIKE = np.pi / 2.0
 THETA_X_LIKE = np.pi
 
 # epr_report's (n_A, n_B, n0): empty signal modes, the default readout's n0
-DEFAULT_OCCUPATIONS = (0.0, 0.0, default_config().n0)
+DEFAULT_OCCUPATIONS = (0.0, 0.0, DEFAULT_READOUT.n0)
 
 
 class PhaseMismatchError(ValueError):
@@ -198,7 +198,7 @@ def time_sweep(times, noise: NoiseModel, p_per_point: int,
     """Squeezing dynamics: variances and EPR product versus pair-creation time.
 
     Each grid point takes the Gaussian source at xi = OMEGA_SPIN_DYNAMICS * t
-    and the default readout (:func:`~tmsvlab.homodyne.default_config`), draws
+    and the default readout (:data:`~tmsvlab.homodyne.DEFAULT_READOUT`), draws
     p_per_point shots at the two calibrated angles from its exact
     covariance, records them as atom counts and reads the quadratures back
     from the counts, as the experiment does, and evaluates the report.
@@ -207,19 +207,18 @@ def time_sweep(times, noise: NoiseModel, p_per_point: int,
     """
     if any(t < 0 for t in times):
         raise ValueError("times must be nonnegative")
-    config = default_config()
     thetas = [THETA_X_LIKE, THETA_P_LIKE]
     rows = []
     for i, t in enumerate(times):
         xi = OMEGA_SPIN_DYNAMICS * float(t)
         state = SqueezedVacuum(xi, 0.0)
-        shots = simulate_shots(state, config, noise, thetas, p_per_point, seed=[seed, i])
-        samples = shots_to_samples(shots, thetas, p_per_point, config)
+        shots = simulate_shots(state, DEFAULT_READOUT, noise, thetas, p_per_point, seed=[seed, i])
+        samples = shots_to_samples(shots, thetas, p_per_point, DEFAULT_READOUT)
         samples_x = samples[:p_per_point]
         samples_p = samples[p_per_point:]
         n_pairs = math.sinh(xi) ** 2
         report = epr_report(samples_x, samples_p,
-                            occupations=(n_pairs, n_pairs, config.n0))
+                            occupations=(n_pairs, n_pairs, DEFAULT_READOUT.n0))
         ideal = analytic_variances(xi)
         rows.append(TimeSweepPoint(
             t=float(t), xi=xi,

@@ -38,88 +38,44 @@ from .states import NoiseModel, NOISELESS, SqueezedVacuum
 _MAX_RESAMPLE_ROUNDS = 20
 
 
-class EstimatorUndefinedError(ValueError):
-    """Transfer configuration makes a quadrature estimator ill-defined."""
-
-
 class CountBoundsError(RuntimeError):
     """Synthesized counts repeatedly left [0, N_tot]."""
 
 
 @dataclass(frozen=True)
-class HomodyneConfig:
-    """Coupling-pulse and reference-mode parameters.
+class Readout:
+    """The three numbers that turn atom counts into quadratures.
 
-    omega_p1, omega_m1: Rabi frequencies (rad/s) of the two transitions;
-    tau: pulse duration (s); n0: mean reference-mode atom number before
-    the pulse.  The transfer fraction s^2 = sin^2(Omega tau / 2) follows
-    from the pulse area.
+    s2: the fraction of the reference mode's atoms that the coupling pulse
+    moves, s^2 = sin^2(Omega tau / 2) for the quadratic-mean Rabi frequency
+    Omega and pulse length tau.  Only the pulse area Omega tau enters.
+    rabi_asymmetry: a = O~+1^2 - O~-1^2, the Rabi frequencies of the two
+    transitions normalised so that O~+1^2 + O~-1^2 = 2.  n0: the mean
+    reference-mode atom number before the pulse; N_tot is its nearest
+    integer.
     """
 
-    omega_p1: float
-    omega_m1: float
-    tau: float
+    s2: float
+    rabi_asymmetry: float
     n0: float
 
     def __post_init__(self):
-        if self.omega_p1 <= 0 or self.omega_m1 <= 0:
-            raise ValueError("Rabi frequencies must be positive")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.n0 <= 0:
-            raise ValueError("n0 must be positive")
-
-    @property
-    def omega(self) -> float:
-        """Quadratic-mean Rabi frequency sqrt((O+1^2 + O-1^2)/2)."""
-        return math.sqrt((self.omega_p1 ** 2 + self.omega_m1 ** 2) / 2.0)
-
-    @property
-    def omega_tilde_p1(self) -> float:
-        return self.omega_p1 / self.omega
-
-    @property
-    def omega_tilde_m1(self) -> float:
-        return self.omega_m1 / self.omega
-
-    @property
-    def s(self) -> float:
-        return math.sin(self.omega * self.tau / 2.0)
-
-    @property
-    def s2(self) -> float:
-        return self.s ** 2
-
-    @property
-    def c2(self) -> float:
-        return 1.0 - self.s2
-
-    @property
-    def rabi_asymmetry(self) -> float:
-        """Omega~+1^2 - Omega~-1^2."""
-        return self.omega_tilde_p1 ** 2 - self.omega_tilde_m1 ** 2
+        if not 1e-12 < self.s2 < 1.0 - 1e-12:
+            raise ValueError(f"s2 must lie in (1e-12, 1 - 1e-12), got {self.s2!r}")
+        if not math.isfinite(self.rabi_asymmetry):
+            raise ValueError(f"rabi_asymmetry must be finite, got {self.rabi_asymmetry!r}")
+        if not (math.isfinite(self.n0) and self.n0 > 0):
+            raise ValueError(f"n0 must be finite and positive, got {self.n0!r}")
 
     @property
     def n_tot(self) -> int:
         return int(round(self.n0))
 
 
-def config_from_transfer(s2: float = 0.15, rabi_ratio: float = 1.017,
-                         n0: float = 20000.0) -> HomodyneConfig:
-    """Config of a 30 us pulse with exact transfer fraction s^2 and given
-    Rabi-frequency ratio.  The pulse length moves no output: s^2 fixes
-    Omega tau, and only that product enters the readout."""
-    if not (0.0 < s2 < 1.0):
-        raise ValueError("s2 must lie in (0, 1)")
-    tau = 30e-6
-    omega = 2.0 * math.asin(math.sqrt(s2)) / tau
-    omega_m1 = omega * math.sqrt(2.0 / (1.0 + rabi_ratio ** 2))
-    return HomodyneConfig(omega_p1=rabi_ratio * omega_m1, omega_m1=omega_m1, tau=tau, n0=n0)
-
-
-def default_config() -> HomodyneConfig:
-    """15% transfer, 1.7% Rabi asymmetry, 30 us pulse, 2e4 reference atoms."""
-    return config_from_transfer()
+# 15% transfer and a 1.7% Rabi-frequency ratio (a 30 us pulse), 2e4
+# reference atoms; the literals are the float64 values of that derivation
+DEFAULT_READOUT = Readout(s2=0.15000000000000005, rabi_asymmetry=0.03371104105660494,
+                          n0=20000.0)
 
 
 class _Batch:
@@ -188,20 +144,16 @@ class Samples(_Batch):
         self._set_columns([np.mod(columns[0], 2.0 * np.pi), *columns[1:]])
 
 
-def estimate_quadratures(shots: Shots, config: HomodyneConfig) -> tuple[np.ndarray, np.ndarray]:
+def estimate_quadratures(shots: Shots, config: Readout) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature difference and sum recovered from each count record.
 
         difference = (N_A - N_B - s^2 (O~+1^2 - O~-1^2) N_tot / 2) / sqrt(s^2 N_tot)
-        sum        = (N_A + N_B - s^2 N_tot) / sqrt(s^2 c^2 N_tot)
+        sum        = (N_A + N_B - s^2 N_tot) / sqrt(s^2 c^2 N_tot),  c^2 = 1 - s^2
     """
-    s2, c2 = config.s2, config.c2
-    if s2 <= 1e-12:
-        raise EstimatorUndefinedError("transfer fraction s^2 ~ 0: difference estimator undefined")
-    if c2 <= 1e-12:
-        raise EstimatorUndefinedError("c^2 ~ 0: sum estimator undefined")
+    s2 = config.s2
     n_a, n_b, n_tot = shots.n_a, shots.n_b, shots.n_tot
     diff = (n_a - n_b - s2 * config.rabi_asymmetry * n_tot / 2.0) / np.sqrt(s2 * n_tot)
-    total = (n_a + n_b - s2 * n_tot) / np.sqrt(s2 * c2 * n_tot)
+    total = (n_a + n_b - s2 * n_tot) / np.sqrt(s2 * (1.0 - s2) * n_tot)
     return diff, total
 
 
@@ -257,7 +209,7 @@ def sample_quadratures(source: SqueezedVacuum, thetas, p_per_theta: int,
     return Samples(np.repeat(thetas, p_per_theta), x_a.ravel(), x_b.ravel())
 
 
-def _invert_counts(x_a, x_b, s2, config: HomodyneConfig):
+def _invert_counts(x_a, x_b, s2, config: Readout):
     """Counts realizing the quadratures at transfer fraction s2, and the
     mask of shots whose counts lie in [0, N_tot].
 
@@ -265,11 +217,15 @@ def _invert_counts(x_a, x_b, s2, config: HomodyneConfig):
     sum is rounded to the nearest integer and the count difference to the
     nearest integer of the same parity, so both counts are integers and
     the recovered difference quadrature is off by at most
-    1/sqrt(s^2 N_tot).
+    1/sqrt(s^2 N_tot).  Both are first clamped to just past the counts a
+    shot can have, NaN to the lower end, so that a shot too far out for
+    int64 fails the mask instead of wrapping into it.
     """
     n_tot = config.n_tot
     sum_real = s2 * n_tot + (x_a + x_b) * np.sqrt(s2 * (1.0 - s2) * n_tot)
     diff_real = (x_a - x_b) * np.sqrt(s2 * n_tot) + s2 * config.rabi_asymmetry * n_tot / 2.0
+    np.fmin(np.fmax(sum_real, -1.0, out=sum_real), n_tot + 1.0, out=sum_real)
+    np.fmin(np.fmax(diff_real, -(n_tot + 2.0), out=diff_real), n_tot + 2.0, out=diff_real)
     total = np.rint(sum_real).astype(np.int64)
     diff = np.rint(diff_real).astype(np.int64)
     parity_off = (diff - total) % 2 != 0
@@ -280,7 +236,7 @@ def _invert_counts(x_a, x_b, s2, config: HomodyneConfig):
     return n_a, n_b, (n_a >= 0) & (n_b >= 0) & (n_a + n_b <= n_tot)
 
 
-def _readout(source: SqueezedVacuum, config: HomodyneConfig, noise: NoiseModel,
+def _readout(source: SqueezedVacuum, config: Readout, noise: NoiseModel,
              thetas: np.ndarray, p_per_theta: int, seed) -> tuple[np.ndarray, np.ndarray, Shots]:
     """The quadratures (x_a, x_b) of every shot and its count record; a shot
     whose counts leave [0, N_tot] is redrawn from its angle's generator."""
@@ -314,7 +270,7 @@ def _readout(source: SqueezedVacuum, config: HomodyneConfig, noise: NoiseModel,
     return x_a.ravel(), x_b.ravel(), Shots(n_a.ravel(), n_b.ravel(), np.full(n_a.size, n_tot))
 
 
-def simulate_shots(source: SqueezedVacuum, config: HomodyneConfig, noise: NoiseModel,
+def simulate_shots(source: SqueezedVacuum, config: Readout, noise: NoiseModel,
                    thetas, p_per_theta: int, seed=0) -> Shots:
     """Synthesize count records for homodyne shots on the given source.
 
@@ -328,7 +284,7 @@ def simulate_shots(source: SqueezedVacuum, config: HomodyneConfig, noise: NoiseM
                     p_per_theta, seed)[2]
 
 
-def simulate_readout(source: SqueezedVacuum, config: HomodyneConfig, noise: NoiseModel,
+def simulate_readout(source: SqueezedVacuum, config: Readout, noise: NoiseModel,
                      thetas, p_per_theta: int, seed=0) -> tuple[Samples, Shots]:
     """The count records of :func:`simulate_shots` and, from the same draw,
     the quadratures they realize, redraws included.  Without redraws the
@@ -339,7 +295,7 @@ def simulate_readout(source: SqueezedVacuum, config: HomodyneConfig, noise: Nois
 
 
 def shots_to_samples(shots: Shots, thetas, p_per_theta: int,
-                     config: HomodyneConfig) -> Samples:
+                     config: Readout) -> Samples:
     """Run the estimators on count records produced by :func:`simulate_shots`
     and reassemble the quadrature samples under the nominal angles."""
     if len(shots) != len(thetas) * p_per_theta:

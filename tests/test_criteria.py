@@ -6,7 +6,7 @@ import pytest
 from tmsvlab.criteria import (THETA_P_LIKE, THETA_X_LIKE, PhaseMismatchError,
                               epr_report, group_samples, time_sweep)
 from tmsvlab.fock import FockSpace, basis_state
-from tmsvlab.homodyne import (Samples, default_config, sample_quadratures, shots_to_samples,
+from tmsvlab.homodyne import (DEFAULT_READOUT, Samples, sample_quadratures, shots_to_samples,
                               simulate_readout, simulate_shots)
 from tmsvlab.states import (NOISELESS, NoiseModel, OMEGA_SPIN_DYNAMICS,
                             OPTIMAL_SPIN_DYNAMICS_TIME, SqueezedVacuum, noise_preset,
@@ -170,7 +170,7 @@ def test_delta_errors_match_the_spread_over_seeds():
     fig3 = [(row.epr_product, row.se_epr_product) for row in rows]
     files, tie = [], []
     for seed in range(k):
-        samples, _ = simulate_readout(SqueezedVacuum(0.8, np.pi / 2), default_config(),
+        samples, _ = simulate_readout(SqueezedVacuum(0.8, np.pi / 2), DEFAULT_READOUT,
                                       NOISELESS, [np.pi / 4, 3 * np.pi / 4], 1000, seed=seed)
         report = epr_report(samples[:1000], samples[1000:])
         files.append((report.epr_product, report.errors["se_epr_product"]))
@@ -288,7 +288,7 @@ def test_time_sweep_reads_noiseless_points_from_counts():
     # with or without rf jitter, a point is the report on the quadratures
     # that its count records give back
     times, p = [0.0, 12e-3], 3000
-    config = default_config()
+    config = DEFAULT_READOUT
     thetas = [THETA_X_LIKE, THETA_P_LIKE]
     for i, row in enumerate(time_sweep(times, NOISELESS, p, seed=9)):
         shots = simulate_shots(SqueezedVacuum(row.xi, 0.0), config, NOISELESS, thetas, p,

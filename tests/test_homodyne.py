@@ -1,14 +1,15 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
 from tmsvlab.criteria import THETA_P_LIKE, THETA_X_LIKE, epr_report
 from tmsvlab.fock import FockSpace, basis_state, rotate_state
-from tmsvlab.homodyne import (CountBoundsError, EstimatorUndefinedError,
-                              HomodyneConfig, Samples, Shots, _invert_counts,
-                              config_from_transfer, default_config, estimate_quadratures,
-                              sample_quadratures, shots_to_samples, simulate_readout,
-                              simulate_shots)
+from tmsvlab.homodyne import (DEFAULT_READOUT, CountBoundsError, Readout, Samples, Shots,
+                              _invert_counts, estimate_quadratures, sample_quadratures,
+                              shots_to_samples, simulate_readout, simulate_shots)
 from tmsvlab.states import (NOISELESS, NoiseModel, SqueezedVacuum, noise_preset,
                             phase_noisy_state, tmsv, tmsv_rotated, truncation_tail)
 
@@ -20,60 +21,78 @@ def var_se(v, n):
     return v * np.sqrt(2.0 / (n - 1))
 
 
-# ------------------------------------------------------------------- config
+# ------------------------------------------------------------------ readout
 
-def test_config_derived_quantities():
-    cfg = config_from_transfer(s2=0.15, rabi_ratio=1.017, n0=20000.0)
-    assert cfg.s2 == pytest.approx(0.15, abs=1e-12)
-    assert cfg.c2 == pytest.approx(0.85, abs=1e-12)
-    assert cfg.omega_tilde_p1 ** 2 + cfg.omega_tilde_m1 ** 2 == pytest.approx(2.0)
-    assert cfg.rabi_asymmetry == pytest.approx(2 * (1.017 ** 2 - 1) / (1 + 1.017 ** 2))
+# the transfer fraction sin^2(asin(sqrt(0.15))) of a 30 us pulse in float64,
+# which the count-level tests with equal Rabi frequencies were drawn at
+S2_EQUAL_RABI = 0.15000000000000002
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        HomodyneConfig(omega_p1=0.0, omega_m1=1.0, tau=1.0, n0=10.0)
+def test_default_readout_is_the_pulse_it_stands_for():
+    # a 30 us pulse of quadratic-mean Rabi frequency Omega moving 15% of the
+    # reference atoms, with Rabi ratio 1.017, gives the default's literals bit
+    # for bit; the normalised Rabi frequencies square-sum to 2
+    tau, ratio = 30e-6, 1.017
+    omega = 2.0 * math.asin(math.sqrt(0.15)) / tau
+    omega_m1 = omega * math.sqrt(2.0 / (1.0 + ratio ** 2))
+    omega_p1 = ratio * omega_m1
+    omega_rms = math.sqrt((omega_p1 ** 2 + omega_m1 ** 2) / 2.0)
+    tilde_p1, tilde_m1 = omega_p1 / omega_rms, omega_m1 / omega_rms
+    assert tilde_p1 ** 2 + tilde_m1 ** 2 == pytest.approx(2.0)
+    assert DEFAULT_READOUT == Readout(s2=math.sin(omega_rms * tau / 2.0) ** 2,
+                                      rabi_asymmetry=tilde_p1 ** 2 - tilde_m1 ** 2,
+                                      n0=20000.0)
+    assert DEFAULT_READOUT.n_tot == 20000
+    # at equal Rabi frequencies the same pulse moves S2_EQUAL_RABI
+    omega_rms = math.sqrt((omega ** 2 + omega ** 2) / 2.0)
+    assert math.sin(omega_rms * tau / 2.0) ** 2 == S2_EQUAL_RABI
+
+
+# each field at 0, negative and non-finite, and s2 at its two edges; a zero
+# or negative Rabi asymmetry only says which transition is the stronger
+REFUSED_READOUT_FIELDS = [
+    *[(field, value) for field in ("s2", "rabi_asymmetry", "n0")
+      for value in (0.0, -1.0, math.nan, math.inf, -math.inf)
+      if field != "rabi_asymmetry" or not math.isfinite(value)],
+    ("s2", 1e-12), ("s2", 1.0 - 1e-12), ("s2", 1.0)]
+
+
+@pytest.mark.parametrize("field, value", REFUSED_READOUT_FIELDS)
+def test_readout_refuses_a_field_it_cannot_read_with(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        dataclasses.replace(DEFAULT_READOUT, **{field: value})
+
+
+def test_readout_takes_any_finite_rabi_asymmetry():
+    for a in (0.0, -DEFAULT_READOUT.rabi_asymmetry):
+        assert dataclasses.replace(DEFAULT_READOUT, rabi_asymmetry=a).rabi_asymmetry == a
 
 
 # ---------------------------------------------------------------- estimators
 
 def test_estimator_symmetric_balanced_shot_gives_zero_difference():
-    cfg = config_from_transfer(s2=0.15, rabi_ratio=1.0)
+    cfg = Readout(s2=0.15, rabi_asymmetry=0.0, n0=20000.0)
     diff, _ = estimate_quadratures(Shots([1500], [1500], [20000]), cfg)
     assert diff[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_estimator_mean_transfer_gives_zero_sum():
-    cfg = config_from_transfer(s2=0.15, rabi_ratio=1.0)
+    cfg = Readout(s2=0.15, rabi_asymmetry=0.0, n0=20000.0)
     _, total = estimate_quadratures(Shots([1500], [1500], [20000]), cfg)
     assert total[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_estimator_reference_value():
-    cfg = config_from_transfer(s2=0.15, rabi_ratio=1.0, n0=20000.0)
+    cfg = Readout(s2=0.15, rabi_asymmetry=0.0, n0=20000.0)
     _, total = estimate_quadratures(Shots([1550], [1550], [20000]), cfg)
     assert total[0] == pytest.approx(100.0 / np.sqrt(0.15 * 0.85 * 20000), abs=1e-12)
     assert total[0] == pytest.approx(1.98, abs=0.01)
 
 
-def test_estimator_undefined_for_degenerate_pulse_areas():
-    shot = Shots([1], [1], [100])
-    # full 2pi pulse area: s = 0, the difference estimator divides by zero
-    cfg_s0 = HomodyneConfig(omega_p1=2 * np.pi, omega_m1=2 * np.pi, tau=1.0, n0=100.0)
-    assert cfg_s0.s2 == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(EstimatorUndefinedError):
-        estimate_quadratures(shot, cfg_s0)
-    # pi pulse area: c = 0, the sum estimator divides by zero
-    cfg_c0 = HomodyneConfig(omega_p1=np.pi, omega_m1=np.pi, tau=1.0, n0=100.0)
-    assert cfg_c0.c2 == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(EstimatorUndefinedError):
-        estimate_quadratures(shot, cfg_c0)
-
-
-def test_calibrate_transfer_round_trip(space10):
+def test_mean_counts_give_back_the_transfer_and_the_rabi_asymmetry(space10):
     # synthetic shots with known transfer and asymmetry: the mean transferred
     # fraction gives s^2, and the mean imbalance over it the Rabi asymmetry
-    cfg = config_from_transfer(s2=0.2, rabi_ratio=1.017, n0=20000.0)
+    cfg = dataclasses.replace(DEFAULT_READOUT, s2=0.2)
     vac = basis_state(space10, 0, 0).projector()
     shots = simulate_shots(Gridded(vac), cfg, NOISELESS, [0.0], 4000, seed=11)
     frac_sum = (shots.n_a + shots.n_b) / shots.n_tot
@@ -197,7 +216,7 @@ def test_sample_requires_positive_count(vacuum10):
 # ---------------------------------------------------------------- shots
 
 def test_counts_for_zero_quadratures():
-    cfg = config_from_transfer(s2=0.15, rabi_ratio=1.0, n0=20000.0)
+    cfg = Readout(S2_EQUAL_RABI, 0.0, 20000.0)
     n_a, n_b, ok = _invert_counts(np.zeros(3), np.zeros(3), cfg.s2, cfg)
     assert np.all(ok)
     assert np.all(n_a == n_b)
@@ -205,9 +224,13 @@ def test_counts_for_zero_quadratures():
 
 
 def test_counts_out_of_bounds_are_flagged():
-    cfg = config_from_transfer(s2=0.15, rabi_ratio=1.0, n0=25.0)
-    _, _, ok = _invert_counts(np.array([-40.0, 0.0]), np.array([-40.0, 0.0]), cfg.s2, cfg)
-    assert ok.tolist() == [False, True]
+    # counts past int64, infinite or NaN once wrapped to 0 in the cast and
+    # passed; both sums and differences are tried
+    cfg = Readout(S2_EQUAL_RABI, 0.0, 25.0)
+    x_a = np.array([-40.0, 0.0, 1e25, -1e153, 1e153, np.inf, -np.inf, np.nan, 0.0])
+    x_b = np.array([-40.0, 0.0, 1e25, 0.0, -1e153, 0.0, 0.0, 0.0, np.nan])
+    _, _, ok = _invert_counts(x_a, x_b, cfg.s2, cfg)
+    assert ok.tolist() == [False, True] + [False] * 7
 
 
 def test_shot_record_validation():
@@ -273,7 +296,7 @@ def test_batches_index_by_slice_and_index_array():
 def test_round_trip_bound(space10):
     # estimator(simulate) recovers the drawn quadratures within the
     # count-rounding bound 1/sqrt(s^2 N_tot)
-    cfg = config_from_transfer(s2=0.15, rabi_ratio=1.017, n0=20000.0)
+    cfg = DEFAULT_READOUT
     rho = tmsv_rotated(0.63, 0.0, space10).projector()
     n = 10_000
     samples = sample_quadratures(Gridded(rho), [THETA_X_LIKE], n, NOISELESS, seed=21)
@@ -288,7 +311,7 @@ def test_round_trip_bound(space10):
 def test_rf_jitter_inflates_sum_variance(space10):
     # with the same seed the quadrature stream is shared, so the count-level
     # jitter is isolated by differencing the two runs
-    cfg = config_from_transfer(s2=0.15, rabi_ratio=1.0, n0=20000.0)
+    cfg = Readout(S2_EQUAL_RABI, 0.0, 20000.0)
     rho = tmsv_rotated(0.63, 0.0, space10).projector()
     n = 40_000
     clean = simulate_shots(Gridded(rho), cfg, NOISELESS, [THETA_P_LIKE], n, seed=31)
@@ -306,7 +329,7 @@ def test_rf_jitter_inflates_sum_variance(space10):
 
 
 def test_simulate_shots_deterministic(space10):
-    cfg = default_config()
+    cfg = DEFAULT_READOUT
     rho = tmsv(0.3, space10).projector()
     noise = NoiseModel(rf_rel_noise=0.004)
     a = simulate_shots(Gridded(rho), cfg, noise, [0.4], 100, seed=3)
@@ -420,7 +443,7 @@ def test_simulate_readout_samples_are_the_quadratures_of_the_shots():
     # samples hold the redrawn quadratures, so without rf jitter the single
     # count inversion of the samples gives the shot counts, and every shot
     # that was not redrawn keeps sample_quadratures' values bit for bit
-    cfg = config_from_transfer(s2=0.15, rabi_ratio=1.0, n0=200.0)
+    cfg = Readout(S2_EQUAL_RABI, 0.0, 200.0)
     source, thetas, n = SqueezedVacuum(1.2), [THETA_X_LIKE, 0.4], 2000
     samples, shots = simulate_readout(source, cfg, NOISELESS, thetas, n, seed=5)
     assert_same_batch(shots, simulate_shots(source, cfg, NOISELESS, thetas, n, seed=5))
@@ -439,7 +462,7 @@ def test_simulate_readout_samples_are_the_quadratures_of_the_shots():
 def test_gaussian_path_redraws_out_of_bounds_counts():
     # at n0 = 200 the sum counts 30 +- 17 leave [0, N_tot] for a few % of
     # shots, which are redrawn; at xi = 6 almost none can be realized
-    cfg = config_from_transfer(s2=0.15, rabi_ratio=1.0, n0=200.0)
+    cfg = Readout(S2_EQUAL_RABI, 0.0, 200.0)
     shots = simulate_shots(SqueezedVacuum(1.2), cfg, NOISELESS, [THETA_X_LIKE], 2000, seed=5)
     assert len(shots) == 2000 and np.all(shots.n_tot == 200)
     with pytest.raises(CountBoundsError):
@@ -449,7 +472,7 @@ def test_gaussian_path_redraws_out_of_bounds_counts():
 def test_simulate_shots_matches_the_count_inversion():
     # without rf jitter or redraws, the shot counts are the single count
     # inversion applied to the sampled quadratures of the same stream
-    cfg = default_config()
+    cfg = DEFAULT_READOUT
     source = SqueezedVacuum(0.63)
     samples = sample_quadratures(source, [0.7], 500, NoiseModel(sigma_phase=0.1), seed=8)
     shots = simulate_shots(source, cfg, NoiseModel(sigma_phase=0.1), [0.7], 500, seed=8)
@@ -459,7 +482,7 @@ def test_simulate_shots_matches_the_count_inversion():
 
 
 def test_shots_to_samples_matches_per_shot_estimator():
-    cfg = default_config()
+    cfg = DEFAULT_READOUT
     thetas = [THETA_X_LIKE, 7.0]
     p = 400
     shots = simulate_shots(SqueezedVacuum(0.8), cfg, noise_preset("fig3"), thetas, p, seed=3)
@@ -515,7 +538,7 @@ def test_density_matrix_path_is_pinned(tmp_path):
     noise = NoiseModel(sigma_phase=0.05, rf_rel_noise=0.004, sum_variance_shift=0.12)
     thetas = [0.3, 1.9]
     samples = sample_quadratures(Gridded(rho), thetas, 200, noise, seed=[4, 2])
-    shots = simulate_shots(Gridded(rho), default_config(), noise, thetas, 200, seed=[4, 2])
+    shots = simulate_shots(Gridded(rho), DEFAULT_READOUT, noise, thetas, 200, seed=[4, 2])
     rows = np.column_stack([samples.theta, samples.x_a, samples.x_b])
     counts = np.column_stack([shots.n_a, shots.n_b, shots.n_tot])
     assert sha256(rows.tobytes()) == (

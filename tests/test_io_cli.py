@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,7 +16,7 @@ from tmsvlab import io as tio
 from tmsvlab.cli import EX_NONCONVERGED, EX_OK, EX_RUNTIME, EX_USAGE, main
 from tmsvlab.criteria import epr_report, group_samples, time_sweep
 from tmsvlab.fock import DensityMatrix, FockSpace, basis_state
-from tmsvlab.homodyne import Samples, Shots, default_config, sample_quadratures, simulate_readout
+from tmsvlab.homodyne import DEFAULT_READOUT, Samples, Shots, sample_quadratures, simulate_readout
 from tmsvlab.pipelines import sweep_phases
 from tmsvlab.metrics import fidelity_pure
 from tmsvlab.states import (NOISELESS, NoiseModel, SqueezedVacuum, noise_preset, tmsv,
@@ -212,6 +213,20 @@ def test_cli_simulate_refuses_a_xi_whose_variances_overflow(tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("xi", ["60", "354"])
+def test_cli_simulate_refuses_counts_past_int64(tmp_path, capsys, xi):
+    # quadratures near 1e25 (xi 60) and 1e153 (xi 354) made counts past
+    # int64, whose cast wrapped into 0,0,20000 on every shot and passed the
+    # bounds; now no shot can be realized and nothing is written
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("simulate", "--xi", xi, "--p", "10", "--thetas", "0,1",
+                       "--out", str(out)) == EX_RUNTIME
+    assert "still outside [0, 20000] after 20 redraws" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("argv", [["simulate", "--xi", "0.8"],
                                   ["reproduce", "fig3", "--scale", "smoke"]])
 def test_cli_refuses_a_negative_seed_as_a_usage_error(tmp_path, capsys, argv):
@@ -265,7 +280,7 @@ def test_cli_simulate_manifest_rebuilds_the_run(tmp_path, argv):
     m = json.loads((out / "manifest.json").read_text())
     assert set(m) == {"source", "noise", "thetas", "p_per_theta", "seed", "package"}
     source, noise = SqueezedVacuum(**m["source"]), NoiseModel(**m["noise"])
-    samples, shots = simulate_readout(source, default_config(), noise, m["thetas"],
+    samples, shots = simulate_readout(source, DEFAULT_READOUT, noise, m["thetas"],
                                       m["p_per_theta"], seed=m["seed"])
     tio.write_samples(tmp_path / "samples.csv", samples)
     tio.write_shots(tmp_path / "shots.csv", shots)
