@@ -2,17 +2,13 @@
 
 CSV files are UTF-8 with exact headers (``theta_rad,x_a,x_b`` for samples,
 ``n_a,n_b,n_tot`` for shots), decimal points, no thousands separators.
-Each row is one shot; the files hold a :class:`~tmsvlab.homodyne.Samples`
-or :class:`~tmsvlab.homodyne.Shots` batch column by column.  Shot files
-are written only; sample files are written and read.  Every value is
-written as its ``repr`` (shortest round-trip digits for floats), so
-identical data produce identical bytes.  Writers format chunks of
-``_CHUNK_ROWS`` rows in the calling process.  An int or float column is
-printed by ``orjson``, whose Ryu shortest digits match ``repr`` wherever
-``repr`` prints no exponent; every other entry (a float with |x| < 1e-4 or
-|x| >= 1e16 other than 0, NaN and +-inf) and every other column (bool,
-object) takes the ``repr`` of each distinct bit pattern, once.  Floats are
-told apart by their bits, so ``-0.0`` stays ``'-0.0'``.
+Each row is one shot of a :class:`~tmsvlab.homodyne.Samples` or
+:class:`~tmsvlab.homodyne.Shots` batch; shot files are written only.  Every
+value is written as its ``repr``, so identical data give identical bytes.
+Each chunk of ``_CHUNK_ROWS`` rows is one ``orjson`` text of its (n, 3) table,
+every third comma made a ``\\n``; Ryu's shortest digits are ``repr``'s but for
+the few floats that ``repr`` prints with an exponent or as nan or inf
+(|x| < 1e-4 or |x| >= 1e16, x != 0), which take their ``repr``.
 
 A sample file is read in the calling process, in chunks of about
 ``_CHUNK_BYTES`` cut after a ``\\n``, in exactly the grammar the writer
@@ -26,13 +22,12 @@ it; a file with no line after the header raises :class:`EmptyDataError`.
 The density-matrix JSON stores the cutoff, the basis ordering tag, and the
 real and imaginary parts as nested arrays.  It holds the bytes that
 ``json.dumps(..., indent=2, sort_keys=True)`` gives for
-:func:`density_matrix_to_dict`, as :func:`write_json` writes every report,
-but its floats, all finite, are formatted as the CSV writers format a
-column.  (json encodes an indented payload in pure Python, a float at a
-time.)  Readers reject any file whose stated ordering differs from the
-canonical row-major (nA, nB) layout, and build the state through
-:class:`~tmsvlab.fock.DensityMatrix`, which validates Hermiticity, unit
-trace, and positivity.
+:func:`density_matrix_to_dict`, as :func:`write_json` writes every report, but
+prints its floats, all finite, as the CSV writers do (json encodes an indented
+payload in pure Python, a float at a time).  Readers reject any file whose
+stated ordering differs from the canonical row-major (nA, nB) layout, and
+build the state through :class:`~tmsvlab.fock.DensityMatrix`, which validates
+Hermiticity, unit trace, and positivity.
 """
 
 import json
@@ -61,46 +56,38 @@ class EmptyDataError(ValueError):
     """A data file parsed fine but contains no rows."""
 
 
-def _reprs(column: np.ndarray) -> list[bytes]:
-    """repr of each entry; each distinct bit pattern is formatted once."""
-    bits = column.view(f"u{column.dtype.itemsize}") if column.dtype.kind == "f" else column
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    texts = [repr(value).encode() for value in distinct.view(column.dtype).tolist()]
-    return np.array(texts, dtype=object)[inverse].tolist()
+def _lines(table: np.ndarray) -> bytes:
+    """The CSV lines of an (n, k) int or float table, each value its repr."""
+    flat = np.ascontiguousarray(table, np.float64 if table.dtype.kind == "f" else None).ravel()
+    if not len(flat):
+        return b""
+    text = np.frombuffer(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY), np.uint8).copy()
+    text[0] = text[-1] = ord(",")  # the array's brackets: a comma before each token
+    commas = np.flatnonzero(text == ord(","))
+    text[commas[table.shape[1]::table.shape[1]]] = ord("\n")
+    odd = commas[:0]  # the tokens that orjson prints unlike repr: exponents, nan and inf
+    if flat.dtype.kind == "f":
+        size = np.abs(flat)
+        odd = np.flatnonzero(~((size >= 1e-4) & (size < 1e16) | (flat == 0)))  # NaN is odd
+    texts = [repr(value).encode() for value in flat[odd].tolist()]
+    bounds = zip([1, *commas[odd + 1].tolist()], [*(commas[odd] + 1).tolist(), len(text)])
+    kept = [text[a:b] for a, b in bounds]  # views of the text around the odd tokens
+    return b"".join([k for pair in zip(kept, [*texts, b""]) for k in pair])
 
 
-def _tokens(column: np.ndarray) -> list[bytes]:
-    """repr of each entry of a 1-D column, as bytes: orjson's digits for an
-    int and for a float that repr prints without an exponent, the repr of
-    each distinct bit pattern for the rest."""
-    kind = column.dtype.kind
-    if kind not in "fiu" or not len(column):
-        return _reprs(column)
-    column = np.ascontiguousarray(column, {"f": np.float64, "i": np.int64, "u": np.uint64}[kind])
-    tokens = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
-    if kind == "f":
-        size = np.abs(column)
-        odd = np.flatnonzero(~((size >= 1e-4) & (size < 1e16) | (column == 0)))  # NaN is odd
-        for i, text in zip(odd.tolist(), _reprs(column[odd])):
-            tokens[i] = text
-    return tokens
-
-
-def _write_columns(path, header: str, columns) -> None:
-    rows = len(columns[0]) if columns else 0
+def _write_table(path, header: str, columns) -> None:
     with open(path, "wb") as file:
         file.write(header.encode() + b"\n")
-        for first in range(0, rows, _CHUNK_ROWS):  # holds one chunk's text at a time
-            texts = [_tokens(c[first:first + _CHUNK_ROWS]) for c in columns]
-            file.write(b"\n".join(map(b",".join, zip(*texts))) + b"\n")
+        for first in range(0, len(columns[0]), _CHUNK_ROWS):  # one chunk's text at a time
+            file.write(_lines(np.stack([c[first:first + _CHUNK_ROWS] for c in columns], 1)))
 
 
 def write_samples(path, samples: Samples) -> None:
-    _write_columns(path, SAMPLES_HEADER, (samples.theta, samples.x_a, samples.x_b))
+    _write_table(path, SAMPLES_HEADER, (samples.theta, samples.x_a, samples.x_b))
 
 
 def write_shots(path, shots: Shots) -> None:
-    _write_columns(path, SHOTS_HEADER, (shots.n_a, shots.n_b, shots.n_tot))
+    _write_table(path, SHOTS_HEADER, (shots.n_a, shots.n_b, shots.n_tot))
 
 
 def _chunks(file):
@@ -180,8 +167,7 @@ def density_matrix_from_dict(d: dict) -> DensityMatrix:
 
 
 def write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def read_json(path) -> dict:
@@ -190,11 +176,8 @@ def read_json(path) -> dict:
 
 def write_density_matrix(path, rho: DensityMatrix) -> None:
     """The bytes of ``write_json(path, density_matrix_to_dict(rho))``."""
-    dim = rho.space.dim
-
     def nested(part: np.ndarray) -> str:
-        texts = [token.decode() for token in _tokens(part.ravel())]
-        rows = (",\n      ".join(texts[i:i + dim]) for i in range(0, dim * dim, dim))
+        rows = (row.replace(",", ",\n      ") for row in _lines(part).decode().splitlines())
         return "[\n    [\n      " + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]"
 
     Path(path).write_text(
@@ -208,5 +191,6 @@ def read_density_matrix(path) -> DensityMatrix:
 
 
 def write_csv_rows(path, header: str, rows) -> None:
-    """Write rows of floats/ints under a fixed header with repr formatting."""
-    _write_columns(path, header, [np.asarray(column) for column in zip(*rows)])
+    """Rows under a fixed header, each value the repr of its column's tolist()."""
+    texts = [map(repr, np.asarray(column).tolist()) for column in zip(*rows)]
+    Path(path).write_text("\n".join([header, *map(",".join, zip(*texts)), ""]), encoding="utf-8")

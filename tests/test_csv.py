@@ -76,13 +76,28 @@ def mixed_floats(n: int, rng, special_values=SPECIAL) -> np.ndarray:
 
 # --------------------------------------------------------------- formatter
 
-def assert_tokens_are_reprs(column):
-    tokens = tio._tokens(column)
+def csv_lines(texts: list[bytes], k: int) -> bytes:
+    """The texts, k to a line."""
+    return b"".join(row + b"\n" for row in map(b",".join, zip(*[iter(texts)] * k)))
+
+
+def assert_same_lines(got: bytes, expected: bytes):
+    if got != expected:
+        wrong = [(a, b) for a, b in zip(got.splitlines(), expected.splitlines()) if a != b]
+        raise AssertionError(f"{len(got)} bytes against {len(expected)}: {wrong[:10]}")
+
+
+def assert_formatters_match_repr(column, split=False):
+    # _lines of the column as an (n, 1) table and in rows of three as an
+    # (n, 3) table (cut to whole rows), against repr of each entry, formatted
+    # once; split, the column's first half makes the (n, 1) table and its
+    # second half the (n, 3) table
     expected = [repr(value).encode() for value in column.tolist()]
-    assert len(tokens) == len(expected)
-    if tokens != expected:
-        wrong = [(got, want) for got, want in zip(tokens, expected) if got != want]
-        raise AssertionError(f"{len(wrong)} tokens differ from repr: {wrong[:10]}")
+    one, start = (len(column) // 2,) * 2 if split else (len(column), 0)
+    rows = (len(column) - start) // 3
+    assert_same_lines(tio._lines(column[:one, None]), csv_lines(expected[:one], 1))
+    assert_same_lines(tio._lines(column[start:start + 3 * rows].reshape(rows, 3)),
+                      csv_lines(expected[start:], 3))
 
 
 def test_formatter_matches_repr_on_random_float_bits():
@@ -91,6 +106,9 @@ def test_formatter_matches_repr_on_random_float_bits():
     # 2 us each), 2**20 over the binary exponents around those where
     # orjson's digits are used, and 2**18 floats with few significant
     # digits, whose shortest digits are not the 17 of a random mantissa.
+    # Each pattern is formatted once, half of each set in an (n, 1) table and
+    # half in an (n, 3) one: most uniform patterns take repr inside _lines,
+    # and a second pass would add seconds.
     rng = np.random.default_rng(18)
     uniform = rng.integers(0, 2 ** 64, 1 << 18, dtype=np.uint64, endpoint=False)
     n = 1 << 20
@@ -101,13 +119,14 @@ def test_formatter_matches_repr_on_random_float_bits():
         / 10.0 ** rng.integers(-9, 12, 1 << 18)
     for column in (uniform.view(np.float64), (sign | exponent | mantissa).view(np.float64),
                    short):
-        assert_tokens_are_reprs(column)
+        assert_formatters_match_repr(column, split=True)
 
 
-def test_formatter_matches_repr_at_the_edges():
+def test_formatter_matches_repr_at_the_edges(tmp_path):
     # the neighbours of the bounds of orjson's digits, 1e-4 and 1e16; the
     # first odd integer float 2**53 + 2; subnormals; strided, byte-swapped,
-    # float32 and empty columns
+    # float32 and empty columns; the extremes of int columns; and, in a
+    # table of report rows, bool and object columns
     edges = np.array([1e-4, 1e16, 2.0 ** 53 + 2, 2.0 ** 53, 9999999999999998.0,
                       2.2250738585072014e-308, 5e-324, 1e300])
     near = np.concatenate([np.nextafter(edges, 0), edges, np.nextafter(edges, np.inf)])
@@ -117,16 +136,18 @@ def test_formatter_matches_repr_at_the_edges():
     small = np.array([1e-4, 1e-5, 1e16, 0.1, 1 / 3, -0.0, 1e-45, 3e38], np.float32)
     for column in (floats, floats[::-1], floats[::3], floats.astype(">f8"), small,
                    np.array([], np.float64)):
-        assert_tokens_are_reprs(column)
+        assert_formatters_match_repr(column)
     nan_payload = np.array([0x7FF8000000000001, 0xFFF0000000000001], np.uint64).view(np.float64)
-    assert_tokens_are_reprs(nan_payload)
+    assert_formatters_match_repr(nan_payload)
     i64, u64 = np.iinfo(np.int64), np.iinfo(np.uint64)
     for column in (np.array([i64.min, i64.min + 1, -1, 0, 1, i64.max - 1, i64.max]),
                    np.array([0, 1, 2 ** 63, u64.max - 1, u64.max], np.uint64),
-                   np.array([-128, 0, 127], np.int8), np.array([0, 255], np.uint8),
-                   np.array([True, False, True]),
-                   np.array([2 ** 70, -5, 3, 2 ** 70], dtype=object)):
-        assert_tokens_are_reprs(column)
+                   np.array([-128, 0, 127], np.int8), np.array([0, 255], np.uint8)):
+        assert_formatters_match_repr(column)
+    tio.write_csv_rows(tmp_path / "table.csv", "b,o",
+                       zip([True, False, True, False], [2 ** 70, -5, 3, 2 ** 70]))
+    assert (tmp_path / "table.csv").read_text(encoding="utf-8") == \
+        f"b,o\nTrue,{2 ** 70}\nFalse,-5\nTrue,3\nFalse,{2 ** 70}\n"
 
 
 # ------------------------------------------------------------------ writer
@@ -162,6 +183,46 @@ def test_table_rows_match_the_former_writer(tmp_path, n):
     tio.write_csv_rows(tmp_path / "table.csv", header, rows)
     former_write(tmp_path / "former.csv", header, [np.asarray(c) for c in zip(*rows)])
     assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "former.csv").read_bytes()
+
+
+# rows of (theta, x_a, x_b) with floats that repr prints with an exponent
+# (odd tokens) where the writer cuts its text: theta is kept below 2 pi
+TINY, HUGE = 1e-05, 1e300
+PATCH_CASES = {
+    "odd first and last": [[TINY, 0.5, 0.25], [0.5, 0.25, 0.125], [0.5, 0.25, -HUGE]],
+    "odd in the last column": [[0.5, 0.25, TINY], [0.5, -0.25, 5e-324], [0.5, 0.25, 0.125]],
+    "adjacent odd": [[0.5, TINY, HUGE], [2e-300, -TINY, 0.125], [0.5, 1e16, 3e-5]],
+    "every token odd": [[TINY, -HUGE, 5e-324], [2e-5, 1e16, -3e-300], [9e-5, 1e17, -TINY]],
+    "one row": [[TINY, 0.5, HUGE]],
+    "no rows": np.empty((0, 3)),
+}
+
+
+def patch_case(case: str) -> tuple[np.ndarray, list[bytes]]:
+    """The case's (n, 3) table and the repr of each entry, row by row."""
+    table = np.array(PATCH_CASES[case], np.float64).reshape(-1, 3)
+    return table, [repr(value).encode() for value in table.ravel().tolist()]
+
+
+@pytest.mark.parametrize("case", PATCH_CASES)
+def test_odd_tokens_at_the_edges_of_a_table(case):
+    # the text is cut before and after each odd token, at every position in
+    # a row and in the table, and in a one-column table
+    table, expected = patch_case(case)
+    assert tio._lines(table) == csv_lines(expected, 3)
+    assert tio._lines(table.T.reshape(-1, 1)) == \
+        csv_lines([repr(value).encode() for value in table.T.ravel().tolist()], 1)
+
+
+@pytest.mark.parametrize("case", PATCH_CASES)
+@pytest.mark.parametrize("rows", [1, 2])
+def test_odd_tokens_at_the_edges_of_a_chunk(tmp_path, monkeypatch, case, rows):
+    # each odd token first or last in a chunk of one or two rows
+    table, expected = patch_case(case)
+    monkeypatch.setattr(tio, "_CHUNK_ROWS", rows)
+    tio.write_samples(tmp_path / "samples.csv", Samples(*table.T))
+    assert (tmp_path / "samples.csv").read_bytes() == \
+        (tio.SAMPLES_HEADER + "\n").encode() + csv_lines(expected, 3)
 
 
 # ------------------------------------------------------------------ reader
@@ -363,10 +424,10 @@ def test_fast_path_and_loadtxt_agree_on_every_line_form(tmp_path, case):
 
 
 @pytest.mark.parametrize("size", [tio._CHUNK_BYTES, 4096])
-def test_the_writers_finite_output_never_reaches_loadtxt(tmp_path, monkeypatch, size):
-    # the reader has no np.loadtxt path: every finite float that the writer
-    # prints, -0.0, subnormals and exponents included, reads back bit for
-    # bit, in several chunks
+def test_the_writers_finite_output_reads_back_bit_for_bit_in_chunks(tmp_path, monkeypatch,
+                                                                    size):
+    # every finite float that the writer prints, -0.0, subnormals and
+    # exponents included, reads back bit for bit, in several chunks
     rng = np.random.default_rng(3)
     n = 3 * CHUNK + 5
     theta = rng.choice([0.0, 0.7853981633974483, 2.356194490192345], n)
@@ -511,15 +572,15 @@ def test_no_child_is_left_after_a_write(tmp_path, forks, monkeypatch):
     tio.write_shots(tmp_path / "shots.csv", shots)
     tio.write_csv_rows(tmp_path / "table.csv", "a,b", [(1, 0.5)] * 30)
     assert_no_child_left()
-    tokens, formatted = tio._tokens, []
+    lines, formatted = tio._lines, []
 
-    def failing(column):
+    def failing(table):
         formatted.append(1)
-        if len(formatted) > 3:
+        if len(formatted) > 1:
             raise MemoryError("formatting failed")
-        return tokens(column)
+        return lines(table)
 
-    monkeypatch.setattr(tio, "_tokens", failing)
+    monkeypatch.setattr(tio, "_lines", failing)
     with pytest.raises(MemoryError, match="formatting failed"):
         tio.write_samples(tmp_path / "samples.csv", samples)
     assert_no_child_left()
@@ -547,11 +608,11 @@ def test_no_child_is_left_after_a_read(tmp_path, forks):
 
 def test_writing_and_reading_200k_rows_stays_within_its_memory_bound(tmp_path):
     # 200k rows at two phases, as in the files benchmark.  The tracemalloc
-    # peaks are 3.3 MB to write (one 8192-row chunk's text) and 9.2 MB to
-    # read (the chunks' tables and the table they join into are 4.8 MB
-    # each); the bounds are about twice these.  Writing the whole text at
-    # once peaked at 45 MB, and reading the list of the file's lines at
-    # 34 MB.
+    # peaks are 1.5 MB to write (one 8192-row chunk's table and text), under
+    # a fifth of the 7.0 MB bound, and 14.0 MB to read (the chunks' tables and
+    # the table they join into are 4.8 MB each), about 0.8 of the 18 MB bound.
+    # Writing the whole text at once would peak at 45 MB, and reading the list
+    # of the file's lines at 34 MB.
     rng = np.random.default_rng(0)
     n = 100_000
     samples = Samples(np.repeat([np.pi / 4, 3 * np.pi / 4], n), rng.normal(size=2 * n),
