@@ -251,7 +251,12 @@ def _readout(source: SqueezedVacuum, config: Readout, noise: NoiseModel,
                                                               p_per_theta)
         else:
             eps = np.zeros(p_per_theta)
-        s2_act = np.clip(config.s2 * (1.0 + eps), 1e-12, 1.0 - 1e-12)
+        s2_act = config.s2 * (1.0 + eps)
+        outside = np.count_nonzero(~((s2_act > 1e-12) & (s2_act < 1.0 - 1e-12)))
+        if outside:
+            raise ValueError(
+                f"rf_rel_noise={noise.rf_rel_noise!r} puts the transfer fraction of {outside} "
+                f"of {p_per_theta} shots at theta={theta:.4f} outside (1e-12, 1 - 1e-12)")
         pending = np.arange(p_per_theta)
         for _round in range(_MAX_RESAMPLE_ROUNDS):
             cand_a, cand_b, ok = _invert_counts(x_a[i, pending], x_b[i, pending],
@@ -277,7 +282,9 @@ def simulate_shots(source: SqueezedVacuum, config: Readout, noise: NoiseModel,
     Quadratures are drawn as in :func:`sample_quadratures`, from the same
     streams; the transfer fraction of each shot is jittered multiplicatively
     by (1 + N(0, rf_rel_noise)) before the estimator equations are inverted
-    to counts.  Shots whose counts leave [0, N_tot] are redrawn a bounded
+    to counts; a jitter that puts any shot's fraction outside
+    (1e-12, 1 - 1e-12), the range that :class:`Readout` allows, raises
+    ValueError.  Shots whose counts leave [0, N_tot] are redrawn a bounded
     number of times.
     """
     return _readout(source, config, noise, np.asarray(thetas, dtype=np.float64),

@@ -22,12 +22,18 @@ it; a file with no line after the header raises :class:`EmptyDataError`.
 The density-matrix JSON stores the cutoff, the basis ordering tag, and the
 real and imaginary parts as nested arrays.  It holds the bytes that
 ``json.dumps(..., indent=2, sort_keys=True)`` gives for
-:func:`density_matrix_to_dict`, as :func:`write_json` writes every report, but
-prints its floats, all finite, as the CSV writers do (json encodes an indented
-payload in pure Python, a float at a time).  Readers reject any file whose
-stated ordering differs from the canonical row-major (nA, nB) layout, and
-build the state through :class:`~tmsvlab.fock.DensityMatrix`, which validates
-Hermiticity, unit trace, and positivity.
+:func:`density_matrix_to_dict`, as :func:`write_json` writes every report,
+but each part is ``orjson``'s indented text of the array, which has json's
+line layout (json encodes an indented payload in pure Python, a float at a
+time).  Its digits are ``repr``'s, and :func:`_respell` gives every float
+``repr``'s spelling with three byte rewrites: ``+`` in a positive exponent
+(``1e16`` to ``1e+16``), a two-digit exponent (``1e-6`` to ``1e-06``), and
+the exponent form for 1e-5 <= |x| < 1e-4 (``0.00003`` to ``3e-05``).  Its
+input is finite only: orjson writes nan and inf as ``null``, and a
+:class:`~tmsvlab.fock.DensityMatrix` holds neither.  Readers reject any file
+whose stated ordering differs from the canonical row-major (nA, nB) layout,
+and build the state through :class:`~tmsvlab.fock.DensityMatrix`, which
+validates Hermiticity, unit trace, and positivity.
 """
 
 import json
@@ -174,16 +180,62 @@ def read_json(path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def write_density_matrix(path, rho: DensityMatrix) -> None:
-    """The bytes of ``write_json(path, density_matrix_to_dict(rho))``."""
-    def nested(part: np.ndarray) -> str:
-        rows = (row.replace(",", ",\n      ") for row in _lines(part).decode().splitlines())
-        return "[\n    [\n      " + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]"
+def _respell(text: bytes) -> bytes:
+    """orjson's text of an array of finite floats, every float spelled as
+    its repr.
 
-    Path(path).write_text(
-        f'{{\n  "im": {nested(rho.entries.imag)},\n  "n_cut": {rho.space.n_cut},\n'
-        f'  "ordering": {json.dumps(DENSITY_MATRIX_ORDERING)},\n'
-        f'  "re": {nested(rho.entries.real)}\n}}\n', encoding="utf-8")
+    After each ``e``, ``+`` goes in unless the exponent is negative, and a
+    one-digit exponent gains a leading ``0``.  ``[-]0.0000d…`` not after a
+    digit, which orjson writes for 1e-5 <= |x| < 1e-4 only, becomes
+    ``[-]d[.…]e-05``.  The bytes move in one ``np.delete`` and one
+    ``np.insert``, with no Python call per float.
+    """
+    t = np.frombuffer(text, np.uint8)
+    digit = np.zeros(len(t) + 1, bool)  # and a non-digit past the end
+    np.less(t - ord("0"), 10, out=digit[:-1])  # uint8 wraps below "0"
+    e = np.flatnonzero(t == ord("e"))
+    plus = e[t[e + 1] != ord("-")] + 1
+    exponent = e + 1 + (t[e + 1] == ord("-"))  # its first digit
+    pad = exponent[~digit[exponent + 1]]
+    small = np.flatnonzero(t[1:-4] == ord("."))  # the byte before each "." with four after it
+    for k in (0, 2, 3, 4, 5):
+        small = small[t[small + k] == ord("0")]
+    small = small[~digit[small - 1]]  # where each 0.0000 begins
+    if not len(plus) + len(pad) + len(small):
+        return text
+    stop = small + 7  # past its first significant digit
+    for _ in range(16):  # and its others
+        stop += digit[stop]
+    point = small[stop - small > 7] + 7
+
+    def kept(at):  # the positions once the bytes of every 0.0000 are gone
+        return at - 6 * np.searchsorted(small, at)
+
+    where = np.concatenate([kept(plus), kept(pad), kept(point), np.repeat(kept(stop), 4)])
+    what = np.concatenate([np.repeat(np.frombuffer(b"+0.", np.uint8),
+                                     [len(plus), len(pad), len(point)]),
+                           np.tile(np.frombuffer(b"e-05", np.uint8), len(small))])
+    cut = (small[:, None] + np.arange(6)).ravel()
+    return np.insert(np.delete(t, cut), where, what).tobytes()  # ties keep the order of where
+
+
+def _indented(part: np.ndarray) -> bytes:
+    """A real (n, n) part as json.dumps(indent=2) writes it at depth 1."""
+    text = orjson.dumps(np.ascontiguousarray(part),
+                        option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY)
+    return _respell(text).replace(b"\n", b"\n  ")
+
+
+def write_density_matrix(path, rho: DensityMatrix) -> None:
+    """The bytes of ``write_json(path, density_matrix_to_dict(rho))``, each
+    part written as soon as it is made (see the module docstring)."""
+    with open(path, "wb") as file:
+        file.write(b'{\n  "im": ')
+        file.write(_indented(rho.entries.imag))
+        file.write(f',\n  "n_cut": {rho.space.n_cut},\n  "ordering": '
+                   f'{json.dumps(DENSITY_MATRIX_ORDERING)},\n  "re": '.encode())
+        file.write(_indented(rho.entries.real))
+        file.write(b"\n}\n")
 
 
 def read_density_matrix(path) -> DensityMatrix:

@@ -310,7 +310,7 @@ def test_reader_names_the_line_that_loadtxt_rejects(tmp_path, kind, case):
 
 
 @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
-def test_only_newlines_and_returns_end_a_row(tmp_path, separator):
+def test_other_line_boundaries_leave_two_rows_in_one_line(tmp_path, separator):
     # only \n ends a row: the other line boundaries of str.splitlines, by
     # which the former reader split rows, leave two rows in one line of five
     # fields (a \r is a malformed byte, see the line forms)

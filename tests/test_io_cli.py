@@ -127,6 +127,73 @@ def test_density_matrix_file_holds_the_bytes_of_write_json(tmp_path, case):
         assert np.array_equal(tio.read_density_matrix(path).entries, rho.entries)
 
 
+# orjson writes each as 1e-6, 1e16, 0.00001 ... and the writer respells it;
+# -10.00001 holds a 0.0000 that is not the start of a float
+REPR_SPELLINGS = ["1e-06", "-2.5e-07", "7e-08", "9e-09", "1e-10", "-1.5e-300", "1.5e+16",
+                  "1e+300", "1e-05", "-3e-05", "3.3333333333333335e-05", "5e-324", "-0.0",
+                  "-10.00001"]
+
+
+@pytest.mark.parametrize("spelling", REPR_SPELLINGS)
+def test_density_matrix_file_spells_each_float_as_its_repr(tmp_path, spelling):
+    # the value fills the real part and the diagonal of the imaginary part,
+    # so it ends rows and stands between ordinary floats
+    value = float(spelling)
+    assert repr(value) == spelling
+    entries = np.full((4, 4), value, complex)
+    entries.imag = np.where(np.eye(4, dtype=bool), value, 0.25)
+    rho = SimpleNamespace(space=FockSpace(1), entries=entries)
+    path = tmp_path / "rho.json"
+    tio.write_density_matrix(path, rho)
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(tio.density_matrix_to_dict(rho), indent=2, sort_keys=True) + "\n"
+    assert text.count(f" {spelling},\n") == 15 and text.count(f" {spelling}\n") == 5
+
+
+def _random_floats(rng, kind, shape):
+    """Finite floats of one kind of bit pattern, of both signs."""
+    size = int(np.prod(shape))
+    if kind == "uniform bits":
+        bits = rng.integers(0, 2 ** 63, size, np.uint64)
+    elif kind == "near 1e-5, 1e-4 and 1e16":  # within two binary exponents of each
+        bits = (np.array([1e-5, 1e-4, 1e16]).view(np.int64)[rng.integers(0, 3, size)]
+                + rng.integers(-2 ** 53, 2 ** 53, size)).view(np.uint64)
+    elif kind == "short decimals":
+        bits = np.array([f"{d}e{k}" for d, k in zip(rng.integers(1, 1000, size).tolist(),
+                                                     rng.integers(-326, 306, size).tolist())],
+                        ).astype(np.float64).view(np.uint64)
+    else:  # subnormals
+        bits = rng.integers(1, 2 ** 52, size, np.uint64) >> rng.integers(0, 52, size, np.uint64)
+    values = (bits | rng.integers(0, 2, size, np.uint64) << np.uint64(63)).view(np.float64)
+    return np.where(np.isfinite(values), values, 0.5).reshape(shape)
+
+
+@pytest.mark.parametrize("kind", ["uniform bits", "near 1e-5, 1e-4 and 1e16", "short decimals",
+                                  "subnormals"])
+def test_density_matrix_file_holds_json_dumps_bytes_on_random_floats(tmp_path, kind):
+    # 2 x 14641 floats a case, the fig_s3 size, each spelled as its repr
+    rng = np.random.default_rng(list(kind.encode()))
+    part = _random_floats(rng, kind, (2, 121, 121))
+    rho = SimpleNamespace(space=FockSpace(10), entries=part[0] + 1j * part[1])
+    path = tmp_path / "rho.json"
+    tio.write_density_matrix(path, rho)
+    assert path.read_text(encoding="utf-8") == json.dumps(
+        tio.density_matrix_to_dict(rho), indent=2, sort_keys=True) + "\n"
+
+
+def test_writing_a_density_matrix_stays_within_its_memory_bound(tmp_path):
+    # a dim-121 state, the fig_s3 size, with floats that take each respelling.
+    # The tracemalloc peak is 2.6 MB (one part's orjson text, its respelling
+    # and its indented copy), under the 4.5 MB bound.  The former writer (a
+    # repr per odd float, both parts' text at once) peaked at 5.2 MB, and
+    # orjson's text of the whole dict, respelled at once, at 5.6 MB.
+    rng = np.random.default_rng(0)
+    part = rng.normal(size=(2, 121, 121)) * 10.0 ** rng.uniform(-9, 0, (2, 121, 121))
+    rho = SimpleNamespace(space=FockSpace(10), entries=part[0] + 1j * part[1])
+    peak = traced_peak_mb(lambda: tio.write_density_matrix(tmp_path / "rho.json", rho))
+    assert peak <= 4.5, peak
+
+
 def test_density_matrix_rejects_wrong_ordering(tmp_path):
     rho = tmsv(0.5, FockSpace(4)).projector()
     d = tio.density_matrix_to_dict(rho)
@@ -224,6 +291,17 @@ def test_cli_simulate_refuses_counts_past_int64(tmp_path, capsys, xi):
         assert run_cli("simulate", "--xi", xi, "--p", "10", "--thetas", "0,1",
                        "--out", str(out)) == EX_RUNTIME
     assert "still outside [0, 20000] after 20 redraws" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_cli_simulate_refuses_a_transfer_jitter_past_the_readout_range(tmp_path, capsys):
+    # s2 (1 + N(0, 5)) leaves (1e-12, 1 - 1e-12) on about half the shots,
+    # which were clipped to its ends without a word, and the run exited 0
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--preset", "fig3", "--rf-rel-noise", "5",
+                   "--out", str(out)) == EX_RUNTIME
+    assert re.search(r"error: rf_rel_noise=5.0 puts the transfer fraction of \d+ of 5000 shots "
+                     r"at theta=3.1416 outside \(1e-12, 1 - 1e-12\)", capsys.readouterr().err)
     assert not any(out.iterdir())
 
 
