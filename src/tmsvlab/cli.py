@@ -211,8 +211,8 @@ def _sha256(path) -> str:
 
 def _cmd_tomo(args) -> int:
     out = _outdir(args.out or ".")
-    samples = tio.read_samples(args.samples)
     config = TomographyConfig(**_given(args, "dx", "n_cut", "max_iter"))
+    samples = tio.read_samples(args.samples)
     result = ml_reconstruct(bin_samples(samples, config.dx), config)
     tio.write_density_matrix(out / "rho_ml.json", result.rho)
     tio.write_json(out / "diagnostics.json", {
@@ -298,7 +298,7 @@ def _cmd_reproduce(args) -> int:
                    {**make_manifest(preset, seed), "scale": scale, "sweep": sweep})
 
     if figure == "fig_s2":
-        rows = run_fig_s2(preset, sweep["p_per_theta"], sweep["dx"], seeds=(seed,))
+        rows = run_fig_s2(preset, sweep["p_per_theta"], sweep["dx"], seed=seed)
         tio.write_csv_rows(rundir / "fig_s2_table.csv",
                            "p,dx,seed,fidelity,converged,iterations,gap",
                            [dataclasses.astuple(r) for r in rows])

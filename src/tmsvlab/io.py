@@ -1,14 +1,20 @@
 """File formats: sample and shot CSVs, density-matrix and report JSON.
 
+Bulk arrays (sample and shot rows, the parts of a density matrix) are
+spelled as ``orjson`` spells them: Ryu's shortest round-trip digits, so
+identical data give identical bytes and every float reads back to its
+bits.  Reports (:func:`write_json`, :func:`write_csv_rows`) are spelled as
+``json`` and ``repr`` spell them.  Bulk inputs are finite by construction
+(:class:`~tmsvlab.homodyne.Samples` refuses nan and inf, shots are ints,
+and :class:`~tmsvlab.fock.DensityMatrix` refuses a non-finite entry), so
+orjson never writes ``null`` for them.
+
 CSV files are UTF-8 with exact headers (``theta_rad,x_a,x_b`` for samples,
 ``n_a,n_b,n_tot`` for shots), decimal points, no thousands separators.
 Each row is one shot of a :class:`~tmsvlab.homodyne.Samples` or
-:class:`~tmsvlab.homodyne.Shots` batch; shot files are written only.  Every
-value is written as its ``repr``, so identical data give identical bytes.
-Each chunk of ``_CHUNK_ROWS`` rows is one ``orjson`` text of its (n, 3) table,
-every third comma made a ``\\n``; Ryu's shortest digits are ``repr``'s but for
-the few floats that ``repr`` prints with an exponent or as nan or inf
-(|x| < 1e-4 or |x| >= 1e16, x != 0), which take their ``repr``.
+:class:`~tmsvlab.homodyne.Shots` batch; shot files are written only.  Each
+chunk of ``_CHUNK_ROWS`` rows is one ``orjson`` text of its (n, 3) table,
+every third comma made a ``\\n``.
 
 A sample file is read in the calling process, in chunks of about
 ``_CHUNK_BYTES`` cut after a ``\\n``, in exactly the grammar the writer
@@ -20,17 +26,9 @@ correctly; JSON's integer ``-0`` reads as +0.0 (the writer writes
 it; a file with no line after the header raises :class:`EmptyDataError`.
 
 The density-matrix JSON stores the cutoff, the basis ordering tag, and the
-real and imaginary parts as nested arrays.  It holds the bytes that
-``json.dumps(..., indent=2, sort_keys=True)`` gives for
-:func:`density_matrix_to_dict`, as :func:`write_json` writes every report,
-but each part is ``orjson``'s indented text of the array, which has json's
-line layout (json encodes an indented payload in pure Python, a float at a
-time).  Its digits are ``repr``'s, and :func:`_respell` gives every float
-``repr``'s spelling with three byte rewrites: ``+`` in a positive exponent
-(``1e16`` to ``1e+16``), a two-digit exponent (``1e-6`` to ``1e-06``), and
-the exponent form for 1e-5 <= |x| < 1e-4 (``0.00003`` to ``3e-05``).  Its
-input is finite only: orjson writes nan and inf as ``null``, and a
-:class:`~tmsvlab.fock.DensityMatrix` holds neither.  Readers reject any file
+real and imaginary parts as nested arrays: :func:`density_matrix_to_dict`,
+indented by two spaces with sorted keys, the line layout of
+``json.dumps(..., indent=2, sort_keys=True)``.  Readers reject any file
 whose stated ordering differs from the canonical row-major (nA, nB) layout,
 and build the state through :class:`~tmsvlab.fock.DensityMatrix`, which
 validates Hermiticity, unit trace, and positivity.
@@ -63,22 +61,17 @@ class EmptyDataError(ValueError):
 
 
 def _lines(table: np.ndarray) -> bytes:
-    """The CSV lines of an (n, k) int or float table, each value its repr."""
+    """The CSV lines of an (n, k) table of ints or finite floats, each value
+    as orjson spells it; a nan or inf would become ``null``, but no bulk
+    input holds one (see the module docstring)."""
     flat = np.ascontiguousarray(table, np.float64 if table.dtype.kind == "f" else None).ravel()
     if not len(flat):
         return b""
     text = np.frombuffer(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY), np.uint8).copy()
-    text[0] = text[-1] = ord(",")  # the array's brackets: a comma before each token
+    text[0] = text[-1] = ord(",")  # the array's brackets: a comma before each value
     commas = np.flatnonzero(text == ord(","))
     text[commas[table.shape[1]::table.shape[1]]] = ord("\n")
-    odd = commas[:0]  # the tokens that orjson prints unlike repr: exponents, nan and inf
-    if flat.dtype.kind == "f":
-        size = np.abs(flat)
-        odd = np.flatnonzero(~((size >= 1e-4) & (size < 1e16) | (flat == 0)))  # NaN is odd
-    texts = [repr(value).encode() for value in flat[odd].tolist()]
-    bounds = zip([1, *commas[odd + 1].tolist()], [*(commas[odd] + 1).tolist(), len(text)])
-    kept = [text[a:b] for a, b in bounds]  # views of the text around the odd tokens
-    return b"".join([k for pair in zip(kept, [*texts, b""]) for k in pair])
+    return text[1:].tobytes()
 
 
 def _write_table(path, header: str, columns) -> None:
@@ -168,7 +161,8 @@ def density_matrix_from_dict(d: dict) -> DensityMatrix:
     if ordering != DENSITY_MATRIX_ORDERING:
         raise ValueError(f"unsupported basis ordering {ordering!r}; "
                          f"expected {DENSITY_MATRIX_ORDERING!r}")
-    entries = np.asarray(d["re"], dtype=np.float64) + 1j * np.asarray(d["im"], dtype=np.float64)
+    entries = np.array(d["re"], dtype=np.complex128)
+    entries.imag = d["im"]  # re + 1j * im would turn each -0.0 into +0.0
     return DensityMatrix(FockSpace(int(d["n_cut"])), entries)
 
 
@@ -180,62 +174,13 @@ def read_json(path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def _respell(text: bytes) -> bytes:
-    """orjson's text of an array of finite floats, every float spelled as
-    its repr.
-
-    After each ``e``, ``+`` goes in unless the exponent is negative, and a
-    one-digit exponent gains a leading ``0``.  ``[-]0.0000d…`` not after a
-    digit, which orjson writes for 1e-5 <= |x| < 1e-4 only, becomes
-    ``[-]d[.…]e-05``.  The bytes move in one ``np.delete`` and one
-    ``np.insert``, with no Python call per float.
-    """
-    t = np.frombuffer(text, np.uint8)
-    digit = np.zeros(len(t) + 1, bool)  # and a non-digit past the end
-    np.less(t - ord("0"), 10, out=digit[:-1])  # uint8 wraps below "0"
-    e = np.flatnonzero(t == ord("e"))
-    plus = e[t[e + 1] != ord("-")] + 1
-    exponent = e + 1 + (t[e + 1] == ord("-"))  # its first digit
-    pad = exponent[~digit[exponent + 1]]
-    small = np.flatnonzero(t[1:-4] == ord("."))  # the byte before each "." with four after it
-    for k in (0, 2, 3, 4, 5):
-        small = small[t[small + k] == ord("0")]
-    small = small[~digit[small - 1]]  # where each 0.0000 begins
-    if not len(plus) + len(pad) + len(small):
-        return text
-    stop = small + 7  # past its first significant digit
-    for _ in range(16):  # and its others
-        stop += digit[stop]
-    point = small[stop - small > 7] + 7
-
-    def kept(at):  # the positions once the bytes of every 0.0000 are gone
-        return at - 6 * np.searchsorted(small, at)
-
-    where = np.concatenate([kept(plus), kept(pad), kept(point), np.repeat(kept(stop), 4)])
-    what = np.concatenate([np.repeat(np.frombuffer(b"+0.", np.uint8),
-                                     [len(plus), len(pad), len(point)]),
-                           np.tile(np.frombuffer(b"e-05", np.uint8), len(small))])
-    cut = (small[:, None] + np.arange(6)).ravel()
-    return np.insert(np.delete(t, cut), where, what).tobytes()  # ties keep the order of where
-
-
-def _indented(part: np.ndarray) -> bytes:
-    """A real (n, n) part as json.dumps(indent=2) writes it at depth 1."""
-    text = orjson.dumps(np.ascontiguousarray(part),
-                        option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY)
-    return _respell(text).replace(b"\n", b"\n  ")
-
-
 def write_density_matrix(path, rho: DensityMatrix) -> None:
-    """The bytes of ``write_json(path, density_matrix_to_dict(rho))``, each
-    part written as soon as it is made (see the module docstring)."""
-    with open(path, "wb") as file:
-        file.write(b'{\n  "im": ')
-        file.write(_indented(rho.entries.imag))
-        file.write(f',\n  "n_cut": {rho.space.n_cut},\n  "ordering": '
-                   f'{json.dumps(DENSITY_MATRIX_ORDERING)},\n  "re": '.encode())
-        file.write(_indented(rho.entries.real))
-        file.write(b"\n}\n")
+    """:func:`density_matrix_to_dict` of rho in json's indented layout, each
+    float of the finite parts as orjson spells it (unlike :func:`write_json`,
+    whose reports json spells)."""
+    Path(path).write_bytes(orjson.dumps(
+        density_matrix_to_dict(rho),
+        option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE))
 
 
 def read_density_matrix(path) -> DensityMatrix:

@@ -116,10 +116,10 @@ class FigS2Row:
     gap: float
 
 
-def run_fig_s2(preset: ExperimentPreset, p_values, dx_values, seeds=(0,)) -> list[FigS2Row]:
+def run_fig_s2(preset: ExperimentPreset, p_values, dx_values, seed: int = 0) -> list[FigS2Row]:
     """Reconstruction fidelity versus shots per phase and bin size.
 
-    For every (p, dx, seed): draw samples of the preset's source,
+    For every (p, dx): draw samples of the preset's source at the seed,
     reconstruct, and score the fidelity against the source's density
     matrix on the preset's Fock space; the row says whether the fit
     converged, after how many iterations, and its certified gap.
@@ -131,14 +131,13 @@ def run_fig_s2(preset: ExperimentPreset, p_values, dx_values, seeds=(0,)) -> lis
     for dx in dx_values:
         config = dataclasses.replace(preset, dx=float(dx)).tomography_config()
         for p in p_values:
-            for seed in seeds:
-                samples = sample_quadratures(preset.source, preset.thetas, int(p),
-                                             preset.noise, seed=seed)
-                result = ml_reconstruct(bin_samples(samples, config.dx), config)
-                rows.append(FigS2Row(p=int(p), dx=float(dx), seed=int(seed),
-                                     fidelity=fidelity_mixed(result.rho, truth),
-                                     converged=result.converged,
-                                     iterations=result.iterations, gap=result.gap))
+            samples = sample_quadratures(preset.source, preset.thetas, int(p), preset.noise,
+                                         seed=seed)
+            result = ml_reconstruct(bin_samples(samples, config.dx), config)
+            rows.append(FigS2Row(p=int(p), dx=float(dx), seed=int(seed),
+                                 fidelity=fidelity_mixed(result.rho, truth),
+                                 converged=result.converged,
+                                 iterations=result.iterations, gap=result.gap))
     return rows
 
 

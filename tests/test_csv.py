@@ -1,13 +1,14 @@
 """The sample, shot and table CSVs against their former whole-file forms,
 and the sample reader against its grammar.
 
-The writer formats chunks of rows, with orjson's digits where they are
-repr's and repr elsewhere; the sample reader checks the header line and
-parses chunks of bytes, each cut after a newline, with orjson, where each
-line must be three JSON numbers.  Both run in the calling process.  Their
-former versions, kept here as oracles, formatted every value with repr
-into one text and parsed the list of the file's lines with np.loadtxt.
-Bytes and parsed columns must not differ, at any chunk size.  The reader
+The writer formats chunks of sample and shot rows, each value as orjson
+spells it, and table rows (reports) with repr; the sample reader checks the
+header line and parses chunks of bytes, each cut after a newline, with
+orjson, where each line must be three JSON numbers.  Both run in the
+calling process.  Their former versions, kept here as oracles, formatted
+every value on its own into one text and parsed the list of the file's
+lines with np.loadtxt.  Bytes and parsed columns must not differ, at any
+chunk size, and every float written reads back to its bits.  The reader
 takes only the writer's grammar: the token and line-form tables give what
 it reads, and the line it names in what it refuses.
 """
@@ -18,6 +19,7 @@ import threading
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 from tmsvlab import io as tio
@@ -32,8 +34,12 @@ SPECIAL = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.22507385850720
 FINITE = SPECIAL[np.isfinite(SPECIAL)]  # what a Samples column can hold
 
 
-def former_write(path, header: str, columns) -> None:
-    rows = map(",".join, zip(*(map(repr, column.tolist()) for column in columns)))
+def orjson_spelling(value) -> str:
+    return orjson.dumps(value).decode()
+
+
+def former_write(path, header: str, columns, spell=repr) -> None:
+    rows = map(",".join, zip(*(map(spell, column.tolist()) for column in columns)))
     Path(path).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
 
 
@@ -87,30 +93,38 @@ def assert_same_lines(got: bytes, expected: bytes):
         raise AssertionError(f"{len(got)} bytes against {len(expected)}: {wrong[:10]}")
 
 
-def assert_formatters_match_repr(column, split=False):
+def assert_reads_back(text: bytes, values: np.ndarray):
+    """The lines' values, parsed as one JSON array, hold the bits of values
+    (floats as float64)."""
+    dtype = np.float64 if values.dtype.kind == "f" else values.dtype
+    back = np.array(orjson.loads(b"[" + text.replace(b"\n", b",")[:-1] + b"]"), dtype)
+    assert back.tobytes() == np.asarray(values, dtype).tobytes()
+
+
+def assert_formatters_match_orjson(column):
     # _lines of the column as an (n, 1) table and in rows of three as an
-    # (n, 3) table (cut to whole rows), against repr of each entry, formatted
-    # once; split, the column's first half makes the (n, 1) table and its
-    # second half the (n, 3) table
-    expected = [repr(value).encode() for value in column.tolist()]
-    one, start = (len(column) // 2,) * 2 if split else (len(column), 0)
-    rows = (len(column) - start) // 3
-    assert_same_lines(tio._lines(column[:one, None]), csv_lines(expected[:one], 1))
-    assert_same_lines(tio._lines(column[start:start + 3 * rows].reshape(rows, 3)),
-                      csv_lines(expected[start:], 3))
+    # (n, 3) table (cut to whole rows), against orjson's text of each entry
+    # on its own, and read back
+    expected = [orjson.dumps(value) for value in column.tolist()]
+    rows = len(column) // 3
+    for table in (column[:, None], column[:3 * rows].reshape(rows, 3)):
+        text = tio._lines(table)
+        assert_same_lines(text, csv_lines(expected, table.shape[1]))
+        assert_reads_back(text, table.ravel())
 
 
-def test_formatter_matches_repr_on_random_float_bits():
+def test_formatter_matches_orjson_on_random_float_bits():
     # A future orjson that printed floats otherwise would fail here.  1.5 M
-    # patterns: 2**18 uniform over all exponents (most take repr, at about
-    # 2 us each), 2**20 over the binary exponents around those where
-    # orjson's digits are used, and 2**18 floats with few significant
-    # digits, whose shortest digits are not the 17 of a random mantissa.
-    # Each pattern is formatted once, half of each set in an (n, 1) table and
-    # half in an (n, 3) one: most uniform patterns take repr inside _lines,
-    # and a second pass would add seconds.
+    # patterns: 2**18 uniform over all exponents, whose nan and inf patterns
+    # (exponent all ones) have their top exponent bit cleared, since no bulk
+    # input holds one; 2**20 over the binary exponents around 1e-4 and 1e16,
+    # where shortest spellings change form; and 2**18 floats with few
+    # significant digits, whose shortest digits are not the 17 of a random
+    # mantissa.
     rng = np.random.default_rng(18)
     uniform = rng.integers(0, 2 ** 64, 1 << 18, dtype=np.uint64, endpoint=False)
+    exponent_mask = np.uint64(0x7FF << 52)
+    uniform[(uniform & exponent_mask) == exponent_mask] ^= np.uint64(1 << 62)
     n = 1 << 20
     exponent = rng.integers(1023 - 16, 1023 + 56, n).astype(np.uint64) << np.uint64(52)
     mantissa = rng.integers(0, 2 ** 52, n, dtype=np.uint64)
@@ -119,31 +133,31 @@ def test_formatter_matches_repr_on_random_float_bits():
         / 10.0 ** rng.integers(-9, 12, 1 << 18)
     for column in (uniform.view(np.float64), (sign | exponent | mantissa).view(np.float64),
                    short):
-        assert_formatters_match_repr(column, split=True)
+        assert np.isfinite(column).all()
+        assert_formatters_match_orjson(column)
 
 
-def test_formatter_matches_repr_at_the_edges(tmp_path):
-    # the neighbours of the bounds of orjson's digits, 1e-4 and 1e16; the
-    # first odd integer float 2**53 + 2; subnormals; strided, byte-swapped,
-    # float32 and empty columns; the extremes of int columns; and, in a
-    # table of report rows, bool and object columns
+def test_formatter_matches_orjson_at_the_edges(tmp_path):
+    # the neighbours of 1e-4 and 1e16, where the shortest spelling changes
+    # form; the first odd integer float 2**53 + 2; subnormals; strided,
+    # byte-swapped, float32 and empty columns; the extremes of int columns;
+    # and, in a table of report rows, bool and object columns.  No nan or
+    # inf: Samples refuses them (test_homodyne's
+    # test_samples_reject_a_value_that_is_not_finite_and_name_its_column_and_row)
     edges = np.array([1e-4, 1e16, 2.0 ** 53 + 2, 2.0 ** 53, 9999999999999998.0,
                       2.2250738585072014e-308, 5e-324, 1e300])
     near = np.concatenate([np.nextafter(edges, 0), edges, np.nextafter(edges, np.inf)])
-    special = np.array([0.0, np.nan, np.inf, 1.7976931348623157e308, 0.1, 1 / 3,
-                        0.7853981633974483])
+    special = np.array([0.0, 1.7976931348623157e308, 0.1, 1 / 3, 0.7853981633974483])
     floats = np.concatenate([near, special, -near, -special])
     small = np.array([1e-4, 1e-5, 1e16, 0.1, 1 / 3, -0.0, 1e-45, 3e38], np.float32)
     for column in (floats, floats[::-1], floats[::3], floats.astype(">f8"), small,
                    np.array([], np.float64)):
-        assert_formatters_match_repr(column)
-    nan_payload = np.array([0x7FF8000000000001, 0xFFF0000000000001], np.uint64).view(np.float64)
-    assert_formatters_match_repr(nan_payload)
+        assert_formatters_match_orjson(column)
     i64, u64 = np.iinfo(np.int64), np.iinfo(np.uint64)
     for column in (np.array([i64.min, i64.min + 1, -1, 0, 1, i64.max - 1, i64.max]),
                    np.array([0, 1, 2 ** 63, u64.max - 1, u64.max], np.uint64),
                    np.array([-128, 0, 127], np.int8), np.array([0, 255], np.uint8)):
-        assert_formatters_match_repr(column)
+        assert_formatters_match_orjson(column)
     tio.write_csv_rows(tmp_path / "table.csv", "b,o",
                        zip([True, False, True, False], [2 ** 70, -5, 3, 2 ** 70]))
     assert (tmp_path / "table.csv").read_text(encoding="utf-8") == \
@@ -160,13 +174,16 @@ def test_sample_and_shot_files_match_the_former_writer(tmp_path, n):
     samples = Samples(theta, mixed_floats(n, rng, FINITE), mixed_floats(n, rng, FINITE))
     tio.write_samples(tmp_path / "samples.csv", samples)
     former_write(tmp_path / "former.csv", tio.SAMPLES_HEADER,
-                 (samples.theta, samples.x_a, samples.x_b))
+                 (samples.theta, samples.x_a, samples.x_b), orjson_spelling)
     assert (tmp_path / "samples.csv").read_bytes() == (tmp_path / "former.csv").read_bytes()
+    if n:  # a file of no rows reads as EmptyDataError
+        assert_same_batch(tio.read_samples(tmp_path / "samples.csv"), samples)
 
     n_tot = rng.choice([1, 7, 500, 2 ** 62], n)
     shots = Shots(rng.integers(0, n_tot // 2 + 1), rng.integers(0, n_tot // 2 + 1), n_tot)
     tio.write_shots(tmp_path / "shots.csv", shots)
-    former_write(tmp_path / "former.csv", tio.SHOTS_HEADER, (shots.n_a, shots.n_b, shots.n_tot))
+    former_write(tmp_path / "former.csv", tio.SHOTS_HEADER, (shots.n_a, shots.n_b, shots.n_tot),
+                 orjson_spelling)
     assert (tmp_path / "shots.csv").read_bytes() == (tmp_path / "former.csv").read_bytes()
 
 
@@ -185,8 +202,9 @@ def test_table_rows_match_the_former_writer(tmp_path, n):
     assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "former.csv").read_bytes()
 
 
-# rows of (theta, x_a, x_b) with floats that repr prints with an exponent
-# (odd tokens) where the writer cuts its text: theta is kept below 2 pi
+# rows of (theta, x_a, x_b) with odd tokens, floats whose shortest spelling
+# has an exponent or leading zeros (1e300, 5e-324, 0.00001), at every
+# position in a row, a table and a chunk: theta is kept below 2 pi
 TINY, HUGE = 1e-05, 1e300
 PATCH_CASES = {
     "odd first and last": [[TINY, 0.5, 0.25], [0.5, 0.25, 0.125], [0.5, 0.25, -HUGE]],
@@ -199,19 +217,22 @@ PATCH_CASES = {
 
 
 def patch_case(case: str) -> tuple[np.ndarray, list[bytes]]:
-    """The case's (n, 3) table and the repr of each entry, row by row."""
+    """The case's (n, 3) table and orjson's text of each entry, row by row."""
     table = np.array(PATCH_CASES[case], np.float64).reshape(-1, 3)
-    return table, [repr(value).encode() for value in table.ravel().tolist()]
+    return table, [orjson.dumps(value) for value in table.ravel().tolist()]
 
 
 @pytest.mark.parametrize("case", PATCH_CASES)
 def test_odd_tokens_at_the_edges_of_a_table(case):
-    # the text is cut before and after each odd token, at every position in
-    # a row and in the table, and in a one-column table
+    # each odd token at every position in a row and in the table, and in a
+    # one-column table
     table, expected = patch_case(case)
     assert tio._lines(table) == csv_lines(expected, 3)
-    assert tio._lines(table.T.reshape(-1, 1)) == \
-        csv_lines([repr(value).encode() for value in table.T.ravel().tolist()], 1)
+    assert_reads_back(tio._lines(table), table.ravel())
+    column = table.T.reshape(-1, 1)
+    assert tio._lines(column) == \
+        csv_lines([orjson.dumps(value) for value in column.ravel().tolist()], 1)
+    assert_reads_back(tio._lines(column), column.ravel())
 
 
 @pytest.mark.parametrize("case", PATCH_CASES)
@@ -220,9 +241,11 @@ def test_odd_tokens_at_the_edges_of_a_chunk(tmp_path, monkeypatch, case, rows):
     # each odd token first or last in a chunk of one or two rows
     table, expected = patch_case(case)
     monkeypatch.setattr(tio, "_CHUNK_ROWS", rows)
-    tio.write_samples(tmp_path / "samples.csv", Samples(*table.T))
-    assert (tmp_path / "samples.csv").read_bytes() == \
-        (tio.SAMPLES_HEADER + "\n").encode() + csv_lines(expected, 3)
+    path = tmp_path / "samples.csv"
+    tio.write_samples(path, Samples(*table.T))
+    assert path.read_bytes() == (tio.SAMPLES_HEADER + "\n").encode() + csv_lines(expected, 3)
+    if len(table):  # a file of no rows reads as EmptyDataError
+        assert_same_batch(tio.read_samples(path), Samples(*table.T))
 
 
 # ------------------------------------------------------------------ reader
@@ -472,11 +495,12 @@ def test_files_and_columns_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch
     tio.write_samples(tmp_path / "samples.csv", samples)
     tio.write_shots(tmp_path / "shots.csv", shots)
     tio.write_csv_rows(tmp_path / "table.csv", "i,x,b", rows)
-    for name, header, columns in [
-            ("samples", tio.SAMPLES_HEADER, (samples.theta, samples.x_a, samples.x_b)),
-            ("shots", tio.SHOTS_HEADER, (shots.n_a, shots.n_b, shots.n_tot)),
-            ("table", "i,x,b", [np.asarray(c) for c in zip(*rows)])]:
-        former_write(tmp_path / "former.csv", header, columns)
+    for name, header, columns, spell in [
+            ("samples", tio.SAMPLES_HEADER, (samples.theta, samples.x_a, samples.x_b),
+             orjson_spelling),
+            ("shots", tio.SHOTS_HEADER, (shots.n_a, shots.n_b, shots.n_tot), orjson_spelling),
+            ("table", "i,x,b", [np.asarray(c) for c in zip(*rows)], repr)]:
+        former_write(tmp_path / "former.csv", header, columns, spell)
         assert (tmp_path / f"{name}.csv").read_bytes() == \
             (tmp_path / "former.csv").read_bytes(), name
     assert_same_batch(tio.read_samples(tmp_path / "samples.csv"), samples)
@@ -608,7 +632,7 @@ def test_no_child_is_left_after_a_read(tmp_path, forks):
 
 def test_writing_and_reading_200k_rows_stays_within_its_memory_bound(tmp_path):
     # 200k rows at two phases, as in the files benchmark.  The tracemalloc
-    # peaks are 1.5 MB to write (one 8192-row chunk's table and text), under
+    # peaks are 1.3 MB to write (one 8192-row chunk's table and text), under
     # a fifth of the 7.0 MB bound, and 14.0 MB to read (the chunks' tables and
     # the table they join into are 4.8 MB each), about 0.8 of the 18 MB bound.
     # Writing the whole text at once would peak at 45 MB, and reading the list

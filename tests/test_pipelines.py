@@ -47,7 +47,7 @@ def test_fig_s2_rejects_zero_shots():
 def test_fig_s2_smoke_trend():
     preset = dataclasses.replace(PRESETS["fig_s2"], thetas=sweep_phases(9), n_cut=6,
                                  max_iter=80)
-    rows = run_fig_s2(preset, p_values=(30, 120), dx_values=(0.3,), seeds=(0,))
+    rows = run_fig_s2(preset, p_values=(30, 120), dx_values=(0.3,), seed=0)
     assert [r.p for r in rows] == [30, 120]
     assert rows[1].fidelity > rows[0].fidelity
 
