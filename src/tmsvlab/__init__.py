@@ -7,8 +7,7 @@ __version__ = "0.1.0"
 from .fock import (DensityMatrix, FockSpace, PureState, basis_state, hermite_functions,
                    number_distributions, partial_transpose)
 from .states import (NoiseModel, NOISELESS, SqueezedVacuum, analytic_variances,
-                     noise_preset, phase_noisy_state, tmsv, tmsv_rotated,
-                     truncation_tail)
+                     phase_noisy_state, tmsv, tmsv_rotated, truncation_tail)
 from .homodyne import (DEFAULT_READOUT, Readout, Samples, Shots, estimate_quadratures,
                        sample_quadratures, simulate_readout, simulate_shots)
 from .criteria import EprReport, epr_report, time_sweep

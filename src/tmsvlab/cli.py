@@ -30,8 +30,11 @@ source, the noise settings in the noise, the phases and the shots per
 phase.  It draws the source once: ``samples.csv`` holds the quadratures
 that the counts in ``shots.csv`` realize.  Its ``manifest.json`` records
 only what shaped the draw (source, noise, phases, shots per phase, seed)
-and the package, enough to rebuild both files.  ``criteria`` takes the
-group of the lower phase modulo pi as the x group.
+and the package, enough to rebuild both files; that of ``reproduce``
+holds the preset as run (each field that is set), the scale and the
+sweep.  ``criteria`` takes the group of the lower phase modulo pi as the
+x group.  Apart from ``reproduce``, a command checks its settings before
+it reads, and creates ``--out`` only to write its results.
 """
 
 import argparse
@@ -43,10 +46,10 @@ import sys
 from pathlib import Path
 
 from . import io as tio
-from .criteria import (DEFAULT_OCCUPATIONS, PhaseMismatchError, epr_report,
-                       group_samples)
+from .criteria import (DEFAULT_OCCUPATIONS, PhaseMismatchError, check_occupations,
+                       epr_report, group_samples)
 from .homodyne import DEFAULT_READOUT, simulate_readout
-from .metrics import fidelity_best_phase, metrics_report
+from .metrics import check_target_xi, fidelity_best_phase, metrics_report
 from .pipelines import (FIG3_TIME_GRID, PACKAGE, PRESETS, make_manifest, run_fig3,
                         run_fig_s2, run_fig_s3, sweep_phases)
 from .tomography import TomographyConfig, bin_samples, ml_reconstruct
@@ -174,10 +177,9 @@ def build_parser() -> _Parser:
 
 
 def _cmd_simulate(args) -> int:
-    out = _outdir(args.out or ".")
-    seed = args.seed or 0
     if args.preset is None and args.xi is None:
         raise UsageError("either --preset or --xi is required")
+    seed = args.seed or 0
     preset = PRESETS[args.preset or "fig_s2"]
     preset = dataclasses.replace(
         preset, source=dataclasses.replace(preset.source, **_given(args, "xi")),
@@ -186,6 +188,7 @@ def _cmd_simulate(args) -> int:
         **_given(args, "thetas", "p_per_theta"))
     samples, shots = simulate_readout(preset.source, DEFAULT_READOUT, preset.noise,
                                       preset.thetas, preset.p_per_theta, seed=seed)
+    out = _outdir(args.out or ".")
     tio.write_samples(out / "samples.csv", samples)
     tio.write_shots(out / "shots.csv", shots)
     tio.write_json(out / "manifest.json", {
@@ -210,10 +213,10 @@ def _sha256(path) -> str:
 
 
 def _cmd_tomo(args) -> int:
-    out = _outdir(args.out or ".")
     config = TomographyConfig(**_given(args, "dx", "n_cut", "max_iter"))
     samples = tio.read_samples(args.samples)
     result = ml_reconstruct(bin_samples(samples, config.dx), config)
+    out = _outdir(args.out or ".")
     tio.write_density_matrix(out / "rho_ml.json", result.rho)
     tio.write_json(out / "diagnostics.json", {
         "loglik_trace": list(result.loglik_trace),
@@ -231,7 +234,9 @@ def _cmd_tomo(args) -> int:
 
 
 def _cmd_criteria(args) -> int:
-    out = _outdir(args.out or ".")
+    occupations = tuple(default if value is None else value for value, default
+                        in zip((args.n_a, args.n_b, args.n0), DEFAULT_OCCUPATIONS))
+    check_occupations(occupations)
     samples = tio.read_samples(args.samples)
     groups = group_samples(samples)
     if len(groups) < 2:
@@ -247,9 +252,8 @@ def _cmd_criteria(args) -> int:
     # the groups are copies: let the full batch and the index arrays go
     # before the report, which would otherwise hold them to its end
     del samples, groups
-    occupations = tuple(default if value is None else value for value, default
-                        in zip((args.n_a, args.n_b, args.n0), DEFAULT_OCCUPATIONS))
     report = epr_report(samples_x, samples_p, occupations=occupations)
+    out = _outdir(args.out or ".")
     tio.write_json(out / "epr_report.json", report.to_json_dict())
     print(f"EPR product {report.epr_product:.4f} (threshold {report.epr_threshold:.4f}), "
           f"inseparability sum {report.insep_sum:.4f} "
@@ -258,30 +262,33 @@ def _cmd_criteria(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    out = _outdir(args.out or ".")
+    if args.target_xi is not None:
+        check_target_xi(args.target_xi)
     rho = tio.read_density_matrix(args.matrix)
     report = metrics_report(rho)
     if args.target_xi is not None:
         # a file carries no phase reference: score the target at its best pair phase
         report = dataclasses.replace(
             report, fidelity_to_target=fidelity_best_phase(rho, args.target_xi))
+    out = _outdir(args.out or ".")
     tio.write_json(out / "metrics.json", report.to_json_dict())
     print(f"log-negativity {report.log_negativity:.4f}, "
           f"QFI {report.qfi:.4f}, xi_fit {report.xi_fit:.4f}")
     return EX_OK
 
 
-# (figure, scale) -> (the preset fields a run at that scale changes, the
-# sweep).  A sweep key names the preset field whose values the run steps
-# through; fig3 steps the time t_s, which sets xi.  The manifest records
-# the preset as run and the sweep.
+# (figure, scale) -> (the preset fields a run at that scale replaces, the
+# sweep).  A sweep key names the field whose values the run steps through:
+# the preset's p_per_theta, its tomography's dx, or fig3's time t_s, which
+# sets xi.  The manifest records the preset as run and the sweep.
 _SCALES = {
     ("fig_s2", "paper"): ({}, {"p_per_theta": (25, 50, 100, 200, 400), "dx": (0.25, 0.1)}),
-    ("fig_s2", "smoke"): ({"thetas": sweep_phases(9), "n_cut": 6, "max_iter": 60},
+    ("fig_s2", "smoke"): ({"thetas": sweep_phases(9),
+                           "tomography": TomographyConfig(n_cut=6, max_iter=60)},
                           {"p_per_theta": (25, 50), "dx": (0.25,)}),
     ("fig_s3", "paper"): ({}, {}),
-    ("fig_s3", "smoke"): ({"p_per_theta": 30, "n_cut": 6, "thetas": sweep_phases(9),
-                           "max_iter": 80}, {}),
+    ("fig_s3", "smoke"): ({"p_per_theta": 30, "thetas": sweep_phases(9),
+                           "tomography": TomographyConfig(n_cut=6, max_iter=80)}, {}),
     ("fig3", "paper"): ({}, {"t_s": FIG3_TIME_GRID}),
     ("fig3", "smoke"): ({"p_per_theta": 400}, {"t_s": (0.0, 13e-3, 26e-3)}),
 }
@@ -291,19 +298,18 @@ def _cmd_reproduce(args) -> int:
     figure = args.figure
     scale = args.scale or "paper"
     overrides, sweep = _SCALES[figure, scale]
-    preset = dataclasses.replace(PRESETS[figure], **overrides)
-    seed = preset.seed if args.seed is None else args.seed
-    rundir = _outdir(Path(args.out or "runs") / f"{figure}-seed{seed}")
+    preset = dataclasses.replace(PRESETS[figure], **overrides, **_given(args, "seed"))
+    rundir = _outdir(Path(args.out or "runs") / f"{figure}-seed{preset.seed}")
     tio.write_json(rundir / "manifest.json",
-                   {**make_manifest(preset, seed), "scale": scale, "sweep": sweep})
+                   {**make_manifest(preset), "scale": scale, "sweep": sweep})
 
     if figure == "fig_s2":
-        rows = run_fig_s2(preset, sweep["p_per_theta"], sweep["dx"], seed=seed)
+        rows = run_fig_s2(preset, sweep["p_per_theta"], sweep["dx"])
         tio.write_csv_rows(rundir / "fig_s2_table.csv",
                            "p,dx,seed,fidelity,converged,iterations,gap",
                            [dataclasses.astuple(r) for r in rows])
     elif figure == "fig_s3":
-        result = run_fig_s3(preset, seed=seed)
+        result = run_fig_s3(preset)
         tio.write_density_matrix(rundir / "rho_ml.json", result.ml.rho)
         tio.write_json(rundir / "metrics.json", result.metrics.to_json_dict())
         tio.write_json(rundir / "summary.json", {
@@ -316,7 +322,7 @@ def _cmd_reproduce(args) -> int:
             "p_diff": result.p_diff.tolist(),
         })
     else:  # fig3
-        rows = run_fig3(preset, times=sweep["t_s"], seed=seed)
+        rows = run_fig3(preset, times=sweep["t_s"])
         tio.write_csv_rows(
             rundir / "fig3_sweep.csv",
             "t_s,xi,v_x_minus,v_x_plus,v_p_plus,v_p_minus,epr_product,insep_sum,"

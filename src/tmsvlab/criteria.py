@@ -99,6 +99,16 @@ _REPORTED = ("v_x_plus", "v_x_minus", "v_p_plus", "v_p_minus",
              "epr_product", "insep_sum", "inferred_dx", "inferred_dp")
 
 
+def check_occupations(occupations: tuple[float, float, float]) -> None:
+    """Refuse (n_A, n_B, n0) unless finite, with n0 > 0 and 0 <= n_A, n_B < n0."""
+    n_a, n_b, n0 = occupations
+    if not (math.isfinite(n0) and n0 > 0):
+        raise ValueError(f"n0 must be finite and positive, got {n0}")
+    for name, value in (("n_a", n_a), ("n_b", n_b)):
+        if not (math.isfinite(value) and 0 <= value < n0):
+            raise ValueError(f"{name} must be finite and in [0, n0 = {n0}), got {value}")
+
+
 def epr_report(samples_x: Samples, samples_p: Samples,
                occupations: tuple[float, float, float] = DEFAULT_OCCUPATIONS) -> EprReport:
     """Evaluate the EPR product and inseparability sum on two conjugate
@@ -108,8 +118,7 @@ def epr_report(samples_x: Samples, samples_p: Samples,
     0.02 rad, and each must hold at least two samples.  Thresholds carry
     the finite reference-mode corrections 1/4 (1 - n_B/n0)^2 and
     2 - (n_A + n_B)/n0; for n_B/n0 <= 1e-3 these are the continuous-variable
-    values 1/4 and 2.  The occupations must be finite, with n0 > 0 and
-    0 <= n_A, n_B < n0.
+    values 1/4 and 2.  The occupations must pass :func:`check_occupations`.
 
     Standard errors propagate the four sample variances, taken from two
     independent groups, to first order (the delta method).  A column d
@@ -122,12 +131,8 @@ def epr_report(samples_x: Samples, samples_p: Samples,
     rows 0 and 2 hold x_A + x_B and x_A - x_B, centred in place, and rows
     1 and 3 their squares, then (d^2 - m2)^2.
     """
+    check_occupations(occupations)
     n_a, n_b, n0 = occupations
-    if not (math.isfinite(n0) and n0 > 0):
-        raise ValueError(f"n0 must be finite and positive, got {n0}")
-    for name, value in (("n_a", n_a), ("n_b", n_b)):
-        if not (math.isfinite(value) and 0 <= value < n0):
-            raise ValueError(f"{name} must be finite and in [0, n0 = {n0}), got {value}")
     theta_x = _single_phase(samples_x, "x")
     theta_p = _single_phase(samples_p, "p")
     sep = (theta_p - theta_x) % math.pi

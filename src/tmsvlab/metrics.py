@@ -202,13 +202,18 @@ def fit_squeezing(rho: DensityMatrix) -> tuple[float, float]:
     return xi_best, math.sqrt(min(max(best, 0.0), 1.0))
 
 
+def check_target_xi(xi: float) -> None:
+    """Refuse a target xi outside [0, XI_MAX], NaN included."""
+    if not 0.0 <= xi <= XI_MAX:  # also refuses NaN
+        raise ValueError(f"target xi must lie in [0, {XI_MAX!r}], got {xi!r}")
+
+
 def fidelity_best_phase(rho: DensityMatrix, xi: float) -> float:
     """Fidelity of rho to the squeezed vacuum of parameter xi at its best
     pair phase, maximized over the phases :func:`fit_squeezing` searches;
-    for a state that carries no phase reference.  xi must lie in
-    [0, XI_MAX]."""
-    if not 0.0 <= xi <= XI_MAX:  # also refuses NaN
-        raise ValueError(f"target xi must lie in [0, {XI_MAX!r}], got {xi!r}")
+    for a state that carries no phase reference.  xi must pass
+    :func:`check_target_xi`."""
+    check_target_xi(xi)
     n_cut = rho.space.n_cut
     overlap = _fit_overlap(xi, _pair_block(rho), n_cut, _phase_table(n_cut + 1))
     return math.sqrt(min(max(overlap, 0.0), 1.0))

@@ -22,18 +22,6 @@ OMEGA_SPIN_DYNAMICS = 2.0 * np.pi * 5.1
 # duration that gives the best squeezing in the reference data set, s
 OPTIMAL_SPIN_DYNAMICS_TIME = 26e-3
 
-# Two independent estimates of the local-oscillator phase noise exist for
-# the same apparatus and are exposed side by side rather than silently
-# merged.  "sweep" is quoted as the width of the measurement angle used in
-# the squeezing-dynamics analysis; "dephasing" is the width of the pair
-# phase in the dephased-state model (a pair coherence |n,n><m,m| advances
-# twice as fast as the measurement angle, so its measurement-angle
-# equivalent is half the value).
-PHASE_NOISE_SIGMA = {
-    "sweep": 0.044 * np.pi,
-    "dephasing": 0.36,
-}
-
 TAIL_WARN_THRESHOLD = 1e-3
 # up to here (about 354.89) the anti-squeezed variance e^{2 xi} = cosh 2xi +
 # sinh 2xi stays below 2^1024, and the squared amplitudes tanh^2n(xi) /
@@ -70,27 +58,6 @@ class NoiseModel:
 
 
 NOISELESS = NoiseModel()
-
-
-def noise_preset(name: str) -> NoiseModel:
-    """Sampling-noise presets for the two reference noise dressings.
-
-    "fig3":  per-shot measurement-angle jitter (the dephasing width mapped
-             to the measurement angle, 0.36 / 2) plus 0.4% relative
-             coupling-strength jitter.
-    "tomo":  no sampling-side phase jitter (the dephasing is carried by the
-             state itself, see :func:`phase_noisy_state`), plus the 0.12
-             systematic shift of the sum-quadrature variance.
-    """
-    presets = {
-        "fig3": NoiseModel(sigma_phase=PHASE_NOISE_SIGMA["dephasing"] / 2.0,
-                           rf_rel_noise=0.004),
-        "tomo": NoiseModel(sum_variance_shift=0.12),
-    }
-    try:
-        return presets[name]
-    except KeyError:
-        raise ValueError(f"unknown noise preset {name!r}; known: {sorted(presets)}") from None
 
 
 def truncation_tail(xi: float, n_cut: int) -> float:

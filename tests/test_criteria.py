@@ -8,9 +8,9 @@ from tmsvlab.criteria import (THETA_P_LIKE, THETA_X_LIKE, PhaseMismatchError,
 from tmsvlab.fock import FockSpace, basis_state
 from tmsvlab.homodyne import (DEFAULT_READOUT, Samples, sample_quadratures, shots_to_samples,
                               simulate_readout, simulate_shots)
+from tmsvlab.pipelines import PRESETS
 from tmsvlab.states import (NOISELESS, NoiseModel, OMEGA_SPIN_DYNAMICS,
-                            OPTIMAL_SPIN_DYNAMICS_TIME, SqueezedVacuum, noise_preset,
-                            tmsv_rotated)
+                            OPTIMAL_SPIN_DYNAMICS_TIME, SqueezedVacuum, tmsv_rotated)
 
 from conftest import assert_within_se, concat, traced_peak_mb
 from gridded import Gridded
@@ -166,7 +166,7 @@ def test_delta_errors_match_the_spread_over_seeds():
     # phase, where the files workload draws 100000.  The tie is the vacuum,
     # where both pairings give the same product
     k = 400
-    rows = time_sweep([OPTIMAL_SPIN_DYNAMICS_TIME] * k, noise_preset("fig3"), 300, seed=0)
+    rows = time_sweep([OPTIMAL_SPIN_DYNAMICS_TIME] * k, PRESETS["fig3"].noise, 300, seed=0)
     fig3 = [(row.epr_product, row.se_epr_product) for row in rows]
     files, tie = [], []
     for seed in range(k):

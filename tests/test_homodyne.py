@@ -10,8 +10,9 @@ from tmsvlab.fock import FockSpace, basis_state, rotate_state
 from tmsvlab.homodyne import (DEFAULT_READOUT, CountBoundsError, Readout, Samples, Shots,
                               _invert_counts, estimate_quadratures, sample_quadratures,
                               shots_to_samples, simulate_readout, simulate_shots)
-from tmsvlab.states import (NOISELESS, NoiseModel, SqueezedVacuum, noise_preset,
-                            phase_noisy_state, tmsv, tmsv_rotated, truncation_tail)
+from tmsvlab.pipelines import PRESETS
+from tmsvlab.states import (NOISELESS, NoiseModel, SqueezedVacuum, phase_noisy_state, tmsv,
+                            tmsv_rotated, truncation_tail)
 
 from conftest import assert_same_batch, assert_within_se
 from gridded import Gridded, GridSupportError, QuadGrid, grid_mass, quad_pdf
@@ -485,7 +486,7 @@ def test_shots_to_samples_matches_per_shot_estimator():
     cfg = DEFAULT_READOUT
     thetas = [THETA_X_LIKE, 7.0]
     p = 400
-    shots = simulate_shots(SqueezedVacuum(0.8), cfg, noise_preset("fig3"), thetas, p, seed=3)
+    shots = simulate_shots(SqueezedVacuum(0.8), cfg, PRESETS["fig3"].noise, thetas, p, seed=3)
     counts = np.stack([shots.n_a, shots.n_b, shots.n_tot])
     counts[:, 1] = (10, 3, 100)  # a different n_tot exercises the per-shot totals
     shots = Shots(*counts)

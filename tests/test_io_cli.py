@@ -13,15 +13,14 @@ import numpy as np
 import orjson
 import pytest
 
-from tmsvlab import io as tio
+from tmsvlab import cli, io as tio
 from tmsvlab.cli import EX_NONCONVERGED, EX_OK, EX_RUNTIME, EX_USAGE, main
 from tmsvlab.criteria import epr_report, group_samples, time_sweep
 from tmsvlab.fock import DensityMatrix, FockSpace, basis_state
 from tmsvlab.homodyne import DEFAULT_READOUT, Samples, Shots, sample_quadratures, simulate_readout
-from tmsvlab.pipelines import sweep_phases
+from tmsvlab.pipelines import PRESETS, ExperimentPreset, sweep_phases
 from tmsvlab.metrics import fidelity_pure
-from tmsvlab.states import (NOISELESS, NoiseModel, SqueezedVacuum, noise_preset, tmsv,
-                            tmsv_rotated)
+from tmsvlab.states import NOISELESS, NoiseModel, SqueezedVacuum, tmsv, tmsv_rotated
 from tmsvlab.tomography import TomographyConfig, bin_samples, ml_reconstruct
 
 from conftest import (MALFORMED_TOKENS, NON_FINITE_TOKENS, assert_same_batch, concat,
@@ -139,10 +138,8 @@ def assert_density_matrix_file(path, rho):
     return text
 
 
-# The names of the three tests below predate the orjson spelling of rho_ml.json;
-# they keep them until a change may rename their 22 ids (ROADMAP).
 @pytest.mark.parametrize("case", DENSITY_MATRIX_CASES)
-def test_density_matrix_file_holds_the_bytes_of_write_json(tmp_path, case):
+def test_density_matrix_file_holds_json_layout_with_orjson_digits(tmp_path, case):
     rho = DENSITY_MATRIX_CASES[case]()
     path = tmp_path / "rho.json"
     tio.write_density_matrix(path, rho)
@@ -161,6 +158,8 @@ REPR_SPELLINGS = ["1e-06", "-2.5e-07", "7e-08", "9e-09", "1e-10", "-1.5e-300", "
                   "-10.00001"]
 
 
+# The names of the two tests below predate the orjson spelling of rho_ml.json;
+# they keep them until a change may rename their 18 ids (ROADMAP).
 @pytest.mark.parametrize("spelling", REPR_SPELLINGS)
 def test_density_matrix_file_spells_each_float_as_its_repr(tmp_path, spelling):
     # the value fills the real part and the diagonal of the imaginary part,
@@ -277,11 +276,13 @@ def test_cli_simulate_preset_row_count(tmp_path):
     assert len(tio.read_samples(out / "samples.csv")) == 2 * 40
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["p_per_theta"] == 40
-    assert manifest["noise"] == {**dataclasses.asdict(noise_preset("fig3")), "sigma_phase": 0.0}
+    assert manifest["noise"] == {**dataclasses.asdict(PRESETS["fig3"].noise), "sigma_phase": 0.0}
 
 
-def test_cli_simulate_requires_state():
-    assert run_cli("simulate") == EX_USAGE
+def test_cli_simulate_requires_state(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--out", str(out)) == EX_USAGE
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
@@ -294,7 +295,7 @@ def test_cli_simulate_rejects_a_setting_that_is_not_finite_and_nonnegative(
     assert run_cli("simulate", "--preset", "fig3", "--p", "10", flag, value,
                    "--out", str(out)) == EX_RUNTIME
     assert f"{name} must be finite and nonnegative" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_cli_simulate_refuses_a_xi_whose_variances_overflow(tmp_path, capsys):
@@ -303,7 +304,7 @@ def test_cli_simulate_refuses_a_xi_whose_variances_overflow(tmp_path, capsys):
     assert run_cli("simulate", "--xi", "400", "--p", "10", "--thetas", "0,1",
                    "--out", str(out)) == EX_RUNTIME
     assert "error: xi must be at most 354.89" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("xi", ["60", "354"])
@@ -317,7 +318,7 @@ def test_cli_simulate_refuses_counts_past_int64(tmp_path, capsys, xi):
         assert run_cli("simulate", "--xi", xi, "--p", "10", "--thetas", "0,1",
                        "--out", str(out)) == EX_RUNTIME
     assert "still outside [0, 20000] after 20 redraws" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_cli_simulate_refuses_a_transfer_jitter_past_the_readout_range(tmp_path, capsys):
@@ -328,7 +329,7 @@ def test_cli_simulate_refuses_a_transfer_jitter_past_the_readout_range(tmp_path,
                    "--out", str(out)) == EX_RUNTIME
     assert re.search(r"error: rf_rel_noise=5.0 puts the transfer fraction of \d+ of 5000 shots "
                      r"at theta=3.1416 outside \(1e-12, 1 - 1e-12\)", capsys.readouterr().err)
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["simulate", "--xi", "0.8"],
@@ -513,6 +514,20 @@ def test_cli_tomo_checks_its_settings_before_reading(tmp_path, capsys):
     assert run_cli("tomo", str(tmp_path / "missing.csv"), "--dx", "-1",
                    "--out", str(tmp_path / "out")) == EX_RUNTIME
     assert "dx must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["criteria", "missing.csv", "--n0", "0"], "error: n0 must be finite and positive, got 0.0"),
+    (["metrics", "missing.json", "--target-xi", "nan"], "error: target xi must lie in [0, "),
+])
+def test_cli_checks_its_settings_before_reading(tmp_path, capsys, argv, message):
+    # both read the missing file first and named it, not the setting
+    command, name, *flags = argv
+    out = tmp_path / "out"
+    assert run_cli(command, str(tmp_path / name), *flags, "--out", str(out)) == EX_RUNTIME
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
 
 
 def test_cli_criteria_on_tmsv_file(tmp_path):
@@ -561,7 +576,7 @@ def assert_the_line_is_refused(tmp_path, capsys, command, token):
     assert run_cli(command, str(path), "--out", str(out)) == EX_RUNTIME
     assert re.match(rf"error: {re.escape(str(path))}: line 10: (non-numeric field|"
                     rf"expected 3 fields, got 4)\n$", capsys.readouterr().err)
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", NON_FINITE_TOKENS)
@@ -590,7 +605,7 @@ def test_cli_names_a_file_with_no_samples_a_usage_error(tmp_path, capsys, comman
     expected = (EX_USAGE, f"usage error: {path}: no samples\n") if not body else \
         (EX_RUNTIME, f"error: {path}: line 2: expected 3 fields, got 1\n")
     assert (run_cli(command, str(path), "--out", str(out)), capsys.readouterr().err) == expected
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_cli_criteria_missing_conjugate_pair(tmp_path):
@@ -615,7 +630,7 @@ def test_cli_criteria_checks_the_occupations(tmp_path, capsys, flag, name, value
     else:
         assert code == EX_RUNTIME
         assert f"error: {name} must be finite and" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
 
 def test_cli_criteria_on_two_100k_groups_stays_within_its_memory_bound(tmp_path):
@@ -656,7 +671,7 @@ def test_cli_criteria_refuses_a_phase_group_of_one_sample(tmp_path, capsys, sing
     out = tmp_path / "out"
     assert run_cli("criteria", str(path), "--out", str(out)) == EX_RUNTIME
     assert f"error: {single} sample group holds 1 sample" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("thetas", ["nan,1.0", "1.0,inf", "0.5,-inf"])
@@ -667,7 +682,7 @@ def test_cli_simulate_refuses_a_phase_that_is_not_finite(tmp_path, capsys, theta
                    "--out", str(out)) == EX_RUNTIME
     phases = ", ".join(repr(float(t)) for t in thetas.split(","))
     assert f"error: phases must be finite, got {phases}" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("dx", ["1e-300", "1e-19", "nan"])
@@ -679,7 +694,7 @@ def test_cli_tomo_refuses_a_dx_whose_bin_indices_leave_int64(tmp_path, capsys, d
     assert run_cli("tomo", str(path), "--dx", dx, "--out", str(out)) == EX_RUNTIME
     err = capsys.readouterr().err
     assert ("dx must be positive" if dx == "nan" else f"dx {dx} is too small") in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_cli_tomo_refuses_a_dx_whose_bin_grid_is_too_large(tmp_path, capsys):
@@ -689,7 +704,7 @@ def test_cli_tomo_refuses_a_dx_whose_bin_grid_is_too_large(tmp_path, capsys):
     assert run_cli("tomo", str(path), "--dx", "1e-15", "--out", str(out)) == EX_RUNTIME
     assert re.search(r"dx 1e-15 is too small for the samples: at theta 0\.0 their bins span "
                      r"a \d+ x \d+ grid", capsys.readouterr().err)
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("target_xi", ["nan", "inf", "1e308", "-1", "355", "354", "0.63"])
@@ -709,7 +724,7 @@ def test_cli_metrics_refuses_a_target_whose_amplitudes_are_not_finite(
     else:
         assert code == EX_RUNTIME
         assert "error: target xi must lie in [0, 354.89" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
 
 def test_cli_metrics_on_tmsv_file(tmp_path):
@@ -819,35 +834,60 @@ def test_cli_reproduce_fig3_is_pinned(tmp_path, scale, digest):
     assert hashlib.sha256(without_errors).hexdigest() == digest
 
 
+def preset_from(d):
+    """The preset that a reproduce manifest's "preset" object records."""
+    fields = {**d, "source": SqueezedVacuum(**d["source"]), "noise": NoiseModel(**d["noise"]),
+              "thetas": tuple(d["thetas"])}
+    if "tomography" in d:
+        fields["tomography"] = TomographyConfig(**d["tomography"])
+    return ExperimentPreset(**fields)
+
+
+@pytest.mark.parametrize("figure, scale", sorted(cli._SCALES))
+def test_cli_reproduce_manifest_records_the_preset_that_ran(tmp_path, monkeypatch, figure,
+                                                             scale):
+    # the manifest is written before the run: each run function here
+    # records the preset it is given and stops the run.  --seed replaces
+    # the preset's seed, which the manifest's preset object once kept at 0
+    ran = []
+
+    def record(preset, *args, **kwargs):
+        ran.append(preset)
+        raise RuntimeError("stopped after the manifest")
+
+    for name in ("run_fig3", "run_fig_s2", "run_fig_s3"):
+        monkeypatch.setattr(cli, name, record)
+    assert run_cli("reproduce", figure, "--scale", scale, "--seed", "5",
+                   "--out", str(tmp_path)) == EX_RUNTIME
+    manifest = json.loads((tmp_path / f"{figure}-seed5" / "manifest.json").read_text())
+    assert preset_from(manifest["preset"]) == ran[0]
+    assert manifest["seed"] == ran[0].seed == 5
+
+
 def test_cli_reproduce_smoke_manifest_describes_the_run(tmp_path):
     # the manifest's preset is the one that ran: rerunning it gives the
     # same fit, and the fig3 sweep drew its shot count
-    from tmsvlab.pipelines import ExperimentPreset, run_fig_s2, run_fig_s3
-
-    def preset_from(d):
-        return ExperimentPreset(**{**d, "source": SqueezedVacuum(**d["source"]),
-                                   "noise": NoiseModel(**d["noise"]),
-                                   "thetas": tuple(d["thetas"])})
+    from tmsvlab.pipelines import run_fig_s2, run_fig_s3
 
     assert run_cli("reproduce", "fig_s3", "--scale", "smoke", "--out", str(tmp_path)) == EX_OK
     rundir = tmp_path / "fig_s3-seed0"
     manifest = json.loads((rundir / "manifest.json").read_text())
     assert manifest["scale"] == "smoke" and manifest["seed"] == 0
     d = manifest["preset"]
-    assert (d["p_per_theta"], d["n_cut"], len(d["thetas"]), d["max_iter"]) == (30, 6, 9, 80)
-    preset = preset_from(d)
-    rerun = run_fig_s3(preset, seed=manifest["seed"])
+    assert (d["p_per_theta"], len(d["thetas"]), d["tomography"]) == \
+        (30, 9, {"dx": 0.25, "n_cut": 6, "max_iter": 80})
+    rerun = run_fig_s3(preset_from(d))
     assert_same_bits(tio.read_density_matrix(rundir / "rho_ml.json").entries,
                      rerun.ml.rho.entries)
 
-    # fig3: the manifest holds only what the sweep reads, and that rebuilds
-    # its table
+    # fig3: the manifest holds no tomography, and what the sweep reads
+    # rebuilds its table
     assert run_cli("reproduce", "fig3", "--scale", "smoke", "--out", str(tmp_path)) == EX_OK
     rundir = tmp_path / "fig3-seed0"
     manifest = json.loads((rundir / "manifest.json").read_text())
     assert manifest["scale"] == "smoke" and manifest["sweep"] == {"t_s": [0.0, 13e-3, 26e-3]}
     d = manifest["preset"]
-    assert sorted(d) == ["noise", "p_per_theta"] and d["p_per_theta"] == 400
+    assert "tomography" not in d and d["p_per_theta"] == 400
     rows = time_sweep(manifest["sweep"]["t_s"], NoiseModel(**d["noise"]), d["p_per_theta"],
                       seed=manifest["seed"])
     table = (rundir / "fig3_sweep.csv").read_text()
@@ -861,8 +901,7 @@ def test_cli_reproduce_smoke_manifest_describes_the_run(tmp_path):
     rundir = tmp_path / "fig_s2-seed0"
     manifest = json.loads((rundir / "manifest.json").read_text())
     d, sweep = manifest["preset"], manifest["sweep"]
-    preset = preset_from(d)
-    rows = run_fig_s2(preset, sweep["p_per_theta"], sweep["dx"], seed=manifest["seed"])
+    rows = run_fig_s2(preset_from(d), sweep["p_per_theta"], sweep["dx"])
     tio.write_csv_rows(tmp_path / "rerun.csv",
                        "p,dx,seed,fidelity,converged,iterations,gap",
                        [dataclasses.astuple(r) for r in rows])
@@ -949,18 +988,24 @@ def test_cli_tomo_records_config_and_input(tmp_path):
 #   paper/fig_s3-seed0 from 271e3d67... to f9a8d653... and tomo from
 #   ebce6942... to b71093f5...: bulk floats are written as orjson spells
 #   them (0.00001 for 1e-05, 1e16 for 1e+16), and every file still parses
-#   to the same bits
+#   to the same bits;
+# - the five reproduce manifests, fig3-seed0 from 6851a23e... to 8e583dea...,
+#   fig_s2-seed0 from 92d78526... to 940135c6..., fig_s3-seed0 from
+#   a19a1438... to 7c4f09e9..., paper/fig_s2-seed0 from fbdb85a1... to
+#   6bbe4ec4... and paper/fig_s3-seed0 from 685ec404... to 60a2bbfc...: the
+#   preset holds its tomography settings as a nested object, and fig3's
+#   records every field that is set (name, source, thetas and seed too)
 PINNED_OUTPUTS = {
     "fig3-seed0/fig3_sweep.csv":
         "b3b99cc78e5a533d64bb7a35b39be8b5a7fd604c9c2fc27c1f922961fb9bb650",
     "fig3-seed0/manifest.json":
-        "6851a23e62eefa146eb6793aee1a6c2808400d75e2c53886e5bbf26146585664",
+        "8e583dea45647774cbaeba4710d15612cbe0a7076818fbc9b0741e1d7be0f86c",
     "fig_s2-seed0/fig_s2_table.csv":
         "2f4a8d25c634ba85fa685f9fe71db4c5c2f8fe7541f23f4bb79be978e151580c",
     "fig_s2-seed0/manifest.json":
-        "92d785266ba47c2e2bdbdcd6757ad2fa3c1c60b83a097401bee51e328b15d3a2",
+        "940135c620f1ec924283137aed275b507ebbc30b530ebe4db9aae05f552030cd",
     "fig_s3-seed0/manifest.json":
-        "a19a14385efb65144abcbe1538c654b67ad1ede6308065688d8a9272fac57d44",
+        "7c4f09e9468acbb19070116095de3fbfbd39e5187fec48eb20dc42c409dffaa6",
     "fig_s3-seed0/metrics.json":
         "84bace60ba49dfa8fdcae4cc177c12dc0b8975c99b9ada004db9e53bb9449c73",
     "fig_s3-seed0/rho_ml.json":
@@ -978,9 +1023,9 @@ PINNED_OUTPUTS = {
     "paper/fig_s2-seed0/fig_s2_table.csv":
         "c08f4cc8335b170652ccf10cbab1f1a171758c615ef150918cf10630eac60b22",
     "paper/fig_s2-seed0/manifest.json":
-        "fbdb85a1f879a264b29a634a37548ee063854954b6a1f1a31ca735217a4c34a9",
+        "6bbe4ec4925283e76d5648b339ef1147da87a74ec5741c9684a0dd93a185d9bb",
     "paper/fig_s3-seed0/manifest.json":
-        "685ec4047769431cdc7d8a15a3405630d8657582258cb0d0c46679ddd3ae0067",
+        "60a2bbfccf19d7bea644b6709daeb418c508384c82712ec435897b26cadba113",
     "paper/fig_s3-seed0/metrics.json":
         "dbab3e6e3f2d8362749c8ad43e6cf4950a6482718d46a9953ec0fdfd2f40b7df",
     "paper/fig_s3-seed0/rho_ml.json":

@@ -3,9 +3,8 @@ import pytest
 
 from tmsvlab.fock import FockSpace, basis_state, number_distributions
 from tmsvlab.criteria import time_sweep
-from tmsvlab.states import (NOISELESS, NoiseModel, PHASE_NOISE_SIGMA, SqueezedVacuum,
-                            TruncationWarning, analytic_variances, noise_preset,
-                            phase_noisy_state, tmsv, tmsv_rotated,
+from tmsvlab.states import (NOISELESS, NoiseModel, SqueezedVacuum, TruncationWarning,
+                            analytic_variances, phase_noisy_state, tmsv, tmsv_rotated,
                             truncation_tail, OMEGA_SPIN_DYNAMICS, XI_MAX)
 
 OMEGA = 2 * np.pi * 5.1
@@ -152,15 +151,6 @@ def test_noise_model_validation_and_presets():
         for value in (-0.1, np.nan, np.inf):
             with pytest.raises(ValueError, match=field):
                 NoiseModel(**{field: value})
-    fig3 = noise_preset("fig3")
-    assert fig3.rf_rel_noise == pytest.approx(0.004)
-    assert fig3.sigma_phase == pytest.approx(PHASE_NOISE_SIGMA["dephasing"] / 2.0)
-    tomo = noise_preset("tomo")
-    assert tomo.sum_variance_shift == pytest.approx(0.12)
-    assert tomo.sigma_phase == 0.0
-    assert PHASE_NOISE_SIGMA["sweep"] == pytest.approx(0.044 * np.pi)
-    with pytest.raises(ValueError):
-        noise_preset("nope")
 
 
 def test_omega_constant():

@@ -361,11 +361,12 @@ def test_lbfgs_and_r_rho_r_fits_agree_within_the_certificate(case):
     # log L differ by at most LOGLIK_GAP; over fig_s3 seeds 0-5 the fidelity
     # to the truth spans 0.896-0.924, far wider than the 1e-3 allowed here
     preset = PRESETS["fig_s3" if case == "fig_s3 paper" else "fig_s2"]
-    p, dx = (preset.p_per_theta, preset.dx) if case == "fig_s3 paper" else (400, 0.1)
-    cfg = dataclasses.replace(preset, dx=dx).tomography_config()
+    p, dx = ((preset.p_per_theta, preset.tomography.dx) if case == "fig_s3 paper"
+             else (400, 0.1))
+    cfg = dataclasses.replace(preset.tomography, dx=dx)
     hists = bin_samples(sample_quadratures(preset.source, preset.thetas, p, preset.noise,
                                            seed=0), dx)
-    truth = preset.source.density(FockSpace(preset.n_cut))
+    truth = preset.source.density(FockSpace(cfg.n_cut))
     fit = ml_reconstruct(hists, cfg)
     ref = fixed_point.r_rho_r_fit(hists, cfg)
     assert fit.converged and ref.converged
