@@ -11,21 +11,17 @@ Shots travel in columnar batches, one array element per shot:
 :class:`Shots` the atom counts (n_a, n_b, n_tot).  Both are frozen and
 validated as a whole on construction.
 
-There is one sampling path and one readout path.  For each shot the
-sampler draws the angle jitter, asks the source for an (x_a, x_b) pair at
-the jittered angle through the source's ``draw(theta, delta, rng)``
-method, and adds the common-mode sum shift; every phase draws its shots in
-one loop, from its own generator stream, so group order cannot change the
-result and sampling is deterministic given (seed, theta index).  Count
-records take those same draws, add the transfer jitter, invert the
-estimators to counts once, and redraw from the phase's stream the shots
-whose counts leave [0, N_tot].  Every shipped source is a
-:class:`~tmsvlab.states.SqueezedVacuum`, which is Gaussian (a Gaussian
-mixture when its pair phase is dephased) and draws each shot from its
-exact covariance at the shot's own angle, with no Fock space, grid or
-occupation cutoff.  The test suite keeps a gridded inverse-CDF sampler of
-an arbitrary Fock-space density matrix, with the same ``draw`` method, as
-a reference.
+There is one sampling path and one readout path, both in place.  Each
+phase draws from its own generator stream, so group order cannot change
+the result and sampling is deterministic given (seed, theta index): the
+angle jitter, the pair at the jittered angle, which the source's
+``draw(theta, delta, rng, x_a, x_b)`` writes into the phase's rows of the
+result columns, and the common-mode sum shift.  Count records invert those
+draws, transfer jitter added, into the count columns through a few
+phase-long scratch rows, and redraw the shots whose counts leave
+[0, N_tot].  Every shipped source is a Gaussian
+:class:`~tmsvlab.states.SqueezedVacuum`, drawn from its exact covariance
+at each shot's own angle, with no Fock space, grid or occupation cutoff.
 """
 
 import math
@@ -81,12 +77,34 @@ DEFAULT_READOUT = Readout(s2=0.15000000000000005, rabi_asymmetry=0.0337110410566
 class _Batch:
     """Equal-length, read-only 1-D columns, one element per shot.  len() is
     the shot count; indexing by a slice or an index array returns a batch
-    of the same type."""
+    of the same type.  A column given as an owned (``base is None``),
+    C-contiguous array of its dtype is kept and made read-only once the
+    batch is valid (a view of it that the caller holds can still write to
+    it); any other input is copied."""
 
-    def _set_columns(self, columns: list[np.ndarray]) -> None:
+    def _adopt(self, dtype) -> list[np.ndarray]:
+        """The fields as columns of dtype, kept or copied."""
+        columns = []
+        for f in fields(self):
+            values = np.asarray(getattr(self, f.name))
+            if values.dtype == object:  # numbers held as objects, typed by their values
+                values = np.array(values.tolist())
+            if dtype == np.int64 and values.dtype.kind == "f":
+                exact = (np.trunc(values) == values) & (np.abs(values) < 2.0 ** 63)
+                if not exact.all():
+                    raise ValueError(
+                        f"row {int(np.argmin(exact))}: {f.name} is not an integer count")
+            kept = values.dtype == dtype and values.base is None and values.flags.c_contiguous
+            columns.append(values if kept else values.astype(dtype))
+        return self._one_length(columns)
+
+    def _one_length(self, columns: list[np.ndarray]) -> list[np.ndarray]:
         if any(np.ndim(c) != 1 or len(c) != len(columns[0]) for c in columns):
             raise ValueError(f"{type(self).__name__} columns must be 1-D arrays of one length")
-        for f, column in zip(fields(self), columns):
+        return columns
+
+    def _set_columns(self, columns: list[np.ndarray]) -> None:
+        for f, column in zip(fields(self), self._one_length(columns)):
             column.setflags(write=False)
             object.__setattr__(self, f.name, column)
 
@@ -103,8 +121,9 @@ class _Batch:
 class Shots(_Batch):
     """Homodyne shots as counts in the two signal modes and the total.
 
-    Every count is nonnegative, n_tot is positive and n_a + n_b <= n_tot;
-    a violation names the first offending shot by its 0-based row.
+    Every count is an integer that int64 holds, nonnegative, n_tot is
+    positive and n_a + n_b <= n_tot; a violation names the first offending
+    shot by its 0-based row (and a float that is no such integer its column).
     """
 
     n_a: np.ndarray
@@ -112,19 +131,22 @@ class Shots(_Batch):
     n_tot: np.ndarray
 
     def __post_init__(self):
-        self._set_columns([np.array(c, dtype=np.int64) for c in (self.n_a, self.n_b, self.n_tot)])
-        negative = (self.n_a < 0) | (self.n_b < 0) | (self.n_tot <= 0)
-        bad = negative | (self.n_a + self.n_b > self.n_tot)
+        n_a, n_b, n_tot = columns = self._adopt(np.int64)
+        negative = (n_a < 0) | (n_b < 0) | (n_tot <= 0)
+        bad = negative | (n_a > n_tot - n_b)  # cannot overflow where counts are nonnegative
         if bad.any():
             row = int(np.argmax(bad))
             problem = ("counts must be nonnegative and n_tot positive" if negative[row]
                        else "n_a + n_b exceeds n_tot")
             raise ValueError(f"row {row}: {problem}")
+        self._set_columns(columns)
 
 
 @dataclass(frozen=True, eq=False)
 class Samples(_Batch):
-    """Homodyne shots as quadrature values at phase theta, stored mod 2 pi.
+    """Homodyne shots as quadrature values at phase theta, stored mod 2 pi;
+    a theta column with any value outside [0, 2 pi) is stored reduced in a
+    new array, so the caller's is never changed.
 
     Every value is finite; a NaN or infinity names its column and the
     first offending shot by its 0-based row.
@@ -135,13 +157,14 @@ class Samples(_Batch):
     x_b: np.ndarray
 
     def __post_init__(self):
-        columns = [np.asarray(self.theta, dtype=np.float64),
-                   np.array(self.x_a, dtype=np.float64), np.array(self.x_b, dtype=np.float64)]
-        for name, column in zip(("theta", "x_a", "x_b"), columns):
+        columns = self._adopt(np.float64)
+        for f, column in zip(fields(self), columns):
             finite = np.isfinite(column)
             if not finite.all():
-                raise ValueError(f"row {int(np.argmin(finite))}: {name} is not finite")
-        self._set_columns([np.mod(columns[0], 2.0 * np.pi), *columns[1:]])
+                raise ValueError(f"row {int(np.argmin(finite))}: {f.name} is not finite")
+        if np.signbit(columns[0]).any() or (columns[0] >= 2.0 * np.pi).any():
+            columns[0] = np.mod(columns[0], 2.0 * np.pi)  # a new array: the caller's stays
+        self._set_columns(columns)
 
 
 def estimate_quadratures(shots: Shots, config: Readout) -> tuple[np.ndarray, np.ndarray]:
@@ -157,42 +180,74 @@ def estimate_quadratures(shots: Shots, config: Readout) -> tuple[np.ndarray, np.
     return diff, total
 
 
-def _seed_list(seed) -> list[int]:
-    if isinstance(seed, (int, np.integer)):
-        return [int(seed)]
-    return [int(s) for s in seed]
-
-
-def _draw_group(source: SqueezedVacuum, theta: float, n: int, noise: NoiseModel,
-                rng: np.random.Generator):
-    """Draw n (x_a, x_b) pairs at nominal angle theta with phase jitter and
-    common-mode sum shift applied."""
+def _draw_group(source: SqueezedVacuum, theta: float, noise: NoiseModel,
+                rng: np.random.Generator, x_a, x_b, jitter) -> None:
+    """Fill x_a and x_b with pairs drawn at nominal angle theta, phase
+    jitter and common-mode sum shift applied; jitter is scratch as long."""
     if noise.sigma_phase > 0.0:
-        delta = rng.normal(0.0, noise.sigma_phase, n)
+        np.multiply(rng.standard_normal(out=jitter), noise.sigma_phase, out=jitter)
     else:
-        delta = np.zeros(n)
-    x_a, x_b = source.draw(theta, delta, rng)
+        jitter.fill(0.0)
+    source.draw(theta, jitter, rng, x_a, x_b)
     if noise.sum_variance_shift > 0.0:
-        g = rng.normal(0.0, math.sqrt(noise.sum_variance_shift), n)
-        x_a = x_a + g / 2.0
-        x_b = x_b + g / 2.0
-    return x_a, x_b
+        g = np.multiply(rng.standard_normal(out=jitter), math.sqrt(noise.sum_variance_shift),
+                        out=jitter)
+        x_a += np.divide(g, 2.0, out=g)
+        x_b += g
 
 
-def _draw(source: SqueezedVacuum, thetas: np.ndarray, p_per_theta: int, noise: NoiseModel,
-          seed) -> tuple[list[np.random.Generator], np.ndarray, np.ndarray]:
-    """p_per_theta (x_a, x_b) pairs at each nominal angle, one row per
-    angle, and each angle's generator, seeded (seed, angle index), for
-    further draws of that angle."""
+def _readout(source: SqueezedVacuum, config: Readout | None, noise: NoiseModel,
+             thetas: np.ndarray, p_per_theta: int, seed):
+    """Columns x_a and x_b of p_per_theta shots per angle, each angle drawn
+    from its generator seeded (seed, angle index), and given a config the
+    Shots that realize them; a shot that no counts can realize is redrawn."""
     if p_per_theta < 1:
         raise ValueError("p_per_theta must be >= 1")
-    base = _seed_list(seed)
-    rngs = [np.random.default_rng(base + [i]) for i in range(thetas.size)]
-    x_a = np.empty((thetas.size, p_per_theta))
-    x_b = np.empty_like(x_a)
-    for i, (theta, rng) in enumerate(zip(thetas.tolist(), rngs)):
-        x_a[i], x_b[i] = _draw_group(source, theta, p_per_theta, noise, rng)
-    return rngs, x_a, x_b
+    base = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
+    size = thetas.size * p_per_theta
+    x_a, x_b, jitter = np.empty(size), np.empty(size), np.empty(p_per_theta)
+    if config is not None:
+        n_a, n_b = np.empty(size, np.int64), np.empty(size, np.int64)
+        # the transfer fractions, and two terms of the inversion, which also uses
+        # jitter's row; three arrays, as one block, once freed, raised the peak of
+        # a later read in the same process
+        s2_act, *terms = (np.empty(p_per_theta) for _ in range(3))
+    for i, theta in enumerate(thetas.tolist()):
+        rng = np.random.default_rng(base + [i])
+        rows = slice(i * p_per_theta, (i + 1) * p_per_theta)
+        quads_a, quads_b = x_a[rows], x_b[rows]
+        _draw_group(source, theta, noise, rng, quads_a, quads_b, jitter)
+        if config is None:
+            continue
+        s2_act.fill(0.0)
+        if noise.rf_rel_noise > 0.0:
+            np.random.default_rng(base + [i, 7]).standard_normal(out=s2_act)
+            s2_act *= noise.rf_rel_noise
+        np.multiply(np.add(s2_act, 1.0, out=s2_act), config.s2, out=s2_act)
+        outside = np.count_nonzero(~((s2_act > 1e-12) & (s2_act < 1.0 - 1e-12)))
+        if outside:
+            raise ValueError(
+                f"rf_rel_noise={noise.rf_rel_noise!r} puts the transfer fraction of {outside} "
+                f"of {p_per_theta} shots at theta={theta:.4f} outside (1e-12, 1 - 1e-12)")
+        counts = (n_a[rows], n_b[rows])
+        pending = slice(None)  # the first round inverts the phase's rows in place
+        for _round in range(_MAX_RESAMPLE_ROUNDS):
+            got = [c[pending] for c in counts]
+            failed = _invert_counts(quads_a[pending], quads_b[pending], s2_act[pending], config,
+                                    *got, (jitter, *terms))
+            counts[0][pending], counts[1][pending] = got
+            pending = failed if _round == 0 else pending[failed]
+            if pending.size == 0:
+                break
+            redrawn = np.empty((2, pending.size))
+            _draw_group(source, theta, noise, rng, *redrawn, jitter[:pending.size])
+            quads_a[pending], quads_b[pending] = redrawn
+        else:
+            raise CountBoundsError(
+                f"{pending.size} shots at theta={theta:.4f} still outside [0, {config.n_tot}] "
+                f"after {_MAX_RESAMPLE_ROUNDS} redraws")
+    jitter = s2_act = terms = None  # let the scratch go before the Shots checks
+    return x_a, x_b, None if config is None else Shots(n_a, n_b, np.full(size, config.n_tot))
 
 
 def sample_quadratures(source: SqueezedVacuum, thetas, p_per_theta: int,
@@ -205,74 +260,45 @@ def sample_quadratures(source: SqueezedVacuum, thetas, p_per_theta: int,
     sum_variance_shift.  Shots are recorded under the nominal angle.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
-    _, x_a, x_b = _draw(source, thetas, p_per_theta, noise, seed)
-    return Samples(np.repeat(thetas, p_per_theta), x_a.ravel(), x_b.ravel())
+    x_a, x_b, _ = _readout(source, None, noise, thetas, p_per_theta, seed)
+    return Samples(np.repeat(thetas, p_per_theta), x_a, x_b)
 
 
-def _invert_counts(x_a, x_b, s2, config: Readout):
-    """Counts realizing the quadratures at transfer fraction s2, and the
-    mask of shots whose counts lie in [0, N_tot].
+def _invert_counts(x_a, x_b, s2, config: Readout, n_a, n_b, scratch) -> np.ndarray:
+    """Write into n_a and n_b the counts that realize the quadratures at
+    transfer fractions s2, working in scratch, three float64 rows at least
+    as long; returns the indices of the shots outside [0, N_tot].
 
     The estimators of :func:`estimate_quadratures` are inverted: the count
     sum is rounded to the nearest integer and the count difference to the
-    nearest integer of the same parity, so both counts are integers and
-    the recovered difference quadrature is off by at most
-    1/sqrt(s^2 N_tot).  Both are first clamped to just past the counts a
-    shot can have, NaN to the lower end, so that a shot too far out for
-    int64 fails the mask instead of wrapping into it.
+    nearest integer of the same parity, so the recovered difference
+    quadrature is off by at most 1/sqrt(s^2 N_tot).  Both are first clamped
+    to just past the counts a shot can have, NaN to the lower end, so that
+    a shot too far out for int64 fails instead of wrapping into bounds.
     """
-    n_tot = config.n_tot
-    sum_real = s2 * n_tot + (x_a + x_b) * np.sqrt(s2 * (1.0 - s2) * n_tot)
-    diff_real = (x_a - x_b) * np.sqrt(s2 * n_tot) + s2 * config.rabi_asymmetry * n_tot / 2.0
+    n_tot, n = config.n_tot, x_a.size
+    f, sum_real, diff_real = (row[:n] for row in scratch)
+    # sum_real = s2 N + (x_a + x_b) sqrt(s2 (1 - s2) N)
+    np.sqrt(np.multiply(np.multiply(np.subtract(1.0, s2, out=f), s2, out=f), n_tot, out=f), out=f)
+    np.multiply(np.add(x_a, x_b, out=sum_real), f, out=sum_real)
+    sum_real += np.multiply(s2, n_tot, out=f)
+    # diff_real = (x_a - x_b) sqrt(s2 N) + s2 a N / 2
+    np.multiply(np.subtract(x_a, x_b, out=diff_real), np.sqrt(f, out=f), out=diff_real)
+    np.multiply(np.multiply(s2, config.rabi_asymmetry, out=f), n_tot, out=f)
+    diff_real += np.divide(f, 2.0, out=f)
     np.fmin(np.fmax(sum_real, -1.0, out=sum_real), n_tot + 1.0, out=sum_real)
     np.fmin(np.fmax(diff_real, -(n_tot + 2.0), out=diff_real), n_tot + 2.0, out=diff_real)
-    total = np.rint(sum_real).astype(np.int64)
-    diff = np.rint(diff_real).astype(np.int64)
-    parity_off = (diff - total) % 2 != 0
-    step = np.where(diff_real >= diff, 1, -1)
-    diff = np.where(parity_off, diff + step, diff)
-    n_a = (total + diff) // 2
-    n_b = (total - diff) // 2
-    return n_a, n_b, (n_a >= 0) & (n_b >= 0) & (n_a + n_b <= n_tot)
-
-
-def _readout(source: SqueezedVacuum, config: Readout, noise: NoiseModel,
-             thetas: np.ndarray, p_per_theta: int, seed) -> tuple[np.ndarray, np.ndarray, Shots]:
-    """The quadratures (x_a, x_b) of every shot and its count record; a shot
-    whose counts leave [0, N_tot] is redrawn from its angle's generator."""
-    rngs, x_a, x_b = _draw(source, thetas, p_per_theta, noise, seed)
-    base = _seed_list(seed)
-    n_tot = config.n_tot
-    n_a = np.empty(x_a.shape, dtype=np.int64)
-    n_b = np.empty_like(n_a)
-    for i, (theta, rng) in enumerate(zip(thetas.tolist(), rngs)):
-        if noise.rf_rel_noise > 0.0:
-            eps = np.random.default_rng(base + [i, 7]).normal(0.0, noise.rf_rel_noise,
-                                                              p_per_theta)
-        else:
-            eps = np.zeros(p_per_theta)
-        s2_act = config.s2 * (1.0 + eps)
-        outside = np.count_nonzero(~((s2_act > 1e-12) & (s2_act < 1.0 - 1e-12)))
-        if outside:
-            raise ValueError(
-                f"rf_rel_noise={noise.rf_rel_noise!r} puts the transfer fraction of {outside} "
-                f"of {p_per_theta} shots at theta={theta:.4f} outside (1e-12, 1 - 1e-12)")
-        pending = np.arange(p_per_theta)
-        for _round in range(_MAX_RESAMPLE_ROUNDS):
-            cand_a, cand_b, ok = _invert_counts(x_a[i, pending], x_b[i, pending],
-                                                s2_act[pending], config)
-            n_a[i, pending[ok]] = cand_a[ok]
-            n_b[i, pending[ok]] = cand_b[ok]
-            pending = pending[~ok]
-            if pending.size == 0:
-                break
-            x_a[i, pending], x_b[i, pending] = _draw_group(source, theta, pending.size,
-                                                           noise, rng)
-        else:
-            raise CountBoundsError(
-                f"{pending.size} shots at theta={theta:.4f} still outside [0, {n_tot}] "
-                f"after {_MAX_RESAMPLE_ROUNDS} redraws")
-    return x_a.ravel(), x_b.ravel(), Shots(n_a.ravel(), n_b.ravel(), np.full(n_a.size, n_tot))
+    # the integer terms: the sum in n_b, the difference in n_a, steps in f's row
+    total, diff, step = n_b, n_a, f.view(np.int64)
+    np.rint(sum_real, out=total, casting="unsafe")
+    np.rint(diff_real, out=diff, casting="unsafe")
+    # a difference of the sum's other parity steps by one toward diff_real
+    np.remainder(np.subtract(diff, total, out=step), 2, out=step)
+    diff += np.negative(step, out=step, where=np.less(diff_real, diff))
+    np.add(total, diff, out=step)
+    np.floor_divide(np.subtract(total, diff, out=n_b), 2, out=n_b)
+    np.floor_divide(step, 2, out=n_a)
+    return np.flatnonzero((n_a < 0) | (n_b < 0) | (np.add(n_a, n_b, out=step) > n_tot))
 
 
 def simulate_shots(source: SqueezedVacuum, config: Readout, noise: NoiseModel,

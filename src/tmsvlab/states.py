@@ -163,25 +163,38 @@ class SqueezedVacuum:
         return rotate_state(phase_noisy_state(self.xi, self.pair_phase_sigma, space),
                             self.pair_phase / 2.0)
 
-    def pair_variances(self, u) -> tuple[np.ndarray, np.ndarray]:
+    def pair_variances(self, u, out=None) -> tuple[np.ndarray, np.ndarray]:
         """Var(x_A + x_B) and Var(x_A - x_B) at rotation angle(s) u:
-        cosh 2xi +- sinh 2xi cos(2u - phi)."""
+        cosh 2xi +- sinh 2xi cos(2u - phi).  Given out, a pair of arrays
+        shaped like the array u, they are written there and u is overwritten."""
+        if out is None:
+            u = np.array(u, dtype=np.float64)
+            out = np.empty_like(u), np.empty_like(u)
         base = np.cosh(2.0 * self.xi)
-        swing = np.sinh(2.0 * self.xi) * np.cos(2.0 * np.asarray(u) - self.pair_phase)
-        return base + swing, base - swing
+        swing = np.cos(np.subtract(np.multiply(u, 2.0, out=u), self.pair_phase, out=u), out=u)
+        swing *= np.sinh(2.0 * self.xi)
+        return np.add(swing, base, out=out[0]), np.subtract(base, swing, out=out[1])
 
-    def draw(self, theta: float, delta: np.ndarray, rng: np.random.Generator):
-        """One (x_a, x_b) pair per measurement angle theta + delta, with
-        x_A + x_B and x_A - x_B drawn as independent normals.  When the
-        pair phase is dephased, each shot first draws its own pair-phase
-        offset phi, which acts as the angle shift -phi / 2."""
-        u = theta + delta
+    def draw(self, theta: float, delta: np.ndarray, rng: np.random.Generator,
+             x_a: np.ndarray, x_b: np.ndarray) -> None:
+        """Fill x_a and x_b with one pair per measurement angle theta +
+        delta, with x_A + x_B and x_A - x_B drawn as independent normals.
+        When the pair phase is dephased, each shot first draws its own
+        pair-phase offset phi, which acts as the angle shift -phi / 2.  No
+        array is allocated: delta holds the angles and then the normals, and
+        x_a and x_b the variances and then the pair."""
+        u = np.add(delta, theta, out=delta)
         if self.pair_phase_sigma > 0.0:
-            u = u - rng.normal(0.0, self.pair_phase_sigma, delta.size) / 2.0
-        v_plus, v_minus = self.pair_variances(u)
-        q_sum = rng.standard_normal(delta.size) * np.sqrt(v_plus)
-        q_diff = rng.standard_normal(delta.size) * np.sqrt(v_minus)
-        return (q_sum + q_diff) / 2.0, (q_sum - q_diff) / 2.0
+            phi = np.multiply(rng.standard_normal(out=x_a), self.pair_phase_sigma, out=x_a)
+            u -= np.divide(phi, 2.0, out=phi)
+        v_plus, v_minus = self.pair_variances(u, out=(x_a, x_b))
+        normal = delta
+        q_sum = np.multiply(rng.standard_normal(out=normal), np.sqrt(v_plus, out=v_plus), out=x_a)
+        q_diff = np.multiply(rng.standard_normal(out=normal), np.sqrt(v_minus, out=v_minus),
+                             out=x_b)
+        np.subtract(q_sum, q_diff, out=normal)
+        np.divide(np.add(q_sum, q_diff, out=q_sum), 2.0, out=q_sum)
+        np.divide(normal, 2.0, out=q_diff)
 
 
 @dataclass(frozen=True)

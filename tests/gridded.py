@@ -2,7 +2,7 @@
 
 :class:`Gridded` wraps a :class:`~tmsvlab.fock.DensityMatrix` as a source
 of :func:`tmsvlab.homodyne.sample_quadratures` and
-:func:`~tmsvlab.homodyne.simulate_shots`: its ``draw(theta, delta, rng)``
+:func:`~tmsvlab.homodyne.simulate_shots`: its ``draw(theta, delta, rng, x_a, x_b)``
 evaluates the state's joint quadrature density on a grid and samples it by
 inverse CDF (marginal in x_a, then the conditional), with the angle jitter
 quantized to :data:`PHASE_JITTER_STEP`.  Its draws, and so every pinned
@@ -184,12 +184,12 @@ class Gridded:
         self.psi_b = hermite_functions(state.space.n_cut, self.grid.x_b)
         self.eig = _state_eig(state)
 
-    def draw(self, theta: float, delta: np.ndarray, rng: np.random.Generator):
-        """One (x_a, x_b) pair per angle theta + delta, delta quantized to
-        PHASE_JITTER_STEP so that shots sharing a step share a density."""
+    def draw(self, theta: float, delta: np.ndarray, rng: np.random.Generator,
+             x_a: np.ndarray, x_b: np.ndarray) -> None:
+        """Fill x_a and x_b with one pair per angle theta + delta, delta
+        quantized to PHASE_JITTER_STEP so that shots sharing a step share a
+        density."""
         grid = self.grid
-        x_a = np.empty(delta.size)
-        x_b = np.empty(delta.size)
         dq = np.round(delta / PHASE_JITTER_STEP) * PHASE_JITTER_STEP
         for val in np.unique(dq):
             idx = np.flatnonzero(dq == val)
@@ -197,4 +197,3 @@ class Gridded:
                                  self.psi_a, self.psi_b)
             x_a[idx], x_b[idx] = _JointSampler(_supported(dens, grid, theta + val),
                                                grid).draw(rng, idx.size)
-        return x_a, x_b

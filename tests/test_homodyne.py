@@ -14,12 +14,23 @@ from tmsvlab.pipelines import PRESETS
 from tmsvlab.states import (NOISELESS, NoiseModel, SqueezedVacuum, phase_noisy_state, tmsv,
                             tmsv_rotated, truncation_tail)
 
-from conftest import assert_same_batch, assert_within_se
+import reference_readout
+from conftest import assert_same_batch, assert_within_se, traced_peak_mb
 from gridded import Gridded, GridSupportError, QuadGrid, grid_mass, quad_pdf
 
 
 def var_se(v, n):
     return v * np.sqrt(2.0 / (n - 1))
+
+
+def invert(x_a, x_b, config):
+    """The library's count inversion at config.s2: the counts and the mask
+    of shots whose counts lie in [0, N_tot]."""
+    n_a, n_b = np.empty((2, x_a.size), dtype=np.int64)
+    ok = np.ones(x_a.size, dtype=bool)
+    ok[_invert_counts(x_a, x_b, np.full(x_a.size, config.s2), config, n_a, n_b,
+                      np.empty((3, x_a.size)))] = False
+    return n_a, n_b, ok
 
 
 # ------------------------------------------------------------------ readout
@@ -218,7 +229,7 @@ def test_sample_requires_positive_count(vacuum10):
 
 def test_counts_for_zero_quadratures():
     cfg = Readout(S2_EQUAL_RABI, 0.0, 20000.0)
-    n_a, n_b, ok = _invert_counts(np.zeros(3), np.zeros(3), cfg.s2, cfg)
+    n_a, n_b, ok = invert(np.zeros(3), np.zeros(3), cfg)
     assert np.all(ok)
     assert np.all(n_a == n_b)
     assert np.all(n_a + n_b == round(0.15 * 20000))
@@ -230,7 +241,7 @@ def test_counts_out_of_bounds_are_flagged():
     cfg = Readout(S2_EQUAL_RABI, 0.0, 25.0)
     x_a = np.array([-40.0, 0.0, 1e25, -1e153, 1e153, np.inf, -np.inf, np.nan, 0.0])
     x_b = np.array([-40.0, 0.0, 1e25, 0.0, -1e153, 0.0, 0.0, 0.0, np.nan])
-    _, _, ok = _invert_counts(x_a, x_b, cfg.s2, cfg)
+    _, _, ok = invert(x_a, x_b, cfg)
     assert ok.tolist() == [False, True] + [False] * 7
 
 
@@ -247,9 +258,15 @@ def test_shot_record_validation():
     (2, (0, 0, 0), "n_tot positive"),
     (3, (0, 0, -5), "n_tot positive"),
     (1, (6, 5, 10), "exceeds n_tot"),
+    (2, (2 ** 62, 2 ** 62, 10), "exceeds n_tot"),  # n_a + n_b wraps in int64
+    (3, (1.5, 0.9, 10), "n_a is not an integer count"),  # the cast would truncate
+    (1, (0.0, np.nan, 10.0), "n_b is not an integer count"),
+    (0, (0.0, 0.0, 2.0 ** 63), "n_tot is not an integer count"),
+    (3, np.array([1.5, 0, 10], dtype=object), "n_a is not an integer count"),
 ])
 def test_shots_reject_each_bad_record_and_name_its_row(row, record, message):
-    counts = np.array([(1, 2, 10)] * 5)
+    # integer records in an int64 table, the others in a float64 or object one
+    counts = np.array([(1, 2, 10)] * 5, dtype=np.array(record).dtype)
     counts[row] = record
     counts[4] = (-1, 0, 0)  # a later bad row is not the one reported
     with pytest.raises(ValueError, match=f"^row {row}: .*{message}"):
@@ -448,7 +465,7 @@ def test_simulate_readout_samples_are_the_quadratures_of_the_shots():
     source, thetas, n = SqueezedVacuum(1.2), [THETA_X_LIKE, 0.4], 2000
     samples, shots = simulate_readout(source, cfg, NOISELESS, thetas, n, seed=5)
     assert_same_batch(shots, simulate_shots(source, cfg, NOISELESS, thetas, n, seed=5))
-    n_a, n_b, ok = _invert_counts(samples.x_a, samples.x_b, cfg.s2, cfg)
+    n_a, n_b, ok = invert(samples.x_a, samples.x_b, cfg)
     assert np.all(ok)
     assert np.array_equal(n_a, shots.n_a) and np.array_equal(n_b, shots.n_b)
     first = sample_quadratures(source, thetas, n, NOISELESS, seed=5)
@@ -456,7 +473,7 @@ def test_simulate_readout_samples_are_the_quadratures_of_the_shots():
     redrawn = (samples.x_a != first.x_a) | (samples.x_b != first.x_b)
     assert 0 < redrawn.sum() < 0.1 * len(samples)
     # exactly the first draws without valid counts were replaced
-    _, _, ok = _invert_counts(first.x_a, first.x_b, cfg.s2, cfg)
+    _, _, ok = invert(first.x_a, first.x_b, cfg)
     assert np.array_equal(redrawn, ~ok)
 
 
@@ -477,9 +494,146 @@ def test_simulate_shots_matches_the_count_inversion():
     source = SqueezedVacuum(0.63)
     samples = sample_quadratures(source, [0.7], 500, NoiseModel(sigma_phase=0.1), seed=8)
     shots = simulate_shots(source, cfg, NoiseModel(sigma_phase=0.1), [0.7], 500, seed=8)
-    n_a, n_b, ok = _invert_counts(samples.x_a, samples.x_b, cfg.s2, cfg)
+    n_a, n_b, ok = invert(samples.x_a, samples.x_b, cfg)
     assert np.all(ok)
     assert np.array_equal(shots.n_a, n_a) and np.array_equal(shots.n_b, n_b)
+
+
+P_ODD = 17_385  # an odd shot count, so no phase is a power-of-two length
+S2_SMALL_N0 = Readout(S2_EQUAL_RABI, 0.0, 200.0)  # a few % of the shots are redrawn
+READOUT_CASES = {
+    "noiseless": (SqueezedVacuum(0.8, np.pi / 2), DEFAULT_READOUT, NOISELESS),
+    "sigma_phase": (SqueezedVacuum(0.8), DEFAULT_READOUT, NoiseModel(sigma_phase=0.18)),
+    "rf_rel_noise": (SqueezedVacuum(0.8), DEFAULT_READOUT, NoiseModel(rf_rel_noise=0.004)),
+    "sum_variance_shift": (SqueezedVacuum(0.8), DEFAULT_READOUT,
+                           NoiseModel(sum_variance_shift=0.12)),
+    "dephased source": (SqueezedVacuum(0.63, 0.4, 0.36), DEFAULT_READOUT, NOISELESS),
+    "all combined": (SqueezedVacuum(0.63, 0.4, 0.36), DEFAULT_READOUT,
+                     NoiseModel(sigma_phase=0.18, rf_rel_noise=0.004, sum_variance_shift=0.12)),
+    "redraws": (SqueezedVacuum(1.2), S2_SMALL_N0, NOISELESS),
+    "redraws, all combined": (SqueezedVacuum(1.2, 0.4, 0.36), S2_SMALL_N0,
+                              NoiseModel(sigma_phase=0.18, rf_rel_noise=0.004,
+                                         sum_variance_shift=0.12)),
+}
+
+
+@pytest.mark.parametrize("case", READOUT_CASES)
+def test_readout_matches_the_allocating_reference_bit_for_bit(case):
+    # the in-place draw and count inversion against the former readout,
+    # which built every term as a new array; both use the same seeds
+    source, cfg, noise = READOUT_CASES[case]
+    thetas = [THETA_X_LIKE, 0.4, 2.9]
+    samples, shots = simulate_readout(source, cfg, noise, thetas, P_ODD, seed=[3, 1])
+    ref_samples, ref_shots = reference_readout.simulate_readout(source, cfg, noise, thetas, P_ODD,
+                                                                seed=[3, 1])
+    assert_same_batch(samples, ref_samples)
+    assert_same_batch(shots, ref_shots)
+    assert_same_batch(simulate_shots(source, cfg, noise, thetas, P_ODD, seed=[3, 1]),
+                      ref_shots)
+    assert_same_batch(sample_quadratures(source, thetas, 300, noise, seed=4),
+                      reference_readout.sample_quadratures(source, thetas, 300, noise, seed=4))
+    if case.startswith("redraws"):
+        first = sample_quadratures(source, thetas, P_ODD, noise, seed=[3, 1])
+        assert not np.array_equal(samples.x_a, first.x_a)
+
+
+def test_readout_of_a_reference_source_matches_the_allocating_reference():
+    # a gridded source, with every noise and redraws, through both readouts
+    source = Gridded(tmsv_rotated(0.8, 0.0, FockSpace(10)).projector())
+    noise = NoiseModel(sigma_phase=0.05, rf_rel_noise=0.004, sum_variance_shift=0.12)
+    got = simulate_readout(source, S2_SMALL_N0, noise, [0.3, 1.9], 700, seed=[4, 2])
+    want = reference_readout.simulate_readout(source, S2_SMALL_N0, noise, [0.3, 1.9], 700,
+                                              seed=[4, 2])
+    for a, b in zip(got, want):
+        assert_same_batch(a, b)
+
+
+def test_count_inversion_matches_the_allocating_reference():
+    # shots at jittered transfer fractions, shots whose difference lands
+    # exactly on an integer of either parity (here s2 N = 100, so sqrt(s2 N)
+    # = 10 and x_a - x_b = j / 2 gives 5 j), and shots past the bounds; the
+    # scratch rows are longer than the shots, as in a redraw round
+    rng = np.random.default_rng(9)
+    cfg = Readout(0.25, 0.0, 400.0)
+    n = 16_461
+    x_a, x_b = rng.normal(0.0, 3.0, (2, n))
+    s2 = cfg.s2 * (1.0 + rng.normal(0.0, 0.004, n))
+    j = np.arange(-40, 41)
+    x_a[:j.size], x_b[:j.size], s2[:j.size] = j / 4.0, -j / 4.0, cfg.s2
+    x_a[-6:] = [np.inf, -np.inf, np.nan, 1e25, -1e153, 0.0]
+    n_a, n_b = np.empty((2, n), dtype=np.int64)
+    failed = _invert_counts(x_a, x_b, s2, cfg, n_a, n_b, np.empty((3, n + 9)))
+    ref_a, ref_b, ok = reference_readout.invert_counts(x_a, x_b, s2, cfg)
+    assert 0 < failed.size < n and np.array_equal(failed, np.flatnonzero(~ok))
+    assert np.array_equal(n_a[ok], ref_a[ok]) and np.array_equal(n_b[ok], ref_b[ok])
+
+
+def test_readout_raises_the_allocating_reference_count_bounds_error():
+    # at xi = 6 almost no shot has counts in [0, 200]; both readouts give up
+    # after the same rounds, with the same message
+    args = (SqueezedVacuum(6.0), S2_SMALL_N0, NOISELESS, [THETA_X_LIKE], 100)
+    with pytest.raises(CountBoundsError) as got:
+        simulate_readout(*args, seed=5)
+    with pytest.raises(CountBoundsError) as want:
+        reference_readout.simulate_readout(*args, seed=5)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).endswith("after 20 redraws")
+
+
+def test_readout_of_two_100k_phases_stays_within_its_memory_bound():
+    # tracemalloc peak of simulate_readout on the files batch (2 x 100 000
+    # shots): its six returned columns take 9.16 MiB.  The readout that built
+    # every term as a new array peaked at 18.70 MiB (2.04 times that); drawing
+    # and inverting in place, through three phase-long scratch rows besides
+    # the jitter row, it peaks at 9.55 MiB (1.04 times).  The bound is 1.15
+    # times the columns, 10.53 MiB.
+    def run():
+        return simulate_readout(SqueezedVacuum(0.8, np.pi / 2), DEFAULT_READOUT, NOISELESS,
+                                [np.pi / 4, 3 * np.pi / 4], 100_000, seed=1)
+
+    columns_mb = 6 * 200_000 * 8 / 2 ** 20
+    assert traced_peak_mb(run) < 1.15 * columns_mb
+
+
+def test_batches_keep_an_owned_contiguous_column_and_copy_any_other():
+    counts = [np.arange(4, dtype=np.int64), np.zeros(4, dtype=np.int64),
+              np.full(4, 10, dtype=np.int64)]
+    shots = Shots(*counts)
+    for given, kept in zip(counts, (shots.n_a, shots.n_b, shots.n_tot)):
+        assert np.shares_memory(given, kept) and not given.flags.writeable
+    theta, x_a, x_b = np.full(4, 7.0), np.arange(4.0), np.ones(4)
+    samples = Samples(theta, x_a, x_b)
+    for given, kept in zip((x_a, x_b), (samples.x_a, samples.x_b)):
+        assert np.shares_memory(given, kept) and not given.flags.writeable
+    # theta is stored reduced mod 2 pi in a new array; the caller's is untouched
+    assert samples.theta[0] == 7.0 - 2.0 * np.pi
+    assert not np.shares_memory(theta, samples.theta)
+    assert theta.flags.writeable and np.all(theta == 7.0)
+    # a batch's own read-only columns, and a sub-batch's, build a batch again
+    for source in (samples, samples[np.array([3, 0])], samples):
+        again = Samples(source.theta, source.x_a, source.x_b)
+        assert_same_batch(again, source)
+        assert np.shares_memory(again.x_a, source.x_a)
+
+    # a list, a strided view, a slice that owns no data, or another dtype
+    owned = np.arange(8, dtype=np.int64)
+    copied = [[0, 1, 2], owned[::2], owned[1:5], np.arange(4, dtype=np.int32)]
+    for kind, other_dtype in ((Shots, np.arange(4.0)), (Samples, np.arange(4))):
+        for given in copied + [other_dtype]:
+            before = np.array(given)
+            batch = kind(given, given, np.full(len(given), 100))
+            columns = [getattr(batch, f.name) for f in dataclasses.fields(batch)]
+            assert not any(column.flags.writeable for column in columns)
+            assert np.array_equal(columns[1], before)  # n_b or x_a
+            if isinstance(given, np.ndarray):
+                assert not any(np.shares_memory(given, column) for column in columns)
+                assert given.flags.writeable and np.array_equal(given, before)
+
+    # a refused batch leaves the arrays it would have kept writable
+    n_a = np.array([1, 20], dtype=np.int64)
+    with pytest.raises(ValueError, match="^row 1: n_a \\+ n_b exceeds n_tot"):
+        Shots(n_a, np.zeros(2, dtype=np.int64), np.full(2, 10, dtype=np.int64))
+    assert n_a.flags.writeable
 
 
 def test_shots_to_samples_matches_per_shot_estimator():

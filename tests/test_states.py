@@ -146,7 +146,7 @@ def test_analytic_variances():
     assert av.v_sq * av.v_anti == pytest.approx(1.0, abs=1e-12)
 
 
-def test_noise_model_validation_and_presets():
+def test_noise_model_validation():
     for field in ("sigma_phase", "rf_rel_noise", "sum_variance_shift"):
         for value in (-0.1, np.nan, np.inf):
             with pytest.raises(ValueError, match=field):
