@@ -13,8 +13,8 @@ from .homodyne import (DEFAULT_READOUT, Readout, Samples, Shots, estimate_quadra
 from .criteria import EprReport, epr_report, time_sweep
 from .tomography import (Histogram2D, MLResult, TomographyConfig, bin_samples,
                          ml_reconstruct)
-from .metrics import (MetricsReport, fidelity_mixed, fidelity_pure, fit_squeezing,
-                      log_negativity, metrics_report, qfi_fixed_n)
+from .metrics import (MetricsReport, fidelity_mixed, fit_squeezing, log_negativity,
+                      metrics_report, qfi_fixed_n)
 from .pipelines import (PRESETS, ExperimentPreset, run_fig3, run_fig_s2, run_fig_s3)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -49,7 +49,7 @@ from . import io as tio
 from .criteria import (DEFAULT_OCCUPATIONS, PhaseMismatchError, check_occupations,
                        epr_report, group_samples)
 from .homodyne import DEFAULT_READOUT, simulate_readout
-from .metrics import check_target_xi, fidelity_best_phase, metrics_report
+from .metrics import check_target_xi, metrics_report
 from .pipelines import (FIG3_TIME_GRID, PACKAGE, PRESETS, make_manifest, run_fig3,
                         run_fig_s2, run_fig_s3, sweep_phases)
 from .tomography import TomographyConfig, bin_samples, ml_reconstruct
@@ -167,7 +167,8 @@ def build_parser() -> _Parser:
     p_met = command("metrics", "entanglement metrics of a density matrix", seeded=False)
     p_met.add_argument("matrix", help="density-matrix JSON file")
     p_met.add_argument("--target-xi", dest="target_xi", type=float, default=None,
-                       help="xi of a squeezed-vacuum target, scored at its best pair phase")
+                       help="xi of a squeezed-vacuum target, scored at its best pair phase "
+                       "as reproduce fig_s3 scores its source's xi")
 
     p_rep = command("reproduce", "run a named end-to-end scenario")
     p_rep.add_argument("figure", choices=sorted(PRESETS), help="scenario id")
@@ -264,12 +265,7 @@ def _cmd_criteria(args) -> int:
 def _cmd_metrics(args) -> int:
     if args.target_xi is not None:
         check_target_xi(args.target_xi)
-    rho = tio.read_density_matrix(args.matrix)
-    report = metrics_report(rho)
-    if args.target_xi is not None:
-        # a file carries no phase reference: score the target at its best pair phase
-        report = dataclasses.replace(
-            report, fidelity_to_target=fidelity_best_phase(rho, args.target_xi))
+    report = metrics_report(tio.read_density_matrix(args.matrix), target_xi=args.target_xi)
     out = _outdir(args.out or ".")
     tio.write_json(out / "metrics.json", report.to_json_dict())
     print(f"log-negativity {report.log_negativity:.4f}, "

@@ -1,10 +1,12 @@
 """Entanglement and metrology figures of merit on two-mode states.
 
-Covers quantum fidelity (pure and Uhlmann), logarithmic negativity via the
-partial transpose, the quantum Fisher information of the state projected
-onto fixed total-number sectors and maximized over collective-spin
-directions, the best-fit squeezing parameter, and the fidelity to a
-squeezed vacuum at its best pair phase.
+Covers two fidelities, each with one meaning: the Uhlmann fidelity between
+two states, which scores a fit against its truth, and the fidelity to a
+squeezed vacuum at its best pair phase, which scores it against a target
+xi.  Also logarithmic negativity via the partial transpose, the quantum
+Fisher information of the state projected onto fixed total-number sectors
+and maximized over collective-spin directions, and the best-fit squeezing
+parameter.
 """
 
 import math
@@ -12,8 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .fock import (DensityMatrix, DimensionMismatchError, FockSpace, PureState,
-                   partial_transpose)
+from .fock import DensityMatrix, DimensionMismatchError, FockSpace, partial_transpose
 from .states import XI_MAX, _pair_amplitudes
 
 QFI_EIGENVALUE_FLOOR = 1e-12
@@ -24,32 +25,29 @@ FIT_XI_TOL = 1e-4
 FIT_PHASES = 2048
 
 
-def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:
-    """F = sqrt(<psi| rho |psi>), clamped to [0, 1]."""
-    if rho.space != psi.space:
-        raise DimensionMismatchError("state and target live on different spaces")
-    overlap = float(np.real(psi.amplitudes.conj() @ rho.entries @ psi.amplitudes))
-    return math.sqrt(min(max(overlap, 0.0), 1.0))
-
-
 def fidelity_mixed(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     """Uhlmann fidelity Tr sqrt(sqrt(rho2) rho1 sqrt(rho2)); symmetric in its
-    arguments to 1e-8 and equal to fidelity_pure when one input is pure.
+    arguments to 1e-8 and equal to sqrt(<psi| rho1 |psi>) when rho2 is
+    |psi><psi|.
 
-    Evaluated on the support of rho2: with rho2 = W W^dag, W = V sqrt(D)
-    over the eigenvalues of rho2 above dim eps lambda_max, F is the sum of
-    the square roots of the eigenvalues (clipped at 0) of W^dag rho1 W.
-    Only rho2 is eigendecomposed: at dim 121 OpenBLAS gives eigenvectors
-    and singular values different bits at 1 and 2 threads, but not
-    eigenvalues or matrix products, so F keeps its bits whenever rho2's
-    eigenvectors do, as those of the structured source states do.
+    Evaluated on the block of the coordinates where rho2 has a nonzero
+    entry, which is exact as rho2 = P rho2 P for the projector P on them: a
+    full-support rho2 keeps the whole space, a squeezed vacuum its pair
+    block |n,n><m,m|.  With rho2's block = W W^dag, W = V sqrt(D) over the
+    eigenvalues above dim eps lambda_max, F is the sum of the square roots
+    of the eigenvalues (clipped at 0) of W^dag rho1 W.  Only rho2 is
+    eigendecomposed.  For a full-support rho2 at dim 121, OpenBLAS gives
+    eigenvectors different bits at 1 and 2 threads, but not eigenvalues or
+    matrix products, so F keeps its bits whenever rho2's eigenvectors do.
     """
     if rho1.space != rho2.space:
         raise DimensionMismatchError("states live on different spaces")
-    w, v = np.linalg.eigh(rho2.entries)
+    support = np.flatnonzero(rho2.entries.any(axis=0))
+    block = np.ix_(support, support)
+    w, v = np.linalg.eigh(rho2.entries[block])
     keep = w > w[-1] * w.size * np.finfo(np.float64).eps
     factor = v[:, keep] * np.sqrt(w[keep])
-    eigs = np.linalg.eigvalsh(factor.conj().T @ rho1.entries @ factor)
+    eigs = np.linalg.eigvalsh(factor.conj().T @ rho1.entries[block] @ factor)
     return float(min(np.sqrt(np.clip(eigs, 0.0, None)).sum(), 1.0))
 
 
@@ -234,7 +232,10 @@ class MetricsReport:
         return asdict(self)
 
 
-def metrics_report(rho: DensityMatrix, target: PureState | None = None) -> MetricsReport:
+def metrics_report(rho: DensityMatrix, target_xi: float | None = None) -> MetricsReport:
+    """The figures of merit of rho; given target_xi, also its fidelity to
+    the squeezed vacuum of that xi at its best pair phase
+    (:func:`fidelity_best_phase`), as a state carries no phase reference."""
     qfi = qfi_fixed_n(rho)
     xi_fit, fit_fid = fit_squeezing(rho)
     return MetricsReport(
@@ -245,5 +246,5 @@ def metrics_report(rho: DensityMatrix, target: PureState | None = None) -> Metri
         n_bar=qfi.n_bar,
         xi_fit=xi_fit,
         fit_fidelity=fit_fid,
-        fidelity_to_target=None if target is None else fidelity_pure(rho, target),
+        fidelity_to_target=None if target_xi is None else fidelity_best_phase(rho, target_xi),
     )

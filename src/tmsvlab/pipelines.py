@@ -15,8 +15,10 @@ names:
                and gap;
 * ``fig_s3``   dephased squeezed vacuum (xi = 0.63, pair-phase width 0.36)
                sampled with the 0.12 sum-variance shift, reconstructed and
-               compared against the analytic dephased truth:
-               :func:`run_fig_s3` reads every field and sweeps none;
+               compared against the analytic dephased truth, and scored
+               against the squeezed vacuum of the source's xi at its best
+               pair phase: :func:`run_fig_s3` reads every field and sweeps
+               none;
 * ``fig3``     squeezing-dynamics sweep with per-shot measurement-angle
                jitter and coupling-strength jitter, read out from atom
                counts as every time sweep is: :func:`run_fig3` reads noise,
@@ -40,7 +42,7 @@ from .fock import DensityMatrix, FockSpace, number_distributions
 from .homodyne import sample_quadratures
 from .metrics import MetricsReport, fidelity_mixed, metrics_report
 from .states import (NOISELESS, NoiseModel, OMEGA_SPIN_DYNAMICS,
-                     OPTIMAL_SPIN_DYNAMICS_TIME, SqueezedVacuum, tmsv_rotated)
+                     OPTIMAL_SPIN_DYNAMICS_TIME, SqueezedVacuum)
 from .tomography import MLResult, TomographyConfig, bin_samples, ml_reconstruct
 
 PACKAGE = {"name": "tmsvlab", "version": __version__}
@@ -161,18 +163,18 @@ class FigS3Result:
 
 def run_fig_s3(preset: ExperimentPreset) -> FigS3Result:
     """Reconstruct the preset's source from noisy samples with the preset's
-    tomography and compare against its density matrix on that Fock space."""
+    tomography and compare against its density matrix on that Fock space.
+    The metrics score the fit against the squeezed vacuum of the source's
+    xi at its best pair phase, as ``metrics --target-xi`` does on a file."""
     source, config = preset.source, preset.tomography
     truth = source.density(FockSpace(config.n_cut))
     samples = sample_quadratures(source, preset.thetas, preset.p_per_theta,
                                  preset.noise, seed=preset.seed)
     result = ml_reconstruct(bin_samples(samples, config.dx), config)
     p_sum, p_diff = number_distributions(result.rho)
-    # the pure target carries the source's pair phase
-    target = tmsv_rotated(source.xi, source.pair_phase, result.rho.space)
     return FigS3Result(
         ml=result,
-        metrics=metrics_report(result.rho, target=target),
+        metrics=metrics_report(result.rho, target_xi=source.xi),
         fidelity_to_truth=fidelity_mixed(result.rho, truth),
         twin_fock_dominant=twin_fock_dominance(result.rho),
         p_sum=p_sum, p_diff=p_diff)

@@ -19,13 +19,13 @@ from tmsvlab.criteria import epr_report, group_samples, time_sweep
 from tmsvlab.fock import DensityMatrix, FockSpace, basis_state
 from tmsvlab.homodyne import DEFAULT_READOUT, Samples, Shots, sample_quadratures, simulate_readout
 from tmsvlab.pipelines import PRESETS, ExperimentPreset, sweep_phases
-from tmsvlab.metrics import fidelity_pure
 from tmsvlab.states import NOISELESS, NoiseModel, SqueezedVacuum, tmsv, tmsv_rotated
 from tmsvlab.tomography import TomographyConfig, bin_samples, ml_reconstruct
 
 from conftest import (MALFORMED_TOKENS, NON_FINITE_TOKENS, assert_same_batch, concat,
                       loadtxt_shots, loglik_under, traced_peak_mb)
 from gridded import Gridded
+from uhlmann import fidelity_pure
 
 
 # ------------------------------------------------------------------ formats
@@ -196,7 +196,7 @@ def _random_floats(rng, kind, shape):
 
 @pytest.mark.parametrize("kind", ["uniform bits", "near 1e-5, 1e-4 and 1e16", "short decimals",
                                   "subnormals"])
-def test_density_matrix_file_holds_json_dumps_bytes_on_random_floats(tmp_path, kind):
+def test_density_matrix_file_holds_orjson_floats_in_json_layout_on_random_floats(tmp_path, kind):
     # 2 x 14641 floats a case, the fig_s3 size
     rng = np.random.default_rng(list(kind.encode()))
     part = _random_floats(rng, kind, (2, 121, 121))
@@ -756,6 +756,18 @@ def test_cli_metrics_scores_the_target_at_its_best_pair_phase(tmp_path, target_x
     assert report["fit_fidelity"] >= report["fidelity_to_target"] - 1e-9
 
 
+def test_cli_metrics_and_reproduce_fig_s3_give_fidelity_to_target_one_meaning(tmp_path):
+    # both score the fit against the squeezed vacuum of the source's xi at
+    # its best pair phase, as a file carries no phase reference
+    assert run_cli("reproduce", "fig_s3", "--scale", "smoke", "--out", str(tmp_path)) == EX_OK
+    rundir = tmp_path / "fig_s3-seed0"
+    assert run_cli("metrics", str(rundir / "rho_ml.json"), "--target-xi",
+                   repr(PRESETS["fig_s3"].source.xi), "--out", str(tmp_path / "met")) == EX_OK
+    reproduced, scored = (json.loads(path.read_text())["fidelity_to_target"]
+                          for path in (rundir / "metrics.json", tmp_path / "met" / "metrics.json"))
+    assert scored == reproduced
+
+
 def test_cli_metrics_vacuum_zero_metrics(tmp_path):
     rho = basis_state(FockSpace(5), 0, 0).projector()
     path = tmp_path / "rho.json"
@@ -994,24 +1006,39 @@ def test_cli_tomo_records_config_and_input(tmp_path):
 #   a19a1438... to 7c4f09e9..., paper/fig_s2-seed0 from fbdb85a1... to
 #   6bbe4ec4... and paper/fig_s3-seed0 from 685ec404... to 60a2bbfc...: the
 #   preset holds its tomography settings as a nested object, and fig3's
-#   records every field that is set (name, source, thetas and seed too)
+#   records every field that is set (name, source, thetas and seed too);
+# - fig_s3-seed0/metrics.json from 84bace60... to 9f0628cf... and
+#   paper/fig_s3-seed0/metrics.json from dbab3e6e... to 90a36192...:
+#   fidelity_to_target scores the squeezed vacuum of the source's xi at its
+#   best pair phase, as metrics --target-xi does (paper 0.9104359159737618
+#   to 0.9110922653033177, smoke 0.7964490608429207 to 0.8005711353327375);
+# - fig_s3-seed0/summary.json from ce592cab... to 2e80e395... and
+#   paper/fig_s3-seed0/summary.json from 044392ab... to d7dbc5cf...:
+#   fidelity_mixed eigendecomposes the truth on its 11-dim pair block, not
+#   on the whole space (paper fidelity_to_truth 0.9235149079613223 to
+#   0.923514898486119, nearer the 60-digit 0.9235148984266716; smoke
+#   0.824096564536188 to 0.8240965637251774);
+# - fig_s2-seed0/fig_s2_table.csv from 2f4a8d25... to e2daceb0... and
+#   paper/fig_s2-seed0/fig_s2_table.csv from c08f4cc8... to 6cba9d82...:
+#   the same pair block moves the fidelity column by at most 4.4e-16 (smoke
+#   both cells; paper p 100 and 400 at dx 0.25, p 50, 200 and 400 at dx 0.1)
 PINNED_OUTPUTS = {
     "fig3-seed0/fig3_sweep.csv":
         "b3b99cc78e5a533d64bb7a35b39be8b5a7fd604c9c2fc27c1f922961fb9bb650",
     "fig3-seed0/manifest.json":
         "8e583dea45647774cbaeba4710d15612cbe0a7076818fbc9b0741e1d7be0f86c",
     "fig_s2-seed0/fig_s2_table.csv":
-        "2f4a8d25c634ba85fa685f9fe71db4c5c2f8fe7541f23f4bb79be978e151580c",
+        "e2daceb02636a81b6633a6a93dc4e0afe14c86638acf80fd4ba02f61e084e3b7",
     "fig_s2-seed0/manifest.json":
         "940135c620f1ec924283137aed275b507ebbc30b530ebe4db9aae05f552030cd",
     "fig_s3-seed0/manifest.json":
         "7c4f09e9468acbb19070116095de3fbfbd39e5187fec48eb20dc42c409dffaa6",
     "fig_s3-seed0/metrics.json":
-        "84bace60ba49dfa8fdcae4cc177c12dc0b8975c99b9ada004db9e53bb9449c73",
+        "9f0628cf8aeec8ee28b6e0d2f5e2ef2475678fc6f3b1fa4febf5834f9e0c6321",
     "fig_s3-seed0/rho_ml.json":
         "c88e7f208fea6130b00c8c18641ad5901193d02b2d92545bc0efdbcdab9e943f",
     "fig_s3-seed0/summary.json":
-        "ce592caba511145d7de377083fdca550c8d285167b0409bd986a9b6a7f10f04c",
+        "2e80e3957b31c297eae4b61a7fb41a4e23dbd8cbf9f4fe1f1949791333d795b1",
     "pair/epr_report.json":
         "b25d3668b0d98e916725dc5abad0b2df2f6e5b741e2f551ef1d19b74924d0d82",
     "pair/manifest.json":
@@ -1021,17 +1048,17 @@ PINNED_OUTPUTS = {
     "pair/shots.csv":
         "63896569eb1d3847e9901579a20e09f33ed98d907246084b0f4599edca3490c0",
     "paper/fig_s2-seed0/fig_s2_table.csv":
-        "c08f4cc8335b170652ccf10cbab1f1a171758c615ef150918cf10630eac60b22",
+        "6cba9d82e6c00933e92f295a77545005fe670ee4368cbbb66b32375899b0d364",
     "paper/fig_s2-seed0/manifest.json":
         "6bbe4ec4925283e76d5648b339ef1147da87a74ec5741c9684a0dd93a185d9bb",
     "paper/fig_s3-seed0/manifest.json":
         "60a2bbfccf19d7bea644b6709daeb418c508384c82712ec435897b26cadba113",
     "paper/fig_s3-seed0/metrics.json":
-        "dbab3e6e3f2d8362749c8ad43e6cf4950a6482718d46a9953ec0fdfd2f40b7df",
+        "90a36192b3569bd02c445fbcee134e4c57cdeca4186cb6f53bba7461fc02f2a2",
     "paper/fig_s3-seed0/rho_ml.json":
         "f9a8d653ad3b83090ce340cd2cb2b7718e85150d92ce6a78754b5982d90a05de",
     "paper/fig_s3-seed0/summary.json":
-        "044392ab72be991fb1291afab0cb92433e97f101061c409ad895125b773a7475",
+        "d7dbc5cfba3156f255a0e8ac631f0063e83701724079020aae1404fe2ddb135f",
     "sim/manifest.json":
         "61a20824b0d0796d75d8db0d0f30182f9ee042c97715dcf585798d1330206055",
     "sim/samples.csv":

@@ -4,11 +4,13 @@ import pytest
 from tmsvlab.fock import (DensityMatrix, DimensionMismatchError, FockSpace,
                           basis_state, rotate_state)
 from tmsvlab import metrics
-from tmsvlab.metrics import (fidelity_mixed, fidelity_pure, fit_squeezing,
-                             log_negativity, metrics_report, qfi_fixed_n)
-from tmsvlab.states import phase_noisy_state, tmsv, tmsv_rotated
+from tmsvlab.metrics import (fidelity_mixed, fit_squeezing, log_negativity,
+                             metrics_report, qfi_fixed_n)
+from tmsvlab.pipelines import PRESETS, run_fig_s3
+from tmsvlab.states import SqueezedVacuum, phase_noisy_state, tmsv, tmsv_rotated
 
 from gridded import ladder_quadratures
+from uhlmann import fidelity_exact, fidelity_mixed_full, fidelity_pure
 
 
 def truncated_tmsv_coeffs(xi, n_cut):
@@ -20,14 +22,14 @@ def truncated_tmsv_coeffs(xi, n_cut):
 
 def test_fidelity_pure_projector_is_one(space10):
     psi = tmsv(0.4, space10)
-    assert fidelity_pure(psi.projector(), psi) == pytest.approx(1.0, abs=1e-12)
+    assert fidelity_mixed(psi.projector(), psi.projector()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fidelity_pure_vacuum_vs_tmsv(space10):
     xi = 0.63
     vac = basis_state(space10, 0, 0).projector()
     psi = tmsv(xi, space10)
-    got = fidelity_pure(vac, psi)
+    got = fidelity_mixed(vac, psi.projector())
     c0 = truncated_tmsv_coeffs(xi, 10)[0]
     assert got == pytest.approx(c0, abs=1e-12)
     assert got == pytest.approx(1.0 / np.cosh(xi), abs=1e-5)
@@ -36,12 +38,13 @@ def test_fidelity_pure_vacuum_vs_tmsv(space10):
 def test_fidelity_pure_maximally_mixed(space4):
     mixed = DensityMatrix(space4, np.eye(space4.dim) / space4.dim)
     psi = basis_state(space4, 2, 1)
-    assert fidelity_pure(mixed, psi) == pytest.approx(1.0 / np.sqrt(space4.dim), abs=1e-12)
+    assert fidelity_mixed(mixed, psi.projector()) == \
+        pytest.approx(1.0 / np.sqrt(space4.dim), abs=1e-12)
 
 
 def test_fidelity_pure_dimension_mismatch(space4, space10):
     with pytest.raises(DimensionMismatchError):
-        fidelity_pure(basis_state(space4, 0, 0).projector(), tmsv(0.1, space10))
+        fidelity_mixed(basis_state(space4, 0, 0).projector(), tmsv(0.1, space10).projector())
 
 
 def test_fidelity_mixed_identical_and_orthogonal(space4):
@@ -58,6 +61,71 @@ def test_fidelity_mixed_reduces_to_pure(space10):
     f_pure = fidelity_pure(rho, psi)
     assert f_mixed == pytest.approx(f_pure, abs=1e-8)
     assert fidelity_mixed(psi.projector(), rho) == pytest.approx(f_mixed, abs=1e-8)
+
+
+@pytest.fixture(scope="module")
+def fig_s3_run():
+    return run_fig_s3(PRESETS["fig_s3"])
+
+
+def test_fidelity_mixed_keeps_the_full_space_formula_bits_on_a_full_support_state(
+        fig_s3_run):
+    # an ML fit has a nonzero entry in every column, so its block is the
+    # whole space and the computation is the full-space one
+    fit = fig_s3_run.ml.rho
+    assert np.all(fit.entries.any(axis=0))
+    for rho1 in (PRESETS["fig_s3"].source.density(fit.space), tmsv(0.5, fit.space).projector()):
+        assert fidelity_mixed(rho1, fit) == fidelity_mixed_full(rho1, fit)
+
+
+@pytest.mark.filterwarnings("ignore::tmsvlab.states.TruncationWarning")
+@pytest.mark.parametrize("xi", [0.0, 0.63, 0.8, 2.0])
+@pytest.mark.parametrize("sigma", [0.0, 0.36])
+@pytest.mark.parametrize("phi", [0.0, np.pi / 2, 1.1])
+def test_fidelity_mixed_on_a_squeezed_vacuum_matches_the_full_space_formula(
+        fig_s3_run, xi, sigma, phi):
+    # a squeezed vacuum lives on the 11-dim pair block (1-dim at xi 0).  A
+    # pure one keeps one eigenvalue, and both forms agree within 1e-12.  A
+    # dephased one keeps 11, some near 1e-11, whose square roots carry the
+    # eps-level noise of the eigensolver: both forms lie within 2e-8 of the
+    # 40-digit value (up to 1.1e-8 measured on this grid), and the full-space
+    # form is off by 9.5e-9 on the fig_s3 fit.
+    fit = fig_s3_run.ml.rho
+    truth = SqueezedVacuum(xi, phi, sigma).density(fit.space)
+    support = np.flatnonzero(truth.entries.any(axis=0))
+    assert support.tolist() == [fit.space.index(n, n) for n in range(11 if xi else 1)]
+    got, full = fidelity_mixed(fit, truth), fidelity_mixed_full(fit, truth)
+    if sigma == 0.0 or xi == 0.0:
+        assert abs(got - full) <= 1e-12
+    else:
+        pytest.importorskip("mpmath")
+        exact = fidelity_exact(fit, truth)
+        assert abs(got - exact) <= 2e-8 and abs(full - exact) <= 2e-8
+
+
+def test_fidelity_mixed_keeps_tiny_off_pair_entries_in_its_block(fig_s3_run):
+    # the pure fig_s3 target plus weight 1e-11 on |1,0> and |0,2>: their
+    # eigenvalues lie above either cutoff, so both forms keep them, and
+    # leaving them out would lower F by 7.9e-7.  The 1e-9 allows for the
+    # noise of the square roots of W^dag rho1 W's eigenvalues near 1e-13
+    fit = fig_s3_run.ml.rho
+    space = fit.space
+    target = SqueezedVacuum(0.63, 0.0).density(space)
+    entries = target.entries.copy()
+    for n_a, n_b in ((1, 0), (0, 2)):
+        entries[space.index(n_a, n_b), space.index(n_a, n_b)] = 1e-11
+    rho2 = DensityMatrix(space, entries)
+    got = fidelity_mixed(fit, rho2)
+    assert abs(got - fidelity_mixed_full(fit, rho2)) <= 1e-9
+    assert got - fidelity_mixed(fit, target) > 1e-7
+
+
+def test_fig_s3_fidelity_to_truth_is_the_exact_one_within_1e_9(fig_s3_run):
+    # a 60-digit mpmath evaluation on the fit's and the truth's pair blocks
+    # gives 0.92351489842667158627.  The full-space form gave
+    # 0.9235149079613223, 9.5e-9 off; the block form gives
+    # 0.923514898486119, 5.9e-11 off
+    assert abs(fig_s3_run.fidelity_to_truth - 0.92351489842667158627) <= 1e-9
 
 
 # ------------------------------------------------------------ log negativity
@@ -256,7 +324,7 @@ def test_best_phase_overlap_with_a_shared_table_matches_the_direct_form():
 
 def test_metrics_report_fields(space10):
     psi = tmsv(0.63, space10)
-    report = metrics_report(psi.projector(), target=psi)
+    report = metrics_report(psi.projector(), target_xi=0.63)
     assert report.fidelity_to_target == pytest.approx(1.0, abs=1e-9)
     assert report.log_negativity == pytest.approx(1.813, abs=1e-3)
     assert report.qfi == pytest.approx(2.625, abs=1e-3)

@@ -8,7 +8,7 @@ import pytest
 from tmsvlab.fock import FockSpace, basis_state
 from tmsvlab import tomography
 from tmsvlab.homodyne import Samples, sample_quadratures
-from tmsvlab.metrics import fidelity_mixed, fidelity_pure
+from tmsvlab.metrics import fidelity_mixed
 from tmsvlab.pipelines import PRESETS
 from tmsvlab.states import NOISELESS, tmsv
 from tmsvlab.tomography import (LOGLIK_GAP, Histogram2D, TomographyConfig, bin_samples,
@@ -19,6 +19,7 @@ import fixed_point
 from conftest import loglik_under
 from gridded import Gridded
 from group_bootstrap import bootstrap
+from uhlmann import fidelity_pure
 
 
 def vacuum_samples(n_per_theta, thetas, seed=0):
