@@ -45,6 +45,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import io as tio
 from .criteria import (DEFAULT_OCCUPATIONS, PhaseMismatchError, check_occupations,
                        epr_report, group_samples)
@@ -234,6 +236,13 @@ def _cmd_tomo(args) -> int:
     return EX_OK if result.converged else EX_NONCONVERGED
 
 
+def _as_slice(idx: np.ndarray) -> slice | np.ndarray:
+    """The slice of rows idx names if they form one ascending run, else idx."""
+    if idx[-1] - idx[0] == len(idx) - 1 and (idx[1:] > idx[:-1]).all():
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
 def _cmd_criteria(args) -> int:
     occupations = tuple(default if value is None else value for value, default
                         in zip((args.n_a, args.n_b, args.n0), DEFAULT_OCCUPATIONS))
@@ -249,9 +258,10 @@ def _cmd_criteria(args) -> int:
     # the x group's phase is the lower one modulo pi: rotation angle pi
     # (THETA_X_LIKE) reads x-like and pi / 2 p-like
     groups.sort(key=lambda group: group[0] % math.pi)
-    samples_x, samples_p = (samples[idx] for _, idx in groups)
-    # the groups are copies: let the full batch and the index arrays go
-    # before the report, which would otherwise hold them to its end
+    samples_x, samples_p = (samples[_as_slice(idx)] for _, idx in groups)
+    # a group of one ascending run of rows (simulate writes its phases so) is
+    # a view of the batch, any other a copy; either way let the index arrays
+    # and the rows no group holds go before the report
     del samples, groups
     report = epr_report(samples_x, samples_p, occupations=occupations)
     out = _outdir(args.out or ".")

@@ -127,9 +127,9 @@ def epr_report(samples_x: Samples, samples_p: Samples,
     for any distribution and never negative.  The variances v1, v2 of the
     pairing that the point value picked then give SE(v1 v2)^2 =
     v2^2 SE1^2 + v1^2 SE2^2, SE(v1 + v2)^2 = SE1^2 + SE2^2 and
-    SE(sqrt v) = SE(v) / (2 sqrt v).  Each group keeps one (4, n) array:
-    rows 0 and 2 hold x_A + x_B and x_A - x_B, centred in place, and rows
-    1 and 3 their squares, then (d^2 - m2)^2.
+    SE(sqrt v) = SE(v) / (2 sqrt v).  Each group keeps one (2, n) array,
+    filled first for x_A + x_B, then for x_A - x_B: row 0 holds the column,
+    centred in place, and row 1 its square, then (d^2 - m2)^2.
     """
     check_occupations(occupations)
     n_a, n_b, n0 = occupations
@@ -145,10 +145,9 @@ def epr_report(samples_x: Samples, samples_p: Samples,
         if n < 2:  # a sample variance divides by n - 1
             raise ValueError(f"{label} sample group holds {n} sample; "
                              "its variances need at least two")
-        m = np.empty((4, n))
-        np.add(samples.x_a, samples.x_b, out=m[0])
-        np.subtract(samples.x_a, samples.x_b, out=m[2])
-        for d, d2 in ((m[0], m[1]), (m[2], m[3])):
+        d, d2 = np.empty((2, n))
+        for combine in (np.add, np.subtract):
+            combine(samples.x_a, samples.x_b, out=d)
             # the operations of np.var(ddof=1), without its temporary
             d -= d.mean()
             np.multiply(d, d, out=d2)

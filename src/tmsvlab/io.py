@@ -24,6 +24,9 @@ chunk is parsed by ``orjson`` as one JSON array, which rounds each number
 correctly; JSON's integer ``-0`` reads as +0.0 (the writer writes
 ``-0.0``).  Any other line, an empty one included, raises ValueError naming
 it; a file with no line after the header raises :class:`EmptyDataError`.
+Each chunk's rows are copied into three float64 columns, which grow by
+doubling as a file or a pipe is read and are cut to the row count at the
+end; the :class:`~tmsvlab.homodyne.Samples` returned adopts them uncopied.
 
 The density-matrix JSON stores the cutoff, the basis ordering tag, and the
 real and imaginary parts as nested arrays: :func:`density_matrix_to_dict`,
@@ -48,10 +51,13 @@ SHOTS_HEADER = "n_a,n_b,n_tot"
 _CHUNK_ROWS = 8192
 # Read chunks of 64 KiB parse as fast as chunks of 1 MiB, and their buffers
 # stay below glibc malloc's mmap threshold (128 KiB at first), so that each
-# chunk reuses the memory of the last: a 200k-row read raises VmHWM by about
-# 10 MB, against 16 MB in 1 MiB chunks.  That read, or epr_report's (4, n)
-# arrays after it, sets the peak of a fresh `criteria` run (ROADMAP).
+# chunk reuses the memory of the last.  The read's columns start at
+# _FIRST_ROWS rows and double as they fill.  ndarray.resize reallocs them
+# (glibc moves a large block with mremap and copies no page) and zeroes the
+# new half, so the columns peak at up to twice the rows read, 6 MB on the
+# files benchmark's 200k rows; that peak is a `criteria` run's (ROADMAP).
 _CHUNK_BYTES = 1 << 16
+_FIRST_ROWS = 1 << 12
 # the bytes of a line of JSON numbers
 _NUMBER_BYTES = b"0123456789+-.Ee,\n"
 
@@ -135,16 +141,24 @@ def _rows(chunk: bytes, path, lineno: int) -> np.ndarray:
 
 def read_samples(path) -> Samples:
     """The samples of a sample CSV, in the grammar of the module docstring."""
-    tables, lineno = [], 2
+    columns, rows = [np.empty(_FIRST_ROWS) for _ in range(3)], 0
     with open(path, "rb") as file:
         if file.readline().removesuffix(b"\n") != SAMPLES_HEADER.encode():
             raise ValueError(f"{path}: expected header {SAMPLES_HEADER!r}")
         for chunk in _chunks(file):
-            tables.append(_rows(chunk, path, lineno))
-            lineno += len(tables[-1])
-    if not tables:
+            table = _rows(chunk, path, rows + 2)  # line 1 is the header
+            end = rows + len(table)
+            if end > len(columns[0]):
+                for column in columns:
+                    column.resize(max(end, 2 * len(column)), refcheck=False)
+            for column, values in zip(columns, table.T):
+                column[rows:end] = values
+            rows = end
+    if not rows:
         raise EmptyDataError(f"{path}: no samples")
-    return Samples(*(tables[0] if len(tables) == 1 else np.concatenate(tables)).T)
+    for column in columns:
+        column.resize(rows, refcheck=False)
+    return Samples(*columns)
 
 
 def density_matrix_to_dict(rho: DensityMatrix) -> dict:

@@ -551,21 +551,39 @@ def test_reader_names_the_bad_line_in_every_block(tmp_path, chunk_bytes, size, k
                 assert got == outcome(former_read, path)
 
 
+def read_through_a_pipe(path, text: bytes) -> Samples:
+    """read_samples of text written into a new named pipe at path."""
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(text,), daemon=True)
+    writer.start()
+    try:
+        return tio.read_samples(path)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
 def test_reader_reads_a_pipe(tmp_path, chunk_bytes):
     # a pipe has no size and cannot seek
     text = f"{tio.SAMPLES_HEADER}\n" + "0.3,-1.25,2.0\n" * 50
-    for size in (tio._CHUNK_BYTES, *CHUNK_SIZES):
+    default = tio._CHUNK_BYTES
+    for size in (default, *CHUNK_SIZES):
         chunk_bytes(size)
-        path = tmp_path / f"pipe{size}.csv"
-        os.mkfifo(path)
-        writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
-        writer.start()
-        try:
-            samples = tio.read_samples(path)
-        finally:
-            writer.join(timeout=10)
-        assert not writer.is_alive()
+        samples = read_through_a_pipe(tmp_path / f"pipe{size}.csv", text.encode())
         assert len(samples) == 50 and samples.x_b.tolist() == [2.0] * 50
+    # a batch longer than the columns' first capacity: they grow while the
+    # pipe is read, and Samples adopts them as they are
+    rng = np.random.default_rng(7)
+    rows = 2 * tio._FIRST_ROWS + 3
+    batch = Samples(rng.uniform(0.0, 2.0 * np.pi, rows), rng.normal(size=rows),
+                    rng.normal(size=rows))
+    tio.write_samples(tmp_path / "long.csv", batch)
+    for size in (default, 4096):
+        chunk_bytes(size)
+        samples = read_through_a_pipe(tmp_path / f"long{size}.csv",
+                                      (tmp_path / "long.csv").read_bytes())
+        assert_same_batch(samples, batch)
+        assert all(c.base is None for c in (samples.theta, samples.x_a, samples.x_b))
 
 
 @pytest.fixture
@@ -633,10 +651,11 @@ def test_no_child_is_left_after_a_read(tmp_path, forks):
 def test_writing_and_reading_200k_rows_stays_within_its_memory_bound(tmp_path):
     # 200k rows at two phases, as in the files benchmark.  The tracemalloc
     # peaks are 1.3 MB to write (one 8192-row chunk's table and text), under
-    # a fifth of the 7.0 MB bound, and 14.0 MB to read (the chunks' tables and
-    # the table they join into are 4.8 MB each), about 0.8 of the 18 MB bound.
-    # Writing the whole text at once would peak at 45 MB, and reading the list
-    # of the file's lines at 34 MB.
+    # a fifth of the 7.0 MB bound, and 6.5 MB to read (three columns grown to
+    # 262 144 rows, 6.0 MB, and one chunk's table), about 0.8 of the 8.0 MB
+    # bound.  A read that joined the chunks' tables into one and copied its
+    # transpose peaked at 14.2 MB; writing the whole text at once would peak
+    # at 45 MB, and reading the list of the file's lines at 34 MB.
     rng = np.random.default_rng(0)
     n = 100_000
     samples = Samples(np.repeat([np.pi / 4, 3 * np.pi / 4], n), rng.normal(size=2 * n),
@@ -644,4 +663,4 @@ def test_writing_and_reading_200k_rows_stays_within_its_memory_bound(tmp_path):
     path = tmp_path / "samples.csv"
     peaks = [traced_peak_mb(lambda: tio.write_samples(path, samples)),
              traced_peak_mb(lambda: tio.read_samples(path))]
-    assert peaks[0] <= 7.0 and peaks[1] <= 18.0, peaks
+    assert peaks[0] <= 7.0 and peaks[1] <= 8.0, peaks

@@ -158,10 +158,8 @@ REPR_SPELLINGS = ["1e-06", "-2.5e-07", "7e-08", "9e-09", "1e-10", "-1.5e-300", "
                   "-10.00001"]
 
 
-# The names of the two tests below predate the orjson spelling of rho_ml.json;
-# they keep them until a change may rename their 18 ids (ROADMAP).
 @pytest.mark.parametrize("spelling", REPR_SPELLINGS)
-def test_density_matrix_file_spells_each_float_as_its_repr(tmp_path, spelling):
+def test_density_matrix_file_spells_repr_floats_as_orjson_does(tmp_path, spelling):
     # the value fills the real part and the diagonal of the imaginary part,
     # so it ends rows and stands between ordinary floats
     value = float(spelling)
@@ -565,6 +563,32 @@ def test_cli_criteria_labels_the_groups_as_the_time_sweep_does(tmp_path):
     assert report["v_x_minus"] < 0.5 < report["v_x_plus"]
 
 
+def test_cli_criteria_reads_interleaved_rows_as_it_reads_phase_blocks(tmp_path, monkeypatch):
+    # simulate writes each phase as one block of rows, and criteria takes
+    # such a group as a view of the batch; rows of the two phases mixed make
+    # each group a copy.  The same rows per phase give the same report bytes
+    blocks = tio.read_samples(conjugate_pair_file(tmp_path))
+    n = len(blocks) // 2
+    is_x = np.random.default_rng(3).permutation(np.repeat([True, False], n))
+    order = np.empty(2 * n, np.int64)
+    order[is_x], order[~is_x] = np.arange(n), np.arange(n, 2 * n)  # each phase's rows in order
+    views = []
+
+    def report(samples_x, samples_p, **kwargs):
+        views.append([s.x_a.base is not None for s in (samples_x, samples_p)])
+        return epr_report(samples_x, samples_p, **kwargs)
+
+    monkeypatch.setattr(cli, "epr_report", report)
+    reports = []
+    for name, batch in (("blocks", blocks), ("interleaved", blocks[order])):
+        path = tmp_path / f"{name}.csv"
+        tio.write_samples(path, batch)
+        assert run_cli("criteria", str(path), "--out", str(tmp_path / name)) == EX_OK
+        reports.append((tmp_path / name / "epr_report.json").read_bytes())
+    assert views == [[True, True], [False, False]]
+    assert reports[0] == reports[1]
+
+
 def assert_the_line_is_refused(tmp_path, capsys, command, token):
     # a file of two conjugate phases whose line 10 holds the token; the
     # command exits 1, names the line and writes nothing
@@ -635,8 +659,10 @@ def test_cli_criteria_checks_the_occupations(tmp_path, capsys, flag, name, value
 
 def test_cli_criteria_on_two_100k_groups_stays_within_its_memory_bound(tmp_path):
     # the file is written before the trace starts.  The command peaks at
-    # 10.7 MB in the report, which holds the two groups (4.6 MB) but not the
-    # full batch; reading peaks at 9.2 MB.  With a bootstrap it peaked at
+    # 8.7 MB, about 0.8 of the 11 MB bound: the read's columns (4.6 MB) with
+    # group_samples' sort order and sorted phases, each group a view of them.
+    # It peaked at 14.4 MB when the read joined its chunks' tables and
+    # copied their transpose, and the groups were copies; with a bootstrap at
     # 13.2 MB, and at 25.4 MB when the full batch, the columns, their
     # centred copies and the stacked rows were all alive during it
     rng = np.random.default_rng(6)
@@ -646,7 +672,7 @@ def test_cli_criteria_on_two_100k_groups_stays_within_its_memory_bound(tmp_path)
                                     rng.normal(size=2 * n), rng.normal(size=2 * n)))
     peak = traced_peak_mb(lambda: run_cli("criteria", str(path), "--out", str(tmp_path)))
     assert (tmp_path / "epr_report.json").is_file()
-    assert peak <= 19.0, peak
+    assert peak <= 11.0, peak
 
 
 # Each setting is refused where it enters, and no run writes a non-finite
