@@ -1,5 +1,5 @@
-"""Truncated two-mode Fock space: pure and mixed states, their phase rotation,
-partial transpose and number distributions, and oscillator wavefunctions.
+"""Truncated two-mode Fock space: pure and mixed states, their partial
+transpose and number distributions, and oscillator wavefunctions.
 
 The basis is the product basis |n_A, n_B> with 0 <= n_A, n_B <= n_cut,
 flattened row-major so that index(n_A, n_B) = n_A * (n_cut + 1) + n_B.
@@ -49,6 +49,10 @@ class FockSpace:
         if not (0 <= n_a <= self.n_cut and 0 <= n_b <= self.n_cut):
             raise ValueError(f"occupation ({n_a}, {n_b}) outside cutoff {self.n_cut}")
         return n_a * self.mode_dim + n_b
+
+    def pair_indices(self) -> np.ndarray:
+        """Basis indices of the pair states |n, n>, n = 0..n_cut: n (n_cut + 2)."""
+        return np.arange(self.mode_dim) * (self.n_cut + 2)
 
     def occupations(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-basis-index occupation numbers (n_a[i], n_b[i])."""
@@ -135,12 +139,6 @@ def basis_state(space: FockSpace, n_a: int, n_b: int) -> PureState:
     amps = np.zeros(space.dim, dtype=np.complex128)
     amps[space.index(n_a, n_b)] = 1.0
     return PureState(space, amps)
-
-
-def rotate_state(rho: DensityMatrix, theta: float) -> DensityMatrix:
-    """U_theta rho U_theta^dag for the total-number phase rotation."""
-    u = np.exp(-1j * theta * np.add(*rho.space.occupations()))
-    return DensityMatrix(rho.space, (u[:, None] * rho.entries) * u.conj()[None, :])
 
 
 def partial_transpose(rho: DensityMatrix) -> np.ndarray:

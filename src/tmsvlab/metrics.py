@@ -135,8 +135,7 @@ def qfi_fixed_n(rho: DensityMatrix) -> QfiResult:
 
 def _pair_block(rho: DensityMatrix) -> np.ndarray:
     """The |n,n><m,m| sub-block of rho, shape (n_cut+1, n_cut+1)."""
-    k = rho.space.mode_dim
-    idx = np.array([rho.space.index(n, n) for n in range(k)])
+    idx = rho.space.pair_indices()
     return rho.entries[np.ix_(idx, idx)]
 
 
@@ -159,7 +158,7 @@ def _best_phase_overlap(pair_block: np.ndarray, coeffs: np.ndarray,
 
 
 def _fit_overlap(xi: float, pair_block: np.ndarray, n_cut: int, table: np.ndarray) -> float:
-    coeffs = np.abs(_pair_amplitudes(xi, 0.0, n_cut))
+    coeffs = _pair_amplitudes(xi, n_cut)
     coeffs = coeffs / np.linalg.norm(coeffs)
     return _best_phase_overlap(pair_block, coeffs, table)
 

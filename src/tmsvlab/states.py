@@ -3,10 +3,10 @@
 The ideal source is the two-mode squeezed vacuum with squeezing parameter
 xi = Omega * t set by the spin-dynamics rate and duration.  It is Gaussian,
 so :class:`SqueezedVacuum` describes it exactly by its covariance, with no
-occupation cutoff; :func:`tmsv` and :func:`tmsv_rotated` give its truncated
-Fock-space form.  A dephased variant mixes the pair phase with a Gaussian
-weight (``pair_phase_sigma``; Fock form :func:`phase_noisy_state`); it is
-the model used for the noisy tomography studies.
+occupation cutoff.  A dephased variant mixes the pair phase with a Gaussian
+weight (``pair_phase_sigma``), the model of the noisy tomography studies.
+:func:`phase_noisy_state` is the truncated Fock form of either, one closed
+expression; :func:`tmsv` and :func:`tmsv_rotated` the undephased state vector.
 """
 
 import math
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, FockSpace, PureState, rotate_state
+from .fock import DensityMatrix, FockSpace, PureState
 
 # spin-dynamics rate of the source, rad/s
 OMEGA_SPIN_DYNAMICS = 2.0 * np.pi * 5.1
@@ -66,10 +66,9 @@ def truncation_tail(xi: float, n_cut: int) -> float:
     return float(lam ** (n_cut + 1))
 
 
-def _pair_amplitudes(xi: float, theta: float, n_cut: int) -> np.ndarray:
-    """Unnormalized amplitudes e^{-i n theta} tanh^n(xi) / cosh(xi)."""
-    n = np.arange(n_cut + 1)
-    return np.exp(-1j * n * theta) * np.tanh(xi) ** n / np.cosh(xi)
+def _pair_amplitudes(xi: float, n_cut: int) -> np.ndarray:
+    """Unnormalized pair amplitudes tanh^n(xi) / cosh(xi), n = 0..n_cut."""
+    return np.tanh(xi) ** np.arange(n_cut + 1) / np.cosh(xi)
 
 
 def _warn_tail(xi: float, n_cut: int):
@@ -95,36 +94,37 @@ def tmsv_rotated(xi: float, theta: float, space: FockSpace) -> PureState:
     if xi < 0:
         raise ValueError("xi must be nonnegative")
     _warn_tail(xi, space.n_cut)
-    coeffs = _pair_amplitudes(xi, theta, space.n_cut)
+    n = np.arange(space.mode_dim)
     amps = np.zeros(space.dim, dtype=np.complex128)
-    for n in range(space.n_cut + 1):
-        amps[space.index(n, n)] = coeffs[n]
+    amps[space.pair_indices()] = np.exp(-1j * n * theta) * np.tanh(xi) ** n / np.cosh(xi)
     return PureState(space, amps)
 
 
-def phase_noisy_state(xi: float, sigma: float, space: FockSpace) -> DensityMatrix:
-    """Squeezed vacuum whose pair phase is dephased by a Gaussian of width sigma.
+def phase_noisy_state(xi: float, sigma: float, space: FockSpace,
+                      pair_phase: float = 0.0) -> DensityMatrix:
+    """``SqueezedVacuum(xi, pair_phase, sigma)`` in Fock form: the mixture
+    over phi ~ N(pair_phase, sigma^2) of the squeezed vacua of pair phase phi.
 
-    The state is the mixture over phi ~ N(0, sigma^2) of the squeezed vacua
-    with pair phase phi.  Its nonzero entries are <n,n| rho |m,m> =
-    P(n - m) tanh^{n+m}(xi) / cosh^2(xi) with P(k) = E[e^{i k phi}].  A pair
-    phase is 2 pi-periodic, so phi is in effect the wrapped Gaussian and
-    P(k) = e^{-k^2 sigma^2 / 2} exactly, at every sigma; this is the state
-    that ``SqueezedVacuum(xi, 0, sigma)`` samples.  The trace is
-    renormalized after truncation.
+    Its nonzero entries are the pair block <n,n| rho |m,m> = P(n - m)
+    e^{-i (n - m) pair_phase} tanh^{n+m}(xi) / cosh^2(xi), P(k) = E[e^{i k
+    (phi - pair_phase)}].  A pair phase is 2 pi-periodic, so phi is in
+    effect the wrapped Gaussian and P(k) = e^{-k^2 sigma^2 / 2} exactly, at
+    every sigma.  The trace is renormalized after truncation, before the
+    pair phase enters as the total-number rotation by pair_phase / 2.
     """
     if xi < 0 or sigma < 0:
         raise ValueError("xi and sigma must be nonnegative")
     _warn_tail(xi, space.n_cut)
-    k = space.mode_dim
-    n = np.arange(k)
-    p_tilde = np.exp(-0.5 * (n * sigma) ** 2)
-    t_pow = np.tanh(xi) ** n / np.cosh(xi)
-    pair_block = p_tilde[np.abs(n[:, None] - n[None, :])] * np.outer(t_pow, t_pow)
+    n = np.arange(space.mode_dim)
+    amplitudes = _pair_amplitudes(xi, space.n_cut)
+    weights = np.exp(-0.5 * (n * sigma) ** 2)
     entries = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    idx = np.array([space.index(i, i) for i in range(k)])
-    entries[np.ix_(idx, idx)] = pair_block
-    return DensityMatrix.from_entries(space, entries)
+    pairs = np.ix_(space.pair_indices(), space.pair_indices())
+    entries[pairs] = weights[np.abs(n[:, None] - n[None, :])] * np.outer(amplitudes, amplitudes)
+    entries /= entries.trace().real
+    u = np.exp(-1j * pair_phase * n)
+    entries[pairs] = (u[:, None] * entries[pairs]) * u.conj()[None, :]
+    return DensityMatrix(space, entries)
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,8 @@ class SqueezedVacuum:
     uncorrelated, and have the variances of :meth:`pair_variances`
     (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)).  With
     pair_phase_sigma > 0 the pair phase is pair_phase + N(0, sigma^2), a
-    Gaussian mixture whose Fock form is :func:`phase_noisy_state`.
+    Gaussian mixture.  Its truncated Fock form, dephased or not, is the
+    one closed expression of :func:`phase_noisy_state`.
     """
 
     xi: float
@@ -157,11 +158,7 @@ class SqueezedVacuum:
 
     def density(self, space: FockSpace) -> DensityMatrix:
         """Truncated Fock-space density matrix of the state."""
-        if self.pair_phase_sigma == 0.0:
-            return tmsv_rotated(self.xi, self.pair_phase, space).projector()
-        # a total-number rotation by phi / 2 advances the pair phase by phi
-        return rotate_state(phase_noisy_state(self.xi, self.pair_phase_sigma, space),
-                            self.pair_phase / 2.0)
+        return phase_noisy_state(self.xi, self.pair_phase_sigma, space, self.pair_phase)
 
     def pair_variances(self, u, out=None) -> tuple[np.ndarray, np.ndarray]:
         """Var(x_A + x_B) and Var(x_A - x_B) at rotation angle(s) u:

@@ -175,25 +175,31 @@ def bin_samples(samples: Samples, dx: float) -> list[Histogram2D]:
     return hists
 
 
-def _bin_operators(n_cut: int, lo: np.ndarray, hi: np.ndarray, hist: Histogram2D) -> tuple:
-    """(At, Bt, flat, counts) of a histogram cut to its rows and columns with
-    counts: [A diag(c) | A' diag(s')] and [B diag(c) | B' diag(s')], A_i and
-    B_j rows over pairs (lo, hi), c, s = cos, sin theta (lo - hi), and A', s'
-    their columns of the unequal pairs (lo < hi), in pair order: the sine of
-    an equal pair is zero at every phase, so (n_cut + 1)^2 columns in all;
-    populated bins."""
-    rows = np.flatnonzero(hist.counts.any(axis=1))
-    cols = np.flatnonzero(hist.counts.any(axis=0))
-    counts = hist.counts[np.ix_(rows, cols)].ravel()
-    xa, xb = (x[i] for x, i in zip(hist.midpoints(), (rows, cols)))
-    d = hist.theta * (lo - hi)
+def _bin_operators(n_cut: int, lo: np.ndarray, hi: np.ndarray, hists: list) -> list[tuple]:
+    """(At, Bt, flat, counts) of each histogram, in (theta, origin) order,
+    cut to its rows and columns with counts: [A diag(c) | A' diag(s')] and
+    [B diag(c) | B' diag(s')], A_i and B_j rows over pairs (lo, hi), c, s =
+    cos, sin theta (lo - hi), and A', s' their columns of the unequal pairs
+    (lo < hi), in pair order: the sine of an equal pair is zero at every
+    phase, so (n_cut + 1)^2 columns in all; populated bins.  The midpoints of
+    all of them share one table of wavefunctions."""
+    hists = sorted(hists, key=lambda h: (h.theta, h.origin))
+    cuts = [[np.flatnonzero(h.counts.any(axis=a)) for a in (1, 0)] for h in hists]
+    mids = [x[i] for h, cut in zip(hists, cuts) for x, i in zip(h.midpoints(), cut)]
+    psi = np.split(hermite_functions(n_cut, np.concatenate(mids)),
+                   np.cumsum([x.size for x in mids[:-1]]), axis=1)
     unequal = lo < hi
-    rot = np.concatenate([np.cos(d), np.sin(d[unequal])]) * hist.dx
     columns = np.concatenate([np.arange(lo.size), np.flatnonzero(unequal)])
-    at, bt = (np.multiply((psi[lo] * psi[hi])[columns].T, rot, order="C")
-              for psi in (hermite_functions(n_cut, xa), hermite_functions(n_cut, xb)))
-    flat = np.flatnonzero(counts)
-    return at, bt, flat, counts[flat].astype(np.float64)
+    ops = []
+    for h, (rows, cols), psi_a, psi_b in zip(hists, cuts, psi[::2], psi[1::2]):
+        counts = h.counts[np.ix_(rows, cols)].ravel()
+        d = h.theta * (lo - hi)
+        rot = np.concatenate([np.cos(d), np.sin(d[unequal])]) * h.dx
+        at, bt = (np.multiply((p[lo] * p[hi])[columns].T, rot, order="C")
+                  for p in (psi_a, psi_b))
+        flat = np.flatnonzero(counts)
+        ops.append((at, bt, flat, counts[flat].astype(np.float64)))
+    return ops
 
 
 class _Kernel:
@@ -225,8 +231,7 @@ class _Kernel:
         lo, hi = np.concatenate([up_lo, np.arange(k)]), np.concatenate([up_hi, np.arange(k)])
         s, p_lo, p_hi = lo.size, lo[:, None], hi[:, None]
         self.unequal = up_lo.size
-        ops = [_bin_operators(n_cut, lo, hi, h)
-               for h in sorted(hists, key=lambda h: (h.theta, h.origin))]
+        ops = _bin_operators(n_cut, lo, hi, hists)
         half = np.empty(max(at.size for at, *_ in ops))
         grid = np.empty(max(at.shape[0] * bt.shape[0] for at, bt, *_ in ops))
         # each histogram's operators and its views of the two shared buffers

@@ -432,7 +432,7 @@ LINE_FORMS = {
 
 
 @pytest.mark.parametrize("case", LINE_FORMS)
-def test_fast_path_and_loadtxt_agree_on_every_line_form(tmp_path, case):
+def test_reader_takes_only_the_writers_line_form_and_names_the_first_bad_line(tmp_path, case):
     # only the writer's line form reads, as np.loadtxt reads it; the reader
     # refuses every other and names its line
     text, message = LINE_FORMS[case]
@@ -523,7 +523,7 @@ def test_reader_cases_at_every_chunk_size(tmp_path, chunk_bytes, size):
     for token in TOKENS:
         test_fast_path_and_loadtxt_agree_on_every_token(tmp_path, token)
     for case in LINE_FORMS:
-        test_fast_path_and_loadtxt_agree_on_every_line_form(tmp_path, case)
+        test_reader_takes_only_the_writers_line_form_and_names_the_first_bad_line(tmp_path, case)
 
 
 @pytest.mark.parametrize("size", CHUNK_SIZES)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from tmsvlab.fock import (DensityMatrix, FockSpace, PureState, basis_state,
-                          hermite_functions, number_distributions, partial_transpose,
-                          rotate_state)
+                          hermite_functions, number_distributions, partial_transpose)
 from tmsvlab.states import tmsv
 
 from gridded import ladder_quadratures
+from source_oracle import rotate_state
 
 
 def test_space_dimensions():
@@ -18,6 +18,12 @@ def test_space_dimensions():
     # the index map is a bijection onto 0..dim-1
     idx = {sp.index(na, nb) for na in range(11) for nb in range(11)}
     assert idx == set(range(121))
+
+
+def test_pair_indices_are_the_index_of_each_pair():
+    for n_cut in (0, 1, 4, 10):
+        sp = FockSpace(n_cut)
+        assert sp.pair_indices().tolist() == [sp.index(n, n) for n in range(n_cut + 1)]
 
 
 def test_space_rejects_negative_cutoff():

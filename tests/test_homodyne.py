@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from tmsvlab.criteria import THETA_P_LIKE, THETA_X_LIKE, epr_report
-from tmsvlab.fock import FockSpace, basis_state, rotate_state
+from tmsvlab.fock import FockSpace, basis_state
 from tmsvlab.homodyne import (DEFAULT_READOUT, CountBoundsError, Readout, Samples, Shots,
                               _invert_counts, estimate_quadratures, sample_quadratures,
                               shots_to_samples, simulate_readout, simulate_shots)
@@ -17,6 +17,7 @@ from tmsvlab.states import (NOISELESS, NoiseModel, SqueezedVacuum, phase_noisy_s
 import reference_readout
 from conftest import assert_same_batch, assert_within_se, traced_peak_mb
 from gridded import Gridded, GridSupportError, QuadGrid, grid_mass, quad_pdf
+from source_oracle import rotate_state
 
 
 def var_se(v, n):

@@ -1047,7 +1047,13 @@ def test_cli_tomo_records_config_and_input(tmp_path):
 # - fig_s2-seed0/fig_s2_table.csv from 2f4a8d25... to e2daceb0... and
 #   paper/fig_s2-seed0/fig_s2_table.csv from c08f4cc8... to 6cba9d82...:
 #   the same pair block moves the fidelity column by at most 4.4e-16 (smoke
-#   both cells; paper p 100 and 400 at dx 0.25, p 50, 200 and 400 at dx 0.1)
+#   both cells; paper p 100 and 400 at dx 0.25, p 50, 200 and 400 at dx 0.1);
+# - paper/fig_s2-seed0/fig_s2_table.csv from 6cba9d82... to add8650e...:
+#   SqueezedVacuum.density writes the pure truth's pair block as one closed
+#   expression, not as the projector on its state vector, which moves its
+#   entries by at most 1.1e-16 and four fidelities by 1 ulp (1.1e-16): p 25
+#   and p 400, at dx 0.25 and at dx 0.1 (0.8874801352008643 to
+#   0.8874801352008642 at p 25, dx 0.25)
 PINNED_OUTPUTS = {
     "fig3-seed0/fig3_sweep.csv":
         "b3b99cc78e5a533d64bb7a35b39be8b5a7fd604c9c2fc27c1f922961fb9bb650",
@@ -1074,7 +1080,7 @@ PINNED_OUTPUTS = {
     "pair/shots.csv":
         "63896569eb1d3847e9901579a20e09f33ed98d907246084b0f4599edca3490c0",
     "paper/fig_s2-seed0/fig_s2_table.csv":
-        "6cba9d82e6c00933e92f295a77545005fe670ee4368cbbb66b32375899b0d364",
+        "add8650ef77a827db18285618dec738945ce6597d38519900e5b0a011ed74990",
     "paper/fig_s2-seed0/manifest.json":
         "6bbe4ec4925283e76d5648b339ef1147da87a74ec5741c9684a0dd93a185d9bb",
     "paper/fig_s3-seed0/manifest.json":

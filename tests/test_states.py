@@ -1,11 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from tmsvlab import fock
 from tmsvlab.fock import FockSpace, basis_state, number_distributions
 from tmsvlab.criteria import time_sweep
 from tmsvlab.states import (NOISELESS, NoiseModel, SqueezedVacuum, TruncationWarning,
                             analytic_variances, phase_noisy_state, tmsv, tmsv_rotated,
                             truncation_tail, OMEGA_SPIN_DYNAMICS, XI_MAX)
+
+from source_oracle import squeezed_vacuum_density
 
 OMEGA = 2 * np.pi * 5.1
 
@@ -160,9 +165,10 @@ def test_omega_constant():
 # ------------------------------------------------------- Gaussian source
 
 def test_squeezed_vacuum_density_is_truncated_tmsv(space10):
-    src = SqueezedVacuum(0.63, 1.0)
-    rho = src.density(space10)
-    assert np.array_equal(rho.entries, tmsv_rotated(0.63, 1.0, space10).projector().entries)
+    # the closed form and the projector on the state vector round apart
+    rho = SqueezedVacuum(0.63, 1.0).density(space10)
+    projector = tmsv_rotated(0.63, 1.0, space10).projector()
+    assert np.max(np.abs(rho.entries - projector.entries)) < 1e-15
     for value in (-0.1, np.nan, np.inf):
         with pytest.raises(ValueError, match="xi"):
             SqueezedVacuum(value)
@@ -181,6 +187,32 @@ def test_squeezed_vacuum_refuses_a_xi_whose_variances_overflow():
     for value in (np.nextafter(XI_MAX, np.inf), 400.0, 1e308):
         with pytest.raises(ValueError, match=r"^xi must be at most 354\.89"):
             SqueezedVacuum(value)
+
+
+@pytest.mark.filterwarnings("ignore::tmsvlab.states.TruncationWarning")  # xi 2 at n_cut 10
+@pytest.mark.parametrize("xi, sigma, pair_phase",
+                         itertools.product([0.0, 0.63, 0.8, 2.0], [0.0, 0.36, 1.0],
+                                           [0.0, np.pi / 2, 1.1]))
+def test_squeezed_vacuum_density_matches_the_two_step_oracle(space10, xi, sigma, pair_phase):
+    # one closed expression against the projector on the state vector
+    # (sigma 0) and the dephased state rotated by pair_phase / 2 (sigma > 0),
+    # which it matches bit for bit
+    rho = SqueezedVacuum(xi, pair_phase, sigma).density(space10).entries
+    oracle = squeezed_vacuum_density(xi, pair_phase, sigma, space10).entries
+    assert np.max(np.abs(rho - oracle)) < 1e-15
+    if sigma > 0.0:
+        assert np.array_equal(rho, oracle)
+
+
+def test_squeezed_vacuum_density_validates_one_matrix(monkeypatch):
+    # the closed form builds its DensityMatrix once: no projector or
+    # rotation builds and checks a second
+    built = []
+    check = fock.DensityMatrix.__post_init__
+    monkeypatch.setattr(fock.DensityMatrix, "__post_init__",
+                        lambda self: built.append(check(self)))
+    SqueezedVacuum(0.63, 0.0, 0.36).density(FockSpace(10))
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("pair_phase", [0.0, 1.0, -2.5])

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from tmsvlab.fock import FockSpace, basis_state
+from tmsvlab.fock import FockSpace, basis_state, hermite_functions
 from tmsvlab import tomography
 from tmsvlab.homodyne import Samples, sample_quadratures
 from tmsvlab.metrics import fidelity_mixed
@@ -19,6 +19,7 @@ import fixed_point
 from conftest import loglik_under
 from gridded import Gridded
 from group_bootstrap import bootstrap
+from source_oracle import rotate_state
 from uhlmann import fidelity_pure
 
 
@@ -133,7 +134,6 @@ def test_bin_probabilities_sum_to_one():
                     counts=counts)
     total = 0.0
     kets_x, _ = h.midpoints()
-    from tmsvlab.fock import hermite_functions
     psi = hermite_functions(sp.n_cut, kets_x)
     phase = np.exp(-1j * h.theta * np.arange(sp.mode_dim))
     cols = phase[:, None] * psi
@@ -144,7 +144,6 @@ def test_bin_probabilities_sum_to_one():
 
 
 def test_bin_probability_rotation_covariance():
-    from tmsvlab.fock import rotate_state
     sp = FockSpace(6)
     rho = tmsv(0.4, sp).projector()
     phi = 0.35
@@ -188,7 +187,6 @@ def test_r_operator_near_identity_on_support_for_exact_data():
     edges = np.arange(-5.0, 5.0, dx)
     mids_a = edges + dx / 2
 
-    from tmsvlab.fock import hermite_functions
     psi = hermite_functions(sp.n_cut, mids_a)[0] ** 2  # vacuum marginal
     joint = np.outer(psi, psi) * dx * dx
     scale = 1e7
@@ -241,6 +239,32 @@ def test_separable_kernel_matches_the_bin_ket_oracle(case):
         r_ref, ll_ref = bin_kets.r_and_loglik(rho, space, hists)
         assert np.max(np.abs(r - r_ref)) <= 1e-13
         assert abs(ll - ll_ref) <= 1e-13 * abs(ll_ref)
+
+
+@pytest.mark.parametrize("case", ["fig_s3 paper", "fig_s2 p 400, dx 0.25", "fig_s2 p 400, dx 0.1"])
+def test_kernel_evaluates_one_hermite_table_for_all_histograms(monkeypatch, case):
+    # one call on the populated midpoints of every histogram, x_a then x_b,
+    # in (theta, origin) order, whose table equals bit for bit those of a
+    # call per histogram and quadrature
+    if case == "fig_s3 paper":
+        hists = fig_s3_histograms(0.25)
+    else:
+        preset = PRESETS["fig_s2"]
+        hists = bin_samples(sample_quadratures(preset.source, preset.thetas, 400,
+                                               preset.noise, seed=0), float(case[-4:]))
+    calls = []
+    monkeypatch.setattr(tomography, "hermite_functions",
+                        lambda n_max, x: calls.append(x) or hermite_functions(n_max, x))
+    tomography._Kernel(10, hists)
+    assert len(calls) == 1
+    table = hermite_functions(10, calls[0])
+    start = 0
+    for h in sorted(hists, key=lambda h: (h.theta, h.origin)):
+        for x, axis in zip(h.midpoints(), (1, 0)):
+            x = x[h.counts.any(axis=axis)]
+            assert np.array_equal(table[:, start:start + x.size], hermite_functions(10, x))
+            start += x.size
+    assert start == calls[0].size
 
 
 def test_certified_gap_bounds_the_distance_to_the_maximum(monkeypatch):
