@@ -6,8 +6,8 @@ report from a sample file), ``metrics`` (entanglement metrics from a
 density-matrix file), and ``reproduce`` (run a named end-to-end scenario
 into a run directory).
 
-Exit codes: 0 success, 1 runtime error, 2 reconstruction did not
-converge, 64 usage error.
+Exit codes: 0 success, 1 runtime error, 2 a fit of ``tomo`` or
+``reproduce`` did not converge (its files are written), 64 usage error.
 
 Every subcommand accepts ``--config`` and ``--out``, and those that draw
 random numbers ``--seed``.  There is no worker-count flag: computation is
@@ -30,11 +30,11 @@ source, the noise settings in the noise, the phases and the shots per
 phase.  It draws the source once: ``samples.csv`` holds the quadratures
 that the counts in ``shots.csv`` realize.  Its ``manifest.json`` records
 only what shaped the draw (source, noise, phases, shots per phase, seed)
-and the package, enough to rebuild both files; that of ``reproduce``
-holds the preset as run (each field that is set), the scale and the
-sweep.  ``criteria`` takes the group of the lower phase modulo pi as the
-x group.  Apart from ``reproduce``, a command checks its settings before
-it reads, and creates ``--out`` only to write its results.
+and the package, enough to rebuild both files; ``reproduce`` writes the
+outputs of :func:`~tmsvlab.pipelines.reproduce`, its manifest among them.
+``criteria`` takes the group of the lower phase modulo pi as the x group.
+A command checks its settings before it reads or runs, and creates
+``--out`` only to write its results.
 """
 
 import argparse
@@ -52,8 +52,7 @@ from .criteria import (DEFAULT_OCCUPATIONS, PhaseMismatchError, check_occupation
                        epr_report, group_samples)
 from .homodyne import DEFAULT_READOUT, simulate_readout
 from .metrics import check_target_xi, metrics_report
-from .pipelines import (FIG3_TIME_GRID, PACKAGE, PRESETS, make_manifest, run_fig3,
-                        run_fig_s2, run_fig_s3, sweep_phases)
+from .pipelines import PACKAGE, PRESETS, SCALES, reproduce
 from .tomography import TomographyConfig, bin_samples, ml_reconstruct
 
 EX_OK = 0
@@ -174,7 +173,7 @@ def build_parser() -> _Parser:
 
     p_rep = command("reproduce", "run a named end-to-end scenario")
     p_rep.add_argument("figure", choices=sorted(PRESETS), help="scenario id")
-    p_rep.add_argument("--scale", choices=("paper", "smoke"), default=None,
+    p_rep.add_argument("--scale", choices=sorted({scale for _, scale in SCALES}), default=None,
                        help="smoke runs a reduced grid for quick checks")
     return parser
 
@@ -249,12 +248,8 @@ def _cmd_criteria(args) -> int:
     check_occupations(occupations)
     samples = tio.read_samples(args.samples)
     groups = group_samples(samples)
-    if len(groups) < 2:
-        raise PhaseMismatchError(
-            f"need two conjugate phase groups, found {len(groups)}")
-    if len(groups) > 2:
-        raise PhaseMismatchError(
-            f"need exactly two phase groups, found {len(groups)}")
+    if len(groups) != 2:
+        raise PhaseMismatchError(f"need two conjugate phase groups, found {len(groups)}")
     # the x group's phase is the lower one modulo pi: rotation angle pi
     # (THETA_X_LIKE) reads x-like and pi / 2 p-like
     groups.sort(key=lambda group: group[0] % math.pi)
@@ -283,59 +278,18 @@ def _cmd_metrics(args) -> int:
     return EX_OK
 
 
-# (figure, scale) -> (the preset fields a run at that scale replaces, the
-# sweep).  A sweep key names the field whose values the run steps through:
-# the preset's p_per_theta, its tomography's dx, or fig3's time t_s, which
-# sets xi.  The manifest records the preset as run and the sweep.
-_SCALES = {
-    ("fig_s2", "paper"): ({}, {"p_per_theta": (25, 50, 100, 200, 400), "dx": (0.25, 0.1)}),
-    ("fig_s2", "smoke"): ({"thetas": sweep_phases(9),
-                           "tomography": TomographyConfig(n_cut=6, max_iter=60)},
-                          {"p_per_theta": (25, 50), "dx": (0.25,)}),
-    ("fig_s3", "paper"): ({}, {}),
-    ("fig_s3", "smoke"): ({"p_per_theta": 30, "thetas": sweep_phases(9),
-                           "tomography": TomographyConfig(n_cut=6, max_iter=80)}, {}),
-    ("fig3", "paper"): ({}, {"t_s": FIG3_TIME_GRID}),
-    ("fig3", "smoke"): ({"p_per_theta": 400}, {"t_s": (0.0, 13e-3, 26e-3)}),
-}
-
-
 def _cmd_reproduce(args) -> int:
-    figure = args.figure
-    scale = args.scale or "paper"
-    overrides, sweep = _SCALES[figure, scale]
-    preset = dataclasses.replace(PRESETS[figure], **overrides, **_given(args, "seed"))
-    rundir = _outdir(Path(args.out or "runs") / f"{figure}-seed{preset.seed}")
-    tio.write_json(rundir / "manifest.json",
-                   {**make_manifest(preset), "scale": scale, "sweep": sweep})
-
-    if figure == "fig_s2":
-        rows = run_fig_s2(preset, sweep["p_per_theta"], sweep["dx"])
-        tio.write_csv_rows(rundir / "fig_s2_table.csv",
-                           "p,dx,seed,fidelity,converged,iterations,gap",
-                           [dataclasses.astuple(r) for r in rows])
-    elif figure == "fig_s3":
-        result = run_fig_s3(preset)
-        tio.write_density_matrix(rundir / "rho_ml.json", result.ml.rho)
-        tio.write_json(rundir / "metrics.json", result.metrics.to_json_dict())
-        tio.write_json(rundir / "summary.json", {
-            "fidelity_to_truth": result.fidelity_to_truth,
-            "twin_fock_dominant": result.twin_fock_dominant,
-            "converged": result.ml.converged,
-            "iterations": result.ml.iterations,
-            "gap": result.ml.gap,
-            "p_sum": result.p_sum.tolist(),
-            "p_diff": result.p_diff.tolist(),
-        })
-    else:  # fig3
-        rows = run_fig3(preset, times=sweep["t_s"])
-        tio.write_csv_rows(
-            rundir / "fig3_sweep.csv",
-            "t_s,xi,v_x_minus,v_x_plus,v_p_plus,v_p_minus,epr_product,insep_sum,"
-            "v_sq_ideal,v_anti_ideal,epr_product_ideal,se_epr_product,se_insep_sum",
-            [dataclasses.astuple(r) for r in rows])
-    print(f"run directory: {rundir}")
-    return EX_OK
+    preset, outputs, converged = reproduce(args.figure, args.scale or "paper", args.seed)
+    rundir = _outdir(Path(args.out or "runs") / f"{args.figure}-seed{preset.seed}")
+    for name, payload in outputs.items():
+        if isinstance(payload, tuple):
+            tio.write_csv_rows(rundir / name, *payload)
+        elif isinstance(payload, dict):
+            tio.write_json(rundir / name, payload)
+        else:
+            tio.write_density_matrix(rundir / name, payload)
+    print(f"run directory: {rundir}{'' if converged else ' (a fit did not converge)'}")
+    return EX_OK if converged else EX_NONCONVERGED
 
 
 _COMMANDS = {

@@ -1,11 +1,12 @@
 """End-to-end recipes: sample, reconstruct, and score the reference scenarios.
 
-Three named presets are shipped, one per figure.  Each holds its source
-as a :class:`~tmsvlab.states.SqueezedVacuum`, which every run samples
-exactly from its Gaussian covariance, and the figure's tomography, whose
-n_cut is the Fock space of the reconstruction and of its truth.  Each
-figure's run reads the preset fields listed here and sweeps the others it
-names:
+Three named presets are shipped, one per figure, and :data:`SCALES` holds
+each figure's scales; :func:`reproduce` runs a figure at a scale into its
+named outputs.  Each preset holds its source as a
+:class:`~tmsvlab.states.SqueezedVacuum`, which every run samples exactly
+from its Gaussian covariance, and the figure's tomography, whose n_cut is
+the Fock space of the reconstruction and of its truth.  Each figure's run
+reads the preset fields listed here and sweeps the others it names:
 
 * ``fig_s2``   ideal squeezed vacuum (xi = 0.8, pair phase pi / 2),
                noiseless sampling, used for the reconstruction-consistency
@@ -93,6 +94,21 @@ PRESETS: dict[str, ExperimentPreset] = {
 }
 
 FIG3_TIME_GRID = tuple(1e-3 * t for t in (2, 6, 10, 14, 18, 22, 26, 30, 34, 38))
+
+# (figure, scale) -> (the preset fields a run at that scale replaces, the
+# sweep), both recorded in its manifest.  A sweep key names the field whose
+# values the run steps through: p_per_theta, the tomography's dx or fig3's t_s.
+SCALES = {
+    ("fig_s2", "paper"): ({}, {"p_per_theta": (25, 50, 100, 200, 400), "dx": (0.25, 0.1)}),
+    ("fig_s2", "smoke"): ({"thetas": sweep_phases(9),
+                           "tomography": TomographyConfig(n_cut=6, max_iter=60)},
+                          {"p_per_theta": (25, 50), "dx": (0.25,)}),
+    ("fig_s3", "paper"): ({}, {}),
+    ("fig_s3", "smoke"): ({"p_per_theta": 30, "thetas": sweep_phases(9),
+                           "tomography": TomographyConfig(n_cut=6, max_iter=80)}, {}),
+    ("fig3", "paper"): ({}, {"t_s": FIG3_TIME_GRID}),
+    ("fig3", "smoke"): ({"p_per_theta": 400}, {"t_s": (0.0, 13e-3, 26e-3)}),
+}
 
 
 def make_manifest(preset: ExperimentPreset) -> dict:
@@ -185,3 +201,33 @@ def run_fig3(preset: ExperimentPreset, times=FIG3_TIME_GRID) -> list[TimeSweepPo
     shots per point and seed."""
     return time_sweep(times, noise=preset.noise, p_per_point=preset.p_per_theta,
                       seed=preset.seed)
+
+
+def reproduce(figure: str, scale: str = "paper", seed: int | None = None):
+    """Run a figure at a scale and seed (the preset's if None): the preset
+    as run, its outputs by file name (a JSON dict, a density matrix or a CSV
+    (header, rows)) and whether every fit converged; fig3 fits nothing."""
+    overrides, sweep = SCALES[figure, scale]
+    preset = dataclasses.replace(PRESETS[figure], **overrides,
+                                 **({} if seed is None else {"seed": seed}))
+    outputs = {"manifest.json": {**make_manifest(preset), "scale": scale, "sweep": sweep}}
+    if figure == "fig3":
+        outputs["fig3_sweep.csv"] = (
+            "t_s,xi,v_x_minus,v_x_plus,v_p_plus,v_p_minus,epr_product,insep_sum,"
+            "v_sq_ideal,v_anti_ideal,epr_product_ideal,se_epr_product,se_insep_sum",
+            [dataclasses.astuple(r) for r in run_fig3(preset, times=sweep["t_s"])])
+        return preset, outputs, True
+    if figure == "fig_s2":
+        rows = run_fig_s2(preset, sweep["p_per_theta"], sweep["dx"])
+        outputs["fig_s2_table.csv"] = ("p,dx,seed,fidelity,converged,iterations,gap",
+                                       [dataclasses.astuple(r) for r in rows])
+        return preset, outputs, all(r.converged for r in rows)
+    result = run_fig_s3(preset)
+    ml = result.ml
+    outputs.update({"rho_ml.json": ml.rho, "metrics.json": result.metrics.to_json_dict(),
+                    "summary.json": {"fidelity_to_truth": result.fidelity_to_truth,
+                                     "twin_fock_dominant": result.twin_fock_dominant,
+                                     "converged": ml.converged, "iterations": ml.iterations,
+                                     "gap": ml.gap, "p_sum": result.p_sum.tolist(),
+                                     "p_diff": result.p_diff.tolist()}})
+    return preset, outputs, ml.converged

@@ -366,7 +366,7 @@ REFUSED_LINE = r"line 3: (non-numeric field|expected 3 fields, got 4)$"
 
 
 @pytest.mark.parametrize("token", TOKENS)
-def test_fast_path_and_loadtxt_agree_on_every_token(tmp_path, token):
+def test_each_accepted_token_reads_as_float_and_loadtxt_read_it(tmp_path, token):
     # the token at each field of line 3, with and without the file's last
     # newline.  A spelling the reader takes reads as float() and np.loadtxt
     # read it, bit for bit, but -0, which reads as +0.0; the reader refuses
@@ -521,7 +521,7 @@ def test_reader_cases_at_every_chunk_size(tmp_path, chunk_bytes, size):
     for case in LOCATED_CASES:
         test_reader_names_the_line_that_loadtxt_rejects(tmp_path, "samples", case)
     for token in TOKENS:
-        test_fast_path_and_loadtxt_agree_on_every_token(tmp_path, token)
+        test_each_accepted_token_reads_as_float_and_loadtxt_read_it(tmp_path, token)
     for case in LINE_FORMS:
         test_reader_takes_only_the_writers_line_form_and_names_the_first_bad_line(tmp_path, case)
 

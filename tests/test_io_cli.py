@@ -13,14 +13,14 @@ import numpy as np
 import orjson
 import pytest
 
-from tmsvlab import cli, io as tio
+from tmsvlab import cli, io as tio, pipelines
 from tmsvlab.cli import EX_NONCONVERGED, EX_OK, EX_RUNTIME, EX_USAGE, main
 from tmsvlab.criteria import epr_report, group_samples, time_sweep
 from tmsvlab.fock import DensityMatrix, FockSpace, basis_state
 from tmsvlab.homodyne import DEFAULT_READOUT, Samples, Shots, sample_quadratures, simulate_readout
 from tmsvlab.pipelines import PRESETS, ExperimentPreset, sweep_phases
 from tmsvlab.states import NOISELESS, NoiseModel, SqueezedVacuum, tmsv, tmsv_rotated
-from tmsvlab.tomography import TomographyConfig, bin_samples, ml_reconstruct
+from tmsvlab.tomography import LOGLIK_GAP, TomographyConfig, bin_samples, ml_reconstruct
 
 from conftest import (MALFORMED_TOKENS, NON_FINITE_TOKENS, assert_same_batch, concat,
                       loadtxt_shots, loglik_under, traced_peak_mb)
@@ -881,25 +881,73 @@ def preset_from(d):
     return ExperimentPreset(**fields)
 
 
-@pytest.mark.parametrize("figure, scale", sorted(cli._SCALES))
+@pytest.mark.parametrize("figure, scale", sorted(pipelines.SCALES))
 def test_cli_reproduce_manifest_records_the_preset_that_ran(tmp_path, monkeypatch, figure,
                                                              scale):
-    # the manifest is written before the run: each run function here
-    # records the preset it is given and stops the run.  --seed replaces
-    # the preset's seed, which the manifest's preset object once kept at 0
+    # each run function here records the preset it is given and returns a
+    # stub result in place of the run, whose outputs are then written.
+    # --seed replaces the preset's seed, which the manifest's preset object
+    # once kept at 0
     ran = []
+    fit = SimpleNamespace(rho=basis_state(FockSpace(2), 0, 0).projector(), converged=True,
+                          iterations=0, gap=0.0)
+    stubs = {"run_fig3": [], "run_fig_s2": [],
+             "run_fig_s3": SimpleNamespace(ml=fit, metrics=SimpleNamespace(to_json_dict=dict),
+                                           fidelity_to_truth=1.0, twin_fock_dominant=True,
+                                           p_sum=np.ones(1), p_diff=np.ones(1))}
 
-    def record(preset, *args, **kwargs):
-        ran.append(preset)
-        raise RuntimeError("stopped after the manifest")
+    def stub(result):
+        def record(preset, *args, **kwargs):
+            ran.append(preset)
+            return result
+        return record
 
-    for name in ("run_fig3", "run_fig_s2", "run_fig_s3"):
-        monkeypatch.setattr(cli, name, record)
+    for name, result in stubs.items():
+        monkeypatch.setattr(pipelines, name, stub(result))
     assert run_cli("reproduce", figure, "--scale", scale, "--seed", "5",
-                   "--out", str(tmp_path)) == EX_RUNTIME
+                   "--out", str(tmp_path)) == EX_OK
     manifest = json.loads((tmp_path / f"{figure}-seed5" / "manifest.json").read_text())
     assert preset_from(manifest["preset"]) == ran[0]
     assert manifest["seed"] == ran[0].seed == 5
+
+
+def test_cli_reproduce_that_raises_creates_no_run_directory(tmp_path, monkeypatch, capsys):
+    # the run comes first, and only then the run directory and its files
+    def fail(*args, **kwargs):
+        raise ValueError("the run failed")
+
+    monkeypatch.setattr(pipelines, "run_fig3", fail)
+    out = tmp_path / "runs"
+    assert run_cli("reproduce", "fig3", "--scale", "smoke", "--out", str(out)) == EX_RUNTIME
+    assert "the run failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("figure", ["fig_s3", "fig_s2"])
+def test_cli_reproduce_exits_2_when_a_fit_did_not_converge(tmp_path, monkeypatch, figure):
+    # three updates certify no smoke fit; the files are still written, and
+    # say which fit failed
+    overrides, sweep = pipelines.SCALES[figure, "smoke"]
+    tomography = dataclasses.replace(overrides["tomography"], max_iter=3)
+    monkeypatch.setitem(pipelines.SCALES, (figure, "smoke"),
+                        ({**overrides, "tomography": tomography}, sweep))
+    assert run_cli("reproduce", figure, "--scale", "smoke",
+                   "--out", str(tmp_path)) == EX_NONCONVERGED
+    rundir = tmp_path / f"{figure}-seed0"
+    manifest = json.loads((rundir / "manifest.json").read_text())
+    assert manifest["preset"]["tomography"]["max_iter"] == 3
+    if figure == "fig_s3":
+        summary = json.loads((rundir / "summary.json").read_text())
+        assert summary["converged"] is False and summary["iterations"] == 3
+        assert summary["gap"] > LOGLIK_GAP
+        assert (rundir / "rho_ml.json").is_file() and (rundir / "metrics.json").is_file()
+    else:
+        lines = (rundir / "fig_s2_table.csv").read_text().splitlines()
+        assert len(lines) == 3
+        for line, p in zip(lines[1:], (25, 50)):
+            p_, dx, _, _, converged, iterations, gap = line.split(",")
+            assert (int(p_), float(dx), converged, int(iterations)) == (p, 0.25, "False", 3)
+            assert float(gap) > LOGLIK_GAP
 
 
 def test_cli_reproduce_smoke_manifest_describes_the_run(tmp_path):
