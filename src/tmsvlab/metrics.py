@@ -6,7 +6,8 @@ squeezed vacuum at its best pair phase, which scores it against a target
 xi.  Also logarithmic negativity via the partial transpose, the quantum
 Fisher information of the state projected onto fixed total-number sectors
 and maximized over collective-spin directions, and the best-fit squeezing
-parameter.
+parameter.  Both squeezed-vacuum scores take the exact maximum over the
+pair phase; the fit searches xi down to a bracket of 2 sqrt(eps).
 """
 
 import math
@@ -19,10 +20,9 @@ from .states import XI_MAX, _pair_amplitudes
 
 QFI_EIGENVALUE_FLOOR = 1e-12
 SECTOR_WEIGHT_FLOOR = 1e-14
-# fit_squeezing's xi range and final bracket width, and its pair phases
+# fit_squeezing's xi range, and its final bracket: a flat maximum's float64 resolution
 FIT_XI_MAX = 2.0
-FIT_XI_TOL = 1e-4
-FIT_PHASES = 2048
+FIT_XI_TOL = 2.0 * math.sqrt(np.finfo(np.float64).eps)
 
 
 def fidelity_mixed(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
@@ -139,28 +139,23 @@ def _pair_block(rho: DensityMatrix) -> np.ndarray:
     return rho.entries[np.ix_(idx, idx)]
 
 
-def _phase_table(k: int) -> np.ndarray:
-    """exp(i phi d) at FIT_PHASES phases phi in [0, 2 pi) (rows) and the
-    orders d = -(k - 1) .. k - 1 of a k-term pair block (columns)."""
-    phi = np.linspace(0.0, 2.0 * np.pi, FIT_PHASES, endpoint=False)
-    return np.exp(1j * np.outer(phi, np.arange(-(k - 1), k)))
-
-
-def _best_phase_overlap(pair_block: np.ndarray, coeffs: np.ndarray,
-                        table: np.ndarray) -> float:
-    """max over phi of <xi,phi| rho |xi,phi> using the diagonal-sum
-    representation of the overlap as a trigonometric polynomial in phi,
-    evaluated on the phases of ``table`` (:func:`_phase_table`)."""
-    k = coeffs.size
-    weighted = np.outer(coeffs, coeffs) * pair_block
-    d = np.array([np.trace(weighted, offset=off) for off in range(-(k - 1), k)])
-    return float(np.max(np.real(table @ d)))
-
-
-def _fit_overlap(xi: float, pair_block: np.ndarray, n_cut: int, table: np.ndarray) -> float:
-    coeffs = _pair_amplitudes(xi, n_cut)
+def _best_phase_overlap(xi: float, pair_block: np.ndarray) -> float:
+    """max over phi of <xi,phi| rho |xi,phi>, |xi,phi> truncated to the pair
+    block and renormalized, exactly: the overlap is the real trigonometric
+    polynomial sum_d t_d e^{i d phi} in the offset traces t_d of the weighted
+    pair block, so its maximum is at phi = 0 or at the angle of a root of
+    sum_{|d| <= D} d t_d z^{d+D}, D the highest order with |t_d| > eps max |t|.
+    Higher orders are float noise in the overlap and would overflow the
+    companion matrix; D = 0 (vacuum, full dephasing) leaves phi = 0."""
+    k = pair_block.shape[0]
+    coeffs = _pair_amplitudes(xi, k - 1)
     coeffs = coeffs / np.linalg.norm(coeffs)
-    return _best_phase_overlap(pair_block, coeffs, table)
+    weighted = np.outer(coeffs, coeffs) * pair_block
+    d = np.arange(1 - k, k)
+    t = np.array([np.trace(weighted, offset=off) for off in d])
+    top = np.abs(d[np.abs(t) > np.finfo(np.float64).eps * np.abs(t).max()]).max(initial=0)
+    phases = np.append(np.angle(np.roots((d * t)[np.abs(d) <= top][::-1])), 0.0)
+    return float(np.max(np.real(np.exp(1j * np.outer(phases, d)) @ t)))
 
 
 def fit_squeezing(rho: DensityMatrix) -> tuple[float, float]:
@@ -168,32 +163,30 @@ def fit_squeezing(rho: DensityMatrix) -> tuple[float, float]:
     fidelity to it.
 
     Maximizes fidelity over xi in [0, FIT_XI_MAX] by golden-section search
-    until the bracket is FIT_XI_TOL wide, then compares xi = 0; at each xi
-    the pair-phase origin is optimized as well, over FIT_PHASES phases, so
-    the result does not depend on the phase convention of the input state.
+    down to a bracket of FIT_XI_TOL = 2 sqrt(eps), the float64 resolution of
+    a flat maximum, then compares xi = 0.  At each xi the pair phase takes its
+    exact best value, so the result does not depend on the input's phase convention.
     """
     pair_block = _pair_block(rho)
-    n_cut = rho.space.n_cut
-    table = _phase_table(n_cut + 1)
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     lo, hi = 0.0, FIT_XI_MAX
     x1 = hi - inv_phi * (hi - lo)
     x2 = lo + inv_phi * (hi - lo)
-    f1 = _fit_overlap(x1, pair_block, n_cut, table)
-    f2 = _fit_overlap(x2, pair_block, n_cut, table)
+    f1 = _best_phase_overlap(x1, pair_block)
+    f2 = _best_phase_overlap(x2, pair_block)
     while hi - lo > FIT_XI_TOL:
         if f1 >= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - inv_phi * (hi - lo)
-            f1 = _fit_overlap(x1, pair_block, n_cut, table)
+            f1 = _best_phase_overlap(x1, pair_block)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + inv_phi * (hi - lo)
-            f2 = _fit_overlap(x2, pair_block, n_cut, table)
+            f2 = _best_phase_overlap(x2, pair_block)
     xi_best = (lo + hi) / 2.0
-    best = _fit_overlap(xi_best, pair_block, n_cut, table)
+    best = _best_phase_overlap(xi_best, pair_block)
     # the maximum can sit on the lower boundary (vacuum-like states)
-    f0 = _fit_overlap(0.0, pair_block, n_cut, table)
+    f0 = _best_phase_overlap(0.0, pair_block)
     if f0 >= best:
         xi_best, best = 0.0, f0
     return xi_best, math.sqrt(min(max(best, 0.0), 1.0))
@@ -206,13 +199,12 @@ def check_target_xi(xi: float) -> None:
 
 
 def fidelity_best_phase(rho: DensityMatrix, xi: float) -> float:
-    """Fidelity of rho to the squeezed vacuum of parameter xi at its best
-    pair phase, maximized over the phases :func:`fit_squeezing` searches;
+    """Fidelity of rho to the squeezed vacuum of parameter xi at its exact
+    best pair phase, the maximum :func:`fit_squeezing` takes at each xi;
     for a state that carries no phase reference.  xi must pass
     :func:`check_target_xi`."""
     check_target_xi(xi)
-    n_cut = rho.space.n_cut
-    overlap = _fit_overlap(xi, _pair_block(rho), n_cut, _phase_table(n_cut + 1))
+    overlap = _best_phase_overlap(xi, _pair_block(rho))
     return math.sqrt(min(max(overlap, 0.0), 1.0))
 
 

@@ -10,6 +10,7 @@ expression; :func:`tmsv` and :func:`tmsv_rotated` the undephased state vector.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -72,11 +73,15 @@ def _pair_amplitudes(xi: float, n_cut: int) -> np.ndarray:
 
 
 def _warn_tail(xi: float, n_cut: int):
+    """Warn of a tail above TAIL_WARN_THRESHOLD, naming the first caller outside this module."""
     tail = truncation_tail(xi, n_cut)
     if tail > TAIL_WARN_THRESHOLD:
+        frame, level = sys._getframe(1), 2
+        while frame.f_globals["__name__"] == __name__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"cutoff n_cut={n_cut} discards {tail:.2e} probability at xi={xi:.3g}",
-            TruncationWarning, stacklevel=3)
+            TruncationWarning, stacklevel=level)
 
 
 def tmsv(xi: float, space: FockSpace) -> PureState:

@@ -304,22 +304,75 @@ def test_fit_squeezing_dephased_state(space10):
     assert 0.7 < fid < 1.0
 
 
-def test_best_phase_overlap_with_a_shared_table_matches_the_direct_form():
-    # fit_squeezing builds the phase table once; each probe must give the
-    # bits of the form that rebuilt it at every call
+# a fidelity's evaluation noise: a few ulp of 1
+ULP_SLACK = 4 * np.finfo(np.float64).eps
+
+
+def overlap_at_phases(block, coeffs, phi):
+    """<xi,phi| rho |xi,phi> at each phase phi, as psi^dag B psi with psi_n =
+    coeffs_n e^{-i n phi} on the pair block B."""
+    psi = coeffs * np.exp(-1j * np.outer(phi, np.arange(coeffs.size)))
+    return ((psi.conj() @ block) * psi).sum(axis=1).real
+
+
+def assert_is_the_phase_maximum(block, xi):
+    """_best_phase_overlap is at least the maximum over 65536 phases, and
+    within 1e-12 of it once that grid is refined by 65536 phases more around
+    its best one."""
+    coeffs = truncated_tmsv_coeffs(xi, block.shape[0] - 1)
+    grid = np.linspace(0.0, 2.0 * np.pi, 65536, endpoint=False)
+    on_grid = overlap_at_phases(block, coeffs, grid)
+    near = grid[np.argmax(on_grid)] + np.linspace(-1.0, 1.0, 65536) * (grid[1] - grid[0])
+    got = metrics._best_phase_overlap(xi, block)
+    assert got >= on_grid.max() - ULP_SLACK
+    assert abs(got - overlap_at_phases(block, coeffs, near).max()) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 5, 11])
+@pytest.mark.parametrize("xi", [0.3, 0.8, 1.5])
+def test_best_phase_overlap_is_the_maximum_over_every_pair_phase(k, xi):
+    # within 2.2e-16 of the refined grid here: the plain grid falls up to
+    # 1.6e-9 short of the maximum on these blocks, and a 2048-phase table
+    # up to 1.0e-6
     rng = np.random.default_rng(11)
-    for k in (1, 5, 11):
-        table = metrics._phase_table(k)
-        for _ in range(3):
-            a = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-            block = a @ a.conj().T
-            coeffs = np.abs(rng.normal(size=k))
-            weighted = np.outer(coeffs, coeffs) * block
-            d = np.array([np.trace(weighted, offset=off) for off in range(-(k - 1), k)])
-            phi = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
-            direct = float(np.max(np.real(np.exp(1j * np.outer(phi, np.arange(-(k - 1), k)))
-                                          @ d)))
-            assert metrics._best_phase_overlap(block, coeffs, table) == direct
+    for _ in range(5):
+        a = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        block = a @ a.conj().T
+        assert_is_the_phase_maximum(block / block.trace().real, xi)
+
+
+def test_best_phase_overlap_leaves_out_orders_below_float_noise():
+    # with them, the root finder's companion matrix overflows (a
+    # RuntimeWarning, then LinAlgError): a widely dephased state scored at
+    # xi 1e-12, and a state read from a file whose vacuum has a 1e-300
+    # coherence with |10,10>, at a xi the fit's search probes
+    space = FockSpace(10)
+    entries = np.zeros((space.dim, space.dim), dtype=np.complex128)
+    entries[0, 0], entries[space.index(1, 1), space.index(1, 1)] = 0.99, 0.01
+    entries[0, space.index(10, 10)] = entries[space.index(10, 10), 0] = 1e-300
+    for rho, xi in ((phase_noisy_state(0.63, 3.0, space), 1e-12),
+                    (DensityMatrix(space, entries), 1e-8)):
+        assert_is_the_phase_maximum(metrics._pair_block(rho), xi)
+
+
+@pytest.mark.filterwarnings("ignore::tmsvlab.states.TruncationWarning")  # xi 1.2 and 1.5
+@pytest.mark.parametrize("xi", [0.1, 0.3, 0.63, 0.8, 1.2, 1.5])
+@pytest.mark.parametrize("phi", [0.0, 0.4, 1.0, -2.0])
+def test_fit_squeezing_recovers_an_exact_squeezed_vacuum(xi, phi):
+    # the fit is the state itself at any pair phase: F within 1e-14 of 1,
+    # and xi within the search's final bracket 2 sqrt(eps) (3.0e-8) of the
+    # truth, a flat maximum's float64 resolution (1.9e-8 at worst here)
+    xi_fit, fid = fit_squeezing(tmsv_rotated(xi, phi, FockSpace(10)).projector())
+    assert 1.0 - fid <= 1e-14
+    assert abs(xi_fit - xi) <= 3e-8
+
+
+def test_fig_s3_fit_fidelity_is_at_least_the_fidelity_at_every_xi(fig_s3_run):
+    # the best fit over xi never scores below a given xi, beyond 4 ulp of
+    # evaluation noise (the largest excess here is -4.7e-13)
+    rho, report = fig_s3_run.ml.rho, fig_s3_run.metrics
+    for xi in [*np.linspace(0.0, 2.0, 50), report.xi_fit - 1e-6, report.xi_fit + 1e-6]:
+        assert report.fit_fidelity >= metrics.fidelity_best_phase(rho, xi) - ULP_SLACK
 
 
 def test_metrics_report_fields(space10):

@@ -64,6 +64,18 @@ def test_truncation_warning_fires():
         tmsv(1.5, sp)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: SqueezedVacuum(0.8).density(FockSpace(6)),
+    lambda: tmsv(0.8, FockSpace(6)),
+    lambda: tmsv_rotated(0.8, 0.4, FockSpace(6)),
+    lambda: phase_noisy_state(0.8, 0.36, FockSpace(6)),
+], ids=["density", "tmsv", "tmsv_rotated", "phase_noisy_state"])
+def test_truncation_warning_names_the_first_caller_outside_states(build):
+    with pytest.warns(TruncationWarning) as record:
+        build()
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_number_distributions_are_theta_independent(space10):
     base_sum, base_diff = number_distributions(tmsv_rotated(0.5, 0.0, space10).projector())
     for theta in (0.3, 1.1, 2.9):
