@@ -13,13 +13,17 @@ model bin probabilities (Lvovsky, J. Opt. B 6, S556 (2004)).
 The bin operators are separable and real: bin (i, j) at phase theta
 projects onto U (A_i (x) B_j) U^dag with A_i = psi(x_i) psi(x_i)^T dx (B_j
 alike), and U multiplies entry ((m, n), (m', n')) by e^{-i theta d},
-d = (m - m') + (n - n').  The phase splits over (m, m') and (n, n'): each
-histogram's A and B are rotated once by cos and sin theta (m - m'), rho
-enters each call as one real block matrix, and P = At rho_block Bt^T.  A
-row of At holds the cosine terms of the (n_cut + 1)(n_cut + 2) / 2 pairs
-m <= m' and the sine terms of the n_cut (n_cut + 1) / 2 pairs m < m' (the
-sine of an equal pair is zero at every phase): (n_cut + 1)^2 columns, 121
-at n_cut = 10, and the block is as wide.
+d = (m - m') + (n - n').  The phase splits over (m, m') and (n, n'): rho
+enters each call as one real block matrix, and P = At block Bt^T.  A row
+of At holds the products psi_m psi_m' at x_i of the
+(n_cut + 1)(n_cut + 2) / 2 pairs m <= m', scaled by cos theta (m - m') dx,
+then those of the n_cut (n_cut + 1) / 2 pairs m < m', scaled by
+sin theta (m - m') dx (the sine of an equal pair is zero at every phase):
+(n_cut + 1)^2 columns, 121 at n_cut = 10.  The scale takes one value on
+each group of pairs with one |m - m'|, so the block meets the pair
+products of the distinct x_a midpoints of all phases in one product per
+call, which each (histogram, midpoint) row then mixes over the
+2 n_cut + 1 cos and sin groups with its phase's scales (:class:`_Kernel`).
 
 Iteration stops on a certified gap: log L is concave in rho with gradient
 N R, so log L(sigma) <= log L(rho) + N (Tr R sigma - Tr R rho) for every
@@ -106,10 +110,15 @@ class Histogram2D:
         return int(self.counts.sum())
 
     def midpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        na, nb = self.counts.shape
-        xa = self.origin[0] + (np.arange(na) + 0.5) * self.dx
-        xb = self.origin[1] + (np.arange(nb) + 0.5) * self.dx
-        return xa, xb
+        """(k + 1/2) dx at each bin's lattice index k, plus the origin's
+        offset from the lattice (zero on it), so that a bin's midpoint has
+        the same bits in every histogram of one dx whose origin is on it."""
+        mids = []
+        for origin, size in zip(self.origin, self.counts.shape):
+            k = origin / self.dx
+            k = math.floor(k + 0.5) if abs(k) < 2.0 ** 52 else 0.0
+            mids.append((k + 0.5 + np.arange(size)) * self.dx + (origin - k * self.dx))
+        return mids[0], mids[1]
 
 
 @dataclass(frozen=True)
@@ -175,31 +184,46 @@ def bin_samples(samples: Samples, dx: float) -> list[Histogram2D]:
     return hists
 
 
-def _bin_operators(n_cut: int, lo: np.ndarray, hi: np.ndarray, hists: list) -> list[tuple]:
-    """(At, Bt, flat, counts) of each histogram, in (theta, origin) order,
-    cut to its rows and columns with counts: [A diag(c) | A' diag(s')] and
-    [B diag(c) | B' diag(s')], A_i and B_j rows over pairs (lo, hi), c, s =
-    cos, sin theta (lo - hi), and A', s' their columns of the unequal pairs
-    (lo < hi), in pair order: the sine of an equal pair is zero at every
-    phase, so (n_cut + 1)^2 columns in all; populated bins.  The midpoints of
-    all of them share one table of wavefunctions."""
+def _bin_operators(n_cut: int, lo: np.ndarray, hi: np.ndarray, d: np.ndarray,
+                   hists: list) -> tuple:
+    """The pair products psi_lo(x) psi_hi(x) at the distinct populated
+    midpoints, rows of one table, and the bins of each histogram, in
+    (theta, origin) order.
+
+    The populated midpoints of every histogram and quadrature, compared bit
+    for bit, share one call of :func:`hermite_functions`.  Returns (table,
+    a_rows, b_rows, ops): the table rows of the distinct x_a and x_b
+    midpoints, and per histogram (rows, cols, f, flat, counts): its
+    populated x_a and x_b midpoints as positions in a_rows and b_rows,
+    [cos, sin](theta d) dx for each d, and its populated bins of the
+    (rows, cols) grid."""
     hists = sorted(hists, key=lambda h: (h.theta, h.origin))
     cuts = [[np.flatnonzero(h.counts.any(axis=a)) for a in (1, 0)] for h in hists]
     mids = [x[i] for h, cut in zip(hists, cuts) for x, i in zip(h.midpoints(), cut)]
-    psi = np.split(hermite_functions(n_cut, np.concatenate(mids)),
-                   np.cumsum([x.size for x in mids[:-1]]), axis=1)
-    unequal = lo < hi
-    columns = np.concatenate([np.arange(lo.size), np.flatnonzero(unequal)])
+    # distinct values by a sort: np.unique's first call imports numpy.ma
+    x = np.concatenate(mids)
+    order = np.argsort(x, kind="stable")
+    new = np.ones(x.size, dtype=bool)
+    np.not_equal(x[order[1:]], x[order[:-1]], out=new[1:])
+    distinct = np.empty(x.size, dtype=np.int64)
+    distinct[order] = np.cumsum(new) - 1
+    psi = hermite_functions(n_cut, x[order[new]])
+    table = np.ascontiguousarray((psi[lo] * psi[hi]).T)
+    index = np.split(distinct, np.cumsum([m.size for m in mids[:-1]]))
+    # each quadrature's table rows, and every midpoint's position among them
+    rows, position = [], []
+    for side in (index[::2], index[1::2]):
+        used = np.zeros(table.shape[0], dtype=bool)
+        used[np.concatenate(side)] = True
+        rows.append(np.flatnonzero(used))
+        position.append(np.cumsum(used) - 1)
     ops = []
-    for h, (rows, cols), psi_a, psi_b in zip(hists, cuts, psi[::2], psi[1::2]):
-        counts = h.counts[np.ix_(rows, cols)].ravel()
-        d = h.theta * (lo - hi)
-        rot = np.concatenate([np.cos(d), np.sin(d[unequal])]) * h.dx
-        at, bt = (np.multiply((p[lo] * p[hi])[columns].T, rot, order="C")
-                  for p in (psi_a, psi_b))
+    for h, (ra, cb), ia, ib in zip(hists, cuts, index[::2], index[1::2]):
+        counts = h.counts[np.ix_(ra, cb)].ravel()
         flat = np.flatnonzero(counts)
-        ops.append((at, bt, flat, counts[flat].astype(np.float64)))
-    return ops
+        f = np.stack([np.cos(h.theta * d), np.sin(h.theta * d)], axis=-1) * h.dx
+        ops.append((position[0][ia], position[1][ib], f, flat, counts[flat].astype(np.float64)))
+    return table, rows[0], rows[1], ops
 
 
 class _Kernel:
@@ -208,61 +232,110 @@ class _Kernel:
     summed over the orderings of each pair, for Hermitian rho
     2 c_p c_q (M1 + M2), with c = 1/2 on equal pairs and 1 otherwise, M1 the
     entry ((m, n), (m', n')) and M2 ((m, n'), (m', n)), at phases
-    theta (d_p +- d_q), d_p = m - m'.  So P = At [[X, V], [Z, Y]] Bt^T (:func:`_bin_operators`)
-    with X = Re M1 + Re M2, Y = Re M2 - Re M1, Z = -(Im M1 + Im M2) and
-    V = Im M2 - Im M1, weighted.  At has the cosine columns of all s pairs
-    and the sine columns of the u unequal ones, so the block keeps the rows
-    of Z and Y and the columns of V and Y of the unequal pairs: s + u =
-    (n_cut + 1)^2 rows and columns (121 at n_cut = 10, not 2 s = 132).  The
-    pairs are ordered unequal first, so each of the block's four parts is a
-    contiguous slice of X, V, Z or Y.  From G = sum of At^T W Bt, W = n / P,
-    R takes G00 - G11 and -(G10 + G01) at M1's phase, G00 + G11 and
-    G01 - G10 at M2's, with the parts of G that the dropped columns would
-    fill zero; unfolded from the pairs, it is exactly Hermitian.  Histograms
-    are summed in (theta, origin) order into buffers reused across calls."""
+    theta (d_p +- d_q), d_p = m - m'.  So P = At [[X, V], [Z, Y]] Bt^T, At and
+    Bt as in the module docstring (s pairs, u of them unequal), with
+    X = Re M1 + Re M2, Y = Re M2 - Re M1, Z = -(Im M1 + Im M2) and
+    V = Im M2 - Im M1, weighted.  The pairs are ordered unequal first, so
+    each of the block's four parts is a contiguous slice of X, V, Z or Y.
+    From G = sum of At^T W Bt, W = n / P, R takes G00 - G11 and
+    -(G10 + G01) at M1's phase, G00 + G11 and G01 - G10 at M2's, with the
+    parts of G that the dropped columns would fill zero; unfolded from the
+    pairs, it is exactly Hermitian.
+
+    The phase enters At only through its scales, one per group j of pairs
+    with one |d_p| (n_cut + 1 groups) and cos or sin: F[theta, j, cs].  With
+    the unequal pairs ordered by |d_p|, a group is a contiguous slice, and
+    At block = sum_j,cs F[theta, j, cs] A_j block[cs rows of group j] at the
+    histogram's rows, A_j the table's products of group j at the U distinct
+    x_a midpoints.  So H = A_j block[cos, sin rows of j], for all groups,
+    serves every histogram, and each (histogram, x_a midpoint) row, stacked
+    by midpoint (S rows), mixes its midpoint's rows of H with its own F.
+    Scaled by Bt's cos and sin, the sine columns of a pair add to its
+    cosine ones, which then meet the table at the V distinct x_b midpoints
+    in one product: P at the populated bins.  The backward pass mirrors it.
+    A call costs 2 (2 U s d + S (2 n_cut + 2) d + S s V) multiply-adds,
+    d = (n_cut + 1)^2: 5.5 M on fig_s3 (U 27, S 537, V 25), where the
+    per-histogram products At block and (At block) Bt^T took 18.1 M.  The
+    products with the grid put the S stacked rows first, the order in which
+    OpenBLAS gives the same bits at every thread count.  Buffers are reused
+    across calls."""
 
     def __init__(self, n_cut: int, hists: list[Histogram2D]):
         k, dim = n_cut + 1, (n_cut + 1) ** 2
         self.n_total = float(sum(h.total for h in hists))
         if self.n_total < 1:
             raise ValueError("histograms contain no counts")
-        # the unequal pairs first: the block's sine rows and columns are theirs
+        # the unequal pairs first, by |d|: the block's sine rows and columns
+        # are theirs, and the pairs of one |d| are a contiguous slice
         up_lo, up_hi = np.triu_indices(k, 1)
+        by_d = np.argsort(up_hi - up_lo, kind="stable")
+        up_lo, up_hi = up_lo[by_d], up_hi[by_d]
         lo, hi = np.concatenate([up_lo, np.arange(k)]), np.concatenate([up_hi, np.arange(k)])
         s, p_lo, p_hi = lo.size, lo[:, None], hi[:, None]
-        self.unequal = up_lo.size
-        ops = _bin_operators(n_cut, lo, hi, hists)
-        half = np.empty(max(at.size for at, *_ in ops))
-        grid = np.empty(max(at.shape[0] * bt.shape[0] for at, bt, *_ in ops))
-        # each histogram's operators and its views of the two shared buffers
-        self.ops = [(at, bt, flat, counts, half[:at.size].reshape(at.shape),
-                     grid[:at.shape[0] * bt.shape[0]].reshape(at.shape[0], -1))
-                    for at, bt, flat, counts in ops]
+        u = self.unequal = up_lo.size
+        starts = np.flatnonzero(np.diff(hi - lo, prepend=-1))
+        table, a_rows, b_rows, ops = _bin_operators(n_cut, lo, hi, (lo - hi)[starts], hists)
+        self.b = table[b_rows]
+        n_rows, n_b, n_stack = a_rows.size, b_rows.size, sum(rows.size for rows, *_ in ops)
+        # two buffers, each holding in turn what one call needs: rho's
+        # terms, H as (x_a midpoint, group, cos | sin, column), Bt's scales
+        # of the stack, the grid (stacked row, x_b midpoint) and W B
+        # (stacked row, pair), K as H, then R's parts; and the block, with
+        # its rows as (cos | sin, pair), the stack (transposed, a column per
+        # stacked row), then G as the block
+        first = np.empty(max(6 * s * s, n_rows * k * 2 * dim, n_stack * (n_b + s), dim * n_stack))
+        self.rho_terms, self.acc = (first[:n * s * s].reshape(n, s, s) for n in (4, 6))
+        h = first[:n_rows * k * 2 * dim].reshape(n_rows, k, 2, dim)
+        self.scale = first[:dim * n_stack].reshape(dim, n_stack)
+        self.grid = first[:n_stack * n_b].reshape(n_stack, n_b)
+        self.wb = first[n_stack * n_b:n_stack * (n_b + s)].reshape(n_stack, s)
+        second = np.empty(max(2 * s * dim, dim * n_stack))
+        self.block = second[:2 * s * dim].reshape(2 * s, dim)
+        self.stack = second[:dim * n_stack].reshape(dim, n_stack)
+        # the (histogram, x_a midpoint) rows, stacked by midpoint, then in
+        # (theta, origin) order, each with its histogram's F
+        rows = np.concatenate([rows for rows, *_ in ops])
+        order = np.argsort(rows, kind="stable")
+        self.groups = [(table[a_rows, start:stop], start, stop, h[:, j].transpose(1, 0, 2))
+                       for j, (start, stop) in enumerate(zip(starts, np.append(starts[1:], s)))]
+        phase = np.repeat(np.arange(len(ops)), [rows.size for rows, *_ in ops])
+        self.f = np.stack([op[2] for op in ops])[phase[order]].reshape(n_stack, -1).T.copy()
+        bounds = np.searchsorted(rows[order], np.arange(n_rows + 1))
+        self.row_blocks = [(self.f[:, start:stop], h[i].reshape(-1, dim),
+                            self.stack[:, start:stop])
+                           for i, (start, stop) in enumerate(zip(bounds, bounds[1:]))]
+        # Bt's scale of a stack row is the row of F of its group, cos | sin
+        group = 2 * np.repeat(np.arange(k), np.diff(np.append(starts, s)))
+        self.scale_rows = np.concatenate([group, group[:u] + 1])
+        # each histogram's populated bins in the grid
+        position = np.empty(n_stack, dtype=np.int64)
+        position[order] = np.arange(n_stack)
+        offsets = np.cumsum([0] + [rows.size for rows, *_ in ops])
+        self.flat = np.concatenate([position[offset + flat // cols.size] * n_b
+                                    + cols[flat % cols.size]
+                                    for offset, (_, cols, _, flat, _) in zip(offsets, ops)])
+        self.counts = np.concatenate([counts for *_, counts in ops])
+        self.probs = np.empty(self.counts.size)
         # M1's and M2's entries in rho viewed as floats (Re, Im), weighted,
         # Im M1's sign flipped: X, V, Z, Y are sums and differences of them
         e1 = (p_lo * k + lo) * dim + p_hi * k + hi
         e2 = (p_lo * k + hi) * dim + p_hi * k + lo
         self.rho_index = np.stack([2 * e1, 2 * e1 + 1, 2 * e2, 2 * e2 + 1])
         w = np.where(lo == hi, 0.5, 1.0)
-        self.weight = np.multiply.outer([2.0, -2.0, 2.0, 2.0], np.outer(w, w))
+        self.weight = 2.0 * np.outer(w, w)
         # R at ((m, n), (m', n')) takes M1's phase where (m, m') and (n, n')
         # are ordered alike and M2's elsewhere, the sine signed as m' - m
         # and, at M1's phase, negated
         pair = np.empty((k, k), dtype=np.int64)
         pair[lo, hi] = pair[hi, lo] = np.arange(s)
-        # a dense table on purpose: freeing its 468 KB (n_cut = 10) raises
-        # glibc's mmap threshold, so the fit's Cholesky buffers later come
-        # from the heap; built sparse, a fresh fig_s3 fit took about 7 % longer
-        m, n, m2, n2 = np.indices((k,) * 4).reshape(4, dim, dim)
+        m, n, m2, n2 = np.ix_(*[np.arange(k)] * 4)
         alike = (m <= m2) == (n <= n2)
         re = np.where(alike, 0, s * s) + pair[m, m2] * s + pair[n, n2]
         im = re + np.where((m <= m2) == alike, 4 * s * s, 2 * s * s)
         # R's (Re, Im) pairs taken from acc: G00 - G11, G00 + G11 (Re at
         # M1's and M2's phase), G10 + G01, G01 - G10 (Im) and the negations
         # of the last two
-        self.r_index = np.stack([re, im], axis=-1)
-        self.rho_terms, self.acc = np.empty((4, s, s)), np.empty((6, s, s))
-        self.block = np.empty((dim, dim))
+        self.r_index = np.stack([re, im], axis=-1).reshape(dim, dim, 2)
         self.r = np.empty((dim, dim), dtype=np.complex128)
         self.r_floats = self.r.view(np.float64).reshape(dim, dim, 2)
 
@@ -273,27 +346,47 @@ class _Kernel:
         # mode="clip" (the indices are in range) writes into out directly:
         # under "raise", np.take fills a temporary of out's size first
         t = np.take(rho.view(np.float64), self.rho_index, out=self.rho_terms, mode="clip")
-        t *= self.weight
         s, u, b, acc = t.shape[1], self.unequal, self.block, self.acc
+        t *= self.weight
+        np.negative(t[1], out=t[1])
         np.add(t[0], t[2], out=b[:s, :s])
         np.add(t[1, :, :u], t[3, :, :u], out=b[:s, s:])
-        np.subtract(t[1, :u], t[3, :u], out=b[s:, :s])
-        np.subtract(t[2, :u, :u], t[0, :u, :u], out=b[s:, s:])
-        # rho_terms and acc, idle in the loop, hold G and a histogram's term
-        dim = b.shape[0]
-        g, g_hist = (x.reshape(-1)[:dim * dim].reshape(dim, dim) for x in (t, acc))
-        g[:] = 0.0
-        ll = 0.0
-        for at, bt, flat, counts, half, grid in self.ops:
-            np.matmul(at, b, out=half)
-            np.matmul(half, bt.T, out=grid)
-            probs = np.maximum(grid.take(flat), MIN_BIN_PROB)
-            ll += float(np.dot(counts, np.log(probs)))
-            grid[:] = 0.0
-            grid.put(flat, counts / probs)
-            g += np.matmul(at.T, np.matmul(grid, bt, out=half), out=g_hist)
+        np.subtract(t[1, :u], t[3, :u], out=b[s:s + u, :s])
+        np.subtract(t[2, :u, :u], t[0, :u, :u], out=b[s:s + u, s:])
+        b[s + u:] = 0.0
+        # H_j = A_j [block rows cos, sin of the pairs of group j], at once
+        b_pairs = b.reshape(2, s, -1)
+        for a, start, stop, h in self.groups:
+            np.matmul(a, b_pairs[:, start:stop], out=h)
+        # the stacked rows, F H per x_a midpoint, scaled for Bt; the sine
+        # columns then add to the cosine ones of their pairs
+        stack, grid, b_table = self.stack, self.grid, self.b
+        for f, h, rows in self.row_blocks:
+            np.matmul(h.T, f, out=rows)
+        stack *= self.f.take(self.scale_rows, axis=0, out=self.scale, mode="clip")
+        stack[:u] += stack[s:]
+        np.matmul(stack[:s].T, b_table.T, out=grid)
+        probs = grid.take(self.flat, out=self.probs, mode="clip")
+        np.maximum(probs, MIN_BIN_PROB, out=probs)
+        ll = float(np.dot(self.counts, np.log(probs)))
+        grid.fill(0.0)
+        grid.put(self.flat, np.divide(self.counts, probs, out=probs))
+        # the backward pass: W B into the stack's cos and sin rows, scaled
+        # for Bt, then K = F^T (those rows) per x_a midpoint and
+        # G = A_j^T K_j.  The products with the grid put the stacked rows
+        # first, where OpenBLAS's bits do not depend on its thread count
+        np.matmul(grid, b_table, out=self.wb)
+        np.copyto(stack[:s], self.wb.T)
+        stack[s:] = stack[:u]
+        stack *= self.f.take(self.scale_rows, axis=0, out=self.scale, mode="clip")
+        for f, k, rows in self.row_blocks:
+            np.matmul(f, rows.T, out=k)
+        g = b
+        g_pairs = g.reshape(2, s, -1)
+        for a, start, stop, k in self.groups:
+            np.matmul(a.T, k, out=g_pairs[:, start:stop])
         # G's parts, read as zero where the dropped sine rows and columns lie
-        g00, g01, g10, g11 = g[:s, :s], g[:s, s:], g[s:, :s], g[s:, s:]
+        g00, g01, g10, g11 = g[:s, :s], g[:s, s:], g[s:s + u, :s], g[s:s + u, s:]
         acc[2:4] = 0.0
         acc[0] = g00
         acc[0, :u, :u] -= g11  # G00 - G11

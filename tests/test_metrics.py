@@ -122,10 +122,11 @@ def test_fidelity_mixed_keeps_tiny_off_pair_entries_in_its_block(fig_s3_run):
 
 def test_fig_s3_fidelity_to_truth_is_the_exact_one_within_1e_9(fig_s3_run):
     # a 60-digit mpmath evaluation on the fit's and the truth's pair blocks
-    # gives 0.92351489842667158627.  The full-space form gave
-    # 0.9235149079613223, 9.5e-9 off; the block form gives
-    # 0.923514898486119, 5.9e-11 off
-    assert abs(fig_s3_run.fidelity_to_truth - 0.92351489842667158627) <= 1e-9
+    # (tests/uhlmann.py's fidelity_exact at 60 digits) gives
+    # 0.92351489842667196305; the block form gives 0.9235148986205735,
+    # 1.9e-10 off.  On the fit of the former kernel it gave
+    # 0.92351489842667158627, where the full-space form was 9.5e-9 off
+    assert abs(fig_s3_run.fidelity_to_truth - 0.92351489842667196305) <= 1e-9
 
 
 # ------------------------------------------------------------ log negativity
