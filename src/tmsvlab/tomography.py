@@ -274,9 +274,11 @@ class _Kernel:
         s, p_lo, p_hi = lo.size, lo[:, None], hi[:, None]
         u = self.unequal = up_lo.size
         starts = np.flatnonzero(np.diff(hi - lo, prepend=-1))
+        stops = np.append(starts[1:], s)
         table, a_rows, b_rows, ops = _bin_operators(n_cut, lo, hi, (lo - hi)[starts], hists)
         self.b = table[b_rows]
-        n_rows, n_b, n_stack = a_rows.size, b_rows.size, sum(rows.size for rows, *_ in ops)
+        sizes = [op[0].size for op in ops]
+        n_rows, n_b, n_stack = a_rows.size, b_rows.size, sum(sizes)
         # two buffers, each holding in turn what one call needs: rho's
         # terms, H as (x_a midpoint, group, cos | sin, column), Bt's scales
         # of the stack, the grid (stacked row, x_b midpoint) and W B
@@ -294,23 +296,23 @@ class _Kernel:
         self.stack = second[:dim * n_stack].reshape(dim, n_stack)
         # the (histogram, x_a midpoint) rows, stacked by midpoint, then in
         # (theta, origin) order, each with its histogram's F
-        rows = np.concatenate([rows for rows, *_ in ops])
+        rows = np.concatenate([op[0] for op in ops])
         order = np.argsort(rows, kind="stable")
         self.groups = [(table[a_rows, start:stop], start, stop, h[:, j].transpose(1, 0, 2))
-                       for j, (start, stop) in enumerate(zip(starts, np.append(starts[1:], s)))]
-        phase = np.repeat(np.arange(len(ops)), [rows.size for rows, *_ in ops])
+                       for j, (start, stop) in enumerate(zip(starts, stops))]
+        phase = np.repeat(np.arange(len(ops)), sizes)
         self.f = np.stack([op[2] for op in ops])[phase[order]].reshape(n_stack, -1).T.copy()
         bounds = np.searchsorted(rows[order], np.arange(n_rows + 1))
         self.row_blocks = [(self.f[:, start:stop], h[i].reshape(-1, dim),
                             self.stack[:, start:stop])
                            for i, (start, stop) in enumerate(zip(bounds, bounds[1:]))]
         # Bt's scale of a stack row is the row of F of its group, cos | sin
-        group = 2 * np.repeat(np.arange(k), np.diff(np.append(starts, s)))
+        group = 2 * np.repeat(np.arange(k), stops - starts)
         self.scale_rows = np.concatenate([group, group[:u] + 1])
         # each histogram's populated bins in the grid
         position = np.empty(n_stack, dtype=np.int64)
         position[order] = np.arange(n_stack)
-        offsets = np.cumsum([0] + [rows.size for rows, *_ in ops])
+        offsets = np.cumsum([0] + sizes)
         self.flat = np.concatenate([position[offset + flat // cols.size] * n_b
                                     + cols[flat % cols.size]
                                     for offset, (_, cols, _, flat, _) in zip(offsets, ops)])
