@@ -15,8 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .homodyne import DEFAULT_READOUT, Samples, shots_to_samples, simulate_shots
-from .states import (NoiseModel, OMEGA_SPIN_DYNAMICS, SqueezedVacuum,
-                     analytic_variances)
+from .states import NoiseModel, OMEGA_SPIN_DYNAMICS, SqueezedVacuum
 
 THETA_GROUP_ATOL = 1e-9
 CONJUGATE_PHASE_ATOL = 0.02
@@ -182,7 +181,7 @@ def epr_report(samples_x: Samples, samples_p: Samples,
 
 @dataclass(frozen=True)
 class TimeSweepPoint:
-    t: float
+    t_s: float
     xi: float
     v_x_minus: float
     v_x_plus: float
@@ -218,19 +217,16 @@ def time_sweep(times, noise: NoiseModel, p_per_point: int,
         state = SqueezedVacuum(xi, 0.0)
         shots = simulate_shots(state, DEFAULT_READOUT, noise, thetas, p_per_point, seed=[seed, i])
         samples = shots_to_samples(shots, thetas, p_per_point, DEFAULT_READOUT)
-        samples_x = samples[:p_per_point]
-        samples_p = samples[p_per_point:]
         n_pairs = math.sinh(xi) ** 2
-        report = epr_report(samples_x, samples_p,
+        report = epr_report(samples[:p_per_point], samples[p_per_point:],
                             occupations=(n_pairs, n_pairs, DEFAULT_READOUT.n0))
-        ideal = analytic_variances(xi)
+        v_sq, v_anti = float(np.exp(-2.0 * xi)), float(np.exp(2.0 * xi))
         rows.append(TimeSweepPoint(
-            t=float(t), xi=xi,
+            t_s=float(t), xi=xi,
             v_x_minus=report.v_x_minus, v_x_plus=report.v_x_plus,
             v_p_plus=report.v_p_plus, v_p_minus=report.v_p_minus,
             epr_product=report.epr_product, insep_sum=report.insep_sum,
-            v_sq_ideal=ideal.v_sq, v_anti_ideal=ideal.v_anti,
-            epr_product_ideal=ideal.v_sq ** 2,
+            v_sq_ideal=v_sq, v_anti_ideal=v_anti, epr_product_ideal=v_sq ** 2,
             se_epr_product=report.errors["se_epr_product"],
             se_insep_sum=report.errors["se_insep_sum"]))
     return rows

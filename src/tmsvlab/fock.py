@@ -135,12 +135,6 @@ class DensityMatrix:
         return cls(space, m / tr)
 
 
-def basis_state(space: FockSpace, n_a: int, n_b: int) -> PureState:
-    amps = np.zeros(space.dim, dtype=np.complex128)
-    amps[space.index(n_a, n_b)] = 1.0
-    return PureState(space, amps)
-
-
 def partial_transpose(rho: DensityMatrix) -> np.ndarray:
     """Transpose the mode-B indices; result is Hermitian but may be non-PSD.
 

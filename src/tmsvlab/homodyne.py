@@ -2,9 +2,9 @@
 
 A short coupling pulse mixes a large reference mode into the two signal
 modes; counting atoms in the signal modes afterwards realizes a quadrature
-measurement.  This module provides the number-to-quadrature estimators
-and seeded Monte-Carlo generation of quadrature samples and raw count
-records.
+measurement.  This module provides seeded Monte-Carlo generation of
+quadrature samples and raw count records, and :func:`shots_to_samples`,
+which reads the quadratures back from the counts.
 
 Shots travel in columnar batches, one array element per shot:
 :class:`Samples` holds the phases and quadratures (theta, x_a, x_b) and
@@ -167,19 +167,6 @@ class Samples(_Batch):
         self._set_columns(columns)
 
 
-def estimate_quadratures(shots: Shots, config: Readout) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature difference and sum recovered from each count record.
-
-        difference = (N_A - N_B - s^2 (O~+1^2 - O~-1^2) N_tot / 2) / sqrt(s^2 N_tot)
-        sum        = (N_A + N_B - s^2 N_tot) / sqrt(s^2 c^2 N_tot),  c^2 = 1 - s^2
-    """
-    s2 = config.s2
-    n_a, n_b, n_tot = shots.n_a, shots.n_b, shots.n_tot
-    diff = (n_a - n_b - s2 * config.rabi_asymmetry * n_tot / 2.0) / np.sqrt(s2 * n_tot)
-    total = (n_a + n_b - s2 * n_tot) / np.sqrt(s2 * (1.0 - s2) * n_tot)
-    return diff, total
-
-
 def _draw_group(source: SqueezedVacuum, theta: float, noise: NoiseModel,
                 rng: np.random.Generator, x_a, x_b, jitter) -> None:
     """Fill x_a and x_b with pairs drawn at nominal angle theta, phase
@@ -269,7 +256,7 @@ def _invert_counts(x_a, x_b, s2, config: Readout, n_a, n_b, scratch) -> np.ndarr
     transfer fractions s2, working in scratch, three float64 rows at least
     as long; returns the indices of the shots outside [0, N_tot].
 
-    The estimators of :func:`estimate_quadratures` are inverted: the count
+    The estimators of :func:`shots_to_samples` are inverted: the count
     sum is rounded to the nearest integer and the count difference to the
     nearest integer of the same parity, so the recovered difference
     quadrature is off by at most 1/sqrt(s^2 N_tot).  Both are first clamped
@@ -329,10 +316,16 @@ def simulate_readout(source: SqueezedVacuum, config: Readout, noise: NoiseModel,
 
 def shots_to_samples(shots: Shots, thetas, p_per_theta: int,
                      config: Readout) -> Samples:
-    """Run the estimators on count records produced by :func:`simulate_shots`
-    and reassemble the quadrature samples under the nominal angles."""
+    """Quadratures x_a, x_b = (sum +- difference) / 2 read back from count
+    records of :func:`simulate_shots`, under the nominal angles, by the estimators
+
+        difference = (N_A - N_B - s^2 (O~+1^2 - O~-1^2) N_tot / 2) / sqrt(s^2 N_tot)
+        sum        = (N_A + N_B - s^2 N_tot) / sqrt(s^2 c^2 N_tot),  c^2 = 1 - s^2
+    """
     if len(shots) != len(thetas) * p_per_theta:
         raise ValueError("shot list does not match thetas x p_per_theta")
-    diff, total = estimate_quadratures(shots, config)
+    s2, n_a, n_b, n_tot = config.s2, shots.n_a, shots.n_b, shots.n_tot
+    diff = (n_a - n_b - s2 * config.rabi_asymmetry * n_tot / 2.0) / np.sqrt(s2 * n_tot)
+    total = (n_a + n_b - s2 * n_tot) / np.sqrt(s2 * (1.0 - s2) * n_tot)
     return Samples(np.repeat(np.asarray(thetas, dtype=np.float64), p_per_theta),
                    (total + diff) / 2.0, (total - diff) / 2.0)

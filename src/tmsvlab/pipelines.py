@@ -203,6 +203,12 @@ def run_fig3(preset: ExperimentPreset, times=FIG3_TIME_GRID) -> list[TimeSweepPo
                       seed=preset.seed)
 
 
+def _table(row_type, rows) -> tuple[str, list[tuple]]:
+    """A CSV (header, rows): one column per field of the row dataclass."""
+    return (",".join(f.name for f in dataclasses.fields(row_type)),
+            [dataclasses.astuple(r) for r in rows])
+
+
 def reproduce(figure: str, scale: str = "paper", seed: int | None = None):
     """Run a figure at a scale and seed (the preset's if None): the preset
     as run, its outputs by file name (a JSON dict, a density matrix or a CSV
@@ -212,15 +218,11 @@ def reproduce(figure: str, scale: str = "paper", seed: int | None = None):
                                  **({} if seed is None else {"seed": seed}))
     outputs = {"manifest.json": {**make_manifest(preset), "scale": scale, "sweep": sweep}}
     if figure == "fig3":
-        outputs["fig3_sweep.csv"] = (
-            "t_s,xi,v_x_minus,v_x_plus,v_p_plus,v_p_minus,epr_product,insep_sum,"
-            "v_sq_ideal,v_anti_ideal,epr_product_ideal,se_epr_product,se_insep_sum",
-            [dataclasses.astuple(r) for r in run_fig3(preset, times=sweep["t_s"])])
+        outputs["fig3_sweep.csv"] = _table(TimeSweepPoint, run_fig3(preset, times=sweep["t_s"]))
         return preset, outputs, True
     if figure == "fig_s2":
         rows = run_fig_s2(preset, sweep["p_per_theta"], sweep["dx"])
-        outputs["fig_s2_table.csv"] = ("p,dx,seed,fidelity,converged,iterations,gap",
-                                       [dataclasses.astuple(r) for r in rows])
+        outputs["fig_s2_table.csv"] = _table(FigS2Row, rows)
         return preset, outputs, all(r.converged for r in rows)
     result = run_fig_s3(preset)
     ml = result.ml

@@ -198,15 +198,3 @@ class SqueezedVacuum:
         np.divide(np.add(q_sum, q_diff, out=q_sum), 2.0, out=q_sum)
         np.divide(normal, 2.0, out=q_diff)
 
-
-@dataclass(frozen=True)
-class AnalyticVariances:
-    v_sq: float
-    v_anti: float
-
-
-def analytic_variances(xi: float) -> AnalyticVariances:
-    """Ideal squeezed and anti-squeezed two-mode variances e^{-2 xi}, e^{+2 xi}."""
-    if xi < 0:
-        raise ValueError("xi must be nonnegative")
-    return AnalyticVariances(v_sq=float(np.exp(-2.0 * xi)), v_anti=float(np.exp(2.0 * xi)))

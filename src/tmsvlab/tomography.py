@@ -83,9 +83,10 @@ MAX_GRID_CELLS = 1 << 27
 class Histogram2D:
     """Joint quadrature counts at one local-oscillator phase.
 
-    Bins are half-open squares [x, x + dx) x [y, y + dx) whose lower-left
-    corners sit on integer multiples of dx; ``origin`` is the corner of
-    bin (0, 0).  theta, dx and origin are finite, so is every midpoint.
+    Bins are half-open squares [x, x + dx) x [y, y + dx); ``origin``, the
+    lower-left corner of bin (0, 0), may be any point (:func:`bin_samples`
+    puts it on a multiple of dx).  theta, dx and origin are finite, so is
+    every midpoint.
     """
 
     theta: float

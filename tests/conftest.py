@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from tmsvlab import io as tio
-from tmsvlab.fock import FockSpace, basis_state
+from tmsvlab.fock import FockSpace
 from tmsvlab.homodyne import Shots
 from tmsvlab.tomography import _Kernel
+
+from source_oracle import basis_state
 
 
 @pytest.fixture(scope="session")

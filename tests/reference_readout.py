@@ -1,6 +1,9 @@
-"""Reference readout that allocates every intermediate, used as a test oracle.
+"""Reference count estimators and a readout that allocates every
+intermediate, used as test oracles.
 
-This is the readout of :mod:`tmsvlab.homodyne` before it drew and inverted
+:func:`estimate_quadratures` returns the estimator pair that
+:func:`tmsvlab.homodyne.shots_to_samples` turns into quadratures.  The
+rest is the readout of :mod:`tmsvlab.homodyne` before it drew and inverted
 in place: each phase draws into fresh arrays (a
 :class:`~tmsvlab.states.SqueezedVacuum` source by its former allocating
 draw, any other source through its ``draw``), the count inversion builds
@@ -14,8 +17,21 @@ import math
 
 import numpy as np
 
-from tmsvlab.homodyne import _MAX_RESAMPLE_ROUNDS, CountBoundsError, Samples, Shots
+from tmsvlab.homodyne import _MAX_RESAMPLE_ROUNDS, CountBoundsError, Readout, Samples, Shots
 from tmsvlab.states import SqueezedVacuum
+
+
+def estimate_quadratures(shots: Shots, config: Readout) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature difference and sum recovered from each count record.
+
+        difference = (N_A - N_B - s^2 (O~+1^2 - O~-1^2) N_tot / 2) / sqrt(s^2 N_tot)
+        sum        = (N_A + N_B - s^2 N_tot) / sqrt(s^2 c^2 N_tot),  c^2 = 1 - s^2
+    """
+    s2 = config.s2
+    n_a, n_b, n_tot = shots.n_a, shots.n_b, shots.n_tot
+    diff = (n_a - n_b - s2 * config.rabi_asymmetry * n_tot / 2.0) / np.sqrt(s2 * n_tot)
+    total = (n_a + n_b - s2 * n_tot) / np.sqrt(s2 * (1.0 - s2) * n_tot)
+    return diff, total
 
 
 def gaussian_draw(source, theta, delta, rng):

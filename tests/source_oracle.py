@@ -1,6 +1,7 @@
 """Reference Fock forms of the squeezed-vacuum source, used as test oracles.
 
-:func:`rotate_state` is the total-number phase rotation U rho U^dag.
+:func:`basis_state` is the number state |n_A, n_B>.  :func:`rotate_state`
+is the total-number phase rotation U rho U^dag.
 :func:`squeezed_vacuum_density` is the library's former two-step form of
 ``SqueezedVacuum(xi, pair_phase, sigma).density``: at sigma = 0 the
 projector on the state vector of pair phase pair_phase, and otherwise the
@@ -12,6 +13,12 @@ builds the same matrix in one closed expression.
 import numpy as np
 
 from tmsvlab.fock import DensityMatrix, FockSpace, PureState
+
+
+def basis_state(space: FockSpace, n_a: int, n_b: int) -> PureState:
+    amps = np.zeros(space.dim, dtype=np.complex128)
+    amps[space.index(n_a, n_b)] = 1.0
+    return PureState(space, amps)
 
 
 def rotate_state(rho: DensityMatrix, theta: float) -> DensityMatrix:

@@ -5,7 +5,7 @@ import pytest
 
 from tmsvlab.criteria import (THETA_P_LIKE, THETA_X_LIKE, PhaseMismatchError,
                               epr_report, group_samples, time_sweep)
-from tmsvlab.fock import FockSpace, basis_state
+from tmsvlab.fock import FockSpace
 from tmsvlab.homodyne import (DEFAULT_READOUT, Samples, sample_quadratures, shots_to_samples,
                               simulate_readout, simulate_shots)
 from tmsvlab.pipelines import PRESETS
@@ -279,7 +279,7 @@ def test_time_sweep_noise_free_follows_analytic():
     times = [5e-3, 15e-3, 25e-3]
     rows = time_sweep(times, NOISELESS, 30_000, seed=8)
     for row in rows:
-        expected = np.exp(-4 * OMEGA_SPIN_DYNAMICS * row.t)
+        expected = np.exp(-4 * OMEGA_SPIN_DYNAMICS * row.t_s)
         se = expected * np.sqrt(2.0 / (30_000 - 1)) * np.sqrt(2.0)
         assert_within_se(row.epr_product, expected, se + 2e-3)
         assert row.epr_product_ideal == pytest.approx(expected, rel=1e-10)

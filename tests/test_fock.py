@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from tmsvlab.fock import (DensityMatrix, FockSpace, PureState, basis_state,
-                          hermite_functions, number_distributions, partial_transpose)
+from tmsvlab.fock import (DensityMatrix, FockSpace, PureState, hermite_functions,
+                          number_distributions, partial_transpose)
 from tmsvlab.states import tmsv
 
 from gridded import ladder_quadratures
-from source_oracle import rotate_state
+from source_oracle import basis_state, rotate_state
 
 
 def test_space_dimensions():

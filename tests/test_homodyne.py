@@ -6,18 +6,19 @@ import pytest
 from scipy.stats import ks_2samp
 
 from tmsvlab.criteria import THETA_P_LIKE, THETA_X_LIKE, epr_report
-from tmsvlab.fock import FockSpace, basis_state
+from tmsvlab.fock import FockSpace
 from tmsvlab.homodyne import (DEFAULT_READOUT, CountBoundsError, Readout, Samples, Shots,
-                              _invert_counts, estimate_quadratures, sample_quadratures,
-                              shots_to_samples, simulate_readout, simulate_shots)
+                              _invert_counts, sample_quadratures, shots_to_samples,
+                              simulate_readout, simulate_shots)
 from tmsvlab.pipelines import PRESETS
 from tmsvlab.states import (NOISELESS, NoiseModel, SqueezedVacuum, phase_noisy_state, tmsv,
                             tmsv_rotated, truncation_tail)
 
 import reference_readout
+from reference_readout import estimate_quadratures
 from conftest import assert_same_batch, assert_within_se, traced_peak_mb
 from gridded import Gridded, GridSupportError, QuadGrid, grid_mass, quad_pdf
-from source_oracle import rotate_state
+from source_oracle import basis_state, rotate_state
 
 
 def var_se(v, n):

@@ -16,7 +16,7 @@ import pytest
 from tmsvlab import cli, io as tio, pipelines
 from tmsvlab.cli import EX_NONCONVERGED, EX_OK, EX_RUNTIME, EX_USAGE, main
 from tmsvlab.criteria import epr_report, group_samples, time_sweep
-from tmsvlab.fock import DensityMatrix, FockSpace, basis_state
+from tmsvlab.fock import DensityMatrix, FockSpace
 from tmsvlab.homodyne import DEFAULT_READOUT, Samples, Shots, sample_quadratures, simulate_readout
 from tmsvlab.pipelines import PRESETS, ExperimentPreset, sweep_phases
 from tmsvlab.states import (NOISELESS, NoiseModel, SqueezedVacuum, TruncationWarning, tmsv,
@@ -26,6 +26,7 @@ from tmsvlab.tomography import LOGLIK_GAP, TomographyConfig, bin_samples, ml_rec
 from conftest import (MALFORMED_TOKENS, NON_FINITE_TOKENS, assert_same_batch, concat,
                       loadtxt_shots, loglik_under, traced_peak_mb)
 from gridded import Gridded
+from source_oracle import basis_state
 from uhlmann import fidelity_pure
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tmsvlab.fock import DensityMatrix, DimensionMismatchError, FockSpace, basis_state
+from tmsvlab.fock import DensityMatrix, DimensionMismatchError, FockSpace
 from tmsvlab import metrics
 from tmsvlab.metrics import (fidelity_mixed, fit_squeezing, log_negativity,
                              metrics_report, qfi_fixed_n)
@@ -9,7 +9,7 @@ from tmsvlab.pipelines import PRESETS, run_fig_s3
 from tmsvlab.states import SqueezedVacuum, phase_noisy_state, tmsv, tmsv_rotated
 
 from gridded import ladder_quadratures
-from source_oracle import rotate_state
+from source_oracle import basis_state, rotate_state
 from uhlmann import fidelity_exact, fidelity_mixed_full, fidelity_pure
 
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import tmsvlab
+
 tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,18 +56,23 @@ def names_read(tree: ast.Module) -> set[str]:
 
 def test_every_top_level_function_and_class_is_used():
     # a function or class that only the tests call belongs in tests/, as the
-    # gridded sampler does; __init__'s re-exports are no use.  basis_state
-    # is kept for the package's users.
+    # gridded sampler does
     package = ROOT / "src" / "tmsvlab"
     defined, read = {}, set()
     for path in [*package.rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
-        if path == package / "__init__.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         read |= names_read(tree)
         if path.is_relative_to(package):
             defined.update((node.name, path.stem) for node in tree.body
                            if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
-    unused = sorted(f"{module}.{name}" for name, module in defined.items()
-                    if name not in read and name != "basis_state")
+    unused = sorted(f"{module}.{name}" for name, module in defined.items() if name not in read)
     assert not unused, unused
+
+
+def test_package_root_binds_only_its_version_and_modules():
+    # each name is imported from the module that defines it: the root
+    # re-exports none, so no name has a second public path
+    bound = sorted(name for name, value in vars(tmsvlab).items() if not name.startswith("_")
+                   and value is not sys.modules.get(f"tmsvlab.{name}"))
+    assert not bound, bound
+    assert isinstance(tmsvlab.__version__, str) and not hasattr(tmsvlab, "__all__")

@@ -6,9 +6,11 @@ import pytest
 from tmsvlab.pipelines import (FIG3_TIME_GRID, PRESETS, ExperimentPreset,
                                make_manifest, run_fig3, run_fig_s2, run_fig_s3,
                                sweep_phases, twin_fock_dominance)
-from tmsvlab.fock import FockSpace, basis_state
+from tmsvlab.fock import FockSpace
 from tmsvlab.states import NOISELESS, NoiseModel, SqueezedVacuum, tmsv
 from tmsvlab.tomography import TomographyConfig
+
+from source_oracle import basis_state
 
 
 def test_presets_resolve_to_runnable_states():

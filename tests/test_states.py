@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from tmsvlab import fock
-from tmsvlab.fock import FockSpace, basis_state, number_distributions
+from tmsvlab.fock import FockSpace, number_distributions
 from tmsvlab.criteria import time_sweep
 from tmsvlab.states import (NOISELESS, NoiseModel, SqueezedVacuum, TruncationWarning,
-                            analytic_variances, phase_noisy_state, tmsv, tmsv_rotated,
-                            truncation_tail, OMEGA_SPIN_DYNAMICS, XI_MAX)
+                            phase_noisy_state, tmsv, tmsv_rotated, truncation_tail,
+                            OMEGA_SPIN_DYNAMICS, XI_MAX)
 
-from source_oracle import squeezed_vacuum_density
+from source_oracle import basis_state, squeezed_vacuum_density
 
 OMEGA = 2 * np.pi * 5.1
 
@@ -153,14 +153,17 @@ def test_phase_noisy_purity_oracle(space10):
 
 
 def test_analytic_variances():
-    av0 = analytic_variances(0.0)
-    assert (av0.v_sq, av0.v_anti) == (1.0, 1.0)
-    av_th = analytic_variances(0.5 * np.log(2.0))
-    assert av_th.v_sq ** 2 == pytest.approx(0.25, abs=1e-12)
-    av = analytic_variances(0.63)
-    assert av.v_sq == pytest.approx(0.284, abs=5e-4)
-    assert av.v_sq ** 2 == pytest.approx(0.0804, abs=5e-4)
-    assert av.v_sq * av.v_anti == pytest.approx(1.0, abs=1e-12)
+    # the ideal columns of the time sweep, at xi = Omega t
+    times = [xi / OMEGA_SPIN_DYNAMICS for xi in (0.0, 0.5 * np.log(2.0), 0.63)]
+    av0, av_th, av = rows = time_sweep(times, NOISELESS, 10, seed=0)
+    for row in rows:
+        assert (row.v_sq_ideal, row.v_anti_ideal) == (np.exp(-2.0 * row.xi),
+                                                      np.exp(2.0 * row.xi))
+    assert (av0.v_sq_ideal, av0.v_anti_ideal) == (1.0, 1.0)
+    assert av_th.v_sq_ideal ** 2 == pytest.approx(0.25, abs=1e-12)
+    assert av.v_sq_ideal == pytest.approx(0.284, abs=5e-4)
+    assert av.v_sq_ideal ** 2 == pytest.approx(0.0804, abs=5e-4)
+    assert av.v_sq_ideal * av.v_anti_ideal == pytest.approx(1.0, abs=1e-12)
 
 
 def test_noise_model_validation():
@@ -243,13 +246,13 @@ def test_dephased_squeezed_vacuum_density_is_rotated_phase_noisy_state(space10, 
 def test_squeezed_vacuum_pair_variances_closed_form():
     xi = 0.63
     v_plus, v_minus = SqueezedVacuum(xi, 0.0).pair_variances(np.array([np.pi, np.pi / 2]))
-    av = analytic_variances(xi)
+    v_sq, v_anti = np.exp(-2.0 * xi), np.exp(2.0 * xi)
     # x-like angle pi: the sum is anti-squeezed; p-like angle pi/2: squeezed
-    assert np.allclose(v_plus, [av.v_anti, av.v_sq], rtol=1e-14)
-    assert np.allclose(v_minus, [av.v_sq, av.v_anti], rtol=1e-14)
+    assert np.allclose(v_plus, [v_anti, v_sq], rtol=1e-14)
+    assert np.allclose(v_minus, [v_sq, v_anti], rtol=1e-14)
     # a pair phase phi moves the squeezed angle by phi / 2
     shifted = SqueezedVacuum(xi, 1.0).pair_variances(np.pi + 0.5)
-    assert np.allclose(shifted, (av.v_anti, av.v_sq), rtol=1e-14)
+    assert np.allclose(shifted, (v_anti, v_sq), rtol=1e-14)
 
 
 # ------------------------------------------------- dephasing weights

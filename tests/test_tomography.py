@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from tmsvlab.fock import FockSpace, basis_state, hermite_functions
+from tmsvlab.fock import FockSpace, hermite_functions
 from tmsvlab import tomography
 from tmsvlab.homodyne import Samples, sample_quadratures
 from tmsvlab.metrics import fidelity_mixed
@@ -19,7 +19,7 @@ import fixed_point
 from conftest import loglik_under, traced_peak_mb
 from gridded import Gridded
 from group_bootstrap import bootstrap
-from source_oracle import rotate_state
+from source_oracle import basis_state, rotate_state
 from uhlmann import fidelity_exact, fidelity_pure
 
 
