@@ -154,13 +154,10 @@ def number_distributions(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     for k in 0..2 n_cut.  Each sums to the trace (one).
     """
     k = rho.space.mode_dim
-    diag = rho.entries.diagonal().real.reshape(k, k)
-    n_a, n_b = np.indices((k, k))
-    p_sum = np.zeros(2 * k - 1)
-    p_diff = np.zeros(2 * k - 1)
-    np.add.at(p_sum, (n_a + n_b).ravel(), diag.ravel())
-    np.add.at(p_diff, (n_a - n_b).ravel() + k - 1, diag.ravel())
-    return p_sum, p_diff
+    diag = rho.entries.diagonal().real
+    n_a, n_b = np.indices((k, k)).reshape(2, -1)
+    return (np.bincount(n_a + n_b, diag, 2 * k - 1),
+            np.bincount(n_a - n_b + k - 1, diag, 2 * k - 1))
 
 
 def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:

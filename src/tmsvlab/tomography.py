@@ -1,12 +1,14 @@
 """Maximum-likelihood reconstruction from binned quadrature data.
 
-Samples are binned into per-phase 2D histograms; the model probability of
-a bin is the midpoint joint density times the bin area.  The estimate
-maximizes log L = sum(n log P) by L-BFGS ascent (Liu & Nocedal, Math.
-Program. 45, 503 (1989)) over a complex factor T of rho = T T^dag /
-Tr(T T^dag) (James, Kwiat, Munro & White, PRA 64, 052312 (2001)), so every
-iterate is Hermitian, unit-trace and positive semidefinite by
-construction.  The gradient comes from the operator R that weights
+Samples are binned, per phase, on the lattice of half-open squares
+[i dx, (i + 1) dx) x [j dx, (j + 1) dx): a histogram holds the indices
+(i, j) of its populated bins and their counts, and the model probability
+of a bin is the joint density at its midpoint ((i + 1/2) dx, (j + 1/2) dx)
+times dx^2.  The estimate maximizes log L = sum(n log P) by L-BFGS ascent
+(Liu & Nocedal, Math. Program. 45, 503 (1989)) over a complex factor T of
+rho = T T^dag / Tr(T T^dag) (James, Kwiat, Munro & White, PRA 64, 052312
+(2001)), so every iterate is Hermitian, unit-trace and positive
+semidefinite by construction.  The gradient comes from the operator R that weights
 projectors onto phase-rotated quadrature kets by the ratio of observed to
 model bin probabilities (Lvovsky, J. Opt. B 6, S556 (2004)).
 
@@ -30,7 +32,8 @@ N R, so log L(sigma) <= log L(rho) + N (Tr R sigma - Tr R rho) for every
 state sigma.  Tr R rho = (1/N) sum(n P / P) = 1 whenever no populated bin
 is floored at MIN_BIN_PROB, so no state beats log L(rho) by more than
 N (lambda_max(R) - 1) at any iterate, whatever path led there (Glancy,
-Knill & Girard, New J. Phys. 14, 095017 (2012)).  A gap of
+Knill & Girard, New J. Phys. 14, 095017 (2012)); a fit that floors a bin
+at the state it returns has not converged.  A gap of
 ``LOGLIK_GAP`` = 0.1 nats is far inside any confidence region: the truth
 lies half a chi-square variable, with a degree of freedom per parameter
 of rho (14640 at n_cut = 10), some 7000 nats, below the maximum at any N.
@@ -75,51 +78,51 @@ _MEMORY = 5
 _ARMIJO = 1e-4
 # halvings of a step before the fit gives up on raising log L
 _MAX_HALVINGS = 50
-# most bins in the dense count grid of one phase: 1 GiB of int64 counts
+# most lattice cells that the bins of one phase may span (1 GiB of int64)
 MAX_GRID_CELLS = 1 << 27
 
 
 @dataclass(frozen=True)
 class Histogram2D:
-    """Joint quadrature counts at one local-oscillator phase.
-
-    Bins are half-open squares [x, x + dx) x [y, y + dx); ``origin``, the
-    lower-left corner of bin (0, 0), may be any point (:func:`bin_samples`
-    puts it on a multiple of dx).  theta, dx and origin are finite, so is
-    every midpoint.
-    """
+    """Joint quadrature counts at one local-oscillator phase: the populated
+    bins of the dx lattice, bin (ia, ib) the half-open square
+    [ia dx, (ia + 1) dx) x [ib dx, (ib + 1) dx).  ia, ib and counts are
+    int64 columns, one entry per bin in strictly ascending (ia, ib) order,
+    with positive counts.  theta, dx and every midpoint are finite."""
 
     theta: float
     dx: float
-    origin: tuple[float, float]
+    ia: np.ndarray
+    ib: np.ndarray
     counts: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
-        if not all(map(math.isfinite, (self.theta, self.dx, *self.origin))):
-            raise ValueError("histogram theta, dx and origin must be finite")
+        columns = [np.array(getattr(self, name)) for name in ("ia", "ib", "counts")]
+        if any(c.shape != (columns[0].size,) or c.dtype.kind not in "iu"
+               or not np.can_cast(c.dtype, np.int64) for c in columns):
+            raise ValueError("ia, ib and counts must be int64 columns of one length")
+        ia, ib, counts = (c.astype(np.int64, copy=False) for c in columns)
+        reach = max(abs(int(f(i, initial=0))) for i in (ia, ib) for f in (np.min, np.max))
+        if not all(map(math.isfinite, (self.theta, (reach + 0.5) * float(self.dx)))):
+            raise ValueError("histogram theta, dx and midpoints must be finite")
         if self.dx <= 0:
             raise ValueError("dx must be positive")
-        c = np.array(self.counts)
-        if c.ndim != 2 or not np.issubdtype(c.dtype, np.integer) or np.any(c < 0):
-            raise ValueError("counts must be a 2D array of nonnegative integers")
-        c.setflags(write=False)
-        object.__setattr__(self, "counts", c)
+        if counts.min(initial=1) < 1 or not (
+                (ia[1:] > ia[:-1]) | (ia[1:] == ia[:-1]) & (ib[1:] > ib[:-1])).all():
+            raise ValueError("bins must be distinct, in ascending (ia, ib) order, with "
+                             "positive counts")
+        for name, c in zip(("ia", "ib", "counts"), (ia, ib, counts)):
+            c.setflags(write=False)
+            object.__setattr__(self, name, c)
 
     @property
     def total(self) -> int:
         return int(self.counts.sum())
 
     def midpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """(k + 1/2) dx at each bin's lattice index k, plus the origin's
-        offset from the lattice (zero on it), so that a bin's midpoint has
-        the same bits in every histogram of one dx whose origin is on it."""
-        mids = []
-        for origin, size in zip(self.origin, self.counts.shape):
-            k = origin / self.dx
-            k = math.floor(k + 0.5) if abs(k) < 2.0 ** 52 else 0.0
-            mids.append((k + 0.5 + np.arange(size)) * self.dx + (origin - k * self.dx))
-        return mids[0], mids[1]
+        """Each bin's midpoint ((ia + 1/2) dx, (ib + 1/2) dx), with the same
+        bits in every histogram of one dx."""
+        return (self.ia + 0.5) * self.dx, (self.ib + 0.5) * self.dx
 
 
 @dataclass(frozen=True)
@@ -158,10 +161,9 @@ class MLResult:
 
 def bin_samples(samples: Samples, dx: float) -> list[Histogram2D]:
     """Bin samples into one histogram per distinct phase (grouped within
-    1e-9 rad), using half-open bins aligned to integer multiples of dx.
-    A dx so small that a bin index floor(x / dx) could leave int64, or
-    that a phase's grid of bins would hold more than MAX_GRID_CELLS, raises
-    ValueError."""
+    1e-9 rad), on the half-open bins of the dx lattice.  A dx so small that
+    a bin index floor(x / dx) could leave int64, or that the bins of a phase
+    would span more than MAX_GRID_CELLS lattice cells, raises ValueError."""
     if not (math.isfinite(dx) and dx > 0):
         raise ValueError("dx must be positive and finite")
     reach = max(np.abs(x).max(initial=0.0) for x in (samples.x_a, samples.x_b)) / dx
@@ -178,53 +180,47 @@ def bin_samples(samples: Samples, dx: float) -> list[Histogram2D]:
             raise ValueError(f"dx {dx!r} is too small for the samples: at theta {theta!r} "
                              f"their bins span a {shape[0]} x {shape[1]} grid, over "
                              f"{MAX_GRID_CELLS} cells")
-        counts = np.zeros(shape, dtype=np.int64)
-        np.add.at(counts, (ia - ia0, ib - ib0), 1)
-        hists.append(Histogram2D(theta=theta, dx=dx, origin=(ia0 * dx, ib0 * dx),
-                                 counts=counts))
+        # each sample's cell of that span, below MAX_GRID_CELLS, in (ia, ib) order
+        cells, inverse = _distinct((ia - ia0) * shape[1] + (ib - ib0))
+        ia, ib = np.divmod(cells, shape[1])
+        hists.append(Histogram2D(theta=theta, dx=dx, ia=ia + ia0, ib=ib + ib0,
+                                 counts=np.bincount(inverse)))
     return hists
+
+
+def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of x, ascending, and each entry's position among
+    them, by a sort: np.unique's first call imports numpy.ma."""
+    order = np.argsort(x, kind="stable")
+    new = np.ones(x.size, dtype=bool)
+    np.not_equal(x[order[1:]], x[order[:-1]], out=new[1:])
+    inverse = np.empty(x.size, dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return x[order[new]], inverse
 
 
 def _bin_operators(n_cut: int, lo: np.ndarray, hi: np.ndarray, d: np.ndarray,
                    hists: list) -> tuple:
-    """The pair products psi_lo(x) psi_hi(x) at the distinct populated
-    midpoints, rows of one table, and the bins of each histogram, in
-    (theta, origin) order.
-
-    The populated midpoints of every histogram and quadrature, compared bit
-    for bit, share one call of :func:`hermite_functions`.  Returns (table,
-    a_rows, b_rows, ops): the table rows of the distinct x_a and x_b
-    midpoints, and per histogram (rows, cols, f, flat, counts): its
-    populated x_a and x_b midpoints as positions in a_rows and b_rows,
-    [cos, sin](theta d) dx for each d, and its populated bins of the
-    (rows, cols) grid."""
-    hists = sorted(hists, key=lambda h: (h.theta, h.origin))
-    cuts = [[np.flatnonzero(h.counts.any(axis=a)) for a in (1, 0)] for h in hists]
-    mids = [x[i] for h, cut in zip(hists, cuts) for x, i in zip(h.midpoints(), cut)]
-    # distinct values by a sort: np.unique's first call imports numpy.ma
-    x = np.concatenate(mids)
-    order = np.argsort(x, kind="stable")
-    new = np.ones(x.size, dtype=bool)
-    np.not_equal(x[order[1:]], x[order[:-1]], out=new[1:])
-    distinct = np.empty(x.size, dtype=np.int64)
-    distinct[order] = np.cumsum(new) - 1
-    psi = hermite_functions(n_cut, x[order[new]])
+    """The pair products psi_lo(x) psi_hi(x) at the distinct midpoints of
+    every histogram and quadrature, compared bit for bit, rows of one table
+    from one call of :func:`hermite_functions`, and the kernel's stacked
+    (x_a midpoint, histogram) rows, by midpoint, then by histogram in theta
+    order.  Returns (table, a_rows, b_rows, f, stack_a, cells, counts): the
+    table rows of the x_a and x_b midpoints; each stacked row's
+    [cos, sin](theta d) dx and x_a midpoint (a position in a_rows); and each
+    bin's cell of the (stacked row, x_b midpoint) grid and its count."""
+    hists = sorted(hists, key=lambda h: h.theta)
+    x_a, x_b = (np.concatenate(x) for x in zip(*(h.midpoints() for h in hists)))
+    x, index = _distinct(np.concatenate([x_a, x_b]))
+    psi = hermite_functions(n_cut, x)
     table = np.ascontiguousarray((psi[lo] * psi[hi]).T)
-    index = np.split(distinct, np.cumsum([m.size for m in mids[:-1]]))
-    # each quadrature's table rows, and every midpoint's position among them
-    rows, position = [], []
-    for side in (index[::2], index[1::2]):
-        used = np.zeros(table.shape[0], dtype=bool)
-        used[np.concatenate(side)] = True
-        rows.append(np.flatnonzero(used))
-        position.append(np.cumsum(used) - 1)
-    ops = []
-    for h, (ra, cb), ia, ib in zip(hists, cuts, index[::2], index[1::2]):
-        counts = h.counts[np.ix_(ra, cb)].ravel()
-        flat = np.flatnonzero(counts)
-        f = np.stack([np.cos(h.theta * d), np.sin(h.theta * d)], axis=-1) * h.dx
-        ops.append((position[0][ia], position[1][ib], f, flat, counts[flat].astype(np.float64)))
-    return table, rows[0], rows[1], ops
+    (a_rows, a_pos), (b_rows, b_pos) = _distinct(index[:x_a.size]), _distinct(index[x_a.size:])
+    n = len(hists)
+    keys, stacked = _distinct(a_pos * n + np.repeat(np.arange(n), [h.counts.size for h in hists]))
+    f = np.stack([np.stack([np.cos(h.theta * d), np.sin(h.theta * d)], axis=-1) * h.dx
+                  for h in hists])
+    counts = np.concatenate([h.counts for h in hists]).astype(np.float64)
+    return table, a_rows, b_rows, f[keys % n], keys // n, stacked * b_rows.size + b_pos, counts
 
 
 class _Kernel:
@@ -276,10 +272,10 @@ class _Kernel:
         u = self.unequal = up_lo.size
         starts = np.flatnonzero(np.diff(hi - lo, prepend=-1))
         stops = np.append(starts[1:], s)
-        table, a_rows, b_rows, ops = _bin_operators(n_cut, lo, hi, (lo - hi)[starts], hists)
+        table, a_rows, b_rows, f, stack_a, self.flat, self.counts = _bin_operators(
+            n_cut, lo, hi, (lo - hi)[starts], hists)
         self.b = table[b_rows]
-        sizes = [op[0].size for op in ops]
-        n_rows, n_b, n_stack = a_rows.size, b_rows.size, sum(sizes)
+        n_rows, n_b, n_stack = a_rows.size, b_rows.size, stack_a.size
         # two buffers, each holding in turn what one call needs: rho's
         # terms, H as (x_a midpoint, group, cos | sin, column), Bt's scales
         # of the stack, the grid (stacked row, x_b midpoint) and W B
@@ -295,30 +291,21 @@ class _Kernel:
         second = np.empty(max(2 * s * dim, dim * n_stack))
         self.block = second[:2 * s * dim].reshape(2 * s, dim)
         self.stack = second[:dim * n_stack].reshape(dim, n_stack)
-        # the (histogram, x_a midpoint) rows, stacked by midpoint, then in
-        # (theta, origin) order, each with its histogram's F
-        rows = np.concatenate([op[0] for op in ops])
-        order = np.argsort(rows, kind="stable")
+        # a contiguous copy per group: a strided view moved the fits' bits
         self.groups = [(table[a_rows, start:stop], start, stop, h[:, j].transpose(1, 0, 2))
                        for j, (start, stop) in enumerate(zip(starts, stops))]
-        phase = np.repeat(np.arange(len(ops)), sizes)
-        self.f = np.stack([op[2] for op in ops])[phase[order]].reshape(n_stack, -1).T.copy()
-        bounds = np.searchsorted(rows[order], np.arange(n_rows + 1))
+        # the (x_a midpoint, histogram) rows, stacked by midpoint, then in
+        # theta order, each with its histogram's F
+        self.f = f.reshape(n_stack, -1).T.copy()
+        bounds = np.searchsorted(stack_a, np.arange(n_rows + 1))
         self.row_blocks = [(self.f[:, start:stop], h[i].reshape(-1, dim),
                             self.stack[:, start:stop])
                            for i, (start, stop) in enumerate(zip(bounds, bounds[1:]))]
         # Bt's scale of a stack row is the row of F of its group, cos | sin
         group = 2 * np.repeat(np.arange(k), stops - starts)
         self.scale_rows = np.concatenate([group, group[:u] + 1])
-        # each histogram's populated bins in the grid
-        position = np.empty(n_stack, dtype=np.int64)
-        position[order] = np.arange(n_stack)
-        offsets = np.cumsum([0] + sizes)
-        self.flat = np.concatenate([position[offset + flat // cols.size] * n_b
-                                    + cols[flat % cols.size]
-                                    for offset, (_, cols, _, flat, _) in zip(offsets, ops)])
-        self.counts = np.concatenate([counts for *_, counts in ops])
         self.probs = np.empty(self.counts.size)
+        self.floored = 0
         # M1's and M2's entries in rho viewed as floats (Re, Im), weighted,
         # Im M1's sign flipped: X, V, Z, Y are sums and differences of them
         e1 = (p_lo * k + lo) * dim + p_hi * k + hi
@@ -344,7 +331,8 @@ class _Kernel:
 
     def __call__(self, rho: np.ndarray) -> tuple[np.ndarray, float]:
         """The R operator of rho, in a buffer that the next call
-        overwrites, and the log-likelihood sum(n log P) under rho."""
+        overwrites, and the log-likelihood sum(n log P) under rho;
+        ``floored`` counts the bins whose P it floors at MIN_BIN_PROB."""
         rho = np.ascontiguousarray(rho, dtype=np.complex128)
         # mode="clip" (the indices are in range) writes into out directly:
         # under "raise", np.take fills a temporary of out's size first
@@ -370,6 +358,7 @@ class _Kernel:
         stack[:u] += stack[s:]
         np.matmul(stack[:s].T, b_table.T, out=grid)
         probs = grid.take(self.flat, out=self.probs, mode="clip")
+        self.floored = int(np.count_nonzero(probs < MIN_BIN_PROB))
         np.maximum(probs, MIN_BIN_PROB, out=probs)
         ll = float(np.dot(self.counts, np.log(probs)))
         grid.fill(0.0)
@@ -446,9 +435,10 @@ def ml_reconstruct(hists: list[Histogram2D], config: TomographyConfig) -> MLResu
     accepts one that leaves log L unchanged (log L at rounding level).
     Such a search is first repeated along the scaled gradient, with the
     pairs forgotten.  The gap is that of the returned state, and
-    converged=False if it exceeds ``LOGLIK_GAP``.
-    Only the iterates that pass the Cholesky screen, and the last, run
-    eigvalsh.
+    converged=False if it exceeds ``LOGLIK_GAP``, or if the returned state
+    floors a bin's probability at ``MIN_BIN_PROB``, where the gap certifies
+    nothing.  Only the iterates that pass the Cholesky screen, and the
+    last, run eigvalsh.
     """
     space = FockSpace(config.n_cut)
     kernel = _Kernel(config.n_cut, hists)
@@ -533,4 +523,5 @@ def ml_reconstruct(hists: list[Histogram2D], config: TomographyConfig) -> MLResu
         loglik.append(ll)
         iterations += 1
     return MLResult(rho=DensityMatrix.from_entries(space, rho), loglik_trace=tuple(loglik),
-                    iterations=iterations, gap=gap, converged=gap <= LOGLIK_GAP)
+                    iterations=iterations, gap=gap,
+                    converged=gap <= LOGLIK_GAP and not kernel.floored)

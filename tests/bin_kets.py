@@ -23,29 +23,29 @@ def bin_kets(space: FockSpace, hist: Histogram2D) -> tuple[np.ndarray, np.ndarra
     """Columns U_theta |x_mid> for every populated bin of the histogram,
     shape (space.dim, n_populated), and the bins' counts."""
     xa_mid, xb_mid = hist.midpoints()
-    psi_a = hermite_functions(space.n_cut, xa_mid)
-    psi_b = hermite_functions(space.n_cut, xb_mid)
-    ia, ib = np.nonzero(hist.counts)
     phase = np.exp(-1j * hist.theta * np.arange(space.mode_dim))
-    cols_a = phase[:, None] * psi_a[:, ia]
-    cols_b = phase[:, None] * psi_b[:, ib]
-    kets = (cols_a[:, None, :] * cols_b[None, :, :]).reshape(space.dim, ia.size)
-    return kets, hist.counts[ia, ib].astype(np.float64)
+    cols_a = phase[:, None] * hermite_functions(space.n_cut, xa_mid)
+    cols_b = phase[:, None] * hermite_functions(space.n_cut, xb_mid)
+    kets = (cols_a[:, None, :] * cols_b[None, :, :]).reshape(space.dim, xa_mid.size)
+    return kets, hist.counts.astype(np.float64)
 
 
 def r_and_loglik(rho: np.ndarray, space: FockSpace,
-                 hists: list[Histogram2D]) -> tuple[np.ndarray, float]:
-    """The R operator of the density matrix ``rho`` (Hermitian part) and
-    the log-likelihood sum(n log P) of the histograms under it."""
+                 hists: list[Histogram2D]) -> tuple[np.ndarray, float, int]:
+    """The R operator of the density matrix ``rho`` (Hermitian part), the
+    log-likelihood sum(n log P) of the histograms under it, and the number
+    of bins whose P is floored."""
     r = np.zeros((space.dim, space.dim), dtype=np.complex128)
     ll = 0.0
     n_total = 0.0
-    for hist in sorted(hists, key=lambda h: (h.theta, h.origin)):
+    floored = 0
+    for hist in sorted(hists, key=lambda h: h.theta):
         kets, counts = bin_kets(space, hist)
         probs = np.sum(kets.conj() * (rho @ kets), axis=0).real * hist.dx ** 2
+        floored += int(np.sum(probs < MIN_BIN_PROB))
         probs = np.maximum(probs, MIN_BIN_PROB)
         ll += float(np.dot(counts, np.log(probs)))
         r += ((kets * (counts / probs)) @ kets.conj().T) * hist.dx ** 2
         n_total += counts.sum()
     r /= n_total
-    return (r + r.conj().T) / 2.0, ll
+    return (r + r.conj().T) / 2.0, ll, floored

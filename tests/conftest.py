@@ -6,7 +6,7 @@ import pytest
 
 from tmsvlab import io as tio
 from tmsvlab.fock import FockSpace
-from tmsvlab.homodyne import Shots
+from tmsvlab.homodyne import Samples, Shots
 from tmsvlab.tomography import _Kernel
 
 from source_oracle import basis_state
@@ -48,6 +48,14 @@ def loglik_under(rho, hists):
     rho, the true state included.
     """
     return _Kernel(rho.space.n_cut, hists)(rho.entries)[1]
+
+
+def floored_samples():
+    """100 shots at two phases, sd 1e-9: at dx 1e-12 their bins span fewer
+    than MAX_GRID_CELLS lattice cells, but the probability of each, about
+    dx^2 / pi, lies far below MIN_BIN_PROB."""
+    rng = np.random.default_rng(0)
+    return Samples(np.repeat([0.0, 1.0], 50), *rng.normal(0.0, 1e-9, (2, 100)))
 
 
 def assert_same_batch(a, b):

@@ -5,7 +5,8 @@ This is the library's former update (Lvovsky, J. Opt. B 6, S556 (2004)),
 started from the flat state and stopped as :func:`tmsvlab.tomography.
 ml_reconstruct` stops: at the first iterate whose certified gap
 N (lambda_max(R) - 1) is at most ``LOGLIK_GAP``, with eigvalsh run only on
-iterates that pass the Cholesky screen, or after max_iter updates.  It is
+iterates that pass the Cholesky screen, or after max_iter updates.  It has
+not converged if it floors a bin at the state it returns.  It is
 kept so that the L-BFGS fit can be checked against an independent path to
 the same maximum.
 """
@@ -38,4 +39,5 @@ def r_rho_r_fit(hists: list[Histogram2D], config: TomographyConfig) -> MLResult:
         rho /= rho.trace().real
         iterations += 1
     return MLResult(rho=DensityMatrix.from_entries(space, rho), loglik_trace=tuple(loglik),
-                    iterations=iterations, gap=gap, converged=gap <= tomography.LOGLIK_GAP)
+                    iterations=iterations, gap=gap,
+                    converged=gap <= tomography.LOGLIK_GAP and not kernel.floored)

@@ -24,7 +24,7 @@ from tmsvlab.states import (NOISELESS, NoiseModel, SqueezedVacuum, TruncationWar
 from tmsvlab.tomography import LOGLIK_GAP, TomographyConfig, bin_samples, ml_reconstruct
 
 from conftest import (MALFORMED_TOKENS, NON_FINITE_TOKENS, assert_same_batch, concat,
-                      loadtxt_shots, loglik_under, traced_peak_mb)
+                      floored_samples, loadtxt_shots, loglik_under, traced_peak_mb)
 from gridded import Gridded
 from source_oracle import basis_state
 from uhlmann import fidelity_pure
@@ -495,6 +495,16 @@ def test_cli_tomo_nonconverged_exit_code(tmp_path):
     # diagnostics are still written
     assert (tomo_out / "rho_ml.json").exists()
     assert (tomo_out / "diagnostics.json").exists()
+
+
+def test_cli_tomo_exits_nonconverged_on_floored_bins(tmp_path):
+    # every bin's probability is floored at MIN_BIN_PROB, so the gap
+    # certifies nothing; tomo reported convergence after 0 iterations
+    path = tmp_path / "samples.csv"
+    tio.write_samples(path, floored_samples())
+    tomo_out = tmp_path / "tomo"
+    assert run_cli("tomo", str(path), "--dx", "1e-12", "--out", str(tomo_out)) == EX_NONCONVERGED
+    assert json.loads((tomo_out / "diagnostics.json").read_text())["converged"] is False
 
 
 def test_cli_tomo_empty_samples_is_usage_error(tmp_path):

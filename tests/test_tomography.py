@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from tmsvlab.tomography import (LOGLIK_GAP, Histogram2D, TomographyConfig, bin_s
 
 import bin_kets
 import fixed_point
-from conftest import loglik_under, traced_peak_mb
+from conftest import floored_samples, loglik_under, traced_peak_mb
 from gridded import Gridded
 from group_bootstrap import bootstrap
 from source_oracle import basis_state, rotate_state
@@ -34,8 +35,7 @@ def test_bin_single_sample():
     hists = bin_samples(Samples([0.0], [0.1], [0.1]), dx=0.25)
     assert len(hists) == 1
     h = hists[0]
-    assert h.origin == (0.0, 0.0)
-    assert h.counts.shape == (1, 1)
+    assert (h.ia.tolist(), h.ib.tolist(), h.counts.tolist()) == ([0], [0], [1])
     assert h.total == 1
 
 
@@ -43,8 +43,7 @@ def test_bin_edge_goes_to_upper_bin():
     # a sample exactly on a bin edge belongs to the bin starting there
     hists = bin_samples(Samples([0.0], [0.25], [-0.25]), dx=0.25)
     h = hists[0]
-    assert h.origin == (0.25, -0.25)
-    assert h.counts[0, 0] == 1
+    assert (h.ia.tolist(), h.ib.tolist(), h.counts.tolist()) == ([1], [-1], [1])
 
 
 def test_bin_groups_phases_and_totals():
@@ -58,6 +57,22 @@ def test_bin_groups_phases_and_totals():
     totals = sorted(h.total for h in hists)
     assert totals[0] in (98, 99) and totals[-1] in (98, 99)
     assert sum(totals) == 2864
+
+
+def test_bin_samples_returns_ascending_bins_whose_counts_sum_to_the_shots():
+    # each phase's bins are distinct, in ascending (ia, ib) order, and hold
+    # the counts of the samples whose floor(x / dx) they are
+    samples = vacuum_samples(400, [0.0, 0.9], seed=11)
+    dx = 0.25
+    hists = bin_samples(samples, dx)
+    assert sum(h.total for h in hists) == samples.theta.size
+    for h in hists:
+        bins = list(zip(h.ia.tolist(), h.ib.tolist()))
+        assert bins == sorted(set(bins))
+        at = samples.theta == h.theta
+        expected = Counter(zip(np.floor(samples.x_a[at] / dx).astype(int).tolist(),
+                               np.floor(samples.x_b[at] / dx).astype(int).tolist()))
+        assert dict(zip(bins, h.counts.tolist())) == expected
 
 
 def test_bin_rejects_bad_dx():
@@ -96,17 +111,25 @@ def test_bin_rejects_a_dx_whose_indices_leave_int64():
     # 1e-300 wrapped every index around
     samples = Samples([0.0], [-1.0], [0.5])
     h = bin_samples(samples, dx=2.0 ** -61)[0]
-    assert h.origin == (-1.0, 0.5) and h.total == 1
+    assert (h.ia[0], h.ib[0]) == (-2 ** 61, 2 ** 60) and h.total == 1
     for dx in (2.0 ** -62, 1e-300, float("nan")):
         with pytest.raises(ValueError, match="too small|positive"):
             bin_samples(samples, dx=dx)
 
 # ---------------------------------------------------------------- bin model
 
-def bin_probability(rho, theta, dx, origin):
-    """Model probability of the bin at origin: the exponential of the
+def lattice_histogram(theta, dx, corner, grid):
+    """The histogram of the populated cells of a dense count grid whose
+    cell (0, 0) is lattice bin ``corner``."""
+    ia, ib = np.nonzero(grid)
+    return Histogram2D(theta=theta, dx=dx, ia=ia + corner[0], ib=ib + corner[1],
+                       counts=grid[ia, ib])
+
+
+def bin_probability(rho, theta, dx, bin_index):
+    """Model probability of a lattice bin: the exponential of the
     log-likelihood of a histogram that holds one count there."""
-    h = Histogram2D(theta=theta, dx=dx, origin=origin, counts=np.array([[1]], dtype=np.int64))
+    h = lattice_histogram(theta, dx, bin_index, np.array([[1]]))
     return math.exp(tomography._Kernel(rho.space.n_cut, [h])(rho.entries)[1])
 
 
@@ -116,10 +139,12 @@ def r_operator(rho, hists):
 
 
 def test_bin_probability_vacuum_origin():
+    # lattice bin (0, 0) has its midpoint at (0.125, 0.125), where the
+    # vacuum density is (1/pi) e^{-2 0.125^2}
     vac = basis_state(FockSpace(6), 0, 0).projector()
-    p = bin_probability(vac, 0.0, 0.25, (-0.125, -0.125))
-    assert p == pytest.approx((1.0 / np.pi) * 0.25 ** 2, rel=1e-10)
-    assert p == pytest.approx(0.0199, abs=1e-4)
+    p = bin_probability(vac, 0.0, 0.25, (0, 0))
+    assert p == pytest.approx((1.0 / np.pi) * np.exp(-2 * 0.125 ** 2) * 0.25 ** 2, rel=1e-10)
+    assert p == pytest.approx(0.0193, abs=1e-4)
 
 
 def test_bin_probabilities_sum_to_one():
@@ -130,10 +155,9 @@ def test_bin_probabilities_sum_to_one():
     dx = 0.25
     edges = np.arange(-8.0, 8.0, dx)
     counts = np.ones((edges.size, edges.size), dtype=np.int64)
-    h = Histogram2D(theta=0.7, dx=dx, origin=(float(edges[0]), float(edges[0])),
-                    counts=counts)
+    h = lattice_histogram(0.7, dx, (-32, -32), counts)
     total = 0.0
-    kets_x, _ = h.midpoints()
+    kets_x = h.midpoints()[0][::edges.size]
     psi = hermite_functions(sp.n_cut, kets_x)
     phase = np.exp(-1j * h.theta * np.arange(sp.mode_dim))
     cols = phase[:, None] * psi
@@ -147,8 +171,8 @@ def test_bin_probability_rotation_covariance():
     sp = FockSpace(6)
     rho = tmsv(0.4, sp).projector()
     phi = 0.35
-    p_rot = bin_probability(rotate_state(rho, phi), 1.0, 0.25, (0.5, -0.75))
-    p_base = bin_probability(rho, 1.0 - phi, 0.25, (0.5, -0.75))
+    p_rot = bin_probability(rotate_state(rho, phi), 1.0, 0.25, (2, -3))
+    p_base = bin_probability(rho, 1.0 - phi, 0.25, (2, -3))
     assert p_rot == pytest.approx(p_base, rel=1e-12)
 
 
@@ -169,8 +193,7 @@ def test_r_operator_trace_identity():
 def test_r_operator_single_bin_is_rank_one():
     sp = FockSpace(4)
     vac = basis_state(sp, 0, 0).projector()
-    h = Histogram2D(theta=0.0, dx=0.25, origin=(0.0, 0.0),
-                    counts=np.array([[3]], dtype=np.int64))
+    h = Histogram2D(theta=0.0, dx=0.25, ia=[0], ib=[0], counts=[3])
     r = r_operator(vac, [h])
     assert np.array_equal(r, r.conj().T)
     eigs = np.sort(np.abs(np.linalg.eigvalsh(r)))[::-1]
@@ -191,8 +214,7 @@ def test_r_operator_near_identity_on_support_for_exact_data():
     joint = np.outer(psi, psi) * dx * dx
     scale = 1e7
     counts = np.rint(joint * scale).astype(np.int64)
-    h = Histogram2D(theta=0.0, dx=dx, origin=(float(edges[0]), float(edges[0])),
-                    counts=counts)
+    h = lattice_histogram(0.0, dx, (-25, -25), counts)
     r = r_operator(vac, [h])
     assert np.array_equal(r, r.conj().T)
     assert np.trace(vac.entries @ r).real == pytest.approx(1.0, abs=1e-3)
@@ -221,19 +243,10 @@ def random_state(space, seed):
 
 
 def one_phase_two_origins():
-    # a second histogram at the first one's phase, its origin two bins away
+    # a second histogram at the first one's phase, its bins two bins away
     hists = fig_s3_histograms(0.25)
     h = hists[5]
-    return hists + [dataclasses.replace(h, theta=hists[0].theta,
-                                        origin=(h.origin[0] + 0.5, h.origin[1] - 0.5))]
-
-
-def origin_off_the_lattice():
-    # Histogram2D does not hold its origin to the dx lattice
-    hists = fig_s3_histograms(0.25)
-    h = hists[3]
-    hists[3] = dataclasses.replace(h, origin=(h.origin[0] + 0.1, h.origin[1] - 0.07))
-    return hists
+    return hists + [dataclasses.replace(h, theta=hists[0].theta, ia=h.ia + 2, ib=h.ib - 2)]
 
 
 # (n_cut, histograms) of each case
@@ -241,8 +254,7 @@ KERNEL_CASES = {
     "fig_s3 paper": (10, lambda: fig_s3_histograms(0.25)),
     "dx 0.1": (10, lambda: fig_s3_histograms(0.1)),
     "n_cut 0": (0, lambda: fig_s3_histograms(0.25)),
-    "one bin": (3, lambda: [Histogram2D(theta=0.9, dx=0.25, origin=(0.25, -0.5),
-                                        counts=np.array([[7]], dtype=np.int64))]),
+    "one bin": (3, lambda: [Histogram2D(theta=0.9, dx=0.25, ia=[1], ib=[-2], counts=[7])]),
     # the largest histograms in use, about 56 rows each
     "fig_s2 p 400, dx 0.1": (10, lambda: fig_s2_histograms(400, 0.1)),
     "fig_s2 p 400, dx 0.25": (10, lambda: fig_s2_histograms(400, 0.25)),
@@ -251,7 +263,6 @@ KERNEL_CASES = {
     "one phase, two origins": (10, one_phase_two_origins),
     "dx 0.25 and 0.1 in one fit": (10, lambda: fig_s3_histograms(0.25)[::2]
                                    + fig_s3_histograms(0.1)[1::2]),
-    "origin off the dx lattice": (10, origin_off_the_lattice),
 }
 
 
@@ -263,14 +274,14 @@ def test_separable_kernel_matches_the_bin_ket_oracle(case):
     kernel = tomography._Kernel(n_cut, hists)
     for rho in (np.eye(space.dim) / space.dim, random_state(space, 1)):
         r, ll = kernel(rho)
-        r_ref, ll_ref = bin_kets.r_and_loglik(rho, space, hists)
+        r_ref, ll_ref, floored = bin_kets.r_and_loglik(rho, space, hists)
         assert np.max(np.abs(r - r_ref)) <= 1e-13
         assert abs(ll - ll_ref) <= 1e-13 * abs(ll_ref)
+        assert kernel.floored == floored
 
 
 @pytest.mark.parametrize("case", ["fig_s3 paper", "fig_s2 p 400, dx 0.25", "fig_s2 p 400, dx 0.1",
-                                  "fig_s2 p 25, dx 0.1", "dx 0.25 and 0.1 in one fit",
-                                  "origin off the dx lattice"])
+                                  "fig_s2 p 25, dx 0.1", "dx 0.25 and 0.1 in one fit"])
 def test_kernel_evaluates_one_hermite_table_for_all_histograms(monkeypatch, case):
     # one call on the distinct populated midpoints of every histogram and
     # quadrature, whose table equals bit for bit those of a call per
@@ -286,8 +297,7 @@ def test_kernel_evaluates_one_hermite_table_for_all_histograms(monkeypatch, case
     table = hermite_functions(10, calls[0])
     populated = set()
     for h in hists:
-        for x, axis in zip(h.midpoints(), (1, 0)):
-            x = x[h.counts.any(axis=axis)]
+        for x in h.midpoints():
             populated.update(x.tolist())
             assert (table[:, [column[v] for v in x.tolist()]].tobytes()
                     == hermite_functions(10, x).tobytes())
@@ -295,14 +305,15 @@ def test_kernel_evaluates_one_hermite_table_for_all_histograms(monkeypatch, case
 
 
 def test_midpoints_of_histograms_on_one_lattice_share_their_bits():
-    # a bin's midpoint is (k + 1/2) dx at its lattice index k, whatever the
-    # origin of its histogram, so the kernel's table holds it once: at
-    # dx 0.1, origin + (i + 1/2) dx gave 155 distinct populated x_a
-    # midpoints on these histograms for 65 lattice points
+    # a bin's midpoint is (k + 1/2) dx at its lattice index k, whatever its
+    # histogram, so the kernel's table holds it once: at dx 0.1,
+    # origin + (i + 1/2) dx, from each histogram's lowest bin, gave 155
+    # distinct populated x_a midpoints on these histograms for 65 lattice
+    # points
     midpoint = {}
     for h in fig_s2_histograms(25, 0.1):
-        for origin, x in zip(h.origin, h.midpoints()):
-            for k, value in zip(round(origin / h.dx) + np.arange(x.size), x.tolist()):
+        for index, x in zip((h.ia, h.ib), h.midpoints()):
+            for k, value in zip(index.tolist(), x.tolist()):
                 assert midpoint.setdefault(k, value) == value, k
 
 
@@ -323,7 +334,8 @@ def test_fig_s3_fit_moves_from_the_bin_ket_oracle_fit_only_by_rounding(monkeypat
             self.n_total = float(sum(h.total for h in hists))
 
         def __call__(self, rho):
-            return bin_kets.r_and_loglik(rho, self.space, self.hists)
+            r, ll, self.floored = bin_kets.r_and_loglik(rho, self.space, self.hists)
+            return r, ll
 
     monkeypatch.setattr(tomography, "_Kernel", BinKetKernel)
     ref = ml_reconstruct(hists, preset.tomography)
@@ -518,17 +530,35 @@ def test_a_search_that_leaves_log_l_unchanged_is_repeated_along_the_gradient(mon
     assert fit.gap < 1e-5
 
 
-@pytest.mark.parametrize("origin", [(np.nan, 0.0), (0.0, np.inf)])
+@pytest.mark.parametrize("origin", [(-10 ** 10, 0), (0, 10 ** 10)])
 def test_non_finite_midpoints_are_ill_conditioned(origin):
-    # a histogram with a non-finite origin, whose midpoints would not be
-    # finite, is refused when it is made
-    counts = np.array([[2, 0], [1, 4]], dtype=np.int64)
+    # a histogram whose bin at lattice index ``origin`` has a midpoint
+    # beyond the float range at dx 1e300 is refused when it is made
     with pytest.raises(ValueError, match="finite"):
-        Histogram2D(theta=0.3, dx=0.25, origin=origin, counts=counts)
+        Histogram2D(theta=0.3, dx=1e300, ia=[origin[0]], ib=[origin[1]], counts=[1])
     # and so is one with a non-finite phase or bin width
     for theta, dx in ((np.nan, 0.25), (0.3, np.inf), (0.3, np.nan)):
         with pytest.raises(ValueError, match="finite"):
-            Histogram2D(theta=theta, dx=dx, origin=(0.0, 0.0), counts=counts)
+            Histogram2D(theta=theta, dx=dx, ia=[0, 1, 1], ib=[0, 0, 1], counts=[2, 1, 4])
+
+
+# (ia, ib, counts) of each histogram that Histogram2D refuses, and the reason
+REFUSED_BINS = {
+    "a duplicate bin": ([0, 0], [1, 1], [1, 2], "distinct"),
+    "unordered ia": ([1, 0], [0, 0], [1, 1], "ascending"),
+    "unordered ib": ([0, 0], [1, 0], [1, 1], "ascending"),
+    "a zero count": ([0, 1], [0, 0], [1, 0], "positive counts"),
+    "columns of different lengths": ([0, 1], [0], [1, 1], "columns of one length"),
+    "float indices": ([0.0, 1.0], [0, 0], [1, 1], "int64 columns"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_BINS)
+def test_histogram_refuses_what_is_not_populated_lattice_bins(case):
+    ia, ib, counts, reason = REFUSED_BINS[case]
+    with pytest.raises(ValueError, match=reason):
+        Histogram2D(theta=0.3, dx=0.25, ia=np.array(ia), ib=np.array(ib),
+                    counts=np.array(counts))
 
 
 # ---------------------------------------------------------------- ML loop
@@ -593,6 +623,18 @@ def test_ml_non_convergence_flag():
     assert result.rho.entries.trace().real == pytest.approx(1.0, abs=1e-12)
 
 
+def test_a_fit_with_floored_bins_does_not_report_convergence():
+    # Tr R rho = 1, on which the certified gap rests, fails when a bin's
+    # probability is floored: this fit reported converged=True after 0
+    # iterations, with gap -100 and Tr R rho 4.5e-14
+    hists = bin_samples(floored_samples(), 1e-12)
+    kernel = tomography._Kernel(10, hists)
+    kernel(np.eye(121) / 121)
+    assert kernel.floored == 100
+    result = ml_reconstruct(hists, TomographyConfig(dx=1e-12))
+    assert not result.converged
+
+
 def test_ml_histogram_order_invariance():
     samples = vacuum_samples(80, [0.0, 0.7, 1.4, 2.1], seed=6)
     hists = bin_samples(samples, 0.25)
@@ -607,8 +649,8 @@ def test_ml_requires_data():
     cfg = TomographyConfig()
     with pytest.raises(ValueError):
         ml_reconstruct([], cfg)
-    empty = Histogram2D(theta=0.0, dx=0.25, origin=(0.0, 0.0),
-                        counts=np.zeros((1, 1), dtype=np.int64))
+    no_bins = np.zeros(0, dtype=np.int64)
+    empty = Histogram2D(theta=0.0, dx=0.25, ia=no_bins, ib=no_bins, counts=no_bins)
     with pytest.raises(ValueError):
         ml_reconstruct([empty], cfg)
 
