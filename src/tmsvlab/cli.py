@@ -25,13 +25,14 @@ settings default here: seed 0, out ``.`` (``runs`` for ``reproduce``) and
 scale ``paper``.  Reruns with the same settings and seed are byte-identical.
 
 ``simulate`` starts from ``--preset`` (``fig_s2`` if only ``--xi`` is
-given) and replaces each field that a setting gives: ``--xi`` in the
-source, the noise settings in the noise, the phases and the shots per
-phase.  It draws the source once: ``samples.csv`` holds the quadratures
-that the counts in ``shots.csv`` realize.  Its ``manifest.json`` records
-only what shaped the draw (source, noise, phases, shots per phase, seed)
-and the package, enough to rebuild both files; ``reproduce`` writes the
-outputs of :func:`~tmsvlab.pipelines.reproduce`, its manifest among them.
+given) and replaces each field that a setting gives: ``--xi`` and
+``--pair-phase-sigma`` in the source, the noise settings in the noise, the
+phases and the shots per phase.  It draws the source once: ``samples.csv``
+holds the quadratures that the counts in ``shots.csv`` realize.  Its
+``manifest.json`` records only what shaped the draw (source, noise,
+phases, shots per phase, seed) and the package, enough to rebuild both
+files; ``reproduce`` writes the outputs of
+:func:`~tmsvlab.pipelines.reproduce`, its manifest among them.
 ``criteria`` takes the group of the lower phase modulo pi as the x group.
 A command checks its settings before it reads or runs, and creates
 ``--out`` only to write its results.
@@ -144,7 +145,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--thetas", type=_phases, default=None,
                        help="comma-separated phases in rad (default: 29-phase sweep)")
     p_sim.add_argument("--p", dest="p_per_theta", type=int, default=None)
-    p_sim.add_argument("--sigma-phase", dest="sigma_phase", type=float, default=None)
+    p_sim.add_argument("--pair-phase-sigma", dest="pair_phase_sigma", type=float, default=None)
     p_sim.add_argument("--rf-rel-noise", dest="rf_rel_noise", type=float, default=None)
     p_sim.add_argument("--sum-variance-shift", dest="sum_variance_shift",
                        type=float, default=None)
@@ -183,11 +184,10 @@ def _cmd_simulate(args) -> int:
         raise UsageError("either --preset or --xi is required")
     seed = args.seed or 0
     preset = PRESETS[args.preset or "fig_s2"]
-    preset = dataclasses.replace(
-        preset, source=dataclasses.replace(preset.source, **_given(args, "xi")),
-        noise=dataclasses.replace(preset.noise, **_given(
-            args, "sigma_phase", "rf_rel_noise", "sum_variance_shift")),
-        **_given(args, "thetas", "p_per_theta"))
+    source = dataclasses.replace(preset.source, **_given(args, "xi", "pair_phase_sigma"))
+    noise = dataclasses.replace(preset.noise, **_given(args, "rf_rel_noise", "sum_variance_shift"))
+    preset = dataclasses.replace(preset, source=source, noise=noise,
+                                 **_given(args, "thetas", "p_per_theta"))
     samples, shots = simulate_readout(preset.source, DEFAULT_READOUT, preset.noise,
                                       preset.thetas, preset.p_per_theta, seed=seed)
     out = _outdir(args.out or ".")

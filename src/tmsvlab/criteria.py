@@ -10,7 +10,7 @@ smaller product is reported, together with which pairing fired.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -196,13 +196,13 @@ class TimeSweepPoint:
     se_insep_sum: float
 
 
-def time_sweep(times, noise: NoiseModel, p_per_point: int,
+def time_sweep(source: SqueezedVacuum, times, noise: NoiseModel, p_per_point: int,
                seed: int = 0) -> list[TimeSweepPoint]:
     """Squeezing dynamics: variances and EPR product versus pair-creation time.
 
-    Each grid point takes the Gaussian source at xi = OMEGA_SPIN_DYNAMICS * t
-    and the default readout (:data:`~tmsvlab.homodyne.DEFAULT_READOUT`), draws
-    p_per_point shots at the two calibrated angles from its exact
+    Each grid point takes the source at xi = OMEGA_SPIN_DYNAMICS * t (pair
+    phase and dephasing kept) and :data:`~tmsvlab.homodyne.DEFAULT_READOUT`,
+    draws p_per_point shots at the two calibrated angles from its exact
     covariance, records them as atom counts and reads the quadratures back
     from the counts, as the experiment does, and evaluates the report.
     The ideal e^{-+2 xi} curves are emitted alongside, and after them the
@@ -214,7 +214,7 @@ def time_sweep(times, noise: NoiseModel, p_per_point: int,
     rows = []
     for i, t in enumerate(times):
         xi = OMEGA_SPIN_DYNAMICS * float(t)
-        state = SqueezedVacuum(xi, 0.0)
+        state = replace(source, xi=xi)
         shots = simulate_shots(state, DEFAULT_READOUT, noise, thetas, p_per_point, seed=[seed, i])
         samples = shots_to_samples(shots, thetas, p_per_point, DEFAULT_READOUT)
         n_pairs = math.sinh(xi) ** 2

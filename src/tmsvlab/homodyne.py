@@ -14,14 +14,14 @@ validated as a whole on construction.
 There is one sampling path and one readout path, both in place.  Each
 phase draws from its own generator stream, so group order cannot change
 the result and sampling is deterministic given (seed, theta index): the
-angle jitter, the pair at the jittered angle, which the source's
-``draw(theta, delta, rng, x_a, x_b)`` writes into the phase's rows of the
-result columns, and the common-mode sum shift.  Count records invert those
+pair, which the source's ``draw(theta, rng, x_a, x_b, scratch)`` writes
+into the phase's rows of the result columns, its own pair-phase draws
+first, and the common-mode sum shift.  Count records invert those
 draws, transfer jitter added, into the count columns through a few
 phase-long scratch rows, and redraw the shots whose counts leave
 [0, N_tot].  Every shipped source is a Gaussian
 :class:`~tmsvlab.states.SqueezedVacuum`, drawn from its exact covariance
-at each shot's own angle, with no Fock space, grid or occupation cutoff.
+at each shot's own pair phase, with no Fock space, grid or occupation cutoff.
 """
 
 import math
@@ -168,17 +168,13 @@ class Samples(_Batch):
 
 
 def _draw_group(source: SqueezedVacuum, theta: float, noise: NoiseModel,
-                rng: np.random.Generator, x_a, x_b, jitter) -> None:
-    """Fill x_a and x_b with pairs drawn at nominal angle theta, phase
-    jitter and common-mode sum shift applied; jitter is scratch as long."""
-    if noise.sigma_phase > 0.0:
-        np.multiply(rng.standard_normal(out=jitter), noise.sigma_phase, out=jitter)
-    else:
-        jitter.fill(0.0)
-    source.draw(theta, jitter, rng, x_a, x_b)
+                rng: np.random.Generator, x_a, x_b, scratch) -> None:
+    """Fill x_a and x_b with pairs drawn at nominal angle theta, common-mode
+    sum shift applied; scratch is as long."""
+    source.draw(theta, rng, x_a, x_b, scratch)
     if noise.sum_variance_shift > 0.0:
-        g = np.multiply(rng.standard_normal(out=jitter), math.sqrt(noise.sum_variance_shift),
-                        out=jitter)
+        g = np.multiply(rng.standard_normal(out=scratch), math.sqrt(noise.sum_variance_shift),
+                        out=scratch)
         x_a += np.divide(g, 2.0, out=g)
         x_b += g
 
@@ -192,18 +188,18 @@ def _readout(source: SqueezedVacuum, config: Readout | None, noise: NoiseModel,
         raise ValueError("p_per_theta must be >= 1")
     base = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
     size = thetas.size * p_per_theta
-    x_a, x_b, jitter = np.empty(size), np.empty(size), np.empty(p_per_theta)
+    x_a, x_b, scratch = np.empty(size), np.empty(size), np.empty(p_per_theta)
     if config is not None:
         n_a, n_b = np.empty(size, np.int64), np.empty(size, np.int64)
         # the transfer fractions, and two terms of the inversion, which also uses
-        # jitter's row; three arrays, as one block, once freed, raised the peak of
+        # scratch's row; three arrays, as one block, once freed, raised the peak of
         # a later read in the same process
         s2_act, *terms = (np.empty(p_per_theta) for _ in range(3))
     for i, theta in enumerate(thetas.tolist()):
         rng = np.random.default_rng(base + [i])
         rows = slice(i * p_per_theta, (i + 1) * p_per_theta)
         quads_a, quads_b = x_a[rows], x_b[rows]
-        _draw_group(source, theta, noise, rng, quads_a, quads_b, jitter)
+        _draw_group(source, theta, noise, rng, quads_a, quads_b, scratch)
         if config is None:
             continue
         s2_act.fill(0.0)
@@ -221,19 +217,19 @@ def _readout(source: SqueezedVacuum, config: Readout | None, noise: NoiseModel,
         for _round in range(_MAX_RESAMPLE_ROUNDS):
             got = [c[pending] for c in counts]
             failed = _invert_counts(quads_a[pending], quads_b[pending], s2_act[pending], config,
-                                    *got, (jitter, *terms))
+                                    *got, (scratch, *terms))
             counts[0][pending], counts[1][pending] = got
             pending = failed if _round == 0 else pending[failed]
             if pending.size == 0:
                 break
             redrawn = np.empty((2, pending.size))
-            _draw_group(source, theta, noise, rng, *redrawn, jitter[:pending.size])
+            _draw_group(source, theta, noise, rng, *redrawn, scratch[:pending.size])
             quads_a[pending], quads_b[pending] = redrawn
         else:
             raise CountBoundsError(
                 f"{pending.size} shots at theta={theta:.4f} still outside [0, {config.n_tot}] "
                 f"after {_MAX_RESAMPLE_ROUNDS} redraws")
-    jitter = s2_act = terms = None  # let the scratch go before the Shots checks
+    scratch = s2_act = terms = None  # let the scratch go before the Shots checks
     return x_a, x_b, None if config is None else Shots(n_a, n_b, np.full(size, config.n_tot))
 
 
@@ -241,10 +237,9 @@ def sample_quadratures(source: SqueezedVacuum, thetas, p_per_theta: int,
                        noise: NoiseModel = NOISELESS, seed=0) -> Samples:
     """Monte-Carlo homodyne samples: p_per_theta shots at each nominal angle.
 
-    Per shot the measurement angle is jittered by a Gaussian of width
-    sigma_phase, the source draws the pair (x_a, x_b) at the jittered
-    angle, and a common-mode offset raises Var(x_a + x_b) by
-    sum_variance_shift.  Shots are recorded under the nominal angle.
+    Per shot the source draws the pair (x_a, x_b) at the nominal angle,
+    its pair phase dephased if it says so, and a common-mode offset raises
+    Var(x_a + x_b) by sum_variance_shift.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     x_a, x_b, _ = _readout(source, None, noise, thetas, p_per_theta, seed)

@@ -20,13 +20,13 @@ reads the preset fields listed here and sweeps the others it names:
                against the squeezed vacuum of the source's xi at its best
                pair phase: :func:`run_fig_s3` reads every field and sweeps
                none;
-* ``fig3``     squeezing-dynamics sweep with per-shot measurement-angle
-               jitter and coupling-strength jitter, read out from atom
-               counts as every time sweep is: :func:`run_fig3` reads noise,
+* ``fig3``     squeezing-dynamics sweep of fig_s3's dephased source with
+               coupling-strength jitter, read out from atom counts as
+               every time sweep is: :func:`run_fig3` reads source, noise,
                p_per_theta and seed, and sweeps the time t_s, which sets
-               xi.  Its source (xi at the optimal time) and thetas serve
-               ``simulate --preset fig3``; nothing is reconstructed, so it
-               has no tomography.
+               the source's xi (the optimal time's in the preset).  Its
+               thetas serve ``simulate --preset fig3``; nothing is
+               reconstructed, so it has no tomography.
 
 Every run is reproducible: identical presets give bit-identical outputs.
 """
@@ -79,17 +79,14 @@ PRESETS: dict[str, ExperimentPreset] = {
         thetas=sweep_phases(), p_per_theta=100, seed=0, tomography=TomographyConfig()),
     "fig_s3": ExperimentPreset(
         name="fig_s3", source=SqueezedVacuum(0.63, 0.0, 0.36),
-        # no sampling-side phase jitter (the source carries the dephasing),
-        # plus the 0.12 systematic shift of the sum-quadrature variance
+        # the 0.12 systematic shift of the sum-quadrature variance
         noise=NoiseModel(sum_variance_shift=0.12),
         thetas=sweep_phases(), p_per_theta=100, seed=0, tomography=TomographyConfig()),
     "fig3": ExperimentPreset(
         name="fig3",
-        source=SqueezedVacuum(OMEGA_SPIN_DYNAMICS * OPTIMAL_SPIN_DYNAMICS_TIME, 0.0),
-        # per-shot measurement-angle jitter of 0.36 / 2 (fig_s3's pair-phase
-        # width; a pair phase turns twice as fast as the angle) plus 0.4%
-        # relative coupling-strength jitter
-        noise=NoiseModel(sigma_phase=0.18, rf_rel_noise=0.004),
+        # fig_s3's pair-phase width, and 0.4% relative coupling-strength jitter
+        source=SqueezedVacuum(OMEGA_SPIN_DYNAMICS * OPTIMAL_SPIN_DYNAMICS_TIME, 0.0, 0.36),
+        noise=NoiseModel(rf_rel_noise=0.004),
         thetas=(THETA_X_LIKE, THETA_P_LIKE), p_per_theta=5000, seed=0),
 }
 
@@ -197,10 +194,9 @@ def run_fig_s3(preset: ExperimentPreset) -> FigS3Result:
 
 
 def run_fig3(preset: ExperimentPreset, times=FIG3_TIME_GRID) -> list[TimeSweepPoint]:
-    """Squeezing-dynamics sweep over the times with the preset's noise,
-    shots per point and seed."""
-    return time_sweep(times, noise=preset.noise, p_per_point=preset.p_per_theta,
-                      seed=preset.seed)
+    """Squeezing-dynamics sweep of the preset's source over the times with
+    its noise, shots per point and seed."""
+    return time_sweep(preset.source, times, preset.noise, preset.p_per_theta, preset.seed)
 
 
 def _table(row_type, rows) -> tuple[str, list[tuple]]:

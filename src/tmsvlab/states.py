@@ -4,7 +4,7 @@ The ideal source is the two-mode squeezed vacuum with squeezing parameter
 xi = Omega * t set by the spin-dynamics rate and duration.  It is Gaussian,
 so :class:`SqueezedVacuum` describes it exactly by its covariance, with no
 occupation cutoff.  A dephased variant mixes the pair phase with a Gaussian
-weight (``pair_phase_sigma``), the model of the noisy tomography studies.
+weight (``pair_phase_sigma``), the one per-shot phase noise of every study.
 :func:`phase_noisy_state` is the truncated Fock form of either, one closed
 expression; :func:`tmsv` and :func:`tmsv_rotated` the undephased state vector.
 """
@@ -38,8 +38,6 @@ class TruncationWarning(UserWarning):
 class NoiseModel:
     """Measurement-chain noise used when drawing homodyne samples.
 
-    sigma_phase:        Gaussian width (std, rad) of the per-shot jitter of
-                        the measurement angle.
     rf_rel_noise:       relative std of the per-shot coupling-pulse transfer
                         fraction; affects only count-level simulation.
     sum_variance_shift: additive variance applied to the (x_A + x_B)
@@ -47,12 +45,11 @@ class NoiseModel:
                         coordinates.
     """
 
-    sigma_phase: float = 0.0
     rf_rel_noise: float = 0.0
     sum_variance_shift: float = 0.0
 
     def __post_init__(self):
-        for name in ("sigma_phase", "rf_rel_noise", "sum_variance_shift"):
+        for name in ("rf_rel_noise", "sum_variance_shift"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative")
@@ -177,20 +174,20 @@ class SqueezedVacuum:
         swing *= np.sinh(2.0 * self.xi)
         return np.add(swing, base, out=out[0]), np.subtract(base, swing, out=out[1])
 
-    def draw(self, theta: float, delta: np.ndarray, rng: np.random.Generator,
-             x_a: np.ndarray, x_b: np.ndarray) -> None:
-        """Fill x_a and x_b with one pair per measurement angle theta +
-        delta, with x_A + x_B and x_A - x_B drawn as independent normals.
+    def draw(self, theta: float, rng: np.random.Generator, x_a: np.ndarray,
+             x_b: np.ndarray, scratch: np.ndarray) -> None:
+        """Fill x_a and x_b with one pair per shot at measurement angle
+        theta, with x_A + x_B and x_A - x_B drawn as independent normals.
         When the pair phase is dephased, each shot first draws its own
         pair-phase offset phi, which acts as the angle shift -phi / 2.  No
-        array is allocated: delta holds the angles and then the normals, and
-        x_a and x_b the variances and then the pair."""
-        u = np.add(delta, theta, out=delta)
+        array is allocated: scratch, as long, holds the angles and then the
+        normals, and x_a and x_b the variances and then the pair."""
+        scratch.fill(theta)
         if self.pair_phase_sigma > 0.0:
             phi = np.multiply(rng.standard_normal(out=x_a), self.pair_phase_sigma, out=x_a)
-            u -= np.divide(phi, 2.0, out=phi)
-        v_plus, v_minus = self.pair_variances(u, out=(x_a, x_b))
-        normal = delta
+            scratch -= np.divide(phi, 2.0, out=phi)
+        v_plus, v_minus = self.pair_variances(scratch, out=(x_a, x_b))
+        normal = scratch
         q_sum = np.multiply(rng.standard_normal(out=normal), np.sqrt(v_plus, out=v_plus), out=x_a)
         q_diff = np.multiply(rng.standard_normal(out=normal), np.sqrt(v_minus, out=v_minus),
                              out=x_b)

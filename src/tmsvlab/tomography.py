@@ -78,7 +78,8 @@ _MEMORY = 5
 _ARMIJO = 1e-4
 # halvings of a step before the fit gives up on raising log L
 _MAX_HALVINGS = 50
-# most lattice cells that the bins of one phase may span (1 GiB of int64)
+# most lattice cells that the bins of one phase may span (1 GiB of int64),
+# and most cells of the ML kernel's grid (1 GiB of float64)
 MAX_GRID_CELLS = 1 << 27
 
 
@@ -276,6 +277,10 @@ class _Kernel:
             n_cut, lo, hi, (lo - hi)[starts], hists)
         self.b = table[b_rows]
         n_rows, n_b, n_stack = a_rows.size, b_rows.size, stack_a.size
+        if n_stack * n_b > MAX_GRID_CELLS:
+            raise ValueError(f"dx {hists[0].dx!r} is too small for the samples: the fit's "
+                             f"grid of stacked rows and x_b midpoints is {n_stack} x {n_b}, "
+                             f"over {MAX_GRID_CELLS} cells")
         # two buffers, each holding in turn what one call needs: rho's
         # terms, H as (x_a midpoint, group, cos | sin, column), Bt's scales
         # of the stack, the grid (stacked row, x_b midpoint) and W B

@@ -2,12 +2,14 @@
 
 :class:`Gridded` wraps a :class:`~tmsvlab.fock.DensityMatrix` as a source
 of :func:`tmsvlab.homodyne.sample_quadratures` and
-:func:`~tmsvlab.homodyne.simulate_shots`: its ``draw(theta, delta, rng, x_a, x_b)``
+:func:`~tmsvlab.homodyne.simulate_shots`: its ``draw(theta, rng, x_a, x_b, scratch)``
 evaluates the state's joint quadrature density on a grid and samples it by
-inverse CDF (marginal in x_a, then the conditional), with the angle jitter
-quantized to :data:`PHASE_JITTER_STEP`.  Its draws, and so every pinned
-digest of its samples, are those of the library's former gridded sampler.
-The Gaussian sources of the library are checked against it.
+inverse CDF (marginal in x_a, then the conditional).  Given an angle_sigma,
+each shot first draws its own measurement-angle jitter of that width from
+the same stream, quantized to :data:`PHASE_JITTER_STEP`, as the library's
+former angle jitter did.  So its draws, and every pinned digest of its
+samples, are those of the library's former gridded sampler.  The Gaussian
+sources of the library are checked against it.
 """
 
 import math
@@ -20,7 +22,7 @@ from tmsvlab.fock import DensityMatrix, FockSpace, hermite_functions
 # Per-shot jitter of the measurement angle is quantized to this step so
 # shots sharing a step reuse one gridded distribution; the induced variance
 # bias is O(step^2/12) of the anti-squeezed variance, far below sampling
-# error.  A SqueezedVacuum source uses each shot's exact angle.
+# error.
 PHASE_JITTER_STEP = 0.01
 
 
@@ -175,21 +177,24 @@ class _JointSampler:
 
 class Gridded:
     """A DensityMatrix as a sampler source: draws from its gridded joint
-    density by inverse CDF."""
+    density by inverse CDF, at angles jittered by N(0, angle_sigma^2)."""
 
-    def __init__(self, state: DensityMatrix):
+    def __init__(self, state: DensityMatrix, angle_sigma: float = 0.0):
         self.state = state
+        self.angle_sigma = angle_sigma
         self.grid = QuadGrid.default_for_state(state)
         self.psi_a = hermite_functions(state.space.n_cut, self.grid.x_a)
         self.psi_b = hermite_functions(state.space.n_cut, self.grid.x_b)
         self.eig = _state_eig(state)
 
-    def draw(self, theta: float, delta: np.ndarray, rng: np.random.Generator,
-             x_a: np.ndarray, x_b: np.ndarray) -> None:
-        """Fill x_a and x_b with one pair per angle theta + delta, delta
-        quantized to PHASE_JITTER_STEP so that shots sharing a step share a
-        density."""
+    def draw(self, theta: float, rng: np.random.Generator, x_a: np.ndarray,
+             x_b: np.ndarray, scratch: np.ndarray) -> None:
+        """Fill x_a and x_b with one pair per angle theta + delta, delta the
+        shot's angle jitter (zero without one), quantized to PHASE_JITTER_STEP
+        so that shots sharing a step share a density; scratch goes unused."""
         grid = self.grid
+        delta = (rng.standard_normal(x_a.size) * self.angle_sigma if self.angle_sigma > 0.0
+                 else np.zeros(x_a.size))
         dq = np.round(delta / PHASE_JITTER_STEP) * PHASE_JITTER_STEP
         for val in np.unique(dq):
             idx = np.flatnonzero(dq == val)

@@ -34,29 +34,25 @@ def estimate_quadratures(shots: Shots, config: Readout) -> tuple[np.ndarray, np.
     return diff, total
 
 
-def gaussian_draw(source, theta, delta, rng):
-    """The pairs that ``SqueezedVacuum.draw`` fills in, as new arrays."""
-    u = theta + delta
+def gaussian_draw(source, theta, n, rng):
+    """The n pairs that ``SqueezedVacuum.draw`` fills in, as new arrays."""
+    u = np.full(n, theta)
     if source.pair_phase_sigma > 0.0:
-        u = u - rng.normal(0.0, source.pair_phase_sigma, delta.size) / 2.0
+        u = u - rng.normal(0.0, source.pair_phase_sigma, n) / 2.0
     v_plus, v_minus = source.pair_variances(u)
-    q_sum = rng.standard_normal(delta.size) * np.sqrt(v_plus)
-    q_diff = rng.standard_normal(delta.size) * np.sqrt(v_minus)
+    q_sum = rng.standard_normal(n) * np.sqrt(v_plus)
+    q_diff = rng.standard_normal(n) * np.sqrt(v_minus)
     return (q_sum + q_diff) / 2.0, (q_sum - q_diff) / 2.0
 
 
 def draw_group(source, theta, n, noise, rng):
-    """n (x_a, x_b) pairs at nominal angle theta with phase jitter and
-    common-mode sum shift applied."""
-    if noise.sigma_phase > 0.0:
-        delta = rng.normal(0.0, noise.sigma_phase, n)
-    else:
-        delta = np.zeros(n)
+    """n (x_a, x_b) pairs at nominal angle theta with the common-mode sum
+    shift applied."""
     if isinstance(source, SqueezedVacuum):
-        x_a, x_b = gaussian_draw(source, theta, delta, rng)
+        x_a, x_b = gaussian_draw(source, theta, n, rng)
     else:
         x_a, x_b = np.empty(n), np.empty(n)
-        source.draw(theta, delta, rng, x_a, x_b)
+        source.draw(theta, rng, x_a, x_b, np.empty(n))
     if noise.sum_variance_shift > 0.0:
         g = rng.normal(0.0, math.sqrt(noise.sum_variance_shift), n)
         x_a = x_a + g / 2.0

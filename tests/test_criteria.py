@@ -166,7 +166,8 @@ def test_delta_errors_match_the_spread_over_seeds():
     # phase, where the files workload draws 100000.  The tie is the vacuum,
     # where both pairings give the same product
     k = 400
-    rows = time_sweep([OPTIMAL_SPIN_DYNAMICS_TIME] * k, PRESETS["fig3"].noise, 300, seed=0)
+    rows = time_sweep(PRESETS["fig3"].source, [OPTIMAL_SPIN_DYNAMICS_TIME] * k,
+                      PRESETS["fig3"].noise, 300, seed=0)
     fig3 = [(row.epr_product, row.se_epr_product) for row in rows]
     files, tie = [], []
     for seed in range(k):
@@ -267,7 +268,7 @@ def test_inferred_rejects_empty():
 # ---------------------------------------------------------------- time sweep
 
 def test_time_sweep_zero_time_is_vacuum():
-    rows = time_sweep([0.0], NOISELESS, 20_000, seed=7)
+    rows = time_sweep(SqueezedVacuum(0.0), [0.0], NOISELESS, 20_000, seed=7)
     row = rows[0]
     se = np.sqrt(2.0 / (20_000 - 1))
     assert_within_se(row.v_x_minus, 1.0, se)
@@ -277,7 +278,7 @@ def test_time_sweep_zero_time_is_vacuum():
 
 def test_time_sweep_noise_free_follows_analytic():
     times = [5e-3, 15e-3, 25e-3]
-    rows = time_sweep(times, NOISELESS, 30_000, seed=8)
+    rows = time_sweep(SqueezedVacuum(0.0), times, NOISELESS, 30_000, seed=8)
     for row in rows:
         expected = np.exp(-4 * OMEGA_SPIN_DYNAMICS * row.t_s)
         se = expected * np.sqrt(2.0 / (30_000 - 1)) * np.sqrt(2.0)
@@ -291,7 +292,7 @@ def test_time_sweep_reads_noiseless_points_from_counts():
     times, p = [0.0, 12e-3], 3000
     config = DEFAULT_READOUT
     thetas = [THETA_X_LIKE, THETA_P_LIKE]
-    for i, row in enumerate(time_sweep(times, NOISELESS, p, seed=9)):
+    for i, row in enumerate(time_sweep(SqueezedVacuum(0.0), times, NOISELESS, p, seed=9)):
         shots = simulate_shots(SqueezedVacuum(row.xi, 0.0), config, NOISELESS, thetas, p,
                                seed=[9, i])
         samples = shots_to_samples(shots, thetas, p, config)
@@ -306,7 +307,7 @@ def test_time_sweep_reads_noiseless_points_from_counts():
 
 def test_time_sweep_rejects_negative_times():
     with pytest.raises(ValueError):
-        time_sweep([-1e-3], NOISELESS, 10, seed=0)
+        time_sweep(SqueezedVacuum(0.0), [-1e-3], NOISELESS, 10, seed=0)
 
 
 def test_bootstrap_errors_shrink_like_root_n(space10):
@@ -346,7 +347,8 @@ def test_time_sweep_samples_the_gaussian_source_without_a_cutoff(monkeypatch):
     n = 20_000
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        row = time_sweep([2.5 / OMEGA_SPIN_DYNAMICS], NOISELESS, n, seed=4)[0]
+        row = time_sweep(SqueezedVacuum(0.0), [2.5 / OMEGA_SPIN_DYNAMICS], NOISELESS, n,
+                         seed=4)[0]
     for value, ideal in ((row.v_x_plus, row.v_anti_ideal), (row.v_x_minus, row.v_sq_ideal),
                          (row.v_p_plus, row.v_sq_ideal), (row.v_p_minus, row.v_anti_ideal)):
         assert_within_se(value, ideal, ideal * np.sqrt(2.0 / (n - 1)))

@@ -216,9 +216,9 @@ def test_sampling_phase_covariance_ks(space10):
 
 def test_sampling_deterministic(space10):
     rho = tmsv(0.3, space10).projector()
-    noise = NoiseModel(sigma_phase=0.1, sum_variance_shift=0.05)
-    a = sample_quadratures(Gridded(rho), [0.1, 1.2], 50, noise, seed=9)
-    b = sample_quadratures(Gridded(rho), [0.1, 1.2], 50, noise, seed=9)
+    noise = NoiseModel(sum_variance_shift=0.05)
+    a = sample_quadratures(Gridded(rho, 0.1), [0.1, 1.2], 50, noise, seed=9)
+    b = sample_quadratures(Gridded(rho, 0.1), [0.1, 1.2], 50, noise, seed=9)
     assert_same_batch(a, b)
 
 
@@ -380,20 +380,19 @@ def test_gaussian_covariance_matches_grid_moments(xi, phi, u):
     assert abs((w * q_sum * q_diff).sum()) < 1e-6
 
 
-@pytest.mark.parametrize("sigma_phase", [0.0, 0.18])
-def test_gaussian_and_gridded_samplers_agree(sigma_phase):
-    # the gridded path draws from the n_cut = 12 truncation (tail 2.5e-7)
-    # with the jitter quantized to 0.01 rad, a variance bias below 1e-4;
-    # both are far below the sampling SE compared here.  With jitter the
-    # samples are a scale mixture of normals, so each variance's SE is the
-    # sample SE of the squared deviations, not the normal-theory one.
+@pytest.mark.parametrize("pair_phase_sigma", [0.0, 0.36])
+def test_gaussian_and_gridded_samplers_agree(pair_phase_sigma):
+    # the gridded path draws from the n_cut = 12 truncation of the source's
+    # own density, dephased or not (tail 2.5e-7), far below the sampling SE
+    # compared here: so fig3's phase noise is fig_s3's truth.  Dephased,
+    # the samples are a scale mixture of normals, so each variance's SE is
+    # the sample SE of the squared deviations, not the normal-theory one.
     xi, n = 0.63, 10_000
-    source = SqueezedVacuum(xi, 0.0)
-    noise = NoiseModel(sigma_phase=sigma_phase)
+    source = SqueezedVacuum(xi, 0.0, pair_phase_sigma)
     thetas = [THETA_X_LIKE, THETA_P_LIKE]
     stats = []
     for src, seed in ((source, 41), (Gridded(source.density(FockSpace(12))), 42)):
-        samples = sample_quadratures(src, thetas, n, noise, seed=seed)
+        samples = sample_quadratures(src, thetas, n, NOISELESS, seed=seed)
         report = epr_report(samples[:n], samples[n:])
         assert report.epr_pairing == "x_minus*p_plus"
         xa, xb = samples.x_a, samples.x_b
@@ -411,14 +410,14 @@ def test_gaussian_and_gridded_samplers_agree(sigma_phase):
 
 
 def test_gaussian_jitter_averages_the_rotated_covariance():
-    # per-shot angles u = theta + N(0, sigma^2) with no quantization give
-    # E[Var(x_A + x_B)] = cosh 2xi + sinh 2xi cos(2 theta - phi) e^{-2 sigma^2};
+    # per-shot pair phases 0.4 + N(0, sigma^2) with no quantization give
+    # E[Var(x_A + x_B)] = cosh 2xi + sinh 2xi cos(2 theta - 0.4) e^{-sigma^2 / 2};
     # the SE is the sample SE of the squared sum (the mixture is not normal)
-    xi, sigma, n, theta = 0.63, 0.18, 100_000, 0.3
-    source = SqueezedVacuum(xi, 0.4)
-    samples = sample_quadratures(source, [theta], n, NoiseModel(sigma_phase=sigma), seed=12)
+    xi, sigma, n, theta = 0.63, 0.36, 100_000, 0.3
+    source = SqueezedVacuum(xi, 0.4, sigma)
+    samples = sample_quadratures(source, [theta], n, NOISELESS, seed=12)
     xa, xb = samples.x_a, samples.x_b
-    damping = np.exp(-2.0 * sigma ** 2) * np.cos(2.0 * theta - 0.4)
+    damping = np.exp(-sigma ** 2 / 2.0) * np.cos(2.0 * theta - 0.4)
     for q, sign in ((xa + xb, 1.0), (xa - xb, -1.0)):
         expected = np.cosh(2 * xi) + sign * np.sinh(2 * xi) * damping
         assert_within_se(np.mean(q ** 2), expected, np.std(q ** 2, ddof=1) / np.sqrt(n))
@@ -450,7 +449,7 @@ def test_dephased_source_matches_closed_form_and_reference(u):
 def test_dephasing_leaves_the_undephased_stream_alone():
     # the pair phase is drawn only when sigma > 0, so sigma = 0 draws the
     # same numbers as a source without the field
-    noise = NoiseModel(sigma_phase=0.1, sum_variance_shift=0.05)
+    noise = NoiseModel(sum_variance_shift=0.05)
     a = sample_quadratures(SqueezedVacuum(0.5, 0.3), [0.2, 1.4], 300, noise, seed=6)
     b = sample_quadratures(SqueezedVacuum(0.5, 0.3, 0.0), [0.2, 1.4], 300, noise, seed=6)
     assert_same_batch(a, b)
@@ -493,9 +492,9 @@ def test_simulate_shots_matches_the_count_inversion():
     # without rf jitter or redraws, the shot counts are the single count
     # inversion applied to the sampled quadratures of the same stream
     cfg = DEFAULT_READOUT
-    source = SqueezedVacuum(0.63)
-    samples = sample_quadratures(source, [0.7], 500, NoiseModel(sigma_phase=0.1), seed=8)
-    shots = simulate_shots(source, cfg, NoiseModel(sigma_phase=0.1), [0.7], 500, seed=8)
+    source = SqueezedVacuum(0.63, 0.0, 0.2)
+    samples = sample_quadratures(source, [0.7], 500, NOISELESS, seed=8)
+    shots = simulate_shots(source, cfg, NOISELESS, [0.7], 500, seed=8)
     n_a, n_b, ok = invert(samples.x_a, samples.x_b, cfg)
     assert np.all(ok)
     assert np.array_equal(shots.n_a, n_a) and np.array_equal(shots.n_b, n_b)
@@ -505,17 +504,16 @@ P_ODD = 17_385  # an odd shot count, so no phase is a power-of-two length
 S2_SMALL_N0 = Readout(S2_EQUAL_RABI, 0.0, 200.0)  # a few % of the shots are redrawn
 READOUT_CASES = {
     "noiseless": (SqueezedVacuum(0.8, np.pi / 2), DEFAULT_READOUT, NOISELESS),
-    "sigma_phase": (SqueezedVacuum(0.8), DEFAULT_READOUT, NoiseModel(sigma_phase=0.18)),
+    "pair_phase_sigma": (SqueezedVacuum(0.8, 0.0, 0.36), DEFAULT_READOUT, NOISELESS),
     "rf_rel_noise": (SqueezedVacuum(0.8), DEFAULT_READOUT, NoiseModel(rf_rel_noise=0.004)),
     "sum_variance_shift": (SqueezedVacuum(0.8), DEFAULT_READOUT,
                            NoiseModel(sum_variance_shift=0.12)),
     "dephased source": (SqueezedVacuum(0.63, 0.4, 0.36), DEFAULT_READOUT, NOISELESS),
     "all combined": (SqueezedVacuum(0.63, 0.4, 0.36), DEFAULT_READOUT,
-                     NoiseModel(sigma_phase=0.18, rf_rel_noise=0.004, sum_variance_shift=0.12)),
+                     NoiseModel(rf_rel_noise=0.004, sum_variance_shift=0.12)),
     "redraws": (SqueezedVacuum(1.2), S2_SMALL_N0, NOISELESS),
     "redraws, all combined": (SqueezedVacuum(1.2, 0.4, 0.36), S2_SMALL_N0,
-                              NoiseModel(sigma_phase=0.18, rf_rel_noise=0.004,
-                                         sum_variance_shift=0.12)),
+                              NoiseModel(rf_rel_noise=0.004, sum_variance_shift=0.12)),
 }
 
 
@@ -541,8 +539,8 @@ def test_readout_matches_the_allocating_reference_bit_for_bit(case):
 
 def test_readout_of_a_reference_source_matches_the_allocating_reference():
     # a gridded source, with every noise and redraws, through both readouts
-    source = Gridded(tmsv_rotated(0.8, 0.0, FockSpace(10)).projector())
-    noise = NoiseModel(sigma_phase=0.05, rf_rel_noise=0.004, sum_variance_shift=0.12)
+    source = Gridded(tmsv_rotated(0.8, 0.0, FockSpace(10)).projector(), 0.05)
+    noise = NoiseModel(rf_rel_noise=0.004, sum_variance_shift=0.12)
     got = simulate_readout(source, S2_SMALL_N0, noise, [0.3, 1.9], 700, seed=[4, 2])
     want = reference_readout.simulate_readout(source, S2_SMALL_N0, noise, [0.3, 1.9], 700,
                                               seed=[4, 2])
@@ -587,7 +585,7 @@ def test_readout_of_two_100k_phases_stays_within_its_memory_bound():
     # shots): its six returned columns take 9.16 MiB.  The readout that built
     # every term as a new array peaked at 18.70 MiB (2.04 times that); drawing
     # and inverting in place, through three phase-long scratch rows besides
-    # the jitter row, it peaks at 9.55 MiB (1.04 times).  The bound is 1.15
+    # the draw's, it peaks at 9.55 MiB (1.04 times).  The bound is 1.15
     # times the columns, 10.53 MiB.
     def run():
         return simulate_readout(SqueezedVacuum(0.8, np.pi / 2), DEFAULT_READOUT, NOISELESS,
@@ -676,7 +674,9 @@ def test_density_matrix_path_is_pinned(tmp_path):
     # the Gaussian path was added), when the gridded sampler still lived in
     # the package (the bootstrap has since moved to the tests, too); the
     # reference sampler's RNG stream and the bootstrap resampling must not
-    # move.  The simulate/criteria files were re-pinned when simulate began
+    # move.  The angle jitter behind the first three, once the library's
+    # sample noise, is now the reference sampler's own, drawn first from the
+    # same stream.  The simulate/criteria files were re-pinned when simulate began
     # to sample its SqueezedVacuum source exactly, in one draw for both
     # files, and epr_report.json again when its bootstrap began
     # to sum the resamples from their multiplicities (its eight se_* values
@@ -692,10 +692,10 @@ def test_density_matrix_path_is_pinned(tmp_path):
 
     # float64 (theta, x_a, x_b) and int64 (n_a, n_b, n_tot) rows
     rho = tmsv(0.8, FockSpace(10)).projector()
-    noise = NoiseModel(sigma_phase=0.05, rf_rel_noise=0.004, sum_variance_shift=0.12)
+    noise = NoiseModel(rf_rel_noise=0.004, sum_variance_shift=0.12)
     thetas = [0.3, 1.9]
-    samples = sample_quadratures(Gridded(rho), thetas, 200, noise, seed=[4, 2])
-    shots = simulate_shots(Gridded(rho), DEFAULT_READOUT, noise, thetas, 200, seed=[4, 2])
+    samples = sample_quadratures(Gridded(rho, 0.05), thetas, 200, noise, seed=[4, 2])
+    shots = simulate_shots(Gridded(rho, 0.05), DEFAULT_READOUT, noise, thetas, 200, seed=[4, 2])
     rows = np.column_stack([samples.theta, samples.x_a, samples.x_b])
     counts = np.column_stack([shots.n_a, shots.n_b, shots.n_tot])
     assert sha256(rows.tobytes()) == (
@@ -710,8 +710,8 @@ def test_density_matrix_path_is_pinned(tmp_path):
         return np.array([np.var(xa + xb, ddof=1), np.var(xa - xb, ddof=1), xa.mean(),
                          batch.theta.sum(), xb[7]])
 
-    samples = sample_quadratures(Gridded(tmsv(0.5, FockSpace(8)).projector()), [0.3, 1.1, 2.4],
-                                 60, NoiseModel(sigma_phase=0.05), seed=5)
+    samples = sample_quadratures(Gridded(tmsv(0.5, FockSpace(8)).projector(), 0.05),
+                                 [0.3, 1.1, 2.4], 60, NOISELESS, seed=5)
     res = bootstrap(samples, 150, stat, seed=4)
     assert sha256(np.concatenate([res.estimate, res.se, res.ci_low, res.ci_high]).tobytes()) == (
         "86031b7269e0a4c00734dd5369925890e26c2c7cc9f6ee211942893f45774b97")

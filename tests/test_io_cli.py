@@ -271,12 +271,14 @@ def test_cli_simulate_preset_row_count(tmp_path):
     assert len(samples) == 29 * 100
     # the flags given with a preset replace its fields, and only those
     out = tmp_path / "fig3"
-    assert run_cli("simulate", "--preset", "fig3", "--p", "40", "--sigma-phase", "0",
+    assert run_cli("simulate", "--preset", "fig3", "--p", "40", "--pair-phase-sigma", "0",
                    "--out", str(out)) == EX_OK
     assert len(tio.read_samples(out / "samples.csv")) == 2 * 40
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["p_per_theta"] == 40
-    assert manifest["noise"] == {**dataclasses.asdict(PRESETS["fig3"].noise), "sigma_phase": 0.0}
+    assert manifest["noise"] == dataclasses.asdict(PRESETS["fig3"].noise)
+    assert manifest["source"] == {**dataclasses.asdict(PRESETS["fig3"].source),
+                                  "pair_phase_sigma": 0.0}
 
 
 def test_cli_simulate_requires_state(tmp_path):
@@ -286,15 +288,32 @@ def test_cli_simulate_requires_state(tmp_path):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-@pytest.mark.parametrize("flag, name", [("--xi", "xi"), ("--sigma-phase", "sigma_phase")])
+@pytest.mark.parametrize("flag, name", [
+    ("--xi", "xi"), ("--pair-phase-sigma", "pair_phase_sigma"),
+    ("--rf-rel-noise", "rf_rel_noise"), ("--sum-variance-shift", "sum_variance_shift")])
 def test_cli_simulate_rejects_a_setting_that_is_not_finite_and_nonnegative(
         tmp_path, capsys, flag, name, value):
-    # a NaN passed the former `< 0` checks: --xi nan wrote non-finite rows
-    # and --sigma-phase nan drew no jitter while the manifest recorded NaN
+    # a NaN passed the former `< 0` checks: --xi nan wrote non-finite rows.
+    # Every float setting of simulate is checked in the object that holds it
     out = tmp_path / "out"
     assert run_cli("simulate", "--preset", "fig3", "--p", "10", flag, value,
                    "--out", str(out)) == EX_RUNTIME
     assert f"{name} must be finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_simulate_refuses_the_former_angle_jitter_setting(tmp_path, capsys):
+    # the per-shot phase noise is the source's (--pair-phase-sigma), and
+    # the angle jitter's flag and config key have no alias
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--preset", "fig3", "--sigma-phase", "0.18",
+                   "--out", str(out)) == EX_USAGE
+    assert "unrecognized arguments: --sigma-phase 0.18" in capsys.readouterr().err
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"sigma_phase": 0.18}))
+    assert run_cli("simulate", "--preset", "fig3", "--config", str(cfg),
+                   "--out", str(out)) == EX_USAGE
+    assert "unknown config keys for simulate: ['sigma_phase']" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -372,7 +391,7 @@ def test_cli_simulate_has_no_cutoff(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--xi", "0.5", "--thetas", "0,1.2", "--p", "300", "--sigma-phase", "0.1",
+    ["--xi", "0.5", "--thetas", "0,1.2", "--p", "300", "--pair-phase-sigma", "0.2",
      "--rf-rel-noise", "0.004", "--sum-variance-shift", "0.05", "--seed", "3"],
     ["--preset", "fig_s3", "--seed", "2"],
 ])
@@ -745,6 +764,23 @@ def test_cli_tomo_refuses_a_dx_whose_bin_grid_is_too_large(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_tomo_refuses_a_fit_whose_kernel_grid_is_too_large(tmp_path, capsys, monkeypatch):
+    # the binning's bound held, but the fit's grid of stacked rows and x_b
+    # midpoints was unbounded; lowered here below this file's grid and above
+    # its phases' spans, the bound stops the fit before its grid is allocated
+    path = conjugate_pair_file(tmp_path)
+    hists = bin_samples(tio.read_samples(path), 0.25)
+    cells = (sum(np.unique(h.ia).size for h in hists)
+             * np.unique(np.concatenate([h.ib for h in hists])).size)
+    monkeypatch.setattr("tmsvlab.tomography.MAX_GRID_CELLS", cells - 1)
+    out = tmp_path / "out"
+    assert run_cli("tomo", str(path), "--out", str(out)) == EX_RUNTIME
+    assert re.search(r"error: dx 0\.25 is too small for the samples: the fit's grid of stacked "
+                     r"rows and x_b midpoints is \d+ x \d+, over \d+ cells",
+                     capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target_xi", ["nan", "inf", "1e308", "-1", "355", "354", "0.63"])
 def test_cli_metrics_refuses_a_target_whose_amplitudes_are_not_finite(
         tmp_path, capsys, target_xi):
@@ -996,8 +1032,8 @@ def test_cli_reproduce_smoke_manifest_describes_the_run(tmp_path):
     assert manifest["scale"] == "smoke" and manifest["sweep"] == {"t_s": [0.0, 13e-3, 26e-3]}
     d = manifest["preset"]
     assert "tomography" not in d and d["p_per_theta"] == 400
-    rows = time_sweep(manifest["sweep"]["t_s"], NoiseModel(**d["noise"]), d["p_per_theta"],
-                      seed=manifest["seed"])
+    rows = time_sweep(SqueezedVacuum(**d["source"]), manifest["sweep"]["t_s"],
+                      NoiseModel(**d["noise"]), d["p_per_theta"], seed=manifest["seed"])
     table = (rundir / "fig3_sweep.csv").read_text()
     tio.write_csv_rows(tmp_path / "rerun.csv", table.splitlines()[0],
                        [dataclasses.astuple(r) for r in rows])
@@ -1145,18 +1181,26 @@ def test_cli_tomo_records_config_and_input(tmp_path):
 #   1c472dba...; tomo/rho_ml.json from b71093f5... to 90f1d8f5... and
 #   tomo/diagnostics.json from 8101bc8c... to 286ddee2....  Every fit keeps
 #   its updates and convergence (paper fidelity_to_truth 0.923514898486119
-#   to 0.9235148986205735, whose 60-digit value moves by 3.8e-16)
+#   to 0.9235148986205735, whose 60-digit value moves by 3.8e-16);
+# - the seven manifests, which lose the noise's sigma_phase 0.0 (fig3's,
+#   its 0.18, and its source gains pair_phase_sigma 0.36): fig3-seed0 from
+#   8e583dea... to 54f842f8..., fig_s2-seed0 from 940135c6... to
+#   8daee9c9..., fig_s3-seed0 from 7c4f09e9... to 830712e4..., pair from
+#   c8cfd6e5... to 9b8f94bd..., paper/fig_s2-seed0 from 6bbe4ec4... to
+#   4f9d0a4b..., paper/fig_s3-seed0 from 60a2bbfc... to 0d83b601... and sim
+#   from 61a20824... to 02c346c9...; fig3's per-shot phase noise became its
+#   source's dephasing, the same normals at the same positions
 PINNED_OUTPUTS = {
     "fig3-seed0/fig3_sweep.csv":
         "b3b99cc78e5a533d64bb7a35b39be8b5a7fd604c9c2fc27c1f922961fb9bb650",
     "fig3-seed0/manifest.json":
-        "8e583dea45647774cbaeba4710d15612cbe0a7076818fbc9b0741e1d7be0f86c",
+        "54f842f8c6e7e550d6b827183f5cde56bf94bf5835d4c411007c05ba6bb00aa7",
     "fig_s2-seed0/fig_s2_table.csv":
         "ff699b33c0961be2fbdf40f7cdf890206e99345214353f292f96327e4bbc6a0d",
     "fig_s2-seed0/manifest.json":
-        "940135c620f1ec924283137aed275b507ebbc30b530ebe4db9aae05f552030cd",
+        "8daee9c982f1665ae3c0b13e3cb125be8457bdc6fffc0461fa5f7d578a38d9ec",
     "fig_s3-seed0/manifest.json":
-        "7c4f09e9468acbb19070116095de3fbfbd39e5187fec48eb20dc42c409dffaa6",
+        "830712e4b6c787174040c831b669303cfc3417ed75089e3094a91b943416714c",
     "fig_s3-seed0/metrics.json":
         "289d3f66d0088e4b4d1da37db1e1bfe86277e0133d9be3e8d31fb7581727081b",
     "fig_s3-seed0/rho_ml.json":
@@ -1166,7 +1210,7 @@ PINNED_OUTPUTS = {
     "pair/epr_report.json":
         "b25d3668b0d98e916725dc5abad0b2df2f6e5b741e2f551ef1d19b74924d0d82",
     "pair/manifest.json":
-        "c8cfd6e5c1ed0ab35f063cc4be736f01d0f2b06cbb76eaf0dacf6a4a7b30c297",
+        "9b8f94bd50b5e5c13457573fd322c861de347fff8026f43e8cd53ef9cb78e023",
     "pair/samples.csv":
         "d2139690a7e56e0ea2b5845f3b6e39e954c2452ddd795e17dae6840d342d1d56",
     "pair/shots.csv":
@@ -1174,9 +1218,9 @@ PINNED_OUTPUTS = {
     "paper/fig_s2-seed0/fig_s2_table.csv":
         "1c472dbad40290e746e040a4408ecb648deb28bfcb22ea4ec9e59b02196ac126",
     "paper/fig_s2-seed0/manifest.json":
-        "6bbe4ec4925283e76d5648b339ef1147da87a74ec5741c9684a0dd93a185d9bb",
+        "4f9d0a4b66f81f28a1dedbe30f8e863e3067851ff4fa6e1785ae0d54fb1f947c",
     "paper/fig_s3-seed0/manifest.json":
-        "60a2bbfccf19d7bea644b6709daeb418c508384c82712ec435897b26cadba113",
+        "0d83b601e323927a1220d358c2e3da468448e476148a8f88f599a5d1a042987d",
     "paper/fig_s3-seed0/metrics.json":
         "9b76e8cdc8b94b74d7bb6e43be3cec657c1ccc3727d4809771343f5c792e661b",
     "paper/fig_s3-seed0/rho_ml.json":
@@ -1184,7 +1228,7 @@ PINNED_OUTPUTS = {
     "paper/fig_s3-seed0/summary.json":
         "1583aa70d8b149ff886f63da0cd8e65eb83a3f91ec3ce57d2a502c1bb6d38bee",
     "sim/manifest.json":
-        "61a20824b0d0796d75d8db0d0f30182f9ee042c97715dcf585798d1330206055",
+        "02c346c950c30dd76e4787aa9c9d912a65e6f5d7e73f848a8a34157d0587a1a2",
     "sim/samples.csv":
         "9a27b3b5f9acdcf9506d9fcd14eb192cc34a4585182ba85ae9554ea6b5d2bc24",
     "sim/shots.csv":

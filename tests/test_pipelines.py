@@ -19,7 +19,7 @@ def test_presets_resolve_to_runnable_states():
         assert state.entries.trace().real == pytest.approx(1.0, abs=1e-10)
         assert preset.name == name
         d = make_manifest(preset)["preset"]
-        assert d["noise"].keys() == {"sigma_phase", "rf_rel_noise", "sum_variance_shift"}
+        assert d["noise"].keys() == {"rf_rel_noise", "sum_variance_shift"}
         assert d["source"].keys() == {"xi", "pair_phase", "pair_phase_sigma"}
         assert ("tomography" in d) == (preset.tomography is not None)
 
@@ -27,17 +27,16 @@ def test_presets_resolve_to_runnable_states():
 def test_presets_hold_the_figure_sources():
     assert PRESETS["fig_s2"].source == SqueezedVacuum(0.8, np.pi / 2)
     assert PRESETS["fig_s3"].source == SqueezedVacuum(0.63, 0.0, 0.36)
-    assert PRESETS["fig3"].source == SqueezedVacuum(2 * np.pi * 5.1 * 26e-3, 0.0)
+    assert PRESETS["fig3"].source == SqueezedVacuum(2 * np.pi * 5.1 * 26e-3, 0.0, 0.36)
 
 
 def test_presets_hold_the_figure_noise_and_tomography():
-    # exact literals: fig3's angle jitter is fig_s3's pair-phase width
-    # halved, bit for bit, and the figures that reconstruct fit with the
-    # default tomography
+    # exact literals: fig3's source is dephased as fig_s3's, and the
+    # figures that reconstruct fit with the default tomography
     assert PRESETS["fig_s2"].noise == NOISELESS
     assert PRESETS["fig_s3"].noise == NoiseModel(sum_variance_shift=0.12)
-    assert PRESETS["fig3"].noise == NoiseModel(sigma_phase=0.36 / 2.0, rf_rel_noise=0.004)
-    assert PRESETS["fig3"].noise.sigma_phase == PRESETS["fig_s3"].source.pair_phase_sigma / 2.0
+    assert PRESETS["fig3"].noise == NoiseModel(rf_rel_noise=0.004)
+    assert PRESETS["fig3"].source.pair_phase_sigma == PRESETS["fig_s3"].source.pair_phase_sigma
     for name in ("fig_s2", "fig_s3"):
         assert PRESETS[name].tomography == TomographyConfig(dx=0.25, n_cut=10, max_iter=2000)
     assert PRESETS["fig3"].tomography is None

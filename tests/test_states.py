@@ -20,7 +20,7 @@ def test_squeeze_param_values():
     # duration at which the product criterion threshold is crossed
     t_threshold = 0.5 * np.log(2.0) / OMEGA
     assert t_threshold == pytest.approx(10.8e-3, abs=1e-4)
-    rows = time_sweep([0.0, 26e-3, t_threshold], NOISELESS, 10, seed=0)
+    rows = time_sweep(SqueezedVacuum(0.0), [0.0, 26e-3, t_threshold], NOISELESS, 10, seed=0)
     assert rows[0].xi == 0.0
     assert rows[1].xi == pytest.approx(0.833, abs=1e-3)
     assert rows[2].xi == pytest.approx(0.5 * np.log(2.0))
@@ -155,7 +155,7 @@ def test_phase_noisy_purity_oracle(space10):
 def test_analytic_variances():
     # the ideal columns of the time sweep, at xi = Omega t
     times = [xi / OMEGA_SPIN_DYNAMICS for xi in (0.0, 0.5 * np.log(2.0), 0.63)]
-    av0, av_th, av = rows = time_sweep(times, NOISELESS, 10, seed=0)
+    av0, av_th, av = rows = time_sweep(SqueezedVacuum(0.0), times, NOISELESS, 10, seed=0)
     for row in rows:
         assert (row.v_sq_ideal, row.v_anti_ideal) == (np.exp(-2.0 * row.xi),
                                                       np.exp(2.0 * row.xi))
@@ -167,7 +167,7 @@ def test_analytic_variances():
 
 
 def test_noise_model_validation():
-    for field in ("sigma_phase", "rf_rel_noise", "sum_variance_shift"):
+    for field in ("rf_rel_noise", "sum_variance_shift"):
         for value in (-0.1, np.nan, np.inf):
             with pytest.raises(ValueError, match=field):
                 NoiseModel(**{field: value})

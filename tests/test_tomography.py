@@ -105,6 +105,28 @@ def test_bin_names_dx_and_the_grid_that_is_too_large():
         bin_samples(samples, dx)
 
 
+def test_kernel_names_dx_and_the_grid_that_is_too_large(monkeypatch):
+    # the fit's float64 grid holds every stacked (histogram, x_a midpoint)
+    # row against every distinct x_b midpoint, so it outgrows any one
+    # phase's lattice span: a 29 x 100 000-shot fig_s2 file at dx 0.002
+    # asked for 3.46 GiB.  With the bound lowered between the two, the
+    # binning passes and the fit refuses before it allocates its grid
+    preset = PRESETS["fig_s3"]
+    hists = bin_samples(sample_quadratures(preset.source, preset.thetas, 100, preset.noise,
+                                           seed=0), 0.25)
+    span = max((h.ia.max() - h.ia.min() + 1) * (h.ib.max() - h.ib.min() + 1) for h in hists)
+    rows = sum(np.unique(h.ia).size for h in hists)
+    cols = np.unique(np.concatenate([h.ib for h in hists])).size
+    assert span < rows * cols - 1
+    monkeypatch.setattr(tomography, "MAX_GRID_CELLS", rows * cols - 1)
+    with pytest.raises(ValueError, match=re.escape(
+            f"dx 0.25 is too small for the samples: the fit's grid of stacked rows and x_b "
+            f"midpoints is {rows} x {cols}, over {rows * cols - 1} cells")):
+        ml_reconstruct(hists, TomographyConfig())
+    monkeypatch.setattr(tomography, "MAX_GRID_CELLS", rows * cols)
+    assert ml_reconstruct(hists, TomographyConfig(max_iter=1)).iterations == 1
+
+
 def test_bin_rejects_a_dx_whose_indices_leave_int64():
     # floor(x / dx) is cast to int64: at x = -1 and dx 2^-62 the index
     # -2^62 still fits, with its range; at 2^-63 it would not, and a dx of
