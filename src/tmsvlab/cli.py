@@ -54,7 +54,7 @@ from .criteria import (DEFAULT_OCCUPATIONS, PhaseMismatchError, check_occupation
 from .homodyne import DEFAULT_READOUT, simulate_readout
 from .metrics import check_target_xi, metrics_report
 from .pipelines import PACKAGE, PRESETS, SCALES, reproduce
-from .tomography import TomographyConfig, bin_samples, ml_reconstruct
+from .tomography import TomographyConfig, ml_reconstruct
 
 EX_OK = 0
 EX_RUNTIME = 1
@@ -216,8 +216,7 @@ def _sha256(path) -> str:
 
 def _cmd_tomo(args) -> int:
     config = TomographyConfig(**_given(args, "dx", "n_cut", "max_iter"))
-    samples = tio.read_samples(args.samples)
-    result = ml_reconstruct(bin_samples(samples, config.dx), config)
+    result = ml_reconstruct(tio.read_samples(args.samples), config)
     out = _outdir(args.out or ".")
     tio.write_density_matrix(out / "rho_ml.json", result.rho)
     tio.write_json(out / "diagnostics.json", {

@@ -44,7 +44,7 @@ from .homodyne import sample_quadratures
 from .metrics import MetricsReport, fidelity_mixed, metrics_report
 from .states import (NOISELESS, NoiseModel, OMEGA_SPIN_DYNAMICS,
                      OPTIMAL_SPIN_DYNAMICS_TIME, SqueezedVacuum)
-from .tomography import MLResult, TomographyConfig, bin_samples, ml_reconstruct
+from .tomography import MLResult, TomographyConfig, ml_reconstruct
 
 PACKAGE = {"name": "tmsvlab", "version": __version__}
 
@@ -141,9 +141,8 @@ def run_fig_s2(preset: ExperimentPreset, p_values, dx_values) -> list[FigS2Row]:
     for dx in dx_values:
         config = dataclasses.replace(preset.tomography, dx=float(dx))
         for p in p_values:
-            samples = sample_quadratures(preset.source, preset.thetas, int(p), preset.noise,
-                                         seed=preset.seed)
-            result = ml_reconstruct(bin_samples(samples, config.dx), config)
+            result = ml_reconstruct(sample_quadratures(preset.source, preset.thetas, int(p),
+                                                       preset.noise, seed=preset.seed), config)
             rows.append(FigS2Row(p=int(p), dx=float(dx), seed=preset.seed,
                                  fidelity=fidelity_mixed(result.rho, truth),
                                  converged=result.converged,
@@ -181,9 +180,8 @@ def run_fig_s3(preset: ExperimentPreset) -> FigS3Result:
     xi at its best pair phase, as ``metrics --target-xi`` does on a file."""
     source, config = preset.source, preset.tomography
     truth = source.density(FockSpace(config.n_cut))
-    samples = sample_quadratures(source, preset.thetas, preset.p_per_theta,
-                                 preset.noise, seed=preset.seed)
-    result = ml_reconstruct(bin_samples(samples, config.dx), config)
+    result = ml_reconstruct(sample_quadratures(source, preset.thetas, preset.p_per_theta,
+                                               preset.noise, seed=preset.seed), config)
     p_sum, p_diff = number_distributions(result.rho)
     return FigS3Result(
         ml=result,

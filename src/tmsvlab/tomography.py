@@ -1,16 +1,17 @@
 """Maximum-likelihood reconstruction from binned quadrature data.
 
-Samples are binned, per phase, on the lattice of half-open squares
-[i dx, (i + 1) dx) x [j dx, (j + 1) dx): a histogram holds the indices
-(i, j) of its populated bins and their counts, and the model probability
-of a bin is the joint density at its midpoint ((i + 1/2) dx, (j + 1/2) dx)
-times dx^2.  The estimate maximizes log L = sum(n log P) by L-BFGS ascent
-(Liu & Nocedal, Math. Program. 45, 503 (1989)) over a complex factor T of
-rho = T T^dag / Tr(T T^dag) (James, Kwiat, Munro & White, PRA 64, 052312
-(2001)), so every iterate is Hermitian, unit-trace and positive
-semidefinite by construction.  The gradient comes from the operator R that weights
-projectors onto phase-rotated quadrature kets by the ratio of observed to
-model bin probabilities (Lvovsky, J. Opt. B 6, S556 (2004)).
+A fit bins its samples, per phase, on one lattice of half-open squares
+[i dx, (i + 1) dx) x [j dx, (j + 1) dx), dx its ``TomographyConfig.dx``: a
+histogram holds the indices (i, j) of its populated bins and their
+counts, and the model probability of a bin is the joint density at its
+midpoint ((i + 1/2) dx, (j + 1/2) dx) times dx^2.  The estimate maximizes
+log L = sum(n log P) by L-BFGS ascent (Liu & Nocedal, Math. Program. 45,
+503 (1989)) over a complex factor T of rho = T T^dag / Tr(T T^dag) (James,
+Kwiat, Munro & White, PRA 64, 052312 (2001)), so every iterate is
+Hermitian, unit-trace and positive semidefinite by construction.  The
+gradient comes from the operator R that weights projectors onto
+phase-rotated quadrature kets by the ratio of observed to model bin
+probabilities (Lvovsky, J. Opt. B 6, S556 (2004)).
 
 The bin operators are separable and real: bin (i, j) at phase theta
 projects onto U (A_i (x) B_j) U^dag with A_i = psi(x_i) psi(x_i)^T dx (B_j
@@ -81,18 +82,19 @@ _MAX_HALVINGS = 50
 # most lattice cells that the bins of one phase may span (1 GiB of int64),
 # and most cells of the ML kernel's grid (1 GiB of float64)
 MAX_GRID_CELLS = 1 << 27
+# bound on |x| of a bin midpoint, below which hermite_functions' x^2 is finite
+_MAX_MIDPOINT = math.sqrt(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
 class Histogram2D:
     """Joint quadrature counts at one local-oscillator phase: the populated
-    bins of the dx lattice, bin (ia, ib) the half-open square
-    [ia dx, (ia + 1) dx) x [ib dx, (ib + 1) dx).  ia, ib and counts are
-    int64 columns, one entry per bin in strictly ascending (ia, ib) order,
-    with positive counts.  theta, dx and every midpoint are finite."""
+    bins of the lattice of the fit's bin width dx, bin (ia, ib) the
+    half-open square [ia dx, (ia + 1) dx) x [ib dx, (ib + 1) dx).  ia, ib
+    and counts are int64 columns, one entry per bin in strictly ascending
+    (ia, ib) order, with positive counts.  theta is finite."""
 
     theta: float
-    dx: float
     ia: np.ndarray
     ib: np.ndarray
     counts: np.ndarray
@@ -103,11 +105,8 @@ class Histogram2D:
                or not np.can_cast(c.dtype, np.int64) for c in columns):
             raise ValueError("ia, ib and counts must be int64 columns of one length")
         ia, ib, counts = (c.astype(np.int64, copy=False) for c in columns)
-        reach = max(abs(int(f(i, initial=0))) for i in (ia, ib) for f in (np.min, np.max))
-        if not all(map(math.isfinite, (self.theta, (reach + 0.5) * float(self.dx)))):
-            raise ValueError("histogram theta, dx and midpoints must be finite")
-        if self.dx <= 0:
-            raise ValueError("dx must be positive")
+        if not math.isfinite(self.theta):
+            raise ValueError("histogram theta must be finite")
         if counts.min(initial=1) < 1 or not (
                 (ia[1:] > ia[:-1]) | (ia[1:] == ia[:-1]) & (ib[1:] > ib[:-1])).all():
             raise ValueError("bins must be distinct, in ascending (ia, ib) order, with "
@@ -120,20 +119,15 @@ class Histogram2D:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def midpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each bin's midpoint ((ia + 1/2) dx, (ib + 1/2) dx), with the same
-        bits in every histogram of one dx."""
-        return (self.ia + 0.5) * self.dx, (self.ib + 0.5) * self.dx
-
 
 @dataclass(frozen=True)
 class TomographyConfig:
-    """Binning and iteration settings for :func:`ml_reconstruct`.
+    """Binning and iteration settings, all that :func:`ml_reconstruct` reads.
 
-    dx:           bin width in both quadratures.  The midpoint bin model
-                  adds dx^2/12 to each fitted quadrature variance (see the
-                  module docstring), so the vacuum's rho_00 tends to about
-                  0.990 at dx = 0.25 and about 0.998 at dx = 0.1.
+    dx:           the fit's one bin width, in both quadratures.  The midpoint
+                  bin model adds dx^2/12 to each fitted quadrature variance
+                  (see the module docstring), so the vacuum's rho_00 tends
+                  to about 0.990 at dx = 0.25 and about 0.998 at dx = 0.1.
     n_cut:        occupation cutoff of each mode of the estimate.
     max_iter:     budget of accepted updates; the result has
                   converged=False if the certified log-likelihood gap is
@@ -145,8 +139,12 @@ class TomographyConfig:
     max_iter: int = 2000
 
     def __post_init__(self):
-        if not (math.isfinite(self.dx) and self.dx > 0) or self.n_cut < 0 or self.max_iter < 1:
-            raise ValueError("dx must be positive and finite, max_iter positive and n_cut >= 0")
+        if not (math.isfinite(self.dx) and self.dx > 0):
+            raise ValueError(f"dx must be positive and finite, got {self.dx!r}")
+        if self.n_cut < 0:
+            raise ValueError(f"n_cut must be >= 0, got {self.n_cut!r}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be positive, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -184,7 +182,7 @@ def bin_samples(samples: Samples, dx: float) -> list[Histogram2D]:
         # each sample's cell of that span, below MAX_GRID_CELLS, in (ia, ib) order
         cells, inverse = _distinct((ia - ia0) * shape[1] + (ib - ib0))
         ia, ib = np.divmod(cells, shape[1])
-        hists.append(Histogram2D(theta=theta, dx=dx, ia=ia + ia0, ib=ib + ib0,
+        hists.append(Histogram2D(theta=theta, ia=ia + ia0, ib=ib + ib0,
                                  counts=np.bincount(inverse)))
     return hists
 
@@ -200,26 +198,30 @@ def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[order[new]], inverse
 
 
-def _bin_operators(n_cut: int, lo: np.ndarray, hi: np.ndarray, d: np.ndarray,
+def _bin_operators(n_cut: int, dx: float, lo: np.ndarray, hi: np.ndarray, d: np.ndarray,
                    hists: list) -> tuple:
-    """The pair products psi_lo(x) psi_hi(x) at the distinct midpoints of
-    every histogram and quadrature, compared bit for bit, rows of one table
-    from one call of :func:`hermite_functions`, and the kernel's stacked
-    (x_a midpoint, histogram) rows, by midpoint, then by histogram in theta
-    order.  Returns (table, a_rows, b_rows, f, stack_a, cells, counts): the
-    table rows of the x_a and x_b midpoints; each stacked row's
-    [cos, sin](theta d) dx and x_a midpoint (a position in a_rows); and each
-    bin's cell of the (stacked row, x_b midpoint) grid and its count."""
-    hists = sorted(hists, key=lambda h: h.theta)
-    x_a, x_b = (np.concatenate(x) for x in zip(*(h.midpoints() for h in hists)))
-    x, index = _distinct(np.concatenate([x_a, x_b]))
-    psi = hermite_functions(n_cut, x)
+    """The pair products psi_lo(x) psi_hi(x) at the midpoints (k + 1/2) dx of
+    the distinct lattice indices k of every histogram and quadrature, rows
+    of one table from one call of :func:`hermite_functions`, and the
+    kernel's stacked (x_a midpoint, histogram) rows, by midpoint, then in
+    the histograms' order.  Returns (table, a_rows, b_rows, f, stack_a,
+    cells, counts): the table rows of the x_a and x_b midpoints; each
+    stacked row's [cos, sin](theta d) dx and x_a midpoint (a position in
+    a_rows); and each bin's cell of the (stacked row, x_b midpoint) grid and
+    its count.  A midpoint of |x| >= _MAX_MIDPOINT raises ValueError."""
+    ia, ib = (np.concatenate(k) for k in zip(*((h.ia, h.ib) for h in hists)))
+    k, index = _distinct(np.concatenate([ia, ib]))
+    reach = max(abs(int(k[0]) + 0.5), abs(int(k[-1]) + 0.5)) * dx
+    if not reach < _MAX_MIDPOINT:
+        raise ValueError(f"dx {dx!r} puts bin midpoints at up to {reach:.3g}, where their "
+                         f"squares overflow (beyond {_MAX_MIDPOINT:.3g})")
+    psi = hermite_functions(n_cut, (k + 0.5) * dx)
     table = np.ascontiguousarray((psi[lo] * psi[hi]).T)
-    (a_rows, a_pos), (b_rows, b_pos) = _distinct(index[:x_a.size]), _distinct(index[x_a.size:])
+    (a_rows, a_pos), (b_rows, b_pos) = _distinct(index[:ia.size]), _distinct(index[ia.size:])
     n = len(hists)
     keys, stacked = _distinct(a_pos * n + np.repeat(np.arange(n), [h.counts.size for h in hists]))
-    f = np.stack([np.stack([np.cos(h.theta * d), np.sin(h.theta * d)], axis=-1) * h.dx
-                  for h in hists])
+    f = np.stack([np.stack([np.cos(h.theta * d), np.sin(h.theta * d)], axis=-1)
+                  for h in hists]) * dx
     counts = np.concatenate([h.counts for h in hists]).astype(np.float64)
     return table, a_rows, b_rows, f[keys % n], keys // n, stacked * b_rows.size + b_pos, counts
 
@@ -258,7 +260,7 @@ class _Kernel:
     OpenBLAS gives the same bits at every thread count.  Buffers are reused
     across calls."""
 
-    def __init__(self, n_cut: int, hists: list[Histogram2D]):
+    def __init__(self, n_cut: int, dx: float, hists: list[Histogram2D]):
         k, dim = n_cut + 1, (n_cut + 1) ** 2
         self.n_total = float(sum(h.total for h in hists))
         if self.n_total < 1:
@@ -274,11 +276,11 @@ class _Kernel:
         starts = np.flatnonzero(np.diff(hi - lo, prepend=-1))
         stops = np.append(starts[1:], s)
         table, a_rows, b_rows, f, stack_a, self.flat, self.counts = _bin_operators(
-            n_cut, lo, hi, (lo - hi)[starts], hists)
+            n_cut, dx, lo, hi, (lo - hi)[starts], hists)
         self.b = table[b_rows]
         n_rows, n_b, n_stack = a_rows.size, b_rows.size, stack_a.size
         if n_stack * n_b > MAX_GRID_CELLS:
-            raise ValueError(f"dx {hists[0].dx!r} is too small for the samples: the fit's "
+            raise ValueError(f"dx {dx!r} is too small for the samples: the fit's "
                              f"grid of stacked rows and x_b midpoints is {n_stack} x {n_b}, "
                              f"over {MAX_GRID_CELLS} cells")
         # two buffers, each holding in turn what one call needs: rho's
@@ -299,8 +301,7 @@ class _Kernel:
         # a contiguous copy per group: a strided view moved the fits' bits
         self.groups = [(table[a_rows, start:stop], start, stop, h[:, j].transpose(1, 0, 2))
                        for j, (start, stop) in enumerate(zip(starts, stops))]
-        # the (x_a midpoint, histogram) rows, stacked by midpoint, then in
-        # theta order, each with its histogram's F
+        # the stacked (x_a midpoint, histogram) rows, each with its histogram's F
         self.f = f.reshape(n_stack, -1).T.copy()
         bounds = np.searchsorted(stack_a, np.arange(n_rows + 1))
         self.row_blocks = [(self.f[:, start:stop], h[i].reshape(-1, dim),
@@ -424,9 +425,10 @@ def _density(t: np.ndarray, rho: np.ndarray, work: np.ndarray) -> float:
     return trace / 2.0
 
 
-def ml_reconstruct(hists: list[Histogram2D], config: TomographyConfig) -> MLResult:
-    """L-BFGS ascent of log L over the factor T of rho = T T^dag / Tr(T T^dag),
-    from the flat state T = I / sqrt(dim).
+def ml_reconstruct(samples: Samples, config: TomographyConfig) -> MLResult:
+    """Bin the samples at config.dx (:func:`bin_samples`) and fit rho to
+    them: L-BFGS ascent of log L over the factor T of
+    rho = T T^dag / Tr(T T^dag), from the flat state T = I / sqrt(dim).
 
     log L = sum(n log P) (constant terms dropped) has the gradient
     (2N / Tr T T^dag)(R - I) T in T.  Each update takes the two-loop
@@ -446,7 +448,7 @@ def ml_reconstruct(hists: list[Histogram2D], config: TomographyConfig) -> MLResu
     last, run eigvalsh.
     """
     space = FockSpace(config.n_cut)
-    kernel = _Kernel(config.n_cut, hists)
+    kernel = _Kernel(config.n_cut, config.dx, bin_samples(samples, config.dx))
     dim, n = space.dim, kernel.n_total
     # one private anonymous mapping holds every (dim, dim) buffer, so its
     # pages go back to the system when the fit ends.  From the heap they

@@ -40,14 +40,14 @@ def assert_within_se(value, expected, se, n_se=3.0):
         f"{value} deviates from {expected} by more than {n_se} standard errors ({se})")
 
 
-def loglik_under(rho, hists):
-    """Log-likelihood sum(n log P) of binned data under rho.
+def loglik_under(rho, hists, dx):
+    """Log-likelihood sum(n log P) of data binned at dx under rho.
 
     Uses the same bin model and dropped constants as ``ml_reconstruct``'s
     ``loglik_trace``, so an ML estimate must score at least this for any
     rho, the true state included.
     """
-    return _Kernel(rho.space.n_cut, hists)(rho.entries)[1]
+    return _Kernel(rho.space.n_cut, dx, hists)(rho.entries)[1]
 
 
 def floored_samples():

@@ -2,25 +2,26 @@
 test oracle.
 
 This is the library's former update (Lvovsky, J. Opt. B 6, S556 (2004)),
-started from the flat state and stopped as :func:`tmsvlab.tomography.
-ml_reconstruct` stops: at the first iterate whose certified gap
-N (lambda_max(R) - 1) is at most ``LOGLIK_GAP``, with eigvalsh run only on
-iterates that pass the Cholesky screen, or after max_iter updates.  It has
-not converged if it floors a bin at the state it returns.  It is
-kept so that the L-BFGS fit can be checked against an independent path to
-the same maximum.
+on the samples binned at config.dx, started from the flat state and
+stopped as :func:`tmsvlab.tomography.ml_reconstruct` stops: at the first
+iterate whose certified gap N (lambda_max(R) - 1) is at most
+``LOGLIK_GAP``, with eigvalsh run only on iterates that pass the Cholesky
+screen, or after max_iter updates.  It has not converged if it floors a
+bin at the state it returns.  It is kept so that the L-BFGS fit can be
+checked against an independent path to the same maximum.
 """
 
 import numpy as np
 
 from tmsvlab import tomography
 from tmsvlab.fock import DensityMatrix, FockSpace
-from tmsvlab.tomography import Histogram2D, MLResult, TomographyConfig
+from tmsvlab.homodyne import Samples
+from tmsvlab.tomography import MLResult, TomographyConfig, bin_samples
 
 
-def r_rho_r_fit(hists: list[Histogram2D], config: TomographyConfig) -> MLResult:
+def r_rho_r_fit(samples: Samples, config: TomographyConfig) -> MLResult:
     space = FockSpace(config.n_cut)
-    kernel = tomography._Kernel(config.n_cut, hists)
+    kernel = tomography._Kernel(config.n_cut, config.dx, bin_samples(samples, config.dx))
     rho = np.eye(space.dim, dtype=np.complex128) / space.dim
     work = np.empty_like(rho)
     bound = 1.0 + tomography.LOGLIK_GAP / kernel.n_total + 1e-10

@@ -18,6 +18,7 @@ from tmsvlab.cli import EX_NONCONVERGED, EX_OK, EX_RUNTIME, EX_USAGE, main
 from tmsvlab.criteria import epr_report, group_samples, time_sweep
 from tmsvlab.fock import DensityMatrix, FockSpace
 from tmsvlab.homodyne import DEFAULT_READOUT, Samples, Shots, sample_quadratures, simulate_readout
+from tmsvlab.metrics import XI_MAX
 from tmsvlab.pipelines import PRESETS, ExperimentPreset, sweep_phases
 from tmsvlab.states import (NOISELESS, NoiseModel, SqueezedVacuum, TruncationWarning, tmsv,
                             tmsv_rotated)
@@ -89,8 +90,7 @@ def test_density_matrix_roundtrip(tmp_path):
 def _fitted_rho():
     samples = sample_quadratures(SqueezedVacuum(0.5), [0.0, 0.8, 1.6, 2.4], 200, NOISELESS,
                                  seed=4)
-    return ml_reconstruct(bin_samples(samples, 0.25),
-                          TomographyConfig(dx=0.25, n_cut=3, max_iter=30)).rho
+    return ml_reconstruct(samples, TomographyConfig(dx=0.25, n_cut=3, max_iter=30)).rho
 
 
 def _hermitian(re, im_upper):
@@ -483,13 +483,12 @@ def test_cli_tomo_vacuum(tmp_path):
     samples = tio.read_samples(out / "samples.csv")
     assert_same_batch(samples, sample_quadratures(SqueezedVacuum(0.0, np.pi / 2), thetas, 150,
                                                   NOISELESS, seed=0))
-    hists = bin_samples(samples, 0.25)
-    expected = ml_reconstruct(hists, TomographyConfig(dx=0.25, n_cut=5, max_iter=3000))
+    expected = ml_reconstruct(samples, TomographyConfig(dx=0.25, n_cut=5, max_iter=3000))
     assert_same_bits(rho.entries, expected.rho.entries)
     assert diag["loglik_trace"] == list(expected.loglik_trace)
 
     # ML property: the estimate is at least as likely as the true state.
-    assert diag["loglik_trace"][-1] >= loglik_under(vacuum, hists)
+    assert diag["loglik_trace"][-1] >= loglik_under(vacuum, bin_samples(samples, 0.25), 0.25)
 
     # rho_00 is a noisy estimate at 900 samples.  Over seeds 0-39 of this
     # design it has mean 0.9507 and sd 0.0176 (the standard error of one
@@ -538,24 +537,40 @@ def test_cli_tomo_malformed_row_is_runtime_error(tmp_path):
     assert run_cli("tomo", str(bad)) == EX_RUNTIME
 
 
-def test_cli_tomo_checks_its_settings_before_reading(tmp_path, capsys):
-    # a bad --dx with a missing sample file was reported as the missing file
-    assert run_cli("tomo", str(tmp_path / "missing.csv"), "--dx", "-1",
-                   "--out", str(tmp_path / "out")) == EX_RUNTIME
-    assert "dx must be positive" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+def refused(command, flag, values, message):
+    """{id: (argv, message(value))} of a flag at each value, run on a missing
+    input file; message(value) is the error that names the setting."""
+    name = "missing.json" if command == "metrics" else "missing.csv"
+    return {f"{command} {flag} {v}": ([command, name, flag, v], message(v)) for v in values}
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["criteria", "missing.csv", "--n0", "0"], "error: n0 must be finite and positive, got 0.0"),
-    (["metrics", "missing.json", "--target-xi", "nan"], "error: target xi must lie in [0, "),
-])
-def test_cli_checks_its_settings_before_reading(tmp_path, capsys, argv, message):
-    # both read the missing file first and named it, not the setting
-    command, name, *flags = argv
+N0 = DEFAULT_READOUT.n0
+REFUSED_SETTINGS = {
+    **refused("tomo", "--dx", ["0", "-1", "nan", "inf"],
+              lambda v: f"dx must be positive and finite, got {float(v)!r}"),
+    **refused("tomo", "--n-cut", ["-1"], lambda v: f"n_cut must be >= 0, got {v}"),
+    **refused("tomo", "--max-iter", ["0", "-1"], lambda v: f"max_iter must be positive, got {v}"),
+    **refused("criteria", "--n0", ["0", "nan", "inf", "-1"],
+              lambda v: f"n0 must be finite and positive, got {float(v)}"),
+    **refused("criteria", "--n-a", ["nan", "inf", "-1"],
+              lambda v: f"n_a must be finite and in [0, n0 = {N0}), got {float(v)}"),
+    **refused("criteria", "--n-b", ["nan", "inf", "-1"],
+              lambda v: f"n_b must be finite and in [0, n0 = {N0}), got {float(v)}"),
+    **refused("metrics", "--target-xi", ["nan", "inf", "-1"],
+              lambda v: f"target xi must lie in [0, {XI_MAX!r}], got {float(v)!r}"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_SETTINGS)
+def test_cli_names_a_refused_setting_before_reading(tmp_path, capsys, case):
+    # each setting of tomo, criteria and metrics is checked before the input
+    # is read: a bad --dx, --n0 or --target-xi with a missing file was
+    # reported as the missing file, and tomo named dx, n_cut and max_iter in
+    # one message whichever was refused
+    (command, name, *flags), message = REFUSED_SETTINGS[case]
     out = tmp_path / "out"
     assert run_cli(command, str(tmp_path / name), *flags, "--out", str(out)) == EX_RUNTIME
-    assert capsys.readouterr().err.startswith(message)
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -751,6 +766,20 @@ def test_cli_tomo_refuses_a_dx_whose_bin_indices_leave_int64(tmp_path, capsys, d
     assert run_cli("tomo", str(path), "--dx", dx, "--out", str(out)) == EX_RUNTIME
     err = capsys.readouterr().err
     assert ("dx must be positive" if dx == "nan" else f"dx {dx} is too small") in err
+    assert not out.exists()
+
+
+def test_cli_tomo_refuses_a_dx_whose_midpoints_square_past_the_float_range(tmp_path, capsys):
+    # --dx 1e300 put the bin midpoints at +-5e299, whose squares overflowed
+    # in hermite_functions: numpy warned, and tomo wrote a fit of floored
+    # bins and exited 2
+    path = conjugate_pair_file(tmp_path)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("tomo", str(path), "--dx", "1e300", "--out", str(out)) == EX_RUNTIME
+    assert capsys.readouterr().err.startswith(
+        "error: dx 1e+300 puts bin midpoints at up to 5e+299, where their squares overflow")
     assert not out.exists()
 
 
@@ -1063,8 +1092,7 @@ def test_cli_reproduce_smoke_fig_s2_has_fidelity_column(tmp_path):
     for line, p in zip(lines[1:], (25, 50)):
         samples = sample_quadratures(SqueezedVacuum(0.8, np.pi / 2), sweep_phases(9), p,
                                      NOISELESS, seed=1)
-        fit = ml_reconstruct(bin_samples(samples, 0.25),
-                             TomographyConfig(dx=0.25, n_cut=6, max_iter=60))
+        fit = ml_reconstruct(samples, TomographyConfig(dx=0.25, n_cut=6, max_iter=60))
         assert line.split(",")[-3:] == [str(fit.converged), str(fit.iterations), repr(fit.gap)]
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -75,13 +76,7 @@ def test_bin_samples_returns_ascending_bins_whose_counts_sum_to_the_shots():
         assert dict(zip(bins, h.counts.tolist())) == expected
 
 
-def test_bin_rejects_bad_dx():
-    with pytest.raises(ValueError):
-        bin_samples(Samples([0.0], [0.0], [0.0]), dx=0.0)
-
-
-
-@pytest.mark.parametrize("dx", [float("nan"), float("inf"), -float("inf"), 0.0, -0.25])
+@pytest.mark.parametrize("dx", [float("nan"), float("inf"), -float("inf"), 0.0, -0.25, -1.0])
 def test_config_rejects_a_dx_that_is_not_finite_and_positive(dx):
     # dx <= 0 passed a NaN
     with pytest.raises(ValueError, match="dx must be positive and finite"):
@@ -112,8 +107,8 @@ def test_kernel_names_dx_and_the_grid_that_is_too_large(monkeypatch):
     # asked for 3.46 GiB.  With the bound lowered between the two, the
     # binning passes and the fit refuses before it allocates its grid
     preset = PRESETS["fig_s3"]
-    hists = bin_samples(sample_quadratures(preset.source, preset.thetas, 100, preset.noise,
-                                           seed=0), 0.25)
+    samples = sample_quadratures(preset.source, preset.thetas, 100, preset.noise, seed=0)
+    hists = bin_samples(samples, 0.25)
     span = max((h.ia.max() - h.ia.min() + 1) * (h.ib.max() - h.ib.min() + 1) for h in hists)
     rows = sum(np.unique(h.ia).size for h in hists)
     cols = np.unique(np.concatenate([h.ib for h in hists])).size
@@ -122,9 +117,9 @@ def test_kernel_names_dx_and_the_grid_that_is_too_large(monkeypatch):
     with pytest.raises(ValueError, match=re.escape(
             f"dx 0.25 is too small for the samples: the fit's grid of stacked rows and x_b "
             f"midpoints is {rows} x {cols}, over {rows * cols - 1} cells")):
-        ml_reconstruct(hists, TomographyConfig())
+        ml_reconstruct(samples, TomographyConfig())
     monkeypatch.setattr(tomography, "MAX_GRID_CELLS", rows * cols)
-    assert ml_reconstruct(hists, TomographyConfig(max_iter=1)).iterations == 1
+    assert ml_reconstruct(samples, TomographyConfig(max_iter=1)).iterations == 1
 
 
 def test_bin_rejects_a_dx_whose_indices_leave_int64():
@@ -140,24 +135,23 @@ def test_bin_rejects_a_dx_whose_indices_leave_int64():
 
 # ---------------------------------------------------------------- bin model
 
-def lattice_histogram(theta, dx, corner, grid):
+def lattice_histogram(theta, corner, grid):
     """The histogram of the populated cells of a dense count grid whose
     cell (0, 0) is lattice bin ``corner``."""
     ia, ib = np.nonzero(grid)
-    return Histogram2D(theta=theta, dx=dx, ia=ia + corner[0], ib=ib + corner[1],
-                       counts=grid[ia, ib])
+    return Histogram2D(theta=theta, ia=ia + corner[0], ib=ib + corner[1], counts=grid[ia, ib])
 
 
 def bin_probability(rho, theta, dx, bin_index):
     """Model probability of a lattice bin: the exponential of the
     log-likelihood of a histogram that holds one count there."""
-    h = lattice_histogram(theta, dx, bin_index, np.array([[1]]))
-    return math.exp(tomography._Kernel(rho.space.n_cut, [h])(rho.entries)[1])
+    h = lattice_histogram(theta, bin_index, np.array([[1]]))
+    return math.exp(tomography._Kernel(rho.space.n_cut, dx, [h])(rho.entries)[1])
 
 
-def r_operator(rho, hists):
+def r_operator(rho, hists, dx):
     """The kernel's R at rho, a copy of the buffer that the next call overwrites."""
-    return tomography._Kernel(rho.space.n_cut, hists)(rho.entries)[0].copy()
+    return tomography._Kernel(rho.space.n_cut, dx, hists)(rho.entries)[0].copy()
 
 
 def test_bin_probability_vacuum_origin():
@@ -177,9 +171,9 @@ def test_bin_probabilities_sum_to_one():
     dx = 0.25
     edges = np.arange(-8.0, 8.0, dx)
     counts = np.ones((edges.size, edges.size), dtype=np.int64)
-    h = lattice_histogram(0.7, dx, (-32, -32), counts)
+    h = lattice_histogram(0.7, (-32, -32), counts)
     total = 0.0
-    kets_x = h.midpoints()[0][::edges.size]
+    kets_x = (h.ia[::edges.size] + 0.5) * dx
     psi = hermite_functions(sp.n_cut, kets_x)
     phase = np.exp(-1j * h.theta * np.arange(sp.mode_dim))
     cols = phase[:, None] * psi
@@ -205,7 +199,7 @@ def test_r_operator_trace_identity():
     samples = vacuum_samples(500, [0.0, 0.5, 1.0], seed=2)
     hists = bin_samples(samples, 0.25)
     vac = basis_state(sp, 0, 0).projector()
-    r = r_operator(vac, hists)
+    r = r_operator(vac, hists, 0.25)
     assert np.array_equal(r, r.conj().T)  # exactly Hermitian
     val = np.trace(vac.entries @ r).real
     assert val == pytest.approx(1.0, abs=1e-10)
@@ -215,8 +209,8 @@ def test_r_operator_trace_identity():
 def test_r_operator_single_bin_is_rank_one():
     sp = FockSpace(4)
     vac = basis_state(sp, 0, 0).projector()
-    h = Histogram2D(theta=0.0, dx=0.25, ia=[0], ib=[0], counts=[3])
-    r = r_operator(vac, [h])
+    h = Histogram2D(theta=0.0, ia=[0], ib=[0], counts=[3])
+    r = r_operator(vac, [h], 0.25)
     assert np.array_equal(r, r.conj().T)
     eigs = np.sort(np.abs(np.linalg.eigvalsh(r)))[::-1]
     assert eigs[0] > 0
@@ -236,19 +230,22 @@ def test_r_operator_near_identity_on_support_for_exact_data():
     joint = np.outer(psi, psi) * dx * dx
     scale = 1e7
     counts = np.rint(joint * scale).astype(np.int64)
-    h = lattice_histogram(0.0, dx, (-25, -25), counts)
-    r = r_operator(vac, [h])
+    h = lattice_histogram(0.0, (-25, -25), counts)
+    r = r_operator(vac, [h], dx)
     assert np.array_equal(r, r.conj().T)
     assert np.trace(vac.entries @ r).real == pytest.approx(1.0, abs=1e-3)
     idx = sp.index(0, 0)
     assert r[idx, idx].real == pytest.approx(1.0, abs=1e-3)
 
 
-def fig_s3_histograms(dx):
+def fig_s3_samples():
     preset = PRESETS["fig_s3"]
-    samples = sample_quadratures(preset.source, preset.thetas, preset.p_per_theta,
-                                 preset.noise, seed=0)
-    return bin_samples(samples, dx)
+    return sample_quadratures(preset.source, preset.thetas, preset.p_per_theta, preset.noise,
+                              seed=0)
+
+
+def fig_s3_histograms(dx):
+    return bin_samples(fig_s3_samples(), dx)
 
 
 def fig_s2_histograms(p, dx):
@@ -264,79 +261,87 @@ def random_state(space, seed):
     return rho / rho.trace().real
 
 
-def one_phase_two_origins():
+def one_phase_two_origins(dx):
     # a second histogram at the first one's phase, its bins two bins away
-    hists = fig_s3_histograms(0.25)
+    hists = fig_s3_histograms(dx)
     h = hists[5]
     return hists + [dataclasses.replace(h, theta=hists[0].theta, ia=h.ia + 2, ib=h.ib - 2)]
 
 
-# (n_cut, histograms) of each case
+# (n_cut, dx, the histograms at dx) of each case
 KERNEL_CASES = {
-    "fig_s3 paper": (10, lambda: fig_s3_histograms(0.25)),
-    "dx 0.1": (10, lambda: fig_s3_histograms(0.1)),
-    "n_cut 0": (0, lambda: fig_s3_histograms(0.25)),
-    "one bin": (3, lambda: [Histogram2D(theta=0.9, dx=0.25, ia=[1], ib=[-2], counts=[7])]),
+    "fig_s3 paper": (10, 0.25, fig_s3_histograms),
+    "dx 0.1": (10, 0.1, fig_s3_histograms),
+    "n_cut 0": (0, 0.25, fig_s3_histograms),
+    "one bin": (3, 0.25, lambda dx: [Histogram2D(theta=0.9, ia=[1], ib=[-2], counts=[7])]),
     # the largest histograms in use, about 56 rows each
-    "fig_s2 p 400, dx 0.1": (10, lambda: fig_s2_histograms(400, 0.1)),
-    "fig_s2 p 400, dx 0.25": (10, lambda: fig_s2_histograms(400, 0.25)),
+    "fig_s2 p 400, dx 0.1": (10, 0.1, lambda dx: fig_s2_histograms(400, dx)),
+    "fig_s2 p 400, dx 0.25": (10, 0.25, lambda dx: fig_s2_histograms(400, dx)),
     # sparse: 65 distinct x_a midpoints, 18.6 populated in a histogram
-    "fig_s2 p 25, dx 0.1": (10, lambda: fig_s2_histograms(25, 0.1)),
-    "one phase, two origins": (10, one_phase_two_origins),
-    "dx 0.25 and 0.1 in one fit": (10, lambda: fig_s3_histograms(0.25)[::2]
-                                   + fig_s3_histograms(0.1)[1::2]),
+    "fig_s2 p 25, dx 0.1": (10, 0.1, lambda dx: fig_s2_histograms(25, dx)),
+    "one phase, two origins": (10, 0.25, one_phase_two_origins),
 }
 
 
 @pytest.mark.parametrize("case", KERNEL_CASES)
 def test_separable_kernel_matches_the_bin_ket_oracle(case):
-    n_cut, make = KERNEL_CASES[case]
-    hists = make()
+    n_cut, dx, make = KERNEL_CASES[case]
+    hists = make(dx)
     space = FockSpace(n_cut)
-    kernel = tomography._Kernel(n_cut, hists)
+    kernel = tomography._Kernel(n_cut, dx, hists)
     for rho in (np.eye(space.dim) / space.dim, random_state(space, 1)):
         r, ll = kernel(rho)
-        r_ref, ll_ref, floored = bin_kets.r_and_loglik(rho, space, hists)
+        r_ref, ll_ref, floored = bin_kets.r_and_loglik(rho, space, hists, dx)
         assert np.max(np.abs(r - r_ref)) <= 1e-13
         assert abs(ll - ll_ref) <= 1e-13 * abs(ll_ref)
         assert kernel.floored == floored
 
 
+def record_hermite_calls(monkeypatch):
+    """The x of each call of hermite_functions from the kernel, in a list."""
+    calls = []
+    monkeypatch.setattr(tomography, "hermite_functions",
+                        lambda n_max, x: calls.append(x) or hermite_functions(n_max, x))
+    return calls
+
+
 @pytest.mark.parametrize("case", ["fig_s3 paper", "fig_s2 p 400, dx 0.25", "fig_s2 p 400, dx 0.1",
-                                  "fig_s2 p 25, dx 0.1", "dx 0.25 and 0.1 in one fit"])
+                                  "fig_s2 p 25, dx 0.1"])
 def test_kernel_evaluates_one_hermite_table_for_all_histograms(monkeypatch, case):
     # one call on the distinct populated midpoints of every histogram and
     # quadrature, whose table equals bit for bit those of a call per
     # histogram and quadrature
-    hists = KERNEL_CASES[case][1]()
-    calls = []
-    monkeypatch.setattr(tomography, "hermite_functions",
-                        lambda n_max, x: calls.append(x) or hermite_functions(n_max, x))
-    tomography._Kernel(10, hists)
+    _, dx, make = KERNEL_CASES[case]
+    hists = make(dx)
+    calls = record_hermite_calls(monkeypatch)
+    tomography._Kernel(10, dx, hists)
     assert len(calls) == 1
     column = {x: i for i, x in enumerate(calls[0].tolist())}
     assert len(column) == calls[0].size
     table = hermite_functions(10, calls[0])
     populated = set()
     for h in hists:
-        for x in h.midpoints():
+        for x in ((h.ia + 0.5) * dx, (h.ib + 0.5) * dx):
             populated.update(x.tolist())
             assert (table[:, [column[v] for v in x.tolist()]].tobytes()
                     == hermite_functions(10, x).tobytes())
     assert populated == set(column)
 
 
-def test_midpoints_of_histograms_on_one_lattice_share_their_bits():
-    # a bin's midpoint is (k + 1/2) dx at its lattice index k, whatever its
-    # histogram, so the kernel's table holds it once: at dx 0.1,
-    # origin + (i + 1/2) dx, from each histogram's lowest bin, gave 155
-    # distinct populated x_a midpoints on these histograms for 65 lattice
-    # points
-    midpoint = {}
-    for h in fig_s2_histograms(25, 0.1):
-        for index, x in zip((h.ia, h.ib), h.midpoints()):
-            for k, value in zip(index.tolist(), x.tolist()):
-                assert midpoint.setdefault(k, value) == value, k
+def test_midpoints_of_histograms_on_one_lattice_share_their_bits(monkeypatch):
+    # the kernel evaluates its table once, at exactly (k + 1/2) dx for each
+    # distinct lattice index k of every histogram and quadrature, ascending,
+    # whatever the histogram: at dx 0.1, origin + (i + 1/2) dx, from each
+    # histogram's lowest bin, gave 155 distinct populated x_a midpoints on
+    # these histograms for 65 lattice points
+    dx = 0.1
+    hists = fig_s2_histograms(25, dx)
+    calls = record_hermite_calls(monkeypatch)
+    tomography._Kernel(10, dx, hists)
+    k = sorted({int(i) for h in hists for i in np.concatenate([h.ia, h.ib])})
+    assert len({int(i) for h in hists for i in h.ia}) == 65
+    assert len(calls) == 1
+    assert calls[0].tobytes() == np.array([(i + 0.5) * dx for i in k]).tobytes()
 
 
 def test_fig_s3_fit_moves_from_the_bin_ket_oracle_fit_only_by_rounding(monkeypatch):
@@ -346,21 +351,21 @@ def test_fig_s3_fit_moves_from_the_bin_ket_oracle_fit_only_by_rounding(monkeypat
     # fidelity_mixed, which rounds the fit's eigenvalues near zero, reads
     # 0.9235148986 and 0.9235149089 on them, so it is not the measure here
     preset = PRESETS["fig_s3"]
-    hists = fig_s3_histograms(preset.tomography.dx)
+    samples = fig_s3_samples()
     truth = preset.source.density(FockSpace(preset.tomography.n_cut))
-    fit = ml_reconstruct(hists, preset.tomography)
+    fit = ml_reconstruct(samples, preset.tomography)
 
     class BinKetKernel:
-        def __init__(self, n_cut, hists):
-            self.space, self.hists = FockSpace(n_cut), hists
+        def __init__(self, n_cut, dx, hists):
+            self.space, self.dx, self.hists = FockSpace(n_cut), dx, hists
             self.n_total = float(sum(h.total for h in hists))
 
         def __call__(self, rho):
-            r, ll, self.floored = bin_kets.r_and_loglik(rho, self.space, self.hists)
+            r, ll, self.floored = bin_kets.r_and_loglik(rho, self.space, self.hists, self.dx)
             return r, ll
 
     monkeypatch.setattr(tomography, "_Kernel", BinKetKernel)
-    ref = ml_reconstruct(hists, preset.tomography)
+    ref = ml_reconstruct(samples, preset.tomography)
     assert (fit.iterations, fit.converged) == (ref.iterations, ref.converged) == (44, True)
     assert abs(fidelity_exact(fit.rho, truth) - fidelity_exact(ref.rho, truth)) <= 1e-12
     assert np.allclose(fit.loglik_trace, ref.loglik_trace, rtol=1e-9, atol=0.0)
@@ -375,24 +380,24 @@ def test_kernel_memory_stays_within_its_bound():
     # midpoint, and the block and G padded to 11 rows a group
     hists = fig_s3_histograms(0.25)
     rho = np.eye(121, dtype=np.complex128) / 121
-    assert traced_peak_mb(lambda: tomography._Kernel(10, hists)(rho)) <= 2.35
+    assert traced_peak_mb(lambda: tomography._Kernel(10, 0.25, hists)(rho)) <= 2.35
 
 
 def test_certified_gap_bounds_the_distance_to_the_maximum(monkeypatch):
     # the gap of every checked iterate bounds log L* - log L(rho_t), where
     # L* comes from a fit run far past LOGLIK_GAP
-    hists = bin_samples(vacuum_samples(100, [0.0, 0.8, 1.6], seed=3), 0.25)
+    samples = vacuum_samples(100, [0.0, 0.8, 1.6], seed=3)
     cfg = TomographyConfig(dx=0.25, n_cut=3)
     with monkeypatch.context() as m:
         m.setattr(tomography, "LOGLIK_GAP", 1e-6)
-        best = ml_reconstruct(hists, dataclasses.replace(cfg, max_iter=100_000))
+        best = ml_reconstruct(samples, dataclasses.replace(cfg, max_iter=100_000))
     assert best.converged and best.gap <= 1e-6
     ll_star = best.loglik_trace[-1]
-    fit = ml_reconstruct(hists, cfg)
+    fit = ml_reconstruct(samples, cfg)
     assert fit.converged and fit.gap <= LOGLIK_GAP
     for t in [t for t in (1, 2, 5, 10, 20) if t < fit.iterations] + [fit.iterations]:
         step = fit if t == fit.iterations else ml_reconstruct(
-            hists, dataclasses.replace(cfg, max_iter=t))
+            samples, dataclasses.replace(cfg, max_iter=t))
         assert step.iterations == t and len(step.loglik_trace) == t + 1
         assert step.loglik_trace[-1] == fit.loglik_trace[t]
         assert ll_star - step.loglik_trace[-1] <= step.gap, t
@@ -400,11 +405,11 @@ def test_certified_gap_bounds_the_distance_to_the_maximum(monkeypatch):
     assert ll_star - fit.loglik_trace[1] > 10 * LOGLIK_GAP
 
 
-def unscreened_fit(hists, n_cut, max_iter):
+def unscreened_fit(samples, config):
     """ml_reconstruct's L-BFGS ascent with eigvalsh's gap on every iterate
     and no Cholesky screen: the log-likelihood and gap of each iterate."""
-    kernel = tomography._Kernel(n_cut, hists)
-    dim, n = (n_cut + 1) ** 2, kernel.n_total
+    kernel = tomography._Kernel(config.n_cut, config.dx, bin_samples(samples, config.dx))
+    dim, n = (config.n_cut + 1) ** 2, kernel.n_total
 
     def dot(a, b):
         return float(np.einsum("ij,ij->", a.view(np.float64), b.view(np.float64)))
@@ -427,7 +432,7 @@ def unscreened_fit(hists, n_cut, max_iter):
     while True:
         loglik.append(ll)
         gaps.append(n * (float(np.linalg.eigvalsh(r)[-1]) - 1.0))
-        if gaps[-1] <= tomography.LOGLIK_GAP or len(gaps) > max_iter:
+        if gaps[-1] <= tomography.LOGLIK_GAP or len(gaps) > config.max_iter:
             return loglik, gaps
         step, coeffs = grad.copy(), []
         for s, y, inv_sy in reversed(pairs):
@@ -468,9 +473,9 @@ SCREEN_FIXTURES = {
 @pytest.mark.parametrize("fixture", SCREEN_FIXTURES)
 def test_screened_fit_matches_a_fit_that_checks_every_gap(fixture):
     draw, n_cut, dx = SCREEN_FIXTURES[fixture]
-    hists = bin_samples(draw(), dx)
-    fit = ml_reconstruct(hists, TomographyConfig(dx=dx, n_cut=n_cut, max_iter=3000))
-    loglik, gaps = unscreened_fit(hists, n_cut, 3000)
+    samples, cfg = draw(), TomographyConfig(dx=dx, n_cut=n_cut, max_iter=3000)
+    fit = ml_reconstruct(samples, cfg)
+    loglik, gaps = unscreened_fit(samples, cfg)
     assert fit.converged
     assert fit.iterations == len(loglik) - 1 and fit.loglik_trace == tuple(loglik)
     assert fit.gap == gaps[-1]
@@ -480,14 +485,14 @@ def test_screen_stops_at_an_iterate_whose_gap_equals_loglik_gap(monkeypatch):
     # a gap exactly at LOGLIK_GAP must pass the screen: with LOGLIK_GAP set
     # to the eigvalsh gap of iterate k, the fit stops at k
     draw, n_cut, dx = SCREEN_FIXTURES["vacuum, 3 phases, n_cut 3"]
-    hists = bin_samples(draw(), dx)
+    samples = draw()
     cfg = TomographyConfig(dx=dx, n_cut=n_cut)
     k = 10
-    gap_k = ml_reconstruct(hists, dataclasses.replace(cfg, max_iter=k)).gap
-    _, gaps = unscreened_fit(hists, n_cut, k)
+    gap_k = ml_reconstruct(samples, dataclasses.replace(cfg, max_iter=k)).gap
+    _, gaps = unscreened_fit(samples, dataclasses.replace(cfg, max_iter=k))
     assert gaps[k] == gap_k and min(gaps[:k]) > gap_k > LOGLIK_GAP
     monkeypatch.setattr(tomography, "LOGLIK_GAP", gap_k)
-    fit = ml_reconstruct(hists, cfg)
+    fit = ml_reconstruct(samples, cfg)
     assert fit.converged and fit.iterations == k and fit.gap == gap_k
 
 
@@ -500,11 +505,10 @@ def test_lbfgs_and_r_rho_r_fits_agree_within_the_certificate(case):
     p, dx = ((preset.p_per_theta, preset.tomography.dx) if case == "fig_s3 paper"
              else (400, 0.1))
     cfg = dataclasses.replace(preset.tomography, dx=dx)
-    hists = bin_samples(sample_quadratures(preset.source, preset.thetas, p, preset.noise,
-                                           seed=0), dx)
+    samples = sample_quadratures(preset.source, preset.thetas, p, preset.noise, seed=0)
     truth = preset.source.density(FockSpace(cfg.n_cut))
-    fit = ml_reconstruct(hists, cfg)
-    ref = fixed_point.r_rho_r_fit(hists, cfg)
+    fit = ml_reconstruct(samples, cfg)
+    ref = fixed_point.r_rho_r_fit(samples, cfg)
     assert fit.converged and ref.converged
     assert abs(fit.loglik_trace[-1] - ref.loglik_trace[-1]) <= LOGLIK_GAP
     assert abs(fidelity_mixed(fit.rho, truth) - fidelity_mixed(ref.rho, truth)) < 1e-3
@@ -520,7 +524,7 @@ def test_a_fit_pushed_past_its_optimum_stops_within_its_kernel_budget(monkeypatc
     # that fail and the kernel call at the stop.  A fit that went on through
     # the unchanged steps made 1950 calls in its 150 updates
     draw, n_cut, dx = SCREEN_FIXTURES["vacuum, 4 phases, n_cut 5"]
-    hists = bin_samples(draw(), dx)
+    samples = draw()
     cfg = TomographyConfig(dx=dx, n_cut=n_cut, max_iter=150)
     monkeypatch.setattr(tomography, "LOGLIK_GAP", 0.0)
     if halvings != "default":
@@ -529,12 +533,12 @@ def test_a_fit_pushed_past_its_optimum_stops_within_its_kernel_budget(monkeypatc
     kernel_call = tomography._Kernel.__call__
     monkeypatch.setattr(tomography._Kernel, "__call__",
                         lambda self, rho: calls.append(1) or kernel_call(self, rho))
-    fit = ml_reconstruct(hists, cfg)
+    fit = ml_reconstruct(samples, cfg)
     assert fit.iterations < cfg.max_iter
     assert len(calls) <= 1 + 2 * fit.iterations + 2 * (1 + tomography._MAX_HALVINGS) + 1
     assert fit.converged == (fit.gap <= 0.0)
     assert np.all(np.diff(fit.loglik_trace) >= 0.0)
-    stopped = ml_reconstruct(hists, dataclasses.replace(cfg, max_iter=fit.iterations))
+    stopped = ml_reconstruct(samples, dataclasses.replace(cfg, max_iter=fit.iterations))
     assert stopped.loglik_trace == fit.loglik_trace and stopped.gap == fit.gap
 
 
@@ -546,7 +550,7 @@ def test_a_search_that_leaves_log_l_unchanged_is_repeated_along_the_gradient(mon
     # from the optimum by its gap, where this one ends 9.3e-6 from it
     monkeypatch.setattr(tomography, "LOGLIK_GAP", 0.0)
     samples = vacuum_samples(80, list(np.linspace(0.0, np.pi, 3, endpoint=False)), seed=0)
-    fit = ml_reconstruct(bin_samples(samples, 0.2), TomographyConfig(dx=0.2, n_cut=3))
+    fit = ml_reconstruct(samples, TomographyConfig(dx=0.2, n_cut=3))
     assert fit.iterations == 59
     assert fit.loglik_trace[-1] > fit.loglik_trace[57]
     assert fit.gap < 1e-5
@@ -554,14 +558,38 @@ def test_a_search_that_leaves_log_l_unchanged_is_repeated_along_the_gradient(mon
 
 @pytest.mark.parametrize("origin", [(-10 ** 10, 0), (0, 10 ** 10)])
 def test_non_finite_midpoints_are_ill_conditioned(origin):
-    # a histogram whose bin at lattice index ``origin`` has a midpoint
-    # beyond the float range at dx 1e300 is refused when it is made
-    with pytest.raises(ValueError, match="finite"):
-        Histogram2D(theta=0.3, dx=1e300, ia=[origin[0]], ib=[origin[1]], counts=[1])
-    # and so is one with a non-finite phase or bin width
-    for theta, dx in ((np.nan, 0.25), (0.3, np.inf), (0.3, np.nan)):
-        with pytest.raises(ValueError, match="finite"):
-            Histogram2D(theta=theta, dx=dx, ia=[0, 1, 1], ib=[0, 0, 1], counts=[2, 1, 4])
+    # the kernel refuses a fit whose bin at lattice index ``origin`` has a
+    # midpoint beyond the float range at dx 1e300
+    h = Histogram2D(theta=0.3, ia=[origin[0]], ib=[origin[1]], counts=[1])
+    with pytest.raises(ValueError, match=re.escape(
+            "dx 1e+300 puts bin midpoints at up to inf, where their squares overflow")):
+        tomography._Kernel(3, 1e300, [h])
+    # and so it refuses a non-finite bin width, and a histogram a non-finite phase
+    h = Histogram2D(theta=0.3, ia=[0, 1, 1], ib=[0, 0, 1], counts=[2, 1, 4])
+    for dx in (np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"dx {dx!r} puts bin midpoints"):
+            tomography._Kernel(3, dx, [h])
+    with pytest.raises(ValueError, match="theta must be finite"):
+        Histogram2D(theta=np.nan, ia=[0, 1, 1], ib=[0, 0, 1], counts=[2, 1, 4])
+
+
+def test_kernel_refuses_a_midpoint_whose_square_overflows():
+    # hermite_functions squares each midpoint: below sqrt(float max) the
+    # square is finite and the kernel runs without a warning, and from there
+    # on it refuses, naming dx.  At dx 1e300 numpy warned of an overflow in
+    # the square and the fit went on
+    bound = math.sqrt(np.finfo(np.float64).max)
+    h = Histogram2D(theta=0.3, ia=[-1, 0], ib=[0, -1], counts=[1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernel = tomography._Kernel(2, 2.0 * np.nextafter(bound, 0.0), [h])
+        kernel(np.eye(9) / 9)
+    assert kernel.floored == 2
+    for dx in (2.0 * bound, 1e300):
+        with pytest.raises(ValueError, match=re.escape(
+                f"dx {dx!r} puts bin midpoints at up to {0.5 * dx:.3g}, where their squares "
+                f"overflow (beyond {bound:.3g})")):
+            tomography._Kernel(2, dx, [h])
 
 
 # (ia, ib, counts) of each histogram that Histogram2D refuses, and the reason
@@ -579,8 +607,7 @@ REFUSED_BINS = {
 def test_histogram_refuses_what_is_not_populated_lattice_bins(case):
     ia, ib, counts, reason = REFUSED_BINS[case]
     with pytest.raises(ValueError, match=reason):
-        Histogram2D(theta=0.3, dx=0.25, ia=np.array(ia), ib=np.array(ib),
-                    counts=np.array(counts))
+        Histogram2D(theta=0.3, ia=np.array(ia), ib=np.array(ib), counts=np.array(counts))
 
 
 # ---------------------------------------------------------------- ML loop
@@ -593,12 +620,12 @@ def test_ml_vacuum_reconstruction_high_fidelity():
     # updates (63-1037 R rho R iterations to the same gap, and 287-2618
     # under the former max-entry tolerance of 1e-8)
     cfg = TomographyConfig(dx=0.25, n_cut=6, max_iter=3000)
-    hists = bin_samples(samples, 0.25)
-    result = ml_reconstruct(hists, cfg)
+    result = ml_reconstruct(samples, cfg)
     vac = basis_state(sp, 0, 0)
     assert result.converged
     # ML property: the estimate is at least as likely as the true state
-    assert result.loglik_trace[-1] >= loglik_under(vac.projector(), hists)
+    assert result.loglik_trace[-1] >= loglik_under(vac.projector(), bin_samples(samples, 0.25),
+                                                   0.25)
     # Over seeds 0-39 of this design (5800 samples) the fidelity has mean
     # 0.9889 and sd 0.0039, and rho_00 mean 0.9779 and sd 0.0078 (each sd
     # the standard error of one fit); the bounds are mean - 4 sd.  The
@@ -627,7 +654,7 @@ def test_ml_loglik_monotone_and_psd_iterates(monkeypatch):
         return trace
 
     monkeypatch.setattr(tomography, "_density", recording_density)
-    result = ml_reconstruct(bin_samples(samples, 0.25), cfg)
+    result = ml_reconstruct(samples, cfg)
     assert result.iterations == 100
     ll = np.array(result.loglik_trace)
     assert np.all(np.diff(ll) >= -1e-9)
@@ -638,7 +665,7 @@ def test_ml_loglik_monotone_and_psd_iterates(monkeypatch):
 def test_ml_non_convergence_flag():
     samples = vacuum_samples(50, [0.0, 1.0], seed=5)
     cfg = TomographyConfig(dx=0.25, n_cut=5, max_iter=1)
-    result = ml_reconstruct(bin_samples(samples, 0.25), cfg)
+    result = ml_reconstruct(samples, cfg)
     assert not result.converged
     assert result.iterations == 1
     # the returned state is still a valid density matrix
@@ -649,32 +676,33 @@ def test_a_fit_with_floored_bins_does_not_report_convergence():
     # Tr R rho = 1, on which the certified gap rests, fails when a bin's
     # probability is floored: this fit reported converged=True after 0
     # iterations, with gap -100 and Tr R rho 4.5e-14
-    hists = bin_samples(floored_samples(), 1e-12)
-    kernel = tomography._Kernel(10, hists)
+    kernel = tomography._Kernel(10, 1e-12, bin_samples(floored_samples(), 1e-12))
     kernel(np.eye(121) / 121)
     assert kernel.floored == 100
-    result = ml_reconstruct(hists, TomographyConfig(dx=1e-12))
+    result = ml_reconstruct(floored_samples(), TomographyConfig(dx=1e-12))
     assert not result.converged
 
 
-def test_ml_histogram_order_invariance():
+def test_ml_sample_order_invariance():
+    # the fit bins its samples by phase, then by bin, so the order of the
+    # rows does not move a bit of it
     samples = vacuum_samples(80, [0.0, 0.7, 1.4, 2.1], seed=6)
-    hists = bin_samples(samples, 0.25)
     cfg = TomographyConfig(dx=0.25, n_cut=5, max_iter=40)
-    a = ml_reconstruct(hists, cfg)
-    b = ml_reconstruct(list(reversed(hists)), cfg)
+    a = ml_reconstruct(samples, cfg)
+    b = ml_reconstruct(samples[np.random.default_rng(0).permutation(len(samples))], cfg)
     assert np.array_equal(a.rho.entries, b.rho.entries)
     assert a.loglik_trace == b.loglik_trace
 
 
 def test_ml_requires_data():
     cfg = TomographyConfig()
-    with pytest.raises(ValueError):
-        ml_reconstruct([], cfg)
+    with pytest.raises(ValueError, match="no counts"):
+        ml_reconstruct(Samples([], [], []), cfg)
     no_bins = np.zeros(0, dtype=np.int64)
-    empty = Histogram2D(theta=0.0, dx=0.25, ia=no_bins, ib=no_bins, counts=no_bins)
-    with pytest.raises(ValueError):
-        ml_reconstruct([empty], cfg)
+    empty = Histogram2D(theta=0.0, ia=no_bins, ib=no_bins, counts=no_bins)
+    for hists in ([], [empty]):
+        with pytest.raises(ValueError, match="no counts"):
+            tomography._Kernel(cfg.n_cut, cfg.dx, hists)
 
 
 def test_ml_statistical_consistency_median_trend():
@@ -689,15 +717,10 @@ def test_ml_statistical_consistency_median_trend():
         fids = []
         for seed in range(5):
             samples = sample_quadratures(Gridded(state), thetas, p, NOISELESS, seed=seed)
-            res = ml_reconstruct(bin_samples(samples, cfg.dx), cfg)
+            res = ml_reconstruct(samples, cfg)
             fids.append(fidelity_pure(res.rho, truth))
         medians.append(np.median(fids))
     assert medians[0] <= medians[1] <= medians[2]
-
-
-def test_tomography_config_validation():
-    with pytest.raises(ValueError):
-        TomographyConfig(dx=-1.0)
 
 
 # ---------------------------------------------------------------- bootstrap
