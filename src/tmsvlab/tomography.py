@@ -79,9 +79,13 @@ _MEMORY = 5
 _ARMIJO = 1e-4
 # halvings of a step before the fit gives up on raising log L
 _MAX_HALVINGS = 50
-# most lattice cells that the bins of one phase may span (1 GiB of int64),
-# and most cells of the ML kernel's grid (1 GiB of float64)
+# most float64 cells (1 GiB) of any one buffer of a fit: _Kernel checks
+# those it sizes from the data, and _MAX_N_CUT bounds the fit's block
 MAX_GRID_CELLS = 1 << 27
+# the fit's complex (dim, dim) buffers, one block of 2 _FIT_BUFFERS dim^2 floats
+_FIT_BUFFERS = 7 + 2 * (_MEMORY + 1)
+# largest n_cut whose block fits MAX_GRID_CELLS, dim = (n_cut + 1)^2: 42
+_MAX_N_CUT = math.isqrt(math.isqrt(MAX_GRID_CELLS // (2 * _FIT_BUFFERS))) - 1
 # bound on |x| of a bin midpoint, below which hermite_functions' x^2 is finite
 _MAX_MIDPOINT = math.sqrt(np.finfo(np.float64).max)
 
@@ -128,7 +132,8 @@ class TomographyConfig:
                   bin model adds dx^2/12 to each fitted quadrature variance
                   (see the module docstring), so the vacuum's rho_00 tends
                   to about 0.990 at dx = 0.25 and about 0.998 at dx = 0.1.
-    n_cut:        occupation cutoff of each mode of the estimate.
+    n_cut:        occupation cutoff of each mode of the estimate, 0 to 42, so
+                  that the fit's block of (n_cut + 1)^4-entry buffers fits MAX_GRID_CELLS.
     max_iter:     budget of accepted updates; the result has
                   converged=False if the certified log-likelihood gap is
                   still above LOGLIK_GAP.
@@ -143,6 +148,8 @@ class TomographyConfig:
             raise ValueError(f"dx must be positive and finite, got {self.dx!r}")
         if self.n_cut < 0:
             raise ValueError(f"n_cut must be >= 0, got {self.n_cut!r}")
+        if self.n_cut > _MAX_N_CUT:
+            raise ValueError(f"n_cut must be at most {_MAX_N_CUT}, got {self.n_cut!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be positive, got {self.max_iter!r}")
 
@@ -160,30 +167,29 @@ class MLResult:
 
 def bin_samples(samples: Samples, dx: float) -> list[Histogram2D]:
     """Bin samples into one histogram per distinct phase (grouped within
-    1e-9 rad), on the half-open bins of the dx lattice.  A dx so small that
-    a bin index floor(x / dx) could leave int64, or that the bins of a phase
-    would span more than MAX_GRID_CELLS lattice cells, raises ValueError."""
+    1e-9 rad), on the half-open bins of the dx lattice: each phase's bin
+    indices sorted in (ia, ib) order, and the run of each bin counted.  A dx
+    so small that a bin index floor(x / dx) could leave int64 raises
+    ValueError."""
     if not (math.isfinite(dx) and dx > 0):
         raise ValueError("dx must be positive and finite")
     reach = max(np.abs(x).max(initial=0.0) for x in (samples.x_a, samples.x_b)) / dx
-    if not reach < 2.0 ** 62:  # leaves room for the index range ia.max() - ia.min()
+    if not reach < 2.0 ** 62:  # half int64's 2^63: a margin on the rounding of x / dx
         raise ValueError(f"dx {dx!r} is too small for the samples: their bin indices "
                          f"reach {reach:.3g}, beyond the int64 range")
     hists = []
     for theta, idx in group_samples(samples):
         ia = np.floor(samples.x_a[idx] / dx).astype(np.int64)
         ib = np.floor(samples.x_b[idx] / dx).astype(np.int64)
-        ia0, ib0 = int(ia.min()), int(ib.min())
-        shape = (int(ia.max()) - ia0 + 1, int(ib.max()) - ib0 + 1)
-        if shape[0] * shape[1] > MAX_GRID_CELLS:
-            raise ValueError(f"dx {dx!r} is too small for the samples: at theta {theta!r} "
-                             f"their bins span a {shape[0]} x {shape[1]} grid, over "
-                             f"{MAX_GRID_CELLS} cells")
-        # each sample's cell of that span, below MAX_GRID_CELLS, in (ia, ib) order
-        cells, inverse = _distinct((ia - ia0) * shape[1] + (ib - ib0))
-        ia, ib = np.divmod(cells, shape[1])
-        hists.append(Histogram2D(theta=theta, ia=ia + ia0, ib=ib + ib0,
-                                 counts=np.bincount(inverse)))
+        order = np.lexsort((ib, ia))
+        ia, ib = ia[order], ib[order]
+        # where each bin's run of samples starts (ia or ib changes), and the end
+        edges = np.ones(ia.size + 1, dtype=bool)
+        np.not_equal(ia[1:], ia[:-1], out=edges[1:-1])
+        edges[1:-1] |= ib[1:] != ib[:-1]
+        starts = np.flatnonzero(edges)
+        hists.append(Histogram2D(theta=theta, ia=ia[starts[:-1]], ib=ib[starts[:-1]],
+                                 counts=np.diff(starts)))
     return hists
 
 
@@ -198,32 +204,28 @@ def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[order[new]], inverse
 
 
-def _bin_operators(n_cut: int, dx: float, lo: np.ndarray, hi: np.ndarray, d: np.ndarray,
-                   hists: list) -> tuple:
-    """The pair products psi_lo(x) psi_hi(x) at the midpoints (k + 1/2) dx of
-    the distinct lattice indices k of every histogram and quadrature, rows
-    of one table from one call of :func:`hermite_functions`, and the
-    kernel's stacked (x_a midpoint, histogram) rows, by midpoint, then in
-    the histograms' order.  Returns (table, a_rows, b_rows, f, stack_a,
-    cells, counts): the table rows of the x_a and x_b midpoints; each
-    stacked row's [cos, sin](theta d) dx and x_a midpoint (a position in
-    a_rows); and each bin's cell of the (stacked row, x_b midpoint) grid and
-    its count.  A midpoint of |x| >= _MAX_MIDPOINT raises ValueError."""
+def _bin_operators(dx: float, d: np.ndarray, hists: list) -> tuple:
+    """The distinct lattice indices k of every histogram and quadrature,
+    whose midpoints (k + 1/2) dx index the kernel's table, and the kernel's
+    stacked (x_a midpoint, histogram) rows, by midpoint, then in the
+    histograms' order.  Returns (k, a_rows, b_rows, f, stack_a, cells,
+    counts): the positions in k of the x_a and x_b midpoints; each stacked
+    row's [cos, sin](theta d) dx and x_a midpoint (a position in a_rows);
+    and each bin's cell of the (stacked row, x_b midpoint) grid and its
+    count.  A midpoint of |x| >= _MAX_MIDPOINT raises ValueError."""
     ia, ib = (np.concatenate(k) for k in zip(*((h.ia, h.ib) for h in hists)))
     k, index = _distinct(np.concatenate([ia, ib]))
     reach = max(abs(int(k[0]) + 0.5), abs(int(k[-1]) + 0.5)) * dx
     if not reach < _MAX_MIDPOINT:
         raise ValueError(f"dx {dx!r} puts bin midpoints at up to {reach:.3g}, where their "
                          f"squares overflow (beyond {_MAX_MIDPOINT:.3g})")
-    psi = hermite_functions(n_cut, (k + 0.5) * dx)
-    table = np.ascontiguousarray((psi[lo] * psi[hi]).T)
     (a_rows, a_pos), (b_rows, b_pos) = _distinct(index[:ia.size]), _distinct(index[ia.size:])
     n = len(hists)
     keys, stacked = _distinct(a_pos * n + np.repeat(np.arange(n), [h.counts.size for h in hists]))
     f = np.stack([np.stack([np.cos(h.theta * d), np.sin(h.theta * d)], axis=-1)
                   for h in hists]) * dx
     counts = np.concatenate([h.counts for h in hists]).astype(np.float64)
-    return table, a_rows, b_rows, f[keys % n], keys // n, stacked * b_rows.size + b_pos, counts
+    return k, a_rows, b_rows, f[keys % n], keys // n, stacked * b_rows.size + b_pos, counts
 
 
 class _Kernel:
@@ -275,21 +277,25 @@ class _Kernel:
         u = self.unequal = up_lo.size
         starts = np.flatnonzero(np.diff(hi - lo, prepend=-1))
         stops = np.append(starts[1:], s)
-        table, a_rows, b_rows, f, stack_a, self.flat, self.counts = _bin_operators(
-            n_cut, dx, lo, hi, (lo - hi)[starts], hists)
-        self.b = table[b_rows]
+        lattice, a_rows, b_rows, f, stack_a, self.flat, self.counts = _bin_operators(
+            dx, (lo - hi)[starts], hists)
         n_rows, n_b, n_stack = a_rows.size, b_rows.size, stack_a.size
-        if n_stack * n_b > MAX_GRID_CELLS:
-            raise ValueError(f"dx {dx!r} is too small for the samples: the fit's "
-                             f"grid of stacked rows and x_b midpoints is {n_stack} x {n_b}, "
-                             f"over {MAX_GRID_CELLS} cells")
         # two buffers, each holding in turn what one call needs: rho's
         # terms, H as (x_a midpoint, group, cos | sin, column), Bt's scales
         # of the stack, the grid (stacked row, x_b midpoint) and W B
         # (stacked row, pair), K as H, then R's parts; and the block, with
         # its rows as (cos | sin, pair), the stack (transposed, a column per
-        # stacked row), then G as the block
-        first = np.empty(max(6 * s * s, n_rows * k * 2 * dim, n_stack * (n_b + s), dim * n_stack))
+        # stacked row), then G as the block.  The first and the table are the
+        # largest buffers sized from the data, checked before either exists
+        size = max(6 * s * s, n_rows * k * 2 * dim, n_stack * (n_b + s), dim * n_stack)
+        cells = max(size, lattice.size * s)
+        if cells > MAX_GRID_CELLS:
+            raise ValueError(f"dx {dx!r} is too small for the samples: at n_cut {n_cut} the fit "
+                             f"needs a buffer of {cells} cells, over {MAX_GRID_CELLS}")
+        psi = hermite_functions(n_cut, (lattice + 0.5) * dx)
+        table = np.ascontiguousarray((psi[lo] * psi[hi]).T)
+        self.b = table[b_rows]
+        first = np.empty(size)
         self.rho_terms, self.acc = (first[:n * s * s].reshape(n, s, s) for n in (4, 6))
         h = first[:n_rows * k * 2 * dim].reshape(n_rows, k, 2, dim)
         self.scale = first[:dim * n_stack].reshape(dim, n_stack)
@@ -458,12 +464,11 @@ def ml_reconstruct(samples: Samples, config: TomographyConfig) -> MLResult:
     # fits.  Huge pages, which numpy asks for on its own blocks of 4 MB and
     # more, halve the block's page faults.  work's float view is the axpy
     # buffer
-    count = 7 + 2 * (_MEMORY + 1)
-    block = mmap.mmap(-1, count * dim * dim * 16, access=mmap.ACCESS_COPY)
+    block = mmap.mmap(-1, _FIT_BUFFERS * dim * dim * 16, access=mmap.ACCESS_COPY)
     if hasattr(mmap, "MADV_HUGEPAGE"):
         block.madvise(mmap.MADV_HUGEPAGE)
     buffers = np.frombuffer(block, dtype=np.complex128)
-    t, trial, rho, work, step, grad, new_grad, *spares = buffers.reshape(count, dim, dim)
+    t, trial, rho, work, step, grad, new_grad, *spares = buffers.reshape(_FIT_BUFFERS, dim, dim)
     buf, step_f = work.view(np.float64), step.view(np.float64)
     np.copyto(t, np.eye(dim) / math.sqrt(dim))
     bound = 1.0 + LOGLIK_GAP / n + 1e-10  # margin: see the module docstring

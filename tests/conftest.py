@@ -51,9 +51,8 @@ def loglik_under(rho, hists, dx):
 
 
 def floored_samples():
-    """100 shots at two phases, sd 1e-9: at dx 1e-12 their bins span fewer
-    than MAX_GRID_CELLS lattice cells, but the probability of each, about
-    dx^2 / pi, lies far below MIN_BIN_PROB."""
+    """100 shots at two phases, sd 1e-9: at dx 1e-12 the probability of each
+    of their bins, about dx^2 / pi, lies far below MIN_BIN_PROB."""
     rng = np.random.default_rng(0)
     return Samples(np.repeat([0.0, 1.0], 50), *rng.normal(0.0, 1e-9, (2, 100)))
 

@@ -549,6 +549,8 @@ REFUSED_SETTINGS = {
     **refused("tomo", "--dx", ["0", "-1", "nan", "inf"],
               lambda v: f"dx must be positive and finite, got {float(v)!r}"),
     **refused("tomo", "--n-cut", ["-1"], lambda v: f"n_cut must be >= 0, got {v}"),
+    **refused("tomo", "--n-cut", ["43", "1000000000"],
+              lambda v: f"n_cut must be at most 42, got {v}"),
     **refused("tomo", "--max-iter", ["0", "-1"], lambda v: f"max_iter must be positive, got {v}"),
     **refused("criteria", "--n0", ["0", "nan", "inf", "-1"],
               lambda v: f"n0 must be finite and positive, got {float(v)}"),
@@ -566,7 +568,8 @@ def test_cli_names_a_refused_setting_before_reading(tmp_path, capsys, case):
     # each setting of tomo, criteria and metrics is checked before the input
     # is read: a bad --dx, --n0 or --target-xi with a missing file was
     # reported as the missing file, and tomo named dx, n_cut and max_iter in
-    # one message whichever was refused
+    # one message whichever was refused.  An n_cut over 42, whose fit block
+    # of 38 (n_cut + 1)^4 floats passes MAX_GRID_CELLS, went on to the fit
     (command, name, *flags), message = REFUSED_SETTINGS[case]
     out = tmp_path / "out"
     assert run_cli(command, str(tmp_path / name), *flags, "--out", str(out)) == EX_RUNTIME
@@ -783,20 +786,25 @@ def test_cli_tomo_refuses_a_dx_whose_midpoints_square_past_the_float_range(tmp_p
     assert not out.exists()
 
 
-def test_cli_tomo_refuses_a_dx_whose_bin_grid_is_too_large(tmp_path, capsys):
-    # --dx 1e-15 died in np.zeros with "array is too big", naming no dx
+def test_cli_tomo_at_a_dx_that_floors_every_bin_writes_an_unconverged_fit(tmp_path, capsys):
+    # --dx 1e-15 died in np.zeros with "array is too big", naming no dx, and
+    # was then refused for the span of a phase's bins, an array never
+    # allocated.  Each of the 400 samples now takes a bin of its own, whose
+    # probability, about 1e-30, is floored at MIN_BIN_PROB: the fit makes no
+    # update, and tomo writes it and exits 2
     path = conjugate_pair_file(tmp_path)
     out = tmp_path / "out"
-    assert run_cli("tomo", str(path), "--dx", "1e-15", "--out", str(out)) == EX_RUNTIME
-    assert re.search(r"dx 1e-15 is too small for the samples: at theta 0\.0 their bins span "
-                     r"a \d+ x \d+ grid", capsys.readouterr().err)
-    assert not out.exists()
+    assert run_cli("tomo", str(path), "--dx", "1e-15", "--out", str(out)) == EX_NONCONVERGED
+    assert capsys.readouterr().err == ""
+    diagnostics = json.loads((out / "diagnostics.json").read_text())
+    assert diagnostics["converged"] is False and diagnostics["iterations"] == 0
+    assert (out / "rho_ml.json").exists()
 
 
 def test_cli_tomo_refuses_a_fit_whose_kernel_grid_is_too_large(tmp_path, capsys, monkeypatch):
-    # the binning's bound held, but the fit's grid of stacked rows and x_b
-    # midpoints was unbounded; lowered here below this file's grid and above
-    # its phases' spans, the bound stops the fit before its grid is allocated
+    # the fit's grid of stacked rows and x_b midpoints was unbounded.  With
+    # the bound lowered one cell below this file's grid, the kernel refuses
+    # before it allocates a buffer that large, and names its size
     path = conjugate_pair_file(tmp_path)
     hists = bin_samples(tio.read_samples(path), 0.25)
     cells = (sum(np.unique(h.ia).size for h in hists)
@@ -804,9 +812,10 @@ def test_cli_tomo_refuses_a_fit_whose_kernel_grid_is_too_large(tmp_path, capsys,
     monkeypatch.setattr("tmsvlab.tomography.MAX_GRID_CELLS", cells - 1)
     out = tmp_path / "out"
     assert run_cli("tomo", str(path), "--out", str(out)) == EX_RUNTIME
-    assert re.search(r"error: dx 0\.25 is too small for the samples: the fit's grid of stacked "
-                     r"rows and x_b midpoints is \d+ x \d+, over \d+ cells",
-                     capsys.readouterr().err)
+    refused = re.fullmatch(r"error: dx 0\.25 is too small for the samples: at n_cut 10 the fit "
+                           rf"needs a buffer of (\d+) cells, over {cells - 1}\n",
+                           capsys.readouterr().err)
+    assert refused and int(refused[1]) >= cells
     assert not out.exists()
 
 

@@ -85,47 +85,91 @@ def test_config_rejects_a_dx_that_is_not_finite_and_positive(dx):
         bin_samples(Samples([0.0], [0.0], [0.0]), dx=dx)
 
 
-def test_bin_names_dx_and_the_grid_that_is_too_large():
-    # at dx 1e-15 the bin indices of x = -1 and 1 fit int64, but the dense
-    # count grid of the phase would span about 2e15 x 2e15 bins; the check
-    # comes before it is allocated
-    dx = 1e-15
-    samples = Samples([0.5, 0.5], [-1.0, 1.0], [1.0, -1.0])
-    span = [int(np.floor(x.max() / dx)) - int(np.floor(x.min() / dx)) + 1
-            for x in (samples.x_a, samples.x_b)]
-    assert span[0] * span[1] > tomography.MAX_GRID_CELLS
-    with pytest.raises(ValueError, match=re.escape(
-            f"dx 1e-15 is too small for the samples: at theta 0.5 their bins span a "
-            f"{span[0]} x {span[1]} grid, over {tomography.MAX_GRID_CELLS} cells")):
-        bin_samples(samples, dx)
+def test_bin_samples_at_a_dx_whose_phase_spans_exceed_the_bound():
+    # at dx 0.0002 the bins of each fig_s3 phase span a lattice of up to
+    # 7.5e8 cells, over MAX_GRID_CELLS, which the binning refused though it
+    # allocates only the populated bins; it sorts each phase's indices and
+    # counts their runs, as np.unique does, and the fit runs on them
+    samples, dx = fig_s3_samples(), 0.0002
+    hists = bin_samples(samples, dx)
+    assert [h.theta for h in hists] == np.unique(samples.theta).tolist()
+    spans = [(h.ia[-1] - h.ia[0] + 1) * (h.ib.max() - h.ib.min() + 1) for h in hists]
+    assert max(spans) > tomography.MAX_GRID_CELLS
+    for h in hists:
+        at = samples.theta == h.theta
+        bins, counts = np.unique(np.stack([np.floor(samples.x_a[at] / dx).astype(np.int64),
+                                           np.floor(samples.x_b[at] / dx).astype(np.int64)], 1),
+                                 axis=0, return_counts=True)
+        assert np.array_equal(np.stack([h.ia, h.ib], 1), bins)
+        assert np.array_equal(h.counts, counts)
+    assert ml_reconstruct(samples, TomographyConfig(dx=dx, max_iter=1)).iterations == 1
 
 
 def test_kernel_names_dx_and_the_grid_that_is_too_large(monkeypatch):
-    # the fit's float64 grid holds every stacked (histogram, x_a midpoint)
-    # row against every distinct x_b midpoint, so it outgrows any one
-    # phase's lattice span: a 29 x 100 000-shot fig_s2 file at dx 0.002
-    # asked for 3.46 GiB.  With the bound lowered between the two, the
-    # binning passes and the fit refuses before it allocates its grid
-    preset = PRESETS["fig_s3"]
-    samples = sample_quadratures(preset.source, preset.thetas, 100, preset.noise, seed=0)
+    # MAX_GRID_CELLS bounds every float64 buffer that the fit sizes from its
+    # data.  At n_cut 10 (s = 66 pairs, dim 121) those are rho's terms
+    # (6 s^2), H (distinct x_a midpoints x 11 groups x 2 x dim), the grid
+    # and W B (stacked rows x (x_b midpoints + s)), the stack (dim x
+    # stacked rows) and the table (distinct lattice indices x s).  With the
+    # bound at the largest of them on fig_s3, the fit runs; one cell lower,
+    # the kernel refuses and names dx
+    samples = fig_s3_samples()
     hists = bin_samples(samples, 0.25)
-    span = max((h.ia.max() - h.ia.min() + 1) * (h.ib.max() - h.ib.min() + 1) for h in hists)
+    distinct = [np.unique(np.concatenate(c)).size for c in
+                ([h.ia for h in hists], [h.ib for h in hists],
+                 [h.ia for h in hists] + [h.ib for h in hists])]
     rows = sum(np.unique(h.ia).size for h in hists)
-    cols = np.unique(np.concatenate([h.ib for h in hists])).size
-    assert span < rows * cols - 1
-    monkeypatch.setattr(tomography, "MAX_GRID_CELLS", rows * cols - 1)
+    cells = max(6 * 66 ** 2, distinct[0] * 11 * 2 * 121, rows * (distinct[1] + 66), 121 * rows,
+                distinct[2] * 66)
+    monkeypatch.setattr(tomography, "MAX_GRID_CELLS", cells - 1)
     with pytest.raises(ValueError, match=re.escape(
-            f"dx 0.25 is too small for the samples: the fit's grid of stacked rows and x_b "
-            f"midpoints is {rows} x {cols}, over {rows * cols - 1} cells")):
+            f"dx 0.25 is too small for the samples: at n_cut 10 the fit needs a buffer of "
+            f"{cells} cells, over {cells - 1}")):
         ml_reconstruct(samples, TomographyConfig())
-    monkeypatch.setattr(tomography, "MAX_GRID_CELLS", rows * cols)
+    monkeypatch.setattr(tomography, "MAX_GRID_CELLS", cells)
     assert ml_reconstruct(samples, TomographyConfig(max_iter=1)).iterations == 1
 
 
+def test_kernel_checks_every_data_sized_buffer_before_the_hermite_table(monkeypatch):
+    # 60 000 samples at one phase, x_a one a bin at dx 0.00025 and x_b 0:
+    # the grid of stacked rows and x_b midpoints is 60 000 x 1, within the
+    # bound that the kernel once checked alone, but H takes 60 000 x 11 x
+    # 2 x 121 cells (1.19 GiB), and the kernel allocated it (tracemalloc
+    # peak 1.45 GB).  It now refuses before any buffer of that size, or the
+    # table, exists: the peak was 16 MB
+    dx, n = 0.00025, 60_000
+    hists = bin_samples(Samples(np.zeros(n), (np.arange(n) + 0.5) * dx, np.zeros(n)), dx)
+    assert hists[0].counts.size == n
+
+    def no_table(*args):
+        raise AssertionError("hermite_functions was called")
+
+    def build():
+        with pytest.raises(ValueError, match=re.escape(
+                f"dx 0.00025 is too small for the samples: at n_cut 10 the fit needs a buffer "
+                f"of {n * 11 * 2 * 121} cells, over {tomography.MAX_GRID_CELLS}")):
+            tomography._Kernel(10, dx, hists)
+
+    monkeypatch.setattr(tomography, "hermite_functions", no_table)
+    assert traced_peak_mb(build) < 32
+
+
+def test_config_refuses_an_n_cut_whose_fit_block_is_too_large():
+    # the fit maps 19 complex (n_cut + 1)^2-square buffers, 38 (n_cut + 1)^4
+    # float64 cells: 129 914 438 at n_cut 42, 142 427 648 at 43, against
+    # MAX_GRID_CELLS 134 217 728.  The CLI test of refused settings also
+    # passes 10^9
+    assert 38 * 43 ** 4 <= tomography.MAX_GRID_CELLS < 38 * 44 ** 4
+    assert TomographyConfig(n_cut=42).n_cut == 42
+    with pytest.raises(ValueError, match=re.escape("n_cut must be at most 42, got 43")):
+        TomographyConfig(n_cut=43)
+
+
 def test_bin_rejects_a_dx_whose_indices_leave_int64():
-    # floor(x / dx) is cast to int64: at x = -1 and dx 2^-62 the index
-    # -2^62 still fits, with its range; at 2^-63 it would not, and a dx of
-    # 1e-300 wrapped every index around
+    # floor(x / dx) is cast to int64, and the binning keeps |x / dx| below
+    # 2^62, half of int64's 2^63, as a margin: at x = -1, dx 2^-61 gives the
+    # index -2^61, and 2^-62 is refused.  A dx of 1e-300 wrapped every index
+    # around
     samples = Samples([0.0], [-1.0], [0.5])
     h = bin_samples(samples, dx=2.0 ** -61)[0]
     assert (h.ia[0], h.ib[0]) == (-2 ** 61, 2 ** 60) and h.total == 1
