@@ -2,7 +2,7 @@
 transpose and number distributions, and oscillator wavefunctions.
 
 The basis is the product basis |n_A, n_B> with 0 <= n_A, n_B <= n_cut,
-flattened row-major so that index(n_A, n_B) = n_A * (n_cut + 1) + n_B.
+flattened row-major: |n_A, n_B> has index n_A * (n_cut + 1) + n_B.
 Everything downstream (density-matrix files included) uses this ordering
 and complex128 matrices.
 
@@ -44,11 +44,6 @@ class FockSpace:
     @property
     def dim(self) -> int:
         return self.mode_dim ** 2
-
-    def index(self, n_a: int, n_b: int) -> int:
-        if not (0 <= n_a <= self.n_cut and 0 <= n_b <= self.n_cut):
-            raise ValueError(f"occupation ({n_a}, {n_b}) outside cutoff {self.n_cut}")
-        return n_a * self.mode_dim + n_b
 
     def pair_indices(self) -> np.ndarray:
         """Basis indices of the pair states |n, n>, n = 0..n_cut: n (n_cut + 2)."""

@@ -31,10 +31,12 @@ end; the :class:`~tmsvlab.homodyne.Samples` returned adopts them uncopied.
 The density-matrix JSON stores the cutoff, the basis ordering tag, and the
 real and imaginary parts as nested arrays: :func:`density_matrix_to_dict`,
 indented by two spaces with sorted keys, the line layout of
-``json.dumps(..., indent=2, sort_keys=True)``.  Readers reject any file
-whose stated ordering differs from the canonical row-major (nA, nB) layout,
-and build the state through :class:`~tmsvlab.fock.DensityMatrix`, which
-validates Hermiticity, unit trace, and positivity.
+``json.dumps(..., indent=2, sort_keys=True)``.  Readers reject, by a
+ValueError that names the fault, any file that lacks a key, has a field of
+the wrong type, or states an ordering other than the canonical row-major
+(nA, nB) layout, and build the state through
+:class:`~tmsvlab.fock.DensityMatrix`, which validates Hermiticity, unit
+trace, and positivity.
 """
 
 import json
@@ -171,13 +173,26 @@ def density_matrix_to_dict(rho: DensityMatrix) -> dict:
 
 
 def density_matrix_from_dict(d: dict) -> DensityMatrix:
+    if not isinstance(d, dict):
+        raise ValueError(f"a density matrix is a JSON object, got {type(d).__name__}")
     ordering = d.get("ordering")
     if ordering != DENSITY_MATRIX_ORDERING:
         raise ValueError(f"unsupported basis ordering {ordering!r}; "
                          f"expected {DENSITY_MATRIX_ORDERING!r}")
-    entries = np.array(d["re"], dtype=np.complex128)
-    entries.imag = d["im"]  # re + 1j * im would turn each -0.0 into +0.0
-    return DensityMatrix(FockSpace(int(d["n_cut"])), entries)
+    for key in ("n_cut", "re", "im"):
+        if key not in d:
+            raise ValueError(f"density matrix has no {key!r}")
+    if type(d["n_cut"]) is not int:
+        raise ValueError(f"n_cut must be an integer, got {d['n_cut']!r}")
+    parts = []
+    for key in ("re", "im"):
+        try:
+            parts.append(np.array(d[key], dtype=np.float64))
+        except (TypeError, ValueError):
+            raise ValueError(f"{key} must be an array of numbers") from None
+    entries = parts[0].astype(np.complex128)
+    entries.imag = parts[1]  # re + 1j * im would turn each -0.0 into +0.0
+    return DensityMatrix(FockSpace(d["n_cut"]), entries)
 
 
 def write_json(path, payload: dict) -> None:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, tomography
 from .criteria import THETA_P_LIKE, THETA_X_LIKE, TimeSweepPoint, time_sweep
 from .fock import DensityMatrix, FockSpace, number_distributions
 from .homodyne import sample_quadratures
@@ -71,6 +71,10 @@ class ExperimentPreset:
             raise ValueError("preset needs at least one phase and one shot per phase")
         if not all(map(math.isfinite, self.thetas)):
             raise ValueError(f"phases must be finite, got {', '.join(map(repr, self.thetas))}")
+        shots = len(self.thetas) * self.p_per_theta
+        if shots > tomography.MAX_GRID_CELLS:
+            raise ValueError(f"p_per_theta {self.p_per_theta} at {len(self.thetas)} phases makes "
+                             f"{shots} shots, over {tomography.MAX_GRID_CELLS}")
 
 
 PRESETS: dict[str, ExperimentPreset] = {

@@ -79,8 +79,9 @@ _MEMORY = 5
 _ARMIJO = 1e-4
 # halvings of a step before the fit gives up on raising log L
 _MAX_HALVINGS = 50
-# most float64 cells (1 GiB) of any one buffer of a fit: _Kernel checks
-# those it sizes from the data, and _MAX_N_CUT bounds the fit's block
+# most float64 cells (1 GiB) of any one buffer sized from the input: _Kernel
+# checks those of a fit that it sizes from the data, _MAX_N_CUT bounds the
+# fit's block, and ExperimentPreset bounds the shots of a sample column
 MAX_GRID_CELLS = 1 << 27
 # the fit's complex (dim, dim) buffers, one block of 2 _FIT_BUFFERS dim^2 floats
 _FIT_BUFFERS = 7 + 2 * (_MEMORY + 1)
@@ -193,17 +194,6 @@ def bin_samples(samples: Samples, dx: float) -> list[Histogram2D]:
     return hists
 
 
-def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of x, ascending, and each entry's position among
-    them, by a sort: np.unique's first call imports numpy.ma."""
-    order = np.argsort(x, kind="stable")
-    new = np.ones(x.size, dtype=bool)
-    np.not_equal(x[order[1:]], x[order[:-1]], out=new[1:])
-    inverse = np.empty(x.size, dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
-    return x[order[new]], inverse
-
-
 def _bin_operators(dx: float, d: np.ndarray, hists: list) -> tuple:
     """The distinct lattice indices k of every histogram and quadrature,
     whose midpoints (k + 1/2) dx index the kernel's table, and the kernel's
@@ -214,14 +204,16 @@ def _bin_operators(dx: float, d: np.ndarray, hists: list) -> tuple:
     and each bin's cell of the (stacked row, x_b midpoint) grid and its
     count.  A midpoint of |x| >= _MAX_MIDPOINT raises ValueError."""
     ia, ib = (np.concatenate(k) for k in zip(*((h.ia, h.ib) for h in hists)))
-    k, index = _distinct(np.concatenate([ia, ib]))
+    k, index = np.unique(np.concatenate([ia, ib]), return_inverse=True)
     reach = max(abs(int(k[0]) + 0.5), abs(int(k[-1]) + 0.5)) * dx
     if not reach < _MAX_MIDPOINT:
         raise ValueError(f"dx {dx!r} puts bin midpoints at up to {reach:.3g}, where their "
                          f"squares overflow (beyond {_MAX_MIDPOINT:.3g})")
-    (a_rows, a_pos), (b_rows, b_pos) = _distinct(index[:ia.size]), _distinct(index[ia.size:])
+    a_rows, a_pos = np.unique(index[:ia.size], return_inverse=True)
+    b_rows, b_pos = np.unique(index[ia.size:], return_inverse=True)
     n = len(hists)
-    keys, stacked = _distinct(a_pos * n + np.repeat(np.arange(n), [h.counts.size for h in hists]))
+    keys, stacked = np.unique(a_pos * n + np.repeat(np.arange(n), [h.counts.size for h in hists]),
+                              return_inverse=True)
     f = np.stack([np.stack([np.cos(h.theta * d), np.sin(h.theta * d)], axis=-1)
                   for h in hists]) * dx
     counts = np.concatenate([h.counts for h in hists]).astype(np.float64)

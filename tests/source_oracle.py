@@ -1,6 +1,7 @@
 """Reference Fock forms of the squeezed-vacuum source, used as test oracles.
 
-:func:`basis_state` is the number state |n_A, n_B>.  :func:`rotate_state`
+:func:`basis_index` is the basis index of |n_A, n_B>, n_A (n_cut + 1) + n_B,
+and :func:`basis_state` that number state.  :func:`rotate_state`
 is the total-number phase rotation U rho U^dag.
 :func:`squeezed_vacuum_density` is the library's former two-step form of
 ``SqueezedVacuum(xi, pair_phase, sigma).density``: at sigma = 0 the
@@ -15,9 +16,15 @@ import numpy as np
 from tmsvlab.fock import DensityMatrix, FockSpace, PureState
 
 
+def basis_index(space: FockSpace, n_a: int, n_b: int) -> int:
+    if not (0 <= n_a <= space.n_cut and 0 <= n_b <= space.n_cut):
+        raise ValueError(f"occupation ({n_a}, {n_b}) outside cutoff {space.n_cut}")
+    return n_a * space.mode_dim + n_b
+
+
 def basis_state(space: FockSpace, n_a: int, n_b: int) -> PureState:
     amps = np.zeros(space.dim, dtype=np.complex128)
-    amps[space.index(n_a, n_b)] = 1.0
+    amps[basis_index(space, n_a, n_b)] = 1.0
     return PureState(space, amps)
 
 
@@ -32,7 +39,7 @@ def squeezed_vacuum_density(xi: float, pair_phase: float, sigma: float,
     """The state sum_n e^{-i n pair_phase} tanh^n(xi) / cosh(xi) |n,n>, its
     pair phase dephased by a Gaussian of width sigma, in two steps."""
     n = np.arange(space.mode_dim)
-    idx = [space.index(i, i) for i in n]
+    idx = [basis_index(space, i, i) for i in n]
     if sigma == 0.0:
         amps = np.zeros(space.dim, dtype=np.complex128)
         amps[idx] = np.exp(-1j * n * pair_phase) * np.tanh(xi) ** n / np.cosh(xi)

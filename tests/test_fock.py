@@ -6,24 +6,24 @@ from tmsvlab.fock import (DensityMatrix, FockSpace, PureState, hermite_functions
 from tmsvlab.states import tmsv
 
 from gridded import ladder_quadratures
-from source_oracle import basis_state, rotate_state
+from source_oracle import basis_index, basis_state, rotate_state
 
 
 def test_space_dimensions():
     sp = FockSpace(10)
     assert sp.dim == 121
-    assert sp.index(0, 0) == 0
-    assert sp.index(1, 0) == 11
-    assert sp.index(3, 7) == 3 * 11 + 7
+    assert basis_index(sp, 0, 0) == 0
+    assert basis_index(sp, 1, 0) == 11
+    assert basis_index(sp, 3, 7) == 3 * 11 + 7
     # the index map is a bijection onto 0..dim-1
-    idx = {sp.index(na, nb) for na in range(11) for nb in range(11)}
+    idx = {basis_index(sp, na, nb) for na in range(11) for nb in range(11)}
     assert idx == set(range(121))
 
 
 def test_pair_indices_are_the_index_of_each_pair():
     for n_cut in (0, 1, 4, 10):
         sp = FockSpace(n_cut)
-        assert sp.pair_indices().tolist() == [sp.index(n, n) for n in range(n_cut + 1)]
+        assert sp.pair_indices().tolist() == [basis_index(sp, n, n) for n in range(n_cut + 1)]
 
 
 def test_space_rejects_negative_cutoff():
@@ -56,7 +56,7 @@ def test_ladder_matrix_element_sqrt3():
     # small-matrix construction of the single-mode annihilator
     sp = FockSpace(4)
     a, _, _ = ladder_quadratures(sp, "A")
-    val = a[sp.index(2, 1), sp.index(3, 1)]
+    val = a[basis_index(sp, 2, 1), basis_index(sp, 3, 1)]
     assert val == pytest.approx(np.sqrt(3.0), abs=1e-14)
     single = np.zeros((5, 5))
     for n in range(1, 5):
@@ -181,7 +181,7 @@ def test_number_distributions_brute_force():
         for na in range(sp.mode_dim):
             for nb in range(sp.mode_dim):
                 if na + nb == total:
-                    k = sp.index(na, nb)
+                    k = basis_index(sp, na, nb)
                     proj[k, k] = 1.0
         val = np.trace(rho.entries @ proj).real
         assert p_sum[total] == pytest.approx(val, abs=1e-12)
@@ -190,7 +190,7 @@ def test_number_distributions_brute_force():
         for na in range(sp.mode_dim):
             for nb in range(sp.mode_dim):
                 if na - nb == diff:
-                    k = sp.index(na, nb)
+                    k = basis_index(sp, na, nb)
                     proj[k, k] = 1.0
         val = np.trace(rho.entries @ proj).real
         assert p_diff[diff + sp.n_cut] == pytest.approx(val, abs=1e-12)

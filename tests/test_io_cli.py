@@ -27,7 +27,7 @@ from tmsvlab.tomography import LOGLIK_GAP, TomographyConfig, bin_samples, ml_rec
 from conftest import (MALFORMED_TOKENS, NON_FINITE_TOKENS, assert_same_batch, concat,
                       floored_samples, loadtxt_shots, loglik_under, traced_peak_mb)
 from gridded import Gridded
-from source_oracle import basis_state
+from source_oracle import basis_index, basis_state
 from uhlmann import fidelity_pure
 
 
@@ -326,6 +326,28 @@ def test_cli_simulate_refuses_a_xi_whose_variances_overflow(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_simulate_refuses_a_shot_count_over_the_buffer_bound(tmp_path, capsys):
+    # --p 1e13 at two phases asked numpy for 146 TiB of sample column and
+    # raised its MemoryError out of main
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--xi", "0.8", "--thetas", "0.1,1.6", "--p", "10000000000000",
+                   "--out", str(out)) == EX_RUNTIME
+    assert capsys.readouterr().err == ("error: p_per_theta 10000000000000 at 2 phases makes "
+                                       "20000000000000 shots, over 134217728\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p, code", [(49, EX_OK), (50, EX_OK), (51, EX_RUNTIME)])
+def test_cli_simulate_bounds_its_shots_by_max_grid_cells(tmp_path, monkeypatch, p, code):
+    # the bound is read through the module when a preset is built, so a
+    # lowered bound is the one that a run meets
+    monkeypatch.setattr("tmsvlab.tomography.MAX_GRID_CELLS", 50)
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--xi", "0.8", "--thetas", "0.1", "--p", str(p),
+                   "--out", str(out)) == code
+    assert out.exists() == (code == EX_OK)
+
+
 @pytest.mark.parametrize("xi", ["60", "354"])
 def test_cli_simulate_refuses_counts_past_int64(tmp_path, capsys, xi):
     # quadratures near 1e25 (xi 60) and 1e153 (xi 354) made counts past
@@ -498,7 +520,7 @@ def test_cli_tomo_vacuum(tmp_path):
     # at dx = 0.25.  A sqrt(2) scale mismatch between simulate and tomo
     # gives rho_00 = 0.46.
     sp = FockSpace(5)
-    assert rho.entries[sp.index(0, 0), sp.index(0, 0)].real >= 0.880
+    assert rho.entries[basis_index(sp, 0, 0), basis_index(sp, 0, 0)].real >= 0.880
 
 
 def test_cli_tomo_nonconverged_exit_code(tmp_path):
@@ -924,6 +946,33 @@ def test_cli_metrics_rejects_a_non_finite_entry(tmp_path, capsys):
     assert not (tmp_path / "metrics.json").exists()
 
 
+def _rho_dict(drop=None, **fields):
+    d = {**tio.density_matrix_to_dict(basis_state(FockSpace(1), 0, 0).projector()), **fields}
+    d.pop(drop, None)
+    return d
+
+
+MALFORMED_DENSITY_MATRICES = {
+    "no re": (_rho_dict(drop="re"), "density matrix has no 're'"),
+    "no im": (_rho_dict(drop="im"), "density matrix has no 'im'"),
+    "a top-level list": ([_rho_dict()], "a density matrix is a JSON object, got list"),
+    "n_cut null": (_rho_dict(n_cut=None), "n_cut must be an integer, got None"),
+    "n_cut [0]": (_rho_dict(n_cut=[0]), "n_cut must be an integer, got [0]"),
+    "im {}": (_rho_dict(im={}), "im must be an array of numbers"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_DENSITY_MATRICES)
+def test_cli_metrics_names_the_fault_of_a_malformed_file(tmp_path, capsys, case):
+    # each of these raised KeyError, AttributeError or TypeError out of main
+    content, message = MALFORMED_DENSITY_MATRICES[case]
+    path, out = tmp_path / "rho.json", tmp_path / "out"
+    path.write_text(json.dumps(content))
+    assert run_cli("metrics", str(path), "--out", str(out)) == EX_RUNTIME
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_reproduce_unknown_id(tmp_path):
     assert run_cli("reproduce", "fig_unknown", "--out", str(tmp_path)) == EX_USAGE
 
@@ -1279,9 +1328,10 @@ PINNED_OUTPUTS = {
 
 def test_cli_runs_import_no_module_after_the_cli(tmp_path):
     # each benchmark repetition is a fresh process, so a module that a run
-    # imports on first use is paid on every one: np.unique's first call
-    # imports numpy.ma, 8-10 ms after import tmsvlab.cli (3 runs).  The
-    # fig_s3, fig3 and files workloads import locale and _locale only
+    # imports on first use is paid on every one: the first call of plain
+    # np.unique on integers, without return_inverse, imports numpy.ma,
+    # 8-10 ms after import tmsvlab.cli (3 runs).  The fig_s3, fig3 and
+    # files workloads import locale and _locale only
     commands = ["reproduce fig_s3 --scale smoke --out .", "reproduce fig3 --scale smoke --out .",
                 "simulate --xi 0.8 --thetas 0.7853981633974483,2.356194490192345 --p 2000"
                 " --out pair",

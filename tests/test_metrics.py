@@ -9,7 +9,7 @@ from tmsvlab.pipelines import PRESETS, run_fig_s3
 from tmsvlab.states import SqueezedVacuum, phase_noisy_state, tmsv, tmsv_rotated
 
 from gridded import ladder_quadratures
-from source_oracle import basis_state, rotate_state
+from source_oracle import basis_index, basis_state, rotate_state
 from uhlmann import fidelity_exact, fidelity_mixed_full, fidelity_pure
 
 
@@ -93,7 +93,7 @@ def test_fidelity_mixed_on_a_squeezed_vacuum_matches_the_full_space_formula(
     fit = fig_s3_run.ml.rho
     truth = SqueezedVacuum(xi, phi, sigma).density(fit.space)
     support = np.flatnonzero(truth.entries.any(axis=0))
-    assert support.tolist() == [fit.space.index(n, n) for n in range(11 if xi else 1)]
+    assert support.tolist() == [basis_index(fit.space, n, n) for n in range(11 if xi else 1)]
     got, full = fidelity_mixed(fit, truth), fidelity_mixed_full(fit, truth)
     if sigma == 0.0 or xi == 0.0:
         assert abs(got - full) <= 1e-12
@@ -113,7 +113,7 @@ def test_fidelity_mixed_keeps_tiny_off_pair_entries_in_its_block(fig_s3_run):
     target = SqueezedVacuum(0.63, 0.0).density(space)
     entries = target.entries.copy()
     for n_a, n_b in ((1, 0), (0, 2)):
-        entries[space.index(n_a, n_b), space.index(n_a, n_b)] = 1e-11
+        entries[basis_index(space, n_a, n_b), basis_index(space, n_a, n_b)] = 1e-11
     rho2 = DensityMatrix(space, entries)
     got = fidelity_mixed(fit, rho2)
     assert abs(got - fidelity_mixed_full(fit, rho2)) <= 1e-9
@@ -349,8 +349,8 @@ def test_best_phase_overlap_leaves_out_orders_below_float_noise():
     # coherence with |10,10>, at a xi the fit's search probes
     space = FockSpace(10)
     entries = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    entries[0, 0], entries[space.index(1, 1), space.index(1, 1)] = 0.99, 0.01
-    entries[0, space.index(10, 10)] = entries[space.index(10, 10), 0] = 1e-300
+    entries[0, 0], entries[basis_index(space, 1, 1), basis_index(space, 1, 1)] = 0.99, 0.01
+    entries[0, basis_index(space, 10, 10)] = entries[basis_index(space, 10, 10), 0] = 1e-300
     for rho, xi in ((phase_noisy_state(0.63, 3.0, space), 1e-12),
                     (DensityMatrix(space, entries), 1e-8)):
         assert_is_the_phase_maximum(metrics._pair_block(rho), xi)

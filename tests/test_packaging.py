@@ -69,6 +69,40 @@ def test_every_top_level_function_and_class_is_used():
     assert not unused, unused
 
 
+def attributes_read(node: ast.AST) -> set[str]:
+    """The attribute names that node reads, and its strings, outside each
+    method's own body for that method's name.  Variables do not count, so a
+    local named as a method does not keep the method."""
+    names = set()
+    for child in ast.iter_child_nodes(node):
+        found = attributes_read(child)
+        if isinstance(node, ast.ClassDef) and isinstance(child, ast.FunctionDef):
+            found.discard(child.name)
+        names |= found
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        names.add(node.attr)
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        names.add(node.value)
+    return names
+
+
+def test_every_method_and_property_is_used():
+    # a method or property that only the tests read belongs in tests/, as
+    # the basis index of source_oracle does
+    package = ROOT / "src" / "tmsvlab"
+    defined, read = set(), set()
+    for path in [*package.rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= attributes_read(tree)
+        if path.is_relative_to(package):
+            defined.update((path.stem, cls.name, node.name) for cls in tree.body
+                           if isinstance(cls, ast.ClassDef) for node in cls.body
+                           if isinstance(node, ast.FunctionDef)
+                           and not (node.name.startswith("__") and node.name.endswith("__")))
+    unused = sorted(".".join(key) for key in defined if key[2] not in read)
+    assert not unused, unused
+
+
 def test_package_root_binds_only_its_version_and_modules():
     # each name is imported from the module that defines it: the root
     # re-exports none, so no name has a second public path

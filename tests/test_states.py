@@ -10,7 +10,7 @@ from tmsvlab.states import (NOISELESS, NoiseModel, SqueezedVacuum, TruncationWar
                             phase_noisy_state, tmsv, tmsv_rotated, truncation_tail,
                             OMEGA_SPIN_DYNAMICS, XI_MAX)
 
-from source_oracle import basis_state, squeezed_vacuum_density
+from source_oracle import basis_index, basis_state, squeezed_vacuum_density
 
 OMEGA = 2 * np.pi * 5.1
 
@@ -34,8 +34,8 @@ def test_tmsv_zero_squeezing_is_vacuum(space10):
 def test_tmsv_coefficient_ratio_and_phase(space10):
     xi = 0.7
     psi = tmsv(xi, space10)
-    c0 = psi.amplitudes[space10.index(0, 0)]
-    c1 = psi.amplitudes[space10.index(1, 1)]
+    c0 = psi.amplitudes[basis_index(space10, 0, 0)]
+    c1 = psi.amplitudes[basis_index(space10, 1, 1)]
     assert abs(c1) ** 2 / abs(c0) ** 2 == pytest.approx(np.tanh(xi) ** 2, abs=1e-12)
     assert np.angle(c1 / c0) == pytest.approx(-np.pi / 2.0, abs=1e-12)
 
@@ -90,7 +90,7 @@ def test_tmsv_diagonal_geometric_law(space10):
     lam = np.tanh(xi) ** 2
     expected = (1 - lam) * lam ** np.arange(11)
     expected /= expected.sum()
-    diag = np.array([rho.entries[space10.index(n, n), space10.index(n, n)].real
+    diag = np.array([rho.entries[basis_index(space10, n, n), basis_index(space10, n, n)].real
                      for n in range(11)])
     assert np.allclose(diag, expected, atol=1e-12)
 
@@ -112,7 +112,7 @@ def test_phase_noisy_large_width_is_diagonal(space10):
     lam = np.tanh(xi) ** 2
     expected = (1 - lam) * lam ** np.arange(11)
     expected /= expected.sum()
-    got = np.array([rho.entries[space10.index(n, n), space10.index(n, n)].real
+    got = np.array([rho.entries[basis_index(space10, n, n), basis_index(space10, n, n)].real
                     for n in range(11)])
     assert np.allclose(got, expected, atol=1e-6)
 
@@ -283,7 +283,7 @@ def test_phase_noisy_weights_are_the_wrapped_gaussian(space10, sigma):
     block = weights[np.abs(n[:, None] - n[None, :])] * np.outer(t_pow, t_pow)
     block /= np.trace(block)
     rho = phase_noisy_state(xi, sigma, space10)
-    idx = [space10.index(i, i) for i in n]
+    idx = [basis_index(space10, i, i) for i in n]
     assert np.max(np.abs(rho.entries[np.ix_(idx, idx)] - block)) < 1e-13
     assert rho.entries.trace().real == pytest.approx(1.0, abs=1e-12)
     if sigma == 1e-4:

@@ -21,7 +21,7 @@ import fixed_point
 from conftest import floored_samples, loglik_under, traced_peak_mb
 from gridded import Gridded
 from group_bootstrap import bootstrap
-from source_oracle import basis_state, rotate_state
+from source_oracle import basis_index, basis_state, rotate_state
 from uhlmann import fidelity_exact, fidelity_pure
 
 
@@ -278,7 +278,7 @@ def test_r_operator_near_identity_on_support_for_exact_data():
     r = r_operator(vac, [h], dx)
     assert np.array_equal(r, r.conj().T)
     assert np.trace(vac.entries @ r).real == pytest.approx(1.0, abs=1e-3)
-    idx = sp.index(0, 0)
+    idx = basis_index(sp, 0, 0)
     assert r[idx, idx].real == pytest.approx(1.0, abs=1e-3)
 
 
@@ -678,7 +678,7 @@ def test_ml_vacuum_reconstruction_high_fidelity():
     # unlimited data the midpoint bin model caps rho_00 near
     # 1/(1 + dx^2/12)^2 = 0.990 at dx = 0.25 (fidelity 0.995).
     assert fidelity_pure(result.rho, vac) >= 0.973
-    idx = sp.index(0, 0)
+    idx = basis_index(sp, 0, 0)
     assert result.rho.entries[idx, idx].real >= 0.946
 
 
